@@ -21,7 +21,6 @@ use lightne_gen::alias::AliasTable;
 use lightne_graph::{walk::walk_trajectory, GraphOps, VertexId};
 use lightne_linalg::DenseMatrix;
 use lightne_utils::rng::XorShiftStream;
-use lightne_utils::timer::StageTimer;
 
 /// DeepWalk hyper-parameters (word2vec-lineage defaults).
 #[derive(Debug, Clone, Copy)]
@@ -66,9 +65,7 @@ pub struct DeepWalkOutput {
     pub embedding: DenseMatrix,
     /// Number of SGD pair updates performed.
     pub updates: u64,
-    /// Timing (one stage: "sgd training").
-    pub timings: StageTimer,
-    /// Full per-stage run statistics.
+    /// Run statistics (one stage: "sgd training").
     pub stats: RunStats,
 }
 
@@ -97,9 +94,7 @@ impl DeepWalk {
         let d = cfg.dim;
         let mut ctx = RunContext::new(cfg.seed);
         let (input, updates) = ctx.run_named("sgd training", |scope| self.train(g, n, d, scope));
-        let stats = ctx.into_stats();
-        let timings = stats.timer();
-        DeepWalkOutput { embedding: input, updates, timings, stats }
+        DeepWalkOutput { embedding: input, updates, stats: ctx.into_stats() }
     }
 
     // Index loops are deliberate in the SGD hot path: the windowed pair

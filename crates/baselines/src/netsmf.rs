@@ -16,14 +16,12 @@
 //! noise.
 
 use lightne_core::engine::{run_pipeline, PipelineSource, RunOptions, RunStats};
-use lightne_core::propagation::PropagationConfig;
 use lightne_core::LightNeConfig;
 use lightne_graph::GraphOps;
-use lightne_hash::{EdgeAggregator, ThreadLocalAggregator};
-use lightne_linalg::{CsrMatrix, DenseMatrix};
-use lightne_sparsifier::construct::{sample_into, SamplerConfig, SamplerStats, SparsifierOutput};
-use lightne_sparsifier::netmf::sparsifier_to_netmf;
-use lightne_utils::timer::StageTimer;
+use lightne_hash::{EdgeAggregator, ShardedEdgeTable, ThreadLocalAggregator};
+use lightne_linalg::DenseMatrix;
+use lightne_sparsifier::construct::{sample_into, SamplerConfig, SamplerError, SamplerStats};
+use lightne_sparsifier::table_from_coo;
 
 /// NetSMF configuration.
 #[derive(Debug, Clone, Copy)]
@@ -65,9 +63,8 @@ pub struct NetSmfOutput {
     pub embedding: DenseMatrix,
     /// Sampler statistics (note `aggregator_bytes` grows with samples).
     pub sampler: SamplerStats,
-    /// Stage timings (sparsifier construction, randomized SVD).
-    pub timings: StageTimer,
-    /// Full per-stage run statistics.
+    /// Per-stage run statistics (sparsifier construction, NetMF
+    /// conversion, randomized SVD).
     pub stats: RunStats,
 }
 
@@ -77,33 +74,27 @@ pub struct NetSmf {
     cfg: NetSmfConfig,
 }
 
-/// [`PipelineSource`] realizing NetSMF's stage variants: per-thread
-/// aggregation buffers instead of the shared hash table, and no
-/// propagation stage (the configuration disables it).
+/// [`PipelineSource`] realizing NetSMF's stage-1 variant: per-thread
+/// aggregation buffers instead of the shared hash table, merged and only
+/// then loaded into the table the engine drains. (No propagation stage —
+/// the configuration disables it.)
 struct NetSmfSource<'a, G: GraphOps>(&'a G);
 
 impl<G: GraphOps> PipelineSource for NetSmfSource<'_, G> {
-    fn num_vertices(&self) -> usize {
-        self.0.num_vertices()
+    type Graph = G;
+
+    fn graph(&self) -> &G {
+        self.0
     }
 
-    fn num_edges(&self) -> usize {
-        self.0.num_edges()
-    }
-
-    fn sparsify(&self, cfg: &SamplerConfig) -> SparsifierOutput {
+    fn sparsify(
+        &self,
+        cfg: &SamplerConfig,
+        shards: usize,
+    ) -> Result<(ShardedEdgeTable, SamplerStats), SamplerError> {
         let agg = ThreadLocalAggregator::new();
         let stats = sample_into(self.0, cfg, &agg)?;
-        Ok((agg.into_coo(), stats))
-    }
-
-    fn netmf(&self, coo: Vec<(u32, u32, f32)>, samples: u64, negative: f64) -> CsrMatrix {
-        sparsifier_to_netmf(self.0, coo, samples, negative)
-    }
-
-    fn propagate(&self, _initial: &DenseMatrix, _cfg: &PropagationConfig) -> DenseMatrix {
-        // xtask:panic-ok(NetSMF config pins propagation off; this stub only exists to satisfy the Source trait)
-        unreachable!("netsmf runs with propagation disabled")
+        Ok((table_from_coo(self.0.num_vertices(), shards, &agg.into_coo()), stats))
     }
 }
 
@@ -129,17 +120,11 @@ impl NetSmf {
             propagation: None,
             seed: cfg.seed,
             shards: 0,
-            global_table: false,
             pin_shards: false,
         };
         let out = run_pipeline(&engine_cfg, &NetSmfSource(g), RunOptions::default())
             .unwrap_or_else(|e| panic!("pipeline failed: {e}"));
-        NetSmfOutput {
-            embedding: out.embedding,
-            sampler: out.sampler,
-            timings: out.timings,
-            stats: out.stats,
-        }
+        NetSmfOutput { embedding: out.embedding, sampler: out.sampler, stats: out.stats }
     }
 }
 
@@ -161,7 +146,7 @@ mod tests {
         .embed(&g);
         assert_eq!(out.embedding.rows(), 300);
         assert_eq!(out.embedding.cols(), 16);
-        assert!(out.timings.get("randomized svd").is_some());
+        assert!(out.stats.get("randomized svd").is_some());
     }
 
     #[test]

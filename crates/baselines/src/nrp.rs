@@ -14,8 +14,7 @@
 
 use lightne_graph::GraphOps;
 use lightne_linalg::{randomized_svd, CsrMatrix, DenseMatrix, RsvdConfig};
-use lightne_sparsifier::construct::{build_sparsifier, SamplerConfig};
-use rayon::prelude::*;
+use lightne_sparsifier::{build_sharded_sparsifier, SamplerConfig};
 
 /// NRP-style configuration (shares the sampler's knobs).
 #[derive(Debug, Clone, Copy)]
@@ -47,25 +46,19 @@ pub fn nrp_embed<G: GraphOps>(g: &G, cfg: &NrpConfig) -> DenseMatrix {
         seed: cfg.seed,
         ..Default::default()
     };
-    let (coo, _) = build_sparsifier(g, &sampler_cfg).expect("nrp sampling failed");
+    let (table, _) = build_sharded_sparsifier(g, &sampler_cfg, 0).expect("nrp sampling failed");
 
-    // Same estimator inversion as netmf.rs, but NO trunc_log.
+    // Same estimator inversion as netmf.rs, fused into the same drain,
+    // but NO trunc_log.
     let n = g.num_vertices();
     let vol = g.volume();
     let degrees: Vec<f64> = (0..n).map(|v| g.degree(v as u32) as f64).collect();
     let factor = vol * vol / (2.0 * sampler_cfg.samples as f64);
-    let entries: Vec<(u32, u32, f32)> = coo
-        .into_par_iter()
-        .filter_map(|(i, j, w)| {
-            let (di, dj) = (degrees[i as usize], degrees[j as usize]);
-            if di == 0.0 || dj == 0.0 {
-                None
-            } else {
-                Some((i, j, (factor * w as f64 / (di * dj)) as f32))
-            }
-        })
-        .collect();
-    let m = CsrMatrix::from_coo(n, n, entries);
+    let runs = table.drain_map(|i, j, w| {
+        let (di, dj) = (degrees[i as usize], degrees[j as usize]);
+        (di != 0.0 && dj != 0.0).then(|| (factor * w as f64 / (di * dj)) as f32)
+    });
+    let m = CsrMatrix::from_sharded_rows(n, n, runs);
     let svd = randomized_svd(
         &m,
         &RsvdConfig { rank: cfg.dim, oversampling: 16, power_iters: 1, seed: cfg.seed },

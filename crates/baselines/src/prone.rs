@@ -24,7 +24,6 @@ use lightne_core::propagation::{spectral_propagation, PropagationConfig};
 use lightne_graph::GraphOps;
 use lightne_linalg::{randomized_svd, CsrMatrix, DenseMatrix, RsvdConfig};
 use lightne_utils::parallel::parallel_reduce_sum;
-use lightne_utils::timer::StageTimer;
 use rayon::prelude::*;
 
 /// ProNE+ configuration.
@@ -69,9 +68,7 @@ pub struct ProNeOutput {
     pub initial_embedding: DenseMatrix,
     /// Non-zeros in the factorized matrix (always the arc count).
     pub matrix_nnz: usize,
-    /// Stage timings (randomized SVD, spectral propagation).
-    pub timings: StageTimer,
-    /// Full per-stage run statistics.
+    /// Per-stage run statistics (randomized SVD, spectral propagation).
     pub stats: RunStats,
 }
 
@@ -151,8 +148,7 @@ impl ProNe {
         });
 
         let stats = ctx.into_stats();
-        let timings = stats.timer();
-        ProNeOutput { embedding, initial_embedding: initial, matrix_nnz, timings, stats }
+        ProNeOutput { embedding, initial_embedding: initial, matrix_nnz, stats }
     }
 }
 
@@ -189,7 +185,7 @@ mod tests {
         let out = ProNe::new(ProNeConfig { dim: 16, ..Default::default() }).embed(&g);
         assert_eq!(out.embedding.rows(), 300);
         assert_eq!(out.embedding.cols(), 16);
-        assert!(out.timings.get("spectral propagation").is_some());
+        assert!(out.stats.get("spectral propagation").is_some());
     }
 
     #[test]

@@ -33,16 +33,6 @@ fn bench_systems(c: &mut Criterion) {
         });
         b.iter(|| black_box(pipe.embed(&g)))
     });
-    group.bench_function("lightne_2Tm_global_table", |b| {
-        let pipe = LightNe::new(LightNeConfig {
-            dim: 32,
-            window: 10,
-            sample_ratio: 2.0,
-            global_table: true,
-            ..Default::default()
-        });
-        b.iter(|| black_box(pipe.embed(&g)))
-    });
     group.bench_function("netsmf_2Tm", |b| {
         let sys = NetSmf::new(NetSmfConfig {
             dim: 32,

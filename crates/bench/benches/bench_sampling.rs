@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lightne_gen::generators::chung_lu;
 use lightne_graph::CompressedGraph;
-use lightne_sparsifier::construct::{build_sparsifier, SamplerConfig};
+use lightne_sparsifier::construct::SamplerConfig;
 use lightne_sparsifier::path_sampling::path_sample;
 use lightne_sparsifier::sharded::build_sharded_sparsifier;
 use lightne_utils::rng::XorShiftStream;
@@ -54,7 +54,7 @@ fn bench_algorithm2(c: &mut Criterion) {
                     seed: 3,
                     ..Default::default()
                 };
-                b.iter(|| black_box(build_sparsifier(&g, &cfg)))
+                b.iter(|| black_box(build_sharded_sparsifier(&g, &cfg, 0).map(|(_, stats)| stats)))
             },
         );
     }
@@ -62,22 +62,14 @@ fn bench_algorithm2(c: &mut Criterion) {
 }
 
 fn bench_aggregation_paths(c: &mut Criterion) {
-    // Global table vs vertex-range sharding, same sample stream. The
-    // sharded drain yields sorted entries for free, so the fair comparison
-    // charges the global path the packed-key sort `from_coo` runs next.
+    // One shard (the single shared table) vs vertex-range sharding, same
+    // sample stream, each through its sorted drain.
     let g = chung_lu(5_000, 75_000, 2.5, 4);
     let cfg = SamplerConfig { window: 10, samples: 750_000, seed: 5, ..Default::default() };
     let mut group = c.benchmark_group("aggregation_path");
     group.sample_size(10);
 
-    group.bench_function("global_table", |b| {
-        b.iter(|| {
-            let (mut coo, stats) = build_sparsifier(&g, &cfg).unwrap();
-            coo.sort_unstable_by_key(|&(u, v, _)| ((u as u64) << 32) | v as u64);
-            black_box((coo, stats))
-        })
-    });
-    for shards in [8usize, 64] {
+    for shards in [1usize, 8, 64] {
         group.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, &s| {
             b.iter(|| {
                 let (table, stats) = build_sharded_sparsifier(&g, &cfg, s).unwrap();

@@ -21,14 +21,11 @@
 
 use crate::engine::{run_pipeline, PipelineSource, RunOptions};
 use crate::pipeline::{LightNe, LightNeConfig, LightNeOutput};
-use crate::propagation::PropagationConfig;
 use lightne_graph::{Graph, GraphBuilder, VertexId};
-use lightne_hash::{ConcurrentEdgeTable, EdgeAggregator};
-use lightne_linalg::{CsrMatrix, DenseMatrix};
-use lightne_sparsifier::construct::{SamplerConfig, SamplerError, SamplerStats, SparsifierOutput};
-use lightne_sparsifier::downsample::{default_c, scheme_edge_probability};
-use lightne_sparsifier::netmf::sparsifier_to_netmf;
-use lightne_sparsifier::path_sampling::path_sample;
+use lightne_hash::{ConcurrentEdgeTable, EdgeAggregator, ShardedEdgeTable};
+use lightne_sparsifier::construct::{sample_arc, SamplerConfig, SamplerError, SamplerStats};
+use lightne_sparsifier::downsample::{default_c, survival_probability};
+use lightne_sparsifier::sharded::table_from_coo;
 use lightne_utils::rng::XorShiftStream;
 
 /// A LightNE instance that absorbs edge insertions and re-embeds
@@ -89,7 +86,6 @@ impl DynamicLightNe {
         let per_arc = (self.cfg.sample_ratio * self.cfg.window as f64 / 2.0).max(0.5);
         let c = self.cfg.c_factor.unwrap_or_else(|| default_c(self.graph.num_vertices()));
         let g = &self.graph;
-        let t = self.cfg.window;
         let mut trials = 0u64;
         let mut kept = 0u64;
 
@@ -102,22 +98,12 @@ impl DynamicLightNe {
             for (a, b) in [(u, v), (v, u)] {
                 let n_e = per_arc.floor() as u64 + u64::from(rng.bernoulli(per_arc.fract()));
                 let p_e = if self.cfg.downsample {
-                    scheme_edge_probability(self.cfg.prob, g, a, b, c)
+                    survival_probability(self.cfg.prob, g, a, b, 1.0, c)
                 } else {
                     1.0
                 };
-                let w = (1.0 / p_e) as f32;
-                for _ in 0..n_e {
-                    trials += 1;
-                    if p_e < 1.0 && !rng.bernoulli(p_e) {
-                        continue;
-                    }
-                    kept += 1;
-                    let r = 1 + rng.bounded_usize(t);
-                    let (x, y) = path_sample(g, a, b, r, &mut rng);
-                    self.table.add(x, y, w);
-                    self.table.add(y, x, w);
-                }
+                trials += n_e;
+                kept += sample_arc(g, (a, b), n_e, p_e, self.cfg.window, &mut rng, &self.table);
             }
         }
         self.total_trials += trials;
@@ -162,53 +148,37 @@ impl DynamicLightNe {
     pub fn full_rebuild(&self) -> LightNeOutput {
         LightNe::new(self.cfg).embed(&self.graph)
     }
-
-    fn snapshot_entries(&self) -> Vec<(u32, u32, f32)> {
-        // ConcurrentEdgeTable drains by value; iterate entries via the
-        // cheap route: probe every distinct key through a temporary drain
-        // of a clone-free copy. Since the table API is drain-only, we
-        // rebuild the entry list from the edge log's perspective instead:
-        // read every stored pair through `get` would require knowing the
-        // keys, so the table exposes its contents through into_coo on a
-        // clone built here.
-        self.table.snapshot()
-    }
 }
 
 /// [`PipelineSource`] backed by the persistent sparsifier table: the
-/// "sparsify" stage is a snapshot of accumulated mass (no re-sampling),
-/// and the sample budget is the total trials absorbed so far.
+/// "sparsify" stage loads a snapshot of accumulated mass (no
+/// re-sampling), and the sample budget is the total trials absorbed so
+/// far.
 struct DynamicSource<'a>(&'a DynamicLightNe);
 
 impl PipelineSource for DynamicSource<'_> {
-    fn num_vertices(&self) -> usize {
-        self.0.graph.num_vertices()
-    }
+    type Graph = Graph;
 
-    fn num_edges(&self) -> usize {
-        self.0.graph.num_edges()
+    fn graph(&self) -> &Graph {
+        &self.0.graph
     }
 
     fn total_samples(&self, _cfg: &LightNeConfig) -> u64 {
         self.0.total_trials
     }
 
-    fn sparsify(&self, _cfg: &SamplerConfig) -> SparsifierOutput {
+    fn sparsify(
+        &self,
+        _cfg: &SamplerConfig,
+        shards: usize,
+    ) -> Result<(ShardedEdgeTable, SamplerStats), SamplerError> {
         let stats = SamplerStats {
             trials: self.0.total_trials,
             kept: 0,
             distinct_entries: self.0.table.len(),
             aggregator_bytes: self.0.table.memory_bytes(),
         };
-        Ok((self.0.snapshot_entries(), stats))
-    }
-
-    fn netmf(&self, coo: Vec<(u32, u32, f32)>, samples: u64, negative: f64) -> CsrMatrix {
-        sparsifier_to_netmf(&self.0.graph, coo, samples, negative)
-    }
-
-    fn propagate(&self, initial: &DenseMatrix, cfg: &PropagationConfig) -> DenseMatrix {
-        crate::propagation::spectral_propagation(&self.0.graph, initial, cfg)
+        Ok((table_from_coo(self.0.n, shards, &self.0.table.snapshot()), stats))
     }
 }
 

@@ -10,28 +10,32 @@
 //!   named counters, and peak heap bytes into [`StageRecord`]s, with
 //!   deterministic per-stage RNG sub-seeds derived from the master seed
 //!   and an optional [`ProgressHook`] for live reporting.
-//! * [`PipelineSource`] abstracts what a stage *does*: the unweighted,
-//!   weighted, dynamic, and NetSMF pipelines each implement it once.
+//! * [`PipelineSource`] names the graph the stages run on and how its
+//!   sparsifier table is filled: by Algorithm 2 (any graph, weighted or
+//!   not), from the dynamic embedder's persistent table, or through
+//!   NetSMF's per-thread buffers. Every later stage is the engine's.
 //! * [`run_pipeline`] executes the sequence over any source, optionally
 //!   checkpointing each stage's output ([`RunOptions::save_artifacts`])
 //!   and resuming from the deepest artifact found
 //!   ([`RunOptions::resume_from`]).
 //! * [`RunStats`] is the finished record: queryable, renderable as JSON
-//!   (`--stats-json`), and convertible back into the [`StageTimer`]
-//!   breakdown the bench harness prints as the paper's Table 5.
+//!   (`--stats-json`), and printable as the per-stage breakdown of the
+//!   paper's Table 5.
 
 use crate::artifacts::{
     ArtifactState, ArtifactStore, RunMeta, INITIAL_FILE, META_VERSION, NETMF_FILE, SPARSIFIER_FILE,
 };
-use crate::pipeline::{LightNeConfig, LightNeOutput};
-use crate::propagation::PropagationConfig;
-use lightne_hash::ShardedEdgeTable;
-use lightne_linalg::{randomized_svd, CsrMatrix, DenseMatrix, RsvdConfig};
-use lightne_sparsifier::construct::{SamplerConfig, SamplerError, SamplerStats, SparsifierOutput};
+use crate::pipeline::{ConfigError, LightNeConfig, LightNeOutput};
+use crate::propagation::spectral_propagation;
+use lightne_graph::WeightedOps;
+use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
+use lightne_linalg::{randomized_svd, CsrMatrix, RsvdConfig};
+use lightne_sparsifier::construct::{SamplerConfig, SamplerError, SamplerStats};
+use lightne_sparsifier::sharded::{build_sharded_sparsifier, sharded_to_netmf, table_from_coo};
 use lightne_utils::checksum::fnv1a64;
 use lightne_utils::faults;
 use lightne_utils::mem::MemUsage;
-use lightne_utils::timer::StageTimer;
+use lightne_utils::timer::humanize;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -279,16 +283,6 @@ impl RunStats {
         self.stages.iter().map(|s| s.secs).sum()
     }
 
-    /// Rebuilds a [`StageTimer`] breakdown from the records (for display
-    /// paths that still consume timers).
-    pub fn timer(&self) -> StageTimer {
-        let mut t = StageTimer::new();
-        for s in &self.stages {
-            t.record(s.name.clone(), Duration::from_secs_f64(s.secs));
-        }
-        t
-    }
-
     /// Renders the stats as a JSON document (the `--stats-json` schema).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
@@ -332,6 +326,18 @@ impl RunStats {
     }
 }
 
+/// The per-stage wall-clock breakdown (the rows of the paper's Table 5)
+/// and their total.
+impl fmt::Display for RunStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let row = |secs: f64| humanize(Duration::from_secs_f64(secs));
+        for s in &self.stages {
+            writeln!(f, "{:<32} {}", s.name, row(s.secs))?;
+        }
+        write!(f, "{:<32} {}", "total", row(self.total_secs()))
+    }
+}
+
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -358,6 +364,8 @@ pub enum EngineError {
     Resume(String),
     /// The sampler rejected the graph or configuration.
     Sampler(SamplerError),
+    /// A configuration field is outside its domain.
+    Config(ConfigError),
     /// An artifact's bytes fail integrity validation (checksum or size
     /// mismatch, broken seal, or a file/manifest disagreement).
     Corrupt {
@@ -391,6 +399,7 @@ impl fmt::Display for EngineError {
             EngineError::Io(e) => write!(f, "artifact i/o: {e}"),
             EngineError::Resume(what) => write!(f, "cannot resume: {what}"),
             EngineError::Sampler(e) => write!(f, "sampler: {e}"),
+            EngineError::Config(e) => write!(f, "configuration: {e}"),
             EngineError::Corrupt { file, detail } => {
                 write!(f, "corrupt artifact {file}: {detail}")
             }
@@ -420,6 +429,12 @@ impl From<lightne_linalg::matio::MatIoError> for EngineError {
 impl From<SamplerError> for EngineError {
     fn from(e: SamplerError) -> Self {
         EngineError::Sampler(e)
+    }
+}
+
+impl From<ConfigError> for EngineError {
+    fn from(e: ConfigError) -> Self {
+        EngineError::Config(e)
     }
 }
 
@@ -454,78 +469,49 @@ impl fmt::Debug for RunOptions {
     }
 }
 
-/// What a staged pipeline must provide: the realization of each stage.
+/// What a staged pipeline must provide: the graph its stages run on, and
+/// how the sparsifier table of stage 1 is filled.
 ///
-/// The engine owns sequencing, timing, counters, checkpointing, and
-/// resume; implementors own the math. [`run_pipeline`] is the only
-/// driver, so every source gets artifacts, stats, and progress for free.
+/// The engine owns sequencing, timing, counters, checkpointing, resume,
+/// and stages 2–4 (fused NetMF drain, randomized SVD, propagation over
+/// the graph's operators); [`run_pipeline`] is the only driver, so every
+/// source gets artifacts, stats, and progress for free.
 pub trait PipelineSource {
-    /// Number of vertices in the underlying graph.
-    fn num_vertices(&self) -> usize;
+    /// The graph backend (any [`WeightedOps`]: CSR, compressed, weighted).
+    type Graph: WeightedOps;
 
-    /// Number of undirected edges (drives the sample budget).
-    fn num_edges(&self) -> usize;
-
-    /// Whether this source runs the weighted pipeline (recorded in
-    /// artifact metadata; a resume across this flag is rejected).
-    fn is_weighted(&self) -> bool {
-        false
-    }
-
-    /// Resident heap bytes of the source graph itself. Memory-mapped
-    /// sources return 0 — their payload lives in the page cache, not on
-    /// the heap — which is exactly what the out-of-core memory gate
-    /// measures. Folded into the sparsify stage's peak (the graph is
-    /// resident for the whole run; the sparsifier stage is where it
-    /// coexists with the largest transient structure) and reported as
-    /// the `graph_bytes` counter.
-    fn graph_resident_bytes(&self) -> usize {
-        0
-    }
+    /// The graph every stage reads: its sizes and weightedness feed the
+    /// run fingerprint, its degrees and volume the NetMF inversion, its
+    /// operators the propagation. Its resident bytes are folded into the
+    /// sparsify stage's peak (the graph is resident for the whole run;
+    /// the sparsifier stage is where it coexists with the largest
+    /// transient structure) and reported as the `graph_bytes` counter —
+    /// 0 for a memory-mapped graph, whose payload lives in the page
+    /// cache, which is exactly what the out-of-core memory gate measures.
+    fn graph(&self) -> &Self::Graph;
 
     /// Total PathSampling trials for a configuration (`M = ratio·T·m`).
     fn total_samples(&self, cfg: &LightNeConfig) -> u64 {
-        let m = (cfg.sample_ratio * cfg.window as f64 * self.num_edges() as f64).round() as u64;
-        m.max(1)
+        let m = cfg.sample_ratio * cfg.window as f64 * self.graph().num_edges() as f64;
+        (m.round() as u64).max(1)
     }
 
-    /// Stage 1: builds the sparsifier COO and sampling statistics.
+    /// Stage 1: fills the vertex-range-sharded sparsifier table the
+    /// fused stage-2 drain consumes (`shards == 0` selects the automatic
+    /// heuristic). The default runs Algorithm 2 over [`Self::graph`];
+    /// sources whose samples come from elsewhere load them with
+    /// [`table_from_coo`].
     ///
     /// # Errors
     /// Propagates [`SamplerError`] when the graph or configuration cannot
     /// be sampled (no edges, zero window).
-    fn sparsify(&self, cfg: &SamplerConfig) -> SparsifierOutput;
-
-    /// Stage 1, sharded fast path: builds the sparsifier into a
-    /// vertex-range-sharded table for the fused stage-2 drain. Sources
-    /// without a sharded implementation return `None` (the default) and
-    /// the engine falls back to [`PipelineSource::sparsify`].
-    ///
-    /// `shards == 0` selects the automatic heuristic.
-    fn sparsify_sharded(
+    fn sparsify(
         &self,
-        _cfg: &SamplerConfig,
-        _shards: usize,
-    ) -> Option<Result<(ShardedEdgeTable, SamplerStats), SamplerError>> {
-        None
+        cfg: &SamplerConfig,
+        shards: usize,
+    ) -> Result<(ShardedEdgeTable, SamplerStats), SamplerError> {
+        build_sharded_sparsifier(self.graph(), cfg, shards)
     }
-
-    /// Stage 2: converts the sparsifier into the NetMF matrix.
-    fn netmf(&self, coo: Vec<(u32, u32, f32)>, samples: u64, negative: f64) -> CsrMatrix;
-
-    /// Stage 2, sharded fast path: fused drain of the sharded table
-    /// straight into the NetMF matrix. The default flattens the sorted
-    /// runs and delegates to [`PipelineSource::netmf`], which is already
-    /// byte-identical — sources override it to skip the global COO.
-    fn netmf_sharded(&self, table: ShardedEdgeTable, samples: u64, negative: f64) -> CsrMatrix {
-        let coo: Vec<(u32, u32, f32)> =
-            table.into_sorted_runs().into_iter().flat_map(|(_, run)| run).collect();
-        self.netmf(coo, samples, negative)
-    }
-
-    /// Stage 4: propagates the initial embedding (only called when the
-    /// configuration enables propagation).
-    fn propagate(&self, initial: &DenseMatrix, cfg: &PropagationConfig) -> DenseMatrix;
 }
 
 /// How deep into the pipeline a resume directory reaches.
@@ -537,24 +523,14 @@ enum ResumeLevel {
     Initial,
 }
 
-/// What stage 1 hands to stage 2.
-enum SparsifierPayload {
-    /// Resumed past the point where stage 2 needs input.
-    None,
-    /// Classic path: the drained global COO.
-    Coo(Vec<(u32, u32, f32)>),
-    /// Sharded fast path: the live table for the fused drain.
-    Sharded(ShardedEdgeTable),
-}
-
 /// Fingerprint of a run's graph and embedding parameters.
 ///
 /// Resuming is only sound when the artifacts were produced by the *same*
 /// computation: same graph (vertex/edge counts, weightedness), same
 /// sampling and factorization parameters, same seed. The fingerprint is
 /// an FNV-1a digest over a canonical rendering of exactly the inputs that
-/// shape the checkpointed state. Data-path knobs whose output is
-/// byte-identical (shard count, global-table) and the propagation stage
+/// shape the checkpointed state. The shard count (table layout only; the
+/// output is byte-identical at every count) and the propagation stage
 /// (never checkpointed — it runs after the deepest artifact) are
 /// deliberately excluded.
 pub fn run_fingerprint(cfg: &LightNeConfig, n: usize, m: usize, weighted: bool) -> u64 {
@@ -563,9 +539,8 @@ pub fn run_fingerprint(cfg: &LightNeConfig, n: usize, m: usize, weighted: bool) 
 }
 
 /// Runs the staged pipeline over `src`, with optional checkpointing and
-/// resume. This is the single execution path behind [`LightNe::embed`],
-/// [`LightNe::embed_weighted`], the dynamic re-embedder, and the staged
-/// baselines.
+/// resume. This is the single execution path behind [`LightNe::embed`]
+/// (weighted or not), the dynamic re-embedder, and the staged baselines.
 ///
 /// On resume, the artifact directory's metadata and manifest are
 /// validated first; invalid artifacts are skipped (the run degrades to
@@ -576,12 +551,12 @@ pub fn run_fingerprint(cfg: &LightNeConfig, n: usize, m: usize, weighted: bool) 
 /// different graph or parameterization — is always a hard error.
 ///
 /// [`LightNe::embed`]: crate::pipeline::LightNe::embed
-/// [`LightNe::embed_weighted`]: crate::pipeline::LightNe::embed_weighted
 pub fn run_pipeline<S: PipelineSource>(
     cfg: &LightNeConfig,
     src: &S,
     opts: RunOptions,
 ) -> Result<LightNeOutput, EngineError> {
+    cfg.validate()?;
     let mut ctx = match opts.progress {
         Some(hook) => RunContext::with_progress(cfg.seed, hook),
         None => RunContext::new(cfg.seed),
@@ -592,8 +567,10 @@ pub fn run_pipeline<S: PipelineSource>(
     // identical pinned or not.
     lightne_utils::affinity::set_worker_pinning(cfg.pin_shards);
 
-    let n = src.num_vertices();
-    let fingerprint = run_fingerprint(cfg, n, src.num_edges(), src.is_weighted());
+    let g = src.graph();
+    let n = g.num_vertices();
+    let weighted = <S::Graph as WeightedOps>::WEIGHTED;
+    let fingerprint = run_fingerprint(cfg, n, g.num_edges(), weighted);
 
     // Resolve the resume state before touching the save directory: when
     // both options point at the same store, creation must not reset it.
@@ -606,11 +583,11 @@ pub fn run_pipeline<S: PipelineSource>(
                 e @ (EngineError::Corrupt { .. } | EngineError::MetaVersion { .. }) => e,
                 e => EngineError::Resume(format!("unreadable metadata in {}: {e}", dir.display())),
             })?;
-            if meta.weighted != src.is_weighted() {
+            if meta.weighted != weighted {
                 return Err(EngineError::Resume(format!(
                     "artifacts are from a {} run, this run is {}",
                     if meta.weighted { "weighted" } else { "unweighted" },
-                    if src.is_weighted() { "weighted" } else { "unweighted" },
+                    if weighted { "weighted" } else { "unweighted" },
                 )));
             }
             if meta.seed != cfg.seed {
@@ -704,7 +681,7 @@ pub fn run_pipeline<S: PipelineSource>(
         version: META_VERSION,
         seed: cfg.seed,
         fingerprint,
-        weighted: src.is_weighted(),
+        weighted,
         n,
         samples,
         trials: 0,
@@ -720,17 +697,11 @@ pub fn run_pipeline<S: PipelineSource>(
         store.save_meta(&meta)?;
     }
 
-    // The sharded fast path fuses the stage-2 transform into the shard
-    // drain, so it never materializes the untransformed COO. Checkpointing
-    // needs that COO on disk (the sparsifier artifact), so runs that save
-    // artifacts — and resumed runs, which replay from artifacts — take the
-    // classic path. Output bytes are identical either way.
-    let use_sharded = level == ResumeLevel::None && store.is_none() && !cfg.global_table;
-
-    // Stage 1: sparsifier construction (or replay from artifacts).
-    let (payload, sampler) = ctx.run(StageKind::Sparsify, |scope| -> Result<_, EngineError> {
+    // Stage 1: sparsifier construction (or replay from artifacts). Yields
+    // the table stage 2 drains — `None` when resumed past that point.
+    let (table, sampler) = ctx.run(StageKind::Sparsify, |scope| -> Result<_, EngineError> {
         faults::check(FP_STAGE_SPARSIFY)?;
-        let (payload, stats) = if level >= ResumeLevel::Sparsifier {
+        let (table, stats) = if level >= ResumeLevel::Sparsifier {
             // xtask:panic-ok(invariant: resume_meta was populated by the same level probe that chose this branch)
             let m = resume_meta.as_ref().expect("resume level implies meta");
             scope.counter("resumed", 1);
@@ -740,20 +711,21 @@ pub fn run_pipeline<S: PipelineSource>(
                 distinct_entries: m.distinct_entries,
                 aggregator_bytes: m.aggregator_bytes,
             };
-            // Only materialize the COO when the next stage will consume it.
-            let payload = if level == ResumeLevel::Sparsifier {
+            // Only reload the table when the next stage will drain it.
+            let table = if level == ResumeLevel::Sparsifier {
                 // xtask:panic-ok(invariant: a resume level above None implies the store that produced it is open)
                 let r = resume.as_ref().expect("resume level implies store");
                 let (_, _, entries) = r.load_sparsifier()?;
-                SparsifierPayload::Coo(entries)
+                Some(table_from_coo(n, cfg.shards, &entries))
             } else {
-                SparsifierPayload::None
+                None
             };
-            (payload, stats)
-        } else if let Some(sharded) =
-            if use_sharded { src.sparsify_sharded(&sampler_cfg, cfg.shards) } else { None }
-        {
-            let (table, stats) = sharded?;
+            (table, stats)
+        } else {
+            let (table, stats) = src.sparsify(&sampler_cfg, cfg.shards)?;
+            (Some(table), stats)
+        };
+        if let Some(table) = &table {
             let shard_stats = table.shard_stats();
             scope.counter("shards", shard_stats.len() as u64);
             scope.counter("shard_resizes", table.total_resizes() as u64);
@@ -761,20 +733,23 @@ pub fn run_pipeline<S: PipelineSource>(
                 "shard_distinct_max",
                 shard_stats.iter().map(|s| s.distinct).max().unwrap_or(0) as u64,
             );
-            (SparsifierPayload::Sharded(table), stats)
-        } else {
-            let (coo, stats) = src.sparsify(&sampler_cfg)?;
-            if let Some(store) = &store {
+        }
+        let table = match (table, &store) {
+            // The checkpoint is the fresh table's sorted drain; its
+            // entries re-enter a table bit for bit.
+            (Some(table), Some(store)) if level == ResumeLevel::None => {
+                let coo = table.into_coo();
                 store.save_sparsifier(n, &coo)?;
+                Some(table_from_coo(n, cfg.shards, &coo))
             }
-            (SparsifierPayload::Coo(coo), stats)
+            (table, _) => table,
         };
         scope.counter("trials", stats.trials);
         scope.counter("kept", stats.kept);
         scope.counter("distinct_entries", stats.distinct_entries as u64);
-        scope.counter("graph_bytes", src.graph_resident_bytes() as u64);
-        scope.heap_bytes(stats.aggregator_bytes + src.graph_resident_bytes());
-        Ok((payload, stats))
+        scope.counter("graph_bytes", g.resident_bytes() as u64);
+        scope.heap_bytes(stats.aggregator_bytes + g.resident_bytes());
+        Ok((table, stats))
     })?;
     meta.trials = sampler.trials;
     meta.kept = sampler.kept;
@@ -784,7 +759,7 @@ pub fn run_pipeline<S: PipelineSource>(
         store.save_meta(&meta)?;
     }
 
-    // Stage 2: NetMF conversion (or replay).
+    // Stage 2: NetMF conversion — the fused drain of the table (or replay).
     let netmf = ctx.run(StageKind::NetMf, |scope| -> Result<_, EngineError> {
         faults::check(FP_STAGE_NETMF)?;
         let m = if level >= ResumeLevel::NetMf {
@@ -804,16 +779,9 @@ pub fn run_pipeline<S: PipelineSource>(
                 None
             }
         } else {
-            let m = match payload {
-                SparsifierPayload::Coo(coo) => src.netmf(coo, samples, cfg.negative),
-                SparsifierPayload::Sharded(table) => {
-                    src.netmf_sharded(table, samples, cfg.negative)
-                }
-                SparsifierPayload::None => {
-                    // xtask:panic-ok(invariant: the fresh-sparsify branch above always constructs a payload before this match)
-                    unreachable!("fresh sparsify stage always yields a payload")
-                }
-            };
+            // xtask:panic-ok(invariant: stage 1 yields a table whenever the resume level is below NetMf)
+            let table = table.expect("netmf conversion without a sparsifier table");
+            let m = sharded_to_netmf(g, table, samples, cfg.negative);
             scope.counter("nnz", m.nnz() as u64);
             scope.heap(&m);
             if let Some(store) = &store {
@@ -874,17 +842,12 @@ pub fn run_pipeline<S: PipelineSource>(
             let emb = ctx.run(StageKind::Propagate, |scope| {
                 // D̃⁻¹Ã has one entry per directed edge plus a self loop
                 // per vertex.
-                let da_nnz = 2 * src.num_edges() as u64 + src.num_vertices() as u64;
+                let da_nnz = 2 * g.num_edges() as u64 + n as u64;
                 scope.counter(
                     "flops",
-                    crate::propagation::propagation_flops(
-                        src.num_vertices(),
-                        da_nnz,
-                        initial.cols(),
-                        pcfg,
-                    ),
+                    crate::propagation::propagation_flops(n, da_nnz, initial.cols(), pcfg),
                 );
-                let e = src.propagate(&initial, pcfg);
+                let e = spectral_propagation(g, &initial, pcfg);
                 scope.heap(&e);
                 e
             });
@@ -894,8 +857,7 @@ pub fn run_pipeline<S: PipelineSource>(
     };
 
     let stats = ctx.into_stats();
-    let timings = stats.timer();
-    Ok(LightNeOutput { embedding, initial_embedding, sampler, netmf_nnz, timings, stats })
+    Ok(LightNeOutput { embedding, initial_embedding, sampler, netmf_nnz, stats })
 }
 
 #[cfg(test)]
@@ -1000,15 +962,16 @@ mod tests {
     }
 
     #[test]
-    fn timer_rebuild_matches_records() {
+    fn display_lists_stages_and_total() {
         let mut ctx = RunContext::new(3);
         ctx.run(StageKind::Sparsify, |_| ());
         ctx.run(StageKind::Rsvd, |_| ());
-        let stats = ctx.into_stats();
-        let t = stats.timer();
-        let names: Vec<_> = t.stages().iter().map(|s| s.name.clone()).collect();
-        assert_eq!(names, [StageKind::Sparsify.name(), StageKind::Rsvd.name()]);
-        assert!((t.total().as_secs_f64() - stats.total_secs()).abs() < 1e-6);
+        let rendered = ctx.into_stats().to_string();
+        let rows: Vec<&str> = rendered.lines().collect();
+        assert_eq!(rows.len(), 3, "{rendered}");
+        assert!(rows[0].starts_with(StageKind::Sparsify.name()));
+        assert!(rows[1].starts_with(StageKind::Rsvd.name()));
+        assert!(rows[2].starts_with("total") && rows[2].ends_with("ms"));
     }
 
     #[test]

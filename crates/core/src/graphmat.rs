@@ -4,90 +4,71 @@
 //! derived from the adjacency structure: the adjacency matrix `A`, the
 //! random-walk transition matrix `D⁻¹A` and the normalized graph Laplacian
 //! `L = I − D⁻¹A` (Table 1 of the paper). These constructors build them in
-//! parallel directly from CSR neighbor lists.
+//! parallel directly from neighbor lists, over arc weights and weighted
+//! degrees — which on an unweighted graph are ones and neighbor counts.
 
-use lightne_graph::GraphOps;
+use lightne_graph::WeightedOps;
 use lightne_linalg::CsrMatrix;
 use rayon::prelude::*;
 
-/// Collects a graph's arcs as weighted COO triples, applying `weight(u, v)`.
-fn arcs_coo<G, W>(g: &G, weight: W) -> Vec<(u32, u32, f32)>
+/// Builds an `n × n` matrix with one entry `value(u, w)` per arc `u → v`
+/// of weight `w`, plus a diagonal entry per vertex where `diagonal(u)`
+/// gives one. Rows are assembled in parallel.
+fn arcs_matrix<G, V, D>(g: &G, value: V, diagonal: D) -> CsrMatrix
 where
-    G: GraphOps,
-    W: Fn(u32, u32) -> f32 + Sync + Send,
+    G: WeightedOps,
+    V: Fn(u32, f32) -> f32 + Sync + Send,
+    D: Fn(u32) -> Option<f32> + Sync + Send,
 {
-    (0..g.num_vertices() as u32)
+    let n = g.num_vertices();
+    let coo: Vec<(u32, u32, f32)> = (0..n as u32)
         .into_par_iter()
         .flat_map_iter(|u| {
-            let mut row = Vec::with_capacity(g.degree(u));
-            g.for_each_neighbor(u, &mut |v| row.push((u, v, weight(u, v))));
+            let mut row = Vec::new();
+            g.for_each_arc(u, |v, w| row.push((u, v, value(u, w))));
+            row.extend(diagonal(u).map(|d| (u, u, d)));
             row
         })
-        .collect()
+        .collect();
+    CsrMatrix::from_coo(n, n, coo)
 }
 
-/// The (unweighted) adjacency matrix `A`.
-pub fn adjacency<G: GraphOps>(g: &G) -> CsrMatrix {
-    CsrMatrix::from_coo(g.num_vertices(), g.num_vertices(), arcs_coo(g, |_, _| 1.0))
+/// The adjacency matrix `A` (arc weights; all ones on an unweighted graph).
+pub fn adjacency<G: WeightedOps>(g: &G) -> CsrMatrix {
+    arcs_matrix(g, |_, w| w, |_| None)
+}
+
+/// The self-looped adjacency `A + I`.
+pub fn adjacency_plus_i<G: WeightedOps>(g: &G) -> CsrMatrix {
+    arcs_matrix(g, |_, w| w, |_| Some(1.0))
 }
 
 /// The random-walk transition matrix `D⁻¹A` (rows sum to 1).
-pub fn transition<G: GraphOps>(g: &G) -> CsrMatrix {
-    CsrMatrix::from_coo(
-        g.num_vertices(),
-        g.num_vertices(),
-        arcs_coo(g, |u, _| 1.0 / g.degree(u) as f32),
-    )
+pub fn transition<G: WeightedOps>(g: &G) -> CsrMatrix {
+    arcs_matrix(g, |u, w| w / g.weighted_degree(u) as f32, |_| None)
 }
 
 /// The normalized graph Laplacian `L = I − D⁻¹A`. Isolated vertices get
 /// `L_vv = 1` (their row of `D⁻¹A` is zero).
-pub fn normalized_laplacian<G: GraphOps>(g: &G) -> CsrMatrix {
-    let n = g.num_vertices();
-    let mut coo = arcs_coo(g, |u, _| -1.0 / g.degree(u) as f32);
-    coo.extend((0..n as u32).map(|v| (v, v, 1.0f32)));
-    CsrMatrix::from_coo(n, n, coo)
+pub fn normalized_laplacian<G: WeightedOps>(g: &G) -> CsrMatrix {
+    arcs_matrix(g, |u, w| -w / g.weighted_degree(u) as f32, |_| Some(1.0))
 }
 
 /// The self-looped transition matrix `D̃⁻¹Ã` with `Ã = A + I`, the
 /// smoothed operator ProNE's filter is built on (self-loops bound the
-/// spectrum away from bipartite oscillation).
-pub fn transition_with_self_loops<G: GraphOps>(g: &G) -> CsrMatrix {
-    let n = g.num_vertices();
-    let mut coo = arcs_coo(g, |u, _| 1.0 / (g.degree(u) + 1) as f32);
-    coo.extend((0..n as u32).map(|v| (v, v, 1.0 / (g.degree(v) + 1) as f32)));
-    CsrMatrix::from_coo(n, n, coo)
+/// spectrum away from bipartite oscillation; the unit self-loop
+/// convention carries over to weighted graphs).
+pub fn transition_with_self_loops<G: WeightedOps>(g: &G) -> CsrMatrix {
+    let looped = |u| (g.weighted_degree(u) + 1.0) as f32;
+    arcs_matrix(g, |u, w| w / looped(u), |u| Some(1.0 / looped(u)))
 }
 
-/// Weighted self-looped transition `D̃⁻¹Ã` with `Ã = A + I` (the unit
-/// self-loop convention ProNE uses carries over to weighted graphs).
-pub fn weighted_transition_with_self_loops(g: &lightne_graph::WeightedGraph) -> CsrMatrix {
-    let n = g.num_vertices();
-    let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(g.num_arcs() + n);
-    for u in 0..n as u32 {
-        let d = (g.weighted_degree(u) + 1.0) as f32;
-        let (nb, ws) = g.neighbors(u);
-        for (&v, &w) in nb.iter().zip(ws) {
-            coo.push((u, v, w / d));
-        }
-        coo.push((u, u, 1.0 / d));
-    }
-    CsrMatrix::from_coo(n, n, coo)
-}
-
-/// Weighted self-looped adjacency `A + I`.
-pub fn weighted_adjacency_plus_i(g: &lightne_graph::WeightedGraph) -> CsrMatrix {
-    let n = g.num_vertices();
-    let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(g.num_arcs() + n);
-    for u in 0..n as u32 {
-        let (nb, ws) = g.neighbors(u);
-        for (&v, &w) in nb.iter().zip(ws) {
-            coo.push((u, v, w));
-        }
-        coo.push((u, u, 1.0));
-    }
-    CsrMatrix::from_coo(n, n, coo)
-}
+/// Exists only for `benchmark/src/trace.rs`, which names the weighted
+/// operators separately.
+pub use {
+    adjacency_plus_i as weighted_adjacency_plus_i,
+    transition_with_self_loops as weighted_transition_with_self_loops,
+};
 
 #[cfg(test)]
 mod tests {
@@ -96,9 +77,32 @@ mod tests {
     use lightne_graph::GraphBuilder;
 
     #[test]
+    fn operators_on_non_unit_weights_match_the_dense_oracle() {
+        let g = lightne_graph::WeightedGraph::from_edges(
+            4,
+            &[(0, 1, 2.0), (1, 2, 0.5), (2, 0, 3.0), (2, 3, 4.0)],
+        );
+        let oracle = lightne_sparsifier::exact::transition_matrix(&g);
+        assert!(transition(&g).to_dense().max_abs_diff(&oracle) < 1e-6);
+        let (a, a_plus_i) = (adjacency(&g), adjacency_plus_i(&g));
+        let (looped, laplacian) = (transition_with_self_loops(&g), normalized_laplacian(&g));
+        for u in 0..4u32 {
+            let d = g.weighted_degree(u) as f32;
+            for v in 0..4u32 {
+                let (w, eye) = (g.edge_weight(u, v), if u == v { 1.0 } else { 0.0 });
+                let (i, j) = (u as usize, v as usize);
+                assert_eq!(a.get(i, j), w);
+                assert_eq!(a_plus_i.get(i, j), w + eye);
+                assert!((looped.get(i, j) - (w + eye) / (d + 1.0)).abs() < 1e-6);
+                assert!((laplacian.get(i, j) - (eye - w / d)).abs() < 1e-6);
+            }
+        }
+    }
+
+    #[test]
     fn weighted_transition_rows_stochastic() {
         let g = lightne_graph::WeightedGraph::from_edges(3, &[(0, 1, 2.0), (1, 2, 3.0)]);
-        let p = weighted_transition_with_self_loops(&g);
+        let p = transition_with_self_loops(&g);
         for i in 0..3 {
             let s: f32 = p.row(i).1.iter().sum();
             assert!((s - 1.0).abs() < 1e-6, "row {i}: {s}");
@@ -110,7 +114,7 @@ mod tests {
     #[test]
     fn weighted_adjacency_keeps_weights_and_loops() {
         let g = lightne_graph::WeightedGraph::from_edges(2, &[(0, 1, 5.0)]);
-        let a = weighted_adjacency_plus_i(&g);
+        let a = adjacency_plus_i(&g);
         assert_eq!(a.get(0, 1), 5.0);
         assert_eq!(a.get(0, 0), 1.0);
         assert_eq!(a.get(1, 1), 1.0);

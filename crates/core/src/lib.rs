@@ -18,9 +18,9 @@
 //! re-embedding reruns only the factorization stages.
 //!
 //! The entry point is [`LightNe`], configured by [`LightNeConfig`]; the
-//! result carries the embedding plus the per-stage timings and sampler
-//! statistics that the benchmark harness turns into the paper's Tables 4–5
-//! and Figures 2–3.
+//! result carries the embedding plus the per-stage run statistics and
+//! sampler statistics that the benchmark harness turns into the paper's
+//! Tables 4–5 and Figures 2–3.
 //!
 //! ```
 //! use lightne_core::{LightNe, LightNeConfig};

@@ -2,25 +2,16 @@
 //!
 //! Wires the three stages together with the timing instrumentation the
 //! paper's Table 5 reports: parallel sparsifier construction → randomized
-//! SVD → spectral propagation. Every stage is generic over [`GraphOps`],
-//! so the same pipeline runs on the uncompressed CSR or the parallel-byte
-//! compressed graph.
+//! SVD → spectral propagation. Every stage is generic over
+//! [`WeightedOps`], so the same pipeline runs on the uncompressed CSR, a
+//! compressed graph, or a weighted graph.
 
 use crate::engine::{run_pipeline, EngineError, PipelineSource, RunOptions, RunStats};
-use crate::propagation::{spectral_propagation, PropagationConfig};
-use lightne_graph::GraphOps;
-use lightne_hash::ShardedEdgeTable;
-use lightne_linalg::{CsrMatrix, DenseMatrix};
-use lightne_sparsifier::construct::{
-    build_sparsifier, SamplerConfig, SamplerError, SamplerStats, SparsifierOutput,
-};
+use crate::propagation::PropagationConfig;
+use lightne_graph::WeightedOps;
+use lightne_linalg::DenseMatrix;
+use lightne_sparsifier::construct::SamplerStats;
 use lightne_sparsifier::downsample::ProbScheme;
-use lightne_sparsifier::netmf::sparsifier_to_netmf;
-use lightne_sparsifier::sharded::{
-    build_sharded_sparsifier, build_weighted_sharded_sparsifier, sharded_to_netmf,
-    weighted_sharded_to_netmf,
-};
-use lightne_utils::timer::StageTimer;
 
 /// Full configuration of a LightNE run.
 #[derive(Debug, Clone, Copy)]
@@ -49,13 +40,11 @@ pub struct LightNeConfig {
     pub propagation: Option<PropagationConfig>,
     /// Master RNG seed.
     pub seed: u64,
-    /// Shard count for the vertex-range-sharded aggregation path
-    /// (`0` = automatic heuristic, see `ShardedEdgeTable::auto_shards`).
+    /// Shard count of the vertex-range-sharded aggregation table
+    /// (`0` = automatic heuristic, see `ShardedEdgeTable::auto_shards`;
+    /// `1` is the paper's single shared table). Output bytes are
+    /// identical at every count.
     pub shards: usize,
-    /// Forces the legacy single-global-table data path instead of the
-    /// sharded one. Output bytes are identical either way; this exists
-    /// for A/B benchmarking and as an escape hatch.
-    pub global_table: bool,
     /// Pins rayon workers to cores for the sample→aggregate stage
     /// (`--pin-shards`), keeping each shard's table cache-resident on
     /// one core. Off by default; output bytes are identical either way
@@ -78,7 +67,6 @@ impl Default for LightNeConfig {
             propagation: Some(PropagationConfig::default()),
             seed: 0x11_97,
             shards: 0,
-            global_table: false,
             pin_shards: false,
         }
     }
@@ -100,10 +88,10 @@ impl LightNeConfig {
     /// the run fingerprint stored in artifact metadata, so resuming with
     /// artifacts from a differently-parameterized run is rejected.
     ///
-    /// Deliberately excluded: `shards`, `global_table` and `pin_shards`
-    /// (alternate data paths / scheduling modes with byte-identical
-    /// output) and `propagation` (runs after the
-    /// deepest checkpointed artifact, so it never invalidates one). Floats
+    /// Deliberately excluded: `shards` and `pin_shards` (table layout and
+    /// scheduling, with byte-identical output) and `propagation` (runs
+    /// after the deepest checkpointed artifact, so it never invalidates
+    /// one). Floats
     /// are rendered by their exact bit patterns — fingerprints compare
     /// identity, not approximate equality.
     pub fn fingerprint_text(&self) -> String {
@@ -126,7 +114,52 @@ impl LightNeConfig {
             self.seed,
         )
     }
+
+    /// Checks the parameters every stage divides or iterates by. Callers
+    /// that take the configuration from outside the program (the CLI)
+    /// run this before [`LightNe::new`], which panics on the same
+    /// conditions; [`run_pipeline`] runs it for every staged pipeline.
+    ///
+    /// # Errors
+    /// The first offending field, as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.dim < 1 {
+            return Err(ConfigError::Dim);
+        }
+        if self.window < 1 {
+            return Err(ConfigError::Window);
+        }
+        if !(self.sample_ratio > 0.0 && self.sample_ratio.is_finite()) {
+            return Err(ConfigError::SampleRatio(self.sample_ratio));
+        }
+        Ok(())
+    }
 }
+
+/// A [`LightNeConfig`] field outside its domain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `dim` was 0.
+    Dim,
+    /// `window` was 0.
+    Window,
+    /// `sample_ratio` was zero, negative, infinite or NaN.
+    SampleRatio(f64),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Dim => write!(f, "dim must be >= 1"),
+            ConfigError::Window => write!(f, "window must be >= 1"),
+            ConfigError::SampleRatio(r) => {
+                write!(f, "sample_ratio must be a positive finite number, got {r}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Result of a LightNE run.
 #[derive(Debug, Clone)]
@@ -141,9 +174,8 @@ pub struct LightNeOutput {
     pub sampler: SamplerStats,
     /// Non-zeros of the factorized NetMF matrix.
     pub netmf_nnz: usize,
-    /// Per-stage wall-clock breakdown (Table 5 rows).
-    pub timings: StageTimer,
-    /// Full per-stage run statistics (wall time, counters, heap bytes).
+    /// Per-stage run statistics (wall time, counters, heap bytes); its
+    /// `Display` is the paper's Table 5 breakdown.
     pub stats: RunStats,
 }
 
@@ -161,111 +193,39 @@ pub struct LightNe {
     cfg: LightNeConfig,
 }
 
-/// Stage name used in [`LightNeOutput::timings`].
+/// Stage name used in [`LightNeOutput::stats`].
 pub const STAGE_SPARSIFIER: &str = "parallel sparsifier construction";
-/// Stage name used in [`LightNeOutput::timings`].
+/// Stage name used in [`LightNeOutput::stats`].
 pub const STAGE_NETMF: &str = "netmf conversion";
-/// Stage name used in [`LightNeOutput::timings`].
+/// Stage name used in [`LightNeOutput::stats`].
 pub const STAGE_RSVD: &str = "randomized svd";
-/// Stage name used in [`LightNeOutput::timings`].
+/// Stage name used in [`LightNeOutput::stats`].
 pub const STAGE_PROPAGATION: &str = "spectral propagation";
 
-/// [`PipelineSource`] for the unweighted pipeline over any [`GraphOps`]
-/// graph (uncompressed CSR or parallel-byte compressed).
-pub struct UnweightedSource<'a, G: GraphOps>(pub &'a G);
+/// [`PipelineSource`] that runs every stage on the graph itself:
+/// Algorithm 2 into the sharded table, the fused NetMF drain, and
+/// propagation over the graph's own operators.
+pub struct GraphSource<'a, G: WeightedOps>(pub &'a G);
 
-impl<G: GraphOps> PipelineSource for UnweightedSource<'_, G> {
-    fn num_vertices(&self) -> usize {
-        self.0.num_vertices()
-    }
+impl<G: WeightedOps> PipelineSource for GraphSource<'_, G> {
+    type Graph = G;
 
-    fn num_edges(&self) -> usize {
-        self.0.num_edges()
-    }
-
-    fn graph_resident_bytes(&self) -> usize {
-        self.0.resident_bytes()
-    }
-
-    fn sparsify(&self, cfg: &SamplerConfig) -> SparsifierOutput {
-        build_sparsifier(self.0, cfg)
-    }
-
-    fn sparsify_sharded(
-        &self,
-        cfg: &SamplerConfig,
-        shards: usize,
-    ) -> Option<Result<(ShardedEdgeTable, SamplerStats), SamplerError>> {
-        Some(build_sharded_sparsifier(self.0, cfg, shards))
-    }
-
-    fn netmf(&self, coo: Vec<(u32, u32, f32)>, samples: u64, negative: f64) -> CsrMatrix {
-        sparsifier_to_netmf(self.0, coo, samples, negative)
-    }
-
-    fn netmf_sharded(&self, table: ShardedEdgeTable, samples: u64, negative: f64) -> CsrMatrix {
-        sharded_to_netmf(self.0, table, samples, negative)
-    }
-
-    fn propagate(&self, initial: &DenseMatrix, cfg: &PropagationConfig) -> DenseMatrix {
-        spectral_propagation(self.0, initial, cfg)
+    fn graph(&self) -> &G {
+        self.0
     }
 }
 
-/// [`PipelineSource`] for the weighted pipeline: weight-proportional
-/// PathSampling, the weighted NetMF inversion, and propagation over the
-/// weighted operators.
-pub struct WeightedSource<'a>(pub &'a lightne_graph::WeightedGraph);
-
-impl PipelineSource for WeightedSource<'_> {
-    fn num_vertices(&self) -> usize {
-        self.0.num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.0.num_edges()
-    }
-
-    fn is_weighted(&self) -> bool {
-        true
-    }
-
-    fn graph_resident_bytes(&self) -> usize {
-        use lightne_utils::mem::MemUsage;
-        self.0.heap_bytes()
-    }
-
-    fn sparsify(&self, cfg: &SamplerConfig) -> SparsifierOutput {
-        lightne_sparsifier::weighted::build_weighted_sparsifier(self.0, cfg)
-    }
-
-    fn sparsify_sharded(
-        &self,
-        cfg: &SamplerConfig,
-        shards: usize,
-    ) -> Option<Result<(ShardedEdgeTable, SamplerStats), SamplerError>> {
-        Some(build_weighted_sharded_sparsifier(self.0, cfg, shards))
-    }
-
-    fn netmf(&self, coo: Vec<(u32, u32, f32)>, samples: u64, negative: f64) -> CsrMatrix {
-        lightne_sparsifier::weighted::weighted_sparsifier_to_netmf(self.0, coo, samples, negative)
-    }
-
-    fn netmf_sharded(&self, table: ShardedEdgeTable, samples: u64, negative: f64) -> CsrMatrix {
-        weighted_sharded_to_netmf(self.0, table, samples, negative)
-    }
-
-    fn propagate(&self, initial: &DenseMatrix, cfg: &PropagationConfig) -> DenseMatrix {
-        let da = crate::graphmat::weighted_transition_with_self_loops(self.0);
-        let ai = crate::graphmat::weighted_adjacency_plus_i(self.0);
-        crate::propagation::spectral_propagation_matrices(&da, &ai, initial, cfg)
-    }
-}
+/// Exist only for `benchmark/src/trace.rs`, which names the source of
+/// each pipeline separately.
+pub use {GraphSource as UnweightedSource, GraphSource as WeightedSource};
 
 impl LightNe {
     /// Creates a pipeline with the given configuration.
+    ///
+    /// # Panics
+    /// Panics if [`LightNeConfig::validate`] rejects `cfg`.
     pub fn new(cfg: LightNeConfig) -> Self {
-        assert!(cfg.dim >= 1 && cfg.window >= 1 && cfg.sample_ratio > 0.0);
+        assert_eq!(cfg.validate(), Ok(()), "invalid LightNeConfig");
         Self { cfg }
     }
 
@@ -274,47 +234,42 @@ impl LightNe {
         &self.cfg
     }
 
-    /// Runs the full pipeline on a *weighted* graph: weight-proportional
-    /// PathSampling (Theorem 3.1's general form), the weighted NetMF
-    /// inversion, and propagation over the weighted operators.
+    /// Runs the full pipeline on `g` — any graph backend, weighted or not.
+    /// On a [`lightne_graph::WeightedGraph`] that is weight-proportional
+    /// PathSampling (Theorem 3.1's general form), the NetMF inversion over
+    /// weighted degrees, and propagation over the weighted operators.
     ///
     /// # Panics
     /// Panics if the graph cannot be sampled (no edges) — use
-    /// [`LightNe::embed_weighted_with`] for a recoverable error.
-    pub fn embed_weighted(&self, g: &lightne_graph::WeightedGraph) -> LightNeOutput {
-        // xtask:panic-ok(documented panicking convenience wrapper; the fallible form is embed_weighted_with)
-        self.embed_weighted_with(g, RunOptions::default())
-            .unwrap_or_else(|e| panic!("pipeline failed: {e}"))
+    /// [`LightNe::embed_with`] for a recoverable error.
+    pub fn embed<G: WeightedOps>(&self, g: &G) -> LightNeOutput {
+        // xtask:panic-ok(documented panicking convenience wrapper; the fallible form is embed_with)
+        self.embed_with(g, RunOptions::default()).unwrap_or_else(|e| panic!("pipeline failed: {e}"))
     }
 
-    /// Weighted pipeline with engine options (checkpointing, resume,
-    /// progress reporting).
+    /// The pipeline with engine options (checkpointing, resume, progress
+    /// reporting).
+    pub fn embed_with<G: WeightedOps>(
+        &self,
+        g: &G,
+        opts: RunOptions,
+    ) -> Result<LightNeOutput, EngineError> {
+        run_pipeline(&self.cfg, &GraphSource(g), opts)
+    }
+
+    /// [`LightNe::embed`] under its former weighted-only name.
+    pub fn embed_weighted(&self, g: &lightne_graph::WeightedGraph) -> LightNeOutput {
+        self.embed(g)
+    }
+
+    /// [`LightNe::embed_with`] under its former weighted-only name; exists
+    /// only for `benchmark/src/workloads.rs`.
     pub fn embed_weighted_with(
         &self,
         g: &lightne_graph::WeightedGraph,
         opts: RunOptions,
     ) -> Result<LightNeOutput, EngineError> {
-        run_pipeline(&self.cfg, &WeightedSource(g), opts)
-    }
-
-    /// Runs the full pipeline on `g`.
-    ///
-    /// # Panics
-    /// Panics if the graph cannot be sampled (no edges) — use
-    /// [`LightNe::embed_with`] for a recoverable error.
-    pub fn embed<G: GraphOps>(&self, g: &G) -> LightNeOutput {
-        // xtask:panic-ok(documented panicking convenience wrapper; the fallible form is embed_with)
-        self.embed_with(g, RunOptions::default()).unwrap_or_else(|e| panic!("pipeline failed: {e}"))
-    }
-
-    /// Unweighted pipeline with engine options (checkpointing, resume,
-    /// progress reporting).
-    pub fn embed_with<G: GraphOps>(
-        &self,
-        g: &G,
-        opts: RunOptions,
-    ) -> Result<LightNeOutput, EngineError> {
-        run_pipeline(&self.cfg, &UnweightedSource(g), opts)
+        self.embed_with(g, opts)
     }
 }
 
@@ -324,6 +279,33 @@ mod tests {
     use lightne_gen::generators::erdos_renyi;
     use lightne_gen::sbm::{labelled_sbm, SbmConfig};
     use lightne_graph::CompressedGraph;
+
+    /// Mean cosine similarity over a fixed sample of same-community
+    /// vertex pairs, minus the mean over cross-community pairs.
+    fn community_separation(y: &DenseMatrix, labels: &lightne_gen::Labels) -> f64 {
+        let mut yn = y.clone();
+        yn.normalize_rows();
+        let dot = |a: &[f32], b: &[f32]| -> f64 {
+            a.iter().zip(b).map(|(&p, &q)| p as f64 * q as f64).sum()
+        };
+        let (mut s, mut sn, mut d, mut dn) = (0.0, 0, 0.0, 0);
+        for i in (0..y.rows()).step_by(5) {
+            for j in (2..y.rows()).step_by(11) {
+                if i == j {
+                    continue;
+                }
+                let v = dot(yn.row(i), yn.row(j));
+                if labels.of(i) == labels.of(j) {
+                    s += v;
+                    sn += 1;
+                } else {
+                    d += v;
+                    dn += 1;
+                }
+            }
+        }
+        s / sn as f64 - d / dn as f64
+    }
 
     fn tiny_cfg() -> LightNeConfig {
         LightNeConfig {
@@ -343,10 +325,8 @@ mod tests {
         assert_eq!(out.embedding.cols(), 16);
         assert!(out.netmf_nnz > 0);
         assert!(out.sampler.trials > 0);
-        let names: Vec<_> = out.timings.stages().iter().map(|s| s.name.clone()).collect();
+        let names: Vec<_> = out.stats.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, [STAGE_SPARSIFIER, STAGE_NETMF, STAGE_RSVD, STAGE_PROPAGATION]);
-        // The engine's stats mirror the timer and carry the counters.
-        assert_eq!(out.stats.stages.len(), 4);
         let sp = out.stats.get(STAGE_SPARSIFIER).unwrap();
         assert_eq!(sp.counter("trials"), Some(out.sampler.trials));
         assert!(sp.heap_bytes > 0);
@@ -359,7 +339,7 @@ mod tests {
         let g = erdos_renyi(200, 2_000, 2);
         let cfg = LightNeConfig { propagation: None, ..tiny_cfg() };
         let out = LightNe::new(cfg).embed(&g);
-        assert!(out.timings.get(STAGE_PROPAGATION).is_none());
+        assert!(out.stats.get(STAGE_PROPAGATION).is_none());
         // The initial embedding is *moved* into the output, not cloned.
         assert!(out.initial_embedding.is_none());
         assert_eq!(out.initial().max_abs_diff(&out.embedding), 0.0);
@@ -398,27 +378,8 @@ mod tests {
         };
         let (g, labels) = labelled_sbm(&cfg, 5);
         let out = LightNe::new(tiny_cfg()).embed(&g);
-        let y = &out.embedding;
-        let dot = |a: &[f32], b: &[f32]| -> f64 {
-            a.iter().zip(b).map(|(&p, &q)| p as f64 * q as f64).sum()
-        };
-        let mut same = (0.0, 0usize);
-        let mut diff = (0.0, 0usize);
-        for i in (0..800).step_by(5) {
-            for j in (2..800).step_by(11) {
-                if i == j {
-                    continue;
-                }
-                let s = dot(y.row(i), y.row(j));
-                if labels.of(i) == labels.of(j) {
-                    same = (same.0 + s, same.1 + 1);
-                } else {
-                    diff = (diff.0 + s, diff.1 + 1);
-                }
-            }
-        }
-        let (s, d) = (same.0 / same.1 as f64, diff.0 / diff.1 as f64);
-        assert!(s > d + 0.1, "no separation: same {s:.4} diff {d:.4}");
+        let sep = community_separation(&out.embedding, &labels);
+        assert!(sep > 0.1, "no separation: same-community minus cross-community {sep:.4}");
     }
 
     #[test]
@@ -441,30 +402,7 @@ mod tests {
         let pipe = LightNe::new(tiny_cfg());
         let a = pipe.embed(&g);
         let b = pipe.embed_weighted(&gw);
-        let sep = |y: &lightne_linalg::DenseMatrix| {
-            let mut yn = y.clone();
-            yn.normalize_rows();
-            let dot = |a: &[f32], b: &[f32]| -> f64 {
-                a.iter().zip(b).map(|(&p, &q)| p as f64 * q as f64).sum()
-            };
-            let (mut s, mut sn, mut d, mut dn) = (0.0, 0, 0.0, 0);
-            for i in (0..500).step_by(5) {
-                for j in (2..500).step_by(11) {
-                    if i == j {
-                        continue;
-                    }
-                    let v = dot(yn.row(i), yn.row(j));
-                    if labels.of(i) == labels.of(j) {
-                        s += v;
-                        sn += 1;
-                    } else {
-                        d += v;
-                        dn += 1;
-                    }
-                }
-            }
-            s / sn as f64 - d / dn as f64
-        };
+        let sep = |y| community_separation(y, &labels);
         let (sa, sb) = (sep(&a.embedding), sep(&b.embedding));
         assert!(sa > 0.1 && sb > 0.1, "separation collapsed: {sa} vs {sb}");
         assert!((sa - sb).abs() < 0.3 * sa.max(sb), "quality bands diverge: {sa} vs {sb}");

@@ -23,8 +23,8 @@
 //! Table 5 reports ~8 min on OAG for both ProNE+ and LightNE, and our
 //! `exp_table5_breakdown` reproduces the equality (identical code path).
 
-use crate::graphmat::{adjacency, transition_with_self_loops};
-use lightne_graph::GraphOps;
+use crate::graphmat::{adjacency_plus_i, transition_with_self_loops};
+use lightne_graph::WeightedOps;
 use lightne_linalg::special::bessel_i;
 use lightne_linalg::svd::tall_thin_svd;
 use lightne_linalg::{CsrMatrix, DenseMatrix};
@@ -63,21 +63,17 @@ pub fn propagation_flops(n: usize, da_nnz: u64, d: usize, cfg: &PropagationConfi
 
 /// Applies the filter to an embedding, returning the enhanced embedding
 /// (same shape, rows L2-normalized).
-pub fn spectral_propagation<G: GraphOps>(
+pub fn spectral_propagation<G: WeightedOps>(
     g: &G,
     x: &DenseMatrix,
     cfg: &PropagationConfig,
 ) -> DenseMatrix {
-    let da = transition_with_self_loops(g);
-    let a_plus_i = adjacency(g).add(&CsrMatrix::identity(g.num_vertices()), 1.0, 1.0);
-    spectral_propagation_matrices(&da, &a_plus_i, x, cfg)
+    spectral_propagation_matrices(&transition_with_self_loops(g), &adjacency_plus_i(g), x, cfg)
 }
 
 /// The filter on explicit operator matrices: `da` is the (row-stochastic)
 /// self-looped transition `D̃⁻¹Ã` and `a_plus_i` the self-looped
-/// adjacency `A + I` (weighted or unweighted). This is the shared core
-/// of the unweighted and [weighted](crate::pipeline::LightNe::embed_weighted)
-/// pipelines.
+/// adjacency `A + I` (weighted or unweighted).
 pub fn spectral_propagation_matrices(
     da: &CsrMatrix,
     a_plus_i: &CsrMatrix,

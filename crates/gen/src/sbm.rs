@@ -104,7 +104,7 @@ pub fn labelled_sbm(cfg: &SbmConfig, seed: u64) -> (Graph, Labels) {
             }
         })
         .collect();
-    let global_table = AliasTable::new(&activity);
+    let activity_table = AliasTable::new(&activity);
 
     // Edge budget per community, proportional to total member activity.
     let m_total = (n as f64 * cfg.avg_degree / 2.0) as usize;
@@ -129,8 +129,8 @@ pub fn labelled_sbm(cfg: &SbmConfig, seed: u64) -> (Graph, Labels) {
     // Background noise edges.
     for _ in 0..m_background {
         edges.push((
-            global_table.sample(&mut rng) as VertexId,
-            global_table.sample(&mut rng) as VertexId,
+            activity_table.sample(&mut rng) as VertexId,
+            activity_table.sample(&mut rng) as VertexId,
         ));
     }
 

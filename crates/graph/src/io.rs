@@ -38,6 +38,9 @@ pub enum GraphIoError {
     },
     /// The payload checksum recorded in the header does not match.
     ChecksumMismatch,
+    /// The weights at this vertex, each finite on its own line, merge
+    /// (duplicate edges are summed) or accumulate past the `f32` range.
+    WeightOverflow(VertexId),
 }
 
 impl fmt::Display for GraphIoError {
@@ -50,6 +53,9 @@ impl fmt::Display for GraphIoError {
                 write!(f, "unsupported binary graph version {found} (this build reads {supported})")
             }
             GraphIoError::ChecksumMismatch => write!(f, "binary graph checksum mismatch"),
+            GraphIoError::WeightOverflow(v) => {
+                write!(f, "edge weights at vertex {v} sum past the f32 range")
+            }
         }
     }
 }
@@ -92,7 +98,8 @@ pub fn read_edge_list(path: impl AsRef<Path>, min_vertices: usize) -> Result<Gra
 
 /// Reads a weighted edge list (`u v w` per line; `w` optional and
 /// defaulting to 1.0, so unweighted files load too). Comments as in
-/// [`read_edge_list`].
+/// [`read_edge_list`]. Weights must be positive and finite, and stay
+/// finite once duplicate edges are summed and a vertex's are totalled.
 pub fn read_weighted_edge_list(
     path: impl AsRef<Path>,
     min_vertices: usize,
@@ -126,7 +133,11 @@ pub fn read_weighted_edge_list(
         edges.push((u, v, w));
     }
     let n = (max_id + 1).max(min_vertices).max(1);
-    Ok(crate::WeightedGraph::from_edges(n, &edges))
+    let g = crate::WeightedGraph::from_edges(n, &edges);
+    match g.overflowing_vertex() {
+        Some(v) => Err(GraphIoError::WeightOverflow(v)),
+        None => Ok(g),
+    }
 }
 
 /// Writes the graph as a text edge list, one undirected edge per line
@@ -288,6 +299,17 @@ mod tests {
         let p = tmp("badw.txt");
         std::fs::write(&p, "0 1 -3\n").unwrap();
         assert!(matches!(read_weighted_edge_list(&p, 0), Err(GraphIoError::Parse(1, _))));
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn weighted_edge_list_rejects_weights_that_merge_to_infinity() {
+        let p = tmp("mergeinf.txt");
+        std::fs::write(&p, "0 1 3e38\n0 1 3e38\n").unwrap();
+        assert!(matches!(read_weighted_edge_list(&p, 0), Err(GraphIoError::WeightOverflow(0))));
+        // Distinct finite edges whose running total overflows are caught too.
+        std::fs::write(&p, "0 1 3e38\n0 2 3e38\n").unwrap();
+        assert!(matches!(read_weighted_edge_list(&p, 0), Err(GraphIoError::WeightOverflow(0))));
         std::fs::remove_file(&p).ok();
     }
 

@@ -17,6 +17,9 @@
 //! * [`ops::GraphOps`] — the uniform interface (degrees, neighbor access,
 //!   `map_edges`, `map_vertices`) that both representations implement, so
 //!   the sampler is generic over compression.
+//! * [`weighted::WeightedOps`] — the weight-aware view the pipeline is
+//!   written against: unit weights on every `GraphOps` backend, stored
+//!   weights on [`weighted::WeightedGraph`].
 //! * [`frontier`] — Ligra's `VertexSubset` + direction-switching
 //!   `edge_map`, the traversal interface GBBS extends.
 //! * [`algorithms`] — BFS, connected components, triangle counting and
@@ -58,7 +61,7 @@ pub use csr::Graph;
 pub use error::GraphFormatError;
 pub use ops::{GraphAccess, GraphOps};
 pub use v2::V2Graph;
-pub use weighted::WeightedGraph;
+pub use weighted::{WeightedGraph, WeightedOps};
 
 /// Vertex identifier. `u32` covers every graph this reproduction targets
 /// and halves the memory of every neighbor array relative to `u64` ids,

@@ -121,6 +121,29 @@ pub trait GraphOps: GraphAccess + Sync {
 
 impl<G: GraphAccess + Sync> GraphOps for G {}
 
+/// Number of common neighbors `|N(u) ∩ N(v)|` by sorted-list merge.
+/// Adjacency lists are ascending on every graph backend (CSR invariant),
+/// so the two collected lists merge in `O(d_u + d_v)`.
+pub fn common_neighbors<G: GraphAccess>(g: &G, u: VertexId, v: VertexId) -> usize {
+    let mut nu: Vec<VertexId> = Vec::with_capacity(g.degree(u));
+    g.for_each_neighbor(u, &mut |x| nu.push(x));
+    let mut nv: Vec<VertexId> = Vec::with_capacity(g.degree(v));
+    g.for_each_neighbor(v, &mut |x| nv.push(x));
+    let (mut i, mut j, mut cn) = (0usize, 0usize, 0usize);
+    while i < nu.len() && j < nv.len() {
+        match nu[i].cmp(&nv[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                cn += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    cn
+}
+
 impl GraphAccess for Graph {
     #[inline]
     fn num_vertices(&self) -> usize {

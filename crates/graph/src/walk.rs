@@ -4,16 +4,18 @@
 //! reduce it modulo the current vertex's degree, and fetch that incident
 //! edge (Section 4.2). On the uncompressed CSR this fetch is O(1); on the
 //! parallel-byte format it decodes one block, which is the latency the
-//! paper's block-size experiment trades against memory.
+//! paper's block-size experiment trades against memory. On a weighted
+//! graph the step is a binary search over the vertex's weight prefix sums
+//! instead — the backend's [`WeightedOps::step`] decides.
 
-use crate::{GraphAccess, VertexId};
+use crate::{GraphAccess, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;
 
 /// Advances a random walk from `start` for `steps` steps, returning the
 /// final vertex. A walk stops early (stays put) only at an isolated vertex,
 /// which cannot occur when the walk starts from an endpoint of an edge.
 #[inline]
-pub fn walk<G: GraphAccess>(
+pub fn walk<G: WeightedOps>(
     g: &G,
     start: VertexId,
     steps: usize,
@@ -21,12 +23,10 @@ pub fn walk<G: GraphAccess>(
 ) -> VertexId {
     let mut cur = start;
     for _ in 0..steps {
-        let deg = g.degree(cur);
-        if deg == 0 {
-            return cur;
+        match g.step(cur, rng) {
+            Some(next) => cur = next,
+            None => return cur,
         }
-        let i = rng.bounded_usize(deg);
-        cur = g.ith_neighbor(cur, i);
     }
     cur
 }

@@ -1,18 +1,140 @@
-//! Weighted undirected graphs.
+//! Weighted undirected graphs, and the weight-aware view every graph
+//! backend presents to the pipeline.
 //!
 //! The paper's formulation (Table 1, Theorem 3.1) is stated for weighted
 //! adjacency matrices — `vol(G) = Σ A_uv`, downsampling probability
 //! `p_e = min(1, C·A_uv·(1/d_u + 1/d_v))` with *weighted* degrees — and
 //! NetSMF's PathSampling on weighted graphs walks proportionally to edge
-//! weight. This module provides the weighted CSR representation with the
-//! O(log deg) weighted neighbor sampling that the weighted sampler
-//! (`lightne_sparsifier::weighted`) builds on.
+//! weight. An unweighted graph is the unit-weight case of all of it, so
+//! the sampler, the NetMF inversion and the propagation operators are
+//! written once against [`WeightedOps`]: every [`GraphAccess`] backend
+//! implements it with unit weights, and [`WeightedGraph`] — the weighted
+//! CSR with O(log deg) weight-proportional neighbor sampling — with its
+//! stored ones.
 
-use crate::{Graph, VertexId};
+use crate::ops::common_neighbors;
+use crate::{Graph, GraphAccess, GraphOps, VertexId};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::parallel_prefix_sum;
 use lightne_utils::rng::XorShiftStream;
 use rayon::prelude::*;
+
+/// A graph as the sample → aggregate → NetMF → propagate pipeline sees
+/// it: arcs that carry a weight. The methods are the places where a
+/// weighted and a unit-weight graph genuinely differ; everything built on
+/// them exists once.
+///
+/// Deliberately *not* a supertrait of [`GraphOps`] and not implemented by
+/// it for [`WeightedGraph`]: a routine bounded by `GraphOps` counts
+/// neighbors, and must not silently accept a graph whose weights it would
+/// ignore.
+pub trait WeightedOps: Sync {
+    /// Whether arc weights can differ from 1 (recorded in artifact
+    /// metadata; a resume across this flag is rejected).
+    const WEIGHTED: bool;
+
+    /// Number of vertices `n`.
+    fn num_vertices(&self) -> usize;
+
+    /// Number of undirected edges `m` (drives the sample budget).
+    fn num_edges(&self) -> usize;
+
+    /// Volume `vol(G) = Σ_v d_v`.
+    fn volume(&self) -> f64;
+
+    /// Weighted degree `d_v = Σ_u A_vu`.
+    fn weighted_degree(&self, v: VertexId) -> f64;
+
+    /// Heap bytes the representation keeps resident (see
+    /// [`GraphAccess::resident_bytes`]).
+    fn resident_bytes(&self) -> usize;
+
+    /// Expected PathSampling trials of one arc of weight `w` out of a
+    /// budget of `samples`, split into its whole part and the fractional
+    /// part the sampler resolves with one coin. Unit weights give every
+    /// arc `⌊M/arcs⌋ + Bernoulli({M/arcs})` in exact integer arithmetic;
+    /// weighted arcs get `M·w/vol` (a uniform weighted-edge draw).
+    fn arc_trials(&self, samples: u64, w: f32) -> (u64, f64);
+
+    /// Lower bound on the effective conductance between the endpoints of
+    /// arc `(u, v)` of weight `w`: the direct edge in parallel with one
+    /// two-hop path (series conductance `w_ux·w_xv/(w_ux+w_xv)`) per
+    /// common neighbor `x`. By Rayleigh monotonicity its reciprocal upper
+    /// bounds the effective resistance — the PSNE-grade survival bound.
+    fn local_conductance(&self, u: VertexId, v: VertexId, w: f32) -> f64;
+
+    /// One random-walk step from `v`: a neighbor drawn proportionally to
+    /// arc weight, `None` at an isolated vertex.
+    fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId>;
+
+    /// Calls `f(v, w)` on every arc `u → v` in sorted neighbor order.
+    fn for_each_arc<F: FnMut(VertexId, f32)>(&self, u: VertexId, f: F);
+
+    /// Parallel map over all arcs: `f(u, v, w, arc_index)` with the arc's
+    /// global CSR position, the key of its deterministic RNG stream.
+    fn map_arcs<F>(&self, f: F)
+    where
+        F: Fn(VertexId, VertexId, f32, u64) + Sync + Send;
+}
+
+/// Every unweighted backend is the unit-weight case.
+impl<G: GraphAccess + Sync> WeightedOps for G {
+    const WEIGHTED: bool = false;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        GraphAccess::num_vertices(self)
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        GraphAccess::num_edges(self)
+    }
+
+    #[inline]
+    fn volume(&self) -> f64 {
+        GraphAccess::volume(self)
+    }
+
+    #[inline]
+    fn weighted_degree(&self, v: VertexId) -> f64 {
+        self.degree(v) as f64
+    }
+
+    #[inline]
+    fn resident_bytes(&self) -> usize {
+        GraphAccess::resident_bytes(self)
+    }
+
+    #[inline]
+    fn arc_trials(&self, samples: u64, _w: f32) -> (u64, f64) {
+        let arcs = self.num_arcs() as u64;
+        (samples / arcs, (samples % arcs) as f64 / arcs as f64)
+    }
+
+    #[inline]
+    fn local_conductance(&self, u: VertexId, v: VertexId, w: f32) -> f64 {
+        w as f64 + 0.5 * common_neighbors(self, u, v) as f64
+    }
+
+    #[inline]
+    fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
+        let deg = self.degree(v);
+        (deg > 0).then(|| self.ith_neighbor(v, rng.bounded_usize(deg)))
+    }
+
+    #[inline]
+    fn for_each_arc<F: FnMut(VertexId, f32)>(&self, u: VertexId, mut f: F) {
+        self.for_each_neighbor(u, &mut |v| f(v, 1.0));
+    }
+
+    fn map_arcs<F>(&self, f: F)
+    where
+        F: Fn(VertexId, VertexId, f32, u64) + Sync + Send,
+    {
+        self.map_edges(|u, v, arc_idx| f(u, v, 1.0, arc_idx));
+    }
+}
 
 /// An undirected graph with positive edge weights, in CSR form.
 ///
@@ -36,6 +158,8 @@ pub struct WeightedGraph {
     /// Inclusive per-vertex prefix sums of `weights`.
     cumulative: Vec<f32>,
     weighted_degrees: Vec<f64>,
+    /// `Σ_v weighted_degrees[v]`, read once per arc by the sampler.
+    volume: f64,
 }
 
 impl WeightedGraph {
@@ -94,7 +218,8 @@ impl WeightedGraph {
             })
             .collect();
 
-        Self { offsets, neighbors, weights, cumulative, weighted_degrees }
+        let volume = weighted_degrees.iter().sum();
+        Self { offsets, neighbors, weights, cumulative, weighted_degrees, volume }
     }
 
     /// Lifts an unweighted graph to unit weights.
@@ -142,8 +267,9 @@ impl WeightedGraph {
     }
 
     /// Weighted volume `vol(G) = Σ_v d_v`.
+    #[inline]
     pub fn volume(&self) -> f64 {
-        self.weighted_degrees.iter().sum()
+        self.volume
     }
 
     /// Neighbor ids and weights of `v`.
@@ -161,6 +287,20 @@ impl WeightedGraph {
             Ok(i) => ws[i],
             Err(_) => 0.0,
         }
+    }
+
+    /// The first vertex whose incident weights total past the `f32`
+    /// range, if any. Individually finite weights can still merge
+    /// (duplicate edges are summed) or accumulate to `+inf`, which
+    /// poisons every degree and prefix-sum draw downstream; readers of
+    /// outside input check this after [`Self::from_edges`].
+    pub fn overflowing_vertex(&self) -> Option<VertexId> {
+        (0..self.num_vertices())
+            .find(|&v| {
+                let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+                self.cumulative[lo..hi].last().is_some_and(|total| !total.is_finite())
+            })
+            .map(|v| v as VertexId)
     }
 
     /// Global arc index of `v`'s first arc.
@@ -185,22 +325,79 @@ impl WeightedGraph {
         let idx = cum.partition_point(|&c| c <= target).min(cum.len() - 1);
         Some(self.neighbors[lo + idx])
     }
+}
 
-    /// Weighted random walk: each step moves to a neighbor drawn
-    /// proportionally to edge weight.
-    pub fn walk(&self, start: VertexId, steps: usize, rng: &mut XorShiftStream) -> VertexId {
-        let mut cur = start;
-        for _ in 0..steps {
-            match self.sample_neighbor(cur, rng) {
-                Some(next) => cur = next,
-                None => return cur,
-            }
-        }
-        cur
+impl WeightedOps for WeightedGraph {
+    const WEIGHTED: bool = true;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        WeightedGraph::num_vertices(self)
     }
 
-    /// Parallel map over all arcs: `f(u, v, weight, arc_index)`.
-    pub fn map_arcs<F>(&self, f: F)
+    #[inline]
+    fn num_edges(&self) -> usize {
+        WeightedGraph::num_edges(self)
+    }
+
+    #[inline]
+    fn volume(&self) -> f64 {
+        self.volume
+    }
+
+    #[inline]
+    fn weighted_degree(&self, v: VertexId) -> f64 {
+        WeightedGraph::weighted_degree(self, v)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.heap_bytes()
+    }
+
+    #[inline]
+    fn arc_trials(&self, samples: u64, w: f32) -> (u64, f64) {
+        let expected = samples as f64 / self.volume * w as f64;
+        (expected.floor() as u64, expected.fract())
+    }
+
+    /// Both adjacency arrays are sorted by neighbor id, so a two-pointer
+    /// merge finds the common neighbors.
+    fn local_conductance(&self, u: VertexId, v: VertexId, w: f32) -> f64 {
+        let (nu, wu) = self.neighbors(u);
+        let (nv, wv) = self.neighbors(v);
+        let mut conductance = w as f64;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < nu.len() && j < nv.len() {
+            match nu[i].cmp(&nv[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let (a, b) = (wu[i] as f64, wv[j] as f64);
+                    if a + b > 0.0 {
+                        conductance += a * b / (a + b);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        conductance
+    }
+
+    #[inline]
+    fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
+        self.sample_neighbor(v, rng)
+    }
+
+    #[inline]
+    fn for_each_arc<F: FnMut(VertexId, f32)>(&self, u: VertexId, mut f: F) {
+        let (nb, ws) = self.neighbors(u);
+        for (&v, &w) in nb.iter().zip(ws) {
+            f(v, w);
+        }
+    }
+
+    fn map_arcs<F>(&self, f: F)
     where
         F: Fn(VertexId, VertexId, f32, u64) + Sync + Send,
     {
@@ -227,6 +424,7 @@ impl MemUsage for WeightedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::walk;
     use crate::GraphBuilder;
 
     fn weighted_triangle() -> WeightedGraph {
@@ -290,7 +488,7 @@ mod tests {
         let g = WeightedGraph::from_edges(3, &[(0, 1, 1.0)]);
         let mut rng = XorShiftStream::new(4, 0);
         assert_eq!(g.sample_neighbor(2, &mut rng), None);
-        assert_eq!(g.walk(2, 5, &mut rng), 2);
+        assert_eq!(walk(&g, 2, 5, &mut rng), 2);
     }
 
     #[test]
@@ -303,7 +501,7 @@ mod tests {
         // Long walks (even+odd mix to wash out parity).
         for t in 0..30_000 {
             let steps = 20 + (t % 2);
-            counts[g.walk(1, steps, &mut rng) as usize] += 1;
+            counts[walk(&g, 1, steps, &mut rng) as usize] += 1;
         }
         let total: usize = counts.iter().sum();
         let p0 = counts[0] as f64 / total as f64;

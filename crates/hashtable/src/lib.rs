@@ -5,19 +5,24 @@
 //! total weight with which it was sampled. The paper evaluates two
 //! aggregation strategies and this crate implements both:
 //!
-//! * [`ConcurrentEdgeTable`] — the winner: a single shared, lock-free,
+//! * [`ConcurrentEdgeTable`] — the winner: a shared, lock-free,
 //!   open-addressing hash table with linear probing. Keys are packed
 //!   `(u, v)` pairs; weights are accumulated with atomic adds (`xadd` for
-//!   integer counts in the paper; we CAS-add `f32` because downsampling
+//!   integer counts in the paper; fixed-point here because downsampling
 //!   introduces fractional weights `1/p_e`). Memory is proportional to the
-//!   number of *distinct* edges.
+//!   number of *distinct* edges. The pipeline uses it through
+//!   [`ShardedEdgeTable`] — one such table per contiguous source-vertex
+//!   range, each resizing on its own and draining straight into its CSR
+//!   row block; a single shard is the paper's one shared table.
 //! * [`ThreadLocalAggregator`] — the NetSMF strategy the paper ablates
 //!   against: per-thread buffers merged at the end. Simple, but memory
 //!   grows with the number of *samples*, which is what limited NetSMF to
-//!   8Tm samples on the authors' 1.7 TB machine (Section 5.2.4).
+//!   8Tm samples on the authors' 1.7 TB machine (Section 5.2.4). Kept as
+//!   that ablation's reference; its drain enters the pipeline through the
+//!   sharded table like every other sparsifier.
 //!
-//! Both expose the same drain-to-COO interface so the sparsifier is
-//! generic over the aggregator.
+//! All expose the same drain-to-COO interface so the sampler is generic
+//! over the aggregator.
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

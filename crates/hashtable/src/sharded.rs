@@ -6,7 +6,7 @@
 //!
 //! * **Independent resizing.** A shard that crosses its load factor
 //!   doubles under its *own* `RwLock`; samplers writing to the other
-//!   `N − 1` shards never observe the stall. The single global table's
+//!   `N − 1` shards never observe the stall. A single table's
 //!   stop-the-world resize is the main scaling cliff this removes.
 //! * **Sorted drain without a global sort.** Shard `s` owns the packed
 //!   keys `(u, v)` with `u` in its range, and ranges are increasing in
@@ -18,8 +18,9 @@
 //! Determinism: every shard keeps the fixed-point u64 accumulation of the
 //! underlying table, so accumulated weights are bitwise independent of the
 //! thread interleaving, and the drain order above is independent of the
-//! shard count. The sharded path is therefore byte-identical to the
-//! single-table path for any `(threads, shards)` combination.
+//! shard count. The drain is therefore byte-identical for any
+//! `(threads, shards)` combination — `shards = 1` being the paper's single
+//! shared table.
 
 use crate::{pack_key, ConcurrentEdgeTable, EdgeAggregator};
 #[cfg(not(loom))]
@@ -316,7 +317,7 @@ mod tests {
 
     #[test]
     fn matches_concurrent_table_exactly() {
-        // Same stream into a global table and a sharded table: the
+        // Same stream into a single table and a sharded table: the
         // fixed-point accumulation makes the drained sets identical.
         let global = ConcurrentEdgeTable::with_expected(64);
         let sharded = ShardedEdgeTable::new(256, 8, 64);

@@ -3,8 +3,9 @@
 //! Instead of drawing `M` (edge, length) pairs uniformly — which requires
 //! O(1) access to a random edge and defeats compression — the paper maps
 //! over the edges in parallel and gives each edge a Binomial-like trial
-//! count `n_e = ⌊M/arcs⌋ + Bernoulli({M/arcs})`, so the expected total is
-//! exactly `M` while every trial is generated where the edge already is in
+//! count `n_e = ⌊E_e⌋ + Bernoulli({E_e})` with `E_e = M·A_uv/vol(G)`
+//! (`M/arcs` on an unweighted graph), so the expected total is exactly
+//! `M` while every trial is generated where the edge already is in
 //! memory (cache-friendly, compression-friendly).
 //!
 //! Every trial flips the downsampling coin (`p_e`), and survivors run
@@ -12,24 +13,30 @@
 //! resulting endpoint pair in the aggregator (keeping the accumulated
 //! matrix symmetric in expectation and in structure).
 //!
+//! The loop is written once against [`WeightedOps`] — Theorems 3.1–3.2
+//! are stated for a weighted `A`, and an unweighted graph is its
+//! unit-weight case. What differs between the two (exact integer vs
+//! weight-proportional trial counts, uniform vs prefix-sum neighbor
+//! draw, counted vs summed two-hop conductance) is the backend's.
+//!
 //! ## The estimator (used by `netmf.rs`)
 //!
 //! For one trial from the directed arc `(u, v)` with walk length `r`,
 //! reversibility of the random walk makes the landing probability of the
-//! ordered pair `(i, j)` equal to `d_i (D⁻¹A)^r_{ij} / (2m)`, independent
-//! of the split point. Summing over arcs, trials, lengths, and the mirror
-//! insertion, the aggregated weight `w(i, j)` satisfies
+//! ordered pair `(i, j)` equal to `d_i (D⁻¹A)^r_{ij} / vol(G)`,
+//! independent of the split point. Summing over arcs, trials, lengths,
+//! and the mirror insertion, the aggregated weight `w(i, j)` satisfies
 //!
 //! ```text
-//! E[w(i,j)] = (M / (m·T)) · d_i · Σ_{r=1..T} (D⁻¹A)^r_{ij}
+//! E[w(i,j)] = (2M / (vol(G)·T)) · d_i · Σ_{r=1..T} (D⁻¹A)^r_{ij}
 //! ```
 //!
 //! which `netmf.rs` inverts to recover the NetMF matrix entry.
 
-use crate::downsample::{default_c, expected_kept_samples, scheme_edge_probability, ProbScheme};
+use crate::downsample::{default_c, expected_kept_samples, survival_probability, ProbScheme};
 use crate::path_sampling::path_sample;
-use lightne_graph::GraphOps;
-use lightne_hash::{ConcurrentEdgeTable, EdgeAggregator};
+use lightne_graph::{VertexId, WeightedOps};
+use lightne_hash::EdgeAggregator;
 use lightne_utils::rng::XorShiftStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,9 +95,14 @@ impl Default for SamplerConfig {
 impl SamplerConfig {
     /// The paper's `M = ratio · T · m` convention (e.g. LightNE-Small uses
     /// `0.1·T·m`, LightNE-Large `20·T·m`).
-    pub fn with_sample_ratio<G: GraphOps>(mut self, g: &G, ratio: f64) -> Self {
+    pub fn with_sample_ratio<G: WeightedOps>(mut self, g: &G, ratio: f64) -> Self {
         self.samples = (ratio * self.window as f64 * g.num_edges() as f64).round() as u64;
         self
+    }
+
+    /// The downsampling constant in force on a graph of `n` vertices.
+    pub(crate) fn c(&self, n: usize) -> f64 {
+        self.c_factor.unwrap_or_else(|| default_c(n))
     }
 }
 
@@ -108,12 +120,42 @@ pub struct SamplerStats {
     pub aggregator_bytes: usize,
 }
 
+/// The `n_e` trials of arc `(u, v)`: each flips the `p_e` coin, and every
+/// survivor draws a walk length in `[1, window]`, runs Algorithm 1 and
+/// deposits `1/p_e` at both orientations of the sampled pair. Returns the
+/// number of survivors. Shared by the static sampler below and the
+/// incremental one in `lightne_core::dynamic`.
+#[inline]
+pub fn sample_arc<G: WeightedOps, A: EdgeAggregator>(
+    g: &G,
+    (u, v): (VertexId, VertexId),
+    n_e: u64,
+    p_e: f64,
+    window: usize,
+    rng: &mut XorShiftStream,
+    agg: &A,
+) -> u64 {
+    let w = (1.0 / p_e) as f32;
+    let mut kept = 0u64;
+    for _ in 0..n_e {
+        if p_e < 1.0 && !rng.bernoulli(p_e) {
+            continue;
+        }
+        kept += 1;
+        let r = 1 + rng.bounded_usize(window);
+        let (a, b) = path_sample(g, u, v, r, rng);
+        agg.add(a, b, w);
+        agg.add(b, a, w);
+    }
+    kept
+}
+
 /// Runs Algorithm 2 over `g`, depositing weighted samples into `agg`.
 ///
 /// # Errors
 /// [`SamplerError::ZeroWindow`] if `cfg.window == 0`;
-/// [`SamplerError::EmptyGraph`] if `g` has no arcs.
-pub fn sample_into<G: GraphOps, A: EdgeAggregator>(
+/// [`SamplerError::EmptyGraph`] if `g` has no arcs (zero volume).
+pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
     g: &G,
     cfg: &SamplerConfig,
     agg: &A,
@@ -121,37 +163,23 @@ pub fn sample_into<G: GraphOps, A: EdgeAggregator>(
     if cfg.window < 1 {
         return Err(SamplerError::ZeroWindow);
     }
-    let arcs = g.num_arcs() as u64;
-    if arcs == 0 {
+    if g.volume() <= 0.0 {
         return Err(SamplerError::EmptyGraph);
     }
-    let base = cfg.samples / arcs;
-    let frac = (cfg.samples % arcs) as f64 / arcs as f64;
-    let c = cfg.c_factor.unwrap_or_else(|| default_c(g.num_vertices()));
-    let t = cfg.window;
+    let c = cfg.c(g.num_vertices());
 
     let trials_ctr = AtomicU64::new(0);
     let kept_ctr = AtomicU64::new(0);
 
-    g.map_edges(|u, v, arc_idx| {
+    g.map_arcs(|u, v, w, arc_idx| {
         let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
-        let n_e = base + u64::from(rng.bernoulli(frac));
+        let (whole, frac) = g.arc_trials(cfg.samples, w);
+        let n_e = whole + u64::from(rng.bernoulli(frac));
         if n_e == 0 {
             return;
         }
-        let p_e = if cfg.downsample { scheme_edge_probability(cfg.prob, g, u, v, c) } else { 1.0 };
-        let w = (1.0 / p_e) as f32;
-        let mut kept = 0u64;
-        for _ in 0..n_e {
-            if p_e < 1.0 && !rng.bernoulli(p_e) {
-                continue;
-            }
-            kept += 1;
-            let r = 1 + rng.bounded_usize(t);
-            let (a, b) = path_sample(g, u, v, r, &mut rng);
-            agg.add(a, b, w);
-            agg.add(b, a, w);
-        }
+        let p_e = if cfg.downsample { survival_probability(cfg.prob, g, u, v, w, c) } else { 1.0 };
+        let kept = sample_arc(g, (u, v), n_e, p_e, cfg.window, &mut rng, agg);
         // ordering: advisory stats counters; commutative adds, read only
         // after the parallel region joins (join is the synchronisation).
         trials_ctr.fetch_add(n_e, Ordering::Relaxed);
@@ -173,8 +201,8 @@ pub fn sample_into<G: GraphOps, A: EdgeAggregator>(
 /// entries are bounded by both 2× kept samples and the T-hop neighborhood
 /// mass, which O(n·C·T²) comfortably over-estimates; the table grows if
 /// the workload exceeds the initial guess.
-pub(crate) fn distinct_guess<G: GraphOps>(g: &G, cfg: &SamplerConfig) -> usize {
-    let c = cfg.c_factor.unwrap_or_else(|| default_c(g.num_vertices()));
+pub(crate) fn distinct_guess<G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> usize {
+    let c = cfg.c(g.num_vertices());
     let expected_kept = if cfg.downsample {
         expected_kept_samples(g, cfg.samples, c, cfg.prob)
     } else {
@@ -185,88 +213,45 @@ pub(crate) fn distinct_guess<G: GraphOps>(g: &G, cfg: &SamplerConfig) -> usize {
         .max(1024.0) as usize
 }
 
-/// What a sparsifier build yields: the aggregated `(src, dst, weight)`
-/// COO triples together with the run statistics.
-pub type SparsifierOutput = Result<(Vec<(u32, u32, f32)>, SamplerStats), SamplerError>;
-
-/// Convenience wrapper: sizes a [`ConcurrentEdgeTable`] from the expected
-/// kept-sample count, runs [`sample_into`], and returns the aggregated COO
-/// triples together with the run statistics.
-///
-/// ```
-/// use lightne_graph::GraphBuilder;
-/// use lightne_sparsifier::{build_sparsifier, SamplerConfig};
-/// let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-/// let cfg = SamplerConfig { window: 2, samples: 10_000, ..Default::default() };
-/// let (coo, stats) = build_sparsifier(&g, &cfg).unwrap();
-/// assert!(!coo.is_empty());
-/// assert!(stats.trials >= 9_000 && stats.trials <= 11_000);
-/// ```
-///
-/// # Errors
-/// Propagates [`SamplerError`] from [`sample_into`].
-pub fn build_sparsifier<G: GraphOps>(g: &G, cfg: &SamplerConfig) -> SparsifierOutput {
-    let table = ConcurrentEdgeTable::with_expected(distinct_guess(g, cfg));
-    let stats = sample_into(g, cfg, &table)?;
-    Ok((table.into_coo(), stats))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::exact::walk_sum;
+    use crate::sharded::sparsifier_coo;
     use lightne_gen::generators::{erdos_renyi, watts_strogatz};
     use lightne_graph::{CompressedGraph, Graph};
+    use lightne_hash::ConcurrentEdgeTable;
     use lightne_linalg::DenseMatrix;
 
-    /// Dense Σ_{r=1..T} (D⁻¹A)^r for ground truth.
-    fn exact_walk_sum(g: &Graph, t: usize) -> DenseMatrix {
+    /// Relative L1 distance of the aggregated weights from their
+    /// expectation `E[w(i,j)] = 2M/(vol·T) · d_i · Σ_r P^r_ij`.
+    pub(crate) fn estimator_error<G: WeightedOps>(
+        g: &G,
+        cfg: &SamplerConfig,
+    ) -> (f64, SamplerStats) {
         let n = g.num_vertices();
-        let mut p = DenseMatrix::zeros(n, n);
-        for u in 0..n as u32 {
-            let du = g.degree(u) as f32;
-            for &v in g.neighbors(u) {
-                p.set(u as usize, v as usize, 1.0 / du);
-            }
+        let (coo, stats) = sparsifier_coo(g, cfg);
+        let mut got = DenseMatrix::zeros(n, n);
+        for (i, j, w) in coo {
+            got.set(i as usize, j as usize, got.get(i as usize, j as usize) + w);
         }
-        let mut power = p.clone();
-        let mut sum = p.clone();
-        for _ in 1..t {
-            power = power.matmul(&p);
-            sum.axpy(1.0, &power);
-        }
-        sum
-    }
-
-    /// Aggregates sampled weights into a dense matrix for comparison.
-    fn sampled_dense(g: &Graph, cfg: &SamplerConfig) -> (DenseMatrix, SamplerStats) {
-        let n = g.num_vertices();
-        let (coo, stats) = build_sparsifier(g, cfg).unwrap();
-        let mut w = DenseMatrix::zeros(n, n);
-        for (u, v, x) in coo {
-            w.set(u as usize, v as usize, w.get(u as usize, v as usize) + x);
-        }
-        (w, stats)
-    }
-
-    /// Checks E[w(i,j)] = M/(mT) · d_i · Σ_r P^r_ij within statistical tol.
-    fn check_estimator(g: &Graph, cfg: &SamplerConfig, rel_tol: f64) {
-        let n = g.num_vertices();
-        let m = g.num_edges() as f64;
-        let (w, _) = sampled_dense(g, cfg);
-        let exact = exact_walk_sum(g, cfg.window);
-        let scale = cfg.samples as f64 / (m * cfg.window as f64);
-        let mut total_err = 0.0;
-        let mut total_ref = 0.0;
+        let exact = walk_sum(g, cfg.window);
+        let scale = 2.0 * cfg.samples as f64 / (g.volume() * cfg.window as f64);
+        let mut err = 0.0;
+        let mut reference = 0.0;
         for i in 0..n {
-            let di = g.degree(i as u32) as f64;
+            let di = g.weighted_degree(i as u32);
             for j in 0..n {
-                let expect = scale * di * exact.get(i, j) as f64;
-                let got = w.get(i, j) as f64;
-                total_err += (got - expect).abs();
-                total_ref += expect;
+                let want = scale * di * exact.get(i, j) as f64;
+                err += (got.get(i, j) as f64 - want).abs();
+                reference += want;
             }
         }
-        let rel = total_err / total_ref;
+        (err / reference, stats)
+    }
+
+    fn check_estimator(g: &Graph, cfg: &SamplerConfig, rel_tol: f64) {
+        let (rel, _) = estimator_error(g, cfg);
         assert!(rel < rel_tol, "aggregate estimator error {rel} (tol {rel_tol})");
     }
 
@@ -333,9 +318,8 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 11,
         };
-        let (_, s_deg) = build_sparsifier(&g, &base).unwrap();
-        let (_, s_psne) =
-            build_sparsifier(&g, &SamplerConfig { prob: ProbScheme::Psne, ..base }).unwrap();
+        let (_, s_deg) = sparsifier_coo(&g, &base);
+        let (_, s_psne) = sparsifier_coo(&g, &SamplerConfig { prob: ProbScheme::Psne, ..base });
         // p_deg = 2/29 per edge, p_psne = 2/30: ~3% fewer kept samples,
         // far outside Bernoulli noise at 400k trials.
         assert!(
@@ -360,8 +344,8 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 3,
         };
-        let (_, s_off) = build_sparsifier(&g, &base).unwrap();
-        let (_, s_on) = build_sparsifier(&g, &SamplerConfig { downsample: true, ..base }).unwrap();
+        let (_, s_off) = sparsifier_coo(&g, &base);
+        let (_, s_on) = sparsifier_coo(&g, &SamplerConfig { downsample: true, ..base });
         assert!(s_on.kept < s_off.kept / 2, "kept {} vs {}", s_on.kept, s_off.kept);
         assert!(s_on.distinct_entries < s_off.distinct_entries);
         // Trials are the same in expectation.
@@ -380,7 +364,7 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             };
-            let (_, stats) = build_sparsifier(&g, &cfg).unwrap();
+            let (_, stats) = sparsifier_coo(&g, &cfg);
             let rel = (stats.trials as f64 - m as f64).abs() / m as f64;
             assert!(rel < 0.1, "M={m}: got {} trials", stats.trials);
         }
@@ -397,7 +381,7 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 4,
         };
-        let (coo, _) = build_sparsifier(&g, &cfg).unwrap();
+        let (coo, _) = sparsifier_coo(&g, &cfg);
         use std::collections::HashMap;
         let map: HashMap<(u32, u32), f32> = coo.iter().map(|&(u, v, w)| ((u, v), w)).collect();
         for &(u, v, w) in &coo {
@@ -411,8 +395,8 @@ mod tests {
         let g = erdos_renyi(150, 2_000, 21);
         let c = CompressedGraph::from_graph(&g);
         let cfg = SamplerConfig { window: 4, samples: 50_000, seed: 5, ..Default::default() };
-        let (mut coo_a, _) = build_sparsifier(&g, &cfg).unwrap();
-        let (mut coo_b, _) = build_sparsifier(&c, &cfg).unwrap();
+        let (mut coo_a, _) = sparsifier_coo(&g, &cfg);
+        let (mut coo_b, _) = sparsifier_coo(&c, &cfg);
         // Deterministic per-arc streams + identical arc indexing ⇒ the two
         // representations generate the identical sample multiset.
         coo_a.sort_by_key(|e| (e.0, e.1));
@@ -435,7 +419,7 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 8,
         };
-        let (coo, _) = build_sparsifier(&g, &cfg).unwrap();
+        let (coo, _) = sparsifier_coo(&g, &cfg);
         for (u, v, _) in coo {
             assert!(g.has_edge(u, v), "T=1 sample ({u},{v}) is not an edge");
         }
@@ -445,7 +429,6 @@ mod tests {
     fn empty_graph_is_a_typed_error() {
         let g = lightne_graph::GraphBuilder::from_edges(4, &[]);
         let cfg = SamplerConfig { samples: 100, ..Default::default() };
-        assert_eq!(build_sparsifier(&g, &cfg).unwrap_err(), super::SamplerError::EmptyGraph);
         let table = ConcurrentEdgeTable::with_expected(16);
         assert_eq!(sample_into(&g, &cfg, &table).unwrap_err(), super::SamplerError::EmptyGraph);
     }
@@ -454,7 +437,7 @@ mod tests {
     fn zero_window_is_a_typed_error() {
         let g = lightne_graph::GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
         let cfg = SamplerConfig { window: 0, samples: 100, ..Default::default() };
-        let err = build_sparsifier(&g, &cfg).unwrap_err();
+        let err = sample_into(&g, &cfg, &ConcurrentEdgeTable::with_expected(16)).unwrap_err();
         assert_eq!(err, super::SamplerError::ZeroWindow);
         assert_eq!(err.to_string(), "window T must be >= 1");
     }

@@ -42,7 +42,7 @@
 //! survival probability with `1/p_e` re-weighting, so the estimator
 //! guarantee is unchanged.
 
-use lightne_graph::{GraphOps, VertexId};
+use lightne_graph::{VertexId, WeightedOps};
 
 /// Which edge-survival probability the downsampling coin uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -83,117 +83,101 @@ pub fn default_c(n: usize) -> f64 {
     (n.max(2) as f64).ln()
 }
 
-/// Survival probability `p_e` for the (unweighted) edge `(u, v)`.
+/// Survival probability `p_e` of arc `(u, v)` of weight `w` under the
+/// given scheme: `min(1, C·w·R̂_e)`, where the resistance bound `R̂_e`
+/// is `1/d_u + 1/d_v` over weighted degrees and the PSNE scheme takes
+/// its minimum with `1/conductance` (see the module docs; on unit
+/// weights `1/(1 + cn/2) = 2/(2 + cn)`).
 #[inline]
-pub fn edge_probability(deg_u: usize, deg_v: usize, c: f64) -> f64 {
-    debug_assert!(deg_u > 0 && deg_v > 0, "edge endpoints must have degree >= 1");
-    let r_bound = 1.0 / deg_u as f64 + 1.0 / deg_v as f64;
-    (c * r_bound).min(1.0)
-}
-
-/// Number of common neighbors `|N(u) ∩ N(v)|` by sorted-list merge.
-/// Adjacency lists are ascending on every graph backend (CSR invariant),
-/// so the two collected lists merge in `O(d_u + d_v)`.
-pub fn common_neighbors<G: GraphOps>(g: &G, u: VertexId, v: VertexId) -> usize {
-    let mut nu: Vec<VertexId> = Vec::with_capacity(g.degree(u));
-    g.for_each_neighbor(u, &mut |x| nu.push(x));
-    let mut nv: Vec<VertexId> = Vec::with_capacity(g.degree(v));
-    g.for_each_neighbor(v, &mut |x| nv.push(x));
-    let (mut i, mut j, mut cn) = (0usize, 0usize, 0usize);
-    while i < nu.len() && j < nv.len() {
-        match nu[i].cmp(&nv[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                cn += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    cn
-}
-
-/// PSNE-grade survival probability: the degree bound sharpened by the
-/// common-neighbor resistance bound `2/(2 + cn)` (see the module docs).
-/// Never exceeds [`edge_probability`] for the same endpoints.
-#[inline]
-pub fn psne_edge_probability(deg_u: usize, deg_v: usize, common: usize, c: f64) -> f64 {
-    debug_assert!(deg_u > 0 && deg_v > 0, "edge endpoints must have degree >= 1");
-    let degree_bound = 1.0 / deg_u as f64 + 1.0 / deg_v as f64;
-    let triangle_bound = 2.0 / (2.0 + common as f64);
-    (c * degree_bound.min(triangle_bound)).min(1.0)
-}
-
-/// Survival probability for edge `(u, v)` under the given scheme. The
-/// `Degree` arm calls [`edge_probability`] with no extra float work, so
-/// its output is bit-identical to the historical (pre-scheme) sampler.
-#[inline]
-pub fn scheme_edge_probability<G: GraphOps>(
+pub fn survival_probability<G: WeightedOps>(
     scheme: ProbScheme,
     g: &G,
     u: VertexId,
     v: VertexId,
+    w: f32,
     c: f64,
 ) -> f64 {
-    match scheme {
-        ProbScheme::Degree => edge_probability(g.degree(u), g.degree(v), c),
-        ProbScheme::Psne => {
-            psne_edge_probability(g.degree(u), g.degree(v), common_neighbors(g, u, v), c)
-        }
-    }
+    let degree_bound = 1.0 / g.weighted_degree(u) + 1.0 / g.weighted_degree(v);
+    let bound = match scheme {
+        ProbScheme::Degree => degree_bound,
+        ProbScheme::Psne => degree_bound.min(1.0 / g.local_conductance(u, v, w)),
+    };
+    (c * w as f64 * bound).min(1.0)
 }
 
-/// Expected number of kept samples if `total_trials` are spread uniformly
-/// over the arcs of `g` with survival probability `p_e` each (used to
-/// pre-size the hash table).
-pub fn expected_kept_samples<G: GraphOps>(
+/// Expected number of kept samples if `total_trials` are spread over the
+/// arcs of `g` in proportion to their weight, each surviving with its
+/// `p_e` (used to pre-size the hash table).
+pub fn expected_kept_samples<G: WeightedOps>(
     g: &G,
     total_trials: u64,
     c: f64,
     scheme: ProbScheme,
 ) -> f64 {
-    let arcs = g.num_arcs() as f64;
-    if arcs == 0.0 {
-        return 0.0;
-    }
-    let per_arc = total_trials as f64 / arcs;
-    let sum_pe: f64 = (0..g.num_vertices() as VertexId)
+    (0..g.num_vertices() as VertexId)
         .map(|u| {
             let mut acc = 0.0;
-            g.for_each_neighbor(u, &mut |v| {
-                acc += scheme_edge_probability(scheme, g, u, v, c);
+            g.for_each_arc(u, |v, w| {
+                let (whole, frac) = g.arc_trials(total_trials, w);
+                acc += (whole as f64 + frac) * survival_probability(scheme, g, u, v, w, c);
             });
             acc
         })
-        .sum();
-    per_arc * sum_pe
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lightne_gen::generators::{erdos_renyi, watts_strogatz};
+    use lightne_graph::ops::common_neighbors;
     use lightne_graph::{CompressedGraph, Graph, GraphBuilder, V2Graph};
+
+    /// The edge `(0, 1)` with degrees `du`/`dv`, `shared` of each
+    /// endpoint's other neighbors common to both and the rest private.
+    fn hub_pair(du: u32, dv: u32, shared: u32) -> Graph {
+        let mut edges = vec![(0u32, 1u32)];
+        let mut next = 2u32;
+        for _ in 0..shared {
+            edges.extend([(0, next), (1, next)]);
+            next += 1;
+        }
+        for (hub, degree) in [(0, du), (1, dv)] {
+            for _ in 0..degree - 1 - shared {
+                edges.push((hub, next));
+                next += 1;
+            }
+        }
+        GraphBuilder::from_edges(next as usize, &edges)
+    }
+
+    fn p(scheme: ProbScheme, g: &Graph, c: f64) -> f64 {
+        survival_probability(scheme, g, 0, 1, 1.0, c)
+    }
 
     #[test]
     fn probability_clamped_to_one() {
-        assert_eq!(edge_probability(1, 1, 5.0), 1.0);
-        assert_eq!(edge_probability(2, 2, 10.0), 1.0);
+        for scheme in ProbScheme::ALL {
+            assert_eq!(p(scheme, &hub_pair(1, 1, 0), 5.0), 1.0);
+            assert_eq!(p(scheme, &hub_pair(2, 2, 0), 10.0), 1.0);
+        }
     }
 
     #[test]
     fn probability_formula() {
         // C=1, degrees 4 and 4 → p = 1/4 + 1/4 = 0.5
-        assert!((edge_probability(4, 4, 1.0) - 0.5).abs() < 1e-12);
+        assert!((p(ProbScheme::Degree, &hub_pair(4, 4, 0), 1.0) - 0.5).abs() < 1e-12);
         // C=2, degrees 10 and 40 → 2*(0.1+0.025) = 0.25
-        assert!((edge_probability(10, 40, 2.0) - 0.25).abs() < 1e-12);
+        assert!((p(ProbScheme::Degree, &hub_pair(10, 40, 0), 2.0) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn probability_decreases_with_degree() {
         let c = 3.0;
-        assert!(edge_probability(100, 100, c) < edge_probability(10, 10, c));
+        assert!(
+            p(ProbScheme::Degree, &hub_pair(100, 100, 0), c)
+                < p(ProbScheme::Degree, &hub_pair(10, 10, 0), c)
+        );
     }
 
     #[test]
@@ -241,8 +225,8 @@ mod tests {
             let c = default_c(g.num_vertices());
             for u in 0..g.num_vertices() as VertexId {
                 for &v in g.neighbors(u) {
-                    let p_deg = scheme_edge_probability(ProbScheme::Degree, &g, u, v, c);
-                    let p_psne = scheme_edge_probability(ProbScheme::Psne, &g, u, v, c);
+                    let p_deg = survival_probability(ProbScheme::Degree, &g, u, v, 1.0, c);
+                    let p_psne = survival_probability(ProbScheme::Psne, &g, u, v, 1.0, c);
                     assert!(p_deg > 0.0 && p_deg <= 1.0, "degree p out of range: {p_deg}");
                     assert!(p_psne > 0.0 && p_psne <= 1.0, "psne p out of range: {p_psne}");
                     assert!(p_psne <= p_deg, "psne ({p_psne}) looser than degree ({p_deg})");
@@ -270,8 +254,8 @@ mod tests {
         for u in 0..32u32 {
             for &v in g.neighbors(u) {
                 assert_eq!(common_neighbors(&g, u, v), 0);
-                let a = scheme_edge_probability(ProbScheme::Degree, &g, u, v, c);
-                let b = scheme_edge_probability(ProbScheme::Psne, &g, u, v, c);
+                let a = survival_probability(ProbScheme::Degree, &g, u, v, 1.0, c);
+                let b = survival_probability(ProbScheme::Psne, &g, u, v, 1.0, c);
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -313,9 +297,9 @@ mod tests {
         // backend, so the scheme output is bit-identical across them.
         let c = default_c(68);
         for (u, v) in [(0u32, 2u32), (1, 2), (2, 3)] {
-            let a = scheme_edge_probability(ProbScheme::Psne, &g, u, v, c);
-            let b = scheme_edge_probability(ProbScheme::Psne, &v1, u, v, c);
-            let d = scheme_edge_probability(ProbScheme::Psne, &v2, u, v, c);
+            let a = survival_probability(ProbScheme::Psne, &g, u, v, 1.0, c);
+            let b = survival_probability(ProbScheme::Psne, &v1, u, v, 1.0, c);
+            let d = survival_probability(ProbScheme::Psne, &v2, u, v, 1.0, c);
             assert_eq!(a.to_bits(), b.to_bits());
             assert_eq!(a.to_bits(), d.to_bits());
         }
@@ -326,29 +310,34 @@ mod tests {
     fn psne_probability_formula() {
         // cn = 2: triangle bound 2/4 = 0.5 < degree bound 1/4+1/4 = 0.5 →
         // tie; C = 1 → p = 0.5.
-        assert!((psne_edge_probability(4, 4, 2, 1.0) - 0.5).abs() < 1e-12);
-        // cn = 6: triangle bound 2/8 = 0.25, degree bound 0.5 → 0.25.
-        assert!((psne_edge_probability(4, 4, 6, 1.0) - 0.25).abs() < 1e-12);
+        assert!((p(ProbScheme::Psne, &hub_pair(4, 4, 2), 1.0) - 0.5).abs() < 1e-12);
+        // cn = 3: triangle bound 2/5 = 0.4, degree bound 0.5 → 0.4.
+        assert!((p(ProbScheme::Psne, &hub_pair(4, 4, 3), 1.0) - 0.4).abs() < 1e-12);
         // cn = 0: degenerates to the degree formula.
+        let g = hub_pair(10, 40, 0);
         assert_eq!(
-            psne_edge_probability(10, 40, 0, 2.0).to_bits(),
-            edge_probability(10, 40, 2.0).to_bits()
+            p(ProbScheme::Psne, &g, 2.0).to_bits(),
+            p(ProbScheme::Degree, &g, 2.0).to_bits()
         );
-        // Clamp still applies.
-        assert_eq!(psne_edge_probability(1, 1, 0, 5.0), 1.0);
     }
 
-    /// The retained degree scheme is byte-identical whether selected
-    /// explicitly or by default (the seed behavior).
+    /// On unit weights the one weighted formula is bit-for-bit the two
+    /// unweighted ones it replaced: `c·1·x = c·x`, and `1/(1 + cn/2)` and
+    /// `2/(2 + cn)` are the same real number, correctly rounded once.
     #[test]
-    fn degree_scheme_probabilities_unchanged_by_scheme_plumbing() {
-        let g: Graph = erdos_renyi(150, 1_500, 9);
-        let c = default_c(150);
-        for u in 0..150u32 {
-            for &v in g.neighbors(u) {
-                let direct = edge_probability(g.degree(u), g.degree(v), c);
-                let via_scheme = scheme_edge_probability(ProbScheme::Degree, &g, u, v, c);
-                assert_eq!(direct.to_bits(), via_scheme.to_bits());
+    fn unit_weights_reproduce_the_unweighted_formulas_bitwise() {
+        for g in [erdos_renyi(150, 1_500, 9), watts_strogatz(200, 6, 0.1, 3)] {
+            let c = 0.7; // keep p below the clamp
+            for u in 0..g.num_vertices() as VertexId {
+                for &v in g.neighbors(u) {
+                    let degree_bound = 1.0 / g.degree(u) as f64 + 1.0 / g.degree(v) as f64;
+                    let degree = (c * degree_bound).min(1.0);
+                    let triangle_bound = 2.0 / (2.0 + common_neighbors(&g, u, v) as f64);
+                    let psne = (c * degree_bound.min(triangle_bound)).min(1.0);
+                    let got = |scheme| survival_probability(scheme, &g, u, v, 1.0, c).to_bits();
+                    assert_eq!(got(ProbScheme::Degree), degree.to_bits());
+                    assert_eq!(got(ProbScheme::Psne), psne.to_bits());
+                }
             }
         }
     }

@@ -6,30 +6,24 @@
 //! the regime where the paper's predecessors ran exact NetMF. Used by the
 //! NetMF baseline in `lightne-baselines` and by statistical tests.
 
-use lightne_graph::GraphOps;
+use lightne_graph::WeightedOps;
 use lightne_linalg::{CsrMatrix, DenseMatrix};
 
-/// Dense random-walk matrix `D⁻¹A`.
-pub fn transition_matrix<G: GraphOps>(g: &G) -> DenseMatrix {
+/// Dense random-walk matrix `D⁻¹A` (weighted degrees on a weighted graph).
+pub fn transition_matrix<G: WeightedOps>(g: &G) -> DenseMatrix {
     let n = g.num_vertices();
     let mut p = DenseMatrix::zeros(n, n);
     for u in 0..n as u32 {
-        let du = g.degree(u);
-        if du == 0 {
-            continue;
-        }
-        let inv = 1.0 / du as f32;
-        g.for_each_neighbor(u, &mut |v| {
-            p.set(u as usize, v as usize, inv);
-        });
+        let du = g.weighted_degree(u) as f32;
+        g.for_each_arc(u, |v, w| p.set(u as usize, v as usize, w / du));
     }
     p
 }
 
-/// The exact dense NetMF matrix (Equation 1 of the paper).
-pub fn exact_netmf_dense<G: GraphOps>(g: &G, window: usize, b: f64) -> DenseMatrix {
+/// Dense `Σ_{r=1..T} (D⁻¹A)^r`, the matrix the sampler's aggregated
+/// weights estimate (up to the `d_i` row scale).
+pub fn walk_sum<G: WeightedOps>(g: &G, window: usize) -> DenseMatrix {
     assert!(window >= 1);
-    let n = g.num_vertices();
     let p = transition_matrix(g);
     let mut power = p.clone();
     let mut sum = p.clone();
@@ -37,15 +31,22 @@ pub fn exact_netmf_dense<G: GraphOps>(g: &G, window: usize, b: f64) -> DenseMatr
         power = power.matmul(&p);
         sum.axpy(1.0, &power);
     }
+    sum
+}
+
+/// The exact dense NetMF matrix (Equation 1 of the paper).
+pub fn exact_netmf_dense<G: WeightedOps>(g: &G, window: usize, b: f64) -> DenseMatrix {
+    let n = g.num_vertices();
+    let mut sum = walk_sum(g, window);
     // sum ← vol/(bT) · sum · D⁻¹, then trunc_log.
     let scale = (g.volume() / (b * window as f64)) as f32;
-    let inv_deg: Vec<f32> = (0..n)
+    let inv_deg: Vec<f32> = (0..n as u32)
         .map(|v| {
-            let d = g.degree(v as u32);
-            if d == 0 {
+            let d = g.weighted_degree(v) as f32;
+            if d == 0.0 {
                 0.0
             } else {
-                1.0 / d as f32
+                1.0 / d
             }
         })
         .collect();
@@ -56,7 +57,7 @@ pub fn exact_netmf_dense<G: GraphOps>(g: &G, window: usize, b: f64) -> DenseMatr
 }
 
 /// The exact NetMF matrix in sparse form (zeros pruned).
-pub fn exact_netmf<G: GraphOps>(g: &G, window: usize, b: f64) -> CsrMatrix {
+pub fn exact_netmf<G: WeightedOps>(g: &G, window: usize, b: f64) -> CsrMatrix {
     let dense = exact_netmf_dense(g, window, b);
     let n = g.num_vertices();
     let mut coo = Vec::new();

@@ -21,10 +21,12 @@
 //!   also counts common-neighbour two-hop paths is selectable via
 //!   [`ProbScheme`].
 //! * [`construct`] — **Algorithm 2**: the per-edge parallel sampling loop
-//!   (`G.MapEdges`), generic over the graph representation and the edge
-//!   aggregator.
-//! * [`netmf`] — converts aggregated sample weights into the sparse
+//!   (`G.MapEdges`), generic over the graph representation — weighted or
+//!   not, see [`weighted`] — and the edge aggregator.
+//! * [`sharded`] — the one sample → aggregate → NetMF path: Algorithm 2
+//!   into a sharded hash table, drained straight into the sparse
 //!   truncated-log NetMF matrix fed to the randomized SVD.
+//! * [`netmf`] — the estimator inversion that drain applies per entry.
 //! * [`exact`] — the dense, exactly-computed NetMF matrix (feasible for
 //!   small `n`); used by the NetMF baseline and as the ground truth in
 //!   this crate's statistical tests.
@@ -41,12 +43,6 @@ pub mod path_sampling;
 pub mod sharded;
 pub mod weighted;
 
-pub use construct::{
-    build_sparsifier, SamplerConfig, SamplerError, SamplerStats, SparsifierOutput,
-};
+pub use construct::{SamplerConfig, SamplerError, SamplerStats};
 pub use downsample::ProbScheme;
-pub use netmf::sparsifier_to_netmf;
-pub use sharded::{
-    build_sharded_sparsifier, build_weighted_sharded_sparsifier, resolve_shards, sharded_to_netmf,
-    weighted_sharded_to_netmf,
-};
+pub use sharded::{build_sharded_sparsifier, resolve_shards, sharded_to_netmf, table_from_coo};

@@ -4,7 +4,7 @@
 //! aggregated weight `w(i,j)` from `M` trials,
 //!
 //! ```text
-//! Σ_{r=1..T} (D⁻¹A)^r_{ij}  ≈  w(i,j) · m · T / (M · d_i)
+//! Σ_{r=1..T} (D⁻¹A)^r_{ij}  ≈  w(i,j) · vol(G) · T / (2 · M · d_i)
 //! ```
 //!
 //! so the NetMF matrix entry becomes
@@ -14,18 +14,14 @@
 //!      = trunc_log( vol(G)² · w(i,j) / (2 · b · M · d_i · d_j) )
 //! ```
 //!
-//! using `vol(G) = 2m`. Entries whose argument falls below 1 truncate to
-//! zero and are pruned, which is what makes the factorized matrix even
-//! sparser than the raw sparsifier — the paper notes LightNE-Small's
-//! matrix can end up with fewer than `m` non-zeros.
+//! over weighted degrees and volume (`vol(G) = 2m` on unit weights).
+//! Entries whose argument falls below 1 truncate to zero and are pruned,
+//! which is what makes the factorized matrix even sparser than the raw
+//! sparsifier — the paper notes LightNE-Small's matrix can end up with
+//! fewer than `m` non-zeros.
 
-use lightne_graph::GraphOps;
-use lightne_linalg::CsrMatrix;
-use rayon::prelude::*;
-
-/// Per-entry truncated-log transform, shared by the COO path below and
-/// the fused sharded drain (`crate::sharded`). Both paths must apply
-/// bit-identical arithmetic — keep this the single definition.
+/// Per-entry truncated-log transform applied by the fused drain
+/// (`crate::sharded::sharded_to_netmf`).
 #[inline]
 pub(crate) fn trunc_log_entry(factor: f64, di: f64, dj: f64, w: f32) -> Option<f32> {
     if di <= 0.0 || dj <= 0.0 {
@@ -45,68 +41,79 @@ pub(crate) fn netmf_factor(vol: f64, total_samples: u64, b: f64) -> f64 {
     vol * vol / (2.0 * b * total_samples as f64)
 }
 
-/// Converts aggregated sample weights into the truncated-log NetMF matrix.
-///
-/// * `coo` — `(i, j, w)` triples from [`crate::build_sparsifier`].
-/// * `total_samples` — the `M` the sampler was configured with.
-/// * `b` — the number of negative samples in the DeepWalk equivalence
-///   (the paper uses `b = 1`).
-pub fn sparsifier_to_netmf<G: GraphOps>(
-    g: &G,
-    coo: Vec<(u32, u32, f32)>,
-    total_samples: u64,
-    b: f64,
-) -> CsrMatrix {
-    let n = g.num_vertices();
-    let degrees: Vec<f64> = (0..n).map(|v| g.degree(v as u32) as f64).collect();
-    let factor = netmf_factor(g.volume(), total_samples, b);
-
-    let entries: Vec<(u32, u32, f32)> = coo
-        .into_par_iter()
-        .filter_map(|(i, j, w)| {
-            trunc_log_entry(factor, degrees[i as usize], degrees[j as usize], w)
-                .map(|val| (i, j, val))
-        })
-        .collect();
-    CsrMatrix::from_coo(n, n, entries)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::construct::{build_sparsifier, SamplerConfig};
+    use crate::construct::SamplerConfig;
     use crate::downsample::ProbScheme;
     use crate::exact::exact_netmf;
+    use crate::sharded::{build_sharded_sparsifier, sharded_to_netmf};
     use lightne_gen::generators::erdos_renyi;
+    use lightne_graph::{Graph, WeightedGraph, WeightedOps};
+    use lightne_linalg::CsrMatrix;
+
+    /// Samples and inverts; also returns the raw sparsifier entry count.
+    fn sampled_netmf<G: WeightedOps>(g: &G, cfg: &SamplerConfig, b: f64) -> (CsrMatrix, usize) {
+        let (table, _) = build_sharded_sparsifier(g, cfg, 0).unwrap();
+        let raw_len = table.len();
+        (sharded_to_netmf(g, table, cfg.samples, b), raw_len)
+    }
+
+    /// Relative entrywise L1 error of the sampled estimate against the
+    /// dense oracle.
+    fn error_vs_exact<G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> f64 {
+        let (approx, _) = sampled_netmf(g, cfg, 1.0);
+        let exact = exact_netmf(g, cfg.window, 1.0);
+        let n = g.num_vertices();
+        let mut err_sum = 0.0f64;
+        let mut ref_sum = 0.0f64;
+        for i in 0..n {
+            for j in 0..n {
+                let e = exact.get(i, j) as f64;
+                err_sum += (e - approx.get(i, j) as f64).abs();
+                ref_sum += e;
+            }
+        }
+        err_sum / ref_sum
+    }
 
     #[test]
     fn approximates_exact_netmf() {
         // With enough samples the sparse estimate must match the dense
         // NetMF matrix entrywise on a small graph.
         let g = erdos_renyi(50, 300, 17);
-        let t = 3;
         let cfg = SamplerConfig {
-            window: t,
+            window: 3,
             samples: 4_000_000,
             downsample: false,
             c_factor: None,
             prob: ProbScheme::Degree,
             seed: 9,
         };
-        let (coo, _) = build_sparsifier(&g, &cfg).unwrap();
-        let approx = sparsifier_to_netmf(&g, coo, cfg.samples, 1.0);
-        let exact = exact_netmf(&g, t, 1.0);
-        let mut err_sum = 0.0f64;
-        let mut ref_sum = 0.0f64;
-        for i in 0..50 {
-            for j in 0..50 {
-                let e = exact.get(i, j) as f64;
-                let a = approx.get(i, j) as f64;
-                err_sum += (e - a).abs();
-                ref_sum += e;
+        let rel = error_vs_exact(&g, &cfg);
+        assert!(rel < 0.05, "relative entrywise error {rel}");
+    }
+
+    #[test]
+    fn approximates_exact_netmf_on_non_unit_weights() {
+        // The same inversion over weighted degrees and volume: weights
+        // spanning 0.5–8 on the edges of a small random graph.
+        let skeleton: Graph = erdos_renyi(50, 300, 23);
+        let mut edges = Vec::new();
+        for u in 0..50u32 {
+            for &v in skeleton.neighbors(u).iter().filter(|&&v| u < v) {
+                edges.push((u, v, 0.5 * (1 + (u * 7 + v * 3) % 16) as f32));
             }
         }
-        let rel = err_sum / ref_sum;
+        let g = WeightedGraph::from_edges(50, &edges);
+        let cfg = SamplerConfig {
+            window: 3,
+            samples: 4_000_000,
+            downsample: false,
+            c_factor: None,
+            prob: ProbScheme::Degree,
+            seed: 10,
+        };
+        let rel = error_vs_exact(&g, &cfg);
         assert!(rel < 0.05, "relative entrywise error {rel}");
     }
 
@@ -121,9 +128,7 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 2,
         };
-        let (coo, _) = build_sparsifier(&g, &cfg).unwrap();
-        let raw_len = coo.len();
-        let m = sparsifier_to_netmf(&g, coo, cfg.samples, 1.0);
+        let (m, raw_len) = sampled_netmf(&g, &cfg, 1.0);
         assert!(m.nnz() <= raw_len);
         // trunc_log keeps only strictly positive values.
         for i in 0..100 {
@@ -145,9 +150,8 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 3,
         };
-        let (coo, _) = build_sparsifier(&g, &cfg).unwrap();
-        let m1 = sparsifier_to_netmf(&g, coo.clone(), cfg.samples, 1.0);
-        let m5 = sparsifier_to_netmf(&g, coo, cfg.samples, 5.0);
+        let (m1, _) = sampled_netmf(&g, &cfg, 1.0);
+        let (m5, _) = sampled_netmf(&g, &cfg, 5.0);
         assert!(m5.nnz() <= m1.nnz());
         assert!(m5.sum_values() < m1.sum_values());
     }
@@ -163,8 +167,7 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 6,
         };
-        let (coo, _) = build_sparsifier(&g, &cfg).unwrap();
-        let m = sparsifier_to_netmf(&g, coo, cfg.samples, 1.0);
+        let (m, _) = sampled_netmf(&g, &cfg, 1.0);
         // The weight matrix is exactly symmetric by construction; after the
         // entrywise log the values stay symmetric.
         assert!(m.is_symmetric(1e-4));

@@ -11,9 +11,11 @@
 //! `construct.rs` tests): picking a uniformly random *directed arc* and
 //! applying this procedure lands on the ordered pair `(i, j)` with
 //! probability `d_i · (D⁻¹A)^r_{ij} / (2m)` — independent of the split
-//! point `s`, by reversibility of the walk.
+//! point `s`, by reversibility of the walk. On a weighted graph the arc
+//! is drawn and the walks step proportionally to weight, and the same
+//! identity holds with weighted degrees and `vol(G)` for `2m`.
 
-use lightne_graph::{walk::walk, GraphOps, VertexId};
+use lightne_graph::{walk::walk, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;
 
 /// One two-sided path sample (Algorithm 1).
@@ -21,7 +23,7 @@ use lightne_utils::rng::XorShiftStream;
 /// `r` must be ≥ 1; the walk takes `s` steps from `u` and `r-1-s` from
 /// `v`, where `s` is drawn uniformly from `[0, r-1]`.
 #[inline]
-pub fn path_sample<G: GraphOps>(
+pub fn path_sample<G: WeightedOps>(
     g: &G,
     u: VertexId,
     v: VertexId,

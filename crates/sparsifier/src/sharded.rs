@@ -1,9 +1,8 @@
-//! The sharded sparsify→factorize data path.
+//! The sample → aggregate → NetMF data path.
 //!
-//! The classic path materializes three full-size intermediates: the global
-//! hash table, the drained COO vector, and the CSR built from it after a
-//! global sort. This module routes the same samples through a
-//! [`ShardedEdgeTable`] instead and drains each shard *directly* into its
+//! Samples are aggregated in a [`ShardedEdgeTable`] — one shard *is* the
+//! paper's single shared hash table (§4.2); more shards let each resize
+//! under its own lock — and every shard drains *directly* into its
 //! contiguous CSR row block, with the NetMF truncated-log transform fused
 //! into the drain:
 //!
@@ -15,22 +14,25 @@
 //! source-vertex range `[lo_s, hi_s)`, so per-shard packed-key sorts
 //! concatenate into the globally sorted entry order for free.
 //!
-//! **Byte-identity with the classic path.** Three facts make the sharded
-//! output bitwise identical to `build_sparsifier` → `sparsifier_to_netmf`
-//! at any thread and shard count: (1) per-key weights are fixed-point u64
-//! sums, independent of insertion interleaving and of which table held the
-//! key; (2) the concatenated per-shard sort order equals `from_coo`'s
-//! global sort order; (3) the per-entry transform is the shared
-//! `trunc_log_entry`, applied entrywise with no cross-entry arithmetic.
-//! `tests/sharded_path.rs` at the workspace root asserts this end to end.
+//! **Output does not depend on the thread or shard count.** (1) Per-key
+//! weights are fixed-point u64 sums, independent of insertion
+//! interleaving and of which table held the key; (2) the concatenated
+//! per-shard sort order is the global `(row, col)` order whatever the
+//! shard boundaries; (3) the per-entry transform is `trunc_log_entry`,
+//! applied entrywise with no cross-entry arithmetic. Re-adding a drained
+//! `f32` through the fixed-point accumulator returns the same `f32`, so
+//! a table rebuilt from its own drain ([`table_from_coo`] — how a resumed
+//! run, the dynamic embedder and the NetSMF baseline enter this path)
+//! drains to the same bytes again. `tests/sharded_path.rs` and
+//! `tests/golden_embeddings.rs` at the workspace root assert this end to
+//! end.
 
 use crate::construct::{distinct_guess, sample_into, SamplerConfig, SamplerError, SamplerStats};
 use crate::netmf::{netmf_factor, trunc_log_entry};
-use crate::weighted::{weighted_distinct_guess, weighted_sample_into};
-use lightne_graph::weighted::WeightedGraph;
-use lightne_graph::GraphOps;
+use lightne_graph::WeightedOps;
 use lightne_hash::ShardedEdgeTable;
 use lightne_linalg::CsrMatrix;
+use rayon::prelude::*;
 
 /// Resolves a configured shard count: `0` means the automatic heuristic.
 pub fn resolve_shards(configured: usize, n_vertices: usize) -> usize {
@@ -42,20 +44,19 @@ pub fn resolve_shards(configured: usize, n_vertices: usize) -> usize {
 }
 
 /// Pre-sizes each shard by its share of the degree mass: a shard's
-/// expected distinct-entry count is proportional to the total degree of
-/// the source vertices it owns, since trials land on source `u` with
-/// probability `d_u / vol`. Under a skewed (power-law) degree ordering
-/// this stops the heavy low-id shards from resizing their way up from a
-/// uniform 1/N guess. Capacities never affect accumulated values.
-fn degree_mass_expectations<D: Fn(u32) -> f64>(
-    n: usize,
+/// expected distinct-entry count is proportional to the total (weighted)
+/// degree of the source vertices it owns, since trials land on source `u`
+/// with probability `d_u / vol`. Under a skewed (power-law) degree
+/// ordering this stops the heavy low-id shards from resizing their way up
+/// from a uniform 1/N guess. Capacities never affect accumulated values.
+fn degree_mass_expectations<G: WeightedOps>(
+    g: &G,
     shards: usize,
     expected_total: usize,
-    degree: D,
 ) -> Vec<usize> {
-    let ranges = ShardedEdgeTable::shard_ranges(n, shards);
+    let ranges = ShardedEdgeTable::shard_ranges(g.num_vertices(), shards);
     let masses: Vec<f64> =
-        ranges.iter().map(|r| r.clone().map(|u| degree(u).max(0.0)).sum()).collect();
+        ranges.iter().map(|r| r.clone().map(|u| g.weighted_degree(u).max(0.0)).sum()).collect();
     let total: f64 = masses.iter().sum();
     if total <= 0.0 {
         return vec![expected_total.div_ceil(ranges.len()); ranges.len()];
@@ -67,64 +68,57 @@ fn degree_mass_expectations<D: Fn(u32) -> f64>(
 /// table (for the fused drain of [`sharded_to_netmf`]) plus statistics.
 /// `shards == 0` selects the automatic heuristic.
 ///
+/// ```
+/// use lightne_graph::GraphBuilder;
+/// use lightne_sparsifier::{build_sharded_sparsifier, SamplerConfig};
+/// let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+/// let cfg = SamplerConfig { window: 2, samples: 10_000, ..Default::default() };
+/// let (table, stats) = build_sharded_sparsifier(&g, &cfg, 0).unwrap();
+/// assert!(!table.is_empty());
+/// assert!(stats.trials >= 9_000 && stats.trials <= 11_000);
+/// ```
+///
 /// # Errors
 /// Propagates [`SamplerError`] from [`sample_into`].
-pub fn build_sharded_sparsifier<G: GraphOps>(
+pub fn build_sharded_sparsifier<G: WeightedOps>(
     g: &G,
     cfg: &SamplerConfig,
     shards: usize,
 ) -> Result<(ShardedEdgeTable, SamplerStats), SamplerError> {
     let n = g.num_vertices();
     let shards = resolve_shards(shards, n);
-    let expectations =
-        degree_mass_expectations(n, shards, distinct_guess(g, cfg), |u| g.degree(u) as f64);
+    let expectations = degree_mass_expectations(g, shards, distinct_guess(g, cfg));
     let table = ShardedEdgeTable::with_expectations(n, shards, &expectations);
     let stats = sample_into(g, cfg, &table)?;
     Ok((table, stats))
 }
 
-/// Weighted analogue of [`build_sharded_sparsifier`].
-///
-/// # Errors
-/// Propagates [`SamplerError`] from
-/// [`weighted_sample_into`](crate::weighted::weighted_sample_into).
-pub fn build_weighted_sharded_sparsifier(
-    g: &WeightedGraph,
-    cfg: &SamplerConfig,
-    shards: usize,
-) -> Result<(ShardedEdgeTable, SamplerStats), SamplerError> {
-    let n = g.num_vertices();
-    let shards = resolve_shards(shards, n);
-    let expectations = degree_mass_expectations(n, shards, weighted_distinct_guess(g, cfg), |u| {
-        g.weighted_degree(u)
-    });
-    let table = ShardedEdgeTable::with_expectations(n, shards, &expectations);
-    let stats = weighted_sample_into(g, cfg, &table)?;
-    Ok((table, stats))
+/// Exists only for `benchmark/src/trace.rs`, which names the weighted
+/// call separately.
+pub use build_sharded_sparsifier as build_weighted_sharded_sparsifier;
+
+/// Loads already-aggregated `(i, j, w)` triples into a table over `n`
+/// vertices, so a sparsifier that did not come from
+/// [`build_sharded_sparsifier`] — a checkpoint, a persistent table's
+/// snapshot, another aggregator's drain — takes the same fused drain.
+/// Weights that were drained from a table are reproduced exactly (module
+/// docs); repeated coordinates accumulate.
+pub fn table_from_coo(n: usize, shards: usize, coo: &[(u32, u32, f32)]) -> ShardedEdgeTable {
+    let table = ShardedEdgeTable::new(n, resolve_shards(shards, n), coo.len());
+    coo.par_iter().for_each(|&(u, v, w)| table.add_edge(u, v, w));
+    table
 }
 
 /// Fused drain: converts the sharded aggregate straight into the
 /// truncated-log NetMF matrix. Each shard is sorted and transformed in
 /// parallel and assembled as a contiguous CSR row block — the
 /// untransformed sparsifier matrix never exists as a whole.
-pub fn sharded_to_netmf<G: GraphOps>(
+///
+/// * `total_samples` — the `M` the sampler was configured with.
+/// * `b` — the number of negative samples in the DeepWalk equivalence
+///   (the paper uses `b = 1`).
+pub fn sharded_to_netmf<G: WeightedOps>(
     g: &G,
-    table: ShardedEdgeTable,
-    total_samples: u64,
-    b: f64,
-) -> CsrMatrix {
-    let n = g.num_vertices();
-    let degrees: Vec<f64> = (0..n).map(|v| g.degree(v as u32) as f64).collect();
-    let factor = netmf_factor(g.volume(), total_samples, b);
-    let runs = table
-        .drain_map(|i, j, w| trunc_log_entry(factor, degrees[i as usize], degrees[j as usize], w));
-    CsrMatrix::from_sharded_rows(n, n, runs)
-}
-
-/// Weighted analogue of [`sharded_to_netmf`] (weighted degrees in the
-/// transform, same fused drain).
-pub fn weighted_sharded_to_netmf(
-    g: &WeightedGraph,
     table: ShardedEdgeTable,
     total_samples: u64,
     b: f64,
@@ -137,14 +131,28 @@ pub fn weighted_sharded_to_netmf(
     CsrMatrix::from_sharded_rows(n, n, runs)
 }
 
+/// Exists only for `benchmark/src/trace.rs`, which names the weighted
+/// call separately.
+pub use sharded_to_netmf as weighted_sharded_to_netmf;
+
+/// Test convenience: Algorithm 2 into an automatically sharded table,
+/// drained to COO.
+#[cfg(test)]
+pub(crate) fn sparsifier_coo<G: WeightedOps>(
+    g: &G,
+    cfg: &SamplerConfig,
+) -> (Vec<(u32, u32, f32)>, SamplerStats) {
+    use lightne_hash::EdgeAggregator;
+    let (table, stats) = build_sharded_sparsifier(g, cfg, 0).expect("graph can be sampled");
+    (table.into_coo(), stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construct::build_sparsifier;
     use crate::downsample::ProbScheme;
-    use crate::netmf::sparsifier_to_netmf;
-    use crate::weighted::{build_weighted_sparsifier, weighted_sparsifier_to_netmf};
     use lightne_gen::generators::erdos_renyi;
+    use lightne_hash::EdgeAggregator;
 
     fn assert_bitwise_equal(a: &CsrMatrix, b: &CsrMatrix) {
         assert_eq!(a.n_rows(), b.n_rows());
@@ -159,8 +167,11 @@ mod tests {
         }
     }
 
+    /// The drained matrix is the same bytes at every shard count, and
+    /// again after a round trip of the table through its own COO (the
+    /// route a checkpointed or resumed run takes).
     #[test]
-    fn fused_drain_matches_coo_path_bitwise() {
+    fn fused_drain_is_shard_count_and_round_trip_invariant() {
         let g = erdos_renyi(300, 3_000, 77);
         let cfg = SamplerConfig {
             window: 5,
@@ -170,35 +181,19 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 99,
         };
-        let (coo, s1) = build_sparsifier(&g, &cfg).unwrap();
-        let classic = sparsifier_to_netmf(&g, coo, cfg.samples, 1.0);
-        for shards in [1usize, 3, 8, 64] {
+        let (table, s1) = build_sharded_sparsifier(&g, &cfg, 1).unwrap();
+        let single = sharded_to_netmf(&g, table, cfg.samples, 1.0);
+        for shards in [3usize, 8, 64] {
             let (table, s2) = build_sharded_sparsifier(&g, &cfg, shards).unwrap();
             assert_eq!(s1.trials, s2.trials);
             assert_eq!(s1.kept, s2.kept);
             assert_eq!(s1.distinct_entries, s2.distinct_entries);
-            let fused = sharded_to_netmf(&g, table, cfg.samples, 1.0);
-            assert_bitwise_equal(&classic, &fused);
+            let mut coo = table.into_coo();
+            coo.reverse();
+            let reloaded = table_from_coo(300, shards + 1, &coo);
+            assert_eq!(reloaded.len(), s1.distinct_entries);
+            assert_bitwise_equal(&single, &sharded_to_netmf(&g, reloaded, cfg.samples, 1.0));
         }
-    }
-
-    #[test]
-    fn weighted_fused_drain_matches_coo_path_bitwise() {
-        let gu = erdos_renyi(120, 900, 31);
-        let g = WeightedGraph::from_unweighted(&gu);
-        let cfg = SamplerConfig {
-            window: 4,
-            samples: 100_000,
-            downsample: true,
-            c_factor: None,
-            prob: ProbScheme::Degree,
-            seed: 12,
-        };
-        let (coo, _) = build_weighted_sparsifier(&g, &cfg).unwrap();
-        let classic = weighted_sparsifier_to_netmf(&g, coo, cfg.samples, 1.0);
-        let (table, _) = build_weighted_sharded_sparsifier(&g, &cfg, 5).unwrap();
-        let fused = weighted_sharded_to_netmf(&g, table, cfg.samples, 1.0);
-        assert_bitwise_equal(&classic, &fused);
     }
 
     #[test]

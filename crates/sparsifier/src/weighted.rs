@@ -1,214 +1,35 @@
-//! Weighted-graph sparsifier construction.
+//! The weighted case of Algorithms 1–2, exactly as the paper's theory
+//! states them (Theorems 3.1–3.2 are written for weighted `A`).
 //!
-//! The weighted generalization of Algorithms 1–2, exactly as the paper's
-//! theory states them (Theorems 3.1–3.2 are written for weighted `A`):
+//! There is no weighted sampler: [`crate::construct::sample_into`] is
+//! generic over [`lightne_graph::WeightedOps`], and a
+//! [`lightne_graph::WeightedGraph`] makes it
 //!
-//! * arcs receive trials **proportionally to their weight** (a uniform
-//!   weighted-edge draw), walks move to neighbors proportionally to edge
-//!   weight, so one trial lands on the ordered pair `(i, j)` with
+//! * give arcs trials **proportionally to their weight** (a uniform
+//!   weighted-edge draw) and step walks to neighbors proportionally to
+//!   edge weight, so one trial lands on the ordered pair `(i, j)` with
 //!   probability `d_i (D⁻¹A)^r_{ij} / vol(G)` — the same reversibility
 //!   identity as the unweighted case with weighted degrees;
-//! * downsampling uses the paper's full formula
-//!   `p_e = min(1, C·A_uv·(1/d_u + 1/d_v))` with weighted degrees;
-//! * the NetMF inversion is unchanged in form:
+//! * downsample with the paper's full formula
+//!   `p_e = min(1, C·A_uv·(1/d_u + 1/d_v))` over weighted degrees;
+//! * invert to NetMF in unchanged form:
 //!   `trunc_log( vol² · w(i,j) / (2·b·M·d_i·d_j) )` over weighted
 //!   quantities.
+//!
+//! This module holds the statistical tests of that case.
 
-use crate::downsample::{default_c, ProbScheme};
-use lightne_graph::weighted::WeightedGraph;
-use lightne_hash::{ConcurrentEdgeTable, EdgeAggregator};
-use lightne_linalg::CsrMatrix;
-use lightne_utils::rng::XorShiftStream;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::construct::{SamplerConfig, SamplerError, SamplerStats, SparsifierOutput};
-use crate::netmf::{netmf_factor, trunc_log_entry};
-
-/// Weighted analogue of the PSNE bound: the direct edge (conductance
-/// `w_uv`) in parallel with every two-hop path through a common
-/// neighbour `x` (series conductance `w_ux·w_xv/(w_ux+w_xv)`) upper
-/// bounds the effective conductance from below, so
-/// `R_e <= 1 / (w_uv + Σ_x w_ux·w_xv/(w_ux+w_xv))` by Rayleigh
-/// monotonicity. Both adjacency arrays are sorted by neighbour id, so a
-/// two-pointer merge finds the common neighbours.
-fn weighted_psne_probability(g: &WeightedGraph, u: u32, v: u32, w_uv: f32, c: f64) -> f64 {
-    let (nu, wu) = g.neighbors(u);
-    let (nv, wv) = g.neighbors(v);
-    let mut conductance = w_uv as f64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < nu.len() && j < nv.len() {
-        match nu[i].cmp(&nv[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (a, b) = (wu[i] as f64, wv[j] as f64);
-                if a + b > 0.0 {
-                    conductance += a * b / (a + b);
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let degree_bound = 1.0 / g.weighted_degree(u) + 1.0 / g.weighted_degree(v);
-    (c * w_uv as f64 * degree_bound.min(1.0 / conductance)).min(1.0)
-}
-
-/// Weighted PathSampling (Algorithm 1 with weight-proportional walks).
-#[inline]
-pub fn weighted_path_sample(
-    g: &WeightedGraph,
-    u: u32,
-    v: u32,
-    r: usize,
-    rng: &mut XorShiftStream,
-) -> (u32, u32) {
-    debug_assert!(r >= 1);
-    let s = rng.bounded_usize(r);
-    (g.walk(u, s, rng), g.walk(v, r - 1 - s, rng))
-}
-
-/// Expected distinct-entry count for pre-sizing the weighted table.
-pub(crate) fn weighted_distinct_guess(g: &WeightedGraph, cfg: &SamplerConfig) -> usize {
-    (cfg.samples as usize).min(g.num_vertices() * 64).max(1024)
-}
-
-/// Runs the weighted Algorithm 2 over `g`, depositing weighted samples
-/// into `agg` (the weighted analogue of [`crate::construct::sample_into`],
-/// generic over the aggregation strategy).
-///
-/// # Errors
-/// [`SamplerError::ZeroWindow`] if `cfg.window == 0`;
-/// [`SamplerError::EmptyGraph`] if `g` has zero volume.
-pub fn weighted_sample_into<A: EdgeAggregator>(
-    g: &WeightedGraph,
-    cfg: &SamplerConfig,
-    agg: &A,
-) -> Result<SamplerStats, SamplerError> {
-    if cfg.window < 1 {
-        return Err(SamplerError::ZeroWindow);
-    }
-    let vol = g.volume();
-    if vol <= 0.0 {
-        return Err(SamplerError::EmptyGraph);
-    }
-    let c = cfg.c_factor.unwrap_or_else(|| default_c(g.num_vertices()));
-    let t = cfg.window;
-    // Expected trials for arc (u,v): M · w_uv / vol (weight-proportional).
-    let rate = cfg.samples as f64 / vol;
-
-    let trials_ctr = AtomicU64::new(0);
-    let kept_ctr = AtomicU64::new(0);
-
-    g.map_arcs(|u, v, w, arc_idx| {
-        let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
-        let expected = rate * w as f64;
-        let n_e = expected.floor() as u64 + u64::from(rng.bernoulli(expected.fract()));
-        if n_e == 0 {
-            return;
-        }
-        let p_e = if cfg.downsample {
-            match cfg.prob {
-                ProbScheme::Degree => {
-                    (c * w as f64 * (1.0 / g.weighted_degree(u) + 1.0 / g.weighted_degree(v)))
-                        .min(1.0)
-                }
-                ProbScheme::Psne => weighted_psne_probability(g, u, v, w, c),
-            }
-        } else {
-            1.0
-        };
-        let add_w = (1.0 / p_e) as f32;
-        let mut kept = 0u64;
-        for _ in 0..n_e {
-            if p_e < 1.0 && !rng.bernoulli(p_e) {
-                continue;
-            }
-            kept += 1;
-            let r = 1 + rng.bounded_usize(t);
-            let (a, b) = weighted_path_sample(g, u, v, r, &mut rng);
-            agg.add(a, b, add_w);
-            agg.add(b, a, add_w);
-        }
-        // ordering: advisory stats counters; commutative adds, read only
-        // after the parallel region joins (join is the synchronisation).
-        trials_ctr.fetch_add(n_e, Ordering::Relaxed);
-        kept_ctr.fetch_add(kept, Ordering::Relaxed);
-    });
-
-    // ordering: single-threaded here, post-join reads of the counters.
-    Ok(SamplerStats {
-        trials: trials_ctr.load(Ordering::Relaxed),
-        kept: kept_ctr.load(Ordering::Relaxed),
-        distinct_entries: agg.distinct_edges(),
-        aggregator_bytes: agg.memory_bytes(),
-    })
-}
-
-/// Runs the weighted Algorithm 2 and returns the aggregated COO triples
-/// plus statistics.
-///
-/// # Errors
-/// Propagates [`SamplerError`] from [`weighted_sample_into`].
-pub fn build_weighted_sparsifier(g: &WeightedGraph, cfg: &SamplerConfig) -> SparsifierOutput {
-    let table = ConcurrentEdgeTable::with_expected(weighted_distinct_guess(g, cfg));
-    let stats = weighted_sample_into(g, cfg, &table)?;
-    Ok((table.into_coo(), stats))
-}
-
-/// Converts aggregated weighted samples to the NetMF matrix (weighted
-/// version of [`crate::sparsifier_to_netmf`]).
-pub fn weighted_sparsifier_to_netmf(
-    g: &WeightedGraph,
-    coo: Vec<(u32, u32, f32)>,
-    total_samples: u64,
-    b: f64,
-) -> CsrMatrix {
-    let n = g.num_vertices();
-    let factor = netmf_factor(g.volume(), total_samples, b);
-    let entries: Vec<(u32, u32, f32)> = coo
-        .into_par_iter()
-        .filter_map(|(i, j, w)| {
-            trunc_log_entry(factor, g.weighted_degree(i), g.weighted_degree(j), w)
-                .map(|val| (i, j, val))
-        })
-        .collect();
-    CsrMatrix::from_coo(n, n, entries)
-}
+/// Exists only for `benchmark/src/trace.rs`, which names the weighted
+/// call separately.
+pub use crate::construct::sample_into as weighted_sample_into;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use lightne_linalg::DenseMatrix;
-
-    /// Dense weighted transition matrix D⁻¹A.
-    fn transition(g: &WeightedGraph) -> DenseMatrix {
-        let n = g.num_vertices();
-        let mut p = DenseMatrix::zeros(n, n);
-        for u in 0..n as u32 {
-            let d = g.weighted_degree(u);
-            if d == 0.0 {
-                continue;
-            }
-            let (nb, ws) = g.neighbors(u);
-            for (&v, &w) in nb.iter().zip(ws) {
-                p.set(u as usize, v as usize, (w as f64 / d) as f32);
-            }
-        }
-        p
-    }
-
-    fn walk_sum(g: &WeightedGraph, t: usize) -> DenseMatrix {
-        let p = transition(g);
-        let mut power = p.clone();
-        let mut sum = p.clone();
-        for _ in 1..t {
-            power = power.matmul(&p);
-            sum.axpy(1.0, &power);
-        }
-        sum
-    }
+    use crate::construct::tests::estimator_error;
+    use crate::construct::SamplerConfig;
+    use crate::downsample::{survival_probability, ProbScheme};
+    use crate::sharded::{build_sharded_sparsifier, sharded_to_netmf, sparsifier_coo};
+    use lightne_graph::{WeightedGraph, WeightedOps};
+    use lightne_utils::rng::XorShiftStream;
 
     fn small_weighted(seed: u64) -> WeightedGraph {
         let mut rng = XorShiftStream::new(seed, 0);
@@ -226,7 +47,6 @@ mod tests {
 
     #[test]
     fn weighted_estimator_is_unbiased() {
-        // E[w(i,j)] = 2M/(vol·T) · d_i · Σ_r P^r_ij.
         let g = small_weighted(1);
         let cfg = SamplerConfig {
             window: 3,
@@ -236,25 +56,7 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 2,
         };
-        let (coo, _) = build_weighted_sparsifier(&g, &cfg).unwrap();
-        let n = g.num_vertices();
-        let mut got = DenseMatrix::zeros(n, n);
-        for (i, j, w) in coo {
-            got.set(i as usize, j as usize, got.get(i as usize, j as usize) + w);
-        }
-        let exact = walk_sum(&g, cfg.window);
-        let scale = 2.0 * cfg.samples as f64 / (g.volume() * cfg.window as f64);
-        let mut err = 0.0;
-        let mut reference = 0.0;
-        for i in 0..n {
-            let di = g.weighted_degree(i as u32);
-            for j in 0..n {
-                let want = scale * di * exact.get(i, j) as f64;
-                err += (got.get(i, j) as f64 - want).abs();
-                reference += want;
-            }
-        }
-        let rel = err / reference;
+        let (rel, _) = estimator_error(&g, &cfg);
         assert!(rel < 0.05, "weighted estimator error {rel}");
     }
 
@@ -269,26 +71,8 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 4,
         };
-        let (coo, stats) = build_weighted_sparsifier(&g, &cfg).unwrap();
+        let (rel, stats) = estimator_error(&g, &cfg);
         assert!(stats.kept < stats.trials, "downsampling must drop trials");
-        let n = g.num_vertices();
-        let mut got = DenseMatrix::zeros(n, n);
-        for (i, j, w) in coo {
-            got.set(i as usize, j as usize, got.get(i as usize, j as usize) + w);
-        }
-        let exact = walk_sum(&g, cfg.window);
-        let scale = 2.0 * cfg.samples as f64 / (g.volume() * cfg.window as f64);
-        let mut err = 0.0;
-        let mut reference = 0.0;
-        for i in 0..n {
-            let di = g.weighted_degree(i as u32);
-            for j in 0..n {
-                let want = scale * di * exact.get(i, j) as f64;
-                err += (got.get(i, j) as f64 - want).abs();
-                reference += want;
-            }
-        }
-        let rel = err / reference;
         assert!(rel < 0.12, "downsampled weighted estimator error {rel}");
     }
 
@@ -306,26 +90,8 @@ mod tests {
             prob: ProbScheme::Psne,
             seed: 4,
         };
-        let (coo, stats) = build_weighted_sparsifier(&g, &cfg).unwrap();
+        let (rel, stats) = estimator_error(&g, &cfg);
         assert!(stats.kept < stats.trials, "downsampling must drop trials");
-        let n = g.num_vertices();
-        let mut got = DenseMatrix::zeros(n, n);
-        for (i, j, w) in coo {
-            got.set(i as usize, j as usize, got.get(i as usize, j as usize) + w);
-        }
-        let exact = walk_sum(&g, cfg.window);
-        let scale = 2.0 * cfg.samples as f64 / (g.volume() * cfg.window as f64);
-        let mut err = 0.0;
-        let mut reference = 0.0;
-        for i in 0..n {
-            let di = g.weighted_degree(i as u32);
-            for j in 0..n {
-                let want = scale * di * exact.get(i, j) as f64;
-                err += (got.get(i, j) as f64 - want).abs();
-                reference += want;
-            }
-        }
-        let rel = err / reference;
         assert!(rel < 0.15, "psne-downsampled weighted estimator error {rel}");
     }
 
@@ -334,9 +100,8 @@ mod tests {
         let g = small_weighted(11);
         let c = 0.4;
         g.map_arcs(|u, v, w, _| {
-            let degree =
-                (c * w as f64 * (1.0 / g.weighted_degree(u) + 1.0 / g.weighted_degree(v))).min(1.0);
-            let psne = weighted_psne_probability(&g, u, v, w, c);
+            let degree = survival_probability(ProbScheme::Degree, &g, u, v, w, c);
+            let psne = survival_probability(ProbScheme::Psne, &g, u, v, w, c);
             assert!(psne > 0.0 && psne <= 1.0, "invalid probability {psne}");
             assert!(psne <= degree + 1e-12, "psne {psne} looser than degree {degree}");
         });
@@ -344,8 +109,10 @@ mod tests {
 
     #[test]
     fn unit_weights_match_unweighted_sampler_statistics() {
-        // With all weights 1 the weighted machinery must reproduce the
-        // unweighted estimator's expectations (same trials, same totals).
+        // A unit-weight `WeightedGraph` takes the weight-proportional trial
+        // counts and the prefix-sum neighbor draw, the unweighted graph the
+        // exact integer counts and the uniform draw — different RNG
+        // consumption, same expectations (same trials, same totals).
         use lightne_gen::generators::erdos_renyi;
         let gu = erdos_renyi(100, 800, 5);
         let gw = WeightedGraph::from_unweighted(&gu);
@@ -357,8 +124,8 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 6,
         };
-        let (coo_w, stats_w) = build_weighted_sparsifier(&gw, &cfg).unwrap();
-        let (coo_u, stats_u) = crate::construct::build_sparsifier(&gu, &cfg).unwrap();
+        let (coo_w, stats_w) = sparsifier_coo(&gw, &cfg);
+        let (coo_u, stats_u) = sparsifier_coo(&gu, &cfg);
         let rel = (stats_w.trials as f64 - stats_u.trials as f64).abs() / stats_u.trials as f64;
         assert!(rel < 0.05, "trial counts diverge: {} vs {}", stats_w.trials, stats_u.trials);
         let sum = |coo: &[(u32, u32, f32)]| coo.iter().map(|&(_, _, w)| w as f64).sum::<f64>();
@@ -377,8 +144,8 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 8,
         };
-        let (coo, _) = build_weighted_sparsifier(&g, &cfg).unwrap();
-        let m = weighted_sparsifier_to_netmf(&g, coo, cfg.samples, 1.0);
+        let (table, _) = build_sharded_sparsifier(&g, &cfg, 0).unwrap();
+        let m = sharded_to_netmf(&g, table, cfg.samples, 1.0);
         assert!(m.nnz() > 0);
         for i in 0..g.num_vertices() {
             let (_, vals) = m.row(i);
@@ -400,7 +167,7 @@ mod tests {
             prob: ProbScheme::Degree,
             seed: 9,
         };
-        let (coo, _) = build_weighted_sparsifier(&g, &cfg).unwrap();
+        let (coo, _) = sparsifier_coo(&g, &cfg);
         // With T=1 every sample is the edge itself.
         let get = |a: u32, b: u32| {
             coo.iter()

@@ -1,10 +1,10 @@
-//! Wall-clock timing with named stages.
+//! Wall-clock timing.
 //!
 //! The paper reports a per-stage running-time breakdown (Table 5:
 //! sparsifier construction / randomized SVD / spectral propagation). The
-//! [`StageTimer`] here is what the pipeline uses to produce the same rows.
+//! stage engine's `RunStats` records and prints those rows; this module
+//! is the stopwatch and the duration format beneath it.
 
-use std::fmt;
 use std::time::{Duration, Instant};
 
 /// A simple wall-clock stopwatch.
@@ -43,84 +43,6 @@ impl Default for Timer {
     }
 }
 
-/// One named, timed stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stage {
-    /// Human-readable stage name.
-    pub name: String,
-    /// Wall-clock duration of the stage.
-    pub duration: Duration,
-}
-
-/// Records a sequence of named stages and renders a breakdown.
-#[derive(Debug, Default, Clone)]
-pub struct StageTimer {
-    stages: Vec<Stage>,
-    current: Option<(String, Instant)>,
-}
-
-impl StageTimer {
-    /// Creates an empty stage timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Begins a new stage, finishing the previous one if still open.
-    pub fn begin(&mut self, name: impl Into<String>) {
-        self.finish();
-        self.current = Some((name.into(), Instant::now()));
-    }
-
-    /// Finishes the currently open stage, if any.
-    pub fn finish(&mut self) {
-        if let Some((name, started)) = self.current.take() {
-            self.stages.push(Stage { name, duration: started.elapsed() });
-        }
-    }
-
-    /// All stages, in order. A still-open stage is folded in with its
-    /// elapsed-so-far duration, so reading mid-run is always safe.
-    pub fn stages(&self) -> Vec<Stage> {
-        let mut out = self.stages.clone();
-        if let Some((name, started)) = &self.current {
-            out.push(Stage { name: name.clone(), duration: started.elapsed() });
-        }
-        out
-    }
-
-    /// Appends an already-measured stage (e.g. replayed from a run record).
-    pub fn record(&mut self, name: impl Into<String>, duration: Duration) {
-        self.finish();
-        self.stages.push(Stage { name: name.into(), duration });
-    }
-
-    /// Duration of the stage with the given name, if recorded. An
-    /// in-flight stage is visible with its elapsed-so-far duration.
-    pub fn get(&self, name: &str) -> Option<Duration> {
-        if let Some(d) = self.stages.iter().find(|s| s.name == name).map(|s| s.duration) {
-            return Some(d);
-        }
-        match &self.current {
-            Some((n, started)) if n == name => Some(started.elapsed()),
-            _ => None,
-        }
-    }
-
-    /// Total time across all stages, including an in-flight one.
-    pub fn total(&self) -> Duration {
-        self.stages().iter().map(|s| s.duration).sum()
-    }
-}
-
-impl fmt::Display for StageTimer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for s in self.stages() {
-            writeln!(f, "{:<32} {}", s.name, humanize(s.duration))?;
-        }
-        write!(f, "{:<32} {}", "total", humanize(self.total()))
-    }
-}
-
 /// Formats a duration the way the paper reports times ("32.8 min", "1.53 h").
 pub fn humanize(d: Duration) -> String {
     let s = d.as_secs_f64();
@@ -138,71 +60,6 @@ pub fn humanize(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_timer_records_in_order() {
-        let mut t = StageTimer::new();
-        t.begin("a");
-        t.begin("b");
-        t.finish();
-        let stages = t.stages();
-        let names: Vec<_> = stages.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["a", "b"]);
-        assert!(t.get("a").is_some());
-        assert!(t.get("c").is_none());
-    }
-
-    #[test]
-    fn total_is_sum() {
-        let mut t = StageTimer::new();
-        t.begin("x");
-        std::thread::sleep(Duration::from_millis(5));
-        t.finish();
-        assert!(t.total() >= Duration::from_millis(5));
-        assert_eq!(t.total(), t.stages().iter().map(|s| s.duration).sum());
-    }
-
-    #[test]
-    fn open_stage_is_visible_while_running() {
-        let mut t = StageTimer::new();
-        t.begin("done");
-        t.finish();
-        t.begin("running");
-        // Reading with a stage still open must not panic and must fold the
-        // in-flight stage in with its elapsed-so-far duration.
-        let stages = t.stages();
-        let names: Vec<_> = stages.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["done", "running"]);
-        assert!(t.get("running").is_some());
-        assert!(t.total() >= t.get("done").unwrap());
-        // A later read sees a longer elapsed time for the open stage.
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(t.get("running").unwrap() >= Duration::from_millis(2));
-        // Finishing converts the in-flight stage into a recorded one.
-        t.finish();
-        assert_eq!(t.stages().len(), 2);
-    }
-
-    #[test]
-    fn display_with_open_stage_does_not_panic() {
-        let mut t = StageTimer::new();
-        t.begin("open");
-        let rendered = format!("{t}");
-        assert!(rendered.contains("open"));
-        assert!(rendered.contains("total"));
-    }
-
-    #[test]
-    fn record_appends_measured_stage() {
-        let mut t = StageTimer::new();
-        t.begin("live");
-        t.record("replayed", Duration::from_millis(250));
-        // `record` closes the open stage first, then appends.
-        let stages = t.stages();
-        let names: Vec<_> = stages.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["live", "replayed"]);
-        assert_eq!(t.get("replayed"), Some(Duration::from_millis(250)));
-    }
 
     #[test]
     fn humanize_bands() {

@@ -69,20 +69,13 @@ pub const ANALYZE_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/core/src/engine.rs", "run_pipeline"),
     ("crates/core/src/pipeline.rs", "embed"),
     ("crates/core/src/pipeline.rs", "embed_with"),
-    ("crates/core/src/pipeline.rs", "embed_weighted"),
-    ("crates/core/src/pipeline.rs", "embed_weighted_with"),
     ("crates/core/src/propagation.rs", "spectral_propagation"),
     ("crates/core/src/propagation.rs", "spectral_propagation_matrices"),
     // Samplers and sparsifier drains.
-    ("crates/sparsifier/src/construct.rs", "build_sparsifier"),
     ("crates/sparsifier/src/construct.rs", "sample_into"),
     ("crates/sparsifier/src/path_sampling.rs", "path_sample"),
-    ("crates/sparsifier/src/weighted.rs", "weighted_path_sample"),
-    ("crates/sparsifier/src/weighted.rs", "weighted_sample_into"),
     ("crates/sparsifier/src/sharded.rs", "build_sharded_sparsifier"),
-    ("crates/sparsifier/src/sharded.rs", "build_weighted_sharded_sparsifier"),
     ("crates/sparsifier/src/sharded.rs", "sharded_to_netmf"),
-    ("crates/sparsifier/src/sharded.rs", "weighted_sharded_to_netmf"),
     // Dense-linalg kernels.
     ("crates/linalg/src/rsvd.rs", "randomized_svd"),
     ("crates/linalg/src/kernels.rs", "gemm"),

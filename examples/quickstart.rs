@@ -25,7 +25,7 @@ fn main() {
 
     // 4. Inspect the run: per-stage wall clock (the paper's Table 5 rows)
     //    and sampler statistics.
-    println!("\nstage breakdown:\n{}", output.timings);
+    println!("\nstage breakdown:\n{}", output.stats);
     println!(
         "\nsampler: {} trials, {} kept after downsampling, {} distinct entries",
         output.sampler.trials, output.sampler.kept, output.sampler.distinct_entries

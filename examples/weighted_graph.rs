@@ -43,7 +43,7 @@ fn main() {
     let out =
         LightNe::new(LightNeConfig { dim: 16, window: 5, sample_ratio: 5.0, ..Default::default() })
             .embed_weighted(&g);
-    println!("\nstage breakdown:\n{}", out.timings);
+    println!("\nstage breakdown:\n{}", out.stats);
 
     // Measure separation between the two weight-defined communities.
     let y = &out.embedding;

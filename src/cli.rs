@@ -117,7 +117,7 @@ fn prob_scheme_opt(o: &Opts) -> Result<ProbScheme, String> {
 }
 
 fn lightne_config(o: &Opts) -> Result<LightNeConfig, String> {
-    Ok(LightNeConfig {
+    let cfg = LightNeConfig {
         dim: o.num("dim", 128usize)?,
         window: o.num("window", 10usize)?,
         sample_ratio: o.num("ratio", 1.0f64)?,
@@ -126,10 +126,11 @@ fn lightne_config(o: &Opts) -> Result<LightNeConfig, String> {
         propagation: if o.flag("no-propagation") { None } else { Some(Default::default()) },
         seed: o.num("seed", 42u64)?,
         shards: o.num("shards", 0usize)?,
-        global_table: o.flag("global-table"),
         pin_shards: o.flag("pin-shards"),
         ..Default::default()
-    })
+    };
+    cfg.validate().map_err(|e| format!("bad option: {e}"))?;
+    Ok(cfg)
 }
 
 /// Runs one CLI invocation; `args` is everything after the program name.
@@ -260,7 +261,7 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
             }
             .map_err(|e| e.to_string())?;
             write_matrix(&result.embedding, out_path).map_err(|e| e.to_string())?;
-            say(format!("{}", result.timings))?;
+            say(format!("{}", result.stats))?;
             say(format!("threads: {}", result.stats.threads))?;
             say(format!(
                 "simd: {} tier (detected: {}){}",
@@ -507,29 +508,59 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_global_table_embeds_are_byte_identical() {
-        let gpath = tmp("shards.lne");
-        let e_sharded = tmp("shards_emb_a.txt");
-        let e_global = tmp("shards_emb_b.txt");
-        run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &gpath])
+    fn out_of_domain_options_are_errors_not_panics() {
+        let gpath = tmp("domain.lne");
+        let epath = tmp("domain_emb.txt");
+        run_capture(&["generate", "--profile", "oag", "--scale", "0.00002", "--out", &gpath])
             .unwrap();
-        let common =
-            ["--graph", &gpath, "--dim", "8", "--window", "4", "--ratio", "1.0", "--seed", "5"];
-        let mut a = vec!["embed", "--out", &e_sharded, "--shards", "4"];
-        a.extend_from_slice(&common);
-        run_capture(&a).unwrap();
-        let mut b = vec!["embed", "--out", &e_global, "--global-table"];
-        b.extend_from_slice(&common);
-        run_capture(&b).unwrap();
-        assert_eq!(
-            std::fs::read(&e_sharded).unwrap(),
-            std::fs::read(&e_global).unwrap(),
-            "sharded and global-table paths must write identical embeddings"
-        );
+        for (flag, value, field) in [
+            ("--dim", "0", "dim"),
+            ("--window", "0", "window"),
+            ("--ratio", "0", "sample_ratio"),
+            ("--ratio", "nan", "sample_ratio"),
+        ] {
+            let err = run_capture(&["embed", "--graph", &gpath, "--out", &epath, flag, value])
+                .expect_err("an out-of-domain option must be rejected");
+            assert!(err.contains(field), "{flag} {value}: {err}");
+        }
         std::fs::remove_file(&gpath).ok();
         std::fs::remove_file(format!("{gpath}.labels")).ok();
-        std::fs::remove_file(&e_sharded).ok();
-        std::fs::remove_file(&e_global).ok();
+    }
+
+    #[test]
+    fn weights_that_merge_past_f32_are_a_read_error() {
+        // Each line passes the per-line `finite` check; the duplicates sum
+        // to +inf only once merged.
+        let gpath = tmp("overflow.txt");
+        let epath = tmp("overflow_emb.txt");
+        std::fs::write(&gpath, "0 1 3e38\n0 1 3e38\n1 2 1.0\n").unwrap();
+        let err = run_capture(&["embed", "--graph", &gpath, "--out", &epath, "--weighted"])
+            .expect_err("an overflowing weighted graph must be rejected");
+        assert!(err.contains("f32 range"), "{err}");
+        std::fs::remove_file(&gpath).ok();
+    }
+
+    #[test]
+    fn embeds_are_byte_identical_at_every_shard_count() {
+        let gpath = tmp("shards.lne");
+        run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &gpath])
+            .unwrap();
+        let embed = |shards: &str| {
+            let epath = tmp(&format!("shards_emb_{shards}.txt"));
+            run_capture(&[
+                "embed", "--graph", &gpath, "--out", &epath, "--shards", shards, "--dim", "8",
+                "--window", "4", "--ratio", "1.0", "--seed", "5",
+            ])
+            .unwrap();
+            let bytes = std::fs::read(&epath).unwrap();
+            std::fs::remove_file(&epath).ok();
+            bytes
+        };
+        let single = embed("1");
+        assert_eq!(single, embed("4"), "1 and 4 shards must write identical embeddings");
+        assert_eq!(single, embed("0"), "1 and auto shards must write identical embeddings");
+        std::fs::remove_file(&gpath).ok();
+        std::fs::remove_file(format!("{gpath}.labels")).ok();
     }
 
     #[test]
