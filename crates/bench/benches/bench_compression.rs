@@ -1,16 +1,15 @@
-//! Micro-benchmarks of the parallel-byte compressed format (Section 4.1)
-//! and the v2 bit-granular container.
+//! Micro-benchmarks of the compressed graph container: the parallel-byte
+//! format (Section 4.1, `Codec::Byte`) and the bit-granular codecs.
 //!
 //! Reproduces the block-size trade-off the paper evaluated before picking
 //! 64: smaller blocks fetch an arbitrary incident edge faster (less to
 //! decode) but compress worse; larger blocks compress better but slow the
-//! random walks. Also reports encode/decode throughput, and the same
-//! decode paths through v2 containers per codec so a codec change shows
-//! up next to the v1 numbers it must compete with.
+//! random walks. Also reports encode/decode throughput per codec, so a
+//! codec change shows up next to the `byte` numbers it must compete with.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lightne_gen::generators::chung_lu;
-use lightne_graph::{Codec, CompressedGraph, V2Graph};
+use lightne_graph::{Codec, V2Graph};
 use lightne_utils::rng::XorShiftStream;
 use std::hint::black_box;
 
@@ -21,7 +20,8 @@ fn bench_block_size_tradeoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("ith_neighbor_by_block_size");
     group.sample_size(20);
     for block in [16usize, 64, 256] {
-        let cg = CompressedGraph::from_graph_with_block_size(&g, block);
+        let cg = V2Graph::from_graph_with_block_size(&g, Codec::Byte, block)
+            .expect("block size in range");
         eprintln!(
             "block={block}: arena {} bytes ({:.2}x raw)",
             cg.arena_bytes(),
@@ -33,7 +33,7 @@ fn bench_block_size_tradeoff(c: &mut Criterion) {
                 let v = rng.bounded_usize(20_000) as u32;
                 let d = cg.degree(v);
                 if d > 0 {
-                    black_box(cg.ith_neighbor(v, rng.bounded_usize(d)));
+                    black_box(cg.try_ith_neighbor(v, rng.bounded_usize(d)).unwrap());
                 }
             })
         });
@@ -41,24 +41,11 @@ fn bench_block_size_tradeoff(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_encode_decode(c: &mut Criterion) {
+fn bench_uncompressed_scan(c: &mut Criterion) {
     let g = chung_lu(20_000, 400_000, 2.3, 2);
-    let cg = CompressedGraph::from_graph(&g);
 
     let mut group = c.benchmark_group("compression");
     group.sample_size(10);
-    group.bench_function("encode_full_graph", |b| {
-        b.iter(|| black_box(CompressedGraph::from_graph(&g)))
-    });
-    group.bench_function("decode_all_neighbors", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for v in 0..cg.num_vertices() as u32 {
-                cg.for_each_neighbor(v, |u| acc = acc.wrapping_add(u as u64));
-            }
-            black_box(acc)
-        })
-    });
     group.bench_function("scan_uncompressed_baseline", |b| {
         b.iter(|| {
             let mut acc = 0u64;
@@ -75,7 +62,7 @@ fn bench_encode_decode(c: &mut Criterion) {
 
 fn bench_v2_codecs(c: &mut Criterion) {
     let g = chung_lu(20_000, 400_000, 2.3, 2);
-    let codecs = [Codec::Gamma, Codec::Zeta(3), Codec::Rice(10), Codec::RiceAdaptive];
+    let codecs = [Codec::Byte, Codec::Gamma, Codec::Zeta(3), Codec::Rice(10), Codec::RiceAdaptive];
 
     let mut group = c.benchmark_group("v2_decode_all_neighbors");
     group.sample_size(10);
@@ -121,7 +108,7 @@ fn bench_v2_encode(c: &mut Criterion) {
     let g = chung_lu(20_000, 400_000, 2.3, 2);
     let mut group = c.benchmark_group("v2_encode_full_graph");
     group.sample_size(10);
-    for codec in [Codec::Zeta(3), Codec::RiceAdaptive] {
+    for codec in [Codec::Byte, Codec::Zeta(3), Codec::RiceAdaptive] {
         group.bench_with_input(BenchmarkId::from_parameter(codec.name()), &codec, |b, &codec| {
             b.iter(|| black_box(V2Graph::from_graph(&g, codec)))
         });
@@ -132,7 +119,7 @@ fn bench_v2_encode(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_block_size_tradeoff,
-    bench_encode_decode,
+    bench_uncompressed_scan,
     bench_v2_codecs,
     bench_v2_encode
 );

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lightne_gen::generators::chung_lu;
-use lightne_graph::CompressedGraph;
+use lightne_graph::{Codec, V2Graph};
 use lightne_sparsifier::construct::SamplerConfig;
 use lightne_sparsifier::path_sampling::path_sample;
 use lightne_sparsifier::sharded::build_sharded_sparsifier;
@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 fn bench_path_sample(c: &mut Criterion) {
     let g = chung_lu(10_000, 150_000, 2.5, 1);
-    let cg = CompressedGraph::from_graph(&g);
+    let cg = V2Graph::from_graph(&g, Codec::Byte);
     let mut group = c.benchmark_group("path_sample_T10");
     group.sample_size(20);
 

@@ -278,7 +278,7 @@ mod tests {
     use super::*;
     use lightne_gen::generators::erdos_renyi;
     use lightne_gen::sbm::{labelled_sbm, SbmConfig};
-    use lightne_graph::CompressedGraph;
+    use lightne_graph::{Codec, V2Graph};
 
     /// Mean cosine similarity over a fixed sample of same-community
     /// vertex pairs, minus the mean over cross-community pairs.
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn compressed_graph_gives_same_embedding() {
         let g = erdos_renyi(300, 3_000, 3);
-        let c = CompressedGraph::from_graph(&g);
+        let c = V2Graph::from_graph(&g, Codec::Byte);
         let pipe = LightNe::new(tiny_cfg());
         let a = pipe.embed(&g);
         let b = pipe.embed(&c);

@@ -31,7 +31,7 @@ pub struct LinkPredMetrics {
 /// endpoint (degree 1) are kept in training, matching the usual protocol.
 ///
 /// Generic over [`GraphOps`] so the split is taken identically on the
-/// CSR, v1-compressed and v2-compressed backends: every backend visits
+/// CSR and compressed backends: every backend visits
 /// each vertex's neighbours in the same ascending order, and the single
 /// sequential RNG consumes one coin per undirected edge in that order.
 pub fn split_edges<G: GraphOps>(

@@ -258,7 +258,7 @@ pub fn graph_stats<G: GraphOps>(g: &G) -> GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedGraph, GraphBuilder};
+    use crate::{Codec, GraphBuilder, V2Graph};
 
     fn two_triangles_and_isolate() -> crate::Graph {
         // {0,1,2} triangle, {3,4,5} triangle, 6 isolated
@@ -372,7 +372,7 @@ mod tests {
         let edges: Vec<(u32, u32)> =
             (0..2000).map(|_| (rng.bounded(300) as u32, rng.bounded(300) as u32)).collect();
         let g = GraphBuilder::from_edges(300, &edges);
-        let c = CompressedGraph::from_graph(&g);
+        let c = V2Graph::from_graph(&g, Codec::Byte);
         assert_eq!(graph_stats(&g), graph_stats(&c));
     }
 
@@ -380,7 +380,7 @@ mod tests {
     fn bfs_matches_on_compressed() {
         let edges: Vec<(u32, u32)> = (0..499u32).map(|v| (v, v + 1)).collect();
         let g = GraphBuilder::from_edges(500, &edges);
-        let c = CompressedGraph::from_graph(&g);
+        let c = V2Graph::from_graph(&g, Codec::Byte);
         assert_eq!(bfs(&g, 0), bfs(&c, 0));
     }
 }

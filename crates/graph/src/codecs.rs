@@ -1,10 +1,13 @@
-//! Bit-granular instantaneous codes (WebGraph's γ/δ/ζ family).
+//! Instantaneous codes for neighbor gaps: Ligra+'s byte code and
+//! WebGraph's bit-granular γ/δ/ζ family, behind one [`Codec`].
 //!
-//! The v1 parallel-byte format spends a minimum of 8 bits per gap because
-//! LEB128 varints are byte-aligned. The codes here are *bit*-aligned
-//! prefix-free codes over the naturals, the toolbox BVGraph-class
-//! compression is built from:
+//! All are prefix-free codes over the naturals written through one
+//! MSB-first bit stream, so a container's codec is a per-file knob and
+//! every code shares one reader:
 //!
+//! * **byte** — LEB128: 7-bit groups, low group first, each behind a
+//!   continuation bit. The code of the paper's parallel-byte format
+//!   (Section 4.1): a minimum of 8 bits per gap, and the cheapest decode.
 //! * **unary** — `x` zeros then a one; optimal for geometric gaps with
 //!   p = 1/2 (degenerate, but the building block of everything below).
 //! * **γ (gamma)** — `⌊log₂(x+1)⌋` in unary, then the mantissa bits;
@@ -117,6 +120,18 @@ impl BitWriter {
         debug_assert!(k <= MAX_BITS, "rice parameter {k} too large");
         self.write_unary(x >> k);
         self.write_long_bits(x & ((1u64 << k) - 1), k);
+    }
+
+    /// Appends `x` in the byte code (LEB128): 7-bit groups, low group
+    /// first, each preceded by a continuation bit that is set on every
+    /// group but the last.
+    #[inline]
+    pub fn write_vbyte(&mut self, mut x: u64) {
+        while x >= 0x80 {
+            self.write_bits(0x80 | (x & 0x7f), 8);
+            x >>= 7;
+        }
+        self.write_bits(x, 8);
     }
 
     /// Minimal (truncated) binary code of `r ∈ [0, span)`.
@@ -309,7 +324,7 @@ impl<'a> BitReader<'a> {
     /// Fast path: the whole codeword (`2h + 1` bits) is extracted from a
     /// single [`BitReader::peek`] window — one bounds check, one load —
     /// which is what keeps bit-granular decoding competitive with the
-    /// byte-aligned v1 varints on the sequential scan.
+    /// byte code on the sequential scan.
     #[inline]
     pub fn read_gamma(&mut self) -> Result<u64, GraphFormatError> {
         let w = self.peek();
@@ -445,6 +460,50 @@ impl<'a> BitReader<'a> {
         Ok((q << k) | rem)
     }
 
+    /// Reads a byte-coded (LEB128) value. Fast path: the continuation
+    /// bits in one [`BitReader::peek`] window give the codeword length
+    /// with a single leading-zero count, and codewords of up to four
+    /// bytes (every gap below 2²⁸) are assembled without a
+    /// length-dependent branch.
+    #[inline]
+    pub fn read_vbyte(&mut self) -> Result<u64, GraphFormatError> {
+        const CONT: u64 = 0x8080_8080_0000_0000;
+        let w = self.peek();
+        // Bit index of the first clear continuation bit among four bytes
+        // (0, 8, 16, 24), or ≥ 32 when all four are set.
+        let last = (!w & CONT).leading_zeros();
+        let need = last as u64 + 8;
+        if last < 32 && self.pos + need <= self.len_bits() {
+            self.pos += need;
+            let groups = ((w >> 56) & 0x7f)
+                | ((w >> 48) & 0x7f) << 7
+                | ((w >> 40) & 0x7f) << 14
+                | ((w >> 32) & 0x7f) << 21;
+            // Keep the 7 bits of each byte the codeword really has.
+            return Ok(groups & !(!0u64 << (7 * (last / 8 + 1))));
+        }
+        self.read_vbyte_slow()
+    }
+
+    /// Byte decode one group per read: long codewords, end-of-stream, and
+    /// the overflow checks (a tenth group may carry one bit, an eleventh
+    /// none).
+    fn read_vbyte_slow(&mut self) -> Result<u64, GraphFormatError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.read_bits(8)?;
+            let group = byte & 0x7f;
+            if shift == 63 && group > 1 {
+                break;
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(GraphFormatError::Overflow { at_bit: self.pos })
+    }
+
     /// Reads a minimal (truncated) binary value over `span` codewords.
     fn read_min_binary(&mut self, span: u64) -> Result<u64, GraphFormatError> {
         if span <= 1 {
@@ -462,10 +521,14 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Identifier of an instantaneous code, the per-container knob of the v2
-/// format. `Zeta(k)` is Boldi–Vigna's ζ_k; `Zeta(1)` coincides with γ.
+/// Identifier of an instantaneous code, the per-container knob of the
+/// graph format. `Zeta(k)` is Boldi–Vigna's ζ_k; `Zeta(1)` coincides with γ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
+    /// LEB128 byte code: Ligra+'s parallel-byte format, the paper's graph
+    /// representation and the reference the other codes are measured
+    /// against.
+    Byte,
     /// Unary code (diagnostic; impractically long for real gaps).
     Unary,
     /// Elias γ.
@@ -505,8 +568,10 @@ pub fn best_rice_k(values: &[u64]) -> u32 {
 }
 
 impl Codec {
-    /// The codecs the bench sweeps when picking the best per graph.
-    pub const SWEEP: [Codec; 9] = [
+    /// The codecs the bench sweeps when picking the best per graph;
+    /// [`Codec::Byte`] leads as the reference row.
+    pub const SWEEP: [Codec; 10] = [
+        Codec::Byte,
         Codec::Gamma,
         Codec::Delta,
         Codec::Zeta(2),
@@ -527,6 +592,7 @@ impl Codec {
             Codec::Zeta(k) => 0x10 + k as u8,
             Codec::Rice(k) => 0x20 + k as u8,
             Codec::RiceAdaptive => 3,
+            Codec::Byte => 4,
         }
     }
 
@@ -537,6 +603,7 @@ impl Codec {
             1 => Some(Codec::Gamma),
             2 => Some(Codec::Delta),
             3 => Some(Codec::RiceAdaptive),
+            4 => Some(Codec::Byte),
             k @ 0x11..=0x18 => Some(Codec::Zeta(k as u32 - 0x10)),
             k @ 0x20..=0x3F => Some(Codec::Rice(k as u32 - 0x20)),
             _ => None,
@@ -552,16 +619,18 @@ impl Codec {
             Codec::Zeta(k) => format!("zeta{k}"),
             Codec::Rice(k) => format!("rice{k}"),
             Codec::RiceAdaptive => "arice".to_string(),
+            Codec::Byte => "byte".to_string(),
         }
     }
 
-    /// Parses a codec name (`gamma`, `delta`, `zeta3`, `unary`).
+    /// Parses a codec name (`byte`, `gamma`, `delta`, `zeta3`, `arice`).
     pub fn parse(s: &str) -> Option<Codec> {
         match s {
             "unary" => Some(Codec::Unary),
             "gamma" => Some(Codec::Gamma),
             "delta" => Some(Codec::Delta),
             "arice" => Some(Codec::RiceAdaptive),
+            "byte" => Some(Codec::Byte),
             _ => {
                 if let Some(rest) = s.strip_prefix("rice") {
                     let k: u32 = rest.parse().ok()?;
@@ -587,6 +656,7 @@ impl Codec {
                 w.write_bits(k as u64, 5);
                 w.write_rice(x, k);
             }
+            Codec::Byte => w.write_vbyte(x),
         }
     }
 
@@ -603,6 +673,7 @@ impl Codec {
                 let k = r.read_bits(5)? as u32;
                 r.read_rice(k)
             }
+            Codec::Byte => r.read_vbyte(),
         }
     }
 }
@@ -613,7 +684,8 @@ mod tests {
     use lightne_utils::rng::XorShiftStream;
 
     fn all_codecs() -> Vec<Codec> {
-        let mut v = vec![Codec::Unary, Codec::Gamma, Codec::Delta, Codec::RiceAdaptive];
+        let mut v =
+            vec![Codec::Byte, Codec::Unary, Codec::Gamma, Codec::Delta, Codec::RiceAdaptive];
         v.extend((1..=8).map(Codec::Zeta));
         v.extend([0, 1, 2, 5, 8, 13, 31].map(Codec::Rice));
         v
@@ -789,21 +861,33 @@ mod tests {
 
     #[test]
     fn truncated_reads_fail_typed() {
-        let mut w = BitWriter::new();
-        w.write_gamma(1_000_000);
-        let bytes = w.into_bytes();
-        // Every strict prefix must produce Truncated, never panic.
-        for cut in 0..bytes.len() {
-            let mut r = BitReader::new(&bytes[..cut], 0);
-            match r.read_gamma() {
-                Err(GraphFormatError::Truncated { .. }) => {}
-                other => panic!("prefix of {cut} bytes: expected Truncated, got {other:?}"),
+        for codec in all_codecs() {
+            // Codes with a value-linear unary part get a value that keeps
+            // the codeword (and the prefix loop) short.
+            let x = match codec {
+                Codec::Unary => 300,
+                Codec::Rice(k) if k < 8 => 300,
+                _ => 1_000_000,
+            };
+            let mut w = BitWriter::new();
+            codec.encode(&mut w, x);
+            let bytes = w.into_bytes();
+            // Every strict prefix must produce Truncated, never panic.
+            for cut in 0..bytes.len() {
+                let mut r = BitReader::new(&bytes[..cut], 0);
+                match codec.decode(&mut r) {
+                    Err(GraphFormatError::Truncated { .. }) => {}
+                    other => panic!(
+                        "{}: prefix of {cut} bytes: expected Truncated, got {other:?}",
+                        codec.name()
+                    ),
+                }
             }
+            // Reading past a valid value into padding also fails typed.
+            let mut r = BitReader::new(&bytes, 0);
+            assert_eq!(codec.decode(&mut r).unwrap(), x);
+            assert!(codec.decode(&mut r).is_err() || r.bit_pos() <= r.len_bits());
         }
-        // Reading past a valid value into padding also fails typed.
-        let mut r = BitReader::new(&bytes, 0);
-        r.read_gamma().unwrap();
-        assert!(r.read_gamma().is_err() || r.bit_pos() <= r.len_bits());
     }
 
     #[test]
@@ -818,9 +902,47 @@ mod tests {
             other => panic!("expected typed failure, got {other:?}"),
         }
         for codec in all_codecs() {
-            let mut r = BitReader::new(&zeros, 0);
+            // The byte code's unterminated codeword is a run of set
+            // continuation bits; a zero byte is its value 0.
+            let hostile = if codec == Codec::Byte { &[0xFFu8; 64][..] } else { &zeros[..] };
+            let mut r = BitReader::new(hostile, 0);
             assert!(codec.decode(&mut r).is_err(), "{}", codec.name());
         }
+    }
+
+    #[test]
+    fn vbyte_is_leb128_and_rejects_overlong_chains() {
+        // LEB128 layout: low group first, continuation bit on all but the
+        // last byte.
+        let mut w = BitWriter::new();
+        for x in [0u64, 127, 128, 300, 16_384] {
+            w.write_vbyte(x);
+        }
+        assert_eq!(w.into_bytes(), vec![0x00, 0x7F, 0x80, 0x01, 0xAC, 0x02, 0x80, 0x80, 0x01]);
+        // The whole u64 domain round-trips, across the fast-path limit
+        // (4 bytes = 28 value bits) and at a non-byte-aligned position.
+        let values = [0u64, 1, 127, 128, (1 << 28) - 1, 1 << 28, u32::MAX as u64, u64::MAX];
+        let mut w = BitWriter::new();
+        w.write_bits(0b101, 3);
+        for &v in &values {
+            w.write_vbyte(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes, 3);
+        for &v in &values {
+            assert_eq!(r.read_vbyte().unwrap(), v);
+        }
+        // 11 continuation bytes: longer than any u64 codeword.
+        let mut r = BitReader::new(&[0xFFu8; 11], 0);
+        assert!(matches!(r.read_vbyte(), Err(GraphFormatError::Overflow { .. })));
+        // The tenth group may only contribute one bit.
+        let mut overlong = [0x80u8; 10];
+        overlong[9] = 0x02;
+        let mut r = BitReader::new(&overlong, 0);
+        assert!(matches!(r.read_vbyte(), Err(GraphFormatError::Overflow { .. })));
+        // A continuation byte at the end of the buffer: truncated.
+        let mut r = BitReader::new(&[0x80u8], 0);
+        assert!(matches!(r.read_vbyte(), Err(GraphFormatError::Truncated { .. })));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Elias–Fano encoding of monotone sequences.
 //!
-//! The v1 format spends 16 bytes per vertex on offset tables (a `u64` byte
-//! offset plus a `u64` cumulative arc count). Elias–Fano stores a monotone
+//! Plain offset tables cost 16 bytes per vertex (a `u64` byte offset plus
+//! a `u64` cumulative arc count). Elias–Fano stores a monotone
 //! sequence of `n` values over a universe `u` in `n·(2 + ⌈log₂(u/n)⌉)`
 //! bits — within half a bit per element of the information-theoretic
 //! minimum — while still answering `get(i)` in O(1) with a sampled select
-//! structure. v2 uses two of these: one for cumulative arc counts, one for
+//! structure. The container uses two: one for cumulative arc counts, one for
 //! per-vertex bit offsets into the adjacency arena.
 //!
 //! Layout: each value is split at `l = max(0, ⌊log₂(u/n)⌋)` bits. The low

@@ -1,12 +1,11 @@
 //! Typed errors for the compressed graph formats.
 //!
 //! Every decode path that consumes bytes it did not just produce — a file
-//! read back from disk, a memory-mapped container, a v1 arena handed in by
-//! a caller — must fail *typed* on malformed input instead of panicking or
-//! reading out of bounds. [`GraphFormatError`] is that shared vocabulary,
-//! used by the bounds-checked v1 decoders ([`crate::compressed`]), the
-//! bit-granular codecs ([`crate::codecs`]), the Elias–Fano offset index
-//! ([`crate::ef`]) and the v2 container ([`crate::v2`]).
+//! read back from disk, a memory-mapped container — must fail *typed* on
+//! malformed input instead of panicking or reading out of bounds.
+//! [`GraphFormatError`] is that shared vocabulary, used by the codecs
+//! ([`crate::codecs`]), the Elias–Fano offset index ([`crate::ef`]) and
+//! the container ([`crate::v2`]).
 
 use std::fmt;
 use std::io;
@@ -69,6 +68,9 @@ pub enum GraphFormatError {
     /// A structural invariant of the format does not hold (offsets not
     /// monotone, degree/offset disagreement, …).
     Corrupt(&'static str),
+    /// The requested neighbors-per-block is outside `1..=u32::MAX`, the
+    /// range the container header can record.
+    BlockSize(usize),
     /// Underlying I/O failure while reading or writing a container.
     Io(io::Error),
 }
@@ -99,6 +101,9 @@ impl fmt::Display for GraphFormatError {
                 write!(f, "{what}: header claims {expected} bytes, found {actual}")
             }
             GraphFormatError::Corrupt(what) => write!(f, "corrupt graph container: {what}"),
+            GraphFormatError::BlockSize(b) => {
+                write!(f, "block size {b} is outside 1..={}", u32::MAX)
+            }
             GraphFormatError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -132,6 +137,7 @@ mod tests {
             (GraphFormatError::ChecksumMismatch { region: "payload" }, "payload"),
             (GraphFormatError::LengthMismatch { what: "arena", expected: 10, actual: 3 }, "arena"),
             (GraphFormatError::VertexOutOfRange { vertex: 1, decoded: -4, n: 2 }, "-4"),
+            (GraphFormatError::BlockSize(0), "block size 0"),
         ];
         for (e, needle) in cases {
             assert!(e.to_string().contains(needle), "{e}");

@@ -9,11 +9,14 @@
 //! * [`csr::Graph`] — an uncompressed CSR graph with `u32` vertex ids.
 //! * [`builder::GraphBuilder`] — parallel CSR construction from edge lists
 //!   (sort + dedup + symmetrize), the standard GBBS ingestion path.
-//! * [`compressed::CompressedGraph`] — CSR with neighbor lists compressed
-//!   in the parallel-byte format: difference-encoded blocks of a
-//!   configurable size (64 by default, the trade-off chosen in Section 4.2),
-//!   with per-block offsets so blocks decode in parallel and the `i`-th
-//!   neighbor of a vertex is fetched by decoding a single block.
+//! * [`v2::V2Graph`] — the compressed graph: neighbor lists as
+//!   difference-encoded blocks of a configurable size (64 by default, the
+//!   trade-off chosen in Section 4.2), with per-block offsets so the `i`-th
+//!   neighbor of a vertex is fetched by decoding a single block. With
+//!   [`Codec::Byte`] this is the parallel-byte format; [`codecs`] holds
+//!   that code and the bit-granular ones (γ/δ/ζ/Rice), [`ef`] the
+//!   Elias–Fano offset indices, and the container loads in memory or
+//!   zero-copy via [`mmap`].
 //! * [`ops::GraphOps`] — the uniform interface (degrees, neighbor access,
 //!   `map_edges`, `map_vertices`) that both representations implement, so
 //!   the sampler is generic over compression.
@@ -27,9 +30,6 @@
 //! * [`walk`] — the one-step-at-a-time random-walk engine used by
 //!   PathSampling (Algorithm 1).
 //! * [`io`] — text edge-list and binary CSR readers/writers.
-//! * [`codecs`] / [`ef`] / [`v2`] — graph format v2: bit-granular
-//!   instantaneous codes (γ/δ/ζ), Elias–Fano offset indices, and an
-//!   on-disk container loadable in-memory or zero-copy via [`mmap`].
 //!
 //! Unsafe code is denied crate-wide except in [`mmap`], the single module
 //! that wraps the `mmap(2)`/`munmap(2)` system calls; every unsafe block
@@ -42,7 +42,6 @@
 pub mod algorithms;
 pub mod builder;
 pub mod codecs;
-pub mod compressed;
 pub mod csr;
 pub mod ef;
 pub mod error;
@@ -56,7 +55,6 @@ pub mod weighted;
 
 pub use builder::GraphBuilder;
 pub use codecs::Codec;
-pub use compressed::CompressedGraph;
 pub use csr::Graph;
 pub use error::GraphFormatError;
 pub use ops::{GraphAccess, GraphOps};

@@ -3,16 +3,15 @@
 //! The interface is split in two layers:
 //!
 //! * [`GraphAccess`] — the object-safe point-query core (sizes, degrees,
-//!   neighbor access). Implemented by the uncompressed [`Graph`], the
-//!   parallel-byte [`CompressedGraph`] (v1), and the bit-compressed
-//!   [`crate::V2Graph`] — heap-owned or memory-mapped — so all four
-//!   backends are interchangeable everywhere downstream.
+//!   neighbor access). Implemented by the uncompressed [`Graph`] and the
+//!   compressed [`crate::V2Graph`] — any codec, heap-owned or
+//!   memory-mapped — so every backend is interchangeable downstream.
 //! * [`GraphOps`] — LightNE's sampler (Algorithm 2) is expressed as
 //!   `G.MapEdges(f)`, a parallel map applying a user function to every
 //!   arc. `GraphOps` provides that primitive plus the other bulk-parallel
 //!   maps, blanket-implemented for every `GraphAccess + Sync` type.
 
-use crate::{CompressedGraph, Graph, VertexId};
+use crate::{Graph, VertexId};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::parallel_reduce_sum;
 use rayon::prelude::*;
@@ -182,46 +181,10 @@ impl GraphAccess for Graph {
     }
 }
 
-impl GraphAccess for CompressedGraph {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        CompressedGraph::num_vertices(self)
-    }
-
-    #[inline]
-    fn num_arcs(&self) -> usize {
-        CompressedGraph::num_arcs(self)
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        CompressedGraph::degree(self, v)
-    }
-
-    #[inline]
-    fn ith_neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        CompressedGraph::ith_neighbor(self, v, i)
-    }
-
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        CompressedGraph::for_each_neighbor(self, v, f);
-    }
-
-    #[inline]
-    fn first_arc_index(&self, v: VertexId) -> u64 {
-        CompressedGraph::first_arc_index(self, v)
-    }
-
-    #[inline]
-    fn resident_bytes(&self) -> usize {
-        self.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{Codec, GraphBuilder, V2Graph};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn path_graph(n: usize) -> Graph {
@@ -239,7 +202,7 @@ mod tests {
     #[test]
     fn ops_consistent_across_representations() {
         let g = path_graph(100);
-        let c = CompressedGraph::from_graph(&g);
+        let c = V2Graph::from_graph(&g, Codec::Byte);
         check_ops(&g, 100, 198);
         check_ops(&c, 100, 198);
         for v in 0..100u32 {
@@ -266,7 +229,7 @@ mod tests {
     #[test]
     fn map_edges_compressed_matches_uncompressed() {
         let g = path_graph(64);
-        let c = CompressedGraph::from_graph(&g);
+        let c = V2Graph::from_graph(&g, Codec::Byte);
         type ArcList = Vec<(u32, u32, u64)>;
         let collect = |g: &dyn Fn(&mut ArcList)| {
             let mut v = Vec::new();

@@ -1,21 +1,26 @@
-//! Graph format v2: bit-granular gap coding behind an on-disk container.
+//! The compressed graph format: gap-coded adjacency blocks behind an
+//! on-disk container.
 //!
-//! v2 replaces the three big costs of the v1 parallel-byte format:
+//! One container serves every instantaneous code in [`crate::codecs`].
+//! With [`Codec::Byte`] it is the paper's *parallel-byte* format (Ligra+,
+//! Section 4.1): difference-encoded blocks of byte codes with per-block
+//! offsets. The bit-granular codes (γ/δ/ζ/Rice) reuse the same layout and
+//! charge every gap its information content instead of a minimum of 8
+//! bits. Around the adjacency arena the container keeps:
 //!
-//! * **byte-aligned varints** → instantaneous codes ([`crate::codecs`]):
-//!   every gap costs its information content, not a minimum of 8 bits;
-//! * **`Vec<u64>` offset tables** (16 bytes/vertex across the byte and
-//!   arc tables) → two Elias–Fano sequences ([`crate::ef`]), ~2 bits +
-//!   log₂(avg) per vertex each;
-//! * **heap-resident arena** → an on-disk container that loads either
-//!   fully in memory or zero-copy via [`crate::mmap`], so graphs larger
-//!   than RAM stream through sampling.
+//! * **two Elias–Fano sequences** ([`crate::ef`]) for the per-vertex arc
+//!   and bit offsets, ~2 bits + log₂(avg) per vertex each where plain
+//!   `u64` tables take 16 bytes per vertex;
+//! * **checksums and a file form** that loads either fully in memory or
+//!   zero-copy via [`crate::mmap`], so graphs larger than RAM stream
+//!   through sampling.
 //!
 //! ## Per-vertex bit layout
 //!
-//! Neighbor lists keep the v1 blocking (block size 64 by default, the
-//! Section 4.2 trade-off) so the `i`-th-neighbor query of random walks
-//! decodes one block:
+//! Each neighbor list is broken into blocks (64 neighbors by default, the
+//! Section 4.2 trade-off between compressed size and the latency of
+//! fetching an arbitrary incident edge) so the `i`-th-neighbor query of
+//! random walks decodes one block:
 //!
 //! ```text
 //! ┌────────────────────────────┬─────────┬─────────┬───┐
@@ -32,8 +37,8 @@
 //! The header stores the bit length of every block but the last, γ-coded,
 //! so block `b` starts at `header_end + Σ_{j<b} len_j`; sequential decode
 //! skips the header and reads blocks back to back. Within a block the
-//! first neighbor is a zigzag delta from the source (as in v1) and each
-//! subsequent gap is stored minus one (lists are strictly increasing).
+//! first neighbor is a zigzag delta from the source and each subsequent
+//! gap is stored minus one (lists are strictly increasing).
 //!
 //! ## Container layout
 //!
@@ -56,7 +61,6 @@
 //! read out of bounds.
 
 use crate::codecs::{best_rice_k, BitReader, BitWriter, Codec};
-use crate::compressed::DEFAULT_BLOCK_SIZE;
 use crate::ef::{self, EfSeq};
 use crate::error::GraphFormatError;
 use crate::mmap::Mmap;
@@ -75,10 +79,12 @@ pub const V2_MAGIC: [u8; 4] = *b"LNV2";
 pub const V2_VERSION: u32 = 1;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 72;
-/// Canonical file extension for v2 containers.
+/// Canonical file extension for containers.
 pub const V2_EXTENSION: &str = "lng2";
+/// Default neighbors-per-block, the value chosen in the paper.
+pub const DEFAULT_BLOCK_SIZE: usize = 64;
 
-/// Zigzag encoding of a signed difference (same convention as v1).
+/// Zigzag encoding of a signed difference.
 #[inline]
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -104,7 +110,7 @@ fn encode_vertex(
     }
     let nblocks = deg.div_ceil(block_size);
     let mut bodies: Vec<BitWriter> = Vec::with_capacity(nblocks);
-    let mut vals: Vec<u64> = Vec::with_capacity(block_size);
+    let mut vals: Vec<u64> = Vec::with_capacity(block_size.min(deg));
     for b in 0..nblocks {
         let lo = b * block_size;
         let hi = ((b + 1) * block_size).min(deg);
@@ -148,9 +154,17 @@ fn encode_vertex(
     (out.into_bytes(), nbits)
 }
 
-/// Serializes `g` into a v2 container byte image.
-pub fn encode_container(g: &Graph, codec: Codec, block_size: usize) -> Vec<u8> {
-    assert!(block_size >= 1, "block size must be at least 1");
+/// Serializes `g` into a container byte image. The one encode entry:
+/// `block_size` must fit the header's `u32` field and be at least 1.
+pub fn encode_container(
+    g: &Graph,
+    codec: Codec,
+    block_size: usize,
+) -> Result<Vec<u8>, GraphFormatError> {
+    let header_block_size = u32::try_from(block_size)
+        .ok()
+        .filter(|&b| b >= 1)
+        .ok_or(GraphFormatError::BlockSize(block_size))?;
     let n = g.num_vertices();
 
     let encoded: Vec<(Vec<u8>, u64)> = (0..n)
@@ -192,7 +206,7 @@ pub fn encode_container(g: &Graph, codec: Codec, block_size: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + ef_arcs.len() + ef_bits.len() + arena.len());
     out.extend_from_slice(&V2_MAGIC);
     out.extend_from_slice(&V2_VERSION.to_le_bytes());
-    out.extend_from_slice(&(block_size as u32).to_le_bytes());
+    out.extend_from_slice(&header_block_size.to_le_bytes());
     out.extend_from_slice(&(codec.id() as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&arcs.to_le_bytes());
@@ -209,7 +223,7 @@ pub fn encode_container(g: &Graph, codec: Codec, block_size: usize) -> Vec<u8> {
     out.extend_from_slice(&ef_arcs);
     out.extend_from_slice(&ef_bits);
     out.extend_from_slice(&arena);
-    out
+    Ok(out)
 }
 
 /// Continues an FNV-1a-64 stream over more bytes (matching
@@ -239,8 +253,8 @@ impl Storage {
     }
 }
 
-/// An undirected graph in format v2 (see the module docs), backed either
-/// by owned heap bytes or a zero-copy memory map.
+/// An undirected graph in the compressed container format (see the module
+/// docs), backed either by owned heap bytes or a zero-copy memory map.
 #[derive(Debug)]
 pub struct V2Graph {
     storage: Storage,
@@ -260,12 +274,17 @@ impl V2Graph {
     /// container with the default block size.
     pub fn from_graph(g: &Graph, codec: Codec) -> Self {
         Self::from_graph_with_block_size(g, codec, DEFAULT_BLOCK_SIZE)
+            .expect("the default block size is valid")
     }
 
-    /// Compresses with an explicit block size (≥ 1).
-    pub fn from_graph_with_block_size(g: &Graph, codec: Codec, block_size: usize) -> Self {
-        let bytes = encode_container(g, codec, block_size);
-        Self::from_bytes(bytes).expect("freshly encoded container must validate")
+    /// Compresses with an explicit block size (the paper's Section 4.2
+    /// trade-off knob); fails typed outside `1..=u32::MAX`.
+    pub fn from_graph_with_block_size(
+        g: &Graph,
+        codec: Codec,
+        block_size: usize,
+    ) -> Result<Self, GraphFormatError> {
+        Self::from_bytes(encode_container(g, codec, block_size)?)
     }
 
     /// Opens a container from owned bytes, verifying the header and the
@@ -304,7 +323,7 @@ impl V2Graph {
         block_size: usize,
         path: &Path,
     ) -> Result<(), GraphFormatError> {
-        let bytes = encode_container(g, codec, block_size);
+        let bytes = encode_container(g, codec, block_size)?;
         let tmp = path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
@@ -550,6 +569,7 @@ impl V2Graph {
                 let k = r.read_bits(5)? as u32;
                 self.decode_block_inner(v, r, count, f, move |r| r.read_rice(k))
             }
+            Codec::Byte => self.decode_block_inner(v, r, count, f, |r| r.read_vbyte()),
         }
     }
 
@@ -562,7 +582,10 @@ impl V2Graph {
         f: &mut dyn FnMut(VertexId),
         read: impl Fn(&mut BitReader<'_>) -> Result<u64, GraphFormatError>,
     ) -> Result<(), GraphFormatError> {
-        let first = v as i64 + unzigzag(read(r)?);
+        // A codeword can carry any u64, so hostile bytes can push either
+        // sum past the integer range: checked, not wrapped.
+        let overflow = |r: &BitReader<'_>| GraphFormatError::Overflow { at_bit: r.bit_pos() };
+        let first = (v as i64).checked_add(unzigzag(read(r)?)).ok_or_else(|| overflow(r))?;
         if first < 0 || first >= self.n as i64 {
             return Err(GraphFormatError::VertexOutOfRange {
                 vertex: v,
@@ -574,7 +597,8 @@ impl V2Graph {
         let mut prev = first as u64;
         for _ in 1..count {
             let gap = read(r)?;
-            let next = prev + gap + 1;
+            let next =
+                prev.checked_add(gap).and_then(|s| s.checked_add(1)).ok_or_else(|| overflow(r))?;
             if next >= self.n as u64 {
                 return Err(GraphFormatError::VertexOutOfRange {
                     vertex: v,
@@ -739,9 +763,20 @@ mod tests {
         for v in 0..g.num_vertices() as u32 {
             assert_eq!(c.degree(v), g.degree(v), "degree of {v}");
             assert_eq!(c.first_arc_index(v), g.offsets()[v as usize]);
+            let mut seq = Vec::new();
+            GraphAccess::for_each_neighbor(c, v, &mut |u| seq.push(u));
+            assert_eq!(seq, g.neighbors(v), "neighbors of {v}");
             for i in 0..g.degree(v) {
                 assert_eq!(c.try_ith_neighbor(v, i).unwrap(), g.ith_neighbor(v, i), "v={v} i={i}");
+                assert_eq!(GraphAccess::ith_neighbor(c, v, i), g.ith_neighbor(v, i));
             }
+        }
+    }
+
+    #[test]
+    fn zigzag_roundtrip() {
+        for v in [-1_000_000i64, -1, 0, 1, 5, i32::MAX as i64, i32::MIN as i64] {
+            assert_eq!(unzigzag(zigzag(v)), v);
         }
     }
 
@@ -758,34 +793,67 @@ mod tests {
     #[test]
     fn roundtrip_odd_block_sizes() {
         let g = random_graph(150, 2_000, 23);
-        for bs in [1usize, 2, 3, 7, 63, 64, 65, 1024] {
-            let c = V2Graph::from_graph_with_block_size(&g, Codec::Gamma, bs);
-            check_equal(&g, &c);
+        for codec in Codec::SWEEP {
+            for bs in [1usize, 2, 3, 7, 8, 16, 63, 64, 65, 256, 1024] {
+                let c = V2Graph::from_graph_with_block_size(&g, codec, bs).unwrap();
+                assert_eq!(c.block_size(), bs);
+                check_equal(&g, &c);
+            }
         }
     }
 
     #[test]
-    fn empty_graph_and_isolated_vertices() {
-        let empty = GraphBuilder::from_edges(0, &[]);
-        let c = V2Graph::from_graph(&empty, Codec::Gamma);
-        assert_eq!(c.num_vertices(), 0);
-        assert_eq!(c.num_arcs(), 0);
-        c.validate().unwrap();
+    fn block_size_outside_header_range_fails_typed() {
+        let g = star(3);
+        for bs in [0usize, u32::MAX as usize + 1, usize::MAX] {
+            assert!(matches!(
+                encode_container(&g, Codec::Byte, bs),
+                Err(GraphFormatError::BlockSize(b)) if b == bs
+            ));
+            assert!(V2Graph::from_graph_with_block_size(&g, Codec::Byte, bs).is_err());
+        }
+        let c = V2Graph::from_graph_with_block_size(&g, Codec::Byte, u32::MAX as usize).unwrap();
+        check_equal(&g, &c);
+    }
 
-        let sparse = GraphBuilder::from_edges(10, &[(2, 7)]);
-        let c = V2Graph::from_graph(&sparse, Codec::Delta);
-        check_equal(&sparse, &c);
-        let mut seen = Vec::new();
-        c.try_for_each_neighbor(5, &mut |u| seen.push(u)).unwrap();
-        assert!(seen.is_empty());
+    #[test]
+    fn empty_graph_and_isolated_vertices() {
+        for codec in Codec::SWEEP {
+            let empty = GraphBuilder::from_edges(0, &[]);
+            let c = V2Graph::from_graph(&empty, codec);
+            assert_eq!(c.num_vertices(), 0);
+            assert_eq!(c.num_arcs(), 0);
+            c.validate().unwrap();
+
+            let sparse = GraphBuilder::from_edges(10, &[(2, 7)]);
+            let c = V2Graph::from_graph(&sparse, codec);
+            check_equal(&sparse, &c);
+            // Degree 0: no block exists and the callback never runs.
+            c.try_for_each_neighbor(5, &mut |_| panic!("no neighbors to decode")).unwrap();
+        }
     }
 
     #[test]
     fn block_size_boundary_degrees() {
-        for deg in [63usize, 64, 65, 127, 128, 129] {
-            let g = star(deg);
-            let c = V2Graph::from_graph(&g, Codec::Zeta(3));
-            check_equal(&g, &c);
+        // One block exactly (an off-by-one would add a phantom second
+        // block), a one-neighbor tail block, and a 16-block hub.
+        for codec in Codec::SWEEP {
+            for deg in [63usize, 64, 65, 127, 128, 129, 1000] {
+                let g = star(deg);
+                let c = V2Graph::from_graph(&g, codec);
+                check_equal(&g, &c);
+            }
+        }
+    }
+
+    #[test]
+    fn difference_coding_shrinks_clustered_ids() {
+        let edges: Vec<(u32, u32)> = (0..9_999u32).map(|v| (v, v + 1)).collect();
+        let g = GraphBuilder::from_edges(10_000, &edges);
+        let raw = g.num_arcs() * std::mem::size_of::<VertexId>();
+        for codec in Codec::SWEEP {
+            let c = V2Graph::from_graph(&g, codec);
+            assert!(c.arena_bytes() < raw / 2, "{}: {} vs {raw}", codec.name(), c.arena_bytes());
         }
     }
 
@@ -805,19 +873,40 @@ mod tests {
     }
 
     #[test]
-    fn beats_v1_on_random_graph() {
+    fn best_codec_beats_byte_on_random_graph() {
         let g = random_graph(2_000, 40_000, 5);
-        let v1 = crate::CompressedGraph::from_graph(&g);
-        let v1_total = v1.arena_bytes() + 16 * (g.num_vertices() + 1);
+        let byte = V2Graph::from_graph(&g, Codec::Byte).container_bytes();
         let best = Codec::SWEEP
             .iter()
             .map(|&c| V2Graph::from_graph(&g, c).container_bytes())
             .min()
             .unwrap();
-        assert!(
-            (best as f64) < 0.8 * v1_total as f64,
-            "v2 best {best} bytes vs v1 {v1_total} bytes"
-        );
+        // Gaps here average ~50, where one byte is within a bit of optimal;
+        // the offset tables that used to dominate the difference are
+        // Elias–Fano for every codec (`container_smaller_than_plain_offsets`).
+        assert!(best < byte, "best {best} bytes vs byte {byte} bytes");
+    }
+
+    #[test]
+    fn old_codecs_encode_the_same_bytes() {
+        // FNV-1a-64 of the whole container image, recorded before
+        // `Codec::Byte` existed: adding a codec changes no byte of any
+        // container the older builds wrote, so they still read.
+        let g = random_graph(500, 4_000, 61);
+        for (codec, want) in [
+            (Codec::Gamma, 0x29A7_31E7_882C_D1EBu64),
+            (Codec::Delta, 0xE3D9_571E_075D_8952),
+            (Codec::Zeta(2), 0x2356_57DD_DC2F_0964),
+            (Codec::Zeta(3), 0x55F0_A781_86DA_6F31),
+            (Codec::Zeta(4), 0xD29C_5FED_D855_7CCE),
+            (Codec::Rice(8), 0x5AB2_ED9A_849C_6E00),
+            (Codec::Rice(10), 0x1117_1438_9B55_0208),
+            (Codec::Rice(12), 0x2086_ECFE_DAF1_B287),
+            (Codec::RiceAdaptive, 0xC9AF_E0D0_F5E5_D535),
+        ] {
+            let bytes = encode_container(&g, codec, 64).unwrap();
+            assert_eq!(fnv1a64(&bytes), want, "{} container bytes changed", codec.name());
+        }
     }
 
     #[test]
@@ -859,25 +948,51 @@ mod tests {
         // flip anywhere in the container must be rejected at open or —
         // if it hits the checksum fields themselves — also rejected.
         let g = random_graph(60, 400, 41);
-        let bytes = encode_container(&g, Codec::Gamma, 64);
-        V2Graph::from_bytes(bytes.clone()).unwrap();
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x01;
-            assert!(V2Graph::from_bytes(corrupt).is_err(), "flip at byte {i} went undetected");
+        for codec in [Codec::Gamma, Codec::Byte] {
+            let bytes = encode_container(&g, codec, 64).unwrap();
+            V2Graph::from_bytes(bytes.clone()).unwrap();
+            for i in 0..bytes.len() {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 0x01;
+                assert!(V2Graph::from_bytes(corrupt).is_err(), "flip at byte {i} went undetected");
+            }
         }
     }
 
     #[test]
     fn truncated_container_fails_typed() {
         let g = random_graph(50, 300, 43);
-        let bytes = encode_container(&g, Codec::Delta, 64);
-        for cut in [0, 1, HEADER_LEN - 1, HEADER_LEN, bytes.len() / 2, bytes.len() - 1] {
-            match V2Graph::from_bytes(bytes[..cut].to_vec()) {
-                Err(_) => {}
-                Ok(_) => panic!("prefix of {cut} bytes parsed"),
+        for codec in Codec::SWEEP {
+            let bytes = encode_container(&g, codec, 64).unwrap();
+            for cut in [0, 1, HEADER_LEN - 1, HEADER_LEN, bytes.len() / 2, bytes.len() - 1] {
+                match V2Graph::from_bytes(bytes[..cut].to_vec()) {
+                    Err(_) => {}
+                    Ok(_) => panic!("prefix of {cut} bytes parsed"),
+                }
             }
+            // Half the arena gone with the header re-stamped to match:
+            // the offset index now points past the end.
+            let arena_len = arena_len(&bytes);
+            let mut cut = bytes[..bytes.len() - arena_len / 2].to_vec();
+            cut[48..56].copy_from_slice(&((arena_len - arena_len / 2) as u64).to_le_bytes());
+            let sum = fnv1a64(&cut[0..64]);
+            cut[64..72].copy_from_slice(&sum.to_le_bytes());
+            assert!(matches!(
+                V2Graph::parse(Storage::Owned(cut), false),
+                Err(GraphFormatError::Corrupt("bit offsets exceed arena"))
+            ));
         }
+    }
+
+    /// Opens `bytes` the way `open_mmap` would: header and indices
+    /// verified, payload checksum skipped.
+    fn open_unchecked(bytes: Vec<u8>) -> V2Graph {
+        V2Graph::parse(Storage::Owned(bytes), false).unwrap()
+    }
+
+    /// The arena length a container image's header records.
+    fn arena_len(bytes: &[u8]) -> usize {
+        u64::from_le_bytes(bytes[48..56].try_into().unwrap()) as usize
     }
 
     #[test]
@@ -885,7 +1000,7 @@ mod tests {
         // Mmap-style open skips the payload checksum; corrupt arena bytes
         // must surface as typed errors from the checked decode paths.
         let g = random_graph(80, 600, 47);
-        let mut bytes = encode_container(&g, Codec::Gamma, 64);
+        let mut bytes = encode_container(&g, Codec::Gamma, 64).unwrap();
         let arena_start = bytes.len() - 10;
         for b in bytes.iter_mut().skip(arena_start) {
             *b = 0xFF;
@@ -895,24 +1010,63 @@ mod tests {
             V2Graph::from_bytes(bytes.clone()),
             Err(GraphFormatError::ChecksumMismatch { region: "payload" })
         ));
-        // Bypass the payload check the way open_mmap would.
-        let c = match V2Graph::parse(Storage::Owned(bytes), false) {
-            Ok(c) => c,
-            Err(_) => return, // structural validation already caught it
-        };
-        let mut failures = 0;
-        for v in 0..c.num_vertices() as u32 {
-            if c.try_for_each_neighbor(v, &mut |_| {}).is_err() {
-                failures += 1;
+        let c = open_unchecked(bytes);
+        let failures = (0..c.num_vertices() as u32)
+            .filter(|&v| c.try_for_each_neighbor(v, &mut |_| {}).is_err())
+            .count();
+        assert!(failures > 0, "overwritten arena tail decoded cleanly");
+
+        // Every arena byte inverted in turn, every codec: the decoders
+        // either still produce a valid graph or fail typed, never panic.
+        let g = random_graph(40, 300, 37);
+        for codec in Codec::SWEEP {
+            let bytes = encode_container(&g, codec, 4).unwrap();
+            let arena_len = arena_len(&bytes);
+            let mut rejected = 0usize;
+            for i in bytes.len() - arena_len..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[i] ^= 0xFF;
+                rejected += open_unchecked(bad).validate().is_err() as usize;
+            }
+            assert!(rejected > 0, "{}: no corruption was ever detected", codec.name());
+        }
+
+        // Codewords near u64::MAX: every code with a logarithmic length
+        // can carry one in a few bytes (Rice would need 2³² unary zeros).
+        // Vertex 0 is isolated, so vertex 1's two-neighbor block starts at
+        // arena bit 0 and is overwritten in place.
+        let mut edges: Vec<(u32, u32)> = vec![(1, 2), (1, 3)];
+        edges.extend((4..60u32).map(|v| (v, v + 1)));
+        let g = GraphBuilder::from_edges(61, &edges);
+        let huge = u64::MAX - 1; // zigzag(i64::MAX)
+        for codec in [Codec::Byte, Codec::Gamma, Codec::Delta, Codec::Zeta(2), Codec::Zeta(3)] {
+            // A wrapped `prev + gap + 1` would hand out neighbor 0 after
+            // 2; a wrapped `v + first` a negative id.
+            for (values, decoded) in [([zigzag(1), huge], &[2u32][..]), ([huge, 0], &[][..])] {
+                let mut w = BitWriter::new();
+                values.iter().for_each(|&x| codec.encode(&mut w, x));
+                let hostile = w.into_bytes();
+                let mut bytes = encode_container(&g, codec, 64).unwrap();
+                let arena_off = bytes.len() - arena_len(&bytes);
+                bytes[arena_off..arena_off + hostile.len()].copy_from_slice(&hostile);
+                let c = open_unchecked(bytes);
+                let mut seen = Vec::new();
+                let got = c.try_for_each_neighbor(1, &mut |u| seen.push(u));
+                assert!(
+                    matches!(got, Err(GraphFormatError::Overflow { .. })),
+                    "{}: {got:?}",
+                    codec.name()
+                );
+                assert_eq!(seen, decoded, "{}", codec.name());
+                assert!(matches!(c.try_ith_neighbor(1, 1), Err(GraphFormatError::Overflow { .. })));
             }
         }
-        assert!(failures > 0, "overwritten arena tail decoded cleanly");
     }
 
     #[test]
     fn wrong_magic_and_version() {
         let g = star(4);
-        let mut bytes = encode_container(&g, Codec::Gamma, 64);
+        let mut bytes = encode_container(&g, Codec::Gamma, 64).unwrap();
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(V2Graph::from_bytes(wrong_magic), Err(GraphFormatError::BadMagic)));
@@ -930,7 +1084,8 @@ mod tests {
 
     #[test]
     fn container_smaller_than_plain_offsets() {
-        // The EF indices must undercut v1's 16 bytes/vertex of offsets.
+        // The EF indices must undercut the 16 bytes/vertex of two plain
+        // `u64` offset tables.
         let g = random_graph(5_000, 50_000, 53);
         let c = V2Graph::from_graph(&g, Codec::Zeta(3));
         let index_bytes = c.container_bytes() - c.arena_bytes() - HEADER_LEN;

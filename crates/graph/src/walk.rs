@@ -56,7 +56,7 @@ pub fn walk_trajectory<G: GraphAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedGraph, GraphBuilder};
+    use crate::{Codec, GraphBuilder, V2Graph};
 
     #[test]
     fn walk_stays_on_isolated_vertex() {
@@ -111,7 +111,7 @@ mod tests {
         let edges: Vec<(u32, u32)> =
             (0..999).map(|v| (v, v + 1)).chain((0..500).map(|v| (v, v + 500))).collect();
         let g = GraphBuilder::from_edges(1000, &edges);
-        let c = CompressedGraph::from_graph(&g);
+        let c = V2Graph::from_graph(&g, Codec::Byte);
         for seed in 0..20 {
             let mut r1 = XorShiftStream::new(seed, 0);
             let mut r2 = XorShiftStream::new(seed, 0);

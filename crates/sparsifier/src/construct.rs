@@ -219,7 +219,7 @@ pub(crate) mod tests {
     use crate::exact::walk_sum;
     use crate::sharded::sparsifier_coo;
     use lightne_gen::generators::{erdos_renyi, watts_strogatz};
-    use lightne_graph::{CompressedGraph, Graph};
+    use lightne_graph::{Codec, Graph, V2Graph};
     use lightne_hash::ConcurrentEdgeTable;
     use lightne_linalg::DenseMatrix;
 
@@ -393,7 +393,7 @@ pub(crate) mod tests {
     #[test]
     fn compressed_and_uncompressed_graphs_agree() {
         let g = erdos_renyi(150, 2_000, 21);
-        let c = CompressedGraph::from_graph(&g);
+        let c = V2Graph::from_graph(&g, Codec::Byte);
         let cfg = SamplerConfig { window: 4, samples: 50_000, seed: 5, ..Default::default() };
         let (mut coo_a, _) = sparsifier_coo(&g, &cfg);
         let (mut coo_b, _) = sparsifier_coo(&c, &cfg);

@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use lightne_gen::generators::{erdos_renyi, watts_strogatz};
     use lightne_graph::ops::common_neighbors;
-    use lightne_graph::{CompressedGraph, Graph, GraphBuilder, V2Graph};
+    use lightne_graph::{Codec, Graph, GraphBuilder, V2Graph};
 
     /// The edge `(0, 1)` with degrees `du`/`dv`, `shared` of each
     /// endpoint's other neighbors common to both and the rest private.
@@ -263,7 +263,7 @@ mod tests {
 
     /// Common-neighbor counts agree across every graph backend at the
     /// compressed block-size boundaries (degrees 0, 64 and 65 — the same
-    /// edge cases the `CompressedGraph` decoder tests pin).
+    /// edge cases the `V2Graph` decoder tests pin).
     #[test]
     fn common_neighbors_agree_across_backends_at_block_boundaries() {
         // Hub 0 → {2..=66} (degree 65), hub 1 → {2..=65} (degree 64),
@@ -282,12 +282,12 @@ mod tests {
         assert_eq!(g.degree(1), 64);
         assert_eq!(g.degree(67), 0);
 
-        let v1 = CompressedGraph::from_graph(&g);
-        let v2 = V2Graph::from_graph(&g, lightne_graph::Codec::parse("arice").unwrap());
+        let byte = V2Graph::from_graph(&g, Codec::Byte);
+        let arice = V2Graph::from_graph(&g, Codec::RiceAdaptive);
         let check = |u: u32, v: u32, want: usize| {
             assert_eq!(common_neighbors(&g, u, v), want, "csr ({u},{v})");
-            assert_eq!(common_neighbors(&v1, u, v), want, "v1 ({u},{v})");
-            assert_eq!(common_neighbors(&v2, u, v), want, "v2 ({u},{v})");
+            assert_eq!(common_neighbors(&byte, u, v), want, "byte ({u},{v})");
+            assert_eq!(common_neighbors(&arice, u, v), want, "arice ({u},{v})");
         };
         check(0, 1, 64); // shared {2..=65}
         check(2, 3, 3); // shared {0, 1, 4}
@@ -298,8 +298,8 @@ mod tests {
         let c = default_c(68);
         for (u, v) in [(0u32, 2u32), (1, 2), (2, 3)] {
             let a = survival_probability(ProbScheme::Psne, &g, u, v, 1.0, c);
-            let b = survival_probability(ProbScheme::Psne, &v1, u, v, 1.0, c);
-            let d = survival_probability(ProbScheme::Psne, &v2, u, v, 1.0, c);
+            let b = survival_probability(ProbScheme::Psne, &byte, u, v, 1.0, c);
+            let d = survival_probability(ProbScheme::Psne, &arice, u, v, 1.0, c);
             assert_eq!(a.to_bits(), b.to_bits());
             assert_eq!(a.to_bits(), d.to_bits());
         }

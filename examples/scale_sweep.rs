@@ -12,7 +12,7 @@
 
 use lightne::core::{LightNe, LightNeConfig};
 use lightne::gen::generators::{rmat, RmatParams};
-use lightne::graph::CompressedGraph;
+use lightne::graph::{Codec, V2Graph};
 use lightne::utils::mem::{human_bytes, MemUsage};
 use std::time::Instant;
 
@@ -24,7 +24,7 @@ fn main() {
     for scale in [12u32, 14, 16] {
         let m = (1usize << scale) * 16;
         let g = rmat(scale, m, RmatParams::default(), 5);
-        let cg = CompressedGraph::from_graph(&g);
+        let cg = V2Graph::from_graph(&g, Codec::Byte);
 
         let cfg = LightNeConfig {
             dim: 32,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Measures v2 graph containers (per codec) against the v1 parallel-byte
-# format — bits/edge and sequential/random decode throughput — and writes
-# the flat JSON report to results/BENCH_graph.json (or $1 if given).
+# Measures the compressed graph container under every codec of the sweep
+# — bits/edge and sequential/random decode throughput, with the
+# parallel-byte code (v2_byte_*) as the reference row — and writes the
+# flat JSON report to results/BENCH_graph.json (or $1 if given).
 #
 # Environment: PROFILE (dataset profile name, default friendster) and
 # RAND_PROBES (random-access probe count) are passed through to the

@@ -12,8 +12,8 @@ use crate::gen::labels::{read_labels, write_labels};
 use crate::gen::profiles::Profile;
 use crate::graph::algorithms::graph_stats;
 use crate::graph::io::{read_binary, read_edge_list, read_weighted_edge_list, write_binary};
-use crate::graph::v2::V2_EXTENSION;
-use crate::graph::{Codec, CompressedGraph, Graph, V2Graph};
+use crate::graph::v2::{DEFAULT_BLOCK_SIZE, V2_EXTENSION};
+use crate::graph::{Codec, Graph, GraphFormatError, V2Graph};
 use crate::linalg::matio::{read_matrix, write_matrix};
 use crate::sparsifier::ProbScheme;
 use std::collections::BTreeMap;
@@ -92,8 +92,17 @@ fn load_v2(path: &str, mmap: bool) -> Result<V2Graph, String> {
 fn codec_opt(o: &Opts) -> Result<Codec, String> {
     let name = o.get("codec").unwrap_or("arice");
     Codec::parse(name).ok_or_else(|| {
-        format!("unknown --codec {name:?} (arice, unary, gamma, delta, zeta1.., rice0..)")
+        format!("unknown --codec {name:?} (arice, byte, unary, gamma, delta, zeta1.., rice0..)")
     })
+}
+
+/// An encode failure as a CLI message: a rejected `--block-size` is the
+/// caller's option, anything else belongs to `what`.
+fn encode_error(what: &str, e: GraphFormatError) -> String {
+    match e {
+        GraphFormatError::BlockSize(_) => format!("bad option: {e}"),
+        e => format!("{what}: {e}"),
+    }
 }
 
 /// Resolves a dataset profile by (case-insensitive) name.
@@ -180,9 +189,9 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
                 return Err(format!("--out must end in .{V2_EXTENSION}"));
             }
             let codec = codec_opt(&o)?;
-            let block_size: usize = o.num("block-size", 64)?;
+            let block_size: usize = o.num("block-size", DEFAULT_BLOCK_SIZE)?;
             V2Graph::write(&g, codec, block_size, out_path.as_ref())
-                .map_err(|e| format!("writing {out_path}: {e}"))?;
+                .map_err(|e| encode_error(&format!("writing {out_path}"), e))?;
             let v2 = load_v2(out_path, false)?;
             let arcs = v2.num_arcs().max(1);
             say(format!(
@@ -249,14 +258,14 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
                 let g = load_graph(path)?;
                 match format {
                     "csr" => engine.embed_with(&g, opts),
-                    "v1" => engine.embed_with(&CompressedGraph::from_graph(&g), opts),
                     "v2" => {
-                        let block_size: usize = o.num("block-size", 64)?;
+                        let block_size: usize = o.num("block-size", DEFAULT_BLOCK_SIZE)?;
                         let v2 =
-                            V2Graph::from_graph_with_block_size(&g, codec_opt(&o)?, block_size);
+                            V2Graph::from_graph_with_block_size(&g, codec_opt(&o)?, block_size)
+                                .map_err(|e| encode_error("compressing the graph", e))?;
                         engine.embed_with(&v2, opts)
                     }
-                    other => return Err(format!("unknown --graph-format {other:?} (csr, v1, v2)")),
+                    other => return Err(format!("unknown --graph-format {other:?} (csr, v2)")),
                 }
             }
             .map_err(|e| e.to_string())?;
@@ -523,6 +532,19 @@ mod tests {
                 .expect_err("an out-of-domain option must be rejected");
             assert!(err.contains(field), "{flag} {value}: {err}");
         }
+        let cpath = tmp("domain.lng2");
+        for bs in ["0", "4294967296"] {
+            for cmd in [
+                &["compress", "--graph", &gpath, "--out", &cpath][..],
+                &["embed", "--graph", &gpath, "--out", &epath, "--graph-format", "v2"][..],
+            ] {
+                let mut args = cmd.to_vec();
+                args.extend_from_slice(&["--block-size", bs]);
+                let err = run_capture(&args).expect_err("a bad block size must be rejected");
+                assert!(err.starts_with("bad option: block size"), "{} {bs}: {err}", cmd[0]);
+            }
+        }
+        assert!(!std::path::Path::new(&cpath).exists(), "a rejected compress wrote a file");
         std::fs::remove_file(&gpath).ok();
         std::fs::remove_file(format!("{gpath}.labels")).ok();
     }
@@ -568,7 +590,7 @@ mod tests {
         let gpath = tmp("v2flow.lne");
         let cpath = tmp("v2flow.lng2");
         let e_csr = tmp("v2flow_emb_csr.txt");
-        let e_v1 = tmp("v2flow_emb_v1.txt");
+        let e_byte = tmp("v2flow_emb_byte.txt");
         let e_mmap = tmp("v2flow_emb_mmap.txt");
         run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &gpath])
             .unwrap();
@@ -582,7 +604,8 @@ mod tests {
         let mut a = vec!["embed", "--graph", &gpath, "--out", &e_csr];
         a.extend_from_slice(&common);
         run_capture(&a).unwrap();
-        let mut b = vec!["embed", "--graph", &gpath, "--out", &e_v1, "--graph-format", "v1"];
+        let mut b = vec!["embed", "--graph", &gpath, "--out", &e_byte];
+        b.extend_from_slice(&["--graph-format", "v2", "--codec", "byte"]);
         b.extend_from_slice(&common);
         run_capture(&b).unwrap();
         let mut c = vec!["embed", "--graph", &cpath, "--out", &e_mmap, "--mmap"];
@@ -591,7 +614,7 @@ mod tests {
         assert!(out.contains("v2 container"), "{out}");
 
         let csr = std::fs::read(&e_csr).unwrap();
-        assert_eq!(csr, std::fs::read(&e_v1).unwrap(), "v1 embedding differs from CSR");
+        assert_eq!(csr, std::fs::read(&e_byte).unwrap(), "byte embedding differs from CSR");
         assert_eq!(csr, std::fs::read(&e_mmap).unwrap(), "mmap v2 embedding differs from CSR");
 
         // stats transparently decompresses the container.
@@ -603,7 +626,13 @@ mod tests {
             run_capture(&["embed", "--graph", &gpath, "--out", &e_csr, "--mmap"]).unwrap_err();
         assert!(err.contains("lng2"), "{err}");
 
-        for p in [&gpath, &cpath, &e_csr, &e_v1, &e_mmap] {
+        // The parallel-byte format is a codec now, not a format of its own.
+        let err =
+            run_capture(&["embed", "--graph", &gpath, "--out", &e_csr, "--graph-format", "v1"])
+                .unwrap_err();
+        assert!(err.contains("(csr, v2)"), "{err}");
+
+        for p in [&gpath, &cpath, &e_csr, &e_byte, &e_mmap] {
             std::fs::remove_file(p).ok();
         }
         std::fs::remove_file(format!("{gpath}.labels")).ok();

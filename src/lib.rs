@@ -36,8 +36,7 @@ pub mod prelude {
     pub use lightne_eval::{classify, cost, linkpred};
     pub use lightne_gen::profiles;
     pub use lightne_graph::{
-        Codec, CompressedGraph, Graph, GraphAccess, GraphBuilder, GraphFormatError, GraphOps,
-        V2Graph, VertexId,
+        Codec, Graph, GraphAccess, GraphBuilder, GraphFormatError, GraphOps, V2Graph, VertexId,
     };
     pub use lightne_linalg::{CsrMatrix, DenseMatrix};
 }

@@ -13,7 +13,7 @@ use lightne::core::{LightNe, LightNeConfig};
 use lightne::eval::classify::train_test_split;
 use lightne::eval::linkpred::split_edges;
 use lightne::gen::sbm::{labelled_sbm, SbmConfig};
-use lightne::graph::{Codec, CompressedGraph, V2Graph, WeightedGraph};
+use lightne::graph::{Codec, V2Graph, WeightedGraph};
 use lightne::utils::parallel::configure_threads;
 
 fn bits(m: &lightne::linalg::DenseMatrix) -> Vec<u32> {
@@ -75,9 +75,9 @@ fn same_seed_same_bytes_across_runs_and_thread_counts() {
     // Seeded evaluation splits are part of the determinism contract too:
     // the train/held-out edge split and the labelled-vertex split must be
     // bitwise identical across thread counts AND across graph backends
-    // (csr / v1 / v2 all visit neighbours in the same ascending order).
-    let v1 = CompressedGraph::from_graph(&g);
-    let v2 = V2Graph::from_graph(&g, Codec::parse("arice").unwrap());
+    // (CSR and every codec visit neighbours in the same ascending order).
+    let byte = V2Graph::from_graph(&g, Codec::Byte);
+    let arice = V2Graph::from_graph(&g, Codec::RiceAdaptive);
     let (ref_train, ref_held) = split_edges(&g, 0.2, 91);
     let ref_labels = train_test_split(&labels, 0.5, 91);
     assert!(!ref_held.is_empty(), "holdout split is vacuous");
@@ -85,8 +85,8 @@ fn same_seed_same_bytes_across_runs_and_thread_counts() {
         assert_eq!(configure_threads(threads), threads);
         for (name, split) in [
             ("csr", split_edges(&g, 0.2, 91)),
-            ("v1", split_edges(&v1, 0.2, 91)),
-            ("v2", split_edges(&v2, 0.2, 91)),
+            ("byte", split_edges(&byte, 0.2, 91)),
+            ("arice", split_edges(&arice, 0.2, 91)),
         ] {
             assert_eq!(split.0, ref_train, "{name} train graph differs at {threads} threads");
             assert_eq!(split.1, ref_held, "{name} held-out edges differ at {threads} threads");

@@ -9,14 +9,16 @@
 //! — and every cell of
 //!
 //! ```text
-//! {CSR, v1, v2-owned} × {degree, psne} × {unweighted, weighted}
+//! {CSR, byte, ζ₃} × {degree, psne} × {unweighted, weighted}
 //!   × threads {1, 2, 8} × shards {0, 1, 4, 32}
 //!   × {plain, save_artifacts, resume from each stage boundary,
 //!      resume from a sparsifier checkpoint in another entry order}
 //! ```
 //!
 //! must keep reproducing them bit for bit. (The weighted pipeline has one
-//! backend, `WeightedGraph`; its weights are non-unit.)
+//! backend, `WeightedGraph`; its weights are non-unit. The `byte` cells
+//! were recorded on the standalone parallel-byte graph that
+//! `V2Graph` + `Codec::Byte` replaced.)
 //!
 //! Everything lives in ONE test function on purpose: all tests in a
 //! binary share the global rayon pool, and this test resizes it.
@@ -24,7 +26,7 @@
 use lightne::core::artifacts::{ArtifactStore, INITIAL_FILE, NETMF_FILE};
 use lightne::core::{LightNe, LightNeConfig, LightNeOutput, RunOptions};
 use lightne::gen::generators::erdos_renyi;
-use lightne::graph::{Codec, CompressedGraph, Graph, GraphBuilder, V2Graph, WeightedGraph};
+use lightne::graph::{Codec, Graph, GraphBuilder, V2Graph, WeightedGraph};
 use lightne::sparsifier::ProbScheme;
 use lightne::utils::checksum::fnv1a64;
 use lightne::utils::parallel::configure_threads;
@@ -122,8 +124,8 @@ fn check_cell(label: &str, want: u64, embed: &dyn Fn(RunOptions) -> LightNeOutpu
 fn every_path_reproduces_the_pinned_embedding_bytes() {
     let edges = edges();
     let csr: Graph = GraphBuilder::from_edges(N, &edges);
-    let v1 = CompressedGraph::from_graph(&csr);
-    let v2 = V2Graph::from_graph(&csr, Codec::Zeta(3));
+    let byte = V2Graph::from_graph(&csr, Codec::Byte);
+    let zeta = V2Graph::from_graph(&csr, Codec::Zeta(3));
     let weighted_edges: Vec<(u32, u32, f32)> =
         edges.iter().map(|&(u, v)| (u, v, 0.25 + ((u * 31 + v * 17) % 13) as f32 * 0.5)).collect();
     let gw = WeightedGraph::from_edges(N, &weighted_edges);
@@ -152,11 +154,11 @@ fn every_path_reproduces_the_pinned_embedding_bytes() {
                     check_cell(&format!("csr {cell}"), want, &|o| {
                         engine.embed_with(&csr, o).unwrap()
                     });
-                    check_cell(&format!("v1 {cell}"), want, &|o| {
-                        engine.embed_with(&v1, o).unwrap()
+                    check_cell(&format!("byte {cell}"), want, &|o| {
+                        engine.embed_with(&byte, o).unwrap()
                     });
-                    check_cell(&format!("v2 {cell}"), want, &|o| {
-                        engine.embed_with(&v2, o).unwrap()
+                    check_cell(&format!("zeta3 {cell}"), want, &|o| {
+                        engine.embed_with(&zeta, o).unwrap()
                     });
                 }
             }

@@ -2,8 +2,9 @@
 //!
 //! The whole pipeline is generic over [`lightne::graph::GraphAccess`], and
 //! every sampling decision is keyed on arc indices — so the uncompressed
-//! CSR, the v1 parallel-byte compressed graph, and the v2 container
-//! (owned or memory-mapped) must produce *bit-identical* embeddings. This
+//! CSR and the compressed container under every codec — the paper's
+//! parallel-byte code (`byte`) and the bit-granular ones, heap-owned or
+//! memory-mapped — must produce *bit-identical* embeddings. This
 //! exercises the claim through the full pipeline (sampling, fused NetMF
 //! drain, randomized SVD, spectral propagation) on two generator profiles
 //! with different degree structure.
@@ -15,7 +16,7 @@
 use lightne::core::pipeline::STAGE_SPARSIFIER;
 use lightne::core::{LightNe, LightNeConfig};
 use lightne::gen::profiles::Profile;
-use lightne::graph::{Codec, CompressedGraph, V2Graph};
+use lightne::graph::{Codec, V2Graph};
 
 fn bits(m: &lightne::linalg::DenseMatrix) -> Vec<u32> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
@@ -39,44 +40,37 @@ fn all_graph_representations_embed_bit_identically() {
         let reference = LightNe::new(cfg).embed(&g);
         let want = bits(&reference.embedding);
 
-        // v1: parallel-byte compressed.
-        let v1 = CompressedGraph::from_graph(&g);
-        let out = LightNe::new(cfg).embed(&v1);
-        assert_eq!(want, bits(&out.embedding), "{profile:?}: v1 diverges from CSR");
-
-        // v2 owned, across codecs (the arena layout must not leak into
-        // the sampled stream).
-        for codec in [Codec::Gamma, Codec::Zeta(3)] {
-            let v2 = V2Graph::from_graph(&g, codec);
-            let out = LightNe::new(cfg).embed(&v2);
-            assert_eq!(
-                want,
-                bits(&out.embedding),
-                "{profile:?}: v2/{} diverges from CSR",
-                codec.name()
-            );
-        }
-
-        // v2 memory-mapped from disk: same bytes, zero resident heap for
-        // the adjacency — which the engine reports as stage heap.
-        let path = tmp(&format!("{profile:?}.lng2"));
-        V2Graph::write(&g, Codec::Zeta(3), 64, &path).unwrap();
-        let mapped = V2Graph::open_mmap(&path).unwrap();
-        assert!(mapped.is_mapped());
-        assert_eq!(mapped.resident_bytes(), 0);
-        let out_mapped = LightNe::new(cfg).embed(&mapped);
-        assert_eq!(want, bits(&out_mapped.embedding), "{profile:?}: mmap v2 diverges from CSR");
-
-        let owned = V2Graph::open(&path).unwrap();
-        assert!(owned.resident_bytes() > 0);
-        let out_owned = LightNe::new(cfg).embed(&owned);
-        std::fs::remove_file(&path).ok();
-
         let graph_bytes = |o: &lightne::core::LightNeOutput| {
             o.stats.get(STAGE_SPARSIFIER).unwrap().counter("graph_bytes").unwrap()
         };
-        assert_eq!(graph_bytes(&out_mapped), 0, "mapped container must report no heap");
-        assert_eq!(graph_bytes(&out_owned), owned.resident_bytes() as u64);
+
+        // Across codecs (the arena layout must not leak into the sampled
+        // stream), each heap-owned and memory-mapped from disk: same
+        // bytes, and zero resident heap for the mapped adjacency — which
+        // the engine reports as stage heap.
+        for codec in [Codec::Byte, Codec::RiceAdaptive, Codec::Gamma, Codec::Zeta(3)] {
+            let name = codec.name();
+            let path = tmp(&format!("{profile:?}_{name}.lng2"));
+            V2Graph::write(&g, codec, 64, &path).unwrap();
+
+            let owned = V2Graph::open(&path).unwrap();
+            assert!(owned.resident_bytes() > 0);
+            let out_owned = LightNe::new(cfg).embed(&owned);
+            assert_eq!(want, bits(&out_owned.embedding), "{profile:?}: {name} diverges from CSR");
+            assert_eq!(graph_bytes(&out_owned), owned.resident_bytes() as u64);
+
+            let mapped = V2Graph::open_mmap(&path).unwrap();
+            assert!(mapped.is_mapped());
+            assert_eq!(mapped.resident_bytes(), 0);
+            let out_mapped = LightNe::new(cfg).embed(&mapped);
+            assert_eq!(
+                want,
+                bits(&out_mapped.embedding),
+                "{profile:?}: mmap {name} diverges from CSR"
+            );
+            assert_eq!(graph_bytes(&out_mapped), 0, "mapped container must report no heap");
+            std::fs::remove_file(&path).ok();
+        }
         assert!(
             graph_bytes(&reference) >= (g.num_arcs() * 4) as u64,
             "CSR source must account for its neighbor array"

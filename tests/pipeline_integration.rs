@@ -6,7 +6,7 @@ use lightne::baselines::{ProNe, ProNeConfig};
 use lightne::core::{LightNe, LightNeConfig};
 use lightne::eval::classify::evaluate_node_classification;
 use lightne::gen::sbm::{labelled_sbm, SbmConfig};
-use lightne::graph::CompressedGraph;
+use lightne::graph::{Codec, V2Graph};
 use lightne::linalg::DenseMatrix;
 
 fn small_labelled() -> (lightne::graph::Graph, lightne::gen::Labels) {
@@ -71,7 +71,7 @@ fn propagation_does_not_hurt_classification() {
 #[test]
 fn compressed_pipeline_is_bit_compatible() {
     let (g, _) = small_labelled();
-    let cg = CompressedGraph::from_graph(&g);
+    let cg = V2Graph::from_graph(&g, Codec::Byte);
     let cfg = LightNeConfig { dim: 16, window: 5, sample_ratio: 1.0, ..Default::default() };
     let a = LightNe::new(cfg).embed(&g);
     let b = LightNe::new(cfg).embed(&cg);

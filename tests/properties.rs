@@ -6,7 +6,7 @@
 //! index is part of the assertion message).
 
 use lightne::gen::alias::AliasTable;
-use lightne::graph::{CompressedGraph, GraphBuilder, WeightedGraph};
+use lightne::graph::{Codec, GraphBuilder, V2Graph, WeightedGraph};
 use lightne::hash::{ConcurrentEdgeTable, EdgeAggregator};
 use lightne::linalg::svd::jacobi_svd;
 use lightne::linalg::{CsrMatrix, DenseMatrix};
@@ -76,7 +76,7 @@ fn compression_roundtrip() {
         let edges = random_edges(&mut rng, n, 300);
         let block = 1 + rng.bounded_usize(99);
         let g = GraphBuilder::from_edges(n, &edges);
-        let c = CompressedGraph::from_graph_with_block_size(&g, block);
+        let c = V2Graph::from_graph_with_block_size(&g, Codec::Byte, block).unwrap();
         assert_eq!(c.decompress(), g, "case {case}: block {block}");
     }
 }
