@@ -132,6 +132,14 @@ impl LightNeConfig {
         if !(self.sample_ratio > 0.0 && self.sample_ratio.is_finite()) {
             return Err(ConfigError::SampleRatio(self.sample_ratio));
         }
+        if let Some(p) = &self.propagation {
+            if p.order < 2 {
+                return Err(ConfigError::PropagationOrder(p.order));
+            }
+            if !(p.mu.is_finite() && p.theta.is_finite()) {
+                return Err(ConfigError::PropagationKernel { mu: p.mu, theta: p.theta });
+            }
+        }
         Ok(())
     }
 }
@@ -145,6 +153,16 @@ pub enum ConfigError {
     Window,
     /// `sample_ratio` was zero, negative, infinite or NaN.
     SampleRatio(f64),
+    /// `propagation.order` was below 2 (the filter has no term before
+    /// `P_1`).
+    PropagationOrder(usize),
+    /// `propagation.mu` or `propagation.theta` was infinite or NaN.
+    PropagationKernel {
+        /// The configured kernel center.
+        mu: f64,
+        /// The configured kernel bandwidth.
+        theta: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -154,6 +172,12 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Window => write!(f, "window must be >= 1"),
             ConfigError::SampleRatio(r) => {
                 write!(f, "sample_ratio must be a positive finite number, got {r}")
+            }
+            ConfigError::PropagationOrder(k) => {
+                write!(f, "propagation order must be >= 2, got {k}")
+            }
+            ConfigError::PropagationKernel { mu, theta } => {
+                write!(f, "propagation mu and theta must be finite, got mu {mu}, theta {theta}")
             }
         }
     }
@@ -332,6 +356,36 @@ mod tests {
         assert!(sp.heap_bytes > 0);
         let nm = out.stats.get(STAGE_NETMF).unwrap();
         assert_eq!(nm.counter("nnz"), Some(out.netmf_nnz as u64));
+    }
+
+    #[test]
+    fn degenerate_propagation_is_a_typed_error() {
+        // Used to pass `validate` and die on an assert inside the stage.
+        let g = erdos_renyi(50, 200, 9);
+        let base = PropagationConfig::default();
+        let bad = [
+            PropagationConfig { order: 1, ..base },
+            PropagationConfig { mu: f64::NAN, ..base },
+            PropagationConfig { theta: f64::INFINITY, ..base },
+        ];
+        for p in bad {
+            let is_expected = |e: &ConfigError| match e {
+                ConfigError::PropagationOrder(1) => p.order == 1,
+                ConfigError::PropagationKernel { .. } => p.order != 1,
+                _ => false,
+            };
+            let cfg = LightNeConfig { propagation: Some(p), ..tiny_cfg() };
+            assert!(cfg.validate().is_err_and(|e| is_expected(&e)), "{p:?}");
+            match run_pipeline(&cfg, &GraphSource(&g), RunOptions::default()) {
+                Err(EngineError::Config(e)) => assert!(is_expected(&e), "{p:?}: {e}"),
+                other => panic!("{p:?}: expected a config error, got {:?}", other.map(|_| ())),
+            }
+        }
+        let two = LightNeConfig {
+            propagation: Some(PropagationConfig { order: 2, ..base }),
+            ..tiny_cfg()
+        };
+        assert_eq!(two.validate(), Ok(()));
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //!   `U·Σ^{1/2}` with L2-normalized rows (ProNE's
 //!   `get_embedding_dense`).
 //!
-//! Each Chebyshev step is two SPMMs, so the stage is cheap — the paper's
-//! Table 5 reports ~8 min on OAG for both ProNE+ and LightNE, and our
-//! `exp_table5_breakdown` reproduces the equality (identical code path).
+//! Each Chebyshev step is two `CsrMatrix::spmm_fused` passes (SPMM with a
+//! per-row epilogue) over four n×d buffers allocated before the loop; the
+//! epilogues apply, per element and in the old order, the f32 operations
+//! of the unfused passes — `half = −acc + (1−μ)·P_r`, then over `P_{r−1}`:
+//! `P_{r+1} = (−acc + (1−μ)·half) + (−2)·P_r − P_{r−1}`, `conv += c·P_{r+1}`
+//! (`P_1` ends `·½ − X`) — so the bytes equal the test-only oracle below.
 
 use crate::graphmat::{adjacency_plus_i, transition_with_self_loops};
 use lightne_graph::WeightedOps;
@@ -32,7 +35,7 @@ use lightne_linalg::{CsrMatrix, DenseMatrix};
 /// Parameters of the Chebyshev–Gaussian filter (ProNE defaults).
 #[derive(Debug, Clone, Copy)]
 pub struct PropagationConfig {
-    /// Chebyshev expansion order `k` (the paper sets ~10).
+    /// Chebyshev expansion order `k` (the paper sets ~10); below 2 runs as 2.
     pub order: usize,
     /// Center `μ` of the Gaussian kernel.
     pub mu: f64,
@@ -81,55 +84,51 @@ pub fn spectral_propagation_matrices(
     cfg: &PropagationConfig,
 ) -> DenseMatrix {
     assert_eq!(x.rows(), da.n_rows(), "embedding/graph size mismatch");
-    assert!(cfg.order >= 2, "propagation order must be at least 2");
-    // M·v = (L − μI)v = (1−μ)v − D̃⁻¹Ã v, applied matrix-free.
+    // M·v = (L − μI)v = (1−μ)v − D̃⁻¹Ã v, per element. `−a` and `b − a` are
+    // the unfused `a·(−1)` and `b + (−1)·a` bit for bit (sign-symmetric).
     let shift = (1.0 - cfg.mu) as f32;
-    let apply_m = |v: &DenseMatrix| -> DenseMatrix {
-        let mut out = da.spmm(v);
-        out.scale(-1.0);
-        out.axpy(shift, v);
-        out
+    let m = move |acc: f32, v: f32| -acc + shift * v;
+    let apply_m = |v: &DenseMatrix, out: &mut DenseMatrix| {
+        da.spmm_fused(v, [out], |i, acc, [o]| {
+            for ((o, &a), &v) in o.iter_mut().zip(acc).zip(v.row(i)) {
+                *o = m(a, v);
+            }
+        })
     };
+    let zeros = || DenseMatrix::zeros(x.rows(), x.cols());
+    let (mut half, mut cur, mut conv, mut prev) = (zeros(), zeros(), zeros(), x.clone());
 
-    // P_1 = (M²/2 − I) X
-    let mut p1 = apply_m(x);
-    p1 = {
-        let mut t = apply_m(&p1);
-        t.scale(0.5);
-        t.axpy(-1.0, x);
-        t
-    };
-
-    // conv = I_0(θ)·X − 2I_1(θ)·P_1 ± ...
-    let mut conv = x.clone();
-    conv.scale(bessel_i(0, cfg.theta) as f32);
-    conv.axpy(-2.0 * bessel_i(1, cfg.theta) as f32, &p1);
-
-    let mut prev = x.clone();
-    let mut cur = p1;
-    for i in 2..cfg.order {
-        // P_{r+1} = (M² − 2I) P_r − P_{r-1}
-        let mut next = apply_m(&cur);
-        next = {
-            let mut t = apply_m(&next);
-            t.axpy(-2.0, &cur);
-            t.axpy(-1.0, &prev);
-            t
-        };
-        let sign = if i % 2 == 0 { 2.0 } else { -2.0 };
-        conv.axpy(sign * bessel_i(i as u32, cfg.theta) as f32, &next);
-        prev = cur;
-        cur = next;
+    // P_1 = (M²/2 − I) X and conv = I_0(θ)·X − 2I_1(θ)·P_1.
+    let (c0, c1) = (bessel_i(0, cfg.theta) as f32, -2.0 * bessel_i(1, cfg.theta) as f32);
+    apply_m(x, &mut half);
+    da.spmm_fused(&half, [&mut cur, &mut conv], |i, acc, [p1, conv]| {
+        let row = p1.iter_mut().zip(conv).zip(acc).zip(half.row(i)).zip(x.row(i));
+        for ((((p, c), &a), &h), &xv) in row {
+            *p = m(a, h) * 0.5 - xv;
+            *c = xv * c0 + c1 * *p;
+        }
+    });
+    for r in 2..cfg.order {
+        // P_{r+1} = (M² − 2I) P_r − P_{r−1}, written over P_{r−1}.
+        let sign = if r % 2 == 0 { 2.0 } else { -2.0 };
+        let coef = sign * bessel_i(r as u32, cfg.theta) as f32;
+        apply_m(&cur, &mut half);
+        da.spmm_fused(&half, [&mut prev, &mut conv], |i, acc, [next, conv]| {
+            let row = next.iter_mut().zip(conv).zip(acc).zip(half.row(i)).zip(cur.row(i));
+            for ((((q, c), &a), &h), &p) in row {
+                *q = m(a, h) + -2.0 * p - *q;
+                *c += coef * *q;
+            }
+        });
+        std::mem::swap(&mut prev, &mut cur);
     }
 
-    // mm = (A + I)·(X − conv), with the raw (unnormalized) adjacency as
-    // in ProNE's release.
+    // (A + I)·(X − conv) — the raw, unnormalized adjacency, as in ProNE's
+    // release — re-factorized to U·√Σ with normalized rows (ProNE's
+    // get_embedding_dense).
     let mut diff = x.clone();
     diff.axpy(-1.0, &conv);
-    let mm = a_plus_i.spmm(&diff);
-
-    // Re-factorize: U·√Σ, rows normalized (ProNE's get_embedding_dense).
-    let svd = tall_thin_svd(&mm);
+    let svd = tall_thin_svd(&a_plus_i.spmm(&diff));
     let mut emb = svd.u;
     let scale: Vec<f32> = svd.sigma.iter().map(|&s| s.max(0.0).sqrt()).collect();
     emb.scale_columns(&scale);
@@ -142,6 +141,91 @@ mod tests {
     use super::*;
     use lightne_gen::generators::erdos_renyi;
     use lightne_gen::sbm::{labelled_sbm, SbmConfig};
+
+    /// The pre-fusion stage, verbatim: one allocation per `apply_m`, a
+    /// separate `scale`/`axpy` pass per term. The byte-level oracle of
+    /// the fused recurrence.
+    fn straight_line_propagation(
+        da: &CsrMatrix,
+        a_plus_i: &CsrMatrix,
+        x: &DenseMatrix,
+        cfg: &PropagationConfig,
+    ) -> DenseMatrix {
+        let shift = (1.0 - cfg.mu) as f32;
+        let apply_m = |v: &DenseMatrix| -> DenseMatrix {
+            let mut out = da.spmm(v);
+            out.scale(-1.0);
+            out.axpy(shift, v);
+            out
+        };
+        let mut p1 = apply_m(x);
+        p1 = {
+            let mut t = apply_m(&p1);
+            t.scale(0.5);
+            t.axpy(-1.0, x);
+            t
+        };
+        let mut conv = x.clone();
+        conv.scale(bessel_i(0, cfg.theta) as f32);
+        conv.axpy(-2.0 * bessel_i(1, cfg.theta) as f32, &p1);
+        let mut prev = x.clone();
+        let mut cur = p1;
+        for i in 2..cfg.order {
+            let mut next = apply_m(&cur);
+            next = {
+                let mut t = apply_m(&next);
+                t.axpy(-2.0, &cur);
+                t.axpy(-1.0, &prev);
+                t
+            };
+            let sign = if i % 2 == 0 { 2.0 } else { -2.0 };
+            conv.axpy(sign * bessel_i(i as u32, cfg.theta) as f32, &next);
+            prev = cur;
+            cur = next;
+        }
+        let mut diff = x.clone();
+        diff.axpy(-1.0, &conv);
+        let mm = a_plus_i.spmm(&diff);
+        let svd = tall_thin_svd(&mm);
+        let mut emb = svd.u;
+        let scale: Vec<f32> = svd.sigma.iter().map(|&s| s.max(0.0).sqrt()).collect();
+        emb.scale_columns(&scale);
+        emb.normalize_rows();
+        emb
+    }
+
+    #[test]
+    fn fused_recurrence_matches_straight_line_bitwise() {
+        // More rows than one SPMM row block, d with a vector body and a
+        // scalar tail; unit weights and weights that are not powers of two.
+        let g = erdos_renyi(200, 1500, 21);
+        let mut rng = lightne_utils::rng::XorShiftStream::new(22, 0);
+        let mut edges = Vec::new();
+        for u in 0..200u32 {
+            for &v in g.neighbors(u).iter().filter(|&&v| u < v) {
+                edges.push((u, v, 0.3 + 2.9 * rng.unit_f32()));
+            }
+        }
+        let w = lightne_graph::WeightedGraph::from_edges(200, &edges);
+        let x = DenseMatrix::gaussian(200, 13, 23);
+        let operators = [
+            (transition_with_self_loops(&g), adjacency_plus_i(&g)),
+            (transition_with_self_loops(&w), adjacency_plus_i(&w)),
+        ];
+        for (da, a_plus_i) in &operators {
+            for order in [2, 3, 10] {
+                let cfg = PropagationConfig { order, ..Default::default() };
+                let fused = spectral_propagation_matrices(da, a_plus_i, &x, &cfg);
+                let oracle = straight_line_propagation(da, a_plus_i, &x, &cfg);
+                let same = fused
+                    .as_slice()
+                    .iter()
+                    .zip(oracle.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "order {order}: fused bytes differ from the straight-line oracle");
+            }
+        }
+    }
 
     #[test]
     fn output_shape_and_normalization() {

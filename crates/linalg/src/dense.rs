@@ -12,6 +12,34 @@ use lightne_utils::rng::XorShiftStream;
 use rayon::prelude::*;
 use std::fmt;
 
+/// Elements per task of the element-wise kernels (`scale`, `axpy`,
+/// `map_inplace`, … here, in [`crate::qr`] and in [`crate::sparse`]): each
+/// task runs a plain loop over one 64 KiB block. Fixed, never
+/// thread-derived; the kernels are element-independent, so the block size
+/// cannot affect values anyway.
+pub(crate) const ELEMWISE_BLOCK: usize = 1 << 14;
+
+/// `y[i] ← f(y[i])`, block-parallel.
+pub(crate) fn map_slice<F>(y: &mut [f32], f: F)
+where
+    F: Fn(f32) -> f32 + Sync + Send,
+{
+    y.par_chunks_mut(ELEMWISE_BLOCK).for_each(|block| {
+        for v in block {
+            *v = f(*v);
+        }
+    });
+}
+
+/// `y ← y + s·x` (multiply, then add), block-parallel.
+pub(crate) fn axpy_slice(y: &mut [f32], s: f32, x: &[f32]) {
+    y.par_chunks_mut(ELEMWISE_BLOCK).zip(x.par_chunks(ELEMWISE_BLOCK)).for_each(|(yb, xb)| {
+        for (yi, &xi) in yb.iter_mut().zip(xb) {
+            *yi += s * xi;
+        }
+    });
+}
+
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
 pub struct DenseMatrix {
@@ -213,13 +241,13 @@ impl DenseMatrix {
 
     /// Scales every entry by `s`, in parallel.
     pub fn scale(&mut self, s: f32) {
-        self.data.par_iter_mut().for_each(|x| *x *= s);
+        self.map_inplace(|x| x * s);
     }
 
     /// `self += s · other`, in parallel.
     pub fn axpy(&mut self, s: f32, other: &DenseMatrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data.par_iter_mut().zip(other.data.par_iter()).for_each(|(a, &b)| *a += s * b);
+        axpy_slice(&mut self.data, s, &other.data);
     }
 
     /// Applies `f` to every entry, in parallel.
@@ -227,7 +255,7 @@ impl DenseMatrix {
     where
         F: Fn(f32) -> f32 + Sync + Send,
     {
-        self.data.par_iter_mut().for_each(|x| *x = f(*x));
+        map_slice(&mut self.data, f);
     }
 
     /// Multiplies each column `j` by `scale[j]` (e.g. `X ← X·Σ^{1/2}`).
@@ -269,9 +297,11 @@ impl DenseMatrix {
     pub fn max_abs_diff(&self, other: &DenseMatrix) -> f32 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
-            .par_iter()
-            .zip(other.data.par_iter())
-            .map(|(&a, &b)| (a - b).abs())
+            .par_chunks(ELEMWISE_BLOCK)
+            .zip(other.data.par_chunks(ELEMWISE_BLOCK))
+            .map(|(ablock, bblock)| {
+                ablock.iter().zip(bblock).map(|(&a, &b)| (a - b).abs()).fold(0.0, f32::max)
+            })
             // xtask:allow(L3): f32::max is commutative and associative,
             // so the parallel reduction order cannot change the result.
             .reduce(|| 0.0, f32::max)

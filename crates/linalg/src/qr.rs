@@ -21,7 +21,7 @@
 //! use the fixed [`DOT_BLOCK`] bracketing — so the output bytes are
 //! independent of the rayon pool size.
 
-use crate::dense::DenseMatrix;
+use crate::dense::{axpy_slice, map_slice, DenseMatrix};
 use crate::kernels;
 use rayon::prelude::*;
 
@@ -59,7 +59,7 @@ fn par_axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
             *yi += alpha * xi;
         }
     } else {
-        y.par_iter_mut().zip(x.par_iter()).for_each(|(yi, &xi)| *yi += alpha * xi);
+        axpy_slice(y, alpha, x);
     }
 }
 
@@ -69,7 +69,7 @@ fn par_scale(y: &mut [f32], alpha: f32) {
             *yi *= alpha;
         }
     } else {
-        y.par_iter_mut().for_each(|yi| *yi *= alpha);
+        map_slice(y, |yi| yi * alpha);
     }
 }
 

@@ -3,7 +3,10 @@
 //! These are the naive implementations [`crate::kernels`] replaced: the
 //! i-l-j row-parallel GEMM with its per-element `a != 0.0` branch, the
 //! strictly sequential-over-columns MGS QR, and the `Vec<Vec<f64>>`
-//! column-at-a-time cyclic Jacobi SVD. They are retained for two jobs:
+//! column-at-a-time cyclic Jacobi SVD — plus the unfused sparse×dense
+//! product and the `scale`/`axpy` passes that
+//! [`crate::sparse::CsrMatrix::spmm_fused`] folds into one kernel. They
+//! are retained for two jobs:
 //!
 //! 1. **Oracles** — the kernel property tests pin the blocked kernels
 //!    against these at adversarial shapes.
@@ -13,11 +16,47 @@
 //!    `check_linalg_regression.sh` gate track.
 //!
 //! Do not "fix" or optimize anything here; the whole point is that it
-//! stays the pre-PR baseline.
+//! stays the pre-PR baseline. (The one exception: the parallel branches
+//! of `par_axpy`/`par_scale` hand the pool 16 Ki-element blocks instead
+//! of single elements — same values, and the shim no longer materialises
+//! a reference per element.)
 
 use crate::dense::DenseMatrix;
+use crate::sparse::CsrMatrix;
 use crate::svd::SmallSvd;
 use rayon::prelude::*;
+
+/// Unfused SPMM: every output row summed from `+0.0` in stored-entry
+/// order, `out += v·x`, sequentially. The byte-level oracle of
+/// [`CsrMatrix::spmm_fused`]'s row accumulation.
+pub fn spmm(a: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
+    assert_eq!(a.n_cols(), x.rows(), "spmm shape mismatch");
+    let mut out = DenseMatrix::zeros(a.n_rows(), x.cols());
+    for i in 0..a.n_rows() {
+        let (cols, vals) = a.row(i);
+        for (&c, &v) in cols.iter().zip(vals) {
+            for (o, &xv) in out.row_mut(i).iter_mut().zip(x.row(c as usize)) {
+                *o += v * xv;
+            }
+        }
+    }
+    out
+}
+
+/// `y ← s·y`, one sequential pass.
+pub fn scale(y: &mut DenseMatrix, s: f32) {
+    for v in y.as_mut_slice() {
+        *v *= s;
+    }
+}
+
+/// `y ← y + s·x`, one sequential pass (multiply, then add).
+pub fn axpy(y: &mut DenseMatrix, s: f32, x: &DenseMatrix) {
+    assert_eq!((y.rows(), y.cols()), (x.rows(), x.cols()));
+    for (a, &b) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
+        *a += s * b;
+    }
+}
 
 /// Pre-PR dense GEMM: parallel over output rows, i-l-j loop order, with
 /// the per-element zero-skip branch.
@@ -43,6 +82,8 @@ pub fn matmul(a: &DenseMatrix, other: &DenseMatrix) -> DenseMatrix {
 const PAR_THRESHOLD: usize = 1 << 14;
 /// Fixed block length of the pre-PR parallel dot product.
 const DOT_BLOCK: usize = 1 << 13;
+/// Elements per task of the parallel `par_axpy`/`par_scale` branches.
+const ELEMWISE_BLOCK: usize = 1 << 14;
 
 fn seq_dot(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum()
@@ -67,7 +108,11 @@ fn par_axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
             *yi += alpha * xi;
         }
     } else {
-        y.par_iter_mut().zip(x.par_iter()).for_each(|(yi, &xi)| *yi += alpha * xi);
+        y.par_chunks_mut(ELEMWISE_BLOCK).zip(x.par_chunks(ELEMWISE_BLOCK)).for_each(|(yb, xb)| {
+            for (yi, &xi) in yb.iter_mut().zip(xb) {
+                *yi += alpha * xi;
+            }
+        });
     }
 }
 
@@ -77,7 +122,11 @@ fn par_scale(y: &mut [f32], alpha: f32) {
             *yi *= alpha;
         }
     } else {
-        y.par_iter_mut().for_each(|yi| *yi *= alpha);
+        y.par_chunks_mut(ELEMWISE_BLOCK).for_each(|yb| {
+            for yi in yb {
+                *yi *= alpha;
+            }
+        });
     }
 }
 

@@ -24,10 +24,10 @@
 //!   so a fused `vfmadd…pd` rounds once from the same exact value the
 //!   scalar mul-then-add rounds from. Lane assignment and the pairwise
 //!   fold stay in [`crate::kernels`], shared with the scalar path.
-//! * [`axpy4`], [`gram2_accumulate`], [`rot2`] — **bitwise identical**:
-//!   elementwise kernels compiled as separate multiply and add/sub in
-//!   the scalar source order (no FMA contraction), vectorized across
-//!   independent elements/lanes only.
+//! * [`axpy4`], [`gram2_accumulate`], [`rot2`], [`spmm_row`] — **bitwise
+//!   identical**: elementwise kernels compiled as separate multiply and
+//!   add/sub in the scalar source order (no FMA contraction), vectorized
+//!   across independent elements/lanes only.
 //! * [`microkernel_avx2`] / [`microkernel_avx512`] — **tolerance, not
 //!   bitwise**, vs the scalar GEMM micro-kernel: the `f32` FMAs round
 //!   once where the scalar kernel rounds twice, and the AVX-512 variant
@@ -195,7 +195,9 @@ mod x86 {
     //! [`super::active_tier`] clamp (a SIMD tier is only reachable after
     //! `is_x86_feature_detected!` confirmed the feature).
 
+    use crate::dense::DenseMatrix;
     use crate::kernels::{DOT_LANES, GRAM_LANES, MR, NR};
+    use crate::sparse::SPMM_PREFETCH;
     use std::arch::x86_64::*;
 
     /// AVX2+FMA micro-kernel with direct writeback: accumulates the
@@ -512,6 +514,97 @@ mod x86 {
         }
     }
 
+    /// One column strip of [`spmm_row_avx2`]: the first `8·N` floats of
+    /// `acc` are output columns `j0..j0 + 8·N`, held in `N` 8-lane
+    /// registers across the whole row and each updated per stored entry
+    /// as `acc + v·x` — multiply then add, no FMA — in entry order from
+    /// `+0.0`, which is the scalar loop's operation sequence for every
+    /// output element. Returns the rest of `acc`.
+    ///
+    /// # Safety
+    /// Requires AVX2 (guaranteed by the dispatching wrapper).
+    // SAFETY: every load goes through a bounds-checked sub-slice of `x`
+    // and the stores through one of `acc`; the feature guard is the
+    // wrapper's detection clamp.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn spmm_strip_avx2<'a, const N: usize>(
+        cols: &[u32],
+        vals: &[f32],
+        x: &[f32],
+        d: usize,
+        j0: usize,
+        acc: &'a mut [f32],
+    ) -> &'a mut [f32] {
+        let (out, rest) = acc.split_at_mut(8 * N);
+        let mut r = [_mm256_setzero_ps(); N];
+        for (k, (&c, &v)) in cols.iter().zip(vals).enumerate() {
+            if let Some(&cn) = cols.get(k + SPMM_PREFETCH) {
+                // A hint only: wrapping arithmetic, never dereferenced.
+                let next: *const u8 = x.as_ptr().wrapping_add(cn as usize * d + j0).cast();
+                for line in 0..N.div_ceil(2) {
+                    _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(64 * line).cast());
+                }
+            }
+            let base = c as usize * d + j0;
+            let xr = &x[base..base + 8 * N];
+            let vv = _mm256_set1_ps(v);
+            for (i, ri) in r.iter_mut().enumerate() {
+                // SAFETY: `xr` is exactly 8·N floats (sliced above) and
+                // i < N, so the 8-float load at 8·i is in bounds.
+                let xv = unsafe { _mm256_loadu_ps(xr.as_ptr().add(8 * i)) };
+                *ri = _mm256_add_ps(*ri, _mm256_mul_ps(vv, xv));
+            }
+        }
+        for (i, ri) in r.iter().enumerate() {
+            // SAFETY: `out` is exactly 8·N floats (split above), i < N.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(8 * i), *ri) };
+        }
+        rest
+    }
+
+    /// Row accumulation of the fused SPMM
+    /// ([`crate::sparse::CsrMatrix::spmm_fused`]): `acc[j] = Σₖ vals[k] ·
+    /// x[cols[k]][j]` for `j < d = x.cols()`; `acc` holds `d` floats. The
+    /// row is walked once per column strip of 64/32/16/8 floats with the
+    /// strip's accumulators in registers, then once more for the
+    /// `d mod 8` tail columns in scalar code. Bitwise identical to the
+    /// scalar row loop, [`crate::sparse::spmm_row_scalar`] (see module
+    /// docs).
+    ///
+    /// # Safety
+    /// Requires AVX2 (guaranteed by the dispatching wrapper).
+    // SAFETY: delegates to `spmm_strip_avx2`, whose accesses are all
+    // bounds-checked slices; the feature guard is the wrapper's clamp.
+    #[target_feature(enable = "avx2")]
+    unsafe fn spmm_row_avx2(cols: &[u32], vals: &[f32], x: &DenseMatrix, acc: &mut [f32]) {
+        let (d, xs) = (x.cols(), x.as_slice());
+        let mut rest = acc;
+        // SAFETY: AVX2 is enabled on this function, so calling the
+        // same-feature strip kernels is sound.
+        unsafe {
+            while rest.len() >= 64 {
+                rest = spmm_strip_avx2::<8>(cols, vals, xs, d, d - rest.len(), rest);
+            }
+            if rest.len() >= 32 {
+                rest = spmm_strip_avx2::<4>(cols, vals, xs, d, d - rest.len(), rest);
+            }
+            if rest.len() >= 16 {
+                rest = spmm_strip_avx2::<2>(cols, vals, xs, d, d - rest.len(), rest);
+            }
+            if rest.len() >= 8 {
+                rest = spmm_strip_avx2::<1>(cols, vals, xs, d, d - rest.len(), rest);
+            }
+        }
+        let j = d - rest.len();
+        rest.fill(0.0);
+        for (&c, &v) in cols.iter().zip(vals) {
+            for (a, &xv) in rest.iter_mut().zip(x.row(c as usize).iter().skip(j)) {
+                *a += v * xv;
+            }
+        }
+    }
+
     /// Issues a best-effort read prefetch for the cache line at `ptr`
     /// into all cache levels. A pure scheduling hint: prefetch never
     /// faults, never reads architecturally, and never changes results.
@@ -620,6 +713,14 @@ mod x86 {
         // clamp, see microkernel_avx2).
         unsafe { rot2_avx2(cp, cq, c, s) }
     }
+
+    /// Vectorized SPMM row accumulation (see [`spmm_row_avx2`]).
+    #[inline]
+    pub fn spmm_row(cols: &[u32], vals: &[f32], x: &DenseMatrix, acc: &mut [f32]) {
+        // SAFETY: reachable only when active_tier() >= Avx2 (detection
+        // clamp, see microkernel_avx2).
+        unsafe { spmm_row_avx2(cols, vals, x, acc) }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -631,6 +732,7 @@ mod fallback {
     //! [`super::SimdTier::Scalar`], so the dispatch arms calling these
     //! never execute.
 
+    use crate::dense::DenseMatrix;
     use crate::kernels::{DOT_LANES, GRAM_LANES};
 
     /// No-op on non-x86_64 targets (no portable prefetch hint).
@@ -699,6 +801,12 @@ mod fallback {
     pub fn rot2(_: &mut [f64], _: &mut [f64], _: f64, _: f64) {
         // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
         unreachable!("SIMD tier selected off x86_64")
+    }
+
+    /// Off x86_64 the dispatch never selects a SIMD tier; the scalar
+    /// loop is the definition of the bytes in any case.
+    pub fn spmm_row(cols: &[u32], vals: &[f32], x: &DenseMatrix, acc: &mut [f32]) {
+        crate::sparse::spmm_row_scalar(cols, vals, x, acc)
     }
 }
 

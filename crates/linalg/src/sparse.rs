@@ -6,8 +6,8 @@
 //! a dense `n × d` panel (`mkl_sparse_s_mm`), which dominates both the
 //! randomized SVD's projections and ProNE's spectral propagation.
 
-use crate::dense::DenseMatrix;
-use crate::simd;
+use crate::dense::{map_slice, DenseMatrix, ELEMWISE_BLOCK};
+use crate::simd::{self, SimdTier};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::{parallel_prefix_sum, parallel_reduce_sum};
 use rayon::prelude::*;
@@ -28,8 +28,9 @@ fn coo_key(e: &(u32, u32, f32)) -> u64 {
 /// chunk bookkeeping is not worth it.
 const PAR_DEDUP_THRESHOLD: usize = 1 << 15;
 
-/// Output rows per SPMM tile: 64 rows × d floats keeps the tile's output
-/// panel in L2 while amortizing per-task dispatch over many rows.
+/// Output rows per SPMM task: one task owns 64 contiguous rows of every
+/// output, which amortizes per-task dispatch and the task's accumulator
+/// over many rows. Fixed (never thread-derived).
 const SPMM_ROW_BLOCK: usize = 64;
 
 /// Prefetch distance of the SPMM column gather: while multiplying the
@@ -37,7 +38,33 @@ const SPMM_ROW_BLOCK: usize = 64;
 /// requested. At `d = 32..256` one gather costs roughly a cache-line
 /// fill, so ~8 in flight covers DRAM latency without thrashing the L1
 /// fill buffers (measured flat from 4 to 16 on the bench profiles).
-const SPMM_PREFETCH: usize = 8;
+pub(crate) const SPMM_PREFETCH: usize = 8;
+
+/// Scalar tier of the SPMM row accumulation: `acc[j] = Σₖ vals[k] ·
+/// x[cols[k]][j]`, every element summed from `+0.0` in stored-entry
+/// order as `acc + v·x` (multiply, then add). This loop *defines* the
+/// bytes; [`simd::spmm_row`] reproduces them. The column indices are
+/// irregular, so each gather software-prefetches the `x` row
+/// [`SPMM_PREFETCH`] entries ahead — a scheduling hint with no effect on
+/// values.
+pub(crate) fn spmm_row_scalar(cols: &[u32], vals: &[f32], x: &DenseMatrix, acc: &mut [f32]) {
+    acc.fill(0.0);
+    for (k, (&c, &v)) in cols.iter().zip(vals).enumerate() {
+        if let Some(&cn) = cols.get(k + SPMM_PREFETCH) {
+            let next: *const u8 = x.row(cn as usize).as_ptr().cast();
+            simd::prefetch_read(next);
+            if x.cols() * 4 > 64 {
+                // Second cache line of the row (in bounds: the row spans
+                // > 64 bytes; wrapping_ math keeps the hint free of
+                // pointer-arith UB).
+                simd::prefetch_read(next.wrapping_add(64));
+            }
+        }
+        for (a, &xv) in acc.iter_mut().zip(x.row(c as usize)) {
+            *a += v * xv;
+        }
+    }
+}
 
 /// Combines adjacent duplicate coordinates of a sorted COO list by
 /// summation. Chunk boundaries are advanced to duplicate-group starts, so
@@ -274,48 +301,72 @@ impl CsrMatrix {
         }
     }
 
-    /// Sparse × dense: `self (r×c) · x (c×d) → (r×d)`. This is the
-    /// workhorse SPMM of both the randomized SVD and spectral propagation.
-    ///
-    /// Parallelism is cache-blocked: each task owns a tile of
-    /// `SPMM_ROW_BLOCK` contiguous output rows, so the tile's output
-    /// panel stays resident while its column gathers walk `x`. Per-row
-    /// accumulation order is exactly the row-at-a-time order, so results
-    /// are bitwise identical to the unblocked kernel. The column indices
-    /// are irregular, so each gather software-prefetches the `x` row
-    /// [`SPMM_PREFETCH`] entries ahead — a scheduling hint with no effect
-    /// on values.
+    /// Sparse × dense: `self (r×c) · x (c×d) → (r×d)` — the identity
+    /// epilogue of [`CsrMatrix::spmm_fused`].
     pub fn spmm(&self, x: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(self.n_rows, x.cols());
+        self.spmm_fused(x, [&mut out], |_, acc, [o]| o.copy_from_slice(acc));
+        out
+    }
+
+    /// SPMM with a per-row epilogue — the one sparse×dense kernel of the
+    /// workspace (randomized SVD through [`CsrMatrix::spmm`], spectral
+    /// propagation directly). For every row `i` it accumulates
+    /// `acc = Σⱼ self[i,j] · x[j,:]` in a task-local buffer (registers on
+    /// the AVX2 tier), then calls `epilogue(i, acc, rows)` where `rows[k]`
+    /// is row `i` of `outs[k]`; the epilogue's writes are the only stores
+    /// to the outputs. `rows[k]` still holds whatever `outs[k]` held on
+    /// entry, so an epilogue may update an output in place
+    /// (`conv += c·acc`) or overwrite it.
+    ///
+    /// Determinism: a task owns [`SPMM_ROW_BLOCK`] contiguous rows and
+    /// handles them in order, the accumulation order within a row is the
+    /// stored-entry order on every SIMD tier (see [`simd::spmm_row`]),
+    /// and the epilogue sees one row at a time — so the output bytes are
+    /// independent of the thread count and the tier.
+    ///
+    /// # Panics
+    /// Panics if `x` has other than `n_cols` rows or an output is not
+    /// `n_rows × x.cols()`.
+    pub fn spmm_fused<const K: usize, E>(
+        &self,
+        x: &DenseMatrix,
+        outs: [&mut DenseMatrix; K],
+        epilogue: E,
+    ) where
+        E: Fn(usize, &[f32], [&mut [f32]; K]) + Sync,
+    {
         assert_eq!(self.n_cols, x.rows(), "spmm shape mismatch");
         let d = x.cols();
-        let mut out = DenseMatrix::zeros(self.n_rows, d);
-        if d == 0 {
-            return out;
+        for out in &outs {
+            assert_eq!((out.rows(), out.cols()), (self.n_rows, d), "spmm output shape mismatch");
         }
-        let tile = d * SPMM_ROW_BLOCK;
-        out.as_mut_slice().par_chunks_mut(tile).enumerate().for_each(|(blk, chunk)| {
+        if d == 0 {
+            return;
+        }
+        let avx2 = simd::active_tier() >= SimdTier::Avx2;
+        // The same row block of every output, block by block. Each chunk
+        // iterator yields exactly `n_blocks` blocks (shapes asserted
+        // above), so the empty-slice default is never taken.
+        let n_blocks = self.n_rows.div_ceil(SPMM_ROW_BLOCK);
+        let mut chunks = outs.map(|out| out.as_mut_slice().chunks_mut(d * SPMM_ROW_BLOCK));
+        let blocks: Vec<_> = (0..n_blocks)
+            .map(|_| chunks.each_mut().map(|c| c.next().unwrap_or_default()))
+            .collect();
+        blocks.into_par_iter().enumerate().for_each(|(blk, block)| {
+            let mut acc = vec![0f32; d];
+            let mut rows = block.map(|b| b.chunks_mut(d));
             let row0 = blk * SPMM_ROW_BLOCK;
-            for (k, orow) in chunk.chunks_mut(d).enumerate() {
-                let (cols, vals) = self.row(row0 + k);
-                for (j, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-                    if let Some(&cn) = cols.get(j + SPMM_PREFETCH) {
-                        let next: *const u8 = x.row(cn as usize).as_ptr().cast();
-                        simd::prefetch_read(next);
-                        if d * 4 > 64 {
-                            // Second cache line of the row (in bounds:
-                            // the row spans > 64 bytes; wrapping_ math
-                            // keeps the hint free of pointer-arith UB).
-                            simd::prefetch_read(next.wrapping_add(64));
-                        }
-                    }
-                    let xrow = x.row(c as usize);
-                    for (o, &xv) in orow.iter_mut().zip(xrow) {
-                        *o += v * xv;
-                    }
+            for i in row0..self.n_rows.min(row0 + SPMM_ROW_BLOCK) {
+                let (cols, vals) = self.row(i);
+                if avx2 {
+                    simd::spmm_row(cols, vals, x, &mut acc);
+                } else {
+                    spmm_row_scalar(cols, vals, x, &mut acc);
                 }
+                epilogue(i, &acc, rows.each_mut().map(|r| r.next().unwrap_or_default()));
             }
         });
-        out
     }
 
     /// Sparse matrix × vector.
@@ -350,7 +401,7 @@ impl CsrMatrix {
     where
         F: Fn(f32) -> f32 + Sync + Send,
     {
-        self.values.par_iter_mut().for_each(|v| *v = f(*v));
+        map_slice(&mut self.values, f);
     }
 
     /// Removes stored entries with `|value| <= threshold`, recompacting.
@@ -369,25 +420,28 @@ impl CsrMatrix {
         CsrMatrix::from_coo(self.n_rows, self.n_cols, coo)
     }
 
-    /// Scales row `i` by `s[i]` (e.g. `D⁻¹ A`).
+    /// Scales row `i` by `s[i]` (e.g. `D⁻¹ A`). Sequential: one pass
+    /// over the stored values, off every hot path.
     pub fn scale_rows(&mut self, s: &[f32]) {
         assert_eq!(s.len(), self.n_rows);
-        let row_ptr = &self.row_ptr;
-        let values = &mut self.values;
-        // Parallel over rows via chunk boundaries derived from row_ptr.
-        (0..self.n_rows).for_each(|i| {
-            let (lo, hi) = (row_ptr[i] as usize, row_ptr[i + 1] as usize);
-            for v in &mut values[lo..hi] {
-                *v *= s[i];
+        for (w, &si) in self.row_ptr.windows(2).zip(s) {
+            for v in &mut self.values[w[0] as usize..w[1] as usize] {
+                *v *= si;
             }
-        });
+        }
     }
 
     /// Scales column `j` by `s[j]` (e.g. `A D⁻¹`), in parallel.
     pub fn scale_cols(&mut self, s: &[f32]) {
         assert_eq!(s.len(), self.n_cols);
-        let col_idx = &self.col_idx;
-        self.values.par_iter_mut().zip(col_idx.par_iter()).for_each(|(v, &c)| *v *= s[c as usize]);
+        self.values
+            .par_chunks_mut(ELEMWISE_BLOCK)
+            .zip(self.col_idx.par_chunks(ELEMWISE_BLOCK))
+            .for_each(|(vals, cols)| {
+                for (v, &c) in vals.iter_mut().zip(cols) {
+                    *v *= s[c as usize];
+                }
+            });
     }
 
     /// Linear combination `alpha·self + beta·other` (same shape).

@@ -16,10 +16,13 @@ pub fn num_threads() -> usize {
 /// Sizes the global rayon pool to `n` worker threads (0 = the default,
 /// one per available core) and returns the resulting pool size.
 ///
-/// Call this once, before any parallel stage runs. If the global pool was
-/// already built (e.g. by an earlier parallel call), rayon rejects the
-/// rebuild; the error is deliberately ignored so late callers degrade to
-/// the existing pool instead of aborting the run.
+/// May be called at any time and repeatedly: the vendored rayon shim
+/// (`vendor/rayon`) keeps no pool — workers are spawned per parallel
+/// region — so `build_global` only records the count for the regions that
+/// follow and never fails. The `--threads` flag, the benchmark and the
+/// thread-count determinism tests all re-size this way mid-process. (The
+/// published rayon rejects a second `build_global`; the ignored `Result`
+/// below is what a swap back to it would have to handle.)
 pub fn configure_threads(n: usize) -> usize {
     let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
     num_threads()

@@ -277,3 +277,72 @@ fn blocked_jacobi_rank_deficient_matches_reference() {
         assert!(blocked.sigma[i] < 1e-3 * blocked.sigma[0], "sigma[{i}] not ~0");
     }
 }
+
+#[test]
+fn fused_spmm_matches_composed_reference_bitwise() {
+    use lightne::linalg::CsrMatrix;
+    use lightne::utils::parallel::configure_threads;
+    use lightne::utils::rng::XorShiftStream;
+    let _serial = TIER_LOCK.lock().unwrap();
+    // The fused kernel promises the *bytes* of the unfused sequence it
+    // replaces — `spmm → scale → axpy → scale → axpy`, then an `axpy`
+    // into a second output — on every SIMD tier and thread count. The
+    // operator is rectangular with a ragged last row block (2·64 + 37
+    // rows), empty rows, a one-entry row, rows longer than the prefetch
+    // distance, and values that are not powers of two; `d` walks the
+    // 64/32/16/8-float strips of the AVX2 row kernel and its scalar tail.
+    let (n_rows, n_cols) = (165usize, 91usize);
+    let mut rng = XorShiftStream::new(0xF05ED, 0);
+    let mut coo = Vec::new();
+    for i in 0..n_rows as u32 {
+        let nnz = match i % 11 {
+            0 | 5 => 0,
+            1 => 1,
+            k => 3 * k as usize,
+        };
+        for _ in 0..nnz {
+            coo.push((i, rng.bounded_usize(n_cols) as u32, 0.1 + 1.7 * rng.unit_f32()));
+        }
+    }
+    let a = CsrMatrix::from_coo(n_rows, n_cols, coo);
+    assert!(a.row(0).0.is_empty() && a.row(1).0.len() == 1 && a.row(164).0.len() > 8);
+    let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+
+    for d in [1usize, 7, 8, 17, 64, 128, 144] {
+        let x = DenseMatrix::gaussian(n_cols, d, 300 + d as u64);
+        let w = DenseMatrix::gaussian(n_rows, d, 400 + d as u64);
+        let old_out = DenseMatrix::gaussian(n_rows, d, 500 + d as u64);
+        let old_side = DenseMatrix::gaussian(n_rows, d, 600 + d as u64);
+
+        let plain = reference::spmm(&a, &x);
+        let mut want = plain.clone();
+        reference::scale(&mut want, -1.0);
+        reference::axpy(&mut want, 0.8, &w);
+        reference::scale(&mut want, 0.5);
+        reference::axpy(&mut want, -1.0, &old_out);
+        let mut want_side = old_side.clone();
+        reference::axpy(&mut want_side, 0.37, &want);
+
+        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            if set_tier(tier) != tier {
+                continue; // host cannot run this tier
+            }
+            for threads in [1usize, 2, 8] {
+                configure_threads(threads);
+                let at = format!("d = {d}, {} tier, {threads} threads", tier.name());
+                assert_eq!(bits(&a.spmm(&x)), bits(&plain), "spmm: {at}");
+                let (mut out, mut side) = (old_out.clone(), old_side.clone());
+                a.spmm_fused(&x, [&mut out, &mut side], |i, acc, [o, s]| {
+                    for (((o, s), &t), &wv) in o.iter_mut().zip(s).zip(acc).zip(w.row(i)) {
+                        *o = (-t + 0.8 * wv) * 0.5 - *o;
+                        *s += 0.37 * *o;
+                    }
+                });
+                assert_eq!(bits(&out), bits(&want), "fused output: {at}");
+                assert_eq!(bits(&side), bits(&want_side), "fused second output: {at}");
+            }
+        }
+    }
+    set_tier(detected_tier());
+    configure_threads(0);
+}
