@@ -120,7 +120,6 @@ impl NetSmf {
             propagation: None,
             seed: cfg.seed,
             shards: 0,
-            pin_shards: false,
         };
         let out = run_pipeline(&engine_cfg, &NetSmfSource(g), RunOptions::default())
             .unwrap_or_else(|e| panic!("pipeline failed: {e}"));

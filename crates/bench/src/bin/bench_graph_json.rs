@@ -3,11 +3,12 @@
 //! sequential and random — with the parallel-byte code (`byte`, the
 //! paper's format) as the reference row of the summary ratios.
 //!
-//! Prints one flat JSON object — one key per line, so `awk`/`grep` can
-//! parse it without a JSON library — to stdout; progress goes to stderr.
-//! `scripts/run_graph_bench.sh` redirects stdout into
-//! `results/BENCH_graph.json`, and `scripts/check_graph_regression.sh`
-//! gates changes against the committed copy.
+//! Prints one flat JSON object, one key per line, to stdout; progress
+//! goes to stderr. `results/BENCH_graph.json` is the committed copy
+//! (`cargo run --release -p lightne-bench --bin bench_graph_json >
+//! results/BENCH_graph.json`); `cargo xtask gate graph <report>` judges
+//! a fresh report against it. The `byte_block*` keys record the paper's
+//! §4.2 block-size trade-off and are not gated.
 //!
 //! The graph is the largest classification profile (Friendster) scaled
 //! to the host; `--scale` / `--seed` come from the shared harness, and
@@ -69,7 +70,7 @@ fn rand_maccess_per_sec(g: &dyn GraphAccess, probes: usize, seed: u64, reps: usi
 }
 
 fn main() {
-    let args = Args::parse(0.001, 32);
+    let args = Args::from_env(0.001, 32);
     let profile_name = std::env::var("PROFILE").unwrap_or_else(|_| "friendster".to_string());
     let probes = env_usize("RAND_PROBES", 1_000_000);
     let reps = env_usize("REPS", 5).max(1);
@@ -92,6 +93,8 @@ fn main() {
     put("arcs", arcs.to_string());
     put("rand_probes", probes.to_string());
 
+    let bits_per_edge = |bytes: usize| bytes as f64 * 8.0 / arcs as f64;
+
     // --- Per codec: container bytes (EF offsets + arena + header).
     let mut best: Option<(Codec, usize, f64, f64)> = None;
     let (mut byte_bpe, mut byte_seq, mut byte_rand) = (0.0, 0.0, 0.0); // the reference row
@@ -100,7 +103,7 @@ fn main() {
         eprintln!("v2/{name} encode ...");
         let v2 = V2Graph::from_graph(&g, codec);
         let bytes = v2.container_bytes();
-        let bpe = bytes as f64 * 8.0 / arcs as f64;
+        let bpe = bits_per_edge(bytes);
         let seq = seq_medges_per_sec(&v2, reps);
         let rand = rand_maccess_per_sec(&v2, probes, args.seed, reps);
         eprintln!("v2/{name}: {bpe:.3} bits/edge, seq {seq:.1} Marcs/s, rand {rand:.2} M/s");
@@ -116,9 +119,21 @@ fn main() {
         }
     }
 
+    // --- The paper's §4.2 block-size trade-off on the byte code: small
+    // blocks fetch a neighbour faster, large ones compress better.
+    for block in [16usize, 64, 256] {
+        let v2 = V2Graph::from_graph_with_block_size(&g, Codec::Byte, block)
+            .expect("block size in range");
+        let bpe = bits_per_edge(v2.container_bytes());
+        let rand = rand_maccess_per_sec(&v2, probes, args.seed, reps);
+        eprintln!("v2/byte block {block}: {bpe:.3} bits/edge, rand {rand:.2} M/s");
+        put(&format!("byte_block{block}_bits_per_edge"), format!("{bpe:.4}"));
+        put(&format!("byte_block{block}_rand_maccess_per_sec"), format!("{rand:.4}"));
+    }
+
     // --- Summary the regression gate reads: smallest codec vs `byte`.
     let (codec, bytes, seq, rand) = best.expect("codec sweep is non-empty");
-    let best_bpe = bytes as f64 * 8.0 / arcs as f64;
+    let best_bpe = bits_per_edge(bytes);
     put("v2_best_codec", format!("\"{}\"", codec.name()));
     put("v2_best_bits_per_edge", format!("{best_bpe:.4}"));
     put("bits_ratio_best", format!("{:.4}", best_bpe / byte_bpe));

@@ -1,11 +1,12 @@
 //! Full-size GFLOP/s measurement of the register-blocked linalg kernels
 //! against their [`lightne_linalg::reference`] (pre-blocking) versions.
 //!
-//! Prints one flat JSON object — one key per line, so `awk`/`grep` can
-//! parse it without a JSON library — to stdout; progress goes to stderr.
-//! `scripts/run_linalg_bench.sh` redirects stdout into
-//! `results/BENCH_linalg.json`, and `scripts/check_linalg_regression.sh`
-//! gates changes against the committed copy.
+//! Prints one flat JSON object, one key per line, to stdout; progress
+//! goes to stderr. `results/BENCH_linalg.json` is the committed copy,
+//! recorded from a `RUSTFLAGS="-C target-cpu=native"` build pinned to
+//! one core (`taskset -c 0`; README "Kernel performance" has the
+//! commands); `cargo xtask gate linalg <report>` judges a fresh report
+//! against it.
 //!
 //! Environment knobs (all optional):
 //!

@@ -3,15 +3,14 @@
 //! probability schemes × classification / link prediction / structure
 //! preservation — serialized for the quality regression gate.
 //!
-//! Prints one flat JSON object — one key per line, so `awk`/`grep` can
-//! parse it without a JSON library — to stdout; progress goes to stderr.
-//! `scripts/run_quality_bench.sh` redirects stdout into
-//! `results/BENCH_quality.json`, and
-//! `scripts/check_quality_regression.sh` gates changes against the
-//! committed copy.
+//! Prints one flat JSON object, one key per line, to stdout; progress
+//! goes to stderr. `results/BENCH_quality.json` is the committed copy
+//! (`cargo run --release -p lightne-bench --bin bench_quality_json >
+//! results/BENCH_quality.json`); `cargo xtask gate quality <report>`
+//! judges a fresh report against it.
 //!
 //! Each scenario's *primary* metric also gets a `floor_` key (measured
-//! value minus a statistical margin); the check script compares a fresh
+//! value minus a statistical margin); the gate compares a fresh
 //! report's measured values against the committed floors, so quality can
 //! only ratchet within the margin, never silently collapse.
 //!
@@ -45,7 +44,7 @@ fn floor_margin(task: Task) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse(1.0, 32);
+    let args = Args::from_env(1.0, 32);
     let cfg = MatrixConfig {
         target_n: env_usize("TARGET_N", 4_000),
         dim: args.dim,

@@ -13,7 +13,7 @@ use lightne_eval::cost::CostModel;
 use lightne_gen::profiles::Profile;
 
 fn main() {
-    let args = Args::parse(0.001, 32);
+    let args = Args::from_env(0.001, 32);
 
     header("Table 2: hardware configurations and Azure pricing");
     print!("{}", CostModel::table2());

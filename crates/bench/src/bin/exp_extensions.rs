@@ -17,7 +17,7 @@ use lightne_eval::clustering::{kmeans, nmi};
 use lightne_gen::profiles::Profile;
 
 fn main() {
-    let args = Args::parse(0.0001, 32);
+    let args = Args::from_env(0.0001, 32);
 
     header("spectral gaps of the dataset profiles (Theorem 3.2 precondition)");
     println!("{:<18} {:>9} {:>9}", "profile", "lambda2", "gap");

@@ -13,7 +13,7 @@ use lightne_eval::classify::evaluate_node_classification;
 use lightne_gen::profiles::Profile;
 
 fn main() {
-    let args = Args::parse(0.0001, 32);
+    let args = Args::from_env(0.0001, 32);
     let window = 10;
     let ratios = [0.01, 0.10]; // scaled analogues of the paper's two panels
 

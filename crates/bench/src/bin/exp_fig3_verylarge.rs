@@ -13,7 +13,7 @@ use lightne_eval::linkpred::{rank_held_out, split_edges};
 use lightne_gen::profiles::Profile;
 
 fn main() {
-    let args = Args::parse(0.00002, 32);
+    let args = Args::from_env(0.00002, 32);
 
     for profile in [Profile::ClueWebSym, Profile::Hyperlink2014Sym] {
         let data = profile.generate(args.scale, args.seed);

@@ -20,7 +20,7 @@ use lightne_gen::profiles::Profile;
 use lightne_linalg::DenseMatrix;
 
 fn main() {
-    let args = Args::parse(0.15, 32);
+    let args = Args::from_env(0.15, 32);
 
     let panels: [(Profile, f64, Vec<f64>); 2] = [
         (Profile::BlogCatalog, args.scale, vec![0.1, 0.3, 0.5, 0.7, 0.9]),

@@ -19,7 +19,7 @@ use lightne_eval::linkpred::{rank_held_out, split_edges};
 use lightne_gen::profiles::Profile;
 
 fn main() {
-    let args = Args::parse(0.0008, 64);
+    let args = Args::from_env(0.0008, 64);
     let ratios = [0.01, 0.05, 0.10];
 
     // --- node classification on the two Friendster profiles ---

@@ -56,7 +56,7 @@ fn print_rows(title: &str, rows: &[(String, Duration, Vec<F1Scores>)], ratios: &
 }
 
 fn main() {
-    let args = Args::parse(0.0001, 32);
+    let args = Args::from_env(0.0001, 32);
     let window = 10;
     let ratios = [0.01, 0.05, 0.10, 0.50];
 

@@ -22,7 +22,7 @@ use lightne_eval::linkpred::{rank_held_out, split_edges};
 use lightne_gen::profiles::Profile;
 
 fn main() {
-    let args = Args::parse(0.002, 64);
+    let args = Args::from_env(0.002, 64);
 
     header("Section 5.2.1: PBG vs LightNE on LiveJournal (link prediction)");
     let data = Profile::LiveJournal.generate(args.scale, args.seed);

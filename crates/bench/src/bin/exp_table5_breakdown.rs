@@ -56,7 +56,7 @@ fn row(name: &str, stats: &RunStats) {
 }
 
 fn main() {
-    let args = Args::parse(0.0001, 32);
+    let args = Args::from_env(0.0001, 32);
     let window = 10;
     let data = Profile::Oag.generate(args.scale, args.seed);
     println!("{}", data.stats_row());

@@ -1,9 +1,9 @@
 //! Benchmark harness for the LightNE reproduction.
 //!
 //! One binary per table/figure of the paper's evaluation (Section 5) lives
-//! in `src/bin/`; Criterion micro-benchmarks live in `benches/`. This
-//! library hosts the shared plumbing: argument parsing, run timing and
-//! table rendering.
+//! in `src/bin/`, next to the `bench_{linalg,graph,quality}_json` bins
+//! whose flat JSON reports `cargo xtask gate` judges. This library hosts
+//! the shared plumbing: argument parsing, run timing and table rendering.
 //!
 //! Every binary accepts `--scale <f>` (vertex-count multiplier applied to
 //! the paper dataset profiles; defaults are laptop-sized), `--seed <n>`
@@ -20,7 +20,7 @@ pub mod harness {
     use std::time::{Duration, Instant};
 
     /// Common command-line arguments of every experiment binary.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct Args {
         /// Vertex-count multiplier applied to dataset profiles.
         pub scale: f64,
@@ -28,50 +28,42 @@ pub mod harness {
         pub seed: u64,
         /// Embedding dimension.
         pub dim: usize,
-        /// Regression gate: fail the process if a run's peak heap bytes
-        /// (per `RunStats`) exceed this bound. `None` = report only.
-        pub check_peak_bytes: Option<usize>,
+    }
+
+    fn value<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
+        val.parse().map_err(|_| format!("bad value for {key}: {val:?}"))
     }
 
     impl Args {
-        /// Parses `--scale`, `--seed`, `--dim` and `--check-peak-bytes`
-        /// from `std::env::args`, with the given defaults.
-        pub fn parse(default_scale: f64, default_dim: usize) -> Self {
-            let mut out =
-                Self { scale: default_scale, seed: 42, dim: default_dim, check_peak_bytes: None };
-            let argv: Vec<String> = std::env::args().collect();
-            let mut i = 1;
-            while i < argv.len() {
-                let key = argv[i].as_str();
-                // xtask:panic-ok(bench CLI: aborting with a message on bad argv is the intended interface of a dev harness)
-                let val = argv.get(i + 1).unwrap_or_else(|| panic!("{key} needs a value"));
-                match key {
-                    // xtask:panic-ok(bench CLI abort on malformed flag value)
-                    "--scale" => out.scale = val.parse().expect("bad --scale"),
-                    "--seed" => out.seed = val.parse().expect("bad --seed"),
-                    "--dim" => out.dim = val.parse().expect("bad --dim"),
-                    "--check-peak-bytes" => {
-                        // xtask:panic-ok(bench CLI abort on malformed flag value)
-                        out.check_peak_bytes = Some(val.parse().expect("bad --check-peak-bytes"));
-                    }
-                    // xtask:panic-ok(bench CLI abort on unknown flag)
-                    other => panic!("unknown argument {other}"),
+        /// Parses `--scale`, `--seed` and `--dim` from `argv` (program
+        /// name excluded), with the given defaults.
+        pub fn parse(
+            argv: &[String],
+            default_scale: f64,
+            default_dim: usize,
+        ) -> Result<Self, String> {
+            let mut out = Self { scale: default_scale, seed: 42, dim: default_dim };
+            let mut it = argv.iter();
+            while let Some(key) = it.next() {
+                let val = it.next().ok_or_else(|| format!("{key} needs a value"))?;
+                match key.as_str() {
+                    "--scale" => out.scale = value(key, val)?,
+                    "--seed" => out.seed = value(key, val)?,
+                    "--dim" => out.dim = value(key, val)?,
+                    other => return Err(format!("unknown argument {other}")),
                 }
-                i += 2;
             }
-            out
+            Ok(out)
         }
 
-        /// Enforces the `--check-peak-bytes` gate against a measured peak:
-        /// prints the verdict and exits non-zero on regression. A no-op
-        /// when the flag was not passed.
-        pub fn enforce_peak_bytes(&self, peak: usize) {
-            let Some(limit) = self.check_peak_bytes else { return };
-            if peak > limit {
-                eprintln!("MEMORY REGRESSION: peak heap {peak} bytes exceeds budget {limit} bytes");
-                std::process::exit(1);
-            }
-            println!("peak heap {peak} bytes within budget {limit} bytes");
+        /// [`Args::parse`] of the process arguments; a bad command line
+        /// prints the message and the usage and exits with status 2.
+        pub fn from_env(default_scale: f64, default_dim: usize) -> Self {
+            let argv: Vec<String> = std::env::args().skip(1).collect();
+            Self::parse(&argv, default_scale, default_dim).unwrap_or_else(|e| {
+                eprintln!("error: {e}\nusage: [--scale <f>] [--seed <n>] [--dim <d>]");
+                std::process::exit(2)
+            })
         }
     }
 
@@ -110,6 +102,17 @@ mod tests {
         });
         assert_eq!(v, 7);
         assert!(d >= std::time::Duration::from_millis(5));
+    }
+
+    #[test]
+    fn args_parse_reports_bad_command_lines() {
+        let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let ok = Args::parse(&argv("--scale 0.5 --dim 8"), 1.0, 32).unwrap();
+        assert_eq!(ok, Args { scale: 0.5, seed: 42, dim: 8 });
+        let err = |s: &str| Args::parse(&argv(s), 1.0, 32).unwrap_err();
+        assert_eq!(err("--check-peak-bytes 1"), "unknown argument --check-peak-bytes");
+        assert_eq!(err("--seed"), "--seed needs a value");
+        assert_eq!(err("--dim banana"), "bad value for --dim: \"banana\"");
     }
 
     #[test]

@@ -243,7 +243,6 @@ impl RunContext {
             threads: lightne_utils::parallel::num_threads(),
             simd_tier: lightne_linalg::simd::active_tier().name().to_string(),
             simd_features: lightne_linalg::simd::detected_features(),
-            pinned: lightne_utils::affinity::pinning_enabled(),
             resume_fallbacks: self.fallbacks,
             stages: self.records,
         }
@@ -263,8 +262,6 @@ pub struct RunStats {
     /// CPU features detected at runtime (comma-separated), independent of
     /// which tier was actually selected.
     pub simd_features: String,
-    /// Whether shard→core worker pinning was active (`--pin-shards`).
-    pub pinned: bool,
     /// Resume degradations: one note per invalid artifact the run skipped
     /// (empty for straight runs and clean resumes).
     pub resume_fallbacks: Vec<String>,
@@ -291,7 +288,6 @@ impl RunStats {
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"simd_tier\": \"{}\",\n", escape_json(&self.simd_tier)));
         out.push_str(&format!("  \"simd_features\": \"{}\",\n", escape_json(&self.simd_features)));
-        out.push_str(&format!("  \"pinned\": {},\n", self.pinned));
         out.push_str(&format!("  \"total_secs\": {},\n", self.total_secs()));
         out.push_str("  \"resume_fallbacks\": [");
         for (i, note) in self.resume_fallbacks.iter().enumerate() {
@@ -561,11 +557,6 @@ pub fn run_pipeline<S: PipelineSource>(
         Some(hook) => RunContext::with_progress(cfg.seed, hook),
         None => RunContext::new(cfg.seed),
     };
-
-    // Shard→core affinity for the sample→aggregate stage (`--pin-shards`).
-    // Registered for the whole run — scheduling only; output bytes are
-    // identical pinned or not.
-    lightne_utils::affinity::set_worker_pinning(cfg.pin_shards);
 
     let g = src.graph();
     let n = g.num_vertices();
@@ -953,7 +944,6 @@ mod tests {
             threads: 1,
             simd_tier: "scalar".into(),
             simd_features: "sse2".into(),
-            pinned: false,
             stages: vec![rec],
             resume_fallbacks: vec![],
         };

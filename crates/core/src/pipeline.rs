@@ -45,11 +45,6 @@ pub struct LightNeConfig {
     /// `1` is the paper's single shared table). Output bytes are
     /// identical at every count.
     pub shards: usize,
-    /// Pins rayon workers to cores for the sample→aggregate stage
-    /// (`--pin-shards`), keeping each shard's table cache-resident on
-    /// one core. Off by default; output bytes are identical either way
-    /// (see `lightne_utils::affinity`).
-    pub pin_shards: bool,
 }
 
 impl Default for LightNeConfig {
@@ -67,7 +62,6 @@ impl Default for LightNeConfig {
             propagation: Some(PropagationConfig::default()),
             seed: 0x11_97,
             shards: 0,
-            pin_shards: false,
         }
     }
 }
@@ -88,11 +82,10 @@ impl LightNeConfig {
     /// the run fingerprint stored in artifact metadata, so resuming with
     /// artifacts from a differently-parameterized run is rejected.
     ///
-    /// Deliberately excluded: `shards` and `pin_shards` (table layout and
-    /// scheduling, with byte-identical output) and `propagation` (runs
-    /// after the deepest checkpointed artifact, so it never invalidates
-    /// one). Floats
-    /// are rendered by their exact bit patterns — fingerprints compare
+    /// Deliberately excluded: `shards` (table layout, with
+    /// byte-identical output) and `propagation` (runs after the deepest
+    /// checkpointed artifact, so it never invalidates one). Floats are
+    /// rendered by their exact bit patterns — fingerprints compare
     /// identity, not approximate equality.
     pub fn fingerprint_text(&self) -> String {
         let c_factor = match self.c_factor {

@@ -7,8 +7,7 @@
 //! graph-structure preservation — producing one [`ScenarioResult`] per
 //! `(profile, task, scheme)` cell. `bench_quality_json` serializes the
 //! matrix into the committed `results/BENCH_quality.json` trajectory, and
-//! `scripts/check_quality_regression.sh` gates CI on its per-scenario
-//! floors.
+//! `cargo xtask gate quality` gates CI on its per-scenario floors.
 //!
 //! Profiles are rescaled so every generated graph has roughly
 //! `target_n` vertices: the paper's datasets span 10K to 1.7B vertices,

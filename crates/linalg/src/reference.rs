@@ -10,10 +10,9 @@
 //!
 //! 1. **Oracles** — the kernel property tests pin the blocked kernels
 //!    against these at adversarial shapes.
-//! 2. **Baselines** — `bench_linalg` and `bench_linalg_json` measure the
-//!    blocked kernels' speedup over exactly this code, which is what the
-//!    committed `BENCH_linalg.json` trajectory and the
-//!    `check_linalg_regression.sh` gate track.
+//! 2. **Baselines** — `bench_linalg_json` measures the blocked kernels'
+//!    speedup over exactly this code, which is what the committed
+//!    `BENCH_linalg.json` trajectory and `cargo xtask gate linalg` track.
 //!
 //! Do not "fix" or optimize anything here; the whole point is that it
 //! stays the pre-PR baseline. (The one exception: the parallel branches

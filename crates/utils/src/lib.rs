@@ -21,15 +21,11 @@
 //!   `failpoints`) that the crash-consistency test matrix arms to inject
 //!   I/O errors, torn writes, bit flips and crashes at every checkpoint
 //!   boundary.
-//! * [`affinity`] — opt-in shard→core worker pinning for the
-//!   sample→aggregate stage (`--pin-shards`); the crate's sole unsafe
-//!   module (one raw `sched_setaffinity` syscall, xtask-L1-isolated).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod atomic;
 pub mod checksum;
 pub mod faults;

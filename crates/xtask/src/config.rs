@@ -17,15 +17,13 @@ pub const DETERMINISTIC_PATH: &[&str] =
 /// The graph crate's zero-copy mmap wrapper is the sole unsafe surface of
 /// the format stack — everything above it (container parsing, Elias–Fano,
 /// bit codecs) must stay fully safe so the auditable surface is one file.
-/// Likewise the linalg crate confines all SIMD intrinsics to `simd.rs`,
-/// the hash table its one prefetch hint to `prefetch.rs`, and the utils
-/// crate its one affinity syscall to `affinity.rs` — the numeric kernels,
-/// probe loops, and parallel helpers above them stay fully safe.
+/// Likewise the linalg crate confines all SIMD intrinsics to `simd.rs`
+/// and the hash table its one prefetch hint to `prefetch.rs` — the
+/// numeric kernels and probe loops above them stay fully safe.
 pub const L1_UNSAFE_ISOLATED: &[(&str, &str)] = &[
     ("crates/graph/src", "crates/graph/src/mmap.rs"),
     ("crates/linalg/src", "crates/linalg/src/simd.rs"),
     ("crates/hashtable/src", "crates/hashtable/src/prefetch.rs"),
-    ("crates/utils/src", "crates/utils/src/affinity.rs"),
 ];
 
 /// Files allowed to contain raw parallel float reductions (L3). These are

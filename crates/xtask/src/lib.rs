@@ -20,6 +20,7 @@ pub mod analyze;
 pub mod callgraph;
 pub mod config;
 pub mod diagnostics;
+pub mod gate;
 pub mod lexer;
 pub mod lints;
 pub mod parser;

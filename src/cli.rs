@@ -135,7 +135,6 @@ fn lightne_config(o: &Opts) -> Result<LightNeConfig, String> {
         propagation: if o.flag("no-propagation") { None } else { Some(Default::default()) },
         seed: o.num("seed", 42u64)?,
         shards: o.num("shards", 0usize)?,
-        pin_shards: o.flag("pin-shards"),
         ..Default::default()
     };
     cfg.validate().map_err(|e| format!("bad option: {e}"))?;
@@ -273,10 +272,8 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
             say(format!("{}", result.stats))?;
             say(format!("threads: {}", result.stats.threads))?;
             say(format!(
-                "simd: {} tier (detected: {}){}",
-                result.stats.simd_tier,
-                result.stats.simd_features,
-                if result.stats.pinned { "; workers pinned" } else { "" }
+                "simd: {} tier (detected: {})",
+                result.stats.simd_tier, result.stats.simd_features
             ))?;
             say(format!(
                 "sampler: {} trials, {} kept, {} distinct; NetMF nnz {}",

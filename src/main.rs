@@ -8,7 +8,7 @@
 //! lightne embed    --graph graph.lne --out emb.txt [--dim D] [--window T]
 //!                  [--ratio R] [--no-downsample] [--sparsify-prob degree|psne]
 //!                  [--no-propagation]
-//!                  [--weighted] [--seed N] [--shards N] [--pin-shards]
+//!                  [--weighted] [--seed N] [--shards N]
 //!                  [--graph-format csr|v2] [--codec C] [--block-size B]
 //!                  [--mmap] [--save-artifacts DIR] [--resume-from DIR]
 //!                  [--strict-resume] [--stats-json PATH]
@@ -42,9 +42,7 @@
 //! and peak heap bytes. `--shards N` sets the shard count of the
 //! vertex-range-sharded aggregation table (0 = automatic, 1 = a single
 //! shared table); output bytes are identical at every count.
-//! `--pin-shards` pins rayon workers to cores for the sample→aggregate
-//! stage (off by default; scheduling only, output bytes unchanged). The
-//! numeric kernels pick their SIMD tier at runtime (`LIGHTNE_SIMD=scalar|avx2|avx512` caps it); the chosen tier and the
+//! The numeric kernels pick their SIMD tier at runtime (`LIGHTNE_SIMD=scalar|avx2|avx512` caps it); the chosen tier and the
 //! detected feature set are printed and recorded in `--stats-json`. The
 //! implementation lives in [`lightne::cli`].
 //!

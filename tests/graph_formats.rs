@@ -43,11 +43,16 @@ fn all_graph_representations_embed_bit_identically() {
         let graph_bytes = |o: &lightne::core::LightNeOutput| {
             o.stats.get(STAGE_SPARSIFIER).unwrap().counter("graph_bytes").unwrap()
         };
+        // The stage with the largest heap, and that heap.
+        let peak = |o: &lightne::core::LightNeOutput| {
+            let s = o.stats.stages.iter().max_by_key(|s| s.heap_bytes).unwrap();
+            (s.name.clone(), s.heap_bytes)
+        };
 
         // Across codecs (the arena layout must not leak into the sampled
         // stream), each heap-owned and memory-mapped from disk: same
         // bytes, and zero resident heap for the mapped adjacency — which
-        // the engine reports as stage heap.
+        // the engine reports as stage heap, so the mapped run peaks lower.
         for codec in [Codec::Byte, Codec::RiceAdaptive, Codec::Gamma, Codec::Zeta(3)] {
             let name = codec.name();
             let path = tmp(&format!("{profile:?}_{name}.lng2"));
@@ -69,6 +74,14 @@ fn all_graph_representations_embed_bit_identically() {
                 "{profile:?}: mmap {name} diverges from CSR"
             );
             assert_eq!(graph_bytes(&out_mapped), 0, "mapped container must report no heap");
+            // The point of out-of-core loading, given sparsify is the peak.
+            let (owned_stage, owned_peak) = peak(&out_owned);
+            assert_eq!(owned_stage, STAGE_SPARSIFIER, "{profile:?}/{name}: precondition");
+            let (_, mapped_peak) = peak(&out_mapped);
+            assert!(
+                mapped_peak < owned_peak,
+                "{profile:?}/{name}: mmap peak heap {mapped_peak} not below owned {owned_peak}"
+            );
             std::fs::remove_file(&path).ok();
         }
         assert!(

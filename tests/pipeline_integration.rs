@@ -5,6 +5,7 @@
 use lightne::baselines::{ProNe, ProNeConfig};
 use lightne::core::{LightNe, LightNeConfig};
 use lightne::eval::classify::evaluate_node_classification;
+use lightne::gen::profiles::Profile;
 use lightne::gen::sbm::{labelled_sbm, SbmConfig};
 use lightne::graph::{Codec, V2Graph};
 use lightne::linalg::DenseMatrix;
@@ -82,6 +83,23 @@ fn compressed_pipeline_is_bit_compatible() {
     );
     assert_eq!(a.sampler.trials, b.sampler.trials);
     assert_eq!(a.sampler.kept, b.sampler.kept);
+}
+
+#[test]
+fn peak_stage_heap_stays_within_the_committed_budget() {
+    // The §5.2.4 ablation point on the tiny OAG profile. The peak is the
+    // sparsifier table's 16 MiB capacity plus the graph, deterministic in
+    // the seed; the budget allows the next doubling step and no more.
+    const BUDGET: usize = 24 << 20;
+    let g = Profile::Oag.generate(0.000035, 42).graph;
+    let base = LightNeConfig { dim: 32, window: 5, sample_ratio: 2.0, ..Default::default() };
+    let peak = |downsample| {
+        let out = LightNe::new(LightNeConfig { downsample, ..base }).embed(&g);
+        out.stats.stages.iter().map(|s| s.heap_bytes).max().unwrap()
+    };
+    let peak = peak(false).max(peak(true));
+    assert!(peak <= BUDGET, "peak stage heap {peak} bytes exceeds the {BUDGET}-byte budget");
+    assert!(peak > BUDGET / 2, "peak stage heap {peak} bytes: halve the budget so it still binds");
 }
 
 #[test]
