@@ -1,7 +1,17 @@
 //! Graph-format benchmark: the compressed container under every codec of
 //! the sweep — compression ratio (bits/edge) and decode throughput,
-//! sequential and random — with the parallel-byte code (`byte`, the
-//! paper's format) as the reference row of the summary ratios.
+//! sequential, random and walked — with the parallel-byte code (`byte`,
+//! the paper's format) as the reference row of the summary ratios.
+//!
+//! The `rand` rows probe vertices drawn *uniformly*; a random walk sits on
+//! vertices in proportion to their degree, so it over-weights exactly the
+//! hubs a uniform draw under-weights. The `walk` rows are that workload:
+//! one seeded walk, the same trajectory on every backend (the step draws
+//! are backend-independent), in million steps per second, with CSR as the
+//! reference of `walk_slowdown_best`. `hub_rand_maccess_per_sec` probes
+//! the hub of a 2¹⁷-leaf star, where every access seeks one of 2 048
+//! blocks: it stays near the `arice` `rand` row only if a seek does not
+//! depend on the degree.
 //!
 //! Prints one flat JSON object, one key per line, to stdout; progress
 //! goes to stderr. `results/BENCH_graph.json` is the committed copy
@@ -17,7 +27,8 @@
 
 use lightne_bench::harness::{timed, Args};
 use lightne_gen::profiles::Profile;
-use lightne_graph::{Codec, Graph, GraphAccess, V2Graph};
+use lightne_graph::walk::walk;
+use lightne_graph::{Codec, Graph, GraphAccess, GraphBuilder, V2Graph, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;
 use std::hint::black_box;
 
@@ -25,48 +36,81 @@ fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// Seconds of the fastest of `reps` runs of `work` (noise on a shared
+/// machine only ever adds time); the result goes through `black_box`.
+fn best_secs<T>(reps: usize, mut work: impl FnMut() -> T) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let (out, d) = timed(&mut work);
+            black_box(out);
+            d.as_secs_f64()
+        })
+        .fold(f64::MAX, f64::min)
+}
+
 /// Sequential decode: full adjacency scan through the [`GraphAccess`]
 /// interface (the same dynamic-dispatch cost for every format), in
-/// million arcs per second. Best of `reps` (noise on a shared machine
-/// only ever adds time).
+/// million arcs per second.
 fn seq_medges_per_sec(g: &dyn GraphAccess, reps: usize) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        let (acc, d) = timed(|| {
-            let mut acc = 0u64;
-            for v in 0..g.num_vertices() as u32 {
-                g.for_each_neighbor(v, &mut |u| acc = acc.wrapping_add(u as u64));
-            }
-            acc
-        });
-        black_box(acc);
-        best = best.min(d.as_secs_f64());
-    }
-    g.num_arcs() as f64 / best / 1e6
+    let secs = best_secs(reps, || {
+        let mut acc = 0u64;
+        for v in 0..g.num_vertices() as u32 {
+            g.for_each_neighbor(v, &mut |u| acc = acc.wrapping_add(u as u64));
+        }
+        acc
+    });
+    g.num_arcs() as f64 / secs / 1e6
 }
 
 /// Random access: `probes` uniform `ith_neighbor` lookups, in million
-/// accesses per second. Best of `reps`.
+/// accesses per second.
 fn rand_maccess_per_sec(g: &dyn GraphAccess, probes: usize, seed: u64, reps: usize) -> f64 {
     let n = g.num_vertices();
-    let mut best = f64::MAX;
-    for _ in 0..reps {
+    let secs = best_secs(reps, || {
         let mut rng = XorShiftStream::new(seed, 1);
-        let (acc, d) = timed(|| {
-            let mut acc = 0u64;
-            for _ in 0..probes {
-                let v = rng.bounded_usize(n) as u32;
-                let deg = g.degree(v);
-                if deg > 0 {
-                    acc = acc.wrapping_add(g.ith_neighbor(v, rng.bounded_usize(deg)) as u64);
-                }
+        let mut acc = 0u64;
+        for _ in 0..probes {
+            let v = rng.bounded_usize(n) as u32;
+            let deg = g.degree(v);
+            if deg > 0 {
+                acc = acc.wrapping_add(g.ith_neighbor(v, rng.bounded_usize(deg)) as u64);
             }
-            acc
-        });
-        black_box(acc);
-        best = best.min(d.as_secs_f64());
-    }
-    probes as f64 / best / 1e6
+        }
+        acc
+    });
+    probes as f64 / secs / 1e6
+}
+
+/// Degree-biased access: one `steps`-step walk from `start` on the
+/// seeded stream every backend replays, in million steps per second,
+/// with the end vertex as the trajectory's witness.
+fn walk_msteps_per_sec<G: WeightedOps>(
+    g: &G,
+    start: VertexId,
+    steps: usize,
+    seed: u64,
+    reps: usize,
+) -> (f64, VertexId) {
+    let mut end = start;
+    let secs = best_secs(reps, || end = walk(g, start, steps, &mut XorShiftStream::new(seed, 2)));
+    (steps as f64 / secs / 1e6, end)
+}
+
+/// Uniform `ith_neighbor` probes of the hub of a `2^17`-leaf star under
+/// `arice`, in million accesses per second. Not scaled: the point is
+/// the hub's 2 048 blocks.
+fn hub_rand_maccess_per_sec(probes: usize, seed: u64, reps: usize) -> f64 {
+    const LEAVES: u32 = 1 << 17;
+    let edges: Vec<(VertexId, VertexId)> = (1..=LEAVES).map(|v| (0, v)).collect();
+    let star = GraphBuilder::from_edges(LEAVES as usize + 1, &edges);
+    let v2 = V2Graph::from_graph(&star, Codec::RiceAdaptive);
+    let secs = best_secs(reps, || {
+        let mut rng = XorShiftStream::new(seed, 3);
+        (0..probes).fold(0u64, |acc, _| {
+            acc.wrapping_add(v2.ith_neighbor(0, rng.bounded_usize(LEAVES as usize)) as u64)
+        })
+    });
+    probes as f64 / secs / 1e6
 }
 
 fn main() {
@@ -95,8 +139,15 @@ fn main() {
 
     let bits_per_edge = |bytes: usize| bytes as f64 * 8.0 / arcs as f64;
 
+    // --- The walk every backend replays, from the largest hub (inside
+    // the giant component), and its CSR reference row.
+    let start = (0..n as VertexId).max_by_key(|&v| g.degree(v)).unwrap_or(0);
+    let (csr_walk, walk_end) = walk_msteps_per_sec(&g, start, probes, args.seed, reps);
+    eprintln!("csr: walk {csr_walk:.2} Msteps/s");
+    put("csr_walk_msteps_per_sec", format!("{csr_walk:.4}"));
+
     // --- Per codec: container bytes (EF offsets + arena + header).
-    let mut best: Option<(Codec, usize, f64, f64)> = None;
+    let mut best: Option<(Codec, usize, f64, f64, f64)> = None;
     let (mut byte_bpe, mut byte_seq, mut byte_rand) = (0.0, 0.0, 0.0); // the reference row
     for codec in Codec::SWEEP {
         let name = codec.name();
@@ -106,18 +157,28 @@ fn main() {
         let bpe = bits_per_edge(bytes);
         let seq = seq_medges_per_sec(&v2, reps);
         let rand = rand_maccess_per_sec(&v2, probes, args.seed, reps);
-        eprintln!("v2/{name}: {bpe:.3} bits/edge, seq {seq:.1} Marcs/s, rand {rand:.2} M/s");
+        let (walked, end) = walk_msteps_per_sec(&v2, start, probes, args.seed, reps);
+        assert_eq!(end, walk_end, "v2/{name} walked a different trajectory than CSR");
+        eprintln!(
+            "v2/{name}: {bpe:.3} bits/edge, seq {seq:.1} Marcs/s, rand {rand:.2} M/s, \
+             walk {walked:.2} Msteps/s"
+        );
         put(&format!("v2_{name}_bytes"), bytes.to_string());
         put(&format!("v2_{name}_bits_per_edge"), format!("{bpe:.4}"));
         put(&format!("v2_{name}_seq_medges_per_sec"), format!("{seq:.3}"));
         put(&format!("v2_{name}_rand_maccess_per_sec"), format!("{rand:.4}"));
+        put(&format!("v2_{name}_walk_msteps_per_sec"), format!("{walked:.4}"));
         if codec == Codec::Byte {
             (byte_bpe, byte_seq, byte_rand) = (bpe, seq, rand);
         }
-        if best.as_ref().is_none_or(|(_, b, _, _)| bytes < *b) {
-            best = Some((codec, bytes, seq, rand));
+        if best.as_ref().is_none_or(|(_, b, ..)| bytes < *b) {
+            best = Some((codec, bytes, seq, rand, walked));
         }
     }
+
+    let hub = hub_rand_maccess_per_sec(probes, args.seed, reps);
+    eprintln!("star hub (2^17 leaves, arice): rand {hub:.2} M/s");
+    put("hub_rand_maccess_per_sec", format!("{hub:.4}"));
 
     // --- The paper's §4.2 block-size trade-off on the byte code: small
     // blocks fetch a neighbour faster, large ones compress better.
@@ -131,14 +192,16 @@ fn main() {
         put(&format!("byte_block{block}_rand_maccess_per_sec"), format!("{rand:.4}"));
     }
 
-    // --- Summary the regression gate reads: smallest codec vs `byte`.
-    let (codec, bytes, seq, rand) = best.expect("codec sweep is non-empty");
+    // --- Summary the regression gate reads: smallest codec vs `byte`,
+    // and its walk vs CSR's.
+    let (codec, bytes, seq, rand, walked) = best.expect("codec sweep is non-empty");
     let best_bpe = bits_per_edge(bytes);
     put("v2_best_codec", format!("\"{}\"", codec.name()));
     put("v2_best_bits_per_edge", format!("{best_bpe:.4}"));
     put("bits_ratio_best", format!("{:.4}", best_bpe / byte_bpe));
     put("seq_slowdown_best", format!("{:.4}", byte_seq / seq));
     put("rand_slowdown_best", format!("{:.4}", byte_rand / rand));
+    put("walk_slowdown_best", format!("{:.4}", csr_walk / walked));
 
     println!("{{\n{}\n}}", lines.join(",\n"));
 }

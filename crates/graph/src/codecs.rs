@@ -203,24 +203,64 @@ fn zeta_span(h: u32, k: u32) -> u64 {
     full.min(cap) as u64
 }
 
+/// The eight bytes at `byte..`, zero-padded past the end of `data`.
+#[cold]
+fn load_tail(data: &[u8], byte: usize) -> u64 {
+    let mut a = [0u8; 8];
+    for (i, slot) in a.iter_mut().enumerate() {
+        *slot = data.get(byte.saturating_add(i)).copied().unwrap_or(0);
+    }
+    u64::from_be_bytes(a)
+}
+
 /// An MSB-first bounds-checked bit source over `&[u8]`.
 ///
 /// The reader never indexes past the slice: every method returns
 /// [`GraphFormatError::Truncated`] when the stream ends mid-value, which
 /// is what makes it safe to point at untrusted (e.g. memory-mapped)
 /// bytes.
+///
+/// Decoding runs off a buffered 64-bit *window*: a codeword that lies
+/// inside what is buffered is parsed and shifted out without touching
+/// memory, and only when one does not fit is the window reloaded. The
+/// load then leaves the symbol-to-symbol dependency chain (position →
+/// load → byte swap → shift → leading-zero count → position), which is
+/// what bounds a block decode.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
     /// Current position in bits from the start of `data`.
     pos: u64,
+    /// One past the last readable bit (at most `8 · data.len()`).
+    end: u64,
+    /// The stream bits at `pos..pos + avail`, left-aligned; every bit
+    /// below them is zero.
+    win: u64,
+    /// Buffered bits in `win`; `pos + avail ≤ end`.
+    avail: u32,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader positioned at bit `pos` of `data`.
     #[inline]
     pub fn new(data: &'a [u8], pos: u64) -> Self {
-        Self { data, pos }
+        Self::within(data, pos, u64::MAX)
+    }
+
+    /// A reader at bit `pos` that refuses to read at or past bit `end`
+    /// (clamped to the slice): the container confines each vertex's
+    /// decode to that vertex's own span this way.
+    #[inline]
+    pub(crate) fn within(data: &'a [u8], pos: u64, end: u64) -> Self {
+        Self { data, pos, end: end.min(data.len() as u64 * 8), win: 0, avail: 0 }
+    }
+
+    /// Moves the reader to bit `pos`.
+    #[inline]
+    pub(crate) fn seek(&mut self, pos: u64) {
+        self.pos = pos;
+        self.win = 0;
+        self.avail = 0;
     }
 
     /// Current position in bits.
@@ -229,50 +269,96 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
-    /// Total bits available in the underlying slice.
+    /// One past the last bit this reader may read.
     #[inline]
     pub fn len_bits(&self) -> u64 {
-        self.data.len() as u64 * 8
+        self.end
     }
 
-    /// Fetches up to 57 bits starting at `self.pos` into the high-to-low
-    /// order of the return value *without* advancing. Bits past the end of
-    /// the slice read as zero; callers check the requested width against
-    /// [`BitReader::len_bits`] before trusting them.
-    #[inline]
-    fn peek(&self) -> u64 {
+    /// Reloads the window from `pos`: at least 57 bits, or all that
+    /// remain before `end`.
+    #[inline(always)]
+    fn refill(&mut self) {
         let byte = (self.pos / 8) as usize;
         let shift = (self.pos % 8) as u32;
-        // Fast path: 8 whole bytes available.
-        let w = if byte + 8 <= self.data.len() {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&self.data[byte..byte + 8]);
-            u64::from_be_bytes(a)
-        } else {
-            let mut a = [0u8; 8];
-            for (i, slot) in a.iter_mut().enumerate() {
-                *slot = self.data.get(byte + i).copied().unwrap_or(0);
-            }
-            u64::from_be_bytes(a)
+        let raw = match self.data.get(byte..).and_then(|d| d.first_chunk::<8>()) {
+            Some(whole) => u64::from_be_bytes(*whole),
+            None => load_tail(self.data, byte),
         };
-        // Drop the `shift` already-consumed bits of the first byte; the
-        // top 64 − shift bits of the result are valid stream bits.
-        w << shift
+        let left = self.end.saturating_sub(self.pos);
+        self.avail = left.min(64 - shift as u64) as u32;
+        // Clear what lies past `end`, so that a leading-zero count never
+        // reads a bit the reader may not.
+        let keep = u64::MAX.checked_shl(64 - self.avail).unwrap_or(0);
+        self.win = (raw << shift) & keep;
+    }
+
+    /// Runs an out-of-line slow path on a *copy* of the reader and adopts
+    /// the copy. The reader's own address is then never handed to a call
+    /// that is not inlined, which is what lets a decode loop keep
+    /// position and window in registers instead of storing and reloading
+    /// them around every symbol.
+    #[inline(always)]
+    fn detour<T>(&mut self, slow: impl FnOnce(&mut Self) -> T) -> T {
+        #[cold]
+        #[inline(never)]
+        fn detached<'a, T>(
+            mut copy: BitReader<'a>,
+            slow: impl FnOnce(&mut BitReader<'a>) -> T,
+        ) -> (BitReader<'a>, T) {
+            let out = slow(&mut copy);
+            (copy, out)
+        }
+        let (next, out) = detached(self.clone(), slow);
+        *self = next;
+        out
+    }
+
+    /// Drops `n ≤ avail` buffered bits (`n < 64`).
+    #[inline]
+    fn consume(&mut self, n: u32) {
+        self.pos += n as u64;
+        self.win <<= n;
+        self.avail -= n;
+    }
+
+    /// Runs a codeword parser against the window, reloading it once if
+    /// the codeword does not fit what is buffered, and falls back to
+    /// `slow` (out of line, see [`BitReader::detour`]) when it still does
+    /// not. `parse(win, avail)` returns the value and its length (at most
+    /// `avail`, below 64) when the whole codeword lies in the top `avail`
+    /// bits of `win`.
+    #[inline(always)]
+    fn in_window(
+        &mut self,
+        parse: impl Fn(u64, u32) -> Option<(u64, u32)>,
+        slow: impl FnOnce(&mut Self) -> Result<u64, GraphFormatError>,
+    ) -> Result<u64, GraphFormatError> {
+        let (value, len) = match parse(self.win, self.avail) {
+            Some(hit) => hit,
+            None => {
+                self.refill();
+                match parse(self.win, self.avail) {
+                    Some(hit) => hit,
+                    None => return self.detour(slow),
+                }
+            }
+        };
+        self.consume(len);
+        Ok(value)
     }
 
     /// Reads `n ≤ 57` bits as an unsigned value.
-    #[inline]
+    #[inline(always)]
     pub fn read_bits(&mut self, n: u32) -> Result<u64, GraphFormatError> {
         debug_assert!(n <= MAX_BITS);
         if n == 0 {
             return Ok(0);
         }
-        if self.pos + n as u64 > self.len_bits() {
-            return Err(GraphFormatError::Truncated { at_bit: self.pos });
-        }
-        let v = self.peek() >> (64 - n);
-        self.pos += n as u64;
-        Ok(v)
+        self.in_window(
+            |w, avail| (n <= avail).then(|| (w >> (64 - n), n)),
+            |r| Err(GraphFormatError::Truncated { at_bit: r.pos }),
+        )
     }
 
     /// Reads an arbitrary-width (≤ 64) value, splitting long reads.
@@ -287,60 +373,57 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads a unary value (count of zeros before the terminating one).
-    #[inline]
+    #[inline(always)]
     pub fn read_unary(&mut self) -> Result<u64, GraphFormatError> {
         let mut x = 0u64;
         loop {
-            if self.pos >= self.len_bits() {
-                return Err(GraphFormatError::Truncated { at_bit: self.pos });
-            }
-            let w = self.peek();
-            if w == 0 {
-                // All 64 peeked bits are zero: either a very long run or
-                // padding past the end. Advance by the valid bit count.
-                let valid = (self.len_bits() - self.pos).min(57);
-                x += valid;
-                self.pos += valid;
-                if x > u32::MAX as u64 {
-                    // A unary run longer than 2³² bits cannot occur in any
-                    // value this crate encodes; treat it as corruption
-                    // rather than spinning through gigabytes of zeros.
-                    return Err(GraphFormatError::Overflow { at_bit: self.pos });
+            if self.avail == 0 {
+                self.refill();
+                if self.avail == 0 {
+                    return Err(GraphFormatError::Truncated { at_bit: self.pos });
                 }
-                continue;
             }
-            let zeros = w.leading_zeros() as u64;
-            let remaining = self.len_bits() - self.pos;
-            if zeros >= remaining {
-                return Err(GraphFormatError::Truncated { at_bit: self.pos });
+            let zeros = self.win.leading_zeros();
+            if zeros < self.avail {
+                // `zeros + 1` can be all 64 buffered bits.
+                self.pos += zeros as u64 + 1;
+                self.win = self.win.checked_shl(zeros + 1).unwrap_or(0);
+                self.avail -= zeros + 1;
+                return Ok(x + zeros as u64);
             }
-            self.pos += zeros + 1;
-            return Ok(x + zeros);
+            // Every buffered bit is a zero: a long run, or the end.
+            x += self.avail as u64;
+            self.pos += self.avail as u64;
+            (self.win, self.avail) = (0, 0);
+            if x > u32::MAX as u64 {
+                // A unary run longer than 2³² bits cannot occur in any
+                // value this crate encodes; treat it as corruption
+                // rather than spinning through gigabytes of zeros.
+                return Err(GraphFormatError::Overflow { at_bit: self.pos });
+            }
         }
     }
 
     /// Reads a γ-coded value.
     ///
-    /// Fast path: the whole codeword (`2h + 1` bits) is extracted from a
-    /// single [`BitReader::peek`] window — one bounds check, one load —
+    /// Fast path: the whole codeword (`2h + 1` bits) is extracted from
+    /// the window — one length check, no load unless the window ran dry —
     /// which is what keeps bit-granular decoding competitive with the
     /// byte code on the sequential scan.
-    #[inline]
+    #[inline(always)]
     pub fn read_gamma(&mut self) -> Result<u64, GraphFormatError> {
-        let w = self.peek();
-        let z = w.leading_zeros();
-        let need = 2 * z as u64 + 1;
-        if need <= MAX_BITS as u64 && self.pos + need <= self.len_bits() {
-            self.pos += need;
+        let parse = |w: u64, avail: u32| {
+            let need = 2 * w.leading_zeros() + 1;
             // Layout: z zeros, the leading 1, then z mantissa bits — the
             // extracted word *is* `(1 << z) | mantissa`.
-            return Ok((w >> (64 - need)) - 1);
-        }
-        self.read_gamma_slow()
+            (need <= avail.min(MAX_BITS)).then(|| ((w >> (64 - need)) - 1, need))
+        };
+        self.in_window(parse, |r| r.read_gamma_slow())
     }
 
     /// γ decode via the general unary/bits readers: long codewords and
     /// end-of-stream handling.
+    #[cold]
     fn read_gamma_slow(&mut self) -> Result<u64, GraphFormatError> {
         let h = self.read_unary()?;
         if h > 63 {
@@ -350,25 +433,26 @@ impl<'a> BitReader<'a> {
         Ok(((1u64 << h) | mantissa) - 1)
     }
 
-    /// Reads a δ-coded value (single-peek fast path, as in
+    /// Reads a δ-coded value (in-window fast path, as in
     /// [`BitReader::read_gamma`]).
-    #[inline]
+    #[inline(always)]
     pub fn read_delta(&mut self) -> Result<u64, GraphFormatError> {
-        let w = self.peek();
-        let z = w.leading_zeros() as u64;
-        let gbits = 2 * z + 1;
-        if gbits < MAX_BITS as u64 {
-            let h = (w >> (64 - gbits)) - 1; // the γ-coded mantissa length
-            let need = gbits + h;
-            if need <= MAX_BITS as u64 && self.pos + need <= self.len_bits() {
-                self.pos += need;
-                let mantissa = if h == 0 { 0 } else { (w << gbits) >> (64 - h) };
-                return Ok(((1u64 << h) | mantissa) - 1);
+        let parse = |w: u64, avail: u32| {
+            let gbits = 2 * w.leading_zeros() + 1;
+            if gbits >= MAX_BITS {
+                return None;
             }
-        }
-        self.read_delta_slow()
+            let h = (w >> (64 - gbits)) - 1; // the γ-coded mantissa length
+            let need = gbits as u64 + h;
+            (need <= avail.min(MAX_BITS) as u64).then(|| {
+                let mantissa = if h == 0 { 0 } else { (w << gbits) >> (64 - h) };
+                (((1u64 << h) | mantissa) - 1, need as u32)
+            })
+        };
+        self.in_window(parse, |r| r.read_delta_slow())
     }
 
+    #[cold]
     fn read_delta_slow(&mut self) -> Result<u64, GraphFormatError> {
         let h = self.read_gamma()?;
         if h > 63 {
@@ -378,52 +462,49 @@ impl<'a> BitReader<'a> {
         Ok(((1u64 << h) | mantissa) - 1)
     }
 
-    /// Reads a ζ(k)-coded value (single-peek fast path for codewords that
-    /// fit one window, which is every gap below 2⁴⁰ even at `k = 8`).
-    #[inline]
+    /// Reads a ζ(k)-coded value (in-window fast path for codewords of up
+    /// to 57 bits, which is every gap below 2⁴⁰ even at `k = 8`).
+    #[inline(always)]
     pub fn read_zeta(&mut self, k: u32) -> Result<u64, GraphFormatError> {
         debug_assert!(k >= 1);
-        let w = self.peek();
-        let h = w.leading_zeros();
-        if h * k + k <= 63 {
+        let parse = |w: u64, avail: u32| {
+            let h = w.leading_zeros();
+            if h * k + k > 63 {
+                return None;
+            }
             // Unclamped interval: span = 2^(hk)·(2^k − 1), so the long
             // codeword is hk + k bits wide and `short` is exact.
             let span = ((1u64 << k) - 1) << (h * k);
             let base = 1u64 << (h * k);
             if span <= 1 {
                 // k = 1, h = 0: the codeword is the lone terminator bit.
-                if self.pos < self.len_bits() {
-                    self.pos += 1;
-                    return Ok(base - 1);
-                }
-            } else {
-                let b = 64 - (span - 1).leading_zeros();
-                let need = (h + 1 + b) as u64;
-                if b >= 2 && need <= MAX_BITS as u64 && self.pos + need <= self.len_bits() {
-                    let short = (1u64 << b) - span;
-                    let body = w << (h + 1); // bits after the unary terminator
-                                             // Branchless short/long select: the two candidate
-                                             // codewords share their first b − 1 bits, so decode
-                                             // both and pick by the (data-dependent) comparison
-                                             // without a branch the predictor would miss on.
-                    let r_short = body >> (64 - (b - 1));
-                    let r_long = body >> (64 - b);
-                    let long = r_short >= short;
-                    let r = if long { r_long - short } else { r_short };
-                    self.pos += need - 1 + long as u64;
-                    return Ok(base + r - 1);
-                }
-                if need <= MAX_BITS as u64 && self.pos + need <= self.len_bits() {
-                    // b == 1: every codeword is the single long form.
-                    let body = w << (h + 1);
-                    self.pos += need;
-                    return Ok(base + (body >> 63) - (2 - span) - 1);
-                }
+                return (avail >= 1).then_some((base - 1, 1));
             }
-        }
-        self.read_zeta_slow(k)
+            let b = 64 - (span - 1).leading_zeros();
+            let need = h + 1 + b;
+            if need > avail.min(MAX_BITS) {
+                return None;
+            }
+            let body = w << (h + 1); // bits after the unary terminator
+            if b == 1 {
+                // Every codeword is the single long form.
+                return Some((base + (body >> 63) - (2 - span) - 1, need));
+            }
+            // Branchless short/long select: the two candidate codewords
+            // share their first b − 1 bits, so decode both and pick by
+            // the (data-dependent) comparison without a branch the
+            // predictor would miss on.
+            let short = (1u64 << b) - span;
+            let r_short = body >> (64 - (b - 1));
+            let r_long = body >> (64 - b);
+            let long = r_short >= short;
+            let r = if long { r_long - short } else { r_short };
+            Some((base + r - 1, need - 1 + long as u32))
+        };
+        self.in_window(parse, |r| r.read_zeta_slow(k))
     }
 
+    #[cold]
     fn read_zeta_slow(&mut self, k: u32) -> Result<u64, GraphFormatError> {
         let h = self.read_unary()?;
         if h.saturating_mul(k as u64) > 63 {
@@ -434,23 +515,22 @@ impl<'a> BitReader<'a> {
         Ok(base + r - 1)
     }
 
-    /// Reads a Rice-coded value with parameter `k` (single-peek fast
-    /// path: a leading-zero count and two shifts, the cheapest decode in
-    /// the family).
-    #[inline]
+    /// Reads a Rice-coded value with parameter `k` (in-window fast path:
+    /// a leading-zero count and two shifts, the cheapest decode in the
+    /// family).
+    #[inline(always)]
     pub fn read_rice(&mut self, k: u32) -> Result<u64, GraphFormatError> {
         debug_assert!(k <= MAX_BITS);
-        let w = self.peek();
-        let q = w.leading_zeros();
-        let need = q as u64 + 1 + k as u64;
-        if k >= 1 && need <= MAX_BITS as u64 && self.pos + need <= self.len_bits() {
-            self.pos += need;
-            let rem = (w << (q + 1)) >> (64 - k);
-            return Ok(((q as u64) << k) | rem);
-        }
-        self.read_rice_slow(k)
+        let parse = |w: u64, avail: u32| {
+            let q = w.leading_zeros();
+            let need = q + 1 + k;
+            (k >= 1 && need <= avail.min(MAX_BITS))
+                .then(|| (((q as u64) << k) | ((w << (q + 1)) >> (64 - k)), need))
+        };
+        self.in_window(parse, |r| r.read_rice_slow(k))
     }
 
+    #[cold]
     fn read_rice_slow(&mut self, k: u32) -> Result<u64, GraphFormatError> {
         let q = self.read_unary()?;
         if k > 0 && q > (u64::MAX >> k) {
@@ -461,33 +541,33 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads a byte-coded (LEB128) value. Fast path: the continuation
-    /// bits in one [`BitReader::peek`] window give the codeword length
-    /// with a single leading-zero count, and codewords of up to four
-    /// bytes (every gap below 2²⁸) are assembled without a
-    /// length-dependent branch.
-    #[inline]
+    /// bits in the window give the codeword length with a single
+    /// leading-zero count, and codewords of up to four bytes (every gap
+    /// below 2²⁸) are assembled without a length-dependent branch.
+    #[inline(always)]
     pub fn read_vbyte(&mut self) -> Result<u64, GraphFormatError> {
         const CONT: u64 = 0x8080_8080_0000_0000;
-        let w = self.peek();
-        // Bit index of the first clear continuation bit among four bytes
-        // (0, 8, 16, 24), or ≥ 32 when all four are set.
-        let last = (!w & CONT).leading_zeros();
-        let need = last as u64 + 8;
-        if last < 32 && self.pos + need <= self.len_bits() {
-            self.pos += need;
-            let groups = ((w >> 56) & 0x7f)
-                | ((w >> 48) & 0x7f) << 7
-                | ((w >> 40) & 0x7f) << 14
-                | ((w >> 32) & 0x7f) << 21;
-            // Keep the 7 bits of each byte the codeword really has.
-            return Ok(groups & !(!0u64 << (7 * (last / 8 + 1))));
-        }
-        self.read_vbyte_slow()
+        let parse = |w: u64, avail: u32| {
+            // Bit index of the first clear continuation bit among four
+            // bytes (0, 8, 16, 24), or ≥ 32 when all four are set.
+            let last = (!w & CONT).leading_zeros();
+            let need = last + 8;
+            (last < 32 && need <= avail).then(|| {
+                let groups = ((w >> 56) & 0x7f)
+                    | ((w >> 48) & 0x7f) << 7
+                    | ((w >> 40) & 0x7f) << 14
+                    | ((w >> 32) & 0x7f) << 21;
+                // Keep the 7 bits of each byte the codeword really has.
+                (groups & !(!0u64 << (7 * (last / 8 + 1))), need)
+            })
+        };
+        self.in_window(parse, |r| r.read_vbyte_slow())
     }
 
     /// Byte decode one group per read: long codewords, end-of-stream, and
     /// the overflow checks (a tenth group may carry one bit, an eleventh
     /// none).
+    #[cold]
     fn read_vbyte_slow(&mut self) -> Result<u64, GraphFormatError> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {

@@ -8,13 +8,20 @@
 //! structure. The container uses two: one for cumulative arc counts, one for
 //! per-vertex bit offsets into the adjacency arena.
 //!
-//! Layout: each value is split at `l = max(0, ⌊log₂(u/n)⌋)` bits. The low
+//! Layout: each value is split at `l = max(0, ⌊log₂(u/n)⌋)` bits (capped
+//! at 56, so one 8-byte window always holds an element's low bits). The low
 //! `l` bits go to a packed array; the high bits are stored as a unary-ish
 //! bitvector where bit `(vᵢ >> l) + i` is set for the `i`-th element
 //! (monotonicity makes these positions strictly increasing; the vector has
 //! at most `n + (u >> l) < 3n` bits). `get(i)` selects the `i`-th set bit
-//! and recombines. Select is accelerated by sampling the word position of
-//! every 64th set bit.
+//! and recombines. Select is accelerated by sampling the position of
+//! every 8th set bit (4 bytes a sample until the vector passes 2³² bits):
+//! a walk step costs one `get_pair` on each of the two sequences, and at
+//! one sample per 64 ones the scan to the wanted one — a data-dependent
+//! count of words, then of bits — was most of that step's fixed cost.
+//! `get_pair` finds the second value without crossing the first one's run
+//! of zeros (`value >> l` of them, thousands for a hub): it looks one word
+//! ahead and otherwise selects *backward* from the next sample.
 //!
 //! [`EfSeq`] is a *view*: it borrows the byte storage (owned heap or a
 //! memory map) and holds only parsed parameters plus byte ranges, so the
@@ -22,9 +29,16 @@
 
 use crate::error::GraphFormatError;
 
-/// Select sample rate: the word index of every `SELECT_EVERY`-th set bit
-/// is recorded, bounding the scan in `select` to a few words.
-const SELECT_EVERY: usize = 64;
+/// Select sample rate: the position of every `SELECT_EVERY`-th set bit is
+/// recorded, so `select` scans over fewer than that many ones — within
+/// the sampled word or the next, bar a hub's run of zeros in between.
+const SELECT_EVERY: usize = 1 << SELECT_SHIFT;
+const SELECT_SHIFT: u32 = 3;
+
+/// Cap on the low-bit width: an element's low bits then always sit inside
+/// one 8-byte window at any bit alignment (`7 + 56 < 64`). Only universes
+/// beyond `n · 2⁵⁷` are affected, and pay a few more upper bits.
+const MAX_LOWER_BITS: u32 = 56;
 
 /// Builds the serialized form of an Elias–Fano sequence.
 ///
@@ -32,12 +46,13 @@ const SELECT_EVERY: usize = 64;
 ///
 /// ```text
 /// n: u64 | universe: u64 | lower bits: ⌈n·l/8⌉ bytes (LSB-first packing)
-/// | upper words: u64 × nwords | select samples: u64 × nsamples
+/// | upper words: u64 × nwords | select samples: u32 or u64 × nsamples
 /// ```
 ///
 /// Sample `s` is the absolute bit position of the `s·SELECT_EVERY`-th set
-/// bit, so `select(i)` starts at a known position and scans at most
-/// `SELECT_EVERY` ones (≤ `2·SELECT_EVERY` bits ≈ 2 words) forward.
+/// bit (4 bytes wide until the vector passes 2³² bits), so `select(i)`
+/// starts at a known position and scans fewer than `SELECT_EVERY` ones
+/// forward.
 pub fn encode(values: &[u64], universe: u64) -> Vec<u8> {
     let n = values.len() as u64;
     debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "values must be monotone");
@@ -74,13 +89,14 @@ pub fn encode(values: &[u64], universe: u64) -> Vec<u8> {
     // Select samples: absolute bit position of every SELECT_EVERY-th one.
     let mut samples: Vec<u64> = Vec::with_capacity(values.len().div_ceil(SELECT_EVERY));
     for (i, &v) in values.iter().enumerate() {
-        if i % SELECT_EVERY == 0 {
+        if i.is_multiple_of(SELECT_EVERY) {
             samples.push((v >> l) + i as u64);
         }
     }
     debug_assert_eq!(samples.len(), values.len().div_ceil(SELECT_EVERY));
 
-    let mut out = Vec::with_capacity(16 + lower.len() + nwords * 8 + samples.len() * 8);
+    let sample_bytes = sample_bytes(nbits_upper);
+    let mut out = Vec::with_capacity(16 + lower.len() + nwords * 8 + samples.len() * sample_bytes);
     out.extend_from_slice(&n.to_le_bytes());
     out.extend_from_slice(&universe.to_le_bytes());
     out.extend_from_slice(&lower);
@@ -88,17 +104,61 @@ pub fn encode(values: &[u64], universe: u64) -> Vec<u8> {
         out.extend_from_slice(&w.to_le_bytes());
     }
     for s in &samples {
-        out.extend_from_slice(&s.to_le_bytes());
+        out.extend_from_slice(&s.to_le_bytes()[..sample_bytes]);
     }
     out
 }
 
-/// Number of low bits stored in the packed array: `max(0, ⌊log₂(u/n)⌋)`.
+/// Width of one select sample: a bit position inside an upper vector of
+/// `nbits_upper` bits, so four bytes until that passes 2³².
+fn sample_bytes(nbits_upper: usize) -> usize {
+    if nbits_upper as u64 <= u32::MAX as u64 {
+        4
+    } else {
+        8
+    }
+}
+
+/// Number of low bits stored in the packed array: `max(0, ⌊log₂(u/n)⌋)`,
+/// capped at [`MAX_LOWER_BITS`].
 fn lower_bits(n: u64, universe: u64) -> u32 {
     if n == 0 || universe <= n {
         return 0;
     }
-    63 - (universe / n).leading_zeros()
+    (63 - (universe / n).leading_zeros()).min(MAX_LOWER_BITS)
+}
+
+/// Bit index of the `k`-th (0-based) set bit of `word`; `k` must be below
+/// its population count. Every select in this module asks for
+/// `k < SELECT_EVERY`, which runs as a fixed chain of conditional
+/// clear-lowest-bit steps: the obvious loop exits on a data-dependent
+/// count and mispredicts on almost every call.
+#[inline]
+fn select_in_word(mut word: u64, mut k: u32) -> u32 {
+    while k >= SELECT_EVERY as u32 {
+        word &= word - 1;
+        k -= 1;
+    }
+    for step in 0..SELECT_EVERY as u32 - 1 {
+        // Subtracting 1 clears the lowest set bit; subtracting 0 keeps it.
+        word &= word.wrapping_sub((step < k) as u64);
+    }
+    word.trailing_zeros()
+}
+
+/// The little-endian `u64` at byte `off` of a section whose extent
+/// [`EfSeq::parse`] checked against the storage.
+#[inline]
+fn le_u64(storage: &[u8], off: usize) -> u64 {
+    // xtask:panic-ok(infallible: 8-byte window, parse validated lengths)
+    u64::from_le_bytes(storage[off..off + 8].try_into().unwrap())
+}
+
+/// [`le_u64`] for the 4-byte select samples.
+#[inline]
+fn le_u32(storage: &[u8], off: usize) -> u32 {
+    // xtask:panic-ok(infallible: 4-byte window, parse validated lengths)
+    u32::from_le_bytes(storage[off..off + 4].try_into().unwrap())
 }
 
 /// A parsed view of an Elias–Fano sequence inside a larger byte buffer.
@@ -119,6 +179,8 @@ pub struct EfSeq {
     nwords: usize,
     /// Absolute byte offset of the select samples.
     select_off: usize,
+    /// Bytes per select sample (4 or 8, see [`sample_bytes`]).
+    sample_bytes: usize,
     /// Total serialized length in bytes (for section-length validation).
     len: usize,
 }
@@ -155,7 +217,8 @@ impl EfSeq {
         let lower_off = base + 16;
         let upper_off = lower_off + lower_bytes;
         let select_off = upper_off + nwords * 8;
-        let end = select_off + nsamples * 8;
+        let sample_bytes = sample_bytes(nbits_upper);
+        let end = select_off + nsamples * sample_bytes;
         if end > storage.len() {
             return Err(GraphFormatError::LengthMismatch {
                 what: "elias-fano sections",
@@ -163,7 +226,17 @@ impl EfSeq {
                 actual: storage.len().saturating_sub(base) as u64,
             });
         }
-        Ok(EfSeq { n, universe, l, lower_off, upper_off, nwords, select_off, len: end - base })
+        Ok(EfSeq {
+            n,
+            universe,
+            l,
+            lower_off,
+            upper_off,
+            nwords,
+            select_off,
+            sample_bytes,
+            len: end - base,
+        })
     }
 
     /// Number of elements.
@@ -192,62 +265,77 @@ impl EfSeq {
 
     #[inline]
     fn upper_word(&self, storage: &[u8], w: usize) -> u64 {
-        let off = self.upper_off + w * 8;
-        // xtask:panic-ok(infallible: 8-byte window, parse validated lengths)
-        u64::from_le_bytes(storage[off..off + 8].try_into().unwrap())
+        le_u64(storage, self.upper_off + w * 8)
     }
 
     #[inline]
     fn sample(&self, storage: &[u8], s: usize) -> usize {
-        let off = self.select_off + s * 8;
-        // xtask:panic-ok(infallible: 8-byte window, parse validated lengths)
-        u64::from_le_bytes(storage[off..off + 8].try_into().unwrap()) as usize
+        let off = self.select_off + s * self.sample_bytes;
+        if self.sample_bytes == 4 {
+            le_u32(storage, off) as usize
+        } else {
+            le_u64(storage, off) as usize
+        }
     }
 
     #[inline]
     fn lower_value(&self, storage: &[u8], i: usize) -> u64 {
-        if self.l == 0 {
-            return 0;
-        }
         let bit = i as u64 * self.l as u64;
-        let byte = self.lower_off + (bit / 8) as usize;
-        let shift = (bit % 8) as u32;
-        // Read up to 9 bytes LSB-first; l ≤ 57 in practice (universe is a
-        // byte/arc count), so 8 bytes + carry byte always suffice.
-        let avail = storage.len() - byte;
-        let mut word = [0u8; 8];
-        let take = avail.min(8);
-        word[..take].copy_from_slice(&storage[byte..byte + take]);
-        let mut v = u64::from_le_bytes(word) >> shift;
-        let got = 64 - shift;
-        if got < self.l && byte + 8 < storage.len() {
-            v |= (storage[byte + 8] as u64) << got;
-        }
-        v & ((1u64 << self.l) - 1)
+        // The lower array is followed by at least one 8-byte upper word,
+        // so the window of any in-range element fits.
+        let word = le_u64(storage, self.lower_off + (bit / 8) as usize);
+        (word >> (bit % 8)) & ((1u64 << self.l) - 1)
     }
 
-    /// Position (bit index in the upper vector) of the `i`-th set bit.
-    /// The sample gives the exact position of the nearest preceding
-    /// sampled one; at most `SELECT_EVERY` further ones are scanned.
+    /// Position (bit index in the upper vector) of the `i`-th set bit:
+    /// forward from the nearest preceding sample, over at most
+    /// `SELECT_EVERY − 1` ones.
     #[inline]
     fn select(&self, storage: &[u8], i: usize) -> usize {
-        let base = self.sample(storage, i / SELECT_EVERY);
-        let mut remaining = i % SELECT_EVERY;
+        let base = self.sample(storage, i >> SELECT_SHIFT);
         let mut w = base / 64;
-        // Mask off bits below the sampled position; the sampled one itself
-        // has rank i − remaining.
-        let mut word = self.upper_word(storage, w) & !((1u64 << (base % 64)) - 1);
+        // Bits below the sampled one are masked off; it has rank
+        // `i − i % SELECT_EVERY`.
+        let mut word = self.upper_word(storage, w) & (!0u64 << (base % 64));
+        let mut remaining = (i & (SELECT_EVERY - 1)) as u32;
         loop {
-            let c = word.count_ones() as usize;
+            let c = word.count_ones();
             if remaining < c {
-                let mut bits = word;
-                for _ in 0..remaining {
-                    bits &= bits - 1;
-                }
-                return w * 64 + bits.trailing_zeros() as usize;
+                return w * 64 + select_in_word(word, remaining) as usize;
             }
             remaining -= c;
             w += 1;
+            word = self.upper_word(storage, w);
+        }
+    }
+
+    /// [`EfSeq::select`] backward from the nearest *following* sample (or
+    /// the end of the vector). A forward scan to the one after a hub walks
+    /// the hub's whole run of zeros — `degree >> l` bits; this one never
+    /// crosses the run in front of its target.
+    fn select_from_above(&self, storage: &[u8], i: usize) -> usize {
+        let s = (i >> SELECT_SHIFT) + 1;
+        // `above` ones precede bit `end`; the target is the
+        // `above − i`-th of them counting down.
+        let (end, above) = if s * SELECT_EVERY < self.n as usize {
+            (self.sample(storage, s), s * SELECT_EVERY)
+        } else {
+            (self.nwords * 64, self.n as usize)
+        };
+        let mut remaining = (above - i - 1) as u32;
+        let mut w = end / 64;
+        let mut word = match end % 64 {
+            0 => 0,
+            r => self.upper_word(storage, w) & !(!0u64 << r),
+        };
+        loop {
+            let c = word.count_ones();
+            if remaining < c {
+                // The `remaining`-th one counting down from the top.
+                return w * 64 + 63 - select_in_word(word.reverse_bits(), remaining) as usize;
+            }
+            remaining -= c;
+            w -= 1;
             word = self.upper_word(storage, w);
         }
     }
@@ -261,22 +349,25 @@ impl EfSeq {
         (((pos - i) as u64) << self.l) | self.lower_value(storage, i)
     }
 
-    /// `(get(i), get(i+1))` in one select walk — the common degree query
-    /// `offsets[v+1] − offsets[v]` hits this path.
+    /// `(get(i), get(i+1))` in one select walk — the degree query
+    /// `offsets[v+1] − offsets[v]` and the bit span of a vertex.
     #[inline]
     pub fn get_pair(&self, storage: &[u8], i: usize) -> (u64, u64) {
         assert!(i + 1 < self.n as usize, "EF pair {i} out of range (n = {})", self.n);
         let pos = self.select(storage, i);
         let a = (((pos - i) as u64) << self.l) | self.lower_value(storage, i);
-        // The (i+1)-th one is the next set bit after `pos`.
-        let mut w = pos / 64;
-        let mut word = self.upper_word(storage, w) & !((1u64 << (pos % 64)) - 1);
-        word &= word - 1; // drop the i-th one itself
-        while word == 0 {
-            w += 1;
-            word = self.upper_word(storage, w);
-        }
-        let pos2 = w * 64 + word.trailing_zeros() as usize;
+        // The (i+1)-th one is the next set bit after `pos`: in this word
+        // or the next, unless `i` is a hub whose run of zeros fills them.
+        let w = pos / 64;
+        let rest = self.upper_word(storage, w) & (!1u64 << (pos % 64));
+        let pos2 = if rest != 0 {
+            w * 64 + rest.trailing_zeros() as usize
+        } else {
+            match self.upper_word(storage, w + 1) {
+                0 => self.select_from_above(storage, i + 1),
+                next => (w + 1) * 64 + next.trailing_zeros() as usize,
+            }
+        };
         let b = (((pos2 - (i + 1)) as u64) << self.l) | self.lower_value(storage, i + 1);
         (a, b)
     }
@@ -302,7 +393,7 @@ impl EfSeq {
             while bits != 0 {
                 if rank.is_multiple_of(SELECT_EVERY) {
                     let pos = w * 64 + bits.trailing_zeros() as usize;
-                    if self.sample(storage, rank / SELECT_EVERY) != pos {
+                    if self.sample(storage, rank >> SELECT_SHIFT) != pos {
                         return Err(GraphFormatError::Corrupt("elias-fano select sample"));
                     }
                 }
@@ -382,10 +473,81 @@ mod tests {
         }
     }
 
+    /// The loop [`select_in_word`] replaced.
+    fn naive_select_in_word(mut word: u64, k: u32) -> u32 {
+        for _ in 0..k {
+            word &= word - 1;
+        }
+        word.trailing_zeros()
+    }
+
+    fn check_select_in_word(words: usize) {
+        let mut rng = XorShiftStream::new(29, 0);
+        for t in 0..words {
+            // Dense, sparse and single-bit words alike.
+            let word = match t % 4 {
+                0 => rng.next_u64(),
+                1 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                2 => rng.next_u64() | rng.next_u64(),
+                _ => 1u64 << rng.bounded(64),
+            };
+            for k in 0..word.count_ones() {
+                assert_eq!(select_in_word(word, k), naive_select_in_word(word, k), "{word:#x} {k}");
+                let top = 63 - select_in_word(word.reverse_bits(), k);
+                assert_eq!(top, naive_select_in_word(word, word.count_ones() - 1 - k));
+            }
+        }
+        assert_eq!(select_in_word(u64::MAX, 63), 63);
+    }
+
+    #[test]
+    #[cfg(not(miri))]
+    fn select_in_word_matches_the_naive_loop() {
+        check_select_in_word(10_000);
+    }
+
+    #[test]
+    fn select_in_word_matches_the_naive_loop_small() {
+        check_select_in_word(64);
+    }
+
+    #[test]
+    fn runs_of_equal_values_and_word_aligned_boundaries() {
+        // Equal values put adjacent ones in the upper vector; a jump of
+        // `64 << l` puts exactly one word of zeros between two of them,
+        // and a hub-sized jump many — the cases `get_pair`'s look-ahead
+        // and its backward select exist for.
+        for l in [0u32, 3] {
+            let step = 64u64 << l;
+            let mut values = Vec::new();
+            let mut cur = 0u64;
+            for i in 0..700u64 {
+                cur += match i % 9 {
+                    0..=3 => 0,
+                    4 => step,
+                    5 => step - 1,
+                    6 => 40 * step,
+                    _ => 1,
+                };
+                values.push(cur);
+            }
+            // Universe chosen so that the split really is at `l` bits.
+            let universe = (values.len() as u64) << l;
+            let universe = universe.max(cur);
+            roundtrip(&values, universe);
+            roundtrip(&values, cur);
+        }
+        // Every element equal, and a single huge last gap.
+        roundtrip(&[7; 130], 7);
+        let mut tail: Vec<u64> = (0..129).collect();
+        tail.push(1 << 40);
+        roundtrip(&tail, 1 << 40);
+    }
+
     #[test]
     fn select_sample_boundaries() {
         // Lengths straddling the SELECT_EVERY sampling period.
-        for n in [63u64, 64, 65, 127, 128, 129, 4096] {
+        for n in [7u64, 8, 9, 15, 16, 17, 63, 64, 65, 4096] {
             let values: Vec<u64> = (0..n).map(|i| i * 3).collect();
             roundtrip(&values, n * 3);
         }

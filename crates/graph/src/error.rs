@@ -35,6 +35,16 @@ pub enum GraphFormatError {
         /// Number of vertices in the graph.
         n: usize,
     },
+    /// A checked neighbor access asked for an index at or past the
+    /// vertex's degree.
+    NeighborIndexOutOfRange {
+        /// The vertex whose neighbor was requested.
+        vertex: u32,
+        /// The requested (0-based) index.
+        index: usize,
+        /// The vertex's degree.
+        degree: usize,
+    },
     /// Neighbor lists must be strictly increasing; a non-positive gap was
     /// decoded.
     NonMonotoneNeighbors {
@@ -87,12 +97,22 @@ impl fmt::Display for GraphFormatError {
             GraphFormatError::VertexOutOfRange { vertex, decoded, n } => {
                 write!(f, "neighbor {decoded} of vertex {vertex} out of range (n = {n})")
             }
+            GraphFormatError::NeighborIndexOutOfRange { vertex, index, degree } => {
+                write!(
+                    f,
+                    "neighbor index {index} out of range for degree {degree} of vertex {vertex}"
+                )
+            }
             GraphFormatError::NonMonotoneNeighbors { vertex } => {
                 write!(f, "non-monotone neighbor list for vertex {vertex}")
             }
             GraphFormatError::BadMagic => write!(f, "bad magic bytes"),
             GraphFormatError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported format version {found} (this build reads {supported})")
+                write!(
+                    f,
+                    "unsupported format version {found} (this build reads {supported}; \
+                     re-run `lightne compress`)"
+                )
             }
             GraphFormatError::ChecksumMismatch { region } => {
                 write!(f, "{region} checksum mismatch")
@@ -134,6 +154,11 @@ mod tests {
             (GraphFormatError::Truncated { at_bit: 17 }, "bit 17"),
             (GraphFormatError::BadMagic, "magic"),
             (GraphFormatError::UnsupportedVersion { found: 9, supported: 2 }, "version 9"),
+            (GraphFormatError::UnsupportedVersion { found: 1, supported: 2 }, "lightne compress"),
+            (
+                GraphFormatError::NeighborIndexOutOfRange { vertex: 7, index: 5, degree: 3 },
+                "index 5 out of range for degree 3",
+            ),
             (GraphFormatError::ChecksumMismatch { region: "payload" }, "payload"),
             (GraphFormatError::LengthMismatch { what: "arena", expected: 10, actual: 3 }, "arena"),
             (GraphFormatError::VertexOutOfRange { vertex: 1, decoded: -4, n: 2 }, "-4"),

@@ -14,7 +14,9 @@
 use crate::{Graph, VertexId};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::parallel_reduce_sum;
+use lightne_utils::rng::XorShiftStream;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Uniform point access to an undirected graph: the minimal, object-safe
 /// surface the walk engine, sampler, and pipeline need from any backend.
@@ -33,6 +35,16 @@ pub trait GraphAccess {
 
     /// Calls `f` on every neighbor of `v` in sorted order.
     fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId));
+
+    /// One uniform random-walk step from `v`: a neighbor index drawn with
+    /// `rng.bounded_usize(degree)`, `None` at an isolated vertex. Backends
+    /// whose degree and neighbor lookups share work override it; the
+    /// draws, and so the walk, are the same on every backend.
+    #[inline]
+    fn sample_neighbor(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
+        let deg = self.degree(v);
+        (deg > 0).then(|| self.ith_neighbor(v, rng.bounded_usize(deg)))
+    }
 
     /// Global index of `v`'s first arc in the arc ordering (CSR order).
     fn first_arc_index(&self, v: VertexId) -> u64;
@@ -70,14 +82,16 @@ pub trait GraphOps: GraphAccess + Sync {
     /// Parallel map over all arcs: `f(u, v, arc_index)` for every directed
     /// arc `u → v`. `arc_index` is the arc's global CSR position, used by
     /// callers that need a deterministic per-arc RNG stream. Work is
-    /// parallelized across vertices; an undirected edge is visited twice
+    /// parallelized over contiguous vertex ranges of equal *arc* mass,
+    /// 16 per thread; an undirected edge is visited twice
     /// (once per direction), exactly like GBBS's `MapEdges`.
     fn map_edges<F>(&self, f: F)
     where
         F: Fn(VertexId, VertexId, u64) + Sync + Send,
         Self: Sized,
     {
-        (0..self.num_vertices() as VertexId).into_par_iter().for_each(|u| {
+        let first_arc = |u| self.first_arc_index(u);
+        par_vertices_by_arc_mass(self.num_vertices(), self.num_arcs() as u64, first_arc, |u| {
             let base = self.first_arc_index(u);
             let mut i = 0u64;
             self.for_each_neighbor(u, &mut |v| {
@@ -119,6 +133,71 @@ pub trait GraphOps: GraphAccess + Sync {
 }
 
 impl<G: GraphAccess + Sync> GraphOps for G {}
+
+/// Ranges handed out per worker thread: enough that a later dynamic
+/// scheduler has units to claim, few enough that finding the cuts is noise.
+const RANGES_PER_THREAD: usize = 16;
+
+/// Cuts `[0, n)` into at most `pieces` (+ one per hub) contiguous,
+/// non-empty vertex ranges of near-equal *arc* mass, by binary search on
+/// `first_arc` (the global index of a vertex's first arc; `arcs` in
+/// total). A vertex owning more than one share gets a range of its own.
+/// Equal vertex counts are no balance at all on a skewed graph — the
+/// first half of an R-MAT id space owns three quarters of the arcs.
+pub(crate) fn arc_balanced_ranges(
+    n: usize,
+    arcs: u64,
+    pieces: usize,
+    first_arc: impl Fn(VertexId) -> u64,
+) -> Vec<Range<VertexId>> {
+    let first_arc = |v: usize| if v == n { arcs } else { first_arc(v as VertexId) };
+    let share = arcs.div_ceil(pieces.max(1) as u64).max(1);
+    let mut cuts = vec![0usize];
+    let mut push = |cut: usize| {
+        if cuts.last().is_some_and(|&last| cut > last) {
+            cuts.push(cut);
+        }
+    };
+    let mut target = share;
+    while target < arcs {
+        // The first vertex starting at or past the target.
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if first_arc(mid) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        // The vertex before it reaches the target; cut in front of it
+        // too when it is a hub.
+        if lo > 0 && first_arc(lo) - first_arc(lo - 1) > share {
+            push(lo - 1);
+        }
+        push(lo);
+        target += share;
+    }
+    push(n);
+    cuts.windows(2).map(|w| w[0] as VertexId..w[1] as VertexId).collect()
+}
+
+/// Runs `per_vertex` on every vertex, in parallel over
+/// [`arc_balanced_ranges`] — the shared body of `map_edges` and
+/// [`crate::WeightedOps::map_arcs`]. The piece count follows the thread
+/// count; callers draw per-arc RNG streams and accumulate in fixed
+/// point, so their output does not depend on where the cuts fall.
+pub(crate) fn par_vertices_by_arc_mass(
+    n: usize,
+    arcs: u64,
+    first_arc: impl Fn(VertexId) -> u64,
+    per_vertex: impl Fn(VertexId) + Sync + Send,
+) {
+    let pieces = RANGES_PER_THREAD * rayon::current_num_threads();
+    arc_balanced_ranges(n, arcs, pieces, first_arc)
+        .into_par_iter()
+        .for_each(|range| range.for_each(&per_vertex));
+}
 
 /// Number of common neighbors `|N(u) ∩ N(v)|` by sorted-list merge.
 /// Adjacency lists are ascending on every graph backend (CSR invariant),
@@ -211,19 +290,31 @@ mod tests {
         }
     }
 
+    /// Runs `body` with the pool at 1, 2 and 7 threads (more than this
+    /// box has cores, and not a divisor of any size below).
+    fn at_thread_counts(body: impl Fn()) {
+        for threads in [1usize, 2, 7] {
+            lightne_utils::parallel::configure_threads(threads);
+            body();
+        }
+        lightne_utils::parallel::configure_threads(0);
+    }
+
     #[test]
     fn map_edges_visits_every_arc_once() {
-        let g = path_graph(50);
-        let count = AtomicU64::new(0);
-        let idx_sum = AtomicU64::new(0);
-        g.map_edges(|_, _, idx| {
-            count.fetch_add(1, Ordering::Relaxed);
-            idx_sum.fetch_add(idx, Ordering::Relaxed);
+        at_thread_counts(|| {
+            // A path, and a star whose hub owns half of the arcs.
+            let star: Vec<(u32, u32)> = (1..400u32).map(|v| (0, v)).collect();
+            for g in [path_graph(50), GraphBuilder::from_edges(400, &star)] {
+                let arcs = g.num_arcs();
+                let seen: Vec<AtomicU64> = (0..arcs).map(|_| AtomicU64::new(0)).collect();
+                g.map_edges(|u, v, idx| {
+                    assert_eq!(g.ith_neighbor(u, (idx - g.first_arc_index(u)) as usize), v);
+                    seen[idx as usize].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
+            }
         });
-        let arcs = g.num_arcs() as u64;
-        assert_eq!(count.load(Ordering::Relaxed), arcs);
-        // Arc indices must be exactly 0..arcs.
-        assert_eq!(idx_sum.load(Ordering::Relaxed), arcs * (arcs - 1) / 2);
     }
 
     #[test]
@@ -237,15 +328,62 @@ mod tests {
             v.sort_unstable();
             v
         };
-        let a = collect(&|out| {
-            let m = std::sync::Mutex::new(out);
-            g.map_edges(|u, v, i| m.lock().unwrap().push((u, v, i)));
+        at_thread_counts(|| {
+            let a = collect(&|out| {
+                let m = std::sync::Mutex::new(out);
+                g.map_edges(|u, v, i| m.lock().unwrap().push((u, v, i)));
+            });
+            let b = collect(&|out| {
+                let m = std::sync::Mutex::new(out);
+                c.map_edges(|u, v, i| m.lock().unwrap().push((u, v, i)));
+            });
+            assert_eq!(a, b);
+            assert_eq!(a.len(), g.num_arcs());
         });
-        let b = collect(&|out| {
-            let m = std::sync::Mutex::new(out);
-            c.map_edges(|u, v, i| m.lock().unwrap().push((u, v, i)));
-        });
-        assert_eq!(a, b);
+    }
+
+    /// The ranges are contiguous, non-empty and cover `[0, n)` once.
+    fn check_partition(degrees: &[u64], pieces: usize) -> Vec<Range<VertexId>> {
+        let n = degrees.len();
+        let mut offsets = vec![0u64];
+        for d in degrees {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        let ranges = arc_balanced_ranges(n, offsets[n], pieces, |v| offsets[v as usize]);
+        let mut next = 0;
+        for r in &ranges {
+            assert_eq!(r.start, next, "{ranges:?}");
+            assert!(r.end > r.start, "{ranges:?}");
+            next = r.end;
+        }
+        assert_eq!(next as usize, n, "{ranges:?}");
+        ranges
+    }
+
+    #[test]
+    fn arc_balanced_ranges_partition_the_vertices() {
+        assert!(check_partition(&[], 32).is_empty());
+        // No arcs at all: one range holds every (isolated) vertex.
+        assert_eq!(check_partition(&[0; 10], 32), vec![0..10]);
+        // More pieces than vertices: no empty range, nothing lost.
+        let few = check_partition(&[3, 1, 4, 1, 5], 112);
+        assert!(few.len() <= 5);
+        // A hub owning more than one share is cut out on its own, and
+        // the rest still splits by arc mass, not by vertex count.
+        let mut degrees = vec![1u64; 1_000];
+        degrees[500] = 4_000;
+        let ranges = check_partition(&degrees, 8);
+        assert!(ranges.contains(&(500..501)), "{ranges:?}");
+        let share = (4_000 + 999u64).div_ceil(8);
+        for r in ranges.iter().filter(|r| **r != (500..501)) {
+            let mass: u64 = degrees[r.start as usize..r.end as usize].iter().sum();
+            assert!(mass <= share + 1, "{r:?} holds {mass} arcs of a {share}-arc share");
+        }
+        // Skew without a hub: equal mass means unequal vertex counts.
+        let skewed: Vec<u64> = (0..1_000u64).map(|v| 1_000 - v).collect();
+        let ranges = check_partition(&skewed, 4);
+        assert_eq!(ranges.len(), 4);
+        assert!(ranges[0].len() < ranges[3].len() / 2, "{ranges:?}");
     }
 
     #[test]

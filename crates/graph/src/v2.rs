@@ -20,12 +20,13 @@
 //! Each neighbor list is broken into blocks (64 neighbors by default, the
 //! Section 4.2 trade-off between compressed size and the latency of
 //! fetching an arbitrary incident edge) so the `i`-th-neighbor query of
-//! random walks decodes one block:
+//! random walks decodes one block, and only up to the neighbor it wants:
 //!
 //! ```text
-//! ┌────────────────────────────┬─────────┬─────────┬───┐
-//! │ γ(len₀) … γ(len_{B-2})     │ block 0 │ block 1 │ … │
-//! └────────────────────────────┴─────────┴─────────┴───┘
+//! B = 1 block:   │ block 0 │
+//! B > 1 blocks:  ┌────────┬───────────────────────────┬─────────┬─────────┬───┐
+//!                │ w (6b) │ end₀ … end_{B-2} (w bits) │ block 0 │ block 1 │ … │
+//!                └────────┴───────────────────────────┴─────────┴─────────┴───┘
 //! block b: codec(zigzag(first − v)) codec(gap−1) codec(gap−1) …
 //! ```
 //!
@@ -34,22 +35,38 @@
 //! gaps within one vertex share a scale (≈ n / degree), so the per-block
 //! prefix recovers most of the gain of a per-vertex optimal Golomb code.
 //!
-//! The header stores the bit length of every block but the last, γ-coded,
-//! so block `b` starts at `header_end + Σ_{j<b} len_j`; sequential decode
-//! skips the header and reads blocks back to back. Within a block the
-//! first neighbor is a zigzag delta from the source and each subsequent
-//! gap is stored minus one (lists are strictly increasing).
+//! The directory of a multi-block vertex is fixed-width: `endⱼ` is the
+//! total bit length of blocks `0..=j`, every entry `w` bits wide, where
+//! `w` is the bit length of the vertex's whole body. Block `b > 0` starts
+//! at `body + end_{b−1}` — one `w`-bit read whatever the degree, where a
+//! γ-coded length per block (container version 1) cost a hub of 10⁶
+//! neighbors 15 000 sequential reads per access. Sequential decode reads
+//! `w`, skips `(B−1)·w` bits and runs the blocks back to back; a
+//! single-block vertex has no directory at all. Within a block the first
+//! neighbor is a zigzag delta from the source and each subsequent gap is
+//! stored minus one (lists are strictly increasing).
+//!
+//! Random access trusts the directory; [`V2Graph::validate`] is what
+//! checks it — canonical width, every entry equal to the position the
+//! sequential decode reaches, the last block ending exactly where the
+//! next vertex begins — so the two ways in cannot disagree on a file that
+//! validated. Either way a decode is confined to its vertex's bit span.
 //!
 //! ## Container layout
 //!
 //! ```text
-//! magic "LNV2" | version | block_size | codec  (4 × u32-ish, 16 bytes)
+//! magic "LNV2" | version = 2 | block_size | codec  (4 × u32-ish, 16 bytes)
 //! n | arcs | len(ef_arcs) | len(ef_bits) | len(arena)  (5 × u64)
 //! payload FNV-1a-64 | header FNV-1a-64               (2 × u64)
 //! ef_arcs: EF of cumulative degrees (n+1 values)
 //! ef_bits: EF of cumulative per-vertex bit offsets (n+1 values)
 //! arena:   concatenated per-vertex bit streams
 //! ```
+//!
+//! [`V2_VERSION`] is 2. Version 1 (γ-coded block lengths, 8-byte select
+//! samples every 64th element) is refused with
+//! [`GraphFormatError::UnsupportedVersion`]: there is one reader, and a
+//! container is cheap to rewrite from its source (`lightne compress`).
 //!
 //! Containers are written via the repo-wide tmp+rename discipline. An
 //! in-memory open verifies the payload checksum; a zero-copy mmap open
@@ -60,14 +77,15 @@
 //! panic with a message on the infallible [`GraphAccess`] paths), never
 //! read out of bounds.
 
-use crate::codecs::{best_rice_k, BitReader, BitWriter, Codec};
+use crate::codecs::{best_rice_k, BitReader, BitWriter, Codec, MAX_BITS};
 use crate::ef::{self, EfSeq};
 use crate::error::GraphFormatError;
 use crate::mmap::Mmap;
-use crate::ops::GraphAccess;
+use crate::ops::{GraphAccess, GraphOps};
 use crate::{Graph, VertexId};
 use lightne_utils::checksum::fnv1a64;
 use lightne_utils::mem::MemUsage;
+use lightne_utils::rng::XorShiftStream;
 use rayon::prelude::*;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -76,13 +94,15 @@ use std::path::Path;
 /// Container magic bytes.
 pub const V2_MAGIC: [u8; 4] = *b"LNV2";
 /// Container format version this build reads and writes.
-pub const V2_VERSION: u32 = 1;
+pub const V2_VERSION: u32 = 2;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 72;
 /// Canonical file extension for containers.
 pub const V2_EXTENSION: &str = "lng2";
 /// Default neighbors-per-block, the value chosen in the paper.
 pub const DEFAULT_BLOCK_SIZE: usize = 64;
+/// Bits of the per-vertex field holding the block directory's entry width.
+const WIDTH_FIELD_BITS: u32 = 6;
 
 /// Zigzag encoding of a signed difference.
 #[inline]
@@ -143,8 +163,17 @@ fn encode_vertex(
         bodies.push(w);
     }
     let mut out = BitWriter::new();
-    for body in &bodies[..nblocks - 1] {
-        out.write_gamma(body.len_bits());
+    if nblocks > 1 {
+        let total: u64 = bodies.iter().map(BitWriter::len_bits).sum();
+        // At most 2³² neighbors of a few dozen bits each: far below the
+        // 2⁵⁷ a single `write_bits` moves.
+        let width = u64::BITS - total.leading_zeros();
+        out.write_bits(width as u64, WIDTH_FIELD_BITS);
+        let mut end = 0u64;
+        for body in &bodies[..nblocks - 1] {
+            end += body.len_bits();
+            out.write_bits(end, width);
+        }
     }
     for body in bodies {
         let nbits = body.len_bits();
@@ -518,11 +547,29 @@ impl V2Graph {
         &self.storage.bytes()[self.arena_off..self.arena_off + self.arena_len]
     }
 
-    /// Reader positioned at the start of `v`'s region, plus the degree.
+    /// Degree and arena bit span of `v`: one pair query on each offset
+    /// index.
     #[inline]
-    fn vertex_reader(&self, v: VertexId) -> (BitReader<'_>, usize) {
-        let start = self.ef_bits.get(self.storage.bytes(), v as usize);
-        (BitReader::new(self.arena(), start), self.degree(v))
+    fn locate(&self, v: VertexId) -> Located {
+        self.span_of(v, self.degree(v))
+    }
+
+    /// [`V2Graph::locate`] for a caller that already knows the degree
+    /// (the span of an isolated vertex is not looked up).
+    #[inline]
+    fn span_of(&self, v: VertexId, deg: usize) -> Located {
+        if deg == 0 {
+            return Located { deg, start: 0, end: 0 };
+        }
+        let (start, end) = self.ef_bits.get_pair(self.storage.bytes(), v as usize);
+        Located { deg, start, end }
+    }
+
+    /// Reader over `at`'s span and nothing else: a corrupt directory or
+    /// codeword cannot carry a decode into a neighboring vertex.
+    #[inline]
+    fn reader(&self, at: &Located) -> BitReader<'_> {
+        BitReader::within(self.arena(), at.start, at.end)
     }
 
     /// Checked sequential decode: calls `f` for every neighbor of `v` in
@@ -532,124 +579,133 @@ impl V2Graph {
         v: VertexId,
         f: &mut dyn FnMut(VertexId),
     ) -> Result<(), GraphFormatError> {
-        let (mut r, deg) = self.vertex_reader(v);
-        if deg == 0 {
+        self.decode_vertex(v, &self.locate(v), false, f)
+    }
+
+    /// Decodes the blocks of `v` back to back. With `strict` (the
+    /// [`V2Graph::validate`] pass) the directory must also be the one the
+    /// encoder writes: canonical width, every entry equal to the position
+    /// the decode reaches, and the last block ending the vertex's span.
+    fn decode_vertex(
+        &self,
+        v: VertexId,
+        at: &Located,
+        strict: bool,
+        f: &mut dyn FnMut(VertexId),
+    ) -> Result<(), GraphFormatError> {
+        if at.deg == 0 {
             return Ok(());
         }
-        let nblocks = deg.div_ceil(self.block_size);
-        // Skip the block-length header; blocks are laid out back to back.
-        for _ in 0..nblocks - 1 {
-            r.read_gamma()?;
-        }
+        let nblocks = at.deg.div_ceil(self.block_size);
+        let mut r = self.reader(at);
+        let dir = if nblocks > 1 { Some(Directory::read(&mut r, nblocks)?) } else { None };
+        let body = r.bit_pos();
+        let n = self.n as u64;
+        let mut left = at.deg;
         for b in 0..nblocks {
-            let lo = b * self.block_size;
-            let hi = ((b + 1) * self.block_size).min(deg);
-            self.decode_block_body(v, &mut r, hi - lo, f)?;
+            if let Some(dir) = dir.filter(|_| strict && b > 0) {
+                if dir.block_start(&mut r, b)? != r.bit_pos() {
+                    return Err(GraphFormatError::Corrupt("block directory entry"));
+                }
+            }
+            let count = left.min(self.block_size);
+            left -= count;
+            self.decode_block(v, &mut r, count, |u| {
+                if u >= n {
+                    return Err(out_of_range(v, u, self.n));
+                }
+                f(u as VertexId);
+                Ok(())
+            })?;
+        }
+        if strict {
+            let width = u64::BITS - (at.end - body).leading_zeros();
+            if r.bit_pos() != at.end || dir.is_some_and(|d| d.width != width) {
+                return Err(GraphFormatError::Corrupt("vertex span or directory width"));
+            }
         }
         Ok(())
     }
 
-    /// Decodes `count` neighbors of one block, `r` positioned at its body.
-    /// The codec match is hoisted out of the gap loop so each arm runs a
-    /// monomorphized loop with the symbol reader inlined.
-    fn decode_block_body(
+    /// Decodes the first `count` neighbors of the block `r` is positioned
+    /// at, handing each to `visit`, and returns the last. This is the one
+    /// block decoder: sequential decode visits every value, random access
+    /// stops at the one it wants. The codec match is hoisted out of the
+    /// gap loop so each arm runs a monomorphized loop with the symbol
+    /// reader and the visitor inlined.
+    #[inline]
+    fn decode_block(
         &self,
         v: VertexId,
-        r: &mut BitReader<'_>,
+        reader: &mut BitReader<'_>,
         count: usize,
-        f: &mut dyn FnMut(VertexId),
-    ) -> Result<(), GraphFormatError> {
-        match self.codec {
-            Codec::Unary => self.decode_block_inner(v, r, count, f, |r| r.read_unary()),
-            Codec::Gamma => self.decode_block_inner(v, r, count, f, |r| r.read_gamma()),
-            Codec::Delta => self.decode_block_inner(v, r, count, f, |r| r.read_delta()),
-            Codec::Zeta(k) => self.decode_block_inner(v, r, count, f, move |r| r.read_zeta(k)),
-            Codec::Rice(k) => self.decode_block_inner(v, r, count, f, move |r| r.read_rice(k)),
-            Codec::RiceAdaptive => {
-                let k = r.read_bits(5)? as u32;
-                self.decode_block_inner(v, r, count, f, move |r| r.read_rice(k))
-            }
-            Codec::Byte => self.decode_block_inner(v, r, count, f, |r| r.read_vbyte()),
-        }
+        visit: impl FnMut(u64) -> Result<(), GraphFormatError>,
+    ) -> Result<u64, GraphFormatError> {
+        let n = self.n;
+        // A copy, adopted back below: the gap loop then owns the only
+        // reader it touches and keeps position and window in registers.
+        let mut own = reader.clone();
+        let r = &mut own;
+        let last = match self.codec {
+            Codec::Unary => decode_gaps(v, n, r, count, visit, |r| r.read_unary()),
+            Codec::Gamma => decode_gaps(v, n, r, count, visit, |r| r.read_gamma()),
+            Codec::Delta => decode_gaps(v, n, r, count, visit, |r| r.read_delta()),
+            Codec::Zeta(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_zeta(k)),
+            Codec::Rice(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_rice(k)),
+            Codec::RiceAdaptive => match r.read_bits(5) {
+                Ok(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_rice(k as u32)),
+                Err(e) => Err(e),
+            },
+            Codec::Byte => decode_gaps(v, n, r, count, visit, |r| r.read_vbyte()),
+        };
+        *reader = own;
+        last
     }
 
-    #[inline]
-    fn decode_block_inner(
-        &self,
-        v: VertexId,
-        r: &mut BitReader<'_>,
-        count: usize,
-        f: &mut dyn FnMut(VertexId),
-        read: impl Fn(&mut BitReader<'_>) -> Result<u64, GraphFormatError>,
-    ) -> Result<(), GraphFormatError> {
-        // A codeword can carry any u64, so hostile bytes can push either
-        // sum past the integer range: checked, not wrapped.
-        let overflow = |r: &BitReader<'_>| GraphFormatError::Overflow { at_bit: r.bit_pos() };
-        let first = (v as i64).checked_add(unzigzag(read(r)?)).ok_or_else(|| overflow(r))?;
-        if first < 0 || first >= self.n as i64 {
-            return Err(GraphFormatError::VertexOutOfRange {
+    /// Checked random access: the `i`-th neighbor of `v`. One directory
+    /// read finds block `i / block_size`, whose decode stops at the
+    /// neighbor asked for.
+    pub fn try_ith_neighbor(&self, v: VertexId, i: usize) -> Result<VertexId, GraphFormatError> {
+        let at = self.locate(v);
+        if i >= at.deg {
+            return Err(GraphFormatError::NeighborIndexOutOfRange {
                 vertex: v,
-                decoded: first,
-                n: self.n,
+                index: i,
+                degree: at.deg,
             });
         }
-        f(first as VertexId);
-        let mut prev = first as u64;
-        for _ in 1..count {
-            let gap = read(r)?;
-            let next =
-                prev.checked_add(gap).and_then(|s| s.checked_add(1)).ok_or_else(|| overflow(r))?;
-            if next >= self.n as u64 {
-                return Err(GraphFormatError::VertexOutOfRange {
-                    vertex: v,
-                    decoded: next as i64,
-                    n: self.n,
-                });
-            }
-            f(next as VertexId);
-            prev = next;
-        }
-        Ok(())
+        self.ith_of(v, &at, i)
     }
 
-    /// Checked random access: the `i`-th neighbor of `v`, decoding only
-    /// block `i / block_size`.
-    pub fn try_ith_neighbor(&self, v: VertexId, i: usize) -> Result<VertexId, GraphFormatError> {
-        let (mut r, deg) = self.vertex_reader(v);
-        assert!(i < deg, "neighbor index {i} out of range for degree {deg}");
-        let nblocks = deg.div_ceil(self.block_size);
-        let b = i / self.block_size;
-        let within = i % self.block_size;
-        // Read the header; sum the lengths of the blocks before `b`.
-        let mut skip = 0u64;
-        for j in 0..nblocks - 1 {
-            let len = r.read_gamma()?;
-            if j < b {
-                skip += len;
-            }
+    /// The `i`-th neighbor of the located vertex; `i < at.deg`.
+    #[inline]
+    fn ith_of(&self, v: VertexId, at: &Located, i: usize) -> Result<VertexId, GraphFormatError> {
+        let nblocks = at.deg.div_ceil(self.block_size);
+        let mut r = self.reader(at);
+        if nblocks > 1 {
+            let start =
+                Directory::read(&mut r, nblocks)?.block_start(&mut r, i / self.block_size)?;
+            r.seek(start);
         }
-        let mut r = BitReader::new(self.arena(), r.bit_pos() + skip);
-        let lo = b * self.block_size;
-        let hi = ((b + 1) * self.block_size).min(deg);
-        let mut result = 0;
-        let mut k = 0usize;
-        self.decode_block_body(v, &mut r, hi - lo, &mut |u| {
-            if k == within {
-                result = u;
-            }
-            k += 1;
-        })?;
-        Ok(result)
+        let last = self.decode_block(v, &mut r, i % self.block_size + 1, |_| Ok(()))?;
+        // Gaps are non-negative: a running value below `n` here was below
+        // it at every neighbor before.
+        if last >= self.n as u64 {
+            return Err(out_of_range(v, last, self.n));
+        }
+        Ok(last as VertexId)
     }
 
-    /// Fully decodes every adjacency list, verifying structure. O(n + m);
-    /// used by tests and by callers that mmap untrusted files but want
-    /// up-front validation anyway.
+    /// Fully decodes every adjacency list, verifying structure: codewords,
+    /// id range, strict monotonicity, and that the block directory random
+    /// access trusts agrees with the sequential decode. O(n + m); used by
+    /// tests and by callers that mmap untrusted files but want up-front
+    /// validation anyway.
     pub fn validate(&self) -> Result<(), GraphFormatError> {
         for v in 0..self.n as VertexId {
             let mut prev: Option<VertexId> = None;
             let mut ok = true;
-            self.try_for_each_neighbor(v, &mut |u| {
+            self.decode_vertex(v, &self.locate(v), true, &mut |u| {
                 if let Some(p) = prev {
                     ok &= u > p;
                 }
@@ -662,34 +718,139 @@ impl V2Graph {
         Ok(())
     }
 
-    /// Decompresses back to an uncompressed CSR graph.
-    pub fn decompress(&self) -> Graph {
-        let n = self.n;
-        let mut offsets = Vec::with_capacity(n + 1);
+    /// Decompresses back to an uncompressed CSR graph, failing typed when
+    /// the arena does not decode (an mmap open has not read it).
+    pub fn try_decompress(&self) -> Result<Graph, GraphFormatError> {
+        let degrees = self.degrees();
+        let mut offsets = Vec::with_capacity(self.n + 1);
         offsets.push(0u64);
         let mut acc = 0u64;
-        for v in 0..n {
-            acc += self.degree(v as VertexId) as u64;
+        for &d in &degrees {
+            acc += d as u64;
             offsets.push(acc);
         }
         let mut neighbors = vec![0 as VertexId; self.num_arcs()];
-        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(n);
+        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(self.n);
         let mut rest: &mut [VertexId] = &mut neighbors;
-        for v in 0..n {
-            let (head, tail) = rest.split_at_mut(self.degree(v as VertexId));
+        for &d in &degrees {
+            let (head, tail) = rest.split_at_mut(d as usize);
             slices.push(head);
             rest = tail;
         }
-        slices.into_par_iter().enumerate().for_each(|(v, dst)| {
-            let mut k = 0;
-            self.try_for_each_neighbor(v as VertexId, &mut |u| {
-                dst[k] = u;
-                k += 1;
+        let decoded: Vec<Result<(), GraphFormatError>> = slices
+            .into_par_iter()
+            .enumerate()
+            .map(|(v, dst)| {
+                let v = v as VertexId;
+                let mut k = 0;
+                self.decode_vertex(v, &self.span_of(v, dst.len()), false, &mut |u| {
+                    dst[k] = u;
+                    k += 1;
+                })
             })
-            .expect("container validated at open");
-        });
-        Graph::from_csr(offsets, neighbors)
+            .collect();
+        decoded.into_iter().collect::<Result<(), _>>()?;
+        Ok(Graph::from_csr(offsets, neighbors))
     }
+
+    /// [`V2Graph::try_decompress`] for containers this process encoded or
+    /// already validated.
+    pub fn decompress(&self) -> Graph {
+        self.try_decompress().unwrap_or_else(|e| unrecoverable(e))
+    }
+}
+
+/// Where a vertex's adjacency sits: its degree and its arena bit span.
+struct Located {
+    deg: usize,
+    start: u64,
+    end: u64,
+}
+
+/// The block directory of a multi-block vertex: a width field, then the
+/// cumulative body-bit end offset of every block but the last.
+#[derive(Clone, Copy)]
+struct Directory {
+    width: u32,
+    /// Bit position of the first entry.
+    entries: u64,
+    /// Bit position of block 0, right after the last entry.
+    body: u64,
+}
+
+impl Directory {
+    /// Reads the width field `r` is positioned at; leaves `r` at block 0.
+    #[inline]
+    fn read(r: &mut BitReader<'_>, nblocks: usize) -> Result<Self, GraphFormatError> {
+        let width = r.read_bits(WIDTH_FIELD_BITS)? as u32;
+        if width > MAX_BITS {
+            return Err(GraphFormatError::Corrupt("block directory width"));
+        }
+        let entries = r.bit_pos();
+        let body = entries + (nblocks as u64 - 1) * width as u64;
+        r.seek(body);
+        Ok(Directory { width, entries, body })
+    }
+
+    /// Bit position of block `b`: one fixed-width read, whatever the
+    /// degree. Restores `r`'s position.
+    #[inline]
+    fn block_start(&self, r: &mut BitReader<'_>, b: usize) -> Result<u64, GraphFormatError> {
+        if b == 0 {
+            return Ok(self.body);
+        }
+        let back = r.bit_pos();
+        r.seek(self.entries + (b as u64 - 1) * self.width as u64);
+        let offset = r.read_bits(self.width)?;
+        r.seek(back);
+        Ok(self.body + offset)
+    }
+}
+
+/// Where the infallible [`GraphAccess`] paths end up on an error of their
+/// `try_` twins: an index past the degree is the caller's bug, and the
+/// container was checksummed (or validated by the caller) at open, so a
+/// decode failure is corruption no caller of these paths can handle.
+#[cold]
+fn unrecoverable(e: GraphFormatError) -> ! {
+    // xtask:panic-ok(see the doc comment: caller bug or corruption past the open-time checks, on paths documented to panic)
+    panic!("v2 container: {e}")
+}
+
+fn out_of_range(vertex: VertexId, decoded: u64, n: usize) -> GraphFormatError {
+    GraphFormatError::VertexOutOfRange { vertex, decoded: decoded as i64, n }
+}
+
+/// The gap loop of one block: a zigzag delta from the source, then gaps
+/// minus one, summed with overflow checks (a codeword can carry any
+/// `u64`, so hostile bytes can push either sum past the integer range:
+/// checked, not wrapped). `read` has one call site, so it inlines into
+/// the loop; `count ≥ 1`.
+#[inline(always)]
+fn decode_gaps(
+    v: VertexId,
+    n: usize,
+    r: &mut BitReader<'_>,
+    count: usize,
+    mut visit: impl FnMut(u64) -> Result<(), GraphFormatError>,
+    read: impl Fn(&mut BitReader<'_>) -> Result<u64, GraphFormatError>,
+) -> Result<u64, GraphFormatError> {
+    let overflow = |r: &BitReader<'_>| GraphFormatError::Overflow { at_bit: r.bit_pos() };
+    let mut cur = 0u64;
+    for j in 0..count {
+        let x = read(r)?;
+        cur = if j == 0 {
+            let first = (v as i64).checked_add(unzigzag(x)).ok_or_else(|| overflow(r))?;
+            if first < 0 {
+                return Err(GraphFormatError::VertexOutOfRange { vertex: v, decoded: first, n });
+            }
+            first as u64
+        } else {
+            cur.checked_add(x).and_then(|s| s.checked_add(1)).ok_or_else(|| overflow(r))?
+        };
+        visit(cur)?;
+    }
+    Ok(cur)
 }
 
 impl GraphAccess for V2Graph {
@@ -710,13 +871,23 @@ impl GraphAccess for V2Graph {
 
     #[inline]
     fn ith_neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        // xtask:panic-ok(container integrity was verified at load by the checksummed parse; decode failure here is unrecoverable corruption)
-        self.try_ith_neighbor(v, i).expect("corrupt v2 container")
+        self.try_ith_neighbor(v, i).unwrap_or_else(|e| unrecoverable(e))
     }
 
     fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        // xtask:panic-ok(container integrity was verified at load by the checksummed parse; decode failure here is unrecoverable corruption)
-        self.try_for_each_neighbor(v, f).expect("corrupt v2 container")
+        self.try_for_each_neighbor(v, f).unwrap_or_else(|e| unrecoverable(e))
+    }
+
+    /// One walk step off one lookup of `v`: the degree bounds the draw
+    /// and the same located span serves the block decode.
+    #[inline]
+    fn sample_neighbor(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
+        let at = self.locate(v);
+        if at.deg == 0 {
+            return None;
+        }
+        let i = rng.bounded_usize(at.deg);
+        Some(self.ith_of(v, &at, i).unwrap_or_else(|e| unrecoverable(e)))
     }
 
     #[inline]
@@ -888,21 +1059,23 @@ mod tests {
     }
 
     #[test]
-    fn old_codecs_encode_the_same_bytes() {
-        // FNV-1a-64 of the whole container image, recorded before
-        // `Codec::Byte` existed: adding a codec changes no byte of any
-        // container the older builds wrote, so they still read.
+    fn version_2_container_bytes_are_pinned() {
+        // FNV-1a-64 of the whole container image, recorded when version 2
+        // (fixed-width block directory, 4-byte select samples every 8th
+        // element) was introduced: a later codec or refactor changes no
+        // byte of a version-2 container, so files written today still read.
         let g = random_graph(500, 4_000, 61);
         for (codec, want) in [
-            (Codec::Gamma, 0x29A7_31E7_882C_D1EBu64),
-            (Codec::Delta, 0xE3D9_571E_075D_8952),
-            (Codec::Zeta(2), 0x2356_57DD_DC2F_0964),
-            (Codec::Zeta(3), 0x55F0_A781_86DA_6F31),
-            (Codec::Zeta(4), 0xD29C_5FED_D855_7CCE),
-            (Codec::Rice(8), 0x5AB2_ED9A_849C_6E00),
-            (Codec::Rice(10), 0x1117_1438_9B55_0208),
-            (Codec::Rice(12), 0x2086_ECFE_DAF1_B287),
-            (Codec::RiceAdaptive, 0xC9AF_E0D0_F5E5_D535),
+            (Codec::Byte, 0xB904_DFAC_17D3_79BBu64),
+            (Codec::Gamma, 0x744F_1120_7D64_5CDF),
+            (Codec::Delta, 0xAE9D_5A2F_7865_9C27),
+            (Codec::Zeta(2), 0xCFB8_1F33_A42C_CCA1),
+            (Codec::Zeta(3), 0x3991_B0D7_6978_1957),
+            (Codec::Zeta(4), 0x3D10_4B46_7DA8_5EA1),
+            (Codec::Rice(8), 0x86AD_9AF9_65E6_2AF2),
+            (Codec::Rice(10), 0xBB54_FAB9_6D3B_DE94),
+            (Codec::Rice(12), 0xE7FB_62C8_7D72_305F),
+            (Codec::RiceAdaptive, 0x5DB3_8BDE_CBDE_4F64),
         ] {
             let bytes = encode_container(&g, codec, 64).unwrap();
             assert_eq!(fnv1a64(&bytes), want, "{} container bytes changed", codec.name());
@@ -975,8 +1148,7 @@ mod tests {
             let arena_len = arena_len(&bytes);
             let mut cut = bytes[..bytes.len() - arena_len / 2].to_vec();
             cut[48..56].copy_from_slice(&((arena_len - arena_len / 2) as u64).to_le_bytes());
-            let sum = fnv1a64(&cut[0..64]);
-            cut[64..72].copy_from_slice(&sum.to_le_bytes());
+            restamp_header(&mut cut);
             assert!(matches!(
                 V2Graph::parse(Storage::Owned(cut), false),
                 Err(GraphFormatError::Corrupt("bit offsets exceed arena"))
@@ -988,6 +1160,12 @@ mod tests {
     /// verified, payload checksum skipped.
     fn open_unchecked(bytes: Vec<u8>) -> V2Graph {
         V2Graph::parse(Storage::Owned(bytes), false).unwrap()
+    }
+
+    /// Recomputes the header checksum after a header field was edited.
+    fn restamp_header(bytes: &mut [u8]) {
+        let sum = fnv1a64(&bytes[0..64]);
+        bytes[64..72].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// The arena length a container image's header records.
@@ -1033,11 +1211,13 @@ mod tests {
 
         // Codewords near u64::MAX: every code with a logarithmic length
         // can carry one in a few bytes (Rice would need 2³² unary zeros).
-        // Vertex 0 is isolated, so vertex 1's two-neighbor block starts at
-        // arena bit 0 and is overwritten in place.
+        // Vertex 0 is isolated, so vertex 1's block starts at arena bit 0
+        // and is overwritten in place; its forty spread-out neighbors make
+        // the span long enough to hold such a codeword (the reader does
+        // not leave the span, so a longer one would be `Truncated`).
         let mut edges: Vec<(u32, u32)> = vec![(1, 2), (1, 3)];
-        edges.extend((4..60u32).map(|v| (v, v + 1)));
-        let g = GraphBuilder::from_edges(61, &edges);
+        edges.extend((1..=40u32).map(|j| (1, 3 + 50 * j)));
+        let g = GraphBuilder::from_edges(2_004, &edges);
         let huge = u64::MAX - 1; // zigzag(i64::MAX)
         for codec in [Codec::Byte, Codec::Gamma, Codec::Delta, Codec::Zeta(2), Codec::Zeta(3)] {
             // A wrapped `prev + gap + 1` would hand out neighbor 0 after
@@ -1074,12 +1254,146 @@ mod tests {
         // Bump the version and re-stamp the header checksum so the
         // version check (not the checksum) fires.
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let sum = fnv1a64(&bytes[0..64]);
-        bytes[64..72].copy_from_slice(&sum.to_le_bytes());
+        restamp_header(&mut bytes);
         assert!(matches!(
-            V2Graph::from_bytes(bytes),
+            V2Graph::from_bytes(bytes.clone()),
             Err(GraphFormatError::UnsupportedVersion { found: 99, .. })
         ));
+        // A version-1 file (γ-coded block lengths) is not read: there is
+        // one reader, and the error says to recompress.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        restamp_header(&mut bytes);
+        let err = V2Graph::from_bytes(bytes).unwrap_err();
+        assert!(matches!(err, GraphFormatError::UnsupportedVersion { found: 1, supported: 2 }));
+        assert!(err.to_string().contains("lightne compress"), "{err}");
+    }
+
+    /// `try_ith_neighbor` at the first and last index of every block of
+    /// a star's hub, every codec: each access is one directory read, so
+    /// the hub's block count only shows in how many are checked.
+    fn check_hub_block_edges(deg: usize) {
+        let g = star(deg);
+        for codec in Codec::SWEEP {
+            let c = V2Graph::from_graph(&g, codec);
+            for lo in (0..deg).step_by(DEFAULT_BLOCK_SIZE) {
+                let hi = (lo + DEFAULT_BLOCK_SIZE).min(deg) - 1;
+                for i in [lo, hi] {
+                    assert_eq!(
+                        c.try_ith_neighbor(0, i).unwrap(),
+                        i as u32 + 1,
+                        "{} i={i}",
+                        codec.name()
+                    );
+                }
+            }
+            assert!(matches!(
+                c.try_ith_neighbor(0, deg),
+                Err(GraphFormatError::NeighborIndexOutOfRange { vertex: 0, index, degree })
+                    if index == deg && degree == deg
+            ));
+        }
+    }
+
+    #[test]
+    #[cfg(not(miri))]
+    fn hub_of_3125_blocks_seeks_every_block() {
+        check_hub_block_edges(200_000);
+    }
+
+    #[test]
+    fn hub_of_5_blocks_seeks_every_block() {
+        check_hub_block_edges(300);
+    }
+
+    #[test]
+    fn index_past_the_degree_is_a_typed_error() {
+        let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2)]);
+        let c = V2Graph::from_graph(&g, Codec::Gamma);
+        assert_eq!(c.try_ith_neighbor(0, 1).unwrap(), 2);
+        for (v, i, deg) in [(0u32, 2usize, 2usize), (3, 0, 0), (1, usize::MAX, 1)] {
+            assert!(matches!(
+                c.try_ith_neighbor(v, i),
+                Err(GraphFormatError::NeighborIndexOutOfRange { vertex, index, degree })
+                    if (vertex, index, degree) == (v, i, deg)
+            ));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbor index 2 out of range for degree 2")]
+    fn infallible_ith_neighbor_keeps_its_message() {
+        let g = GraphBuilder::from_edges(3, &[(0, 1), (0, 2)]);
+        GraphAccess::ith_neighbor(&V2Graph::from_graph(&g, Codec::Byte), 0, 2);
+    }
+
+    #[test]
+    fn hostile_directory_is_rejected_and_never_leaves_the_span() {
+        // Vertex 1 is a four-block hub between two ordinary vertices, so
+        // a directory entry pointing past its span lands on real data of
+        // a neighbor, not on padding. Every bit of its width field and
+        // its three entries is flipped in turn behind a re-stamped header
+        // (the mmap-style open, which skips the payload checksum).
+        let hub: Vec<(u32, u32)> = (0..200u32).map(|j| (1, 2 + 3 * j)).collect();
+        let mut edges = hub.clone();
+        edges.extend((2..600u32).map(|v| (v, v + 1)));
+        edges.push((0, 5));
+        let g = GraphBuilder::from_edges(602, &edges);
+        let (bs, deg) = (DEFAULT_BLOCK_SIZE, g.degree(1));
+        assert_eq!(deg.div_ceil(bs), 4);
+        // Under miri two codecs stand for the ten (the directory is the
+        // same bits whatever codes the blocks).
+        let codecs = if cfg!(miri) { &Codec::SWEEP[8..] } else { &Codec::SWEEP[..] };
+        for &codec in codecs {
+            let bytes = encode_container(&g, codec, bs).unwrap();
+            let good = open_unchecked(bytes.clone());
+            good.validate().unwrap();
+            let at = good.locate(1);
+            let mut r = good.reader(&at);
+            let dir = Directory::read(&mut r, 4).unwrap();
+            let dir_bits = WIDTH_FIELD_BITS as u64 + 3 * dir.width as u64;
+            assert_eq!(dir.body, at.start + dir_bits);
+            let arena_off = bytes.len() - arena_len(&bytes);
+            for bit in at.start..at.start + dir_bits {
+                let mut bad = bytes.clone();
+                bad[arena_off + (bit / 8) as usize] ^= 0x80 >> (bit % 8);
+                let c = open_unchecked(bad);
+                assert!(c.validate().is_err(), "{}: flip of bit {bit} validated", codec.name());
+                // Which blocks still start where they should: a width
+                // flip moves the whole body, an entry flip one block.
+                let entry = bit
+                    .checked_sub(at.start + WIDTH_FIELD_BITS as u64)
+                    .map(|b| b / dir.width as u64);
+                for i in 0..deg {
+                    let moved = entry.is_none_or(|e| e + 1 == (i / bs) as u64);
+                    match c.try_ith_neighbor(1, i) {
+                        // Decoded inside the span, range-checked: an id, if
+                        // not the right one where the block start moved.
+                        Ok(u) => assert!(moved && (u as usize) < 602 || u == g.ith_neighbor(1, i)),
+                        Err(e) => assert!(moved, "{}: i={i}: {e}", codec.name()),
+                    }
+                }
+            }
+            // An all-ones entry points at or past the span's end (the
+            // width is the bit length of the body total): `Truncated`
+            // there, not a decode of the next vertex's bits.
+            let first = at.start + WIDTH_FIELD_BITS as u64;
+            let mut bad = bytes.clone();
+            for bit in first..first + dir.width as u64 {
+                bad[arena_off + (bit / 8) as usize] |= 0x80 >> (bit % 8);
+            }
+            let got = open_unchecked(bad).try_ith_neighbor(1, bs);
+            assert!(matches!(got, Err(GraphFormatError::Truncated { .. })), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn try_decompress_fails_typed_on_a_corrupt_arena() {
+        let g = random_graph(80, 600, 47);
+        let mut bytes = encode_container(&g, Codec::Gamma, 64).unwrap();
+        assert_eq!(open_unchecked(bytes.clone()).try_decompress().unwrap(), g);
+        let tail = bytes.len() - 10;
+        bytes[tail..].fill(0xFF);
+        assert!(open_unchecked(bytes).try_decompress().is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! CSR with O(log deg) weight-proportional neighbor sampling — with its
 //! stored ones.
 
-use crate::ops::common_neighbors;
+use crate::ops::{common_neighbors, par_vertices_by_arc_mass};
 use crate::{Graph, GraphAccess, GraphOps, VertexId};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::parallel_prefix_sum;
@@ -119,8 +119,7 @@ impl<G: GraphAccess + Sync> WeightedOps for G {
 
     #[inline]
     fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
-        let deg = self.degree(v);
-        (deg > 0).then(|| self.ith_neighbor(v, rng.bounded_usize(deg)))
+        self.sample_neighbor(v, rng)
     }
 
     #[inline]
@@ -401,7 +400,8 @@ impl WeightedOps for WeightedGraph {
     where
         F: Fn(VertexId, VertexId, f32, u64) + Sync + Send,
     {
-        (0..self.num_vertices() as VertexId).into_par_iter().for_each(|u| {
+        let first_arc = |u| self.first_arc_index(u);
+        par_vertices_by_arc_mass(self.num_vertices(), self.num_arcs() as u64, first_arc, |u| {
             let base = self.first_arc_index(u);
             let (nb, ws) = self.neighbors(u);
             for (i, (&v, &w)) in nb.iter().zip(ws).enumerate() {

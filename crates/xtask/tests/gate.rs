@@ -23,7 +23,7 @@ fn judge(gate: &str, report: &str, baseline: &str) -> (Vec<String>, bool) {
 fn committed_baselines_pass_their_own_gate() {
     // Catches drift between the table's keys and the bench bins' keys.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for (gate, rules) in [("linalg", 7), ("graph", 3), ("quality", 47), ("analysis", 9)] {
+    for (gate, rules) in [("linalg", 7), ("graph", 4), ("quality", 47), ("analysis", 9)] {
         let (path, rows) = table(gate).expect("known gate");
         let base = Report::from_file(&root.join(path)).expect("committed baseline parses");
         let (lines, failed) = evaluate(rows, &base, &base);
@@ -39,6 +39,7 @@ const CASES: &[(&str, &str, &[&str])] = &[
     // One failing report per rule kind.
     ("linalg", "linalg_gemm_1_6.json", &["FAIL: gemm_speedup 1.6 is not >= 2"]),
     ("graph", "graph_bits_ratio_high.json", &["FAIL: bits_ratio_best 0.95 is not <= 0.92"]),
+    ("graph", "graph_walk_slow.json", &["FAIL: walk_slowdown_best 6.5 is not <= 5.3"]),
     ("analysis", "analysis_taint.json", &["FAIL: taint_unjustified 1 is not <= 0"]),
     ("linalg", "linalg_qr_regressed.json", &["FAIL: qr_panel_gflops 3 vs baseline 4.812 (must be >= 0.75x)"]),
     ("analysis", "analysis_panic_grew.json", &["FAIL: panic_justified 52 vs baseline 51 (must be <= 1x)"]),
@@ -82,6 +83,9 @@ fn constant_floors_and_present_scenarios_are_still_checked() {
     ] {
         assert!(lines.iter().any(|l| l == ok), "{ok}: {lines:#?}");
     }
+    // The smoke-scale graph report is judged by the smoke-scale walk row.
+    let (lines, _) = judge("graph", "graph_smoke.json", "baseline_graph.json");
+    assert!(lines.iter().any(|l| l == "ok: walk_slowdown_best 9.4482 <= 11.8"), "{lines:#?}");
     // Two of the baseline's three profiles: 12 floors checked, the third
     // profile's absent keys are not failures.
     let (lines, failed) = judge("quality", "quality_subset.json", "baseline_quality.json");

@@ -76,7 +76,9 @@ fn is_v2_container(path: &str) -> bool {
 fn load_graph(path: &str) -> Result<Graph, String> {
     if is_v2_container(path) {
         let v2 = V2Graph::open(path.as_ref()).map_err(|e| format!("reading {path}: {e}"))?;
-        Ok(v2.decompress())
+        // The checksum at open vouches for the bytes, not for what they
+        // decode to.
+        v2.try_decompress().map_err(|e| format!("decoding {path}: {e}"))
     } else if path.ends_with(".lne") {
         read_binary(path).map_err(|e| format!("reading {path}: {e}"))
     } else {
