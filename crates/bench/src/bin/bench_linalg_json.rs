@@ -15,10 +15,10 @@
 //! * `GEMM_M`, `GEMM_HOT_M`, `QR_ROWS`, `JACOBI_N`, `RSVD_N` — problem
 //!   sizes, for CI smoke runs on shared machines (defaults are the full
 //!   sizes the committed baseline was measured at).
-//! * `LIGHTNE_SIMD` — caps the dispatch tier (`scalar`/`avx2`/`avx512`);
-//!   the report records the tier it actually ran on (`dispatch_tier`)
-//!   and always includes a forced-scalar GEMM number so tiers can be
-//!   compared like-for-like.
+//!
+//! The report records the tier the CPU selected (`dispatch_tier`) and
+//! always includes a forced-scalar GEMM number (`simd::set_tier`) so
+//! tiers can be compared like-for-like.
 
 use lightne_bench::harness::timed;
 use lightne_linalg::kernels::gemm_flops;
@@ -97,9 +97,9 @@ fn main() {
     let mut lines: Vec<String> = Vec::new();
     let mut put = |key: &str, val: String| lines.push(format!("  \"{key}\": {val}"));
 
-    // The tier the blocked kernels dispatch to for this whole report
-    // (honours LIGHTNE_SIMD), plus the raw detection result, so the
-    // regression gate can compare like-for-like tiers.
+    // The tier the blocked kernels dispatch to for this whole report,
+    // plus the raw detection result, so the regression gate can compare
+    // like-for-like tiers.
     let tier = simd::active_tier();
     eprintln!("simd dispatch: {} (detected: {})", tier.name(), simd::detected_features());
     put("dispatch_tier", format!("\"{}\"", tier.name()));

@@ -10,11 +10,12 @@
 //! both laws, report the affordable sample count under a fixed budget,
 //! and quantify the (small) accuracy cost of downsampling at fixed `M`.
 
+use lightne_baselines::netsmf::ThreadLocalAggregator;
 use lightne_bench::harness::{header, Args};
 use lightne_core::{LightNe, LightNeConfig};
 use lightne_eval::classify::evaluate_node_classification;
 use lightne_gen::profiles::Profile;
-use lightne_hash::{ConcurrentEdgeTable, ThreadLocalAggregator};
+use lightne_hash::ShardedEdgeTable;
 use lightne_sparsifier::construct::{sample_into, SamplerConfig};
 use lightne_utils::mem::human_bytes;
 
@@ -31,7 +32,7 @@ fn measure(
         let agg = ThreadLocalAggregator::new();
         sample_into(g, &cfg, &agg).expect("sampling failed").aggregator_bytes
     } else {
-        let agg = ConcurrentEdgeTable::with_expected(1024);
+        let agg = ShardedEdgeTable::new(g.num_vertices(), 1, 1024);
         sample_into(g, &cfg, &agg).expect("sampling failed").aggregator_bytes
     }
 }

@@ -22,7 +22,7 @@
 use crate::engine::{run_pipeline, PipelineSource, RunOptions};
 use crate::pipeline::{LightNe, LightNeConfig, LightNeOutput};
 use lightne_graph::{Graph, GraphBuilder, VertexId};
-use lightne_hash::{ConcurrentEdgeTable, EdgeAggregator, ShardedEdgeTable};
+use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne_sparsifier::construct::{sample_arc, SamplerConfig, SamplerError, SamplerStats};
 use lightne_sparsifier::downsample::{default_c, survival_probability};
 use lightne_sparsifier::sharded::table_from_coo;
@@ -35,7 +35,8 @@ pub struct DynamicLightNe {
     n: usize,
     edges: Vec<(VertexId, VertexId)>,
     graph: Graph,
-    table: ConcurrentEdgeTable,
+    /// The persistent sparsifier: one shared table (a single shard).
+    table: ShardedEdgeTable,
     /// Total trials contributed to the table so far (the `M` of the
     /// estimator denominator).
     total_trials: u64,
@@ -51,7 +52,7 @@ impl DynamicLightNe {
             n,
             edges: Vec::new(),
             graph: Graph::empty(n),
-            table: ConcurrentEdgeTable::with_expected(1024),
+            table: ShardedEdgeTable::new(n, 1, 1024),
             total_trials: 0,
             epoch: 0,
         }
@@ -129,7 +130,7 @@ impl DynamicLightNe {
     }
 
     /// [`DynamicLightNe::reembed`] with engine options (checkpointing,
-    /// resume, progress reporting). Returns a [`SamplerError::EmptyGraph`]
+    /// resume). Returns a [`SamplerError::EmptyGraph`]
     /// engine error when no edges have been absorbed yet.
     ///
     /// [`SamplerError::EmptyGraph`]: lightne_sparsifier::construct::SamplerError::EmptyGraph

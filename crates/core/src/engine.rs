@@ -8,8 +8,7 @@
 //!
 //! * [`RunContext`] drives the stages, recording per-stage wall time,
 //!   named counters, and peak heap bytes into [`StageRecord`]s, with
-//!   deterministic per-stage RNG sub-seeds derived from the master seed
-//!   and an optional [`ProgressHook`] for live reporting.
+//!   deterministic per-stage RNG sub-seeds derived from the master seed.
 //! * [`PipelineSource`] names the graph the stages run on and how its
 //!   sparsifier table is filled: by Algorithm 2 (any graph, weighted or
 //!   not), from the dynamic embedder's persistent table, or through
@@ -135,51 +134,18 @@ impl StageScope {
     }
 }
 
-/// Events delivered to a [`ProgressHook`] as stages start and finish.
-#[derive(Debug)]
-pub enum StageEvent<'a> {
-    /// A stage has begun.
-    Started {
-        /// The stage's display name.
-        name: &'a str,
-    },
-    /// A stage has completed; its full record is available.
-    Finished {
-        /// The finished stage record.
-        record: &'a StageRecord,
-    },
-}
-
-/// Callback invoked on every [`StageEvent`].
-pub type ProgressHook = Box<dyn Fn(&StageEvent<'_>) + Send + Sync>;
-
 /// Shared execution state driving a staged run.
+#[derive(Debug)]
 pub struct RunContext {
     master_seed: u64,
     records: Vec<StageRecord>,
     fallbacks: Vec<String>,
-    progress: Option<ProgressHook>,
-}
-
-impl fmt::Debug for RunContext {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunContext")
-            .field("master_seed", &self.master_seed)
-            .field("records", &self.records)
-            .field("progress", &self.progress.is_some())
-            .finish()
-    }
 }
 
 impl RunContext {
     /// Creates a context with the given master seed.
     pub fn new(master_seed: u64) -> Self {
-        Self { master_seed, records: Vec::new(), fallbacks: Vec::new(), progress: None }
-    }
-
-    /// Creates a context that reports stage events to `hook`.
-    pub fn with_progress(master_seed: u64, hook: ProgressHook) -> Self {
-        Self { master_seed, records: Vec::new(), fallbacks: Vec::new(), progress: Some(hook) }
+        Self { master_seed, records: Vec::new(), fallbacks: Vec::new() }
     }
 
     /// Records a resume degradation: an invalid or missing artifact that
@@ -207,27 +173,20 @@ impl RunContext {
         self.run_named(kind.name(), f)
     }
 
-    /// Runs `f` as a named stage: emits start/finish events, times the
-    /// body, and appends the resulting [`StageRecord`].
+    /// Runs `f` as a named stage: times the body and appends the
+    /// resulting [`StageRecord`].
     pub fn run_named<T>(&mut self, name: &str, f: impl FnOnce(&mut StageScope) -> T) -> T {
-        if let Some(hook) = &self.progress {
-            hook(&StageEvent::Started { name });
-        }
         let mut scope = StageScope::default();
         // xtask:allow(L5): wall-clock stage timing feeds StageRecord.secs
         // (report metadata only); it never influences numeric output.
         let started = Instant::now();
         let out = f(&mut scope);
-        let record = StageRecord {
+        self.records.push(StageRecord {
             name: name.to_string(),
             secs: started.elapsed().as_secs_f64(),
             heap_bytes: scope.heap_bytes,
             counters: scope.counters,
-        };
-        if let Some(hook) = &self.progress {
-            hook(&StageEvent::Finished { record: &record });
-        }
-        self.records.push(record);
+        });
         out
     }
 
@@ -441,7 +400,7 @@ impl From<std::io::Error> for EngineError {
 }
 
 /// Per-run execution options for [`run_pipeline`].
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct RunOptions {
     /// Checkpoint each stage's output into this directory.
     pub save_artifacts: Option<PathBuf>,
@@ -450,19 +409,6 @@ pub struct RunOptions {
     /// Fail with [`EngineError::Corrupt`] on any invalid artifact instead
     /// of degrading to an earlier stage (`--strict-resume`).
     pub strict_resume: bool,
-    /// Stage start/finish callback.
-    pub progress: Option<ProgressHook>,
-}
-
-impl fmt::Debug for RunOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("save_artifacts", &self.save_artifacts)
-            .field("resume_from", &self.resume_from)
-            .field("strict_resume", &self.strict_resume)
-            .field("progress", &self.progress.is_some())
-            .finish()
-    }
 }
 
 /// What a staged pipeline must provide: the graph its stages run on, and
@@ -471,7 +417,7 @@ impl fmt::Debug for RunOptions {
 /// The engine owns sequencing, timing, counters, checkpointing, resume,
 /// and stages 2–4 (fused NetMF drain, randomized SVD, propagation over
 /// the graph's operators); [`run_pipeline`] is the only driver, so every
-/// source gets artifacts, stats, and progress for free.
+/// source gets artifacts and stats for free.
 pub trait PipelineSource {
     /// The graph backend (any [`WeightedOps`]: CSR, compressed, weighted).
     type Graph: WeightedOps;
@@ -553,10 +499,7 @@ pub fn run_pipeline<S: PipelineSource>(
     opts: RunOptions,
 ) -> Result<LightNeOutput, EngineError> {
     cfg.validate()?;
-    let mut ctx = match opts.progress {
-        Some(hook) => RunContext::with_progress(cfg.seed, hook),
-        None => RunContext::new(cfg.seed),
-    };
+    let mut ctx = RunContext::new(cfg.seed);
 
     let g = src.graph();
     let n = g.num_vertices();
@@ -883,31 +826,6 @@ mod tests {
         assert_eq!(s.heap_bytes, 64);
         assert!(stats.get("extra").is_some());
         assert!(stats.threads >= 1);
-    }
-
-    #[test]
-    fn progress_hook_sees_start_and_finish() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let starts = Arc::new(AtomicU64::new(0));
-        let finishes = Arc::new(AtomicU64::new(0));
-        let (s, f) = (starts.clone(), finishes.clone());
-        let mut ctx = RunContext::with_progress(
-            1,
-            Box::new(move |ev| match ev {
-                StageEvent::Started { .. } => {
-                    s.fetch_add(1, Ordering::Relaxed);
-                }
-                StageEvent::Finished { record } => {
-                    assert!(record.secs >= 0.0);
-                    f.fetch_add(1, Ordering::Relaxed);
-                }
-            }),
-        );
-        ctx.run(StageKind::Rsvd, |_| ());
-        ctx.run(StageKind::Propagate, |_| ());
-        assert_eq!(starts.load(Ordering::Relaxed), 2);
-        assert_eq!(finishes.load(Ordering::Relaxed), 2);
     }
 
     #[test]

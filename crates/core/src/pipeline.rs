@@ -264,8 +264,7 @@ impl LightNe {
         self.embed_with(g, RunOptions::default()).unwrap_or_else(|e| panic!("pipeline failed: {e}"))
     }
 
-    /// The pipeline with engine options (checkpointing, resume, progress
-    /// reporting).
+    /// The pipeline with engine options (checkpointing, resume).
     pub fn embed_with<G: WeightedOps>(
         &self,
         g: &G,

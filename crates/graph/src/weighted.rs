@@ -515,13 +515,13 @@ mod tests {
         use std::sync::atomic::{AtomicU32, Ordering};
         let g = weighted_triangle();
         let count = AtomicU32::new(0);
-        let wsum = lightne_utils::atomic::AtomicF64::new(0.0);
+        let wsum = std::sync::Mutex::new(0.0f64);
         g.map_arcs(|_, _, w, _| {
             count.fetch_add(1, Ordering::Relaxed);
-            wsum.fetch_add(w as f64);
+            *wsum.lock().unwrap() += w as f64;
         });
         assert_eq!(count.load(Ordering::Relaxed), 6);
-        assert!((wsum.load() - 12.0).abs() < 1e-6);
+        assert!((wsum.into_inner().unwrap() - 12.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! The lock-free concurrent edge-weight table (the "folklore" parallel
-//! hash table of Maier et al., as used by LightNE).
+//! One shard of the edge table: the lock-free "folklore" parallel hash
+//! table of Maier et al., as used by LightNE. Private to the crate —
+//! [`crate::ShardedEdgeTable`] is the only way in, and a 1-shard table is
+//! exactly one of these.
 //!
-//! Open addressing with linear probing over a power-of-two slot array.
-//! Each slot is an atomic key plus an atomic weight. Claiming a slot is a
-//! single CAS on the key; weight accumulation is a single `fetch_add`.
-//! There are no deletions (the workload never removes samples), which is
-//! what keeps the folklore design correct.
+//! Open addressing with linear probing over a power-of-two array of
+//! 16-byte slots, each an atomic key next to its atomic weight (one cache
+//! line per probe hit). Claiming a slot is a single CAS on the key; weight
+//! accumulation is a single `fetch_add`. There are no deletions (the
+//! workload never removes samples), which is what keeps the folklore
+//! design correct.
 //!
 //! **Weights are fixed-point**: each `f32` delta is rounded to a multiple
 //! of 2⁻²⁰ and accumulated as an integer `fetch_add` on a `u64`. Integer
@@ -23,7 +26,7 @@
 //! and wait-free with respect to other inserts.
 
 use crate::sync_shim::{AtomicU64, AtomicUsize, Ordering, RwLock};
-use crate::{pack_key, unpack_key, EdgeAggregator};
+use crate::unpack_key;
 use lightne_utils::rng::mix2;
 #[cfg(not(loom))]
 use rayon::prelude::*;
@@ -32,12 +35,12 @@ use rayon::prelude::*;
 const FIXED_ONE: f64 = (1u64 << 20) as f64;
 
 #[inline]
-fn to_fixed(w: f32) -> u64 {
+pub(crate) fn to_fixed(w: f32) -> u64 {
     (w as f64 * FIXED_ONE).round() as u64
 }
 
 #[inline]
-fn from_fixed(raw: u64) -> f32 {
+pub(crate) fn from_fixed(raw: u64) -> f32 {
     (raw as f64 / FIXED_ONE) as f32
 }
 
@@ -49,20 +52,33 @@ const EMPTY: u64 = u64::MAX;
 /// Maximum load factor before the table doubles.
 const MAX_LOAD: f64 = 0.7;
 
+/// Bytes one slot occupies (what `memory_bytes` charges per slot).
+pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+
+/// A packed `(u, v)` key and its fixed-point accumulated weight (see
+/// module docs). 16-aligned, so a slot never straddles a cache line: a
+/// probe that hits finds the weight on the line the key load fetched.
+#[repr(align(16))]
+struct Slot {
+    key: AtomicU64,
+    weight: AtomicU64,
+}
+
 struct Slots {
-    keys: Vec<AtomicU64>,
-    /// Fixed-point accumulated weights (see module docs).
-    weights: Vec<AtomicU64>,
+    slots: Vec<Slot>,
     mask: usize,
 }
 
 impl Slots {
     fn new(capacity_pow2: usize) -> Self {
-        Self {
-            keys: (0..capacity_pow2).map(|_| AtomicU64::new(EMPTY)).collect(),
-            weights: (0..capacity_pow2).map(|_| AtomicU64::new(0)).collect(),
-            mask: capacity_pow2 - 1,
-        }
+        let empty = |_| Slot { key: AtomicU64::new(EMPTY), weight: AtomicU64::new(0) };
+        Self { slots: (0..capacity_pow2).map(empty).collect(), mask: capacity_pow2 - 1 }
+    }
+
+    /// Where `key`'s probe sequence starts.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (mix2(0x9E37_79B9, key) as usize) & self.mask
     }
 
     /// Adds the fixed-point delta `raw` to `key`'s slot. Returns `Ok(true)`
@@ -70,67 +86,56 @@ impl Slots {
     /// updated, and `Err(())` if the probe sequence found no free slot
     /// (table critically full).
     fn add(&self, key: u64, raw: u64) -> Result<bool, ()> {
-        let mut idx = (mix2(0x9E37_79B9, key) as usize) & self.mask;
+        let mut idx = self.home(key);
         // Bound the probe length so a pathological fill fails loudly into
         // the resize path instead of spinning.
         for _ in 0..=self.mask {
-            // Keys and weights live in separate arrays, so a hit takes
-            // two dependent misses; request the weight line while the
-            // key compare is in flight. A pure scheduling hint (never
-            // reads architecturally), so the loom models skip it.
-            #[cfg(not(loom))]
-            crate::prefetch::prefetch_read((&self.weights[idx] as *const AtomicU64).cast());
-            let k = self.keys[idx].load(Ordering::Acquire);
+            let slot = &self.slots[idx];
+            let mut k = slot.key.load(Ordering::Acquire);
+            if k == EMPTY {
+                // A lost claim leaves the winner's key in `k`: ours (fall
+                // through to the add) or another's (keep probing).
+                match slot.key.compare_exchange(EMPTY, key, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => {
+                        // ordering: Relaxed — see the fetch_add below.
+                        slot.weight.fetch_add(raw, Ordering::Relaxed);
+                        return Ok(true);
+                    }
+                    Err(actual) => k = actual,
+                }
+            }
             if k == key {
                 // ordering: Relaxed — atomic RMW never loses updates; the
                 // accumulated value is only *read* after a join or under
                 // the exclusive resize lock, both of which order it.
-                self.weights[idx].fetch_add(raw, Ordering::Relaxed);
+                slot.weight.fetch_add(raw, Ordering::Relaxed);
                 return Ok(false);
-            }
-            if k == EMPTY {
-                match self.keys[idx].compare_exchange(
-                    EMPTY,
-                    key,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        // ordering: Relaxed — see the fetch_add above.
-                        self.weights[idx].fetch_add(raw, Ordering::Relaxed);
-                        return Ok(true);
-                    }
-                    Err(actual) if actual == key => {
-                        // ordering: Relaxed — see the fetch_add above.
-                        self.weights[idx].fetch_add(raw, Ordering::Relaxed);
-                        return Ok(false);
-                    }
-                    Err(_) => { /* someone else claimed it; keep probing */ }
-                }
-                // Re-examine this slot: it may now hold our key.
-                if self.keys[idx].load(Ordering::Acquire) == key {
-                    // ordering: Relaxed — see the fetch_add above.
-                    self.weights[idx].fetch_add(raw, Ordering::Relaxed);
-                    return Ok(false);
-                }
             }
             idx = (idx + 1) & self.mask;
         }
         Err(())
     }
+
+    /// Fixed-point weight accumulated under `key`, if it holds a slot.
+    fn find(&self, key: u64) -> Option<u64> {
+        let mut idx = self.home(key);
+        for _ in 0..=self.mask {
+            let slot = &self.slots[idx];
+            match slot.key.load(Ordering::Acquire) {
+                // ordering: Relaxed — RMW-accumulated weight; exact reads
+                // happen after a join, racy reads are documented as
+                // point-in-time (see `ConcurrentEdgeTable::entries`).
+                k if k == key => return Some(slot.weight.load(Ordering::Relaxed)),
+                EMPTY => return None,
+                _ => idx = (idx + 1) & self.mask,
+            }
+        }
+        None
+    }
 }
 
-/// A concurrent, growable edge → weight accumulation table.
-///
-/// ```
-/// use lightne_hash::ConcurrentEdgeTable;
-/// let t = ConcurrentEdgeTable::with_expected(16);
-/// t.add_edge(1, 2, 0.5);
-/// t.add_edge(1, 2, 1.5);
-/// assert_eq!(t.get(1, 2), 2.0);
-/// assert_eq!(t.len(), 1);
-/// ```
-pub struct ConcurrentEdgeTable {
+/// A concurrent, growable packed-key → fixed-point-weight table.
+pub(crate) struct ConcurrentEdgeTable {
     inner: RwLock<Slots>,
     len: AtomicUsize,
     resizes: AtomicUsize,
@@ -140,19 +145,14 @@ impl ConcurrentEdgeTable {
     /// Creates a table expecting roughly `expected_distinct` distinct
     /// edges. Capacity is the next power of two above
     /// `expected_distinct / MAX_LOAD`, with a small floor.
-    pub fn with_expected(expected_distinct: usize) -> Self {
+    pub(crate) fn with_expected(expected_distinct: usize) -> Self {
         let target = ((expected_distinct as f64 / MAX_LOAD) as usize).max(1024);
         Self::with_slot_capacity(target.next_power_of_two())
     }
 
-    /// Creates a table with an exact initial slot capacity (must be a
-    /// power of two). Test and model-checking hook: the loom models need
-    /// tiny tables (4–8 slots) so resizes trigger after a handful of
-    /// inserts and the interleaving space stays explorable; production
-    /// callers should use [`Self::with_expected`], which keeps the
-    /// load-factor floor.
-    #[doc(hidden)]
-    pub fn with_slot_capacity(cap_pow2: usize) -> Self {
+    /// Creates a table with an exact initial slot capacity (a power of
+    /// two); [`Self::with_expected`] keeps the load-factor floor.
+    pub(crate) fn with_slot_capacity(cap_pow2: usize) -> Self {
         assert!(cap_pow2.is_power_of_two(), "slot capacity must be a power of two");
         Self {
             inner: RwLock::new(Slots::new(cap_pow2)),
@@ -161,30 +161,20 @@ impl ConcurrentEdgeTable {
         }
     }
 
-    /// Current slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.read().keys.len()
-    }
-
     /// Number of distinct keys stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         // ordering: Relaxed — monotone statistics counter; exact reads
         // happen after a join (sampling finished) which orders them.
         self.len.load(Ordering::Relaxed)
     }
 
-    /// Whether the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current load factor.
-    pub fn load_factor(&self) -> f64 {
-        self.len() as f64 / self.capacity() as f64
+    /// Current slot capacity.
+    pub(crate) fn capacity(&self) -> usize {
+        self.inner.read().slots.len()
     }
 
     /// Number of times the slot array has doubled since construction.
-    pub fn resize_count(&self) -> usize {
+    pub(crate) fn resizes(&self) -> usize {
         // ordering: Relaxed — statistics counter, see `len`.
         self.resizes.load(Ordering::Relaxed)
     }
@@ -195,18 +185,19 @@ impl ConcurrentEdgeTable {
         // ordering: Relaxed — the exclusive write lock excludes every
         // inserter (they hold the read lock across their len update), and
         // lock acquire/release provides the happens-before edge.
-        if (self.len.load(Ordering::Relaxed) as f64) < MAX_LOAD * guard.keys.len() as f64 {
+        if (self.len.load(Ordering::Relaxed) as f64) < MAX_LOAD * guard.slots.len() as f64 {
             return;
         }
-        let new = Slots::new(guard.keys.len() * 2);
-        for (k, w) in guard.keys.iter().zip(guard.weights.iter()) {
+        let new = Slots::new(guard.slots.len() * 2);
+        for slot in &guard.slots {
             // ordering: Relaxed — exclusive access under the write lock.
-            let key = k.load(Ordering::Relaxed);
+            let key = slot.key.load(Ordering::Relaxed);
             if key != EMPTY {
                 // Transfer the raw fixed-point value: no re-rounding.
                 // ordering: Relaxed — exclusive access under the write lock.
                 // xtask:panic-ok(invariant: the fresh table was sized to hold every key of the old one)
-                new.add(key, w.load(Ordering::Relaxed)).expect("fresh table cannot be full");
+                new.add(key, slot.weight.load(Ordering::Relaxed))
+                    .expect("fresh table cannot be full");
             }
         }
         *guard = new;
@@ -214,256 +205,75 @@ impl ConcurrentEdgeTable {
         self.resizes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds `weight` to edge `(u, v)`.
-    pub fn add_edge(&self, u: u32, v: u32, weight: f32) {
-        let key = pack_key(u, v);
-        let raw = to_fixed(weight);
+    /// Adds the fixed-point delta `raw` to the packed edge `key`.
+    pub(crate) fn add(&self, key: u64, raw: u64) {
         loop {
-            {
+            let recorded = {
                 let guard = self.inner.read();
                 match guard.add(key, raw) {
-                    Ok(fresh) => {
-                        if fresh {
-                            // ordering: Relaxed — RMW on a counter; read
-                            // exactly only under the write lock or after a
-                            // join (see `grow` / `len`). Done while still
-                            // holding the read lock so `grow`'s exclusive
-                            // section observes a settled count.
-                            let new_len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
-                            if (new_len as f64) < MAX_LOAD * guard.keys.len() as f64 {
-                                return;
-                            }
-                            // fall through to grow
-                        } else {
+                    Ok(false) => return,
+                    Ok(true) => {
+                        // ordering: Relaxed — RMW on a counter; read
+                        // exactly only under the write lock or after a
+                        // join (see `grow` / `len`). Done while still
+                        // holding the read lock so `grow`'s exclusive
+                        // section observes a settled count.
+                        let new_len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
+                        if (new_len as f64) < MAX_LOAD * guard.slots.len() as f64 {
                             return;
                         }
+                        true
                     }
-                    Err(()) => { /* fall through to grow */ }
+                    Err(()) => false,
                 }
-            }
+            };
             self.grow();
-            // A fresh insert that triggered growth has already been
-            // recorded; only a failed insert needs retrying.
-            if self.contains(u, v) {
+            // A fresh insert that crossed the load factor is already in the
+            // table; only one that found no free slot is retried.
+            if recorded {
                 return;
             }
         }
     }
 
-    /// Whether the edge has been recorded.
-    pub fn contains(&self, u: u32, v: u32) -> bool {
-        let key = pack_key(u, v);
-        let guard = self.inner.read();
-        let mut idx = (mix2(0x9E37_79B9, key) as usize) & guard.mask;
-        for _ in 0..=guard.mask {
-            match guard.keys[idx].load(Ordering::Acquire) {
-                k if k == key => return true,
-                EMPTY => return false,
-                _ => idx = (idx + 1) & guard.mask,
-            }
-        }
-        false
+    /// Fixed-point weight accumulated under `key`, if it was ever added.
+    pub(crate) fn find(&self, key: u64) -> Option<u64> {
+        self.inner.read().find(key)
     }
 
-    /// Non-destructive snapshot of all entries (used by the dynamic
-    /// embedder, which keeps accumulating into the table afterwards).
-    /// Taken under the shared read lock; concurrent inserts during the
-    /// scan may or may not be included, and an entry whose claiming
-    /// insert is still mid-flight can surface with a partial (even zero)
-    /// weight — callers that need exact totals must quiesce writers first.
-    pub fn snapshot(&self) -> Vec<(u32, u32, f32)> {
+    /// Every `(u, v, weight)` held, in slot order. Taken under the shared
+    /// read lock; concurrent inserts during the scan may or may not be
+    /// included, and an entry whose claiming insert is still mid-flight
+    /// can surface with a partial (even zero) weight — callers that need
+    /// exact totals must quiesce writers first (a drain owns the table,
+    /// so it has).
+    pub(crate) fn entries(&self) -> Vec<(u32, u32, f32)> {
         let guard = self.inner.read();
-        let scan = |(k, w): (&AtomicU64, &AtomicU64)| {
-            // Key load upgraded from Relaxed to Acquire (PR 5 ordering
-            // audit): pairs with the AcqRel claim CAS so a concurrent
-            // scanner that observes the key also observes every weight
-            // update sequenced *before* the claim. The claimer's own
+        let scan = |slot: &Slot| {
+            // ordering: Acquire — pairs with the AcqRel claim CAS so a
+            // concurrent scanner that observes the key also observes every
+            // weight update sequenced *before* the claim. The claimer's own
             // first fetch_add follows the CAS, hence the documented
             // mid-flight window above.
-            let key = k.load(Ordering::Acquire);
+            let key = slot.key.load(Ordering::Acquire);
             if key == EMPTY {
                 None
             } else {
                 let (u, v) = unpack_key(key);
                 // ordering: Relaxed — RMW-accumulated value; staleness is
-                // accepted per the documented snapshot semantics.
-                Some((u, v, from_fixed(w.load(Ordering::Relaxed))))
+                // accepted per the documented semantics above.
+                Some((u, v, from_fixed(slot.weight.load(Ordering::Relaxed))))
             }
         };
         #[cfg(not(loom))]
         {
-            guard.keys.par_iter().zip(guard.weights.par_iter()).filter_map(scan).collect()
+            guard.slots.par_iter().filter_map(scan).collect()
         }
         #[cfg(loom)]
         {
             // Under the model checker only loom-registered threads may
             // touch loom atomics, so the scan stays on the model thread.
-            guard.keys.iter().zip(guard.weights.iter()).filter_map(scan).collect()
+            guard.slots.iter().filter_map(scan).collect()
         }
-    }
-
-    /// Reads the accumulated weight of an edge (0.0 if absent).
-    pub fn get(&self, u: u32, v: u32) -> f32 {
-        let key = pack_key(u, v);
-        let guard = self.inner.read();
-        let mut idx = (mix2(0x9E37_79B9, key) as usize) & guard.mask;
-        for _ in 0..=guard.mask {
-            match guard.keys[idx].load(Ordering::Acquire) {
-                // ordering: Relaxed — RMW-accumulated weight; exact reads
-                // happen after a join, racy reads are documented as
-                // point-in-time (see `snapshot`).
-                k if k == key => return from_fixed(guard.weights[idx].load(Ordering::Relaxed)),
-                EMPTY => return 0.0,
-                _ => idx = (idx + 1) & guard.mask,
-            }
-        }
-        0.0
-    }
-}
-
-impl EdgeAggregator for ConcurrentEdgeTable {
-    fn add(&self, u: u32, v: u32, weight: f32) {
-        self.add_edge(u, v, weight);
-    }
-
-    fn distinct_edges(&self) -> usize {
-        self.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // One u64 key + one u64 fixed-point weight per slot.
-        self.capacity() * (2 * std::mem::size_of::<u64>())
-    }
-
-    fn into_coo(self) -> Vec<(u32, u32, f32)> {
-        let slots = self.inner.into_inner();
-        let drain = |(k, w): (&AtomicU64, &AtomicU64)| {
-            // ordering: Relaxed — `self` is owned, so every writer has
-            // already synchronized (joined or released its guard); these
-            // loads cannot race.
-            let key = k.load(Ordering::Relaxed);
-            if key == EMPTY {
-                None
-            } else {
-                let (u, v) = unpack_key(key);
-                // ordering: Relaxed — exclusive ownership, see above.
-                Some((u, v, from_fixed(w.load(Ordering::Relaxed))))
-            }
-        };
-        #[cfg(not(loom))]
-        {
-            slots.keys.par_iter().zip(slots.weights.par_iter()).filter_map(drain).collect()
-        }
-        #[cfg(loom)]
-        {
-            // Model-thread-only scan; see `snapshot`.
-            slots.keys.iter().zip(slots.weights.iter()).filter_map(drain).collect()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    // The multi-threaded stress tests drive the table through rayon,
-    // which loom cannot schedule; the loom models in tests/loom_models.rs
-    // cover those interleavings under `--cfg loom` instead.
-    #[cfg(loom)]
-    use rayon::prelude::*;
-
-    #[test]
-    fn single_thread_accumulates() {
-        let t = ConcurrentEdgeTable::with_expected(16);
-        t.add_edge(1, 2, 1.5);
-        t.add_edge(1, 2, 2.5);
-        t.add_edge(3, 4, 1.0);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(1, 2), 4.0);
-        assert_eq!(t.get(3, 4), 1.0);
-        assert_eq!(t.get(9, 9), 0.0);
-    }
-
-    #[test]
-    fn ordered_pairs_are_distinct_keys() {
-        let t = ConcurrentEdgeTable::with_expected(16);
-        t.add_edge(1, 2, 1.0);
-        t.add_edge(2, 1, 3.0);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(1, 2), 1.0);
-        assert_eq!(t.get(2, 1), 3.0);
-    }
-
-    #[test]
-    fn grows_past_initial_capacity() {
-        let t = ConcurrentEdgeTable::with_expected(1);
-        let initial_cap = t.capacity();
-        for i in 0..10_000u32 {
-            t.add_edge(i, i + 1, 1.0);
-        }
-        assert_eq!(t.len(), 10_000);
-        assert!(t.capacity() > initial_cap);
-        assert!(t.resize_count() > 0);
-        for i in 0..10_000u32 {
-            assert_eq!(t.get(i, i + 1), 1.0, "lost edge {i} during growth");
-        }
-    }
-
-    #[test]
-    fn concurrent_inserts_exact_counts() {
-        let t = ConcurrentEdgeTable::with_expected(4096);
-        // 8 logical threads × 50k ops over 1000 distinct edges.
-        (0..8).into_par_iter().for_each(|_| {
-            for i in 0..50_000u32 {
-                let e = i % 1000;
-                t.add_edge(e, e + 1, 1.0);
-            }
-        });
-        assert_eq!(t.len(), 1000);
-        for e in 0..1000u32 {
-            assert_eq!(t.get(e, e + 1), 400.0, "edge {e} lost updates");
-        }
-    }
-
-    #[test]
-    fn concurrent_growth_is_lossless() {
-        let t = ConcurrentEdgeTable::with_expected(1);
-        (0..8).into_par_iter().for_each(|th: u32| {
-            for i in 0..20_000u32 {
-                t.add_edge(th, i, 1.0);
-            }
-        });
-        assert_eq!(t.len(), 8 * 20_000);
-        let total: f64 = {
-            let coo = t.into_coo();
-            coo.iter().map(|&(_, _, w)| w as f64).sum()
-        };
-        assert_eq!(total, 8.0 * 20_000.0);
-    }
-
-    #[test]
-    fn into_coo_roundtrip() {
-        let t = ConcurrentEdgeTable::with_expected(8);
-        t.add_edge(5, 6, 2.0);
-        t.add_edge(5, 6, 1.0);
-        t.add_edge(7, 8, 4.0);
-        let mut coo = t.into_coo();
-        coo.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        assert_eq!(coo, vec![(5, 6, 3.0), (7, 8, 4.0)]);
-    }
-
-    #[test]
-    fn fractional_weights_accumulate() {
-        let t = ConcurrentEdgeTable::with_expected(8);
-        for _ in 0..1000 {
-            t.add_edge(0, 1, 0.25);
-        }
-        assert_eq!(t.get(0, 1), 250.0);
-    }
-
-    #[test]
-    fn memory_reporting_scales_with_capacity() {
-        let t = ConcurrentEdgeTable::with_expected(1_000_000);
-        let m = t.memory_bytes();
-        assert!(m >= 1_000_000 * 12, "memory {m} too small");
     }
 }

@@ -2,41 +2,31 @@
 //!
 //! The sampling stage of LightNE generates an enormous stream of weighted
 //! edges from all threads at once and must count, per *distinct* edge, the
-//! total weight with which it was sampled. The paper evaluates two
-//! aggregation strategies and this crate implements both:
+//! total weight with which it was sampled. This crate is that one table:
 //!
-//! * [`ConcurrentEdgeTable`] — the winner: a shared, lock-free,
-//!   open-addressing hash table with linear probing. Keys are packed
-//!   `(u, v)` pairs; weights are accumulated with atomic adds (`xadd` for
-//!   integer counts in the paper; fixed-point here because downsampling
-//!   introduces fractional weights `1/p_e`). Memory is proportional to the
-//!   number of *distinct* edges. The pipeline uses it through
-//!   [`ShardedEdgeTable`] — one such table per contiguous source-vertex
-//!   range, each resizing on its own and draining straight into its CSR
-//!   row block; a single shard is the paper's one shared table.
-//! * [`ThreadLocalAggregator`] — the NetSMF strategy the paper ablates
-//!   against: per-thread buffers merged at the end. Simple, but memory
-//!   grows with the number of *samples*, which is what limited NetSMF to
-//!   8Tm samples on the authors' 1.7 TB machine (Section 5.2.4). Kept as
-//!   that ablation's reference; its drain enters the pipeline through the
-//!   sharded table like every other sparsifier.
+//! [`ShardedEdgeTable`] — a shared, lock-free, open-addressing hash table
+//! with linear probing. Keys are packed `(u, v)` pairs; weights are
+//! accumulated with atomic adds (`xadd` for integer counts in the paper;
+//! fixed-point here because downsampling introduces fractional weights
+//! `1/p_e`). Memory is proportional to the number of *distinct* edges. One
+//! shard is the paper's single shared table; more shards split the
+//! source-vertex range so each resizes on its own and drains straight into
+//! its CSR row block.
 //!
-//! All expose the same drain-to-COO interface so the sampler is generic
-//! over the aggregator.
+//! The strategy the paper ablates against in Section 5.2.4 — NetSMF's
+//! per-thread buffers, whose memory grows with the number of *samples* —
+//! is a baseline's, and lives with that baseline
+//! (`lightne_baselines::netsmf`). It plugs into the sampler through the
+//! same [`EdgeAggregator`] interface.
 
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
-pub mod prefetch;
-pub mod sharded;
-pub(crate) mod sync_shim;
-pub mod thread_local;
+mod concurrent;
+mod sharded;
+mod sync_shim;
 
-pub use concurrent::ConcurrentEdgeTable;
 pub use sharded::{ShardRun, ShardStats, ShardedEdgeTable};
-pub use thread_local::ThreadLocalAggregator;
 
 /// Packs an edge into a table key.
 #[inline]

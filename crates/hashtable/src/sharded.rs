@@ -1,8 +1,8 @@
 //! Source-vertex-range sharded edge aggregation.
 //!
 //! A [`ShardedEdgeTable`] splits the vertex id space `[0, n)` into `N`
-//! contiguous ranges and gives each range its own folklore
-//! [`ConcurrentEdgeTable`]. Two properties follow:
+//! contiguous ranges and gives each range its own folklore table (the
+//! crate-private `concurrent` module). Two properties follow:
 //!
 //! * **Independent resizing.** A shard that crosses its load factor
 //!   doubles under its *own* `RwLock`; samplers writing to the other
@@ -22,7 +22,8 @@
 //! `(threads, shards)` combination — `shards = 1` being the paper's single
 //! shared table.
 
-use crate::{pack_key, ConcurrentEdgeTable, EdgeAggregator};
+use crate::concurrent::{from_fixed, to_fixed, ConcurrentEdgeTable, SLOT_BYTES};
+use crate::{pack_key, EdgeAggregator};
 #[cfg(not(loom))]
 use rayon::prelude::*;
 use std::ops::Range;
@@ -69,7 +70,7 @@ impl ShardedEdgeTable {
     /// `shards` shards, expecting roughly `expected_distinct` distinct
     /// edges in total. Each shard pre-sizes for its share.
     pub fn new(n_vertices: usize, shards: usize, expected_distinct: usize) -> Self {
-        let nshards = Self::shard_ranges(n_vertices, shards).len();
+        let nshards = Self::layout(n_vertices, shards).2;
         let per_shard = expected_distinct.div_ceil(nshards);
         Self::with_expectations(n_vertices, shards, &vec![per_shard; nshards])
     }
@@ -81,39 +82,38 @@ impl ShardedEdgeTable {
     /// so heavy shards start big instead of resizing their way up.
     /// Capacities never influence accumulated values, only resize counts.
     pub fn with_expectations(n_vertices: usize, shards: usize, expectations: &[usize]) -> Self {
-        let n = n_vertices.max(1);
-        let shards = shards.clamp(1, n);
-        let span = n.div_ceil(shards).max(1);
-        let nshards = n.div_ceil(span);
+        let (n, span, nshards) = Self::layout(n_vertices, shards);
         assert_eq!(expectations.len(), nshards, "one expectation per shard");
         let tables = expectations.iter().map(|&e| ConcurrentEdgeTable::with_expected(e)).collect();
         Self { tables, span: span as u32, n_vertices: n }
     }
 
     /// Like [`Self::new`], but pinning every shard's initial slot
-    /// capacity (power of two). Test and model-checking hook: the loom
-    /// models need tiny shards so independent resizes trigger within a
-    /// handful of inserts. See
-    /// [`ConcurrentEdgeTable::with_slot_capacity`].
+    /// capacity (power of two) instead of deriving it from an expected
+    /// count with the load-factor floor. Test and model-checking hook: the
+    /// loom models need tiny shards (4–8 slots) so resizes trigger within
+    /// a handful of inserts and the interleaving space stays explorable.
     #[doc(hidden)]
     pub fn with_slot_capacity(n_vertices: usize, shards: usize, cap_pow2: usize) -> Self {
-        let n = n_vertices.max(1);
-        let shards = shards.clamp(1, n);
-        let span = n.div_ceil(shards).max(1);
-        let nshards = n.div_ceil(span);
+        let (n, span, nshards) = Self::layout(n_vertices, shards);
         let tables =
             (0..nshards).map(|_| ConcurrentEdgeTable::with_slot_capacity(cap_pow2)).collect();
         Self { tables, span: span as u32, n_vertices: n }
+    }
+
+    /// `(vertices, vertices per shard, actual shard count)` for a request
+    /// of `shards` shards over `n_vertices` ids.
+    fn layout(n_vertices: usize, shards: usize) -> (usize, usize, usize) {
+        let n = n_vertices.max(1);
+        let span = n.div_ceil(shards.clamp(1, n)).max(1);
+        (n, span, n.div_ceil(span))
     }
 
     /// The vertex ranges `new` / `with_expectations` would assign to each
     /// shard (the trailing range may be shorter, and rounding can merge
     /// trailing shards — the returned length is the actual shard count).
     pub fn shard_ranges(n_vertices: usize, shards: usize) -> Vec<Range<u32>> {
-        let n = n_vertices.max(1);
-        let shards = shards.clamp(1, n);
-        let span = n.div_ceil(shards).max(1);
-        let nshards = n.div_ceil(span);
+        let (n, span, nshards) = Self::layout(n_vertices, shards);
         (0..nshards)
             .map(|s| {
                 let lo = (s * span).min(n) as u32;
@@ -158,12 +158,12 @@ impl ShardedEdgeTable {
     /// Adds `weight` to edge `(u, v)`.
     #[inline]
     pub fn add_edge(&self, u: u32, v: u32, weight: f32) {
-        self.tables[self.shard_of(u)].add_edge(u, v, weight);
+        self.tables[self.shard_of(u)].add(pack_key(u, v), to_fixed(weight));
     }
 
     /// Reads the accumulated weight of an edge (0.0 if absent).
     pub fn get(&self, u: u32, v: u32) -> f32 {
-        self.tables[self.shard_of(u)].get(u, v)
+        self.tables[self.shard_of(u)].find(pack_key(u, v)).map_or(0.0, from_fixed)
     }
 
     /// Total distinct edges across all shards.
@@ -173,7 +173,7 @@ impl ShardedEdgeTable {
 
     /// Whether no edges have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.tables.iter().all(|t| t.is_empty())
+        self.len() == 0
     }
 
     /// Per-shard fill/resize counters.
@@ -183,37 +183,48 @@ impl ShardedEdgeTable {
                 rows: self.shard_rows(s),
                 distinct: self.tables[s].len(),
                 capacity: self.tables[s].capacity(),
-                resizes: self.tables[s].resize_count(),
+                resizes: self.tables[s].resizes(),
             })
             .collect()
     }
 
     /// Total independent resizes across shards.
     pub fn total_resizes(&self) -> usize {
-        self.tables.iter().map(|t| t.resize_count()).sum()
+        self.tables.iter().map(|t| t.resizes()).sum()
     }
 
-    /// Drains every shard in parallel into sorted runs: shard `s`'s
-    /// entries in packed-key order. Concatenating the runs in order gives
-    /// exactly the globally sorted COO (see module docs).
-    pub fn into_sorted_runs(self) -> Vec<ShardRun> {
-        self.drain_map(|_, _, w| Some(w))
+    /// Non-destructive copy of every entry, in the order [`into_coo`]
+    /// drains them (the dynamic embedder keeps accumulating into the table
+    /// afterwards). Concurrent inserts during the scan may or may not be
+    /// included, and an entry whose claiming insert is still mid-flight
+    /// can surface with a partial (even zero) weight — callers that need
+    /// exact totals must quiesce writers first.
+    ///
+    /// [`into_coo`]: EdgeAggregator::into_coo
+    pub fn snapshot(&self) -> Vec<(u32, u32, f32)> {
+        self.tables.iter().flat_map(|t| sorted(t.entries())).collect()
     }
 
-    /// Like [`Self::into_sorted_runs`], but applies `f(u, v, w)` to every
-    /// entry during the drain, dropping entries mapped to `None`. This is
-    /// the hook the sparsifier uses to fuse the NetMF trunc-log transform
-    /// into the drain, so the untransformed matrix is never materialized.
+    /// Drains every shard in parallel into sorted runs — shard `s`'s
+    /// entries in packed-key order, so concatenating the runs in order
+    /// gives exactly the globally sorted COO (see module docs) — applying
+    /// `f(u, v, w)` to every entry on the way and dropping entries mapped
+    /// to `None`. This is the hook the sparsifier uses to fuse the NetMF
+    /// trunc-log transform into the drain, so the untransformed matrix is
+    /// never materialized.
     pub fn drain_map<F>(self, f: F) -> Vec<ShardRun>
     where
         F: Fn(u32, u32, f32) -> Option<f32> + Sync,
     {
         let ranges: Vec<Range<u32>> = (0..self.tables.len()).map(|s| self.shard_rows(s)).collect();
         let drain_shard = |(table, rows): (ConcurrentEdgeTable, Range<u32>)| {
-            let mut entries = table.into_coo();
-            entries.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
-            let entries: Vec<(u32, u32, f32)> =
-                entries.into_iter().filter_map(|(u, v, w)| f(u, v, w).map(|t| (u, v, t))).collect();
+            let entries = table.entries();
+            // The slot array is dead weight from here on.
+            drop(table);
+            let entries: Vec<(u32, u32, f32)> = sorted(entries)
+                .into_iter()
+                .filter_map(|(u, v, w)| f(u, v, w).map(|t| (u, v, t)))
+                .collect();
             (rows, entries)
         };
         #[cfg(not(loom))]
@@ -229,6 +240,12 @@ impl ShardedEdgeTable {
     }
 }
 
+/// One shard's entries in packed-key (row-major) order.
+fn sorted(mut entries: Vec<(u32, u32, f32)>) -> Vec<(u32, u32, f32)> {
+    entries.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
+    entries
+}
+
 impl EdgeAggregator for ShardedEdgeTable {
     fn add(&self, u: u32, v: u32, weight: f32) {
         self.add_edge(u, v, weight);
@@ -239,17 +256,22 @@ impl EdgeAggregator for ShardedEdgeTable {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.tables.iter().map(|t| t.memory_bytes()).sum()
+        self.tables.iter().map(|t| t.capacity() * SLOT_BYTES).sum()
     }
 
     fn into_coo(self) -> Vec<(u32, u32, f32)> {
-        self.into_sorted_runs().into_iter().flat_map(|(_, run)| run).collect()
+        self.drain_map(|_, _, w| Some(w)).into_iter().flat_map(|(_, run)| run).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Module-level rayon is compiled out under `--cfg loom`; the stress
+    // tests below still drive the table through it (the loom models in
+    // tests/loom_models.rs cover those interleavings exhaustively).
+    #[cfg(loom)]
+    use rayon::prelude::*;
 
     #[test]
     fn routes_by_source_range() {
@@ -294,7 +316,7 @@ mod tests {
         {
             t.add_edge(u, v, w);
         }
-        let runs = t.into_sorted_runs();
+        let runs = t.drain_map(|_, _, w| Some(w));
         let flat: Vec<(u32, u32, f32)> = runs.iter().flat_map(|(_, r)| r.iter().copied()).collect();
         let mut sorted = flat.clone();
         sorted.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
@@ -316,10 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_concurrent_table_exactly() {
-        // Same stream into a single table and a sharded table: the
-        // fixed-point accumulation makes the drained sets identical.
-        let global = ConcurrentEdgeTable::with_expected(64);
+    fn one_shard_matches_eight_exactly() {
+        // Same stream into the single shared table and a sharded one: the
+        // fixed-point accumulation makes the drained lists identical.
+        let global = ShardedEdgeTable::new(256, 1, 64);
         let sharded = ShardedEdgeTable::new(256, 8, 64);
         let mut state = 0x1234_5678_u64;
         for _ in 0..50_000 {
@@ -330,15 +352,98 @@ mod tests {
             global.add_edge(u, v, w);
             sharded.add_edge(u, v, w);
         }
-        let mut a = global.into_coo();
-        a.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
+        let a = global.into_coo();
         let b = sharded.into_coo();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.0, y.0);
-            assert_eq!(x.1, y.1);
+            assert_eq!((x.0, x.1), (y.0, y.1));
             assert_eq!(x.2.to_bits(), y.2.to_bits(), "weight mismatch at ({}, {})", x.0, x.1);
         }
+    }
+
+    #[test]
+    fn ordered_pairs_are_distinct_keys() {
+        let t = ShardedEdgeTable::new(4, 1, 16);
+        t.add_edge(1, 2, 1.0);
+        t.add_edge(2, 1, 3.0);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(1, 2), 1.0);
+        assert_eq!(t.get(2, 1), 3.0);
+    }
+
+    #[test]
+    fn growth_keeps_exact_totals_and_snapshot_equals_drain() {
+        // 16 slots per shard and 3 000 keys: every shard doubles at least
+        // twice. Each key gets three deltas that are exact multiples of
+        // 2⁻²⁰, spread over the run so most totals straddle a rehash.
+        let t = ShardedEdgeTable::with_slot_capacity(3_000, 2, 16);
+        let delta = |i: u32, pass: u32| (i % 7 + pass) as f32 * 0.125 + 1.0 / (1 << 20) as f32;
+        for pass in 0..3u32 {
+            for i in 0..3_000u32 {
+                t.add_edge(i, i / 3, delta(i, pass));
+            }
+        }
+        assert_eq!(t.len(), 3_000);
+        for s in t.shard_stats() {
+            assert!(s.resizes >= 2, "shard {:?} grew only {} times", s.rows, s.resizes);
+            assert!(s.capacity >= 64);
+        }
+        for i in 0..3_000u32 {
+            // Every delta and every total is a multiple of 2⁻²⁰ below 2⁴,
+            // so the f64 sum is the exact fixed-point total.
+            let want: f64 = (0..3).map(|p| delta(i, p) as f64).sum();
+            assert_eq!(t.get(i, i / 3) as f64, want, "key {i} lost mass during growth");
+        }
+        let snap = t.snapshot();
+        assert_eq!(snap.len(), 3_000);
+        assert_eq!(snap, t.into_coo());
+    }
+
+    #[test]
+    fn concurrent_inserts_exact_counts() {
+        let t = ShardedEdgeTable::new(1001, 1, 4096);
+        // 8 logical threads × 50k ops over 1000 distinct edges.
+        (0..8).into_par_iter().for_each(|_| {
+            for i in 0..50_000u32 {
+                let e = i % 1000;
+                t.add_edge(e, e + 1, 1.0);
+            }
+        });
+        assert_eq!(t.len(), 1000);
+        for e in 0..1000u32 {
+            assert_eq!(t.get(e, e + 1), 400.0, "edge {e} lost updates");
+        }
+    }
+
+    #[test]
+    fn concurrent_growth_is_lossless() {
+        let t = ShardedEdgeTable::new(8, 1, 1);
+        (0..8).into_par_iter().for_each(|th: u32| {
+            for i in 0..20_000u32 {
+                t.add_edge(th, i, 1.0);
+            }
+        });
+        assert_eq!(t.len(), 8 * 20_000);
+        assert!(t.total_resizes() > 0);
+        let total: f64 = t.into_coo().iter().map(|&(_, _, w)| w as f64).sum();
+        assert_eq!(total, 8.0 * 20_000.0);
+    }
+
+    #[test]
+    fn fractional_weights_accumulate() {
+        let t = ShardedEdgeTable::new(2, 1, 8);
+        for _ in 0..1000 {
+            t.add_edge(0, 1, 0.25);
+        }
+        assert_eq!(t.get(0, 1), 250.0);
+    }
+
+    #[test]
+    fn memory_is_sixteen_bytes_per_slot() {
+        let t = ShardedEdgeTable::new(1 << 20, 4, 1_000_000);
+        let slots: usize = t.shard_stats().iter().map(|s| s.capacity).sum();
+        assert!(slots >= 1_000_000);
+        assert_eq!(t.memory_bytes(), slots * 16);
     }
 
     #[test]

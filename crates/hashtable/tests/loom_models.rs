@@ -20,18 +20,23 @@
 //! * sharded tables resize independently without cross-shard interference.
 //!
 //! The models use tiny slot capacities (`with_slot_capacity`) so resizes
-//! trigger within a handful of inserts and the schedule space stays small.
+//! trigger within a handful of inserts and the schedule space stays small;
+//! the single-table models run on a 1-shard table, which is exactly one
+//! folklore table behind a constant shard index.
 
 #![cfg(loom)]
 
-use lightne_hash::{pack_key, ConcurrentEdgeTable, ShardedEdgeTable};
+use lightne_hash::{pack_key, ShardedEdgeTable};
 use lightne_utils::rng::mix2;
 use loom::model::Builder;
 use loom::sync::Arc;
 use loom::thread;
 
+/// Vertex-id bound of the single-table models (every id below is under it).
+const N: usize = 32;
+
 /// Initial probe slot for `key` in a table with `cap` slots (must mirror
-/// `Slots::add`).
+/// `Slots::home`).
 fn probe_slot(u: u32, v: u32, cap: usize) -> usize {
     (mix2(0x9E37_79B9, pack_key(u, v)) as usize) & (cap - 1)
 }
@@ -42,7 +47,7 @@ fn probe_slot(u: u32, v: u32, cap: usize) -> usize {
 #[test]
 fn loom_insert_same_key_weight_accumulation() {
     loom::model(|| {
-        let t = Arc::new(ConcurrentEdgeTable::with_slot_capacity(8));
+        let t = Arc::new(ShardedEdgeTable::with_slot_capacity(N, 1, 8));
         let t2 = Arc::clone(&t);
         let h = thread::spawn(move || {
             t2.add_edge(1, 2, 1.0);
@@ -73,7 +78,7 @@ fn loom_insert_distinct_key_probe_race() {
     let (u2, v2) = collider;
 
     loom::model(move || {
-        let t = Arc::new(ConcurrentEdgeTable::with_slot_capacity(4));
+        let t = Arc::new(ShardedEdgeTable::with_slot_capacity(N, 1, 4));
         let t2 = Arc::clone(&t);
         let h = thread::spawn(move || {
             t2.add_edge(u2, v2, 3.0);
@@ -94,7 +99,7 @@ fn loom_insert_distinct_key_probe_race() {
 #[test]
 fn loom_resize_races_concurrent_inserts() {
     Builder::new().preemption_bound(2).check(|| {
-        let t = Arc::new(ConcurrentEdgeTable::with_slot_capacity(4));
+        let t = Arc::new(ShardedEdgeTable::with_slot_capacity(N, 1, 4));
         let t2 = Arc::clone(&t);
         let h = thread::spawn(move || {
             t2.add_edge(10, 11, 1.0);
@@ -104,15 +109,13 @@ fn loom_resize_races_concurrent_inserts() {
         t.add_edge(22, 23, 8.0);
         h.join().unwrap();
         assert_eq!(t.len(), 4);
-        assert!(t.capacity() >= 8, "4 fresh inserts at cap 4 must have grown");
+        assert!(t.shard_stats()[0].capacity >= 8, "4 fresh inserts at cap 4 must have grown");
         assert_eq!(t.get(10, 11), 1.0);
         assert_eq!(t.get(12, 13), 2.0);
         assert_eq!(t.get(20, 21), 4.0);
         assert_eq!(t.get(22, 23), 8.0);
-        let mut coo = t.snapshot();
-        coo.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
         assert_eq!(
-            coo,
+            t.snapshot(),
             vec![(10, 11, 1.0), (12, 13, 2.0), (20, 21, 4.0), (22, 23, 8.0)],
             "rehash dropped or duplicated an entry"
         );
@@ -159,7 +162,7 @@ fn loom_sharded_independent_resize_boundary() {
 #[test]
 fn loom_cas_loser_accumulates_on_winner_slot() {
     Builder::new().preemption_bound(2).check(|| {
-        let t = Arc::new(ConcurrentEdgeTable::with_slot_capacity(8));
+        let t = Arc::new(ShardedEdgeTable::with_slot_capacity(N, 1, 8));
         let t2 = Arc::clone(&t);
         let h = thread::spawn(move || {
             t2.add_edge(7, 9, 0.25);

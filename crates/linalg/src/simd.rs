@@ -1,20 +1,20 @@
 //! Explicit-SIMD kernels behind runtime CPU-feature dispatch — the
 //! crate's **sole unsafe module** (xtask L1 isolation; every `std::arch`
-//! intrinsic call site in the workspace lives here or in the hash-table
-//! prefetch helper, inside `#[target_feature]` functions, per lint L6).
+//! intrinsic call site in the workspace lives here, inside
+//! `#[target_feature]` functions, per lint L6).
 //!
 //! # Dispatch model
 //!
 //! [`active_tier`] resolves once (cached in an atomic) to the highest
-//! [`SimdTier`] the CPU supports, optionally *lowered* — never raised —
-//! by the `LIGHTNE_SIMD` environment knob (`scalar`, `avx2`, `avx512`);
-//! [`set_tier`] is the in-process equivalent the kernel tests use to
-//! force both dispatch paths. Because a requested tier is clamped to the
-//! detected one, the `unsafe` dispatch into a `#[target_feature]` kernel
-//! is sound by construction: the feature bit was observed via
-//! `is_x86_feature_detected!` before the tier became reachable. On
-//! non-x86_64 targets the tier is always [`SimdTier::Scalar`] and the
-//! kernels here are unreachable stubs.
+//! [`SimdTier`] the CPU supports ([`SimdTier::Scalar`] under miri, which
+//! does not interpret the vector intrinsics); [`set_tier`] *lowers* it —
+//! never raises it — in-process, which is how the kernel tests and
+//! `bench_linalg_json` sweep every runnable tier. Because a requested
+//! tier is clamped to the detected one, the `unsafe` dispatch into a
+//! `#[target_feature]` kernel is sound by construction: the feature bit
+//! was observed via `is_x86_feature_detected!` before the tier became
+//! reachable. On non-x86_64 targets the tier is always
+//! [`SimdTier::Scalar`] and the kernels here are unreachable stubs.
 //!
 //! # Determinism contract (per kernel)
 //!
@@ -64,8 +64,7 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// Stable lower-case name, used in `RunStats`, bench JSON and the
-    /// `LIGHTNE_SIMD` knob.
+    /// Stable lower-case name, used in `RunStats` and bench JSON.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
@@ -81,37 +80,18 @@ impl SimdTier {
             _ => SimdTier::Scalar,
         }
     }
-
-    fn parse(s: &str) -> Option<SimdTier> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimdTier::Scalar),
-            "avx2" => Some(SimdTier::Avx2),
-            "avx512" => Some(SimdTier::Avx512),
-            _ => None,
-        }
-    }
 }
 
 const UNINIT: u8 = u8::MAX;
 static ACTIVE: AtomicU8 = AtomicU8::new(UNINIT);
-static DETECTED: AtomicU8 = AtomicU8::new(UNINIT);
 
-/// The highest tier this CPU supports, independent of any override.
-pub fn detected_tier() -> SimdTier {
-    // ordering: idempotent cache of a pure CPUID probe — racing writers
-    // all store the same value, so any interleaving reads one answer.
-    let v = DETECTED.load(Ordering::Relaxed);
-    if v != UNINIT {
-        return SimdTier::from_u8(v);
-    }
-    let det = detect();
-    // ordering: idempotent store, every writer computes the same value.
-    DETECTED.store(det as u8, Ordering::Relaxed);
-    det
-}
-
+/// The highest tier this CPU supports, independent of any [`set_tier`]
+/// (`is_x86_feature_detected!` caches the CPUID probe itself).
 #[cfg(target_arch = "x86_64")]
-fn detect() -> SimdTier {
+pub fn detected_tier() -> SimdTier {
+    if cfg!(miri) {
+        return SimdTier::Scalar;
+    }
     let avx2 =
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma");
     if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
@@ -123,13 +103,14 @@ fn detect() -> SimdTier {
     }
 }
 
+/// The highest tier this CPU supports: only x86_64 has SIMD kernels.
 #[cfg(not(target_arch = "x86_64"))]
-fn detect() -> SimdTier {
+pub fn detected_tier() -> SimdTier {
     SimdTier::Scalar
 }
 
-/// The tier the kernels currently dispatch on: the detected tier,
-/// lowered by `LIGHTNE_SIMD` (read once) or a later [`set_tier`] call.
+/// The tier the kernels currently dispatch on: the detected tier, unless
+/// a [`set_tier`] call lowered it.
 #[inline]
 pub fn active_tier() -> SimdTier {
     // ordering: tier byte is a self-contained value, no data published
@@ -138,27 +119,18 @@ pub fn active_tier() -> SimdTier {
     if v != UNINIT {
         return SimdTier::from_u8(v);
     }
-    init_tier()
-}
-
-#[cold]
-fn init_tier() -> SimdTier {
-    let det = detected_tier();
-    let req = std::env::var("LIGHTNE_SIMD").ok().and_then(|s| SimdTier::parse(&s)).unwrap_or(det);
-    let tier = req.min(det);
-    // ordering: same idempotent-cache argument as detected_tier.
-    ACTIVE.store(tier as u8, Ordering::Relaxed);
-    tier
+    set_tier(detected_tier())
 }
 
 /// Forces the dispatch tier for this process, clamped to the detected
 /// tier (requesting a tier the CPU lacks selects the best available one
 /// instead — the request can only *lower* the tier, which is what keeps
 /// the `#[target_feature]` dispatch sound). Returns the tier actually
-/// installed. Test hook: the kernel determinism/property tests sweep
-/// dispatch both ways with it; `LIGHTNE_SIMD` is the process-level knob.
+/// installed. The kernel determinism/property tests and
+/// `bench_linalg_json` sweep every runnable tier with it.
 pub fn set_tier(requested: SimdTier) -> SimdTier {
     let tier = requested.min(detected_tier());
+    // ordering: see `active_tier`.
     ACTIVE.store(tier as u8, Ordering::Relaxed);
     tier
 }
@@ -642,7 +614,7 @@ mod x86 {
         stride: usize,
     ) {
         // SAFETY: reachable only when active_tier() >= Avx2, which the
-        // clamp in set_tier/init_tier ties to is_x86_feature_detected!
+        // clamp in set_tier ties to is_x86_feature_detected!
         // having confirmed avx2+fma on this CPU.
         unsafe { mk_avx2_direct(kc, a, b, out, off, stride) }
     }
@@ -661,7 +633,7 @@ mod x86 {
         stride: usize,
     ) {
         // SAFETY: reachable only when active_tier() == Avx512, which the
-        // clamp in set_tier/init_tier ties to is_x86_feature_detected!
+        // clamp in set_tier ties to is_x86_feature_detected!
         // having confirmed avx512f on this CPU.
         unsafe { mk_avx512_pair(kc, a, b0s, b1s, out, off, stride) }
     }
@@ -822,15 +794,6 @@ mod tests {
         assert!(SimdTier::Scalar < SimdTier::Avx2);
         assert!(SimdTier::Avx2 < SimdTier::Avx512);
         assert_eq!(SimdTier::Avx512.min(SimdTier::Scalar), SimdTier::Scalar);
-    }
-
-    #[test]
-    fn parse_and_name_roundtrip() {
-        for t in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
-            assert_eq!(SimdTier::parse(t.name()), Some(t));
-        }
-        assert_eq!(SimdTier::parse("AVX2"), Some(SimdTier::Avx2));
-        assert_eq!(SimdTier::parse("neon"), None);
     }
 
     #[test]

@@ -220,7 +220,7 @@ pub(crate) mod tests {
     use crate::sharded::sparsifier_coo;
     use lightne_gen::generators::{erdos_renyi, watts_strogatz};
     use lightne_graph::{Codec, Graph, V2Graph};
-    use lightne_hash::ConcurrentEdgeTable;
+    use lightne_hash::ShardedEdgeTable;
     use lightne_linalg::DenseMatrix;
 
     /// Relative L1 distance of the aggregated weights from their
@@ -429,7 +429,7 @@ pub(crate) mod tests {
     fn empty_graph_is_a_typed_error() {
         let g = lightne_graph::GraphBuilder::from_edges(4, &[]);
         let cfg = SamplerConfig { samples: 100, ..Default::default() };
-        let table = ConcurrentEdgeTable::with_expected(16);
+        let table = ShardedEdgeTable::new(4, 1, 16);
         assert_eq!(sample_into(&g, &cfg, &table).unwrap_err(), super::SamplerError::EmptyGraph);
     }
 
@@ -437,7 +437,7 @@ pub(crate) mod tests {
     fn zero_window_is_a_typed_error() {
         let g = lightne_graph::GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
         let cfg = SamplerConfig { window: 0, samples: 100, ..Default::default() };
-        let err = sample_into(&g, &cfg, &ConcurrentEdgeTable::with_expected(16)).unwrap_err();
+        let err = sample_into(&g, &cfg, &ShardedEdgeTable::new(3, 1, 16)).unwrap_err();
         assert_eq!(err, super::SamplerError::ZeroWindow);
         assert_eq!(err.to_string(), "window T must be >= 1");
     }

@@ -6,8 +6,6 @@
 //! * [`parallel`] — chunked parallel loops, parallel prefix sums and
 //!   reductions built on [rayon]. These mirror the bulk-parallel primitives
 //!   of GBBS/Ligra that the paper's system layer is built on.
-//! * [`atomic`] — atomic floating-point accumulation (the `xadd`-style
-//!   aggregation of Section 4.2) and padded counters.
 //! * [`rng`] — tiny, deterministic, splittable PRNG streams
 //!   (SplitMix64 seeded Xoshiro256++) so that every experiment in the
 //!   benchmark harness is reproducible from a single seed.
@@ -26,7 +24,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod atomic;
 pub mod checksum;
 pub mod faults;
 pub mod mem;
@@ -34,7 +31,6 @@ pub mod parallel;
 pub mod rng;
 pub mod timer;
 
-pub use atomic::{AtomicF32, AtomicF64};
 pub use parallel::{num_threads, par_chunk_size, parallel_prefix_sum};
 pub use rng::{Splittable, XorShiftStream};
 pub use timer::Timer;

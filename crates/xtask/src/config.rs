@@ -17,26 +17,21 @@ pub const DETERMINISTIC_PATH: &[&str] =
 /// The graph crate's zero-copy mmap wrapper is the sole unsafe surface of
 /// the format stack — everything above it (container parsing, Elias–Fano,
 /// bit codecs) must stay fully safe so the auditable surface is one file.
-/// Likewise the linalg crate confines all SIMD intrinsics to `simd.rs`
-/// and the hash table its one prefetch hint to `prefetch.rs` — the
-/// numeric kernels and probe loops above them stay fully safe.
+/// Likewise the linalg crate confines all SIMD intrinsics to `simd.rs` —
+/// the numeric kernels above it stay fully safe.
 pub const L1_UNSAFE_ISOLATED: &[(&str, &str)] = &[
     ("crates/graph/src", "crates/graph/src/mmap.rs"),
     ("crates/linalg/src", "crates/linalg/src/simd.rs"),
-    ("crates/hashtable/src", "crates/hashtable/src/prefetch.rs"),
 ];
 
 /// Files allowed to contain raw parallel float reductions (L3). These are
 /// the fixed-block deterministic-reduction helpers themselves — the one
-/// place where the block-splitting arithmetic lives — plus the CAS-loop
-/// atomic floats they are built on.
+/// place where the block-splitting arithmetic lives.
 pub const L3_WHITELIST: &[&str] = &[
     // parallel_reduce_sum / parallel_reduce_max: fixed DET_SUM_BLOCK
     // blocks folded in block order; thread-count independent by
     // construction.
     "crates/utils/src/parallel.rs",
-    // AtomicF32/AtomicF64: the primitive the helpers justify.
-    "crates/utils/src/atomic.rs",
 ];
 
 /// Files allowed to use `Ordering::Relaxed` without a `// ordering:`

@@ -103,7 +103,7 @@ fn l6_fires_on_intrinsic_outside_designated_module() {
 fn l6_allows_gated_intrinsics_in_designated_modules() {
     let src = include_str!("fixtures/l6_confinement.rs");
     assert!(check_source("crates/linalg/src/simd.rs", src).is_empty());
-    assert!(check_source("crates/hashtable/src/prefetch.rs", src).is_empty());
+    assert!(check_source("crates/graph/src/mmap.rs", src).is_empty());
 }
 
 #[test]

@@ -231,7 +231,6 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
                 save_artifacts: o.get("save-artifacts").map(Into::into),
                 resume_from: o.get("resume-from").map(Into::into),
                 strict_resume: o.flag("strict-resume"),
-                progress: None,
             };
             let format = o.get("graph-format").unwrap_or("csr");
             let use_mmap = o.flag("mmap");

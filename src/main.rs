@@ -42,9 +42,10 @@
 //! and peak heap bytes. `--shards N` sets the shard count of the
 //! vertex-range-sharded aggregation table (0 = automatic, 1 = a single
 //! shared table); output bytes are identical at every count.
-//! The numeric kernels pick their SIMD tier at runtime (`LIGHTNE_SIMD=scalar|avx2|avx512` caps it); the chosen tier and the
-//! detected feature set are printed and recorded in `--stats-json`. The
-//! implementation lives in [`lightne::cli`].
+//! The numeric kernels pick their SIMD tier at runtime from the CPU's
+//! feature bits; the chosen tier and the detected feature set are printed
+//! and recorded in `--stats-json`. The implementation lives in
+//! [`lightne::cli`].
 //!
 //! `--sparsify-prob` (embed/linkpred) selects the sparsifier's
 //! edge-survival probability scheme: `degree` (the paper's

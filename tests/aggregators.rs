@@ -1,29 +1,23 @@
 //! Cross-aggregator equivalence under the real sample stream.
 //!
-//! The same PathSampling stream is routed into all three aggregation
-//! strategies — the shared [`ConcurrentEdgeTable`], the vertex-range
-//! [`ShardedEdgeTable`], and NetSMF's per-thread
-//! [`ThreadLocalAggregator`] — at 1, 2, and 8 worker threads. The two
-//! fixed-point tables must drain bitwise-identical (key, weight) lists at
-//! every thread count; the thread-local buffers accumulate f32 directly,
-//! so their merge order (and hence rounding) varies, and they are held to
-//! the same key set with weights inside the quantization band.
+//! The same PathSampling stream is routed into the paper's single shared
+//! table (a 1-shard [`ShardedEdgeTable`]), an 8-shard one, and the NetSMF
+//! baseline's per-thread [`ThreadLocalAggregator`] — at 1, 2, and 8 worker
+//! threads. The two fixed-point tables must drain bitwise-identical
+//! (key, weight) lists at every thread count; the thread-local buffers
+//! accumulate f32 directly, so their merge order (and hence rounding)
+//! varies, and they are held to the same key set with weights inside the
+//! quantization band.
 //!
 //! Everything lives in ONE test function on purpose: all tests in a
 //! binary share the global rayon pool, and this test resizes it
 //! mid-flight.
 
+use lightne::baselines::netsmf::ThreadLocalAggregator;
 use lightne::gen::generators::erdos_renyi;
-use lightne::hash::{
-    pack_key, ConcurrentEdgeTable, EdgeAggregator, ShardedEdgeTable, ThreadLocalAggregator,
-};
+use lightne::hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne::sparsifier::construct::{sample_into, SamplerConfig};
 use lightne::utils::parallel::configure_threads;
-
-fn sorted(mut coo: Vec<(u32, u32, f32)>) -> Vec<(u32, u32, f32)> {
-    coo.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
-    coo
-}
 
 fn assert_bitwise(a: &[(u32, u32, f32)], b: &[(u32, u32, f32)], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: entry counts differ");
@@ -53,25 +47,24 @@ fn aggregators_agree_at_one_two_and_eight_threads() {
     for threads in [1usize, 2, 8] {
         assert_eq!(configure_threads(threads), threads);
 
-        let table = ConcurrentEdgeTable::with_expected(1024);
-        sample_into(&g, &cfg, &table).unwrap();
-        let concurrent = sorted(table.into_coo());
-
-        let table = ShardedEdgeTable::new(g.num_vertices(), 8, 1024);
-        sample_into(&g, &cfg, &table).unwrap();
-        let sharded = table.into_coo(); // drains already sorted
+        // Every aggregator here drains in packed-key order.
+        let [single, sharded] = [1, 8].map(|shards| {
+            let table = ShardedEdgeTable::new(g.num_vertices(), shards, 1024);
+            sample_into(&g, &cfg, &table).unwrap();
+            table.into_coo()
+        });
 
         // Created after configure_threads so it has one buffer per worker.
         let buffers = ThreadLocalAggregator::new();
         sample_into(&g, &cfg, &buffers).unwrap();
-        let local = sorted(buffers.into_coo());
+        let local = buffers.into_coo();
 
-        assert_bitwise(&concurrent, &sharded, &format!("concurrent vs sharded @{threads}t"));
+        assert_bitwise(&single, &sharded, &format!("1 shard vs 8 shards @{threads}t"));
 
         // Thread-local buffers: identical key set, weights within the
         // fixed-point quantization + f32 merge-order band.
-        assert_eq!(concurrent.len(), local.len(), "key sets differ @{threads}t");
-        for (x, y) in concurrent.iter().zip(&local) {
+        assert_eq!(single.len(), local.len(), "key sets differ @{threads}t");
+        for (x, y) in single.iter().zip(&local) {
             assert_eq!((x.0, x.1), (y.0, y.1), "thread-local key mismatch @{threads}t");
             assert!(
                 (x.2 - y.2).abs() < 1e-2 * x.2.abs().max(1.0),
@@ -84,8 +77,8 @@ fn aggregators_agree_at_one_two_and_eight_threads() {
         }
 
         match &reference {
-            None => reference = Some(concurrent),
-            Some(r) => assert_bitwise(r, &concurrent, &format!("thread sweep @{threads}t")),
+            None => reference = Some(single),
+            Some(r) => assert_bitwise(r, &single, &format!("thread sweep @{threads}t")),
         }
     }
 }

@@ -81,10 +81,9 @@ fn kernel_outputs_identical_across_thread_counts() {
     // them — the clamp in `set_tier` skips unsupported tiers), the whole
     // kernel suite must be bitwise identical at 1, 2, and 8 threads:
     // every parallel split keeps its fixed-block summation bracketing
-    // regardless of which micro-kernel computes the blocks. The
-    // `LIGHTNE_SIMD` env knob caps only the *initial* tier; `set_tier`
-    // here forces each reachable tier explicitly so the sweep covers
-    // both dispatch paths whichever way CI pins the knob.
+    // regardless of which micro-kernel computes the blocks. `set_tier`
+    // forces each reachable tier explicitly, so every run sweeps all
+    // dispatch paths the host has.
     use lightne::linalg::simd::{detected_tier, set_tier, SimdTier};
     let mut covered = 0;
     for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {

@@ -7,7 +7,7 @@
 
 use lightne::gen::alias::AliasTable;
 use lightne::graph::{Codec, GraphBuilder, V2Graph, WeightedGraph};
-use lightne::hash::{ConcurrentEdgeTable, EdgeAggregator};
+use lightne::hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne::linalg::svd::jacobi_svd;
 use lightne::linalg::{CsrMatrix, DenseMatrix};
 use lightne::utils::parallel::parallel_prefix_sum;
@@ -98,14 +98,14 @@ fn prefix_sum_correct() {
     }
 }
 
-/// The concurrent hash table agrees with a HashMap reference on any
+/// The single shared hash table agrees with a HashMap reference on any
 /// insertion sequence.
 #[test]
 fn hash_table_matches_reference() {
     for case in 0..CASES {
         let mut rng = XorShiftStream::new(0x7AB1E, case);
         let n_ops = 1 + rng.bounded_usize(299);
-        let table = ConcurrentEdgeTable::with_expected(8);
+        let table = ShardedEdgeTable::new(50, 1, 8);
         let mut reference: HashMap<(u32, u32), f32> = HashMap::new();
         for _ in 0..n_ops {
             let u = rng.bounded(50) as u32;
@@ -115,9 +115,7 @@ fn hash_table_matches_reference() {
             *reference.entry((u, v)).or_insert(0.0) += w;
         }
         assert_eq!(table.distinct_edges(), reference.len(), "case {case}");
-        let mut coo = table.into_coo();
-        coo.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        for (u, v, w) in coo {
+        for (u, v, w) in table.into_coo() {
             let want = reference[&(u, v)];
             assert!(
                 (w - want).abs() <= 1e-3 * want.abs().max(1.0),
