@@ -1,7 +1,8 @@
-//! Graph-format benchmark: the compressed container under every codec of
-//! the sweep — compression ratio (bits/edge) and decode throughput,
-//! sequential, random and walked — with the parallel-byte code (`byte`,
-//! the paper's format) as the reference row of the summary ratios.
+//! Graph-format benchmark: the compressed container under one codec per
+//! family (`Codec::SWEEP`) — compression ratio (bits/edge) and decode
+//! throughput, sequential, random and walked — with the parallel-byte
+//! code (`byte`, the paper's format) as the reference row of the summary
+//! ratios.
 //!
 //! The `rand` rows probe vertices drawn *uniformly*; a random walk sits on
 //! vertices in proportion to their degree, so it over-weights exactly the
@@ -25,16 +26,12 @@
 //! `PROFILE` / `RAND_PROBES` environment knobs override the dataset and
 //! the random-access probe count for CI smoke runs.
 
-use lightne_bench::harness::{timed, Args};
+use lightne_bench::harness::{env_usize, timed, Args};
 use lightne_gen::profiles::Profile;
 use lightne_graph::walk::walk;
 use lightne_graph::{Codec, Graph, GraphAccess, GraphBuilder, V2Graph, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;
 use std::hint::black_box;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Seconds of the fastest of `reps` runs of `work` (noise on a shared
 /// machine only ever adds time); the result goes through `black_box`.

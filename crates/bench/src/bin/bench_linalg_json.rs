@@ -12,7 +12,7 @@
 //!
 //! * `REPS` — timing repetitions per case; the minimum is reported
 //!   (default 3).
-//! * `GEMM_M`, `GEMM_HOT_M`, `QR_ROWS`, `JACOBI_N`, `RSVD_N` — problem
+//! * `GEMM_M`, `QR_ROWS`, `JACOBI_N`, `RSVD_N` — problem
 //!   sizes, for CI smoke runs on shared machines (defaults are the full
 //!   sizes the committed baseline was measured at).
 //!
@@ -20,7 +20,7 @@
 //! always includes a forced-scalar GEMM number (`simd::set_tier`) so
 //! tiers can be compared like-for-like.
 
-use lightne_bench::harness::timed;
+use lightne_bench::harness::{env_usize, timed};
 use lightne_linalg::kernels::gemm_flops;
 use lightne_linalg::qr::orthonormalize_columns;
 use lightne_linalg::rsvd::rsvd_flops;
@@ -30,10 +30,6 @@ use lightne_linalg::{randomized_svd, reference, CsrMatrix, DenseMatrix, RsvdConf
 use lightne_utils::rng::XorShiftStream;
 use std::hint::black_box;
 use std::time::Duration;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Minimum wall-clock over `reps` runs of `f` (minimum, not mean: noise
 /// on a shared machine only ever adds time).
@@ -142,7 +138,7 @@ fn main() {
     // through DRAM per rep (page-fault zero-fill plus A and C traffic)
     // and measures the memory system as much as the kernel; this one
     // measures the micro-kernel's arithmetic throughput.
-    let hot_m = env_usize("GEMM_HOT_M", 16_384);
+    let hot_m = 16_384usize;
     eprintln!("gemm (hot) {hot_m}x256 * 256x256 ({reps} reps) ...");
     let ah = DenseMatrix::gaussian(hot_m, k, 6);
     let hot_flops = gemm_flops(hot_m, n, k) as f64;

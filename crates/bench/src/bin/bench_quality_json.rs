@@ -14,17 +14,14 @@
 //! report's measured values against the committed floors, so quality can
 //! only ratchet within the margin, never silently collapse.
 //!
-//! Environment knobs: `TARGET_N` rescales every profile to roughly that
-//! many vertices (default 4000); `PROFILES` restricts the sweep to a
-//! comma-separated subset (CI smoke runs use the two smallest profiles).
+//! Every profile is rescaled to roughly 4000 vertices
+//! (`MatrixConfig::default`); the `PROFILES` environment knob restricts
+//! the sweep to a comma-separated subset (CI smoke runs use the two
+//! smallest profiles).
 
 use lightne_bench::harness::Args;
 use lightne_eval::scenario::{psne_wins, run_profile, MatrixConfig, Task};
 use lightne_gen::profiles::Profile;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Lowercases and strips non-alphanumerics, so "Hyperlink-PLD" and
 /// "hyperlinkpld" compare (and key) identically.
@@ -45,12 +42,7 @@ fn floor_margin(task: Task) -> f64 {
 
 fn main() {
     let args = Args::from_env(1.0, 32);
-    let cfg = MatrixConfig {
-        target_n: env_usize("TARGET_N", 4_000),
-        dim: args.dim,
-        seed: args.seed,
-        ..Default::default()
-    };
+    let cfg = MatrixConfig { dim: args.dim, seed: args.seed, ..Default::default() };
     let wanted: Option<Vec<String>> = std::env::var("PROFILES")
         .ok()
         .map(|s| s.split(',').map(slug).filter(|t| !t.is_empty()).collect());

@@ -67,6 +67,12 @@ pub mod harness {
         }
     }
 
+    /// The `usize` in environment variable `name`, or `default` when it is
+    /// unset or does not parse: the size knobs of the `bench_*_json` bins.
+    pub fn env_usize(name: &str, default: usize) -> usize {
+        std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    }
+
     /// Times a closure, returning its result and the elapsed wall-clock.
     pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
         let start = Instant::now();

@@ -37,20 +37,13 @@ pub fn unpack_edge(key: u64) -> (VertexId, VertexId) {
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<u64>,
-    symmetrize: bool,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph on `n` vertices; edges are symmetrized.
     pub fn new(n: usize) -> Self {
         assert!(n <= VertexId::MAX as usize, "vertex count exceeds u32 id space");
-        Self { n, edges: Vec::new(), symmetrize: true }
-    }
-
-    /// Disables symmetrization (the input is already symmetric).
-    pub fn assume_symmetric(mut self) -> Self {
-        self.symmetrize = false;
-        self
+        Self { n, edges: Vec::new() }
     }
 
     /// Adds one undirected edge. Self-loops are ignored.
@@ -61,9 +54,7 @@ impl GraphBuilder {
             return;
         }
         self.edges.push(pack_edge(u, v));
-        if self.symmetrize {
-            self.edges.push(pack_edge(v, u));
-        }
+        self.edges.push(pack_edge(v, u));
     }
 
     /// Adds a batch of undirected edges.
@@ -71,11 +62,6 @@ impl GraphBuilder {
         for (u, v) in edges {
             self.add_edge(u, v);
         }
-    }
-
-    /// Number of (directed) arc records currently buffered.
-    pub fn buffered_arcs(&self) -> usize {
-        self.edges.len()
     }
 
     /// Builds the CSR graph: parallel sort, dedup, offsets by prefix sum.

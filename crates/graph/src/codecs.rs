@@ -1,5 +1,5 @@
-//! Instantaneous codes for neighbor gaps: Ligra+'s byte code and
-//! WebGraph's bit-granular γ/δ/ζ family, behind one [`Codec`].
+//! Instantaneous codes for neighbor gaps: Ligra+'s byte code, a per-block
+//! adaptive Golomb–Rice code and WebGraph's ζ family, behind one [`Codec`].
 //!
 //! All are prefix-free codes over the naturals written through one
 //! MSB-first bit stream, so a container's codec is a per-file knob and
@@ -7,16 +7,22 @@
 //!
 //! * **byte** — LEB128: 7-bit groups, low group first, each behind a
 //!   continuation bit. The code of the paper's parallel-byte format
-//!   (Section 4.1): a minimum of 8 bits per gap, and the cheapest decode.
-//! * **unary** — `x` zeros then a one; optimal for geometric gaps with
-//!   p = 1/2 (degenerate, but the building block of everything below).
-//! * **γ (gamma)** — `⌊log₂(x+1)⌋` in unary, then the mantissa bits;
-//!   `2⌊log₂(x+1)⌋ + 1` bits, optimal for power laws with exponent ≈ 2.
-//! * **δ (delta)** — like γ but the length field is itself γ-coded;
-//!   asymptotically shorter for large values.
+//!   (Section 4.1): a minimum of 8 bits per gap.
+//! * **arice** — Golomb–Rice with the parameter `k` re-chosen per block
+//!   and stored as a 5-bit prefix: the quotient `x >> k` in unary (`q`
+//!   zeros then a one), then the `k` remainder bits. Optimal for
+//!   geometric gaps with mean ≈ 2^k, which is what the gaps of one
+//!   vertex of a social graph are: the smallest code on those, and at
+//!   least as fast as `byte` on every measured axis.
 //! * **ζ(k) (zeta)** — Boldi–Vigna's code tuned for the power-law gap
-//!   distributions of web/social graphs: the exponent is coded in unary
-//!   base `2^k`, the remainder in minimal (truncated) binary. `ζ(1) = γ`.
+//!   distributions of web graphs: the exponent is coded in unary base
+//!   `2^k`, the remainder in minimal (truncated) binary. `ζ(1)` is
+//!   Elias γ. The smallest code on the R-MAT web-graph profiles (ζ₃
+//!   11.85 bits/edge against `arice` 13.58), at 0.6× the decode speed.
+//!
+//! EXPERIMENTS.md "PR 19" has the last sweep against the retired codes
+//! (unary, γ, δ and fixed-`k` Rice), none of which was the smallest on any
+//! profile.
 //!
 //! All codes are MSB-first within the byte stream. Every reader method is
 //! bounds-checked and returns a typed [`GraphFormatError`] on truncated or
@@ -77,26 +83,6 @@ impl BitWriter {
         self.write_bits(1, x as u32 + 1);
     }
 
-    /// Appends `x` in γ code.
-    #[inline]
-    pub fn write_gamma(&mut self, x: u64) {
-        let z = x + 1; // x == u64::MAX is rejected by debug_assert below
-        debug_assert!(z != 0, "gamma cannot encode u64::MAX");
-        let h = 63 - z.leading_zeros(); // ⌊log₂ z⌋
-        self.write_unary(h as u64);
-        self.write_long_bits(z & !(1u64 << h), h);
-    }
-
-    /// Appends `x` in δ code.
-    #[inline]
-    pub fn write_delta(&mut self, x: u64) {
-        let z = x + 1;
-        debug_assert!(z != 0, "delta cannot encode u64::MAX");
-        let h = 63 - z.leading_zeros();
-        self.write_gamma(h as u64);
-        self.write_long_bits(z & !(1u64 << h), h);
-    }
-
     /// Appends `x` in ζ(k) code (`k ≥ 1`).
     pub fn write_zeta(&mut self, x: u64, k: u32) {
         debug_assert!(k >= 1, "zeta requires k >= 1");
@@ -113,8 +99,8 @@ impl BitWriter {
     /// Appends `x` in Rice code with parameter `k`: the quotient `x >> k`
     /// in unary, then the `k` low remainder bits. Optimal for geometric
     /// gap distributions with mean ≈ 2^k — the shape uniformly random
-    /// neighbor sets produce — where the γ/δ/ζ family pays for a
-    /// heavy-tail assumption that never materializes.
+    /// neighbor sets produce — where ζ pays for a heavy-tail assumption
+    /// that never materializes.
     #[inline]
     pub fn write_rice(&mut self, x: u64, k: u32) {
         debug_assert!(k <= MAX_BITS, "rice parameter {k} too large");
@@ -404,64 +390,6 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Reads a γ-coded value.
-    ///
-    /// Fast path: the whole codeword (`2h + 1` bits) is extracted from
-    /// the window — one length check, no load unless the window ran dry —
-    /// which is what keeps bit-granular decoding competitive with the
-    /// byte code on the sequential scan.
-    #[inline(always)]
-    pub fn read_gamma(&mut self) -> Result<u64, GraphFormatError> {
-        let parse = |w: u64, avail: u32| {
-            let need = 2 * w.leading_zeros() + 1;
-            // Layout: z zeros, the leading 1, then z mantissa bits — the
-            // extracted word *is* `(1 << z) | mantissa`.
-            (need <= avail.min(MAX_BITS)).then(|| ((w >> (64 - need)) - 1, need))
-        };
-        self.in_window(parse, |r| r.read_gamma_slow())
-    }
-
-    /// γ decode via the general unary/bits readers: long codewords and
-    /// end-of-stream handling.
-    #[cold]
-    fn read_gamma_slow(&mut self) -> Result<u64, GraphFormatError> {
-        let h = self.read_unary()?;
-        if h > 63 {
-            return Err(GraphFormatError::Overflow { at_bit: self.pos });
-        }
-        let mantissa = self.read_long_bits(h as u32)?;
-        Ok(((1u64 << h) | mantissa) - 1)
-    }
-
-    /// Reads a δ-coded value (in-window fast path, as in
-    /// [`BitReader::read_gamma`]).
-    #[inline(always)]
-    pub fn read_delta(&mut self) -> Result<u64, GraphFormatError> {
-        let parse = |w: u64, avail: u32| {
-            let gbits = 2 * w.leading_zeros() + 1;
-            if gbits >= MAX_BITS {
-                return None;
-            }
-            let h = (w >> (64 - gbits)) - 1; // the γ-coded mantissa length
-            let need = gbits as u64 + h;
-            (need <= avail.min(MAX_BITS) as u64).then(|| {
-                let mantissa = if h == 0 { 0 } else { (w << gbits) >> (64 - h) };
-                (((1u64 << h) | mantissa) - 1, need as u32)
-            })
-        };
-        self.in_window(parse, |r| r.read_delta_slow())
-    }
-
-    #[cold]
-    fn read_delta_slow(&mut self) -> Result<u64, GraphFormatError> {
-        let h = self.read_gamma()?;
-        if h > 63 {
-            return Err(GraphFormatError::Overflow { at_bit: self.pos });
-        }
-        let mantissa = self.read_long_bits(h as u32)?;
-        Ok(((1u64 << h) | mantissa) - 1)
-    }
-
     /// Reads a ζ(k)-coded value (in-window fast path for codewords of up
     /// to 57 bits, which is every gap below 2⁴⁰ even at `k = 8`).
     #[inline(always)]
@@ -602,27 +530,17 @@ impl<'a> BitReader<'a> {
 }
 
 /// Identifier of an instantaneous code, the per-container knob of the
-/// graph format. `Zeta(k)` is Boldi–Vigna's ζ_k; `Zeta(1)` coincides with γ.
+/// graph format. `Zeta(k)` is Boldi–Vigna's ζ_k; `Zeta(1)` is Elias γ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
     /// LEB128 byte code: Ligra+'s parallel-byte format, the paper's graph
     /// representation and the reference the other codes are measured
     /// against.
     Byte,
-    /// Unary code (diagnostic; impractically long for real gaps).
-    Unary,
-    /// Elias γ.
-    Gamma,
-    /// Elias δ.
-    Delta,
     /// Boldi–Vigna ζ with shrinking factor `k ∈ [1, 8]`.
     Zeta(u32),
-    /// Golomb–Rice with parameter `k ∈ [0, 31]`; `Rice(0)` is unary.
-    Rice(u32),
-    /// Golomb–Rice with the parameter re-chosen per unit and stored as a
-    /// 5-bit prefix: per block in v2 containers (where neighbor gaps
-    /// within a vertex share one parameter), per value in the standalone
-    /// [`Codec::encode`] convention.
+    /// Golomb–Rice with the parameter re-chosen per block (neighbor gaps
+    /// within a vertex share one scale) and stored as a 5-bit prefix.
     RiceAdaptive,
 }
 
@@ -648,29 +566,17 @@ pub fn best_rice_k(values: &[u64]) -> u32 {
 }
 
 impl Codec {
-    /// The codecs the bench sweeps when picking the best per graph;
-    /// [`Codec::Byte`] leads as the reference row.
-    pub const SWEEP: [Codec; 10] = [
-        Codec::Byte,
-        Codec::Gamma,
-        Codec::Delta,
-        Codec::Zeta(2),
-        Codec::Zeta(3),
-        Codec::Zeta(4),
-        Codec::Rice(8),
-        Codec::Rice(10),
-        Codec::Rice(12),
-        Codec::RiceAdaptive,
-    ];
+    /// One code per family — what the bench sweeps when picking the best
+    /// per graph and the tests run over; [`Codec::Byte`] leads as the
+    /// reference row, ζ₃ is WebGraph's default shrinking factor.
+    pub const SWEEP: [Codec; 3] = [Codec::Byte, Codec::Zeta(3), Codec::RiceAdaptive];
 
-    /// Stable on-disk identifier.
+    /// Stable on-disk identifier. Ids 0–2 and 0x20–0x3F belonged to the
+    /// retired unary/γ/δ and fixed-`k` Rice codes and are never
+    /// reassigned.
     pub fn id(self) -> u8 {
         match self {
-            Codec::Unary => 0,
-            Codec::Gamma => 1,
-            Codec::Delta => 2,
             Codec::Zeta(k) => 0x10 + k as u8,
-            Codec::Rice(k) => 0x20 + k as u8,
             Codec::RiceAdaptive => 3,
             Codec::Byte => 4,
         }
@@ -679,81 +585,37 @@ impl Codec {
     /// Inverse of [`Codec::id`].
     pub fn from_id(id: u8) -> Option<Codec> {
         match id {
-            0 => Some(Codec::Unary),
-            1 => Some(Codec::Gamma),
-            2 => Some(Codec::Delta),
             3 => Some(Codec::RiceAdaptive),
             4 => Some(Codec::Byte),
             k @ 0x11..=0x18 => Some(Codec::Zeta(k as u32 - 0x10)),
-            k @ 0x20..=0x3F => Some(Codec::Rice(k as u32 - 0x20)),
             _ => None,
         }
+    }
+
+    /// Whether `id` named a code that containers written before unary, γ,
+    /// δ and fixed-`k` Rice were retired could carry.
+    pub(crate) fn is_retired_id(id: u32) -> bool {
+        matches!(id, 0..=2 | 0x20..=0x3F)
     }
 
     /// Human name, accepted back by [`Codec::parse`].
     pub fn name(self) -> String {
         match self {
-            Codec::Unary => "unary".to_string(),
-            Codec::Gamma => "gamma".to_string(),
-            Codec::Delta => "delta".to_string(),
             Codec::Zeta(k) => format!("zeta{k}"),
-            Codec::Rice(k) => format!("rice{k}"),
             Codec::RiceAdaptive => "arice".to_string(),
             Codec::Byte => "byte".to_string(),
         }
     }
 
-    /// Parses a codec name (`byte`, `gamma`, `delta`, `zeta3`, `arice`).
+    /// Parses a codec name (`arice`, `byte`, `zeta1`..`zeta8`).
     pub fn parse(s: &str) -> Option<Codec> {
         match s {
-            "unary" => Some(Codec::Unary),
-            "gamma" => Some(Codec::Gamma),
-            "delta" => Some(Codec::Delta),
             "arice" => Some(Codec::RiceAdaptive),
             "byte" => Some(Codec::Byte),
             _ => {
-                if let Some(rest) = s.strip_prefix("rice") {
-                    let k: u32 = rest.parse().ok()?;
-                    return (0..=MAX_RICE_K).contains(&k).then_some(Codec::Rice(k));
-                }
                 let k: u32 = s.strip_prefix("zeta")?.parse().ok()?;
                 (1..=8).contains(&k).then_some(Codec::Zeta(k))
             }
-        }
-    }
-
-    /// Encodes `x` into `w`.
-    #[inline]
-    pub fn encode(self, w: &mut BitWriter, x: u64) {
-        match self {
-            Codec::Unary => w.write_unary(x),
-            Codec::Gamma => w.write_gamma(x),
-            Codec::Delta => w.write_delta(x),
-            Codec::Zeta(k) => w.write_zeta(x, k),
-            Codec::Rice(k) => w.write_rice(x, k),
-            Codec::RiceAdaptive => {
-                let k = best_rice_k(std::slice::from_ref(&x));
-                w.write_bits(k as u64, 5);
-                w.write_rice(x, k);
-            }
-            Codec::Byte => w.write_vbyte(x),
-        }
-    }
-
-    /// Decodes one value from `r`.
-    #[inline]
-    pub fn decode(self, r: &mut BitReader<'_>) -> Result<u64, GraphFormatError> {
-        match self {
-            Codec::Unary => r.read_unary(),
-            Codec::Gamma => r.read_gamma(),
-            Codec::Delta => r.read_delta(),
-            Codec::Zeta(k) => r.read_zeta(k),
-            Codec::Rice(k) => r.read_rice(k),
-            Codec::RiceAdaptive => {
-                let k = r.read_bits(5)? as u32;
-                r.read_rice(k)
-            }
-            Codec::Byte => r.read_vbyte(),
         }
     }
 }
@@ -763,12 +625,55 @@ mod tests {
     use super::*;
     use lightne_utils::rng::XorShiftStream;
 
-    fn all_codecs() -> Vec<Codec> {
-        let mut v =
-            vec![Codec::Byte, Codec::Unary, Codec::Gamma, Codec::Delta, Codec::RiceAdaptive];
-        v.extend((1..=8).map(Codec::Zeta));
-        v.extend([0, 1, 2, 5, 8, 13, 31].map(Codec::Rice));
+    /// The symbol codes the container codes are built from.
+    #[derive(Debug, Clone, Copy)]
+    enum Sym {
+        VByte,
+        Unary,
+        Rice(u32),
+        Zeta(u32),
+    }
+
+    impl Sym {
+        fn write(self, w: &mut BitWriter, x: u64) {
+            match self {
+                Sym::VByte => w.write_vbyte(x),
+                Sym::Unary => w.write_unary(x),
+                Sym::Rice(k) => w.write_rice(x, k),
+                Sym::Zeta(k) => w.write_zeta(x, k),
+            }
+        }
+
+        fn read(self, r: &mut BitReader<'_>) -> Result<u64, GraphFormatError> {
+            match self {
+                Sym::VByte => r.read_vbyte(),
+                Sym::Unary => r.read_unary(),
+                Sym::Rice(k) => r.read_rice(k),
+                Sym::Zeta(k) => r.read_zeta(k),
+            }
+        }
+    }
+
+    fn all_syms() -> Vec<Sym> {
+        let mut v = vec![Sym::VByte, Sym::Unary];
+        v.extend([0, 1, 2, 5, 8, 13, 21, 31].map(Sym::Rice));
+        v.extend((1..=8).map(Sym::Zeta));
         v
+    }
+
+    fn roundtrip(sym: Sym, values: &[u64]) {
+        let mut w = BitWriter::new();
+        for &v in values {
+            sym.write(&mut w, v);
+        }
+        let total = w.len_bits();
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes, 0);
+        for &v in values {
+            assert_eq!(sym.read(&mut r).unwrap(), v, "{sym:?} value {v}");
+        }
+        // The stream position lands exactly at the end of the last code.
+        assert_eq!(r.bit_pos(), total, "{sym:?}");
     }
 
     #[test]
@@ -798,78 +703,35 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_small_roundtrip_every_codec() {
-        // Every codec must round-trip every value in 0..4096 exactly, with
-        // the stream position landing exactly at the end of each code.
-        for codec in all_codecs() {
-            if codec == Codec::Unary {
-                continue; // unary of 4095 is fine but covered below
-            }
-            let mut w = BitWriter::new();
-            for x in 0..4096u64 {
-                codec.encode(&mut w, x);
-            }
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes, 0);
-            for x in 0..4096u64 {
-                assert_eq!(codec.decode(&mut r).unwrap(), x, "{}", codec.name());
-            }
-        }
-        let mut w = BitWriter::new();
-        for x in 0..256u64 {
-            Codec::Unary.encode(&mut w, x);
-        }
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes, 0);
-        for x in 0..256u64 {
-            assert_eq!(Codec::Unary.decode(&mut r).unwrap(), x);
+    fn exhaustive_small_roundtrip_every_code() {
+        let small: Vec<u64> = (0..4096).collect();
+        for sym in all_syms() {
+            // Unary of 4095 is 4 KiB of zeros per value; 256 covers the
+            // 57-bit chunking of `write_unary` several times over.
+            let values = if matches!(sym, Sym::Unary) { &small[..256] } else { &small[..] };
+            roundtrip(sym, values);
         }
     }
 
     #[test]
-    fn random_large_values_roundtrip() {
+    fn large_values_roundtrip() {
+        // The logarithmic-length codes span the whole u64-exponent range
+        // (ζ cannot encode u64::MAX itself).
         let mut rng = XorShiftStream::new(7, 0);
-        // Spread magnitudes across the whole u64-exponent range (shift by
-        // 0..=56 keeps every value short of the u64::MAX encode limit).
         let values: Vec<u64> =
             (0..2000).map(|i| rng.next_u64() >> (i % 57)).map(|v| v.min(u64::MAX - 1)).collect();
-        for codec in all_codecs() {
-            // Codes with a value-linear unary part would need astronomical
-            // streams here; they get their own bounded test below.
-            if matches!(codec, Codec::Unary | Codec::Rice(_) | Codec::RiceAdaptive) {
-                continue;
-            }
-            let mut w = BitWriter::new();
-            for &v in &values {
-                codec.encode(&mut w, v);
-            }
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes, 0);
-            for &v in &values {
-                assert_eq!(codec.decode(&mut r).unwrap(), v, "{} value {v}", codec.name());
+        for sym in all_syms() {
+            if matches!(sym, Sym::VByte | Sym::Zeta(_)) {
+                roundtrip(sym, &values);
             }
         }
-    }
-
-    #[test]
-    fn rice_large_values_roundtrip() {
         // Rice quotients are unary, so bound each value to keep the
-        // quotient small while still exercising the full mantissa width.
+        // quotient small while still exercising the full remainder width.
         let mut rng = XorShiftStream::new(11, 0);
         for k in [0u32, 1, 2, 5, 8, 13, 21, 31] {
             let max = 1u64 << (k + 12).min(63);
             let values: Vec<u64> = (0..500).map(|_| rng.next_u64() % max).collect();
-            for codec in [Codec::Rice(k), Codec::RiceAdaptive] {
-                let mut w = BitWriter::new();
-                for &v in &values {
-                    codec.encode(&mut w, v);
-                }
-                let bytes = w.into_bytes();
-                let mut r = BitReader::new(&bytes, 0);
-                for &v in &values {
-                    assert_eq!(codec.decode(&mut r).unwrap(), v, "{} value {v}", codec.name());
-                }
-            }
+            roundtrip(Sym::Rice(k), &values);
         }
     }
 
@@ -897,76 +759,58 @@ mod tests {
     }
 
     #[test]
-    fn gamma_known_codewords() {
-        // γ: 0 → "1", 1 → "010", 2 → "011", 3 → "00100".
-        let mut w = BitWriter::new();
-        for x in 0..4 {
-            w.write_gamma(x);
+    fn code_lengths_match_theory() {
+        let len = |sym: Sym, x: u64| {
+            let mut w = BitWriter::new();
+            sym.write(&mut w, x);
+            w.len_bits()
+        };
+        for x in [0u64, 1, 2, 3, 7, 8, 100, 1000] {
+            assert_eq!(len(Sym::Unary, x), x + 1);
+            for k in [0u32, 3, 10, 31] {
+                assert_eq!(len(Sym::Rice(k), x), (x >> k) + 1 + k as u64);
+            }
+            assert_eq!(len(Sym::VByte, x), if x < 128 { 8 } else { 16 });
+            // ζ₁ is Elias γ: ⌊log₂(x+1)⌋ in unary, then that many bits.
+            let h = 64 - (x + 1).leading_zeros() as u64 - 1;
+            assert_eq!(len(Sym::Zeta(1), x), 2 * h + 1);
         }
-        // Concatenation: 1 010 011 00100 → 1010 0110 0100 (pad) = 0xA6 0x40.
+        // ζ₃ beats γ in the heavy tail (its design point).
+        assert!(len(Sym::Zeta(3), 5_000) < len(Sym::Zeta(1), 5_000));
+        // γ: 0 → "1", 1 → "010", 2 → "011", 3 → "00100"; concatenated,
+        // 1010 0110 0100 (pad) = 0xA6 0x40.
+        let mut w = BitWriter::new();
+        (0..4).for_each(|x| w.write_zeta(x, 1));
         assert_eq!(w.into_bytes(), vec![0xA6, 0x40]);
     }
 
     #[test]
-    fn zeta1_equals_gamma() {
-        let mut rng = XorShiftStream::new(9, 0);
-        let values: Vec<u64> = (0..500).map(|i| rng.next_u64() >> (i % 57)).collect();
-        let mut a = BitWriter::new();
-        let mut b = BitWriter::new();
-        for &v in &values {
-            a.write_gamma(v);
-            b.write_zeta(v, 1);
-        }
-        assert_eq!(a.into_bytes(), b.into_bytes());
-    }
-
-    #[test]
-    fn code_lengths_match_theory() {
-        let len = |codec: Codec, x: u64| {
-            let mut w = BitWriter::new();
-            codec.encode(&mut w, x);
-            w.len_bits()
-        };
-        for x in [0u64, 1, 2, 3, 7, 8, 100, 1000, 1 << 20] {
-            let h = 64 - (x + 1).leading_zeros() as u64 - 1; // ⌊log₂(x+1)⌋
-            assert_eq!(len(Codec::Unary, x), x + 1);
-            assert_eq!(len(Codec::Gamma, x), 2 * h + 1);
-            // δ(x) = γ(h) + h bits.
-            let hh = 64 - (h + 1).leading_zeros() as u64 - 1;
-            assert_eq!(len(Codec::Delta, x), 2 * hh + 1 + h);
-        }
-        // ζ₃ beats γ in the heavy tail (its design point).
-        assert!(len(Codec::Zeta(3), 5_000) < len(Codec::Gamma, 5_000));
-    }
-
-    #[test]
     fn truncated_reads_fail_typed() {
-        for codec in all_codecs() {
+        for sym in all_syms() {
             // Codes with a value-linear unary part get a value that keeps
             // the codeword (and the prefix loop) short.
-            let x = match codec {
-                Codec::Unary => 300,
-                Codec::Rice(k) if k < 8 => 300,
+            let x = match sym {
+                Sym::Unary => 300,
+                Sym::Rice(k) if k < 8 => 300,
                 _ => 1_000_000,
             };
             let mut w = BitWriter::new();
-            codec.encode(&mut w, x);
+            sym.write(&mut w, x);
             let bytes = w.into_bytes();
             // Every strict prefix must produce Truncated, never panic.
             for cut in 0..bytes.len() {
                 let mut r = BitReader::new(&bytes[..cut], 0);
-                match codec.decode(&mut r) {
+                match sym.read(&mut r) {
                     Err(GraphFormatError::Truncated { .. }) => {}
-                    other => panic!(
-                        "{}: prefix of {cut} bytes: expected Truncated, got {other:?}",
-                        codec.name()
-                    ),
+                    other => {
+                        panic!("{sym:?}: prefix of {cut} bytes: expected Truncated, got {other:?}")
+                    }
                 }
             }
             // Reading past a valid value into padding also fails typed.
             let mut r = BitReader::new(&bytes, 0);
-            assert_eq!(codec.decode(&mut r).unwrap(), x);
-            assert!(codec.decode(&mut r).is_err() || r.bit_pos() <= r.len_bits());
+            assert_eq!(sym.read(&mut r).unwrap(), x);
+            assert!(sym.read(&mut r).is_err() || r.bit_pos() <= r.len_bits());
         }
     }
 
@@ -975,18 +819,16 @@ mod tests {
         // A long run of zero bytes is an unterminated unary code: the
         // reader must fail typed (Truncated at the end or Overflow), not
         // loop forever or panic.
-        let zeros = vec![0u8; 64];
-        let mut r = BitReader::new(&zeros, 0);
-        match r.read_unary() {
-            Err(GraphFormatError::Truncated { .. }) | Err(GraphFormatError::Overflow { .. }) => {}
-            other => panic!("expected typed failure, got {other:?}"),
-        }
-        for codec in all_codecs() {
+        let zeros = [0u8; 64];
+        for sym in all_syms() {
             // The byte code's unterminated codeword is a run of set
             // continuation bits; a zero byte is its value 0.
-            let hostile = if codec == Codec::Byte { &[0xFFu8; 64][..] } else { &zeros[..] };
+            let hostile = if matches!(sym, Sym::VByte) { &[0xFFu8; 64][..] } else { &zeros[..] };
             let mut r = BitReader::new(hostile, 0);
-            assert!(codec.decode(&mut r).is_err(), "{}", codec.name());
+            match sym.read(&mut r) {
+                Err(GraphFormatError::Truncated { .. } | GraphFormatError::Overflow { .. }) => {}
+                other => panic!("{sym:?}: expected typed failure, got {other:?}"),
+            }
         }
     }
 
@@ -1000,18 +842,22 @@ mod tests {
         }
         assert_eq!(w.into_bytes(), vec![0x00, 0x7F, 0x80, 0x01, 0xAC, 0x02, 0x80, 0x80, 0x01]);
         // The whole u64 domain round-trips, across the fast-path limit
-        // (4 bytes = 28 value bits) and at a non-byte-aligned position.
+        // (4 bytes = 28 value bits) and at a non-byte-aligned position —
+        // the container relies on a reader starting mid-byte to jump
+        // straight to a vertex's region.
         let values = [0u64, 1, 127, 128, (1 << 28) - 1, 1 << 28, u32::MAX as u64, u64::MAX];
         let mut w = BitWriter::new();
         w.write_bits(0b101, 3);
         for &v in &values {
             w.write_vbyte(v);
         }
+        let total = w.len_bits();
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes, 3);
         for &v in &values {
             assert_eq!(r.read_vbyte().unwrap(), v);
         }
+        assert_eq!(r.bit_pos(), total);
         // 11 continuation bytes: longer than any u64 codeword.
         let mut r = BitReader::new(&[0xFFu8; 11], 0);
         assert!(matches!(r.read_vbyte(), Err(GraphFormatError::Overflow { .. })));
@@ -1028,45 +874,40 @@ mod tests {
     #[test]
     fn random_garbage_never_panics() {
         let mut rng = XorShiftStream::new(21, 0);
-        for trial in 0..200 {
+        for _ in 0..200 {
             let len = rng.bounded_usize(40);
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            for codec in all_codecs() {
+            for sym in all_syms() {
                 let mut r = BitReader::new(&bytes, 0);
                 // Decode until error or end; must terminate and never panic.
                 for _ in 0..10_000 {
-                    if codec.decode(&mut r).is_err() || r.bit_pos() >= r.len_bits() {
+                    if sym.read(&mut r).is_err() || r.bit_pos() >= r.len_bits() {
                         break;
                     }
                 }
-                let _ = trial;
             }
         }
     }
 
     #[test]
     fn codec_id_and_name_roundtrip() {
-        for codec in all_codecs() {
+        for codec in [Codec::Byte, Codec::RiceAdaptive].into_iter().chain((1..=8).map(Codec::Zeta))
+        {
             assert_eq!(Codec::from_id(codec.id()), Some(codec));
             assert_eq!(Codec::parse(&codec.name()), Some(codec));
         }
-        assert_eq!(Codec::from_id(0xFF), None);
-        assert_eq!(Codec::parse("zeta0"), None);
-        assert_eq!(Codec::parse("zeta9"), None);
-        assert_eq!(Codec::parse("huffman"), None);
-    }
-
-    #[test]
-    fn reader_positions_mid_stream() {
-        // A reader can be constructed at an arbitrary bit offset — the v2
-        // format relies on this to jump straight to a vertex's region.
-        let mut w = BitWriter::new();
-        w.write_bits(0b101, 3);
-        w.write_gamma(42);
-        let total = w.len_bits();
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes, 3);
-        assert_eq!(r.read_gamma().unwrap(), 42);
-        assert_eq!(r.bit_pos(), total);
+        // The on-disk ids are the ones files already carry.
+        assert_eq!((Codec::RiceAdaptive.id(), Codec::Byte.id(), Codec::Zeta(3).id()), (3, 4, 0x13));
+        // A retired code has neither a name nor an id that decodes.
+        for name in ["gamma", "delta", "rice12", "unary", "zeta0", "zeta9", "huffman", ""] {
+            assert_eq!(Codec::parse(name), None, "{name}");
+        }
+        for id in [0u8, 1, 2, 0x20, 0x2C, 0x3F] {
+            assert_eq!(Codec::from_id(id), None);
+            assert!(Codec::is_retired_id(id as u32));
+        }
+        for id in [3u32, 4, 5, 0x10, 0x13, 0x19, 0x40, 0xFF, 0x1_0000] {
+            assert!(!Codec::is_retired_id(id), "{id:#x}");
+        }
     }
 }

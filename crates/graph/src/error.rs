@@ -60,6 +60,12 @@ pub enum GraphFormatError {
         /// The version this build reads and writes.
         supported: u32,
     },
+    /// The container was written with a gap code this build no longer
+    /// carries (unary, γ, δ or a fixed-`k` Rice code).
+    RetiredCodec {
+        /// The codec id found in the header.
+        id: u32,
+    },
     /// A checksum recorded in the container does not match the bytes.
     ChecksumMismatch {
         /// Which region failed ("header" or "payload").
@@ -114,6 +120,13 @@ impl fmt::Display for GraphFormatError {
                      re-run `lightne compress`)"
                 )
             }
+            GraphFormatError::RetiredCodec { id } => {
+                write!(
+                    f,
+                    "retired codec id {id:#x} (this build reads arice, byte and zeta1..zeta8; \
+                     rewrite the file from its source with `lightne compress`)"
+                )
+            }
             GraphFormatError::ChecksumMismatch { region } => {
                 write!(f, "{region} checksum mismatch")
             }
@@ -159,6 +172,8 @@ mod tests {
                 GraphFormatError::NeighborIndexOutOfRange { vertex: 7, index: 5, degree: 3 },
                 "index 5 out of range for degree 3",
             ),
+            (GraphFormatError::RetiredCodec { id: 0x2C }, "codec id 0x2c"),
+            (GraphFormatError::RetiredCodec { id: 1 }, "lightne compress"),
             (GraphFormatError::ChecksumMismatch { region: "payload" }, "payload"),
             (GraphFormatError::LengthMismatch { what: "arena", expected: 10, actual: 3 }, "arena"),
             (GraphFormatError::VertexOutOfRange { vertex: 1, decoded: -4, n: 2 }, "-4"),

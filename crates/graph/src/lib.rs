@@ -14,12 +14,12 @@
 //!   trade-off chosen in Section 4.2), with per-block offsets so the `i`-th
 //!   neighbor of a vertex is fetched by decoding a single block. With
 //!   [`Codec::Byte`] this is the parallel-byte format; [`codecs`] holds
-//!   that code and the bit-granular ones (γ/δ/ζ/Rice), [`ef`] the
+//!   that code and the bit-granular ones (adaptive Rice, ζ), [`ef`] the
 //!   Elias–Fano offset indices, and the container loads in memory or
 //!   zero-copy via [`mmap`].
 //! * [`ops::GraphOps`] — the uniform interface (degrees, neighbor access,
-//!   `map_edges`, `map_vertices`) that both representations implement, so
-//!   the sampler is generic over compression.
+//!   `map_edges`) that both representations implement, so the sampler is
+//!   generic over compression.
 //! * [`weighted::WeightedOps`] — the weight-aware view the pipeline is
 //!   written against: unit weights on every `GraphOps` backend, stored
 //!   weights on [`weighted::WeightedGraph`].

@@ -13,7 +13,6 @@
 
 use crate::{Graph, VertexId};
 use lightne_utils::mem::MemUsage;
-use lightne_utils::parallel::parallel_reduce_sum;
 use lightne_utils::rng::XorShiftStream;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -70,15 +69,6 @@ pub trait GraphAccess {
 /// Bulk-parallel maps over a graph, available for every thread-safe
 /// [`GraphAccess`] backend via the blanket impl below.
 pub trait GraphOps: GraphAccess + Sync {
-    /// Parallel map over all vertices: `f(v)`.
-    fn map_vertices<F>(&self, f: F)
-    where
-        F: Fn(VertexId) + Sync + Send,
-        Self: Sized,
-    {
-        (0..self.num_vertices() as VertexId).into_par_iter().for_each(f);
-    }
-
     /// Parallel map over all arcs: `f(u, v, arc_index)` for every directed
     /// arc `u → v`. `arc_index` is the arc's global CSR position, used by
     /// callers that need a deterministic per-arc RNG stream. Work is
@@ -110,25 +100,6 @@ pub trait GraphOps: GraphAccess + Sync {
             .into_par_iter()
             .map(|v| self.degree(v as VertexId) as u32)
             .collect()
-    }
-
-    /// Sum over all arcs of `f(u, v)`, in parallel (a `MapReduce` over
-    /// edges; used e.g. to compute modularity-style statistics).
-    ///
-    /// Per-vertex contributions are summed sequentially over the
-    /// adjacency list, then folded with the fixed-block deterministic
-    /// reduction, so the result is bitwise identical at any thread count.
-    fn reduce_edges<F>(&self, f: F) -> f64
-    where
-        F: Fn(VertexId, VertexId) -> f64 + Sync + Send,
-        Self: Sized,
-    {
-        parallel_reduce_sum(self.num_vertices(), |u| {
-            let u = u as VertexId;
-            let mut acc = 0.0;
-            self.for_each_neighbor(u, &mut |v| acc += f(u, v));
-            acc
-        })
     }
 }
 
@@ -384,23 +355,6 @@ mod tests {
         let ranges = check_partition(&skewed, 4);
         assert_eq!(ranges.len(), 4);
         assert!(ranges[0].len() < ranges[3].len() / 2, "{ranges:?}");
-    }
-
-    #[test]
-    fn reduce_edges_counts_degrees() {
-        let g = path_graph(10);
-        let total = g.reduce_edges(|_, _| 1.0);
-        assert_eq!(total, g.num_arcs() as f64);
-    }
-
-    #[test]
-    fn map_vertices_covers_all() {
-        let g = path_graph(128);
-        let hits: Vec<AtomicU64> = (0..128).map(|_| AtomicU64::new(0)).collect();
-        g.map_vertices(|v| {
-            hits[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! One container serves every instantaneous code in [`crate::codecs`].
 //! With [`Codec::Byte`] it is the paper's *parallel-byte* format (Ligra+,
 //! Section 4.1): difference-encoded blocks of byte codes with per-block
-//! offsets. The bit-granular codes (γ/δ/ζ/Rice) reuse the same layout and
-//! charge every gap its information content instead of a minimum of 8
-//! bits. Around the adjacency arena the container keeps:
+//! offsets. The bit-granular codes (adaptive Rice, ζ) reuse the same
+//! layout and charge every gap close to its information content instead
+//! of a minimum of 8 bits. Around the adjacency arena the container keeps:
 //!
 //! * **two Elias–Fano sequences** ([`crate::ef`]) for the per-vertex arc
 //!   and bit offsets, ~2 bits + log₂(avg) per vertex each where plain
@@ -65,7 +65,9 @@
 //!
 //! [`V2_VERSION`] is 2. Version 1 (γ-coded block lengths, 8-byte select
 //! samples every 64th element) is refused with
-//! [`GraphFormatError::UnsupportedVersion`]: there is one reader, and a
+//! [`GraphFormatError::UnsupportedVersion`], and a version-2 file stamped
+//! with the id of a retired code (unary, γ, δ, fixed-`k` Rice) with
+//! [`GraphFormatError::RetiredCodec`]: there is one reader, and a
 //! container is cheap to rewrite from its source (`lightne compress`).
 //!
 //! Containers are written via the repo-wide tmp+rename discipline. An
@@ -154,9 +156,14 @@ fn encode_vertex(
                     w.write_rice(x, k);
                 }
             }
-            c => {
+            Codec::Byte => {
                 for &x in &vals {
-                    c.encode(&mut w, x);
+                    w.write_vbyte(x);
+                }
+            }
+            Codec::Zeta(k) => {
+                for &x in &vals {
+                    w.write_zeta(x, k);
                 }
             }
         }
@@ -405,6 +412,9 @@ impl V2Graph {
         }
         let codec = match u8::try_from(codec_id).ok().and_then(Codec::from_id) {
             Some(c) => c,
+            None if Codec::is_retired_id(codec_id) => {
+                return Err(GraphFormatError::RetiredCodec { id: codec_id })
+            }
             None => return Err(GraphFormatError::Corrupt("unknown codec id")),
         };
         let expected_len = HEADER_LEN as u64 + len_ef_arcs + len_ef_bits + len_arena;
@@ -647,11 +657,7 @@ impl V2Graph {
         let mut own = reader.clone();
         let r = &mut own;
         let last = match self.codec {
-            Codec::Unary => decode_gaps(v, n, r, count, visit, |r| r.read_unary()),
-            Codec::Gamma => decode_gaps(v, n, r, count, visit, |r| r.read_gamma()),
-            Codec::Delta => decode_gaps(v, n, r, count, visit, |r| r.read_delta()),
             Codec::Zeta(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_zeta(k)),
-            Codec::Rice(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_rice(k)),
             Codec::RiceAdaptive => match r.read_bits(5) {
                 Ok(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_rice(k as u32)),
                 Err(e) => Err(e),
@@ -1067,14 +1073,9 @@ mod tests {
         let g = random_graph(500, 4_000, 61);
         for (codec, want) in [
             (Codec::Byte, 0xB904_DFAC_17D3_79BBu64),
-            (Codec::Gamma, 0x744F_1120_7D64_5CDF),
-            (Codec::Delta, 0xAE9D_5A2F_7865_9C27),
             (Codec::Zeta(2), 0xCFB8_1F33_A42C_CCA1),
             (Codec::Zeta(3), 0x3991_B0D7_6978_1957),
             (Codec::Zeta(4), 0x3D10_4B46_7DA8_5EA1),
-            (Codec::Rice(8), 0x86AD_9AF9_65E6_2AF2),
-            (Codec::Rice(10), 0xBB54_FAB9_6D3B_DE94),
-            (Codec::Rice(12), 0xE7FB_62C8_7D72_305F),
             (Codec::RiceAdaptive, 0x5DB3_8BDE_CBDE_4F64),
         ] {
             let bytes = encode_container(&g, codec, 64).unwrap();
@@ -1110,7 +1111,7 @@ mod tests {
         let g = star(10);
         let mut path = std::env::temp_dir();
         path.push(format!("lightne-v2-atomic-{}.lng2", std::process::id()));
-        V2Graph::write(&g, Codec::Gamma, 64, &path).unwrap();
+        V2Graph::write(&g, Codec::Byte, 64, &path).unwrap();
         assert!(!path.with_extension("tmp").exists());
         std::fs::remove_file(&path).unwrap();
     }
@@ -1121,7 +1122,7 @@ mod tests {
         // flip anywhere in the container must be rejected at open or —
         // if it hits the checksum fields themselves — also rejected.
         let g = random_graph(60, 400, 41);
-        for codec in [Codec::Gamma, Codec::Byte] {
+        for codec in Codec::SWEEP {
             let bytes = encode_container(&g, codec, 64).unwrap();
             V2Graph::from_bytes(bytes.clone()).unwrap();
             for i in 0..bytes.len() {
@@ -1178,21 +1179,21 @@ mod tests {
         // Mmap-style open skips the payload checksum; corrupt arena bytes
         // must surface as typed errors from the checked decode paths.
         let g = random_graph(80, 600, 47);
-        let mut bytes = encode_container(&g, Codec::Gamma, 64).unwrap();
-        let arena_start = bytes.len() - 10;
-        for b in bytes.iter_mut().skip(arena_start) {
-            *b = 0xFF;
+        for codec in Codec::SWEEP {
+            let mut bytes = encode_container(&g, codec, 64).unwrap();
+            let arena_start = bytes.len() - 10;
+            bytes[arena_start..].fill(0xFF);
+            // Rewrite nothing else: header checksum still valid, payload not.
+            assert!(matches!(
+                V2Graph::from_bytes(bytes.clone()),
+                Err(GraphFormatError::ChecksumMismatch { region: "payload" })
+            ));
+            let c = open_unchecked(bytes);
+            let failures = (0..c.num_vertices() as u32)
+                .filter(|&v| c.try_for_each_neighbor(v, &mut |_| {}).is_err())
+                .count();
+            assert!(failures > 0, "{}: overwritten arena tail decoded cleanly", codec.name());
         }
-        // Rewrite nothing else: header checksum still valid, payload not.
-        assert!(matches!(
-            V2Graph::from_bytes(bytes.clone()),
-            Err(GraphFormatError::ChecksumMismatch { region: "payload" })
-        ));
-        let c = open_unchecked(bytes);
-        let failures = (0..c.num_vertices() as u32)
-            .filter(|&v| c.try_for_each_neighbor(v, &mut |_| {}).is_err())
-            .count();
-        assert!(failures > 0, "overwritten arena tail decoded cleanly");
 
         // Every arena byte inverted in turn, every codec: the decoders
         // either still produce a valid graph or fail typed, never panic.
@@ -1219,12 +1220,17 @@ mod tests {
         edges.extend((1..=40u32).map(|j| (1, 3 + 50 * j)));
         let g = GraphBuilder::from_edges(2_004, &edges);
         let huge = u64::MAX - 1; // zigzag(i64::MAX)
-        for codec in [Codec::Byte, Codec::Gamma, Codec::Delta, Codec::Zeta(2), Codec::Zeta(3)] {
+        for codec in [Codec::Byte, Codec::Zeta(1), Codec::Zeta(2), Codec::Zeta(3)] {
             // A wrapped `prev + gap + 1` would hand out neighbor 0 after
             // 2; a wrapped `v + first` a negative id.
             for (values, decoded) in [([zigzag(1), huge], &[2u32][..]), ([huge, 0], &[][..])] {
                 let mut w = BitWriter::new();
-                values.iter().for_each(|&x| codec.encode(&mut w, x));
+                for &x in &values {
+                    match codec {
+                        Codec::Zeta(k) => w.write_zeta(x, k),
+                        _ => w.write_vbyte(x),
+                    }
+                }
                 let hostile = w.into_bytes();
                 let mut bytes = encode_container(&g, codec, 64).unwrap();
                 let arena_off = bytes.len() - arena_len(&bytes);
@@ -1246,7 +1252,7 @@ mod tests {
     #[test]
     fn wrong_magic_and_version() {
         let g = star(4);
-        let mut bytes = encode_container(&g, Codec::Gamma, 64).unwrap();
+        let mut bytes = encode_container(&g, Codec::Byte, 64).unwrap();
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(V2Graph::from_bytes(wrong_magic), Err(GraphFormatError::BadMagic)));
@@ -1266,6 +1272,28 @@ mod tests {
         let err = V2Graph::from_bytes(bytes).unwrap_err();
         assert!(matches!(err, GraphFormatError::UnsupportedVersion { found: 1, supported: 2 }));
         assert!(err.to_string().contains("lightne compress"), "{err}");
+    }
+
+    #[test]
+    fn retired_codec_id_is_a_typed_error() {
+        // A container written with `rice12` (id 0x2C) before the fixed-`k`
+        // Rice codes were retired: the header is intact, so every way in
+        // names the id and says how to get a readable file.
+        let mut bytes = encode_container(&star(4), Codec::Byte, 64).unwrap();
+        bytes[12..16].copy_from_slice(&0x2Cu32.to_le_bytes());
+        restamp_header(&mut bytes);
+        let mut path = std::env::temp_dir();
+        path.push(format!("lightne-v2-retired-{}.lng2", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let mut opened = vec![V2Graph::from_bytes(bytes), V2Graph::open(&path)];
+        #[cfg(not(miri))]
+        opened.push(V2Graph::open_mmap(&path));
+        std::fs::remove_file(&path).unwrap();
+        for got in opened {
+            let err = got.unwrap_err();
+            assert!(matches!(err, GraphFormatError::RetiredCodec { id: 0x2C }), "{err:?}");
+            assert!(err.to_string().contains("lightne compress"), "{err}");
+        }
     }
 
     /// `try_ith_neighbor` at the first and last index of every block of
@@ -1308,7 +1336,7 @@ mod tests {
     #[test]
     fn index_past_the_degree_is_a_typed_error() {
         let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2)]);
-        let c = V2Graph::from_graph(&g, Codec::Gamma);
+        let c = V2Graph::from_graph(&g, Codec::RiceAdaptive);
         assert_eq!(c.try_ith_neighbor(0, 1).unwrap(), 2);
         for (v, i, deg) in [(0u32, 2usize, 2usize), (3, 0, 0), (1, usize::MAX, 1)] {
             assert!(matches!(
@@ -1340,10 +1368,7 @@ mod tests {
         let g = GraphBuilder::from_edges(602, &edges);
         let (bs, deg) = (DEFAULT_BLOCK_SIZE, g.degree(1));
         assert_eq!(deg.div_ceil(bs), 4);
-        // Under miri two codecs stand for the ten (the directory is the
-        // same bits whatever codes the blocks).
-        let codecs = if cfg!(miri) { &Codec::SWEEP[8..] } else { &Codec::SWEEP[..] };
-        for &codec in codecs {
+        for codec in Codec::SWEEP {
             let bytes = encode_container(&g, codec, bs).unwrap();
             let good = open_unchecked(bytes.clone());
             good.validate().unwrap();
@@ -1389,7 +1414,7 @@ mod tests {
     #[test]
     fn try_decompress_fails_typed_on_a_corrupt_arena() {
         let g = random_graph(80, 600, 47);
-        let mut bytes = encode_container(&g, Codec::Gamma, 64).unwrap();
+        let mut bytes = encode_container(&g, Codec::RiceAdaptive, 64).unwrap();
         assert_eq!(open_unchecked(bytes.clone()).try_decompress().unwrap(), g);
         let tail = bytes.len() - 10;
         bytes[tail..].fill(0xFF);

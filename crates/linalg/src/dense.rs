@@ -156,16 +156,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Parallel iterator over rows.
-    pub fn par_rows(&self) -> rayon::slice::Chunks<'_, f32> {
-        self.data.par_chunks(self.cols)
-    }
-
-    /// Parallel mutable iterator over rows.
-    pub fn par_rows_mut(&mut self) -> rayon::slice::ChunksMut<'_, f32> {
-        self.data.par_chunks_mut(self.cols)
-    }
-
     /// The transpose, walked in `TILE×TILE` cache tiles (the old strided
     /// scatter thrashed on tall embedding matrices). Parallel over
     /// `TILE`-wide bands of output rows; each tile is copied through the

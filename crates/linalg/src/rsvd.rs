@@ -45,13 +45,6 @@ impl Default for RsvdConfig {
     }
 }
 
-impl RsvdConfig {
-    /// Config with the given rank and defaults elsewhere.
-    pub fn with_rank(rank: usize) -> Self {
-        Self { rank, ..Self::default() }
-    }
-}
-
 /// A truncated SVD `A ≈ U · diag(sigma) · Vᵀ`.
 #[derive(Debug, Clone)]
 pub struct Svd {

@@ -6,7 +6,7 @@
 //! a dense `n × d` panel (`mkl_sparse_s_mm`), which dominates both the
 //! randomized SVD's projections and ProNE's spectral propagation.
 
-use crate::dense::{map_slice, DenseMatrix, ELEMWISE_BLOCK};
+use crate::dense::{map_slice, DenseMatrix};
 use crate::simd::{self, SimdTier};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::{parallel_prefix_sum, parallel_reduce_sum};
@@ -431,19 +431,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Scales column `j` by `s[j]` (e.g. `A D⁻¹`), in parallel.
-    pub fn scale_cols(&mut self, s: &[f32]) {
-        assert_eq!(s.len(), self.n_cols);
-        self.values
-            .par_chunks_mut(ELEMWISE_BLOCK)
-            .zip(self.col_idx.par_chunks(ELEMWISE_BLOCK))
-            .for_each(|(vals, cols)| {
-                for (v, &c) in vals.iter_mut().zip(cols) {
-                    *v *= s[c as usize];
-                }
-            });
-    }
-
     /// Linear combination `alpha·self + beta·other` (same shape).
     pub fn add(&self, other: &CsrMatrix, alpha: f32, beta: f32) -> CsrMatrix {
         assert_eq!((self.n_rows, self.n_cols), (other.n_rows, other.n_cols));
@@ -544,14 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_rows_cols() {
+    fn scale_rows_scales_each_row() {
         let mut m = small();
         m.scale_rows(&[1.0, 2.0, 0.5]);
         assert_eq!(m.get(1, 1), 6.0);
         assert_eq!(m.get(2, 2), 2.5);
-        m.scale_cols(&[0.0, 1.0, 2.0]);
-        assert_eq!(m.get(0, 0), 0.0);
-        assert_eq!(m.get(2, 2), 5.0);
     }
 
     #[test]

@@ -31,23 +31,6 @@ pub fn bessel_i(v: u32, x: f64) -> f64 {
     sum
 }
 
-/// The Chebyshev–Gaussian coefficients used by ProNE's propagation:
-/// `c_0 = I_0(θ)`, `c_r = 2·(-1)^r·I_r(θ)` for `r ≥ 1`, up to order `k`.
-pub fn chebyshev_gaussian_coefficients(k: usize, theta: f64) -> Vec<f64> {
-    (0..=k)
-        .map(|r| {
-            let i = bessel_i(r as u32, theta);
-            if r == 0 {
-                i
-            } else if r % 2 == 0 {
-                2.0 * i
-            } else {
-                -2.0 * i
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,18 +69,6 @@ mod tests {
             let lhs = bessel_i(v - 1, x) - bessel_i(v + 1, x);
             let rhs = 2.0 * v as f64 / x * bessel_i(v, x);
             assert!((lhs - rhs).abs() < 1e-10, "v={v}: {lhs} vs {rhs}");
-        }
-    }
-
-    #[test]
-    fn coefficients_alternate_and_decay() {
-        let c = chebyshev_gaussian_coefficients(10, 0.5);
-        assert_eq!(c.len(), 11);
-        assert!(c[0] > 1.0); // I_0(θ) > 1
-        assert!(c[1] < 0.0 && c[2] > 0.0 && c[3] < 0.0, "{c:?}");
-        // |c_r| decays rapidly for θ = 0.5.
-        for r in 2..11 {
-            assert!(c[r].abs() < c[r - 1].abs());
         }
     }
 

@@ -93,13 +93,6 @@ impl Default for SamplerConfig {
 }
 
 impl SamplerConfig {
-    /// The paper's `M = ratio · T · m` convention (e.g. LightNE-Small uses
-    /// `0.1·T·m`, LightNE-Large `20·T·m`).
-    pub fn with_sample_ratio<G: WeightedOps>(mut self, g: &G, ratio: f64) -> Self {
-        self.samples = (ratio * self.window as f64 * g.num_edges() as f64).round() as u64;
-        self
-    }
-
     /// The downsampling constant in force on a graph of `n` vertices.
     pub(crate) fn c(&self, n: usize) -> f64 {
         self.c_factor.unwrap_or_else(|| default_c(n))

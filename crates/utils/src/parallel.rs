@@ -104,30 +104,6 @@ pub fn parallel_prefix_sum(input: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Parallel filter ("pack" in GBBS terminology): returns the elements of
-/// `0..n` for which `keep(i)` is true, in increasing order.
-pub fn parallel_pack<F>(n: usize, keep: F) -> Vec<usize>
-where
-    F: Fn(usize) -> bool + Sync + Send,
-{
-    let chunk = par_chunk_size(n);
-    let nblocks = n.div_ceil(chunk).max(1);
-    let mut blocks: Vec<Vec<usize>> = (0..nblocks)
-        .into_par_iter()
-        .map(|b| {
-            let lo = b * chunk;
-            let hi = ((b + 1) * chunk).min(n);
-            (lo..hi).filter(|&i| keep(i)).collect()
-        })
-        .collect();
-    let total: usize = blocks.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for b in blocks.iter_mut() {
-        out.append(b);
-    }
-    out
-}
-
 /// Block size for deterministic floating-point reductions. Fixed (not
 /// derived from the thread count) so the summation bracketing — and hence
 /// the rounded result — is identical at any pool size.
@@ -191,14 +167,6 @@ mod tests {
             acc += v;
         }
         assert_eq!(got[input.len()], acc);
-    }
-
-    #[test]
-    fn pack_keeps_order() {
-        let evens = parallel_pack(10_000, |i| i % 2 == 0);
-        assert_eq!(evens.len(), 5_000);
-        assert!(evens.windows(2).all(|w| w[0] < w[1]));
-        assert!(evens.iter().all(|&i| i % 2 == 0));
     }
 
     #[test]

@@ -28,13 +28,6 @@ impl Timer {
     pub fn secs(&self) -> f64 {
         self.elapsed().as_secs_f64()
     }
-
-    /// Restarts the timer and returns the elapsed time up to now.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
 }
 
 impl Default for Timer {
@@ -67,14 +60,5 @@ mod tests {
         assert!(humanize(Duration::from_secs(30)).ends_with('s'));
         assert!(humanize(Duration::from_secs(600)).ends_with("min"));
         assert!(humanize(Duration::from_secs(8000)).ends_with('h'));
-    }
-
-    #[test]
-    fn timer_lap_resets() {
-        let mut t = Timer::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let lap = t.lap();
-        assert!(lap >= Duration::from_millis(2));
-        assert!(t.elapsed() < lap + Duration::from_millis(50));
     }
 }

@@ -67,6 +67,61 @@ impl Opts {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Fails on the first option that is neither global nor in one of
+    /// `cmd`'s `declared` groups: a misspelt or retired option must stop
+    /// the run, not be ignored by it.
+    fn reject_undeclared(&self, cmd: &str, declared: &[&[&str]]) -> Result<(), String> {
+        let known = |key: &str| {
+            GLOBAL_OPTIONS.iter().chain(declared.iter().copied().flatten()).any(|k| *k == key)
+        };
+        match self.values.keys().chain(&self.flags).find(|key| !known(key)) {
+            Some(key) => Err(format!("unknown option --{key} for {cmd}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Options every command accepts.
+const GLOBAL_OPTIONS: &[&str] = &["threads", "fail-point"];
+
+/// The options [`lightne_config`] reads.
+const PIPELINE_OPTIONS: &[&str] = &[
+    "dim",
+    "window",
+    "ratio",
+    "no-downsample",
+    "sparsify-prob",
+    "no-propagation",
+    "seed",
+    "shards",
+];
+
+/// The options `cmd` reads beyond the global ones; `None` for a command
+/// that does not exist.
+fn command_options(cmd: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match cmd {
+        "generate" => &[&["profile", "scale", "seed", "out"]],
+        "compress" => &[&["graph", "out", "codec", "block-size"]],
+        "stats" => &[&["graph"]],
+        "embed" => &[
+            PIPELINE_OPTIONS,
+            &[
+                "graph",
+                "out",
+                "weighted",
+                "mmap",
+                "save-artifacts",
+                "resume-from",
+                "strict-resume",
+                "stats-json",
+            ],
+        ],
+        "classify" => &[&["graph", "labels", "embedding", "train-ratio", "seed"]],
+        "linkpred" => &[PIPELINE_OPTIONS, &["graph", "holdout", "negatives"]],
+        "quality" => &[&["profiles", "target-n", "dim", "seed"]],
+        _ => return None,
+    })
 }
 
 fn is_v2_container(path: &str) -> bool {
@@ -93,18 +148,8 @@ fn load_v2(path: &str, mmap: bool) -> Result<V2Graph, String> {
 
 fn codec_opt(o: &Opts) -> Result<Codec, String> {
     let name = o.get("codec").unwrap_or("arice");
-    Codec::parse(name).ok_or_else(|| {
-        format!("unknown --codec {name:?} (arice, byte, unary, gamma, delta, zeta1.., rice0..)")
-    })
-}
-
-/// An encode failure as a CLI message: a rejected `--block-size` is the
-/// caller's option, anything else belongs to `what`.
-fn encode_error(what: &str, e: GraphFormatError) -> String {
-    match e {
-        GraphFormatError::BlockSize(_) => format!("bad option: {e}"),
-        e => format!("{what}: {e}"),
-    }
+    Codec::parse(name)
+        .ok_or_else(|| format!("unknown --codec {name:?} (arice, byte, zeta1..zeta8)"))
 }
 
 /// Resolves a dataset profile by (case-insensitive) name.
@@ -150,6 +195,10 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
         return Err("no command given".into());
     };
     let o = Opts::parse(&args[1..])?;
+    // An unknown command is reported by the dispatch below.
+    if let Some(declared) = command_options(cmd) {
+        o.reject_undeclared(cmd, declared)?;
+    }
     // Size the rayon pool before any parallel stage runs (global: applies
     // to every command). 0 = one worker per available core.
     if let Some(n) = o.get("threads") {
@@ -191,8 +240,11 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
             }
             let codec = codec_opt(&o)?;
             let block_size: usize = o.num("block-size", DEFAULT_BLOCK_SIZE)?;
-            V2Graph::write(&g, codec, block_size, out_path.as_ref())
-                .map_err(|e| encode_error(&format!("writing {out_path}"), e))?;
+            // A rejected `--block-size` is the caller's option.
+            V2Graph::write(&g, codec, block_size, out_path.as_ref()).map_err(|e| match e {
+                GraphFormatError::BlockSize(_) => format!("bad option: {e}"),
+                e => format!("writing {out_path}: {e}"),
+            })?;
             let v2 = load_v2(out_path, false)?;
             let arcs = v2.num_arcs().max(1);
             say(format!(
@@ -232,7 +284,6 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
                 resume_from: o.get("resume-from").map(Into::into),
                 strict_resume: o.flag("strict-resume"),
             };
-            let format = o.get("graph-format").unwrap_or("csr");
             let use_mmap = o.flag("mmap");
             let engine = LightNe::new(cfg);
             let result = if o.flag("weighted") {
@@ -255,18 +306,7 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
                         "--mmap needs a .{V2_EXTENSION} container; run `compress` first"
                     ));
                 }
-                let g = load_graph(path)?;
-                match format {
-                    "csr" => engine.embed_with(&g, opts),
-                    "v2" => {
-                        let block_size: usize = o.num("block-size", DEFAULT_BLOCK_SIZE)?;
-                        let v2 =
-                            V2Graph::from_graph_with_block_size(&g, codec_opt(&o)?, block_size)
-                                .map_err(|e| encode_error("compressing the graph", e))?;
-                        engine.embed_with(&v2, opts)
-                    }
-                    other => return Err(format!("unknown --graph-format {other:?} (csr, v2)")),
-                }
+                engine.embed_with(&load_graph(path)?, opts)
             }
             .map_err(|e| e.to_string())?;
             write_matrix(&result.embedding, out_path).map_err(|e| e.to_string())?;
@@ -531,20 +571,49 @@ mod tests {
             assert!(err.contains(field), "{flag} {value}: {err}");
         }
         let cpath = tmp("domain.lng2");
+        let compress = ["compress", "--graph", &gpath, "--out", &cpath];
         for bs in ["0", "4294967296"] {
-            for cmd in [
-                &["compress", "--graph", &gpath, "--out", &cpath][..],
-                &["embed", "--graph", &gpath, "--out", &epath, "--graph-format", "v2"][..],
-            ] {
-                let mut args = cmd.to_vec();
-                args.extend_from_slice(&["--block-size", bs]);
-                let err = run_capture(&args).expect_err("a bad block size must be rejected");
-                assert!(err.starts_with("bad option: block size"), "{} {bs}: {err}", cmd[0]);
-            }
+            let err = run_capture(&[&compress[..], &["--block-size", bs]].concat())
+                .expect_err("a bad block size must be rejected");
+            assert!(err.starts_with("bad option: block size"), "{bs}: {err}");
+        }
+        // A retired code is not a codec: the message lists the ones that are.
+        for codec in ["gamma", "delta", "rice12", "unary", "zeta9"] {
+            let err = run_capture(&[&compress[..], &["--codec", codec]].concat())
+                .expect_err("a retired codec must be rejected");
+            assert!(
+                err.contains(codec) && err.ends_with("(arice, byte, zeta1..zeta8)"),
+                "{codec}: {err}"
+            );
         }
         assert!(!std::path::Path::new(&cpath).exists(), "a rejected compress wrote a file");
         std::fs::remove_file(&gpath).ok();
         std::fs::remove_file(format!("{gpath}.labels")).ok();
+    }
+
+    #[test]
+    fn undeclared_options_are_rejected_before_any_work() {
+        // The graph does not exist: an error about the option, not about
+        // the file, shows the check runs first.
+        let embed = ["embed", "--graph", "/nonexistent/g.lne", "--out", "/nonexistent/e.txt"];
+        for (extra, key) in [
+            (&["--dimm", "64"][..], "dimm"),
+            (&["--graph-format", "v2"][..], "graph-format"),
+            (&["--codec", "byte"][..], "codec"),
+            (&["--block-size", "16"][..], "block-size"),
+            (&["--strict-resum"][..], "strict-resum"),
+        ] {
+            let err = run_capture(&[&embed[..], extra].concat()).unwrap_err();
+            assert_eq!(err, format!("unknown option --{key} for embed"));
+        }
+        let err = run_capture(&["stats", "--graph", "/nonexistent/g.lne", "--seed", "1"]);
+        assert_eq!(err.unwrap_err(), "unknown option --seed for stats");
+        // The global options stay global.
+        let o = Opts::parse(&argv(&["--threads", "2", "--fail-point", "p=panic"])).unwrap();
+        for cmd in ["generate", "compress", "stats", "embed", "classify", "linkpred", "quality"] {
+            o.reject_undeclared(cmd, command_options(cmd).unwrap()).unwrap();
+        }
+        assert!(command_options("frobnicate").is_none());
     }
 
     #[test]
@@ -584,32 +653,34 @@ mod tests {
     }
 
     #[test]
-    fn compress_then_v2_and_mmap_embeds_match_csr() {
+    fn compress_then_owned_and_mmap_embeds_match_csr() {
         let gpath = tmp("v2flow.lne");
         let cpath = tmp("v2flow.lng2");
+        let bpath = tmp("v2flow_byte.lng2");
         let e_csr = tmp("v2flow_emb_csr.txt");
         let e_byte = tmp("v2flow_emb_byte.txt");
         let e_mmap = tmp("v2flow_emb_mmap.txt");
         run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &gpath])
             .unwrap();
 
-        let out =
-            run_capture(&["compress", "--graph", &gpath, "--out", &cpath, "--codec", "zeta2"])
-                .unwrap();
-        assert!(out.contains("bits/edge"), "{out}");
+        let out = run_capture(&["compress", "--graph", &gpath, "--out", &cpath]).unwrap();
+        assert!(out.contains("codec arice") && out.contains("bits/edge"), "{out}");
+        let out = run_capture(&["compress", "--graph", &gpath, "--out", &bpath, "--codec", "byte"])
+            .unwrap();
+        assert!(out.contains("codec byte"), "{out}");
 
         let common = ["--dim", "8", "--window", "4", "--ratio", "1.0", "--seed", "5"];
-        let mut a = vec!["embed", "--graph", &gpath, "--out", &e_csr];
-        a.extend_from_slice(&common);
-        run_capture(&a).unwrap();
-        let mut b = vec!["embed", "--graph", &gpath, "--out", &e_byte];
-        b.extend_from_slice(&["--graph-format", "v2", "--codec", "byte"]);
-        b.extend_from_slice(&common);
-        run_capture(&b).unwrap();
-        let mut c = vec!["embed", "--graph", &cpath, "--out", &e_mmap, "--mmap"];
-        c.extend_from_slice(&common);
-        let out = run_capture(&c).unwrap();
-        assert!(out.contains("v2 container"), "{out}");
+        run_capture(&[&["embed", "--graph", &gpath, "--out", &e_csr], &common[..]].concat())
+            .unwrap();
+        let out =
+            run_capture(&[&["embed", "--graph", &bpath, "--out", &e_byte], &common[..]].concat())
+                .unwrap();
+        assert!(out.contains("v2 container, codec byte"), "{out}");
+        let out = run_capture(
+            &[&["embed", "--graph", &cpath, "--out", &e_mmap, "--mmap"], &common[..]].concat(),
+        )
+        .unwrap();
+        assert!(out.contains("v2 container, codec arice, 0 resident bytes"), "{out}");
 
         let csr = std::fs::read(&e_csr).unwrap();
         assert_eq!(csr, std::fs::read(&e_byte).unwrap(), "byte embedding differs from CSR");
@@ -624,13 +695,7 @@ mod tests {
             run_capture(&["embed", "--graph", &gpath, "--out", &e_csr, "--mmap"]).unwrap_err();
         assert!(err.contains("lng2"), "{err}");
 
-        // The parallel-byte format is a codec now, not a format of its own.
-        let err =
-            run_capture(&["embed", "--graph", &gpath, "--out", &e_csr, "--graph-format", "v1"])
-                .unwrap_err();
-        assert!(err.contains("(csr, v2)"), "{err}");
-
-        for p in [&gpath, &cpath, &e_csr, &e_byte, &e_mmap] {
+        for p in [&gpath, &cpath, &bpath, &e_csr, &e_byte, &e_mmap] {
             std::fs::remove_file(p).ok();
         }
         std::fs::remove_file(format!("{gpath}.labels")).ok();

@@ -9,7 +9,6 @@
 //!                  [--ratio R] [--no-downsample] [--sparsify-prob degree|psne]
 //!                  [--no-propagation]
 //!                  [--weighted] [--seed N] [--shards N]
-//!                  [--graph-format csr|v2] [--codec C] [--block-size B]
 //!                  [--mmap] [--save-artifacts DIR] [--resume-from DIR]
 //!                  [--strict-resume] [--stats-json PATH]
 //! lightne classify --graph graph.lne --labels graph.lne.labels
@@ -20,20 +19,21 @@
 //! ```
 //!
 //! `--threads N` (any command) sizes the rayon worker pool (0 = one per
-//! core). Graphs ending in `.lne` use the binary CSR format and graphs
-//! ending in `.lng2` the compressed container (written by `compress`;
-//! codecs: `arice` (default, per-block adaptive Golomb–Rice), `byte` (the
-//! paper's parallel-byte format), `gamma`, `delta`, `zeta1`..`zeta8`,
-//! `rice0`..`rice31`, `unary`; `--block-size` in `1..=4294967295`, default
-//! 64); anything else is parsed as a text edge list (`--weighted` expects
-//! `u v w` lines).
+//! core); an option a command does not read is an error, not ignored.
+//! Graphs ending in `.lne` use the binary CSR format and graphs ending in
+//! `.lng2` the compressed container (written by `compress`, the one place
+//! a container is made; codecs: `arice` (default, per-block adaptive
+//! Golomb–Rice), `byte` (the paper's parallel-byte format) and
+//! `zeta1`..`zeta8` (smaller than `arice` on web graphs, slower to
+//! decode); `--block-size` in `1..=4294967295`, default 64); anything
+//! else is parsed as a text edge list (`--weighted` expects `u v w`
+//! lines).
 //! `generate` writes `<out>.labels` alongside classification profiles.
 //!
-//! `embed` consumes a `.lng2` container directly — decoded on the fly,
-//! and with `--mmap` memory-mapped out-of-core so the adjacency never
-//! touches the heap; `--graph-format v2` instead recompresses an
-//! uncompressed input in memory with `--codec`/`--block-size`. Embeddings are byte-identical across
-//! all formats.
+//! `embed` runs on what the file is: a `.lng2` container is consumed
+//! directly — decoded on the fly, and with `--mmap` memory-mapped
+//! out-of-core so the adjacency never touches the heap — anything else
+//! as CSR. Embeddings are byte-identical across all formats.
 //!
 //! `embed` can checkpoint each stage's output (`--save-artifacts DIR`
 //! writes the sparsifier COO, NetMF matrix, and initial embedding) and

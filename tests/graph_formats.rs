@@ -2,7 +2,7 @@
 //!
 //! The whole pipeline is generic over [`lightne::graph::GraphAccess`], and
 //! every sampling decision is keyed on arc indices — so the uncompressed
-//! CSR and the compressed container under every codec — the paper's
+//! CSR and the compressed container under every codec family — the paper's
 //! parallel-byte code (`byte`) and the bit-granular ones, heap-owned or
 //! memory-mapped — must produce *bit-identical* embeddings. This
 //! exercises the claim through the full pipeline (sampling, fused NetMF
@@ -53,7 +53,7 @@ fn all_graph_representations_embed_bit_identically() {
         // stream), each heap-owned and memory-mapped from disk: same
         // bytes, and zero resident heap for the mapped adjacency — which
         // the engine reports as stage heap, so the mapped run peaks lower.
-        for codec in [Codec::Byte, Codec::RiceAdaptive, Codec::Gamma, Codec::Zeta(3)] {
+        for codec in Codec::SWEEP {
             let name = codec.name();
             let path = tmp(&format!("{profile:?}_{name}.lng2"));
             V2Graph::write(&g, codec, 64, &path).unwrap();
