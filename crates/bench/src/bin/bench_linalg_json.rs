@@ -3,10 +3,11 @@
 //!
 //! Prints one flat JSON object, one key per line, to stdout; progress
 //! goes to stderr. `results/BENCH_linalg.json` is the committed copy,
-//! recorded from a `RUSTFLAGS="-C target-cpu=native"` build pinned to
-//! one core (`taskset -c 0`; README "Kernel performance" has the
-//! commands); `cargo xtask gate linalg <report>` judges a fresh report
-//! against it.
+//! recorded from a `RUSTFLAGS="-C target-cpu=native"` build (README
+//! "Kernel performance" has the commands); `cargo xtask gate linalg
+//! <report>` judges a fresh report against it. Every kernel row is
+//! measured on one thread; the `_t1_`/`_t2_` rows time the two kernels
+//! made of thousands of tiny parallel regions on one and on two.
 //!
 //! Environment knobs (all optional):
 //!
@@ -25,8 +26,9 @@ use lightne_linalg::kernels::gemm_flops;
 use lightne_linalg::qr::orthonormalize_columns;
 use lightne_linalg::rsvd::rsvd_flops;
 use lightne_linalg::simd::{self, SimdTier};
-use lightne_linalg::svd::jacobi_svd;
+use lightne_linalg::svd::{jacobi_svd, tall_thin_svd};
 use lightne_linalg::{randomized_svd, reference, CsrMatrix, DenseMatrix, RsvdConfig};
+use lightne_utils::parallel::configure_threads;
 use lightne_utils::rng::XorShiftStream;
 use std::hint::black_box;
 use std::time::Duration;
@@ -84,6 +86,46 @@ fn sparse_random(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_coo(n, n, coo)
 }
 
+/// Nanoseconds for one cache line to go to the other core and back (two
+/// threads handing a counter to and fro; best of three rounds). The
+/// thread-scaling rows only mean something next to this number: on a VM
+/// whose two vCPUs the host has placed far apart it reads several times
+/// higher, and a kernel of ~10 µs regions pays for it (see EXPERIMENTS.md,
+/// "PR 20").
+fn core_round_trip_ns() -> f64 {
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    const HOPS: usize = 100_000;
+    let ball = AtomicUsize::new(0);
+    let wait_for = |v: usize| {
+        while ball.load(SeqCst) != v {
+            std::hint::spin_loop();
+        }
+    };
+    let round = || {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..HOPS {
+                    wait_for(2 * i + 1);
+                    ball.store(2 * i + 2, SeqCst);
+                }
+            });
+            let start = std::time::Instant::now();
+            for i in 0..HOPS {
+                ball.store(2 * i + 1, SeqCst);
+                wait_for(2 * i + 2);
+            }
+            let secs = start.elapsed().as_secs_f64();
+            ball.store(0, SeqCst);
+            secs * 1e9 / HOPS as f64
+        })
+    };
+    (0..3).map(|_| round()).fold(f64::MAX, f64::min)
+}
+
+/// Rows of the tall matrix `tall_thin_svd` is timed on (the `n` of the
+/// benchmark's `sbm_factor`, rounded to a power of two).
+const TALL_THIN_ROWS: usize = 8192;
+
 fn main() {
     let reps = env_usize("REPS", 3);
     let gemm_m = env_usize("GEMM_M", 65_536);
@@ -92,6 +134,13 @@ fn main() {
     let rsvd_n = env_usize("RSVD_N", 50_000);
     let mut lines: Vec<String> = Vec::new();
     let mut put = |key: &str, val: String| lines.push(format!("  \"{key}\": {val}"));
+
+    // Every row but the `_t2_` ones is a one-thread number, whatever the
+    // machine offers (the committed baseline used to be pinned to a core
+    // for that); the thread-scaling rows below re-size the pool.
+    let threads_available = configure_threads(0);
+    put("threads_available", threads_available.to_string());
+    configure_threads(1);
 
     // The tier the blocked kernels dispatch to for this whole report,
     // plus the raw detection result, so the regression gate can compare
@@ -179,6 +228,40 @@ fn main() {
     put("jacobi_blocked_secs", format!("{blocked:.6}"));
     put("jacobi_reference_secs", format!("{refj:.6}"));
     put("jacobi_speedup", format!("{:.3}", refj / blocked));
+
+    // --- Two threads against one on the kernels that open one parallel
+    // region per tournament round (a few µs of rotations each): what a
+    // region costs decides whether the second thread pays. The gate
+    // holds the worse of the two ratios at or under 1.
+    eprintln!("jacobi_svd / tall_thin_svd, 2 threads vs 1 ({reps} reps) ...");
+    if threads_available >= 2 {
+        put("core_round_trip_ns", format!("{:.0}", core_round_trip_ns()));
+    }
+    let tall128 = DenseMatrix::gaussian(TALL_THIN_ROWS, 128, 8);
+    let mut worst = 0.0f64;
+    let mut scaling = |name: &str, run: &dyn Fn()| {
+        let mut secs = [0.0f64; 2];
+        for (slot, threads) in secs.iter_mut().zip([1, 2]) {
+            configure_threads(threads);
+            *slot = best_of(reps, run).as_secs_f64();
+        }
+        configure_threads(1);
+        put(&format!("{name}_t1_secs"), format!("{:.6}", secs[0]));
+        put(&format!("{name}_t2_secs"), format!("{:.6}", secs[1]));
+        put(&format!("{name}_t2_over_t1"), format!("{:.3}", secs[1] / secs[0]));
+        worst = worst.max(secs[1] / secs[0]);
+    };
+    scaling("jacobi", &|| {
+        black_box(jacobi_svd(&small));
+    });
+    scaling("tall_thin_svd", &|| {
+        black_box(tall_thin_svd(&tall128));
+    });
+    // What the gate's two-threads-vs-one row is conditional on: the sizes,
+    // and whether the machine has a second core to run the second thread.
+    let cores = threads_available.min(2);
+    put("svd_scaling_config", format!("\"{jacobi_n}/{TALL_THIN_ROWS}x128 on {cores}\""));
+    put("svd_t2_over_t1_worst", format!("{worst:.3}"));
 
     // --- End-to-end randomized SVD on a sparsifier-shaped matrix.
     eprintln!("rsvd n={rsvd_n} nnz/row=20 rank=32 ({reps} reps) ...");

@@ -45,11 +45,15 @@ const SWEEP_TOL: f64 = 1e-12;
 const MAX_SWEEPS: usize = 60;
 
 /// Column count below which a round's rotations run sequentially (in the
-/// same fixed pair order). Spawning tasks and building the per-round
-/// slot tables costs more than the rotations themselves for the small
-/// projected matrices; the threshold depends only on `n` — never on the
-/// thread count — and the rotations of a round touch disjoint columns
-/// (they commute exactly), so both paths produce identical bytes.
+/// same fixed pair order). A round at `n = 128` is 64 rotations, ~10 µs
+/// of work; opening a parallel region for it costs ~2 µs on the
+/// persistent pool (it was ~70 µs while every region spawned its
+/// threads), plus the per-round slot tables, so at this size two threads
+/// are level with one (`results/BENCH_linalg.json`, `jacobi_t2_over_t1`,
+/// `tall_thin_svd_t2_over_t1`) and below it the region cannot pay. The
+/// threshold depends only on `n` — never on the thread count — and the
+/// rotations of a round touch disjoint columns (they commute exactly), so
+/// both paths produce identical bytes.
 const PAR_COLS: usize = 128;
 
 /// The disjoint column pairs of round `round` (0-based, `< slots − 1`)

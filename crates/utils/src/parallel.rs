@@ -1,10 +1,16 @@
 //! Bulk-parallel primitives in the style of GBBS/Ligra.
 //!
 //! GBBS exposes `parallel_for`, scans and reductions with automatic
-//! granularity control; rayon's work-stealing pool gives us the same
-//! scheduling model, and this module adds the handful of patterns the rest
-//! of the workspace needs on top of it: chunked index loops, an exclusive
-//! parallel prefix sum (the core of CSR construction), and a pack/filter.
+//! granularity control on a work-stealing scheduler. The vendored runtime
+//! (`vendor/rayon`) gives the same shape with a simpler mechanism: a
+//! persistent pool of helper threads, a region cut into fixed-length
+//! blocks (eight per thread) that the workers claim dynamically — each
+//! from its own run of blocks first, then from the others' — and block
+//! results read back in block order, so output order never depends on who
+//! ran what. This module adds the handful of
+//! patterns the rest of the workspace needs on top of it: an index loop,
+//! an exclusive parallel prefix sum (the core of CSR construction), and
+//! fixed-bracketing reductions.
 
 use rayon::prelude::*;
 
@@ -16,20 +22,28 @@ pub fn num_threads() -> usize {
 /// Sizes the global rayon pool to `n` worker threads (0 = the default,
 /// one per available core) and returns the resulting pool size.
 ///
-/// May be called at any time and repeatedly: the vendored rayon shim
-/// (`vendor/rayon`) keeps no pool — workers are spawned per parallel
-/// region — so `build_global` only records the count for the regions that
-/// follow and never fails. The `--threads` flag, the benchmark and the
-/// thread-count determinism tests all re-size this way mid-process. (The
-/// published rayon rejects a second `build_global`; the ignored `Result`
-/// below is what a swap back to it would have to handle.)
+/// May be called at any time and repeatedly: `build_global` of the
+/// vendored runtime records the count and never fails. The pool's helper
+/// threads are persistent — spawned by the first region that wants them,
+/// parked between regions, never torn down — and a region admits the
+/// first `n − 1` of them, so sizing down costs nothing and sizing up
+/// spawns the difference once. At `n = 1` every region runs inline on
+/// its caller and no helper is ever created. The `--threads` flag, the
+/// benchmark and the thread-count determinism tests all re-size this way
+/// mid-process. (The published rayon rejects a second `build_global`;
+/// the ignored `Result` below is what a swap back to it would have to
+/// handle.)
 pub fn configure_threads(n: usize) -> usize {
     let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
     num_threads()
 }
 
-/// A reasonable per-task chunk size for a loop of `n` items: large enough to
-/// amortize stealing, small enough to load-balance (~8 tasks per thread).
+/// Chunk length for a caller that cuts `n` indices into chunks *itself*
+/// and whose per-index body is a few instructions (the prefix sum below:
+/// one add per index): ~8 chunks per thread, but never under 1024
+/// indices, so that a chunk outweighs the claim that hands it out. Loops
+/// with a real body should not floor their grain — [`par_for`] leaves the
+/// block length to the runtime.
 pub fn par_chunk_size(n: usize) -> usize {
     let tasks = num_threads().saturating_mul(8).max(1);
     (n / tasks).max(1024).min(n.max(1))
@@ -37,17 +51,16 @@ pub fn par_chunk_size(n: usize) -> usize {
 
 /// Parallel loop over `0..n`, calling `f(i)` for each index.
 ///
-/// `f` must be safe to call concurrently; use this for side-effecting loops
-/// over disjoint state (e.g. writing disjoint slices through raw indices).
+/// The runtime cuts `0..n` into its fixed-length blocks (no floor here: a
+/// 2048-index loop whose first indices carry most of the work must still
+/// split finely enough to balance) and the workers claim them
+/// dynamically. `f` must be safe to call concurrently; use this for
+/// side-effecting loops over disjoint state.
 pub fn par_for<F>(n: usize, f: F)
 where
     F: Fn(usize) + Sync + Send,
 {
-    if n == 0 {
-        return;
-    }
-    let chunk = par_chunk_size(n);
-    (0..n).into_par_iter().with_min_len(chunk.min(1 << 14)).for_each(f);
+    (0..n).into_par_iter().for_each(f);
 }
 
 /// Exclusive parallel prefix sum over `u64` values.

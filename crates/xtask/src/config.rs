@@ -18,10 +18,14 @@ pub const DETERMINISTIC_PATH: &[&str] =
 /// the format stack — everything above it (container parsing, Elias–Fano,
 /// bit codecs) must stay fully safe so the auditable surface is one file.
 /// Likewise the linalg crate confines all SIMD intrinsics to `simd.rs` —
-/// the numeric kernels above it stay fully safe.
+/// the numeric kernels above it stay fully safe — and the vendored
+/// parallel runtime confines its one lifetime erasure (a region's job
+/// published to the persistent helper threads) to `pool.rs`: producers,
+/// adaptors and the block driver stay fully safe.
 pub const L1_UNSAFE_ISOLATED: &[(&str, &str)] = &[
     ("crates/graph/src", "crates/graph/src/mmap.rs"),
     ("crates/linalg/src", "crates/linalg/src/simd.rs"),
+    ("vendor/rayon/src", "vendor/rayon/src/pool.rs"),
 ];
 
 /// Files allowed to contain raw parallel float reductions (L3). These are
@@ -86,12 +90,14 @@ pub const ANALYZE_ENTRY_POINTS: &[(&str, &str)] = &[
 pub const ANALYZE_VENDOR_EXEMPT: &[&str] = &["vendor/"];
 
 /// Directories scanned by the workspace walk, relative to the repo root.
-pub const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples", "vendor/loom/src"];
+pub const SCAN_ROOTS: &[&str] =
+    &["crates", "src", "tests", "examples", "vendor/loom/src", "vendor/rayon/src"];
 
 /// Path fragments excluded from the walk. Fixtures are lint-violation
-/// test inputs by design; the other vendored shims mirror external crates
-/// and are linted only for L1 (handled by scanning vendor/loom, the only
-/// vendored crate with `unsafe`).
+/// test inputs by design; the vendored shims mirror external crates and
+/// are scanned only where they hold `unsafe` (`vendor/loom`, whose lock
+/// is an `UnsafeCell`, and `vendor/rayon`, whose pool erases one
+/// lifetime), so that L1 covers every `unsafe` token in the repository.
 pub const EXCLUDE: &[&str] = &["target/", "crates/xtask/tests/fixtures/"];
 
 /// Returns true if `path` (workspace-relative, `/`-separated) starts with

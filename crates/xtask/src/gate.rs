@@ -180,6 +180,21 @@ const LINALG: &[Row] = &[
     Row { when: Some(When::AtBaseline("gemm_m")), ..row("gemm_speedup", Rule::AtLeast(2.0)) },
     Row { when: Some(When::OffBaseline("gemm_m")), ..row("gemm_speedup", Rule::AtLeast(1.25)) },
     row("rsvd_speedup", Rule::AtLeast(1.5)),
+    // Two threads not slower than one on the kernels that open a parallel
+    // region per Jacobi round (the worse of `jacobi_svd` and
+    // `tall_thin_svd`): a region must cost less than the ~10 µs of
+    // rotations it shares out. At these sizes the two are level (0.9–1.07
+    // over a dozen recordings), so the ceiling leaves timing noise room;
+    // a runtime that pays per region reads 2.2–4.6 (spawn per region).
+    // Only at the baseline's sizes and on a machine with a second core —
+    // below `PAR_COLS` columns there is no region, on one core no second
+    // thread. On a VM whose vCPUs the host has placed far apart
+    // (`core_round_trip_ns` several times the baseline's) the row reads
+    // ~2 and fails: that is the machine, and the report says so.
+    Row {
+        when: Some(When::AtBaseline("svd_scaling_config")),
+        ..row("svd_t2_over_t1_worst", Rule::AtMost(1.15))
+    },
     // SIMD-tier numbers are compared like-for-like only; the
     // forced-scalar row anchors cross-tier runs.
     gflops("gemm_packed_gflops", &["gemm_m", "gemm_k", "gemm_n", "dispatch_tier"]),
