@@ -23,7 +23,9 @@ use crate::engine::{run_pipeline, PipelineSource, RunOptions};
 use crate::pipeline::{LightNe, LightNeConfig, LightNeOutput};
 use lightne_graph::{Graph, GraphBuilder, VertexId};
 use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
-use lightne_sparsifier::construct::{sample_arc, SamplerConfig, SamplerError, SamplerStats};
+use lightne_sparsifier::construct::{
+    sample_arc, SampleBuffer, SamplerConfig, SamplerError, SamplerStats,
+};
 use lightne_sparsifier::downsample::{default_c, survival_probability};
 use lightne_sparsifier::sharded::table_from_coo;
 use lightne_utils::rng::XorShiftStream;
@@ -89,6 +91,7 @@ impl DynamicLightNe {
         let g = &self.graph;
         let mut trials = 0u64;
         let mut kept = 0u64;
+        let mut out = SampleBuffer::new(&self.table);
 
         for (i, &(u, v)) in batch.iter().enumerate() {
             if u == v {
@@ -104,9 +107,11 @@ impl DynamicLightNe {
                     1.0
                 };
                 trials += n_e;
-                kept += sample_arc(g, (a, b), n_e, p_e, self.cfg.window, &mut rng, &self.table);
+                kept += sample_arc(g, (a, b), n_e, p_e, self.cfg.window, &mut rng, &mut out);
             }
         }
+        // Hands the last deposits to the table before it is counted.
+        drop(out);
         self.total_trials += trials;
         SamplerStats {
             trials,

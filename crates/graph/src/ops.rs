@@ -74,21 +74,14 @@ pub trait GraphOps: GraphAccess + Sync {
     /// callers that need a deterministic per-arc RNG stream. Work is
     /// parallelized over contiguous vertex ranges of equal *arc* mass,
     /// 16 per thread; an undirected edge is visited twice
-    /// (once per direction), exactly like GBBS's `MapEdges`.
+    /// (once per direction), exactly like GBBS's `MapEdges`: it is
+    /// [`crate::WeightedOps::map_arcs`] without the unit weight.
     fn map_edges<F>(&self, f: F)
     where
         F: Fn(VertexId, VertexId, u64) + Sync + Send,
         Self: Sized,
     {
-        let first_arc = |u| self.first_arc_index(u);
-        par_vertices_by_arc_mass(self.num_vertices(), self.num_arcs() as u64, first_arc, |u| {
-            let base = self.first_arc_index(u);
-            let mut i = 0u64;
-            self.for_each_neighbor(u, &mut |v| {
-                f(u, v, base + i);
-                i += 1;
-            });
-        });
+        crate::WeightedOps::map_arcs(self, |u, v, _, arc_idx| f(u, v, arc_idx));
     }
 
     /// Parallel degree histogram: `out[v] = deg(v)`.
@@ -154,20 +147,27 @@ pub(crate) fn arc_balanced_ranges(
 }
 
 /// Runs `per_vertex` on every vertex, in parallel over
-/// [`arc_balanced_ranges`] — the shared body of `map_edges` and
-/// [`crate::WeightedOps::map_arcs`]. The piece count follows the thread
-/// count; callers draw per-arc RNG streams and accumulate in fixed
-/// point, so their output does not depend on where the cuts fall.
-pub(crate) fn par_vertices_by_arc_mass(
+/// [`arc_balanced_ranges`] — the shared body of every backend's
+/// [`crate::WeightedOps::map_arcs_with`]. Each range gets its own state:
+/// `init()` on the worker that claimed the range, `per_vertex(&mut state,
+/// u)` for its vertices in order, then `end(state)` on the same worker.
+/// The piece count follows the thread count; callers draw per-arc RNG
+/// streams and accumulate in fixed point, so their output does not depend
+/// on where the cuts fall.
+pub(crate) fn par_vertices_by_arc_mass<S>(
     n: usize,
     arcs: u64,
     first_arc: impl Fn(VertexId) -> u64,
-    per_vertex: impl Fn(VertexId) + Sync + Send,
+    init: impl Fn() -> S + Sync + Send,
+    per_vertex: impl Fn(&mut S, VertexId) + Sync + Send,
+    end: impl Fn(S) + Sync + Send,
 ) {
     let pieces = RANGES_PER_THREAD * rayon::current_num_threads();
-    arc_balanced_ranges(n, arcs, pieces, first_arc)
-        .into_par_iter()
-        .for_each(|range| range.for_each(&per_vertex));
+    arc_balanced_ranges(n, arcs, pieces, first_arc).into_par_iter().for_each(|range| {
+        let mut state = init();
+        range.for_each(|u| per_vertex(&mut state, u));
+        end(state);
+    });
 }
 
 /// Number of common neighbors `|N(u) ∩ N(v)|` by sorted-list merge.

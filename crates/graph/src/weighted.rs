@@ -13,7 +13,7 @@
 //! stored ones.
 
 use crate::ops::{common_neighbors, par_vertices_by_arc_mass};
-use crate::{Graph, GraphAccess, GraphOps, VertexId};
+use crate::{Graph, GraphAccess, VertexId};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::parallel_prefix_sum;
 use lightne_utils::rng::XorShiftStream;
@@ -24,7 +24,7 @@ use rayon::prelude::*;
 /// weighted and a unit-weight graph genuinely differ; everything built on
 /// them exists once.
 ///
-/// Deliberately *not* a supertrait of [`GraphOps`] and not implemented by
+/// Deliberately *not* a supertrait of [`crate::GraphOps`] and not implemented by
 /// it for [`WeightedGraph`]: a routine bounded by `GraphOps` counts
 /// neighbors, and must not silently accept a graph whose weights it would
 /// ignore.
@@ -72,9 +72,25 @@ pub trait WeightedOps: Sync {
 
     /// Parallel map over all arcs: `f(u, v, w, arc_index)` with the arc's
     /// global CSR position, the key of its deterministic RNG stream.
+    /// [`Self::map_arcs_with`] with no state.
     fn map_arcs<F>(&self, f: F)
     where
-        F: Fn(VertexId, VertexId, f32, u64) + Sync + Send;
+        F: Fn(VertexId, VertexId, f32, u64) + Sync + Send,
+    {
+        self.map_arcs_with(|| (), |_, u, v, w, arc_idx| f(u, v, w, arc_idx), |()| {});
+    }
+
+    /// Parallel map over all arcs with per-range state. The arcs are cut
+    /// into contiguous source-vertex ranges of equal arc mass; the worker
+    /// that runs a range calls `init()` once, `f(&mut state, u, v, w,
+    /// arc_index)` for each of its arcs in CSR order, and `end(state)`
+    /// when the range is done — so a caller can keep a buffer or counters
+    /// per range without touching shared state per arc.
+    fn map_arcs_with<S, I, F, E>(&self, init: I, f: F, end: E)
+    where
+        I: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, VertexId, VertexId, f32, u64) + Sync + Send,
+        E: Fn(S) + Sync + Send;
 }
 
 /// Every unweighted backend is the unit-weight case.
@@ -127,11 +143,23 @@ impl<G: GraphAccess + Sync> WeightedOps for G {
         self.for_each_neighbor(u, &mut |v| f(v, 1.0));
     }
 
-    fn map_arcs<F>(&self, f: F)
+    fn map_arcs_with<S, I, F, E>(&self, init: I, f: F, end: E)
     where
-        F: Fn(VertexId, VertexId, f32, u64) + Sync + Send,
+        I: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, VertexId, VertexId, f32, u64) + Sync + Send,
+        E: Fn(S) + Sync + Send,
     {
-        self.map_edges(|u, v, arc_idx| f(u, v, 1.0, arc_idx));
+        let first_arc = |u| self.first_arc_index(u);
+        let per_vertex = |state: &mut S, u| {
+            let base = self.first_arc_index(u);
+            let mut i = 0u64;
+            self.for_each_neighbor(u, &mut |v| {
+                f(state, u, v, 1.0, base + i);
+                i += 1;
+            });
+        };
+        let arcs = self.num_arcs() as u64;
+        par_vertices_by_arc_mass(self.num_vertices(), arcs, first_arc, init, per_vertex, end);
     }
 }
 
@@ -396,18 +424,22 @@ impl WeightedOps for WeightedGraph {
         }
     }
 
-    fn map_arcs<F>(&self, f: F)
+    fn map_arcs_with<S, I, F, E>(&self, init: I, f: F, end: E)
     where
-        F: Fn(VertexId, VertexId, f32, u64) + Sync + Send,
+        I: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, VertexId, VertexId, f32, u64) + Sync + Send,
+        E: Fn(S) + Sync + Send,
     {
         let first_arc = |u| self.first_arc_index(u);
-        par_vertices_by_arc_mass(self.num_vertices(), self.num_arcs() as u64, first_arc, |u| {
+        let per_vertex = |state: &mut S, u| {
             let base = self.first_arc_index(u);
             let (nb, ws) = self.neighbors(u);
             for (i, (&v, &w)) in nb.iter().zip(ws).enumerate() {
-                f(u, v, w, base + i as u64);
+                f(state, u, v, w, base + i as u64);
             }
-        });
+        };
+        let arcs = self.num_arcs() as u64;
+        par_vertices_by_arc_mass(self.num_vertices(), arcs, first_arc, init, per_vertex, end);
     }
 }
 

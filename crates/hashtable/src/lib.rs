@@ -4,14 +4,16 @@
 //! edges from all threads at once and must count, per *distinct* edge, the
 //! total weight with which it was sampled. This crate is that one table:
 //!
-//! [`ShardedEdgeTable`] — a shared, lock-free, open-addressing hash table
-//! with linear probing. Keys are packed `(u, v)` pairs; weights are
+//! [`ShardedEdgeTable`] — a shared open-addressing hash table with linear
+//! probing. Keys are packed `(u, v)` pairs claimed by CAS; weights are
 //! accumulated with atomic adds (`xadd` for integer counts in the paper;
 //! fixed-point here because downsampling introduces fractional weights
-//! `1/p_e`). Memory is proportional to the number of *distinct* edges. One
-//! shard is the paper's single shared table; more shards split the
-//! source-vertex range so each resizes on its own and drains straight into
-//! its CSR row block.
+//! `1/p_e`). The claims and adds of one batch run inside one per-shard
+//! `RwLock` read acquisition, which a resize takes exclusively — so the
+//! table is not lock-free, but no insert waits for another insert. Memory
+//! is proportional to the number of *distinct* edges. One shard is the
+//! paper's single shared table; more shards split the source-vertex range
+//! so each resizes on its own and drains straight into its CSR row block.
 //!
 //! The strategy the paper ablates against in Section 5.2.4 — NetSMF's
 //! per-thread buffers, whose memory grows with the number of *samples* —
@@ -45,6 +47,16 @@ pub fn unpack_key(k: u64) -> (u32, u32) {
 pub trait EdgeAggregator: Sync {
     /// Adds `weight` to the accumulated weight of edge `(u, v)`.
     fn add(&self, u: u32, v: u32, weight: f32);
+
+    /// Adds every `(u, v, weight)` of `batch`, with the same result as
+    /// [`Self::add`] on each in turn. The sampler hands its samples over
+    /// this way, one buffer at a time; an aggregator that gains from
+    /// seeing many adds at once overrides it.
+    fn add_batch(&self, batch: &[(u32, u32, f32)]) {
+        for &(u, v, w) in batch {
+            self.add(u, v, w);
+        }
+    }
 
     /// Number of distinct edges currently held.
     fn distinct_edges(&self) -> usize;

@@ -8,6 +8,10 @@
 //!   doubles under its *own* `RwLock`; samplers writing to the other
 //!   `N − 1` shards never observe the stall. A single table's
 //!   stop-the-world resize is the main scaling cliff this removes.
+//! * **Batched inserts.** [`EdgeAggregator::add_batch`] buckets a batch by
+//!   shard in one counting pass and hands each shard its slice whole: one
+//!   read-lock acquisition, one `len` update and one overlapped round of
+//!   home-slot misses per shard slice, instead of one of each per key.
 //! * **Sorted drain without a global sort.** Shard `s` owns the packed
 //!   keys `(u, v)` with `u` in its range, and ranges are increasing in
 //!   `s`, so sorting each shard's entries by packed key independently and
@@ -78,26 +82,34 @@ impl ShardedEdgeTable {
     /// Like [`Self::new`], but with a per-shard expected-distinct count
     /// (`expectations[s]` sizes shard `s`; its length must match
     /// [`Self::shard_ranges`]). Use when the key distribution over the
-    /// vertex ranges is known to be skewed — e.g. sized by degree mass —
-    /// so heavy shards start big instead of resizing their way up.
-    /// Capacities never influence accumulated values, only resize counts.
+    /// vertex ranges is known to be skewed — the sampler sizes by each
+    /// range's expected kept samples — so heavy shards start big instead
+    /// of resizing their way up. Shard `s` gets exactly
+    /// `⌈expectations[s] / 0.7⌉` slots, and the shards' arrays are built
+    /// in parallel. Capacities never influence accumulated values, only
+    /// resize counts.
     pub fn with_expectations(n_vertices: usize, shards: usize, expectations: &[usize]) -> Self {
         let (n, span, nshards) = Self::layout(n_vertices, shards);
         assert_eq!(expectations.len(), nshards, "one expectation per shard");
-        let tables = expectations.iter().map(|&e| ConcurrentEdgeTable::with_expected(e)).collect();
+        let build = |&e: &usize| ConcurrentEdgeTable::with_expected(e);
+        #[cfg(not(loom))]
+        let tables = expectations.par_iter().map(build).collect();
+        // Only loom-registered threads may create loom atomics.
+        #[cfg(loom)]
+        let tables = expectations.iter().map(build).collect();
         Self { tables, span: span as u32, n_vertices: n }
     }
 
     /// Like [`Self::new`], but pinning every shard's initial slot
-    /// capacity (power of two) instead of deriving it from an expected
-    /// count with the load-factor floor. Test and model-checking hook: the
-    /// loom models need tiny shards (4–8 slots) so resizes trigger within
-    /// a handful of inserts and the interleaving space stays explorable.
+    /// capacity (any size ≥ 1) instead of deriving it from an expected
+    /// count. Test and model-checking hook: the loom models need tiny
+    /// shards (3–8 slots) so resizes trigger within a handful of inserts
+    /// and the interleaving space stays explorable.
     #[doc(hidden)]
-    pub fn with_slot_capacity(n_vertices: usize, shards: usize, cap_pow2: usize) -> Self {
+    pub fn with_slot_capacity(n_vertices: usize, shards: usize, capacity: usize) -> Self {
         let (n, span, nshards) = Self::layout(n_vertices, shards);
         let tables =
-            (0..nshards).map(|_| ConcurrentEdgeTable::with_slot_capacity(cap_pow2)).collect();
+            (0..nshards).map(|_| ConcurrentEdgeTable::with_slot_capacity(capacity)).collect();
         Self { tables, span: span as u32, n_vertices: n }
     }
 
@@ -130,8 +142,7 @@ impl ShardedEdgeTable {
 
     /// Shard-count heuristic: 4× the worker-thread count (rounded up to a
     /// power of two) so resize stalls stay localized even with skewed
-    /// ranges, clamped so every shard still owns ≥ 64 vertices — below
-    /// that the per-shard table floors dominate memory.
+    /// ranges, clamped so every shard still owns ≥ 64 vertices.
     pub fn auto_shards(n_vertices: usize) -> usize {
         let by_threads = (rayon::current_num_threads() * 4).next_power_of_two();
         by_threads.clamp(1, (n_vertices / 64).max(1))
@@ -155,10 +166,11 @@ impl ShardedEdgeTable {
         lo..hi
     }
 
-    /// Adds `weight` to edge `(u, v)`.
+    /// Adds `weight` to edge `(u, v)`. Many adds at once go faster
+    /// through [`EdgeAggregator::add_batch`].
     #[inline]
     pub fn add_edge(&self, u: u32, v: u32, weight: f32) {
-        self.tables[self.shard_of(u)].add(pack_key(u, v), to_fixed(weight));
+        self.tables[self.shard_of(u)].add(&[(pack_key(u, v), to_fixed(weight))]);
     }
 
     /// Reads the accumulated weight of an edge (0.0 if absent).
@@ -249,6 +261,27 @@ fn sorted(mut entries: Vec<(u32, u32, f32)>) -> Vec<(u32, u32, f32)> {
 impl EdgeAggregator for ShardedEdgeTable {
     fn add(&self, u: u32, v: u32, weight: f32) {
         self.add_edge(u, v, weight);
+    }
+
+    /// One counting pass sizes a bucket per shard, a second fills them;
+    /// each non-empty bucket then goes into its shard whole (module docs).
+    /// Per-key totals are the same as `add` on each entry: fixed-point
+    /// sums do not depend on order.
+    fn add_batch(&self, batch: &[(u32, u32, f32)]) {
+        let mut counts = vec![0usize; self.tables.len()];
+        for &(u, _, _) in batch {
+            counts[self.shard_of(u)] += 1;
+        }
+        let mut buckets: Vec<Vec<(u64, u64)>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
+        for &(u, v, w) in batch {
+            buckets[self.shard_of(u)].push((pack_key(u, v), to_fixed(w)));
+        }
+        for (table, bucket) in self.tables.iter().zip(&buckets) {
+            if !bucket.is_empty() {
+                table.add(bucket);
+            }
+        }
     }
 
     fn distinct_edges(&self) -> usize {
@@ -444,6 +477,47 @@ mod tests {
         let slots: usize = t.shard_stats().iter().map(|s| s.capacity).sum();
         assert!(slots >= 1_000_000);
         assert_eq!(t.memory_bytes(), slots * 16);
+    }
+
+    /// Random batches through `add_batch` drain to the same bytes as the
+    /// same entries through `add_edge`, at 1 / 3 / 8 / 65 shards of tiny
+    /// tables (3 slots: slices grow them mid-slice) and at 1 / 2 / 7
+    /// threads. Batch lengths up to 300 over 650 vertices straddle every
+    /// shard boundary.
+    #[cfg(not(loom))]
+    #[test]
+    fn add_batch_drains_like_add_edge() {
+        let mut state = 0x9E37_79B9_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut batches: Vec<Vec<(u32, u32, f32)>> = Vec::new();
+        for _ in 0..150 {
+            let len = 1 + next(300) as usize;
+            // v < 40 makes ~26 000 keys for ~22 000 entries: duplicates
+            // within and across batches.
+            let entry = |_| (next(650) as u32, next(40) as u32, next(1 << 16) as f32 / 997.0);
+            batches.push((0..len).map(entry).collect());
+        }
+        let reference = ShardedEdgeTable::new(650, 1, 1 << 15);
+        batches.iter().flatten().for_each(|&(u, v, w)| reference.add_edge(u, v, w));
+        let reference = reference.into_coo();
+        for threads in [1usize, 2, 7] {
+            lightne_utils::parallel::configure_threads(threads);
+            for shards in [1usize, 3, 8, 65] {
+                let t = ShardedEdgeTable::with_slot_capacity(650, shards, 3);
+                assert_eq!(t.num_shards(), shards);
+                batches.par_iter().for_each(|b| t.add_batch(b));
+                assert!(t.total_resizes() > 0);
+                let drained = t.into_coo();
+                assert_eq!(drained.len(), reference.len(), "{shards} shards @{threads}t");
+                for (x, y) in drained.iter().zip(&reference) {
+                    assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
+                }
+            }
+        }
+        lightne_utils::parallel::configure_threads(0);
     }
 
     #[test]

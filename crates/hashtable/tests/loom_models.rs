@@ -17,7 +17,10 @@
 //! * no lost or duplicated slots when *distinct* keys race for the same
 //!   probe sequence;
 //! * stop-the-world resize preserves every entry while inserts race it;
-//! * sharded tables resize independently without cross-shard interference.
+//! * sharded tables resize independently without cross-shard interference;
+//! * a batch — one read lock, one pre-touch pass, one `len` update for
+//!   several keys — races single adds and a resize without losing a key,
+//!   a weight or a count.
 //!
 //! The models use tiny slot capacities (`with_slot_capacity`) so resizes
 //! trigger within a handful of inserts and the schedule space stays small;
@@ -26,7 +29,7 @@
 
 #![cfg(loom)]
 
-use lightne_hash::{pack_key, ShardedEdgeTable};
+use lightne_hash::{pack_key, EdgeAggregator, ShardedEdgeTable};
 use lightne_utils::rng::mix2;
 use loom::model::Builder;
 use loom::sync::Arc;
@@ -36,9 +39,9 @@ use loom::thread;
 const N: usize = 32;
 
 /// Initial probe slot for `key` in a table with `cap` slots (must mirror
-/// `Slots::home`).
+/// `Slots::home`: a multiply-shift of the 64-bit hash onto `[0, cap)`).
 fn probe_slot(u: u32, v: u32, cap: usize) -> usize {
-    (mix2(0x9E37_79B9, pack_key(u, v)) as usize) & (cap - 1)
+    ((mix2(0x9E37_79B9, pack_key(u, v)) as u128 * cap as u128) >> 64) as usize
 }
 
 /// Two threads accumulate into the same key concurrently: every
@@ -172,5 +175,35 @@ fn loom_cas_loser_accumulates_on_winner_slot() {
         h.join().unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(7, 9), 1.0, "fixed-point deltas must sum exactly");
+    });
+}
+
+/// A two-key batch races a single add to one of its keys on a 3-slot
+/// (not a power of two) shard that already holds a third key. Three
+/// distinct keys pass 0.7 × 3, so whichever insert publishes the third
+/// count grows the shard to 6 slots — in every schedule, while the other
+/// side may be pre-touching, claiming, accumulating or waiting on the
+/// lock. Totals must be exact, `len` must equal the distinct keys, and no
+/// key may be lost or duplicated across the rehash. Bounded-exhaustive
+/// (≤ 2 preemptions).
+#[test]
+fn loom_batch_races_single_add_and_grow() {
+    Builder::new().preemption_bound(2).check(|| {
+        let t = Arc::new(ShardedEdgeTable::with_slot_capacity(N, 1, 3));
+        t.add_edge(5, 6, 8.0);
+        let t2 = Arc::clone(&t);
+        let h = thread::spawn(move || {
+            t2.add_batch(&[(1, 2, 1.0), (3, 4, 2.0)]);
+        });
+        t.add_edge(1, 2, 4.0);
+        h.join().unwrap();
+        assert_eq!(t.len(), 3, "len must count each distinct key once");
+        let stats = t.shard_stats();
+        assert_eq!((stats[0].capacity, stats[0].resizes), (6, 1), "the third key must grow");
+        assert_eq!(
+            t.snapshot(),
+            vec![(1, 2, 5.0), (3, 4, 2.0), (5, 6, 8.0)],
+            "rehash dropped, duplicated or split a key"
+        );
     });
 }

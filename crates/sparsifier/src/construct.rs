@@ -13,6 +13,16 @@
 //! resulting endpoint pair in the aggregator (keeping the accumulated
 //! matrix symmetric in expectation and in structure).
 //!
+//! Deposits do not go to the aggregator one by one: each arc-balanced
+//! range of `map_arcs_with` owns a [`SampleBuffer`] that hands them over
+//! 4096 at a time through [`EdgeAggregator::add_batch`] (the
+//! last, partial one explicitly when the range ends), and counts its
+//! trials and survivors locally. Nothing shared — no lock, no
+//! atomic — is touched per sample; the table pays its lock and its `len`
+//! update once per shard slice of a batch. The buffer belongs to the range
+//! and not to the table: per-worker buffers owned by the table sat behind
+//! adjacent locks that shared a cache line.
+//!
 //! The loop is written once against [`WeightedOps`] — Theorems 3.1–3.2
 //! are stated for a weighted `A`, and an unweighted graph is its
 //! unit-weight case. What differs between the two (exact integer vs
@@ -33,7 +43,7 @@
 //!
 //! which `netmf.rs` inverts to recover the NetMF matrix entry.
 
-use crate::downsample::{default_c, expected_kept_samples, survival_probability, ProbScheme};
+use crate::downsample::{default_c, survival_probability, ProbScheme};
 use crate::path_sampling::path_sample;
 use lightne_graph::{VertexId, WeightedOps};
 use lightne_hash::EdgeAggregator;
@@ -113,11 +123,63 @@ pub struct SamplerStats {
     pub aggregator_bytes: usize,
 }
 
+/// Deposits one [`SampleBuffer`] collects before it hands them to the
+/// aggregator in one [`EdgeAggregator::add_batch`] (two per kept sample):
+/// 48 KiB, and ~500-key slices across `rmat_sample`'s 8 shards. Chosen by
+/// measurement (EXPERIMENTS.md "PR 21"): replaying `rmat_sample`'s
+/// recorded batches into its table on two threads took a median 0.237 /
+/// 0.240 / 0.238 / 0.245 s at 512 / 1024 / 4096 / 16384 deposits — flat,
+/// so a size from the middle of the flat range.
+pub(crate) const SAMPLE_BATCH: usize = 4096;
+
+/// A fixed-capacity buffer of `(u, v, w)` deposits in front of an
+/// aggregator, like a `BufWriter`: a full buffer goes over in one
+/// [`EdgeAggregator::add_batch`], and so does the rest when the buffer is
+/// dropped — unless the thread is unwinding, because a panic out of
+/// `add_batch` must not be followed by another call into it (a panic
+/// during unwinding aborts the process).
+pub struct SampleBuffer<'a, A: EdgeAggregator> {
+    agg: &'a A,
+    deposits: Vec<(u32, u32, f32)>,
+}
+
+impl<'a, A: EdgeAggregator> SampleBuffer<'a, A> {
+    /// An empty buffer in front of `agg`.
+    pub fn new(agg: &'a A) -> Self {
+        Self { agg, deposits: Vec::with_capacity(SAMPLE_BATCH) }
+    }
+
+    /// Deposits `w` at `(u, v)`; hands the buffer over when it fills.
+    #[inline]
+    fn deposit(&mut self, u: VertexId, v: VertexId, w: f32) {
+        self.deposits.push((u, v, w));
+        if self.deposits.len() == SAMPLE_BATCH {
+            self.hand_over();
+        }
+    }
+
+    /// Hands whatever is buffered to the aggregator.
+    fn hand_over(&mut self) {
+        if !self.deposits.is_empty() {
+            self.agg.add_batch(&self.deposits);
+            self.deposits.clear();
+        }
+    }
+}
+
+impl<A: EdgeAggregator> Drop for SampleBuffer<'_, A> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.hand_over();
+        }
+    }
+}
+
 /// The `n_e` trials of arc `(u, v)`: each flips the `p_e` coin, and every
 /// survivor draws a walk length in `[1, window]`, runs Algorithm 1 and
-/// deposits `1/p_e` at both orientations of the sampled pair. Returns the
-/// number of survivors. Shared by the static sampler below and the
-/// incremental one in `lightne_core::dynamic`.
+/// deposits `1/p_e` at both orientations of the sampled pair into `out`.
+/// Returns the number of survivors. Shared by the static sampler below
+/// and the incremental one in `lightne_core::dynamic`.
 #[inline]
 pub fn sample_arc<G: WeightedOps, A: EdgeAggregator>(
     g: &G,
@@ -126,7 +188,7 @@ pub fn sample_arc<G: WeightedOps, A: EdgeAggregator>(
     p_e: f64,
     window: usize,
     rng: &mut XorShiftStream,
-    agg: &A,
+    out: &mut SampleBuffer<'_, A>,
 ) -> u64 {
     let w = (1.0 / p_e) as f32;
     let mut kept = 0u64;
@@ -137,8 +199,8 @@ pub fn sample_arc<G: WeightedOps, A: EdgeAggregator>(
         kept += 1;
         let r = 1 + rng.bounded_usize(window);
         let (a, b) = path_sample(g, u, v, r, rng);
-        agg.add(a, b, w);
-        agg.add(b, a, w);
+        out.deposit(a, b, w);
+        out.deposit(b, a, w);
     }
     kept
 }
@@ -164,20 +226,30 @@ pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
     let trials_ctr = AtomicU64::new(0);
     let kept_ctr = AtomicU64::new(0);
 
-    g.map_arcs(|u, v, w, arc_idx| {
-        let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
-        let (whole, frac) = g.arc_trials(cfg.samples, w);
-        let n_e = whole + u64::from(rng.bernoulli(frac));
-        if n_e == 0 {
-            return;
-        }
-        let p_e = if cfg.downsample { survival_probability(cfg.prob, g, u, v, w, c) } else { 1.0 };
-        let kept = sample_arc(g, (u, v), n_e, p_e, cfg.window, &mut rng, agg);
-        // ordering: advisory stats counters; commutative adds, read only
-        // after the parallel region joins (join is the synchronisation).
-        trials_ctr.fetch_add(n_e, Ordering::Relaxed);
-        kept_ctr.fetch_add(kept, Ordering::Relaxed);
-    });
+    // Per range: its buffer, trials and survivors.
+    g.map_arcs_with(
+        || (SampleBuffer::new(agg), 0u64, 0u64),
+        |(out, trials, kept), u, v, w, arc_idx| {
+            let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
+            let (whole, frac) = g.arc_trials(cfg.samples, w);
+            let n_e = whole + u64::from(rng.bernoulli(frac));
+            if n_e == 0 {
+                return;
+            }
+            let p_e =
+                if cfg.downsample { survival_probability(cfg.prob, g, u, v, w, c) } else { 1.0 };
+            *trials += n_e;
+            *kept += sample_arc(g, (u, v), n_e, p_e, cfg.window, &mut rng, out);
+        },
+        |(mut out, trials, kept)| {
+            out.hand_over();
+            // ordering: advisory stats counters; commutative adds, read
+            // only after the parallel region joins (join is the
+            // synchronisation).
+            trials_ctr.fetch_add(trials, Ordering::Relaxed);
+            kept_ctr.fetch_add(kept, Ordering::Relaxed);
+        },
+    );
 
     // ordering: single-threaded here, post-join reads of the counters.
     Ok(SamplerStats {
@@ -188,22 +260,15 @@ pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
     })
 }
 
-/// Expected distinct-entry count used to pre-size the aggregation table.
-/// Table memory must track *distinct* entries, not kept samples — that is
-/// the whole point of the shared hash table (Section 5.2.4). Distinct
-/// entries are bounded by both 2× kept samples and the T-hop neighborhood
-/// mass, which O(n·C·T²) comfortably over-estimates; the table grows if
-/// the workload exceeds the initial guess.
-pub(crate) fn distinct_guess<G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> usize {
-    let c = cfg.c(g.num_vertices());
-    let expected_kept = if cfg.downsample {
-        expected_kept_samples(g, cfg.samples, c, cfg.prob)
-    } else {
-        cfg.samples as f64
-    };
-    (2.0 * expected_kept)
-        .min(g.num_vertices() as f64 * c * (cfg.window * cfg.window) as f64)
-        .max(1024.0) as usize
+/// Expected distinct-entry count used to pre-size the aggregation table,
+/// from the expected kept-sample total. Table memory must track *distinct*
+/// entries, not kept samples — that is the whole point of the shared hash
+/// table (Section 5.2.4). Distinct entries are bounded by both 2× kept
+/// samples and the `n²` ordered pairs. (A tighter-looking T-hop cap,
+/// `n·C·T²`, undercut a dense 400-vertex graph at sample ratio 16 by 2×.)
+pub(crate) fn distinct_guess<G: WeightedOps>(g: &G, expected_kept: f64) -> usize {
+    let n = g.num_vertices() as f64;
+    (2.0 * expected_kept).min(n * n).max(1024.0) as usize
 }
 
 #[cfg(test)]
@@ -416,6 +481,44 @@ pub(crate) mod tests {
         for (u, v, _) in coo {
             assert!(g.has_edge(u, v), "T=1 sample ({u},{v}) is not an edge");
         }
+    }
+
+    /// `ShardedEdgeTable` with `add_batch` hidden behind the default,
+    /// which calls `add` once per entry.
+    struct OneByOne(ShardedEdgeTable);
+
+    impl EdgeAggregator for OneByOne {
+        fn add(&self, u: u32, v: u32, weight: f32) {
+            self.0.add_edge(u, v, weight);
+        }
+
+        fn distinct_edges(&self) -> usize {
+            self.0.len()
+        }
+
+        fn memory_bytes(&self) -> usize {
+            self.0.memory_bytes()
+        }
+
+        fn into_coo(self) -> Vec<(u32, u32, f32)> {
+            self.0.into_coo()
+        }
+    }
+
+    #[test]
+    fn batched_and_one_by_one_aggregation_agree() {
+        let g = erdos_renyi(400, 4_000, 17);
+        let cfg = SamplerConfig { window: 5, samples: 300_000, seed: 23, ..Default::default() };
+        let batched = ShardedEdgeTable::new(400, 8, 1024);
+        let a = sample_into(&g, &cfg, &batched).unwrap();
+        let one_by_one = OneByOne(ShardedEdgeTable::new(400, 8, 1024));
+        let b = sample_into(&g, &cfg, &one_by_one).unwrap();
+        assert!(a.kept > 10 * SAMPLE_BATCH as u64, "the run must fill many buffers");
+        assert_eq!((a.trials, a.kept, a.distinct_entries), (b.trials, b.kept, b.distinct_entries));
+        let bits = |coo: Vec<(u32, u32, f32)>| -> Vec<(u32, u32, u32)> {
+            coo.into_iter().map(|(u, v, w)| (u, v, w.to_bits())).collect()
+        };
+        assert_eq!(bits(batched.into_coo()), bits(one_by_one.into_coo()));
     }
 
     #[test]

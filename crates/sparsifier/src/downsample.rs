@@ -43,6 +43,7 @@
 //! guarantee is unchanged.
 
 use lightne_graph::{VertexId, WeightedOps};
+use std::ops::Range;
 
 /// Which edge-survival probability the downsampling coin uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -105,16 +106,18 @@ pub fn survival_probability<G: WeightedOps>(
     (c * w as f64 * bound).min(1.0)
 }
 
-/// Expected number of kept samples if `total_trials` are spread over the
-/// arcs of `g` in proportion to their weight, each surviving with its
-/// `p_e` (used to pre-size the hash table).
+/// Expected number of kept samples of the arcs leaving `sources` if
+/// `total_trials` are spread over the arcs of `g` in proportion to their
+/// weight, each surviving with its `p_e` (used to pre-size each shard of
+/// the hash table).
 pub fn expected_kept_samples<G: WeightedOps>(
     g: &G,
     total_trials: u64,
     c: f64,
     scheme: ProbScheme,
+    sources: Range<VertexId>,
 ) -> f64 {
-    (0..g.num_vertices() as VertexId)
+    sources
         .map(|u| {
             let mut acc = 0.0;
             g.for_each_arc(u, |v, w| {
@@ -195,7 +198,7 @@ mod tests {
         let g = erdos_renyi(2000, 40_000, 1);
         let c = default_c(2000);
         let trials = g.num_arcs() as u64; // one trial per arc
-        let kept = expected_kept_samples(&g, trials, c, ProbScheme::Degree);
+        let kept = expected_kept_samples(&g, trials, c, ProbScheme::Degree, 0..2000);
         let predicted = 2.0 * c * 2000.0;
         assert!(
             (kept - predicted).abs() / predicted < 0.05,
@@ -235,8 +238,9 @@ mod tests {
             // Expected kept mass is finite, positive, and ordered the
             // same way (psne keeps no more than degree).
             let trials = g.num_arcs() as u64;
-            let k_deg = expected_kept_samples(&g, trials, c, ProbScheme::Degree);
-            let k_psne = expected_kept_samples(&g, trials, c, ProbScheme::Psne);
+            let all = 0..g.num_vertices() as VertexId;
+            let k_deg = expected_kept_samples(&g, trials, c, ProbScheme::Degree, all.clone());
+            let k_psne = expected_kept_samples(&g, trials, c, ProbScheme::Psne, all);
             assert!(k_deg > 0.0 && k_deg.is_finite());
             assert!(k_psne > 0.0 && k_psne <= k_deg);
         }

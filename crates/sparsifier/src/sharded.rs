@@ -27,10 +27,13 @@
 //! `tests/golden_embeddings.rs` at the workspace root assert this end to
 //! end.
 
-use crate::construct::{distinct_guess, sample_into, SamplerConfig, SamplerError, SamplerStats};
+use crate::construct::{
+    distinct_guess, sample_into, SamplerConfig, SamplerError, SamplerStats, SAMPLE_BATCH,
+};
+use crate::downsample::{expected_kept_samples, ProbScheme};
 use crate::netmf::{netmf_factor, trunc_log_entry};
 use lightne_graph::WeightedOps;
-use lightne_hash::ShardedEdgeTable;
+use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne_linalg::CsrMatrix;
 use rayon::prelude::*;
 
@@ -43,21 +46,29 @@ pub fn resolve_shards(configured: usize, n_vertices: usize) -> usize {
     }
 }
 
-/// Pre-sizes each shard by its share of the degree mass: a shard's
-/// expected distinct-entry count is proportional to the total (weighted)
-/// degree of the source vertices it owns, since trials land on source `u`
-/// with probability `d_u / vol`. Under a skewed (power-law) degree
-/// ordering this stops the heavy low-id shards from resizing their way up
-/// from a uniform 1/N guess. Capacities never affect accumulated values.
-fn degree_mass_expectations<G: WeightedOps>(
-    g: &G,
-    shards: usize,
-    expected_total: usize,
-) -> Vec<usize> {
+/// Pre-sizes each shard by its share of the expected *kept* samples: the
+/// sampler's per-arc `E[n_e]·p_e`, summed over the arcs leaving each
+/// shard's source range (the ranges in parallel), gives both the split
+/// and — added up — the total [`distinct_guess`] bounds. Degree mass is
+/// the wrong weight under downsampling: `p_e` falls with degree, so
+/// hub-heavy ranges own more trials than kept samples, and with exact
+/// capacities a degree-mass split resized `rmat_sample`'s tail shard.
+/// Each shard then gets exactly `⌈share / 0.7⌉` slots. Capacities never
+/// affect accumulated values, only resize counts.
+fn kept_mass_expectations<G: WeightedOps>(g: &G, cfg: &SamplerConfig, shards: usize) -> Vec<usize> {
     let ranges = ShardedEdgeTable::shard_ranges(g.num_vertices(), shards);
-    let masses: Vec<f64> =
-        ranges.iter().map(|r| r.clone().map(|u| g.weighted_degree(u).max(0.0)).sum()).collect();
+    // Without downsampling every trial is kept: p_e = min(1, ∞) = 1.
+    let (c, prob) = if cfg.downsample {
+        (cfg.c(g.num_vertices()), cfg.prob)
+    } else {
+        (f64::INFINITY, ProbScheme::Degree)
+    };
+    let masses: Vec<f64> = ranges
+        .par_iter()
+        .map(|r| expected_kept_samples(g, cfg.samples, c, prob, r.clone()))
+        .collect();
     let total: f64 = masses.iter().sum();
+    let expected_total = distinct_guess(g, total);
     if total <= 0.0 {
         return vec![expected_total.div_ceil(ranges.len()); ranges.len()];
     }
@@ -87,7 +98,7 @@ pub fn build_sharded_sparsifier<G: WeightedOps>(
 ) -> Result<(ShardedEdgeTable, SamplerStats), SamplerError> {
     let n = g.num_vertices();
     let shards = resolve_shards(shards, n);
-    let expectations = degree_mass_expectations(g, shards, distinct_guess(g, cfg));
+    let expectations = kept_mass_expectations(g, cfg, shards);
     let table = ShardedEdgeTable::with_expectations(n, shards, &expectations);
     let stats = sample_into(g, cfg, &table)?;
     Ok((table, stats))
@@ -102,10 +113,11 @@ pub use build_sharded_sparsifier as build_weighted_sharded_sparsifier;
 /// [`build_sharded_sparsifier`] — a checkpoint, a persistent table's
 /// snapshot, another aggregator's drain — takes the same fused drain.
 /// Weights that were drained from a table are reproduced exactly (module
-/// docs); repeated coordinates accumulate.
+/// docs); repeated coordinates accumulate. Entries go in as batches of
+/// the sampler's size, one [`EdgeAggregator::add_batch`] each.
 pub fn table_from_coo(n: usize, shards: usize, coo: &[(u32, u32, f32)]) -> ShardedEdgeTable {
     let table = ShardedEdgeTable::new(n, resolve_shards(shards, n), coo.len());
-    coo.par_iter().for_each(|&(u, v, w)| table.add_edge(u, v, w));
+    coo.par_chunks(SAMPLE_BATCH).for_each(|batch| table.add_batch(batch));
     table
 }
 
@@ -142,7 +154,6 @@ pub(crate) fn sparsifier_coo<G: WeightedOps>(
     g: &G,
     cfg: &SamplerConfig,
 ) -> (Vec<(u32, u32, f32)>, SamplerStats) {
-    use lightne_hash::EdgeAggregator;
     let (table, stats) = build_sharded_sparsifier(g, cfg, 0).expect("graph can be sampled");
     (table.into_coo(), stats)
 }
@@ -150,9 +161,7 @@ pub(crate) fn sparsifier_coo<G: WeightedOps>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::downsample::ProbScheme;
     use lightne_gen::generators::erdos_renyi;
-    use lightne_hash::EdgeAggregator;
 
     fn assert_bitwise_equal(a: &CsrMatrix, b: &CsrMatrix) {
         assert_eq!(a.n_rows(), b.n_rows());

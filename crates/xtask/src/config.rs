@@ -43,7 +43,7 @@ pub const L3_WHITELIST: &[&str] = &[
 /// hash-table crate must argue its own correctness inline.
 pub const L4_WHITELIST: &[&str] = &[];
 
-/// Paths where L4 (justified atomic orderings) applies: the lock-free
+/// Paths where L4 (justified atomic orderings) applies: the edge
 /// table's CAS/accumulate paths.
 pub const L4_PATHS: &[&str] = &["crates/hashtable/src"];
 

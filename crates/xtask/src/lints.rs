@@ -18,7 +18,7 @@
 //!   `fold`) or captured-accumulator `+=` inside rayon parallel chains,
 //!   outside the fixed-block helpers in `lightne_utils::parallel`:
 //!   unordered float addition makes results depend on thread count.
-//! * **L4** — every `Ordering::Relaxed` in the lock-free hash table must
+//! * **L4** — every `Ordering::Relaxed` in the edge hash table must
 //!   carry an `// ordering:` justification comment arguing why relaxed
 //!   ordering is sufficient at that site.
 //! * **L5** — no ambient nondeterminism: `SystemTime::now` and
@@ -546,7 +546,7 @@ fn lint_l3(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// L4: `Ordering::Relaxed` in the lock-free table needs an inline
+/// L4: `Ordering::Relaxed` in the edge table needs an inline
 /// `// ordering:` justification.
 fn lint_l4(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
     if !config::path_in(ctx.path, config::L4_PATHS)
