@@ -103,15 +103,6 @@ pub fn estimate_spectral_gap<G: GraphOps>(g: &G, iters: usize, seed: u64) -> Spe
     SpectralGap { lambda2, gap: 1.0 - lambda2, iterations: iters }
 }
 
-/// The downsampling-safety heuristic implied by Theorem 3.2: with gap
-/// `γ`, degree probabilities underestimate effective resistances by at
-/// most `1/γ`, so the constant `C = log n` should be inflated to
-/// `log(n)/γ` on poorly connected graphs. Returns that suggested `C`.
-pub fn suggested_c_factor<G: GraphOps>(g: &G, gap: &SpectralGap) -> f64 {
-    let base = (g.num_vertices().max(2) as f64).ln();
-    base / gap.gap.clamp(0.05, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,13 +156,5 @@ mod tests {
             ge.gap,
             gl.gap
         );
-    }
-
-    #[test]
-    fn suggested_c_grows_when_gap_shrinks() {
-        let g = erdos_renyi(200, 2000, 7);
-        let tight = SpectralGap { lambda2: 0.9, gap: 0.1, iterations: 0 };
-        let wide = SpectralGap { lambda2: 0.2, gap: 0.8, iterations: 0 };
-        assert!(suggested_c_factor(&g, &tight) > suggested_c_factor(&g, &wide));
     }
 }

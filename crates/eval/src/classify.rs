@@ -122,14 +122,6 @@ impl OneVsRest {
         idx.sort_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]));
         idx
     }
-
-    /// Predicts the top-`k` classes for one vertex.
-    pub fn predict_top_k(&self, x: &[f32], k: usize) -> Vec<u16> {
-        let mut idx = self.rank_classes(x);
-        idx.truncate(k);
-        idx.sort_unstable();
-        idx
-    }
 }
 
 /// Splits the labelled vertices into train/test with the given ratio.
@@ -363,9 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn predict_top_k_returns_k_sorted() {
+    fn rank_classes_orders_by_decreasing_score() {
         let model = OneVsRest { weights: vec![vec![0.0, 1.0], vec![0.0, 3.0], vec![0.0, 2.0]] };
-        let picks = model.predict_top_k(&[1.0], 2);
-        assert_eq!(picks, vec![1, 2]);
+        assert_eq!(model.rank_classes(&[1.0]), vec![1, 2, 0]);
     }
 }

@@ -1,136 +1,59 @@
-//! Frontier-based graph algorithms and structural statistics.
+//! Structural statistics: what `lightne stats` prints and what the
+//! quality matrix's structure probe measures.
 //!
-//! These serve two roles: they exercise the Ligra/GBBS machinery of
-//! [`crate::frontier`] the way the original systems do (BFS and connected
-//! components are the canonical Ligra benchmarks), and they feed the
-//! workload characterization the experiment harness prints (component
-//! structure, clustering, degeneracy — the properties that justify the
-//! downsampling analysis on "well-connected" graphs, Theorem 3.2).
+//! Component structure, clustering and degeneracy characterise a workload
+//! — they are the properties that justify the downsampling analysis on
+//! "well-connected" graphs (Theorem 3.2) — and PageRank is the centrality
+//! the structure probe ranks embedding norms against. None of this is on
+//! the embedding path, whose one bulk-parallel primitive is
+//! [`GraphOps::map_edges`].
 
-use crate::frontier::{edge_map, VertexSubset};
+use crate::ops::common_neighbors;
 use crate::{GraphOps, VertexId};
 use lightne_utils::parallel::parallel_reduce_sum;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Distance label for unreachable vertices.
-pub const UNREACHED: u32 = u32::MAX;
-
-/// Parallel BFS from `src`, returning hop distances (`UNREACHED` where
-/// not reachable). Built on `edge_map` with CAS claiming — the textbook
-/// Ligra BFS.
-pub fn bfs<G: GraphOps>(g: &G, src: VertexId) -> Vec<u32> {
-    let n = g.num_vertices();
-    let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHED)).collect();
-    dist[src as usize].store(0, Ordering::Relaxed);
-    let mut frontier = VertexSubset::single(src);
-    let mut level = 0u32;
-    while !frontier.is_empty() {
-        level += 1;
-        let d = &dist;
-        frontier = edge_map(
-            g,
-            &frontier,
-            |_, v| {
-                d[v as usize]
-                    .compare_exchange(UNREACHED, level, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            },
-            |v| d[v as usize].load(Ordering::Relaxed) == UNREACHED,
-        );
-    }
-    dist.into_iter().map(|a| a.into_inner()).collect()
-}
-
-/// Connected components by parallel label propagation (min-label
-/// convergence). Returns one label per vertex; vertices share a label
-/// iff they share a component.
+/// Connected components: `labels[v]` is the smallest vertex id in `v`'s
+/// component. Vertices are visited in ascending id; each one no earlier
+/// traversal reached labels its whole component with its own id, by an
+/// explicit-stack depth-first traversal.
 pub fn connected_components<G: GraphOps>(g: &G) -> Vec<u32> {
-    let n = g.num_vertices();
-    let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let mut frontier = VertexSubset::Dense(vec![true; n]);
-    while !frontier.is_empty() {
-        let l = &labels;
-        frontier = edge_map(
-            g,
-            &frontier,
-            |u, v| {
-                let lu = l[u as usize].load(Ordering::Relaxed);
-                let mut lv = l[v as usize].load(Ordering::Relaxed);
-                let mut changed = false;
-                while lu < lv {
-                    match l[v as usize].compare_exchange(
-                        lv,
-                        lu,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            changed = true;
-                            break;
-                        }
-                        Err(actual) => lv = actual,
-                    }
-                }
-                changed
-            },
-            |_| true,
-        );
-    }
-    labels.into_iter().map(|a| a.into_inner()).collect()
-}
-
-/// Number of distinct components and the size of the largest.
-pub fn component_summary(labels: &[u32]) -> (usize, usize) {
-    use std::collections::HashMap;
-    let mut sizes: HashMap<u32, usize> = HashMap::new();
-    for &l in labels {
-        *sizes.entry(l).or_insert(0) += 1;
-    }
-    let largest = sizes.values().copied().max().unwrap_or(0);
-    (sizes.len(), largest)
-}
-
-/// Exact triangle count via sorted-neighbor-list intersection, counting
-/// each triangle once (`u < v < w`). O(Σ d(u)·d(v)) over edges — fine at
-/// benchmark scale and a strong test of CSR ordering invariants.
-pub fn triangle_count<G: GraphOps>(g: &G) -> u64 {
-    let n = g.num_vertices();
-    (0..n as VertexId)
-        .into_par_iter()
-        .map(|u| {
-            // Collect u's higher neighbors once.
-            let mut hi_u: Vec<VertexId> = Vec::new();
+    const UNLABELLED: u32 = u32::MAX;
+    let mut labels = vec![UNLABELLED; g.num_vertices()];
+    let mut stack = Vec::new();
+    for root in 0..g.num_vertices() as VertexId {
+        if labels[root as usize] != UNLABELLED {
+            continue;
+        }
+        labels[root as usize] = root;
+        stack.push(root);
+        while let Some(u) = stack.pop() {
             g.for_each_neighbor(u, &mut |v| {
-                if v > u {
-                    hi_u.push(v);
+                if labels[v as usize] == UNLABELLED {
+                    labels[v as usize] = root;
+                    stack.push(v);
                 }
             });
-            let mut count = 0u64;
-            for &v in &hi_u {
-                // Intersect hi_u ∩ {w ∈ N(v) : w > v}.
-                let mut hi_v: Vec<VertexId> = Vec::new();
-                g.for_each_neighbor(v, &mut |w| {
-                    if w > v {
-                        hi_v.push(w);
-                    }
-                });
-                let (mut i, mut j) = (0, 0);
-                while i < hi_u.len() && j < hi_v.len() {
-                    match hi_u[i].cmp(&hi_v[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            count += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
+        }
+    }
+    labels
+}
+
+/// Exact triangle count: every triangle closes once over each of its three
+/// edges, so it is the common-neighbour count summed over edges `u < v`,
+/// divided by 3. Exact because neighbour lists are strictly ascending on
+/// every backend (the CSR invariant [`crate::io::read_binary`] enforces).
+pub fn triangle_count<G: GraphOps>(g: &G) -> u64 {
+    let closing = |u: VertexId| {
+        let mut count = 0u64;
+        g.for_each_neighbor(u, &mut |v| {
+            if u < v {
+                count += common_neighbors(g, u, v) as u64;
             }
-            count
-        })
-        .sum()
+        });
+        count
+    };
+    (0..g.num_vertices() as VertexId).into_par_iter().map(closing).sum::<u64>() / 3
 }
 
 /// K-core decomposition by sequential bucket peeling (Matula–Beck).
@@ -186,7 +109,7 @@ pub fn kcore<G: GraphOps>(g: &G) -> Vec<u32> {
 /// PageRank by parallel power iteration (damping `alpha`, convergence on
 /// L1 change below `tol`). Returns `(scores, iterations)`. Dangling mass
 /// (from isolated vertices) is redistributed uniformly, so scores sum to
-/// 1 exactly. The other canonical Ligra/GBBS benchmark alongside BFS.
+/// 1 exactly.
 pub fn pagerank<G: GraphOps>(g: &G, alpha: f64, tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
     let n = g.num_vertices();
     assert!(n > 0);
@@ -216,8 +139,7 @@ pub fn pagerank<G: GraphOps>(g: &G, alpha: f64, tol: f64, max_iters: usize) -> (
     (rank, iters)
 }
 
-/// Structural statistics of a graph (printed by the workload
-/// characterization in the experiment harness).
+/// Structural statistics of a graph (what `lightne stats` prints).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Vertex count.
@@ -240,16 +162,19 @@ pub struct GraphStats {
 
 /// Computes all [`GraphStats`] in one pass set.
 pub fn graph_stats<G: GraphOps>(g: &G) -> GraphStats {
-    let labels = connected_components(g);
-    let (components, largest_component) = component_summary(&labels);
+    // Labels are vertex ids: `sizes[root]` counts the root's component.
+    let mut sizes = vec![0usize; g.num_vertices()];
+    for root in connected_components(g) {
+        sizes[root as usize] += 1;
+    }
     let max_degree = (0..g.num_vertices()).map(|v| g.degree(v as VertexId)).max().unwrap_or(0);
     GraphStats {
         vertices: g.num_vertices(),
         edges: g.num_edges(),
         max_degree,
         avg_degree: g.num_arcs() as f64 / g.num_vertices().max(1) as f64,
-        components,
-        largest_component,
+        components: sizes.iter().filter(|&&s| s > 0).count(),
+        largest_component: sizes.iter().copied().max().unwrap_or(0),
         triangles: triangle_count(g),
         degeneracy: kcore(g).into_iter().max().unwrap_or(0),
     }
@@ -266,37 +191,19 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distances_on_path() {
-        let edges: Vec<(u32, u32)> = (0..9u32).map(|v| (v, v + 1)).collect();
-        let g = GraphBuilder::from_edges(10, &edges);
-        let d = bfs(&g, 3);
-        assert_eq!(d[3], 0);
-        assert_eq!(d[0], 3);
-        assert_eq!(d[9], 6);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let g = two_triangles_and_isolate();
-        let d = bfs(&g, 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], 1);
-        assert_eq!(d[3], UNREACHED);
-        assert_eq!(d[6], UNREACHED);
-    }
-
-    #[test]
     fn components_found() {
         let g = two_triangles_and_isolate();
-        let labels = connected_components(&g);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[1], labels[2]);
-        assert_eq!(labels[3], labels[4]);
-        assert_ne!(labels[0], labels[3]);
-        assert_ne!(labels[6], labels[0]);
-        let (count, largest) = component_summary(&labels);
-        assert_eq!(count, 3);
-        assert_eq!(largest, 3);
+        assert_eq!(connected_components(&g), vec![0, 0, 0, 3, 3, 3, 6]);
+        let s = graph_stats(&g);
+        assert_eq!((s.components, s.largest_component), (3, 3));
+    }
+
+    #[test]
+    fn component_label_is_the_smallest_id_in_it() {
+        // Triangle {1, 3, 5} and path 6 - 2 - 0, each listed from its
+        // largest id; 4 is isolated.
+        let g = GraphBuilder::from_edges(7, &[(5, 3), (3, 1), (1, 5), (6, 2), (2, 0)]);
+        assert_eq!(connected_components(&g), vec![0, 1, 0, 1, 4, 1, 0]);
     }
 
     #[test]
@@ -374,13 +281,5 @@ mod tests {
         let g = GraphBuilder::from_edges(300, &edges);
         let c = V2Graph::from_graph(&g, Codec::Byte);
         assert_eq!(graph_stats(&g), graph_stats(&c));
-    }
-
-    #[test]
-    fn bfs_matches_on_compressed() {
-        let edges: Vec<(u32, u32)> = (0..499u32).map(|v| (v, v + 1)).collect();
-        let g = GraphBuilder::from_edges(500, &edges);
-        let c = V2Graph::from_graph(&g, Codec::Byte);
-        assert_eq!(bfs(&g, 0), bfs(&c, 0));
     }
 }

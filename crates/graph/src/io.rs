@@ -186,8 +186,10 @@ pub fn write_binary(g: &Graph, path: impl AsRef<Path>) -> Result<(), GraphIoErro
 ///
 /// Every field the header claims is validated before use — magic,
 /// version, section lengths, the payload checksum, offset monotonicity,
-/// and neighbor ranges — so a corrupt or truncated file of any shape
-/// fails with a typed [`GraphIoError`] rather than a panic.
+/// neighbor ranges, and the [`Graph`] invariant that each neighbor list is
+/// strictly ascending without a self-loop — so a corrupt, truncated or
+/// hand-built file of any shape fails with a typed [`GraphIoError`]
+/// rather than a panic.
 pub fn read_binary(path: impl AsRef<Path>) -> Result<Graph, GraphIoError> {
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
@@ -236,6 +238,16 @@ pub fn read_binary(path: impl AsRef<Path>) -> Result<Graph, GraphIoError> {
     }
     if neighbors.iter().any(|&v| v as usize >= n) {
         return Err(GraphIoError::Corrupt("neighbor id out of range"));
+    }
+    // The CSR invariant every consumer relies on (gap coding, list merges).
+    for (u, w) in offsets.windows(2).enumerate() {
+        let row = &neighbors[w[0] as usize..w[1] as usize];
+        if row.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(GraphIoError::Corrupt("neighbor list not strictly ascending"));
+        }
+        if row.binary_search(&(u as VertexId)).is_ok() {
+            return Err(GraphIoError::Corrupt("self-loop"));
+        }
     }
     Ok(Graph::from_csr(offsets, neighbors))
 }
@@ -375,6 +387,44 @@ mod tests {
         let p = tmp("empty.lne");
         write_binary(&g, &p).unwrap();
         assert_eq!(read_binary(&p).unwrap(), g);
+        std::fs::remove_file(p).ok();
+    }
+
+    /// `g`'s binary image with the given neighbor-array entries overwritten
+    /// and the checksum re-sealed, so only the structural checks can
+    /// reject it.
+    fn forged(g: &Graph, patches: &[(usize, VertexId)]) -> Vec<u8> {
+        let p = tmp("forge.lne");
+        write_binary(g, &p).unwrap();
+        let mut raw = std::fs::read(&p).unwrap();
+        std::fs::remove_file(p).ok();
+        let neighbors_at = BINARY_HEADER_LEN + (g.num_vertices() + 1) * 8;
+        for &(i, v) in patches {
+            raw[neighbors_at + 4 * i..][..4].copy_from_slice(&v.to_le_bytes());
+        }
+        let checksum = lightne_utils::checksum::fnv1a64(&raw[BINARY_HEADER_LEN..]);
+        raw[BINARY_HEADER_LEN - 8..BINARY_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        raw
+    }
+
+    #[test]
+    fn binary_rejects_rows_that_break_the_csr_invariant() {
+        // Edges 0 - 1 and 0 - 2: rows [1, 2 | 0 | 0].
+        let g = GraphBuilder::from_edges(3, &[(0, 1), (0, 2)]);
+        let p = tmp("badrows.lne");
+        std::fs::write(&p, forged(&g, &[])).unwrap();
+        assert_eq!(read_binary(&p).unwrap(), g);
+        for (patches, what) in [
+            (&[(0, 2), (1, 1)][..], "neighbor list not strictly ascending"), // row 0 [2, 1]
+            (&[(1, 1)][..], "neighbor list not strictly ascending"),         // row 0 [1, 1]
+            (&[(0, 0)][..], "self-loop"),                                    // row 0 [0, 2]
+        ] {
+            std::fs::write(&p, forged(&g, patches)).unwrap();
+            match read_binary(&p) {
+                Err(GraphIoError::Corrupt(got)) => assert_eq!(got, what, "{patches:?}"),
+                other => panic!("{patches:?}: expected {what:?}, got {other:?}"),
+            }
+        }
         std::fs::remove_file(p).ok();
     }
 

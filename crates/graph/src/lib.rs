@@ -19,14 +19,14 @@
 //!   zero-copy via [`mmap`].
 //! * [`ops::GraphOps`] — the uniform interface (degrees, neighbor access,
 //!   `map_edges`) that both representations implement, so the sampler is
-//!   generic over compression.
+//!   generic over compression. `map_edges`/`map_arcs` is the one GBBS
+//!   bulk-parallel primitive the pipeline uses.
 //! * [`weighted::WeightedOps`] — the weight-aware view the pipeline is
 //!   written against: unit weights on every `GraphOps` backend, stored
 //!   weights on [`weighted::WeightedGraph`].
-//! * [`frontier`] — Ligra's `VertexSubset` + direction-switching
-//!   `edge_map`, the traversal interface GBBS extends.
-//! * [`algorithms`] — BFS, connected components, triangle counting and
-//!   k-core built on the frontier machinery.
+//! * [`algorithms`] — structural statistics for `lightne stats` and the
+//!   quality matrix's structure probe: connected components, triangles,
+//!   k-core and PageRank, all off the embedding path.
 //! * [`walk`] — the one-step-at-a-time random-walk engine used by
 //!   PathSampling (Algorithm 1).
 //! * [`io`] — text edge-list and binary CSR readers/writers.
@@ -45,7 +45,6 @@ pub mod codecs;
 pub mod csr;
 pub mod ef;
 pub mod error;
-pub mod frontier;
 pub mod io;
 pub mod mmap;
 pub mod ops;

@@ -5,13 +5,13 @@
 //! (word2vec's text format without the header). A `#`-prefixed header
 //! records the shape for validation on load.
 //!
-//! Every format has three entry points: a generic writer/reader over
-//! `io::Write`/`io::BufRead`, a `*_to_bytes`/`*_from_bytes` pair (used by
-//! the artifact store, which needs the full byte image to checksum before
-//! anything touches disk), and a path-based convenience wrapper. All
-//! numeric output uses Rust's shortest-round-trip float formatting, so a
-//! write/read cycle is bitwise lossless — checkpointed artifacts resume to
-//! exactly the state that was saved.
+//! Every format has a generic writer/reader over `io::Write`/`io::BufRead`
+//! and a `*_to_bytes`/`*_from_bytes` pair (used by the artifact store,
+//! which needs the full byte image to checksum before anything touches
+//! disk); dense matrices, which the CLI reads and writes, also have a
+//! path-based wrapper. All numeric output uses Rust's shortest-round-trip
+//! float formatting, so a write/read cycle is bitwise lossless —
+//! checkpointed artifacts resume to exactly the state that was saved.
 //!
 //! The generic writer and reader are instrumented with the
 //! [`lightne_utils::faults`] fail points in [`FAIL_POINTS`], so the
@@ -247,16 +247,6 @@ pub fn coo_to_bytes(
     Ok(buf)
 }
 
-/// Writes a COO entry list to a file (see [`write_coo_to`]).
-pub fn write_coo(
-    path: impl AsRef<Path>,
-    n_rows: usize,
-    n_cols: usize,
-    entries: &[(u32, u32, f32)],
-) -> Result<(), MatIoError> {
-    write_coo_to(BufWriter::with_capacity(1 << 20, File::create(path)?), n_rows, n_cols, entries)
-}
-
 /// Shape and entries of a COO file: `(n_rows, n_cols, entries)`.
 pub type CooData = (usize, usize, Vec<(u32, u32, f32)>);
 
@@ -269,11 +259,6 @@ pub fn read_coo_from(r: impl BufRead) -> Result<CooData, MatIoError> {
 /// Parses a COO byte image (see [`read_coo_from`]).
 pub fn coo_from_bytes(bytes: &[u8]) -> Result<CooData, MatIoError> {
     read_coo_from(bytes)
-}
-
-/// Reads a COO file written by [`write_coo`].
-pub fn read_coo(path: impl AsRef<Path>) -> Result<CooData, MatIoError> {
-    read_coo_from(BufReader::with_capacity(1 << 20, File::open(path)?))
 }
 
 /// Writes a CSR matrix to `w` as a COO triple list with a `#csr rows cols
@@ -293,11 +278,6 @@ pub fn csr_to_bytes(m: &crate::sparse::CsrMatrix) -> Result<Vec<u8>, MatIoError>
     Ok(buf)
 }
 
-/// Writes a CSR matrix to a file (see [`write_csr_to`]).
-pub fn write_csr(m: &crate::sparse::CsrMatrix, path: impl AsRef<Path>) -> Result<(), MatIoError> {
-    write_csr_to(m, BufWriter::with_capacity(1 << 20, File::create(path)?))
-}
-
 /// Reads a CSR stream written by [`write_csr_to`] and rebuilds the matrix.
 ///
 /// Reconstruction goes through [`CsrMatrix::from_coo`]
@@ -313,11 +293,6 @@ pub fn read_csr_from(r: impl BufRead) -> Result<crate::sparse::CsrMatrix, MatIoE
 /// Parses a CSR byte image (see [`read_csr_from`]).
 pub fn csr_from_bytes(bytes: &[u8]) -> Result<crate::sparse::CsrMatrix, MatIoError> {
     read_csr_from(bytes)
-}
-
-/// Reads a CSR file written by [`write_csr`].
-pub fn read_csr(path: impl AsRef<Path>) -> Result<crate::sparse::CsrMatrix, MatIoError> {
-    read_csr_from(BufReader::with_capacity(1 << 20, File::open(path)?))
 }
 
 #[cfg(test)]
@@ -387,52 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn coo_roundtrip_is_bitwise() {
-        let entries = vec![
-            (0u32, 3u32, 1.5f32),
-            (2, 1, 0.123_456_79),
-            (4, 4, -7.25e-3),
-            (1, 0, f32::MIN_POSITIVE),
-        ];
-        let p = tmp("coo.txt");
-        write_coo(&p, 5, 5, &entries).unwrap();
-        let (r, c, got) = read_coo(&p).unwrap();
-        std::fs::remove_file(&p).ok();
-        assert_eq!((r, c), (5, 5));
-        assert_eq!(got.len(), entries.len());
-        for ((ru, rv, rw), (gu, gv, gw)) in entries.iter().zip(&got) {
-            assert_eq!((ru, rv), (gu, gv));
-            assert_eq!(rw.to_bits(), gw.to_bits(), "weight not bitwise round-tripped");
-        }
-    }
-
-    #[test]
     fn coo_nnz_mismatch_rejected() {
-        let p = tmp("coo_bad.txt");
-        std::fs::write(&p, "#coo 3 3 2\n0 1 1.0\n").unwrap();
-        assert!(read_coo(&p).is_err());
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn csr_roundtrip_is_bitwise() {
-        let coo = vec![(0u32, 1u32, 0.3f32), (0, 2, 1.7), (3, 0, -2.5), (2, 2, 0.0625)];
-        let m = crate::sparse::CsrMatrix::from_coo(4, 4, coo);
-        let p = tmp("csr.txt");
-        write_csr(&m, &p).unwrap();
-        let m2 = read_csr(&p).unwrap();
-        std::fs::remove_file(&p).ok();
-        assert_eq!(m.n_rows(), m2.n_rows());
-        assert_eq!(m.n_cols(), m2.n_cols());
-        assert_eq!(m.nnz(), m2.nnz());
-        for i in 0..m.n_rows() {
-            let (ac, av) = m.row(i);
-            let (bc, bv) = m2.row(i);
-            assert_eq!(ac, bc);
-            for (x, y) in av.iter().zip(bv) {
-                assert_eq!(x.to_bits(), y.to_bits(), "row {i} not bitwise identical");
-            }
-        }
+        assert!(matches!(coo_from_bytes(b"#coo 3 3 2\n0 1 1.0\n"), Err(MatIoError::Parse(0, _))));
     }
 
     #[test]

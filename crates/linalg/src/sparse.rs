@@ -420,17 +420,6 @@ impl CsrMatrix {
         CsrMatrix::from_coo(self.n_rows, self.n_cols, coo)
     }
 
-    /// Scales row `i` by `s[i]` (e.g. `D⁻¹ A`). Sequential: one pass
-    /// over the stored values, off every hot path.
-    pub fn scale_rows(&mut self, s: &[f32]) {
-        assert_eq!(s.len(), self.n_rows);
-        for (w, &si) in self.row_ptr.windows(2).zip(s) {
-            for v in &mut self.values[w[0] as usize..w[1] as usize] {
-                *v *= si;
-            }
-        }
-    }
-
     /// Linear combination `alpha·self + beta·other` (same shape).
     pub fn add(&self, other: &CsrMatrix, alpha: f32, beta: f32) -> CsrMatrix {
         assert_eq!((self.n_rows, self.n_cols), (other.n_rows, other.n_cols));
@@ -528,14 +517,6 @@ mod tests {
         let m = small();
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().get(0, 2), 4.0);
-    }
-
-    #[test]
-    fn scale_rows_scales_each_row() {
-        let mut m = small();
-        m.scale_rows(&[1.0, 2.0, 0.5]);
-        assert_eq!(m.get(1, 1), 6.0);
-        assert_eq!(m.get(2, 2), 2.5);
     }
 
     #[test]

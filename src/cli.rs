@@ -518,9 +518,6 @@ mod tests {
             .unwrap();
         assert!(micro > 30.0, "full CLI flow quality too low: {micro}");
 
-        let out = run_capture(&["stats", "--graph", &gpath]).unwrap();
-        assert!(out.contains("vertices"), "{out}");
-
         std::fs::remove_file(&gpath).ok();
         std::fs::remove_file(&epath).ok();
         std::fs::remove_file(&labels_path).ok();
@@ -686,10 +683,6 @@ mod tests {
         assert_eq!(csr, std::fs::read(&e_byte).unwrap(), "byte embedding differs from CSR");
         assert_eq!(csr, std::fs::read(&e_mmap).unwrap(), "mmap v2 embedding differs from CSR");
 
-        // stats transparently decompresses the container.
-        let out = run_capture(&["stats", "--graph", &cpath]).unwrap();
-        assert!(out.contains("vertices"), "{out}");
-
         // --mmap without a container is a typed error, not a silent no-op.
         let err =
             run_capture(&["embed", "--graph", &gpath, "--out", &e_csr, "--mmap"]).unwrap_err();
@@ -699,6 +692,80 @@ mod tests {
             std::fs::remove_file(p).ok();
         }
         std::fs::remove_file(format!("{gpath}.labels")).ok();
+    }
+
+    #[test]
+    fn stats_prints_the_pinned_report() {
+        // Triangles {0,1,2} and {3,4,5}, the 4-clique {6..9}, isolated 10
+        // and the path 11 - 12 - 13; one edge listed in both directions.
+        let tpath = tmp("stats.txt");
+        std::fs::write(
+            &tpath,
+            "# pinned\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n6 7\n6 8\n6 9\n7 8\n7 9\n8 9\n1 0\n11 12\n12 13\n",
+        )
+        .unwrap();
+        let small = "\
+vertices           14
+edges              14
+max degree         3
+avg degree         2.00
+components         5
+largest component  4
+triangles          6
+degeneracy         3
+";
+        assert_eq!(run_capture(&["stats", "--graph", &tpath]).unwrap(), small);
+
+        let gpath = tmp("stats.lne");
+        let cpath = tmp("stats.lng2");
+        let generate = ["generate", "--profile", "oag", "--scale", "0.0001", "--seed", "42"];
+        run_capture(&[&generate[..], &["--out", &gpath]].concat()).unwrap();
+        run_capture(&["compress", "--graph", &gpath, "--out", &cpath]).unwrap();
+        let oag = "\
+vertices           6776
+edges              76889
+max degree         1904
+avg degree         22.69
+components         1
+largest component  6776
+triangles          107492
+degeneracy         20
+";
+        // The container decodes to the same graph, so to the same report.
+        for path in [&gpath, &cpath] {
+            assert_eq!(run_capture(&["stats", "--graph", path]).unwrap(), oag, "{path}");
+        }
+        for p in [&tpath, &gpath, &cpath, &format!("{gpath}.labels")] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn a_graph_file_that_breaks_the_csr_invariant_is_rejected() {
+        // Edges 0 - 1 and 0 - 2 with row 0 stored as [2, 1] under a valid
+        // checksum: only the row check can catch it.
+        let gpath = tmp("unsorted.lne");
+        let cpath = tmp("unsorted.lng2");
+        write_binary(&crate::graph::GraphBuilder::from_edges(3, &[(0, 1), (0, 2)]), &gpath)
+            .unwrap();
+        let mut raw = std::fs::read(&gpath).unwrap();
+        // A 32-byte header, then four 8-byte offsets: row 0 starts at 64.
+        raw[64..72].copy_from_slice(&[2, 0, 0, 0, 1, 0, 0, 0]);
+        let checksum = crate::utils::checksum::fnv1a64(&raw[32..]);
+        raw[24..32].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&gpath, &raw).unwrap();
+        let compress = run_capture(&["compress", "--graph", &gpath, "--out", &cpath]);
+        let err = compress.expect_err("compress must reject an unsorted row");
+        assert!(err.ends_with("neighbor list not strictly ascending"), "{err}");
+        assert!(!std::path::Path::new(&cpath).exists(), "a rejected compress wrote a file");
+        let epath = tmp("unsorted_emb.txt");
+        for cmd in
+            [&["stats", "--graph", &gpath][..], &["embed", "--graph", &gpath, "--out", &epath]]
+        {
+            let err = run_capture(cmd).unwrap_err();
+            assert!(err.ends_with("neighbor list not strictly ascending"), "{cmd:?}: {err}");
+        }
+        std::fs::remove_file(&gpath).ok();
     }
 
     #[test]
