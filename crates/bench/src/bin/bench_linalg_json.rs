@@ -45,10 +45,9 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     best
 }
 
-/// The pre-PR randomized SVD: Algorithm 3 composed from the reference
-/// GEMM/QR/Jacobi kernels. SPMM and `gram_tn` are shared with the
-/// blocked version (they were not rewritten), so the comparison isolates
-/// exactly the kernels this PR replaced.
+/// The pre-blocking randomized SVD: Algorithm 3 composed from the
+/// reference GEMM/Gram/QR/Jacobi kernels. SPMM is shared with the
+/// blocked version, so the comparison isolates the dense kernels.
 fn reference_rsvd(a: &CsrMatrix, cfg: &RsvdConfig) -> (DenseMatrix, Vec<f32>) {
     let n = a.n_rows();
     let l = (cfg.rank + cfg.oversampling).min(n).max(1);
@@ -64,7 +63,7 @@ fn reference_rsvd(a: &CsrMatrix, cfg: &RsvdConfig) -> (DenseMatrix, Vec<f32>) {
     let p = DenseMatrix::gaussian(l, l, cfg.seed.wrapping_add(1));
     let mut z = reference::matmul(&b, &p);
     reference::orthonormalize_columns(&mut z);
-    let c = z.gram_tn(&b);
+    let c = reference::gram_tn(&z, &b);
     let small = reference::jacobi_svd(&c);
     let u = reference::matmul(&z, &small.u);
     (u, small.sigma)
@@ -125,6 +124,10 @@ fn core_round_trip_ns() -> f64 {
 /// Rows of the tall matrix `tall_thin_svd` is timed on (the `n` of the
 /// benchmark's `sbm_factor`, rounded to a power of two).
 const TALL_THIN_ROWS: usize = 8192;
+
+/// Shape of the timed Gram product: `sbm_factor`'s sketch, `n × (d + p)`.
+const GRAM_ROWS: usize = 8000;
+const GRAM_COLS: usize = 144;
 
 fn main() {
     let reps = env_usize("REPS", 3);
@@ -195,6 +198,21 @@ fn main() {
     put("gemm_hot_m", hot_m.to_string());
     put("gemm_hot_secs", format!("{hot:.6}"));
     put("gemm_hot_gflops", format!("{:.3}", hot_flops / hot / 1e9));
+
+    // --- Gram product: register-tiled vs row-streaming, at the rSVD's
+    // `Zᵀ·B` shape on `sbm_factor` (n = 8000, dim 128 + oversampling 16).
+    eprintln!("gram_tn {GRAM_ROWS}x{GRAM_COLS} ({reps} reps) ...");
+    let gz = DenseMatrix::gaussian(GRAM_ROWS, GRAM_COLS, 9);
+    let gb = DenseMatrix::gaussian(GRAM_ROWS, GRAM_COLS, 10);
+    let gram_flops = gemm_flops(GRAM_COLS, GRAM_COLS, GRAM_ROWS) as f64;
+    let tiled = best_of(reps, || gz.gram_tn(&gb)).as_secs_f64();
+    let refg = best_of(reps, || reference::gram_tn(&gz, &gb)).as_secs_f64();
+    put("gram_rows", GRAM_ROWS.to_string());
+    put("gram_cols", GRAM_COLS.to_string());
+    put("gram_tiled_secs", format!("{tiled:.6}"));
+    put("gram_tiled_gflops", format!("{:.3}", gram_flops / tiled / 1e9));
+    put("gram_reference_secs", format!("{refg:.6}"));
+    put("gram_speedup", format!("{:.3}", refg / tiled));
 
     // --- QR: panel BCGS2 vs sequential MGS on a tall sketch.
     eprintln!("qr {qr_rows}x128 ({reps} reps) ...");

@@ -45,6 +45,10 @@ pub trait WeightedOps: Sync {
     /// Weighted degree `d_v = Σ_u A_vu`.
     fn weighted_degree(&self, v: VertexId) -> f64;
 
+    /// Number of arcs out of `v` (its unweighted degree), read from the
+    /// stored offsets without visiting the arcs.
+    fn arc_count(&self, v: VertexId) -> usize;
+
     /// Heap bytes the representation keeps resident (see
     /// [`GraphAccess::resident_bytes`]).
     fn resident_bytes(&self) -> usize;
@@ -115,6 +119,11 @@ impl<G: GraphAccess + Sync> WeightedOps for G {
     #[inline]
     fn weighted_degree(&self, v: VertexId) -> f64 {
         self.degree(v) as f64
+    }
+
+    #[inline]
+    fn arc_count(&self, v: VertexId) -> usize {
+        self.degree(v)
     }
 
     #[inline]
@@ -375,6 +384,11 @@ impl WeightedOps for WeightedGraph {
     #[inline]
     fn weighted_degree(&self, v: VertexId) -> f64 {
         WeightedGraph::weighted_degree(self, v)
+    }
+
+    #[inline]
+    fn arc_count(&self, v: VertexId) -> usize {
+        WeightedGraph::degree(self, v)
     }
 
     fn resident_bytes(&self) -> usize {

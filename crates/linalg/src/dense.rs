@@ -194,38 +194,14 @@ impl DenseMatrix {
 
     /// Gram-style product for tall matrices: `selfᵀ (c×r) · other (r×k) →
     /// (c×k)` where both inputs have the same (large) row count and few
-    /// columns. Computed as a parallel reduction of per-chunk outer
-    /// products, so the big dimension is traversed once.
+    /// columns, accumulated in `f64` by the register-tiled
+    /// [`crate::kernels::gram_tn`] (fixed row-block × output-row-group
+    /// tasks, so the bytes are identical at any thread count and on every
+    /// SIMD tier). A zero-width operand gives the zero (or empty) product.
     pub fn gram_tn(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.rows, other.rows, "gram shape mismatch");
-        let (_r, c, k) = (self.rows, self.cols, other.cols);
-        // Fixed row-block size (not derived from the thread count) and a
-        // sequential fold in block order: the accumulation bracketing is
-        // identical at any pool size, so the result is bitwise reproducible.
-        const GRAM_BLOCK_ROWS: usize = 4096;
-        let blocks: Vec<Vec<f64>> = self
-            .data
-            .par_chunks(GRAM_BLOCK_ROWS * c)
-            .zip(other.data.par_chunks(GRAM_BLOCK_ROWS * k))
-            .map(|(ablock, bblock)| {
-                let mut local = vec![0.0f64; c * k];
-                for (arow, brow) in ablock.chunks_exact(c).zip(bblock.chunks_exact(k)) {
-                    for (j, &a) in arow.iter().enumerate() {
-                        let dst = &mut local[j * k..(j + 1) * k];
-                        for (d, &b) in dst.iter_mut().zip(brow) {
-                            *d += a as f64 * b as f64;
-                        }
-                    }
-                }
-                local
-            })
-            .collect();
-        let mut acc = vec![0.0f64; c * k];
-        for block in blocks {
-            for (x, y) in acc.iter_mut().zip(block) {
-                *x += y;
-            }
-        }
+        let (c, k) = (self.cols, other.cols);
+        let acc = crate::kernels::gram_tn(&self.data, c, &other.data, k);
         DenseMatrix::from_vec(c, k, acc.into_iter().map(|x| x as f32).collect())
     }
 
@@ -251,6 +227,9 @@ impl DenseMatrix {
     /// Multiplies each column `j` by `scale[j]` (e.g. `X ← X·Σ^{1/2}`).
     pub fn scale_columns(&mut self, scale: &[f32]) {
         assert_eq!(scale.len(), self.cols);
+        if self.cols == 0 {
+            return;
+        }
         self.data.par_chunks_mut(self.cols).for_each(|row| {
             for (x, &s) in row.iter_mut().zip(scale) {
                 *x *= s;
@@ -260,6 +239,9 @@ impl DenseMatrix {
 
     /// L2-normalizes every row (common post-processing for embeddings).
     pub fn normalize_rows(&mut self) {
+        if self.cols == 0 {
+            return;
+        }
         self.data.par_chunks_mut(self.cols).for_each(|row| {
             let norm = row.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt();
             if norm > 0.0 {
@@ -342,6 +324,16 @@ mod tests {
     }
 
     #[test]
+    fn gram_tn_of_zero_width_or_zero_rows() {
+        let (a, empty) = (DenseMatrix::gaussian(5, 3, 1), DenseMatrix::zeros(5, 0));
+        assert_eq!(empty.gram_tn(&a), DenseMatrix::zeros(0, 3));
+        assert_eq!(a.gram_tn(&empty), DenseMatrix::zeros(3, 0));
+        assert_eq!(empty.gram_tn(&empty), DenseMatrix::zeros(0, 0));
+        let no_rows = DenseMatrix::zeros(0, 4);
+        assert_eq!(no_rows.gram_tn(&no_rows), DenseMatrix::zeros(4, 4));
+    }
+
+    #[test]
     fn transpose_involution() {
         let a = DenseMatrix::gaussian(13, 7, 4);
         assert_eq!(a.transpose().transpose(), a);
@@ -374,6 +366,20 @@ mod tests {
         a.scale_columns(&[2.0, 10.0]);
         assert_eq!(a.row(0), &[2.0, 20.0]);
         assert_eq!(a.row(1), &[6.0, 40.0]);
+    }
+
+    #[test]
+    fn scale_columns_of_zero_width() {
+        let mut a = DenseMatrix::zeros(5, 0);
+        a.scale_columns(&[]);
+        assert_eq!(a, DenseMatrix::zeros(5, 0));
+    }
+
+    #[test]
+    fn normalize_rows_of_zero_width() {
+        let mut a = DenseMatrix::zeros(5, 0);
+        a.normalize_rows();
+        assert_eq!(a, DenseMatrix::zeros(5, 0));
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!   Panelᵀ` (an NT product over the tall dimension, accumulated in
 //!   `f64`) and `Panel -= coefᵀ · Q_done` (a wide low-rank update). Both
 //!   are provided here with fixed-block accumulation orders.
+//! * **Gram product** — `aᵀ·b` over the tall dimension ([`gram_tn`]) in
+//!   `f64` register tiles, over fixed row-block × output-row-group tasks
+//!   whose partials fold in block order.
 //! * **Rotation kernels** — the one-sided Jacobi SVD applies its plane
 //!   rotations through the fused [`gram2`]/[`rot2`] pair so the column
 //!   sweeps run at memory speed instead of through nested `Vec`s.
@@ -36,6 +39,7 @@
 
 use crate::simd::{self, SimdTier};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Micro-kernel tile height (rows of `A` held in registers).
 pub const MR: usize = 4;
@@ -331,11 +335,18 @@ pub fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
         }
         SimdTier::Avx2 | SimdTier::Avx512 => simd::dot_accumulate(&a[..main], &b[..main], &mut acc),
     }
+    finish_dot(&mut acc, &a[main..], &b[main..])
+}
+
+/// The end of [`dot_f64`] once its lanes hold the whole-group sums: the
+/// tail elements summed in order, the lanes folded pairwise in the fixed
+/// bracketing, then the tail added.
+#[inline]
+fn finish_dot(acc: &mut [f64; DOT_LANES], a_tail: &[f32], b_tail: &[f32]) -> f64 {
     let mut tail = 0.0f64;
-    for (&x, &y) in a[main..].iter().zip(&b[main..]) {
+    for (&x, &y) in a_tail.iter().zip(b_tail) {
         tail += x as f64 * y as f64;
     }
-    // Pairwise tree fold, always the same bracketing.
     let mut width = DOT_LANES;
     while width > 1 {
         for i in 0..width / 2 {
@@ -346,21 +357,163 @@ pub fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
     acc[0] + tail
 }
 
+/// Four [`dot_f64`]s of one row against four others, bitwise equal to
+/// the four separate calls: each dot keeps its own [`DOT_LANES`] lanes,
+/// tail and fold, while the vector loop widens each group of `a` once for
+/// all four. AVX-512 only: four dots' 128 lanes are 16 of its 32
+/// registers, but would be 32 AVX2 registers, twice the AVX2 file.
+fn dot4_f64(a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
+    let main = a.len() - a.len() % DOT_LANES;
+    let mut acc = [[0.0f64; DOT_LANES]; 4];
+    simd::dot4_accumulate(&a[..main], b.map(|x| &x[..main]), &mut acc);
+    let mut out = [0.0f64; 4];
+    for ((o, lanes), x) in out.iter_mut().zip(&mut acc).zip(b) {
+        *o = finish_dot(lanes, &a[main..], &x[main..]);
+    }
+    out
+}
+
 /// Projection coefficients for the panel QR: `coef[q·nb + c] =
 /// ⟨done_q, panel_c⟩` in `f64`, where `done` holds `ndone` finished rows
 /// and `panel` holds `nb` in-flight rows, all of length `len`.
 ///
-/// One parallel task per finished row; each coefficient is a single
-/// fixed-pattern [`dot_f64`], so the result is thread-count independent.
+/// One parallel task per finished row. Each coefficient is the
+/// fixed-pattern [`dot_f64`] of its pair, so the result is thread-count
+/// independent; on AVX-512 the task takes the panel rows four at a time
+/// ([`dot4_f64`], the same bytes), reading its finished row once per
+/// four coefficients instead of once per coefficient.
 pub fn proj_coef(done: &[f32], panel: &[f32], ndone: usize, nb: usize, len: usize) -> Vec<f64> {
     let mut coef = vec![0.0f64; ndone * nb];
+    let multi = simd::active_tier() == SimdTier::Avx512;
     coef.par_chunks_mut(nb.max(1)).enumerate().for_each(|(q, crow)| {
         let qrow = &done[q * len..(q + 1) * len];
-        for (c, out) in crow.iter_mut().enumerate() {
-            *out = dot_f64(qrow, &panel[c * len..(c + 1) * len]);
+        let prow = |c: usize| &panel[c * len..(c + 1) * len];
+        let quads = if multi { nb / 4 } else { 0 };
+        for (g, quad) in crow.chunks_exact_mut(4).take(quads).enumerate() {
+            quad.copy_from_slice(&dot4_f64(qrow, std::array::from_fn(|i| prow(4 * g + i))));
+        }
+        for (c, out) in crow.iter_mut().enumerate().skip(4 * quads) {
+            *out = dot_f64(qrow, prow(c));
         }
     });
     coef
+}
+
+/// Output rows (columns of the left operand) per [`gram_tn`] task.
+/// Fixed, never thread-derived: with the [`REDUCE_BLOCK`]-row blocks it
+/// fixes the task grid — 2 blocks × 5 groups at the `8000 × 144` sketch
+/// of `sbm_factor`. Each chunk of `b` is read once for the group's eight
+/// tiles; 32 measured faster than 16 on one thread and on two (7.6
+/// against 8.2–8.6 ms at `8000 × 144`, one thread).
+const GRAM_GROUP: usize = 32;
+
+/// Height of the [`gram_tn`] register tile: output rows whose
+/// accumulators stay in registers while a task streams its rows.
+pub(crate) const GRAM_TILE: usize = 4;
+
+/// Rows a [`gram_tn`] task streams through every tile of its group
+/// before moving on: the tiles' accumulators go to the task's `f64`
+/// partial and come back (exact, so the order of additions is
+/// untouched), while the chunk's rows of both operands stay in L1/L2
+/// for all of the group's tiles. Chunks of 128–512 rows measured
+/// fastest; streaming the whole 4096-row block per tile was ~40 % slower
+/// (`8000 × 144`, one thread).
+const GRAM_CHUNK: usize = 256;
+
+/// `aᵀ·b` in `f64` for row-major `a` (`rows × c`) and `b` (`rows × k`):
+/// the `c × k` result, row-major. Bitwise equal to
+/// [`crate::reference::gram_tn_f64`] on every tier and at any thread
+/// count.
+///
+/// The work is split into fixed tasks of one [`REDUCE_BLOCK`]-row block
+/// times one [`GRAM_GROUP`] of output rows. Within a task every output
+/// element is summed from `+0.0` over the block's rows in ascending
+/// order — the reference's order — whether by the scalar loop or by a
+/// SIMD register tile, whose fused multiply-adds round the same values
+/// (an `f32·f32` product is exact in `f64`). The block partials are then
+/// folded in block order, as the reference folds them.
+pub fn gram_tn(a: &[f32], c: usize, b: &[f32], k: usize) -> Vec<f64> {
+    if c == 0 || k == 0 {
+        return vec![0.0; c * k];
+    }
+    let rows = a.len() / c;
+    assert!(a.len() == rows * c && b.len() == rows * k, "gram shape mismatch");
+    let (blocks, groups) = (rows.div_ceil(REDUCE_BLOCK), c.div_ceil(GRAM_GROUP));
+    let tier = simd::active_tier();
+    let parts: Vec<Vec<f64>> = (0..blocks * groups)
+        .into_par_iter()
+        .map(|t| {
+            let (r0, j0) = ((t / groups) * REDUCE_BLOCK, (t % groups) * GRAM_GROUP);
+            let (r1, j1) = ((r0 + REDUCE_BLOCK).min(rows), (j0 + GRAM_GROUP).min(c));
+            let mut local = vec![0.0f64; (j1 - j0) * k];
+            gram_group(tier, &a[r0 * c..r1 * c], c, &b[r0 * k..r1 * k], k, j0..j1, &mut local);
+            local
+        })
+        .collect();
+    let mut acc = vec![0.0f64; c * k];
+    for (t, part) in parts.iter().enumerate() {
+        let j0 = (t % groups) * GRAM_GROUP;
+        for (x, &y) in acc[j0 * k..].iter_mut().zip(part) {
+            *x += y;
+        }
+    }
+    acc
+}
+
+/// One [`gram_tn`] task: `local[(j − js.start)·k + l] = Σ_rows a[j]·b[l]`
+/// for `j ∈ js`, over the rows of the block `ab` / `bb`, taken
+/// [`GRAM_CHUNK`] rows at a time. On the SIMD tiers the whole
+/// [`GRAM_TILE`]-row tiles run as register tiles over as many columns as
+/// the tier's vectors cover; the ragged columns and rows run the scalar
+/// loop, which is the whole task on the scalar tier.
+fn gram_group(
+    tier: SimdTier,
+    ab: &[f32],
+    c: usize,
+    bb: &[f32],
+    k: usize,
+    js: Range<usize>,
+    local: &mut [f64],
+) {
+    let j0 = js.start;
+    let tiled = match tier {
+        SimdTier::Scalar => j0,
+        SimdTier::Avx2 | SimdTier::Avx512 => j0 + js.len() / GRAM_TILE * GRAM_TILE,
+    };
+    let mut wa = Vec::new(); // the SIMD chunk kernels' widened columns of `a`
+    for (ac, bc) in ab.chunks(GRAM_CHUNK * c).zip(bb.chunks(GRAM_CHUNK * k)) {
+        let covered =
+            if tiled > j0 { simd::gram_chunk(ac, c, j0..tiled, bc, k, local, &mut wa) } else { 0 };
+        gram_scalar(ac, c, bc, k, j0, j0..tiled, covered..k, local);
+        gram_scalar(ac, c, bc, k, j0, tiled..js.end, 0..k, local);
+    }
+}
+
+/// The scalar tier of [`gram_group`] over output rows `js` and columns
+/// `ls`: the reference's row loop, restricted.
+#[allow(clippy::too_many_arguments)]
+fn gram_scalar(
+    ab: &[f32],
+    c: usize,
+    bb: &[f32],
+    k: usize,
+    j0: usize,
+    js: Range<usize>,
+    ls: Range<usize>,
+    local: &mut [f64],
+) {
+    if js.is_empty() || ls.is_empty() {
+        return;
+    }
+    for (arow, brow) in ab.chunks_exact(c).zip(bb.chunks_exact(k)) {
+        for j in js.clone() {
+            let a = arow[j] as f64;
+            let dst = &mut local[(j - j0) * k + ls.start..(j - j0) * k + ls.end];
+            for (d, &b) in dst.iter_mut().zip(&brow[ls.clone()]) {
+                *d += a * b as f64;
+            }
+        }
+    }
 }
 
 /// Low-rank panel update for the panel QR:

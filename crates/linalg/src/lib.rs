@@ -8,10 +8,13 @@
 //! single precision MKL's `s` routines use:
 //!
 //! * [`dense::DenseMatrix`] — row-major `f32` matrices with parallel GEMM
-//!   (`matmul`), tall-matrix Gram products (`gram_tn`), Gaussian random
+//!   (`matmul`), tall-matrix Gram products (`gram_tn`: `f64` register
+//!   tiles over fixed row-block × output-row-group tasks), Gaussian random
 //!   matrices and elementwise maps.
-//! * [`qr`] — modified Gram–Schmidt orthonormalization with
-//!   re-orthogonalization ("twice is enough"), replacing `sgeqrf + sorgqr`.
+//! * [`qr`] — panel block classical Gram–Schmidt with re-orthogonalization
+//!   (BCGS2, "twice is enough"): each panel is projected against the
+//!   finished columns by blocked products, then orthonormalized by
+//!   two-pass MGS; replaces `sgeqrf + sorgqr`.
 //! * [`svd`] — one-sided Jacobi SVD for the small `d×d` projected matrix,
 //!   replacing `sgesvd`.
 //! * [`sparse::CsrMatrix`] — CSR sparse matrices built in parallel from
@@ -25,7 +28,8 @@
 //!   interchange format).
 //! * [`kernels`] — the cache-/register-blocked compute kernels behind the
 //!   modules above: packed-panel GEMM with an `MR×NR` register micro-kernel,
-//!   blocked projection products for the panel QR, and the fused
+//!   the register-tiled Gram product, blocked projection products for the
+//!   panel QR, and the fused
 //!   Gram/rotation primitives of the Jacobi SVD. All blocking constants are
 //!   fixed (never thread-derived), so results are bitwise identical at any
 //!   rayon pool size.

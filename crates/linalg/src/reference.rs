@@ -2,7 +2,8 @@
 //!
 //! These are the naive implementations [`crate::kernels`] replaced: the
 //! i-l-j row-parallel GEMM with its per-element `a != 0.0` branch, the
-//! strictly sequential-over-columns MGS QR, and the `Vec<Vec<f64>>`
+//! row-streaming `f64` Gram product, the strictly sequential-over-columns
+//! MGS QR, and the `Vec<Vec<f64>>`
 //! column-at-a-time cyclic Jacobi SVD — plus the unfused sparse×dense
 //! product and the `scale`/`axpy` passes that
 //! [`crate::sparse::CsrMatrix::spmm_fused`] folds into one kernel. They
@@ -75,6 +76,49 @@ pub fn matmul(a: &DenseMatrix, other: &DenseMatrix) -> DenseMatrix {
         }
     });
     out
+}
+
+/// The row-streaming Gram product `aᵀ (c×r) · b (r×k) → (c×k)` that
+/// [`DenseMatrix::gram_tn`] replaced, before its final `f32` cast: per
+/// 4096-row block, one `f64` partial accumulated row by row as
+/// `local[j][l] += a[j]·b[l]`, the partials folded in block order. The
+/// byte-level oracle of [`crate::kernels::gram_tn`], which keeps exactly
+/// this per-element order.
+pub fn gram_tn_f64(a: &DenseMatrix, other: &DenseMatrix) -> Vec<f64> {
+    assert_eq!(a.rows(), other.rows(), "gram shape mismatch");
+    let (c, k) = (a.cols(), other.cols());
+    const GRAM_BLOCK_ROWS: usize = 4096;
+    let blocks: Vec<Vec<f64>> = a
+        .as_slice()
+        .par_chunks(GRAM_BLOCK_ROWS * c)
+        .zip(other.as_slice().par_chunks(GRAM_BLOCK_ROWS * k))
+        .map(|(ablock, bblock)| {
+            let mut local = vec![0.0f64; c * k];
+            for (arow, brow) in ablock.chunks_exact(c).zip(bblock.chunks_exact(k)) {
+                for (j, &a) in arow.iter().enumerate() {
+                    let dst = &mut local[j * k..(j + 1) * k];
+                    for (d, &b) in dst.iter_mut().zip(brow) {
+                        *d += a as f64 * b as f64;
+                    }
+                }
+            }
+            local
+        })
+        .collect();
+    let mut acc = vec![0.0f64; c * k];
+    for block in blocks {
+        for (x, y) in acc.iter_mut().zip(block) {
+            *x += y;
+        }
+    }
+    acc
+}
+
+/// [`gram_tn_f64`] cast to `f32`: the pre-register-tiling
+/// `DenseMatrix::gram_tn`, and `bench_linalg_json`'s baseline for it.
+pub fn gram_tn(a: &DenseMatrix, other: &DenseMatrix) -> DenseMatrix {
+    let acc = gram_tn_f64(a, other);
+    DenseMatrix::from_vec(a.cols(), other.cols(), acc.into_iter().map(|x| x as f32).collect())
 }
 
 /// Threshold below which vector ops stay sequential (pre-PR value).

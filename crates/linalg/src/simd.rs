@@ -18,12 +18,14 @@
 //!
 //! # Determinism contract (per kernel)
 //!
-//! * [`dot_accumulate`], [`col_dots_block`] — **bitwise identical** to
-//!   the scalar lane loops: `f32` operands widened to `f64` multiply
+//! * [`dot_accumulate`], [`dot4_accumulate`], [`col_dots_block`],
+//!   [`gram_chunk`] — **bitwise identical** to the scalar loops: `f32`
+//!   operands widened to `f64` multiply
 //!   *exactly* (24-bit mantissas → ≤ 48-bit product < 53-bit mantissa),
 //!   so a fused `vfmadd…pd` rounds once from the same exact value the
-//!   scalar mul-then-add rounds from. Lane assignment and the pairwise
-//!   fold stay in [`crate::kernels`], shared with the scalar path.
+//!   scalar mul-then-add rounds from, and each accumulator sees the scalar
+//!   loop's additions in the scalar loop's order. Lane assignment and the
+//!   pairwise fold stay in [`crate::kernels`], shared with the scalar path.
 //! * [`axpy4`], [`gram2_accumulate`], [`rot2`], [`spmm_row`] — **bitwise
 //!   identical**: elementwise kernels compiled as separate multiply and
 //!   add/sub in the scalar source order (no FMA contraction), vectorized
@@ -58,8 +60,9 @@ pub enum SimdTier {
     Scalar = 0,
     /// AVX2 + FMA: 8-wide `f32`, 4-wide `f64`.
     Avx2 = 1,
-    /// AVX-512F: 16-wide `f32` GEMM micro-kernel; the `f64` vector
-    /// kernels reuse the AVX2 implementations (already bandwidth-bound).
+    /// AVX-512F: 16-wide `f32` GEMM micro-kernel, 8-wide `f64` Gram
+    /// tiles and four-way dots; the other `f64` vector kernels reuse the
+    /// AVX2 implementations (already bandwidth-bound).
     Avx512 = 2,
 }
 
@@ -167,10 +170,12 @@ mod x86 {
     //! [`super::active_tier`] clamp (a SIMD tier is only reachable after
     //! `is_x86_feature_detected!` confirmed the feature).
 
+    use super::SimdTier;
     use crate::dense::DenseMatrix;
-    use crate::kernels::{DOT_LANES, GRAM_LANES, MR, NR};
+    use crate::kernels::{DOT_LANES, GRAM_LANES, GRAM_TILE, MR, NR};
     use crate::sparse::SPMM_PREFETCH;
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// AVX2+FMA micro-kernel with direct writeback: accumulates the
     /// register tile over the packed strips like [`mk_avx2`], then adds
@@ -312,6 +317,291 @@ mod x86 {
                 _mm256_storeu_pd(acc.as_mut_ptr().add(4 * i), *vi);
             }
         }
+    }
+
+    /// Main-loop accumulation of four [`crate::kernels::dot_f64`]s of `a`
+    /// against `b[0..4]`: each 32-float group of `a` is widened once and
+    /// fused into all four dots' lanes, lane `8g + e` of a group in
+    /// element `e` of register `g` — the lane assignment of
+    /// [`dot_acc_avx2`] and of the scalar loop, so each dot is bitwise
+    /// its own single `dot_f64`.
+    ///
+    /// # Safety
+    /// Requires AVX-512F (guaranteed by the dispatching wrapper).
+    // SAFETY: pointer arithmetic is bounded by the length asserts below;
+    // the feature guard is the wrapper's detection clamp.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn dot4_acc_avx512(a: &[f32], b: [&[f32]; 4], acc: &mut [[f64; DOT_LANES]; 4]) {
+        assert!(
+            a.len().is_multiple_of(DOT_LANES) && b.iter().all(|x| x.len() == a.len()),
+            "dot4 accumulate shape"
+        );
+        // SAFETY: all five slices are the same whole multiple of
+        // DOT_LANES = 32 floats (asserted), so the 8-float loads at
+        // `off + 8g`, g < 4, are in bounds; each `acc[d]` is 32 doubles =
+        // four 8-lane vectors.
+        unsafe {
+            let mut v = [[_mm512_setzero_pd(); 4]; 4];
+            for (vd, ad) in v.iter_mut().zip(acc.iter()) {
+                for (g, x) in vd.iter_mut().enumerate() {
+                    *x = _mm512_loadu_pd(ad.as_ptr().add(8 * g));
+                }
+            }
+            let ap = a.as_ptr();
+            let bp = b.map(<[f32]>::as_ptr);
+            let mut off = 0usize;
+            while off < a.len() {
+                let mut aw = [_mm512_setzero_pd(); 4];
+                for (g, x) in aw.iter_mut().enumerate() {
+                    *x = _mm512_cvtps_pd(_mm256_loadu_ps(ap.add(off + 8 * g)));
+                }
+                for (vd, &p) in v.iter_mut().zip(&bp) {
+                    for (g, x) in vd.iter_mut().enumerate() {
+                        let bw = _mm512_cvtps_pd(_mm256_loadu_ps(p.add(off + 8 * g)));
+                        *x = _mm512_fmadd_pd(aw[g], bw, *x);
+                    }
+                }
+                off += DOT_LANES;
+            }
+            for (vd, ad) in v.iter().zip(acc.iter_mut()) {
+                for (g, x) in vd.iter().enumerate() {
+                    _mm512_storeu_pd(ad.as_mut_ptr().add(8 * g), *x);
+                }
+            }
+        }
+    }
+
+    /// One column strip of a [`crate::kernels::gram_tn`] register tile:
+    /// `out[r·k + l] += Σᵢ a[i][t + r] · b[i][l]` for the `GRAM_TILE`
+    /// rows `r` from `t` and the `8·N` columns `l` from `l0`, over every
+    /// row `i` of the chunk. `wa` holds the chunk's tiled columns of `a`
+    /// already widened, `gt` per row, so each `a` value is a broadcast
+    /// load; `bb` is the chunk of `b`, widened here. The `4·N`
+    /// accumulators start from `out`, stay in registers while the rows
+    /// stream in ascending order, and are stored once: per element the
+    /// scalar loop's sequence of additions, each rounding the same exact
+    /// widened product.
+    ///
+    /// # Safety
+    /// Requires AVX-512F (guaranteed by the dispatching wrapper).
+    // SAFETY: pointer arithmetic is bounded by the shape asserts below;
+    // the feature guard is the wrapper's detection clamp.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn gram_strip_avx512<const N: usize>(
+        wa: &[f64],
+        gt: usize,
+        t: usize,
+        bb: &[f32],
+        k: usize,
+        l0: usize,
+        out: &mut [f64],
+    ) {
+        let rows = bb.len() / k;
+        assert!(
+            t + GRAM_TILE <= gt
+                && l0 + 8 * N <= k
+                && wa.len() == rows * gt
+                && bb.len() == rows * k
+                && out.len() >= (GRAM_TILE - 1) * k + l0 + 8 * N,
+            "gram strip out of bounds"
+        );
+        // SAFETY: row `i < rows` reads `wa[i·gt + t .. + GRAM_TILE]`
+        // (t + GRAM_TILE ≤ gt) and floats `i·k + l0 .. + 8N` of `bb`
+        // (l0 + 8N ≤ k); the tile touches `out[r·k + l0 .. + 8N]` for
+        // r < GRAM_TILE, all inside the asserted lengths.
+        unsafe {
+            let op = out.as_mut_ptr().add(l0);
+            let mut acc = [[_mm512_setzero_pd(); N]; GRAM_TILE];
+            for (r, ar) in acc.iter_mut().enumerate() {
+                for (v, x) in ar.iter_mut().enumerate() {
+                    *x = _mm512_loadu_pd(op.add(r * k + 8 * v));
+                }
+            }
+            let (ap, bp) = (wa.as_ptr().add(t), bb.as_ptr().add(l0));
+            for i in 0..rows {
+                let (ai, bi) = (ap.add(i * gt), bp.add(i * k));
+                let mut bw = [_mm512_setzero_pd(); N];
+                for (v, x) in bw.iter_mut().enumerate() {
+                    *x = _mm512_cvtps_pd(_mm256_loadu_ps(bi.add(8 * v)));
+                }
+                for (r, ar) in acc.iter_mut().enumerate() {
+                    let aw = _mm512_set1_pd(*ai.add(r));
+                    for (x, &y) in ar.iter_mut().zip(&bw) {
+                        *x = _mm512_fmadd_pd(aw, y, *x);
+                    }
+                }
+            }
+            for (r, ar) in acc.iter().enumerate() {
+                for (v, x) in ar.iter().enumerate() {
+                    _mm512_storeu_pd(op.add(r * k + 8 * v), *x);
+                }
+            }
+        }
+    }
+
+    /// `wa ← a[i][js]` widened to `f64`, row by row: the tiled columns of
+    /// one chunk, copied once so the strips broadcast them from memory
+    /// instead of converting each `a` value once per strip. Plain code,
+    /// inlined into each tier's chunk kernel and vectorized there.
+    #[inline(always)]
+    fn widen_columns(ac: &[f32], c: usize, js: Range<usize>, wa: &mut Vec<f64>) {
+        let gt = js.len();
+        wa.resize(ac.len() / c * gt, 0.0);
+        for (w, arow) in wa.chunks_exact_mut(gt).zip(ac.chunks_exact(c)) {
+            for (x, &y) in w.iter_mut().zip(&arow[js.clone()]) {
+                *x = y as f64;
+            }
+        }
+    }
+
+    /// One `GRAM_CHUNK`-row chunk of a [`crate::kernels::gram_tn`] task on
+    /// AVX-512: the output rows `js` (whole tiles, from the task's first
+    /// row) over the first `k − k mod 8` columns, in strips of 32, 16 and
+    /// 8 columns ([`gram_strip_avx512`]). Returns the number of columns
+    /// covered.
+    ///
+    /// # Safety
+    /// Requires AVX-512F (guaranteed by the dispatching wrapper).
+    // SAFETY: delegates to `gram_strip_avx512`, which asserts its own
+    // bounds; the feature guard is the wrapper's detection clamp.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gram_chunk_avx512_impl(
+        ac: &[f32],
+        c: usize,
+        js: Range<usize>,
+        bc: &[f32],
+        k: usize,
+        local: &mut [f64],
+        wa: &mut Vec<f64>,
+    ) -> usize {
+        let gt = js.len();
+        widen_columns(ac, c, js, wa);
+        let mut l0 = 0;
+        for t in (0..gt).step_by(GRAM_TILE) {
+            let out = &mut local[t * k..];
+            l0 = 0;
+            // SAFETY: AVX-512F is enabled on this function, so calling
+            // the same-feature strip kernels is sound.
+            unsafe {
+                while l0 + 32 <= k {
+                    gram_strip_avx512::<4>(wa, gt, t, bc, k, l0, out);
+                    l0 += 32;
+                }
+                if l0 + 16 <= k {
+                    gram_strip_avx512::<2>(wa, gt, t, bc, k, l0, out);
+                    l0 += 16;
+                }
+                if l0 + 8 <= k {
+                    gram_strip_avx512::<1>(wa, gt, t, bc, k, l0, out);
+                    l0 += 8;
+                }
+            }
+        }
+        l0
+    }
+
+    /// [`gram_strip_avx512`] on AVX2: `4·N`-column strips of 4-lane
+    /// registers, the same per-element order.
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA (guaranteed by the dispatching wrapper).
+    // SAFETY: pointer arithmetic is bounded by the shape asserts below;
+    // the feature guard is the wrapper's detection clamp.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn gram_strip_avx2<const N: usize>(
+        wa: &[f64],
+        gt: usize,
+        t: usize,
+        bb: &[f32],
+        k: usize,
+        l0: usize,
+        out: &mut [f64],
+    ) {
+        let rows = bb.len() / k;
+        assert!(
+            t + GRAM_TILE <= gt
+                && l0 + 4 * N <= k
+                && wa.len() == rows * gt
+                && bb.len() == rows * k
+                && out.len() >= (GRAM_TILE - 1) * k + l0 + 4 * N,
+            "gram strip out of bounds"
+        );
+        // SAFETY: as in `gram_strip_avx512`, with 4N-float column strips.
+        unsafe {
+            let op = out.as_mut_ptr().add(l0);
+            let mut acc = [[_mm256_setzero_pd(); N]; GRAM_TILE];
+            for (r, ar) in acc.iter_mut().enumerate() {
+                for (v, x) in ar.iter_mut().enumerate() {
+                    *x = _mm256_loadu_pd(op.add(r * k + 4 * v));
+                }
+            }
+            let (ap, bp) = (wa.as_ptr().add(t), bb.as_ptr().add(l0));
+            for i in 0..rows {
+                let (ai, bi) = (ap.add(i * gt), bp.add(i * k));
+                let mut bw = [_mm256_setzero_pd(); N];
+                for (v, x) in bw.iter_mut().enumerate() {
+                    *x = _mm256_cvtps_pd(_mm_loadu_ps(bi.add(4 * v)));
+                }
+                for (r, ar) in acc.iter_mut().enumerate() {
+                    let aw = _mm256_broadcast_sd(&*ai.add(r));
+                    for (x, &y) in ar.iter_mut().zip(&bw) {
+                        *x = _mm256_fmadd_pd(aw, y, *x);
+                    }
+                }
+            }
+            for (r, ar) in acc.iter().enumerate() {
+                for (v, x) in ar.iter().enumerate() {
+                    _mm256_storeu_pd(op.add(r * k + 4 * v), *x);
+                }
+            }
+        }
+    }
+
+    /// [`gram_chunk_avx512_impl`] on AVX2: the first `k − k mod 4`
+    /// columns in strips of 12, 8 and 4 (twelve accumulators leave the
+    /// sixteen registers room for the operands). Returns the number of
+    /// columns covered.
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA (guaranteed by the dispatching wrapper).
+    // SAFETY: delegates to `gram_strip_avx2`, which asserts its own
+    // bounds; the feature guard is the wrapper's detection clamp.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gram_chunk_avx2_impl(
+        ac: &[f32],
+        c: usize,
+        js: Range<usize>,
+        bc: &[f32],
+        k: usize,
+        local: &mut [f64],
+        wa: &mut Vec<f64>,
+    ) -> usize {
+        let gt = js.len();
+        widen_columns(ac, c, js, wa);
+        let mut l0 = 0;
+        for t in (0..gt).step_by(GRAM_TILE) {
+            let out = &mut local[t * k..];
+            l0 = 0;
+            // SAFETY: AVX2 and FMA are enabled on this function, so
+            // calling the same-feature strip kernels is sound.
+            unsafe {
+                while l0 + 12 <= k {
+                    gram_strip_avx2::<3>(wa, gt, t, bc, k, l0, out);
+                    l0 += 12;
+                }
+                if l0 + 8 <= k {
+                    gram_strip_avx2::<2>(wa, gt, t, bc, k, l0, out);
+                    l0 += 8;
+                }
+                if l0 + 4 <= k {
+                    gram_strip_avx2::<1>(wa, gt, t, bc, k, l0, out);
+                    l0 += 4;
+                }
+            }
+        }
+        l0
     }
 
     /// One row-block of [`crate::kernels::columnwise_dots`]: per row,
@@ -646,6 +936,39 @@ mod x86 {
         unsafe { dot_acc_avx2(a, b, acc) }
     }
 
+    /// Four vectorized dot-product accumulations sharing one operand
+    /// (see [`dot4_acc_avx512`]).
+    #[inline]
+    pub(crate) fn dot4_accumulate(a: &[f32], b: [&[f32]; 4], acc: &mut [[f64; DOT_LANES]; 4]) {
+        // SAFETY: reachable only when active_tier() == Avx512 (detection
+        // clamp, see microkernel_avx512_pair).
+        unsafe { dot4_acc_avx512(a, b, acc) }
+    }
+
+    /// One `GRAM_CHUNK`-row chunk of a [`crate::kernels::gram_tn`] task
+    /// on the active tier ([`gram_chunk_avx512_impl`],
+    /// [`gram_chunk_avx2_impl`]): returns how many leading columns it
+    /// covered, none on the scalar tier.
+    #[inline]
+    pub(crate) fn gram_chunk(
+        ac: &[f32],
+        c: usize,
+        js: Range<usize>,
+        bc: &[f32],
+        k: usize,
+        local: &mut [f64],
+        wa: &mut Vec<f64>,
+    ) -> usize {
+        match super::active_tier() {
+            // SAFETY: active_tier() is clamped to the detected tier, so
+            // Avx512 means is_x86_feature_detected! confirmed avx512f.
+            SimdTier::Avx512 => unsafe { gram_chunk_avx512_impl(ac, c, js, bc, k, local, wa) },
+            // SAFETY: likewise, Avx2 means avx2 and fma were detected.
+            SimdTier::Avx2 => unsafe { gram_chunk_avx2_impl(ac, c, js, bc, k, local, wa) },
+            SimdTier::Scalar => 0,
+        }
+    }
+
     /// Vectorized columnwise-dots row block (see [`col_dots_avx2`]).
     #[inline]
     pub fn col_dots_block(ab: &[f32], bb: &[f32], cols: usize, local: &mut [f64]) {
@@ -706,6 +1029,7 @@ mod fallback {
 
     use crate::dense::DenseMatrix;
     use crate::kernels::{DOT_LANES, GRAM_LANES};
+    use std::ops::Range;
 
     /// No-op on non-x86_64 targets (no portable prefetch hint).
     #[inline(always)]
@@ -743,6 +1067,27 @@ mod fallback {
     pub fn dot_accumulate(_: &[f32], _: &[f32], _: &mut [f64; DOT_LANES]) {
         // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
         unreachable!("SIMD tier selected off x86_64")
+    }
+
+    /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
+    pub(crate) fn dot4_accumulate(_: &[f32], _: [&[f32]; 4], _: &mut [[f64; DOT_LANES]; 4]) {
+        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
+        unreachable!("SIMD tier selected off x86_64")
+    }
+
+    /// Off x86_64 there are no register tiles: no column is covered and
+    /// the scalar loop computes the whole chunk.
+    #[allow(clippy::ptr_arg)]
+    pub(crate) fn gram_chunk(
+        _: &[f32],
+        _: usize,
+        _: Range<usize>,
+        _: &[f32],
+        _: usize,
+        _: &mut [f64],
+        _: &mut Vec<f64>,
+    ) -> usize {
+        0
     }
 
     /// Unreachable off x86_64 (dispatch never selects a SIMD tier).

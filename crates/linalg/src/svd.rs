@@ -409,6 +409,14 @@ mod tests {
     }
 
     #[test]
+    fn tall_thin_svd_of_zero_width() {
+        let svd = tall_thin_svd(&DenseMatrix::zeros(6, 0));
+        assert_eq!((svd.u.rows(), svd.u.cols()), (6, 0));
+        assert_eq!((svd.v.rows(), svd.v.cols()), (0, 0));
+        assert!(svd.sigma.is_empty());
+    }
+
+    #[test]
     fn tall_thin_svd_rank_deficient() {
         // Two identical columns → one zero singular value, zeroed U column.
         let g = DenseMatrix::gaussian(100, 1, 23);

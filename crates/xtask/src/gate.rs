@@ -180,12 +180,18 @@ const LINALG: &[Row] = &[
     Row { when: Some(When::AtBaseline("gemm_m")), ..row("gemm_speedup", Rule::AtLeast(2.0)) },
     Row { when: Some(When::OffBaseline("gemm_m")), ..row("gemm_speedup", Rule::AtLeast(1.25)) },
     row("rsvd_speedup", Rule::AtLeast(1.5)),
+    // The register-tiled Gram product against the row-streaming loop it
+    // replaced: 4.2–4.4× on one thread at 8000 × 144 (native build).
+    Row { when: Some(When::AtBaseline("gram_rows")), ..row("gram_speedup", Rule::AtLeast(3.0)) },
     // Two threads not slower than one on the kernels that open a parallel
     // region per Jacobi round (the worse of `jacobi_svd` and
     // `tall_thin_svd`): a region must cost less than the ~10 µs of
-    // rotations it shares out. At these sizes the two are level (0.9–1.07
-    // over a dozen recordings), so the ceiling leaves timing noise room;
-    // a runtime that pays per region reads 2.2–4.6 (spawn per region).
+    // rotations it shares out. The ceiling leaves timing noise room; a
+    // runtime that pays per region reads 2.2–4.6 (spawn per region).
+    // The 192-column Jacobi reads 0.98–1.11. `tall_thin_svd` reads
+    // 0.97–1.27 since its Gram product, the part two threads speed up,
+    // got 6× cheaper: what it times now is mostly the 128-column Jacobi,
+    // on which two threads lose (ROADMAP item 3, `PAR_COLS`).
     // Only at the baseline's sizes and on a machine with a second core —
     // below `PAR_COLS` columns there is no region, on one core no second
     // thread. On a VM whose vCPUs the host has placed far apart
@@ -200,6 +206,7 @@ const LINALG: &[Row] = &[
     gflops("gemm_packed_gflops", &["gemm_m", "gemm_k", "gemm_n", "dispatch_tier"]),
     gflops("gemm_hot_gflops", &["gemm_hot_m", "gemm_k", "gemm_n", "dispatch_tier"]),
     gflops("gemm_scalar_gflops", &["gemm_m", "gemm_k", "gemm_n"]),
+    gflops("gram_tiled_gflops", &["gram_rows", "gram_cols", "dispatch_tier"]),
     gflops("qr_panel_gflops", &["qr_rows", "qr_cols", "dispatch_tier"]),
     gflops("rsvd_blocked_gflops", &["rsvd_n", "rsvd_rank", "dispatch_tier"]),
 ];

@@ -51,6 +51,12 @@ fn run_all() -> Vec<(&'static str, Vec<u32>)> {
     let b = DenseMatrix::gaussian(300, 48, 2);
     let gemm = bits(&a.matmul(&b));
 
+    // Gram: 9000 rows = three 4096-row blocks folded in order, 40 output
+    // rows = one full 32-row group and a ragged one.
+    let ga = DenseMatrix::gaussian(9_000, 40, 6);
+    let gb = DenseMatrix::gaussian(9_000, 36, 7);
+    let gram = bits(&ga.gram_tn(&gb));
+
     // QR: rows above PAR_THRESHOLD so par_dot/par_axpy actually split.
     let mut q = DenseMatrix::gaussian(20_000, 24, 3);
     orthonormalize_columns(&mut q);
@@ -67,6 +73,7 @@ fn run_all() -> Vec<(&'static str, Vec<u32>)> {
     let r = randomized_svd(&m, &cfg);
     vec![
         ("gemm", gemm),
+        ("gram_tn", gram),
         ("panel qr", qr),
         ("jacobi U", bits(&svd.u)),
         ("jacobi sigma", sigma_bits(&svd.sigma)),

@@ -5,7 +5,9 @@
 //!
 //! The blocked kernels use different summation bracketing than the naive
 //! loops, so results match up to f32 rounding, not bitwise — except the
-//! transpose, which only moves values. Shapes deliberately straddle the
+//! transpose, which only moves values, and the register-tiled Gram
+//! product and multi-dot projection coefficients, which keep their
+//! oracles' per-element order of additions. Shapes deliberately straddle the
 //! tile boundaries of the packed GEMM (MR = 4, NR = 16, KC = 256,
 //! MC = 128) and the QR panel width (16), where packing tail handling
 //! lives.
@@ -137,6 +139,87 @@ fn simd_qr_and_jacobi_match_scalar_bitwise() {
             assert_eq!(a.to_bits(), b.to_bits(), "U bytes differ on {}", tier.name());
         }
     });
+}
+
+/// Runs `f` on every tier the host can execute, scalar included, at 1,
+/// 2 and 8 threads, naming the case; restores the tier and the pool.
+fn for_each_tier_and_thread_count(mut f: impl FnMut(&str)) {
+    use lightne::utils::parallel::configure_threads;
+    for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+        if set_tier(tier) != tier {
+            continue; // host cannot run this tier
+        }
+        for threads in [1usize, 2, 8] {
+            configure_threads(threads);
+            f(&format!("{} tier, {threads} threads", tier.name()));
+        }
+    }
+    set_tier(detected_tier());
+    configure_threads(0);
+}
+
+fn bits(m: &DenseMatrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn tiled_gram_tn_matches_reference_bitwise() {
+    use lightne::linalg::kernels::gram_tn;
+    let _serial = TIER_LOCK.lock().unwrap();
+    // Widths straddle the 4-row register tile, the 8/16/32-column (AVX-512)
+    // and 4/8/12-column (AVX2) strips and the 32-row task group; rows
+    // straddle the 4096-row block (one, two and three blocks folded) and
+    // the 256-row chunk. Every width is paired with a rotating partner
+    // (A ≠ B) and with itself (A = B, the Gram matrix of one operand).
+    // The `f64` sums are compared, not only their `f32` casts, which
+    // would hide a change in the order of additions.
+    const WIDTHS: [usize; 14] = [1, 3, 4, 7, 8, 9, 16, 17, 24, 33, 48, 80, 128, 144];
+    let f64_bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+    let mut cases = Vec::new();
+    for (ri, rows) in [1usize, 4095, 4096, 4097, 8000, 9000].into_iter().enumerate() {
+        for (i, &c) in WIDTHS.iter().enumerate() {
+            let k = WIDTHS[(i + 1 + 3 * ri) % WIDTHS.len()];
+            let a = DenseMatrix::gaussian(rows, c, 1000 + (rows * 131 + c) as u64);
+            let b = DenseMatrix::gaussian(rows, k, 2000 + (rows * 137 + k) as u64);
+            let want_ab = f64_bits(reference::gram_tn_f64(&a, &b));
+            let want_aa = f64_bits(reference::gram_tn_f64(&a, &a));
+            let want_f32 = bits(&reference::gram_tn(&a, &b));
+            cases.push((a, b, want_ab, want_aa, want_f32));
+        }
+    }
+    for_each_tier_and_thread_count(|at| {
+        for (a, b, want_ab, want_aa, want_f32) in &cases {
+            let (c, k) = (a.cols(), b.cols());
+            let shape = format!("{}x({c}, {k})", a.rows());
+            let (sa, sb) = (a.as_slice(), b.as_slice());
+            assert_eq!(&f64_bits(gram_tn(sa, c, sb, k)), want_ab, "AᵀB, {shape}: {at}");
+            assert_eq!(&f64_bits(gram_tn(sa, c, sa, c)), want_aa, "AᵀA, {shape}: {at}");
+            assert_eq!(&bits(&a.gram_tn(b)), want_f32, "DenseMatrix AᵀB, {shape}: {at}");
+        }
+    });
+}
+
+#[test]
+fn multi_dot_proj_coef_matches_per_pair_dots_bitwise() {
+    use lightne::linalg::kernels::{dot_f64, proj_coef};
+    let _serial = TIER_LOCK.lock().unwrap();
+    // Panel widths that leave 1, 2 and 3 rows past the last group of four;
+    // lengths around the 32 accumulator lanes and one past several groups.
+    for len in [1usize, 31, 32, 33, 8000] {
+        for (ndone, nb) in [(5usize, 7usize), (3, 6), (16, 17), (2, 3)] {
+            let done = DenseMatrix::gaussian(ndone, len, 77 + (len + nb) as u64);
+            let panel = DenseMatrix::gaussian(nb, len, 78 + (len * 3 + ndone) as u64);
+            set_tier(SimdTier::Scalar);
+            let want: Vec<u64> = (0..ndone * nb)
+                .map(|i| dot_f64(done.row(i / nb), panel.row(i % nb)).to_bits())
+                .collect();
+            for_each_tier_and_thread_count(|at| {
+                let coef = proj_coef(done.as_slice(), panel.as_slice(), ndone, nb, len);
+                let got: Vec<u64> = coef.iter().map(|c| c.to_bits()).collect();
+                assert_eq!(got, want, "{ndone} finished × {nb} panel rows of {len}: {at}");
+            });
+        }
+    }
 }
 
 #[test]
@@ -281,7 +364,6 @@ fn blocked_jacobi_rank_deficient_matches_reference() {
 #[test]
 fn fused_spmm_matches_composed_reference_bitwise() {
     use lightne::linalg::CsrMatrix;
-    use lightne::utils::parallel::configure_threads;
     use lightne::utils::rng::XorShiftStream;
     let _serial = TIER_LOCK.lock().unwrap();
     // The fused kernel promises the *bytes* of the unfused sequence it
@@ -306,7 +388,6 @@ fn fused_spmm_matches_composed_reference_bitwise() {
     }
     let a = CsrMatrix::from_coo(n_rows, n_cols, coo);
     assert!(a.row(0).0.is_empty() && a.row(1).0.len() == 1 && a.row(164).0.len() > 8);
-    let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
 
     for d in [1usize, 7, 8, 17, 64, 128, 144] {
         let x = DenseMatrix::gaussian(n_cols, d, 300 + d as u64);
@@ -323,26 +404,18 @@ fn fused_spmm_matches_composed_reference_bitwise() {
         let mut want_side = old_side.clone();
         reference::axpy(&mut want_side, 0.37, &want);
 
-        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
-            if set_tier(tier) != tier {
-                continue; // host cannot run this tier
-            }
-            for threads in [1usize, 2, 8] {
-                configure_threads(threads);
-                let at = format!("d = {d}, {} tier, {threads} threads", tier.name());
-                assert_eq!(bits(&a.spmm(&x)), bits(&plain), "spmm: {at}");
-                let (mut out, mut side) = (old_out.clone(), old_side.clone());
-                a.spmm_fused(&x, [&mut out, &mut side], |i, acc, [o, s]| {
-                    for (((o, s), &t), &wv) in o.iter_mut().zip(s).zip(acc).zip(w.row(i)) {
-                        *o = (-t + 0.8 * wv) * 0.5 - *o;
-                        *s += 0.37 * *o;
-                    }
-                });
-                assert_eq!(bits(&out), bits(&want), "fused output: {at}");
-                assert_eq!(bits(&side), bits(&want_side), "fused second output: {at}");
-            }
-        }
+        for_each_tier_and_thread_count(|at| {
+            let at = format!("d = {d}, {at}");
+            assert_eq!(bits(&a.spmm(&x)), bits(&plain), "spmm: {at}");
+            let (mut out, mut side) = (old_out.clone(), old_side.clone());
+            a.spmm_fused(&x, [&mut out, &mut side], |i, acc, [o, s]| {
+                for (((o, s), &t), &wv) in o.iter_mut().zip(s).zip(acc).zip(w.row(i)) {
+                    *o = (-t + 0.8 * wv) * 0.5 - *o;
+                    *s += 0.37 * *o;
+                }
+            });
+            assert_eq!(bits(&out), bits(&want), "fused output: {at}");
+            assert_eq!(bits(&side), bits(&want_side), "fused second output: {at}");
+        });
     }
-    set_tier(detected_tier());
-    configure_threads(0);
 }
