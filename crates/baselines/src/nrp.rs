@@ -13,8 +13,8 @@
 //! the paper criticizes.
 
 use lightne_graph::GraphOps;
-use lightne_linalg::{randomized_svd, CsrMatrix, DenseMatrix, RsvdConfig};
-use lightne_sparsifier::{build_sharded_sparsifier, SamplerConfig};
+use lightne_linalg::{randomized_svd, DenseMatrix, RsvdConfig};
+use lightne_sparsifier::{build_sharded_sparsifier, table_to_csr, SamplerConfig};
 
 /// NRP-style configuration (shares the sampler's knobs).
 #[derive(Debug, Clone, Copy)]
@@ -54,11 +54,10 @@ pub fn nrp_embed<G: GraphOps>(g: &G, cfg: &NrpConfig) -> DenseMatrix {
     let vol = g.volume();
     let degrees: Vec<f64> = (0..n).map(|v| g.degree(v as u32) as f64).collect();
     let factor = vol * vol / (2.0 * sampler_cfg.samples as f64);
-    let runs = table.drain_map(|i, j, w| {
+    let m = table_to_csr(n, table, |i, j, w| {
         let (di, dj) = (degrees[i as usize], degrees[j as usize]);
         (di != 0.0 && dj != 0.0).then(|| (factor * w as f64 / (di * dj)) as f32)
     });
-    let m = CsrMatrix::from_sharded_rows(n, n, runs);
     let svd = randomized_svd(
         &m,
         &RsvdConfig { rank: cfg.dim, oversampling: 16, power_iters: 1, seed: cfg.seed },

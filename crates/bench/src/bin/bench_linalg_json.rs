@@ -125,6 +125,10 @@ fn core_round_trip_ns() -> f64 {
 /// benchmark's `sbm_factor`, rounded to a power of two).
 const TALL_THIN_ROWS: usize = 8192;
 
+/// Rows of the symmetric matrix the symmetry test is timed on (20
+/// entries per row).
+const SYMCHECK_N: usize = 150_000;
+
 /// Shape of the timed Gram product: `sbm_factor`'s sketch, `n × (d + p)`.
 const GRAM_ROWS: usize = 8000;
 const GRAM_COLS: usize = 144;
@@ -133,7 +137,9 @@ fn main() {
     let reps = env_usize("REPS", 3);
     let gemm_m = env_usize("GEMM_M", 65_536);
     let qr_rows = env_usize("QR_ROWS", 65_536);
-    let jacobi_n = env_usize("JACOBI_N", 192);
+    // The first size above `PAR_COLS`, so the `_t2_` row times the
+    // parallel Jacobi path.
+    let jacobi_n = env_usize("JACOBI_N", 256);
     let rsvd_n = env_usize("RSVD_N", 50_000);
     let mut lines: Vec<String> = Vec::new();
     let mut put = |key: &str, val: String| lines.push(format!("  \"{key}\": {val}"));
@@ -280,6 +286,21 @@ fn main() {
     let cores = threads_available.min(2);
     put("svd_scaling_config", format!("\"{jacobi_n}/{TALL_THIN_ROWS}x128 on {cores}\""));
     put("svd_t2_over_t1_worst", format!("{worst:.3}"));
+
+    // --- Symmetry test: the one-pass cursor walk against the per-entry
+    // binary search it replaced, on a symmetric matrix of ~3 M entries
+    // (`rmat_sample`'s NetMF matrix holds 2.98 M), so both read every
+    // entry.
+    eprintln!("is_symmetric n={SYMCHECK_N} ({reps} reps) ...");
+    let sym = sparse_random(SYMCHECK_N, 20, 11);
+    assert!(sym.is_symmetric(0.0) && reference::is_symmetric_by_search(&sym, 0.0));
+    let walk = best_of(reps, || sym.is_symmetric(0.0)).as_secs_f64();
+    let search = best_of(reps, || reference::is_symmetric_by_search(&sym, 0.0)).as_secs_f64();
+    put("symcheck_nnz", sym.nnz().to_string());
+    put("symcheck_secs", format!("{walk:.6}"));
+    put("symcheck_reference_secs", format!("{search:.6}"));
+    put("symcheck_speedup", format!("{:.3}", search / walk));
+    drop(sym);
 
     // --- End-to-end randomized SVD on a sparsifier-shaped matrix.
     eprintln!("rsvd n={rsvd_n} nnz/row=20 rank=32 ({reps} reps) ...");

@@ -465,6 +465,18 @@ enum ResumeLevel {
     Initial,
 }
 
+/// A checkpointed matrix must be `n × n` over the run's `n` vertices; the
+/// reader has already held every entry to the shape the file declares.
+fn check_shape(file: &str, shape: (usize, usize), n: usize) -> Result<(), EngineError> {
+    if shape == (n, n) {
+        return Ok(());
+    }
+    Err(EngineError::Corrupt {
+        file: file.to_string(),
+        detail: format!("matrix is {}x{}, the graph has {n} vertices", shape.0, shape.1),
+    })
+}
+
 /// Fingerprint of a run's graph and embedding parameters.
 ///
 /// Resuming is only sound when the artifacts were produced by the *same*
@@ -649,7 +661,8 @@ pub fn run_pipeline<S: PipelineSource>(
             let table = if level == ResumeLevel::Sparsifier {
                 // xtask:panic-ok(invariant: a resume level above None implies the store that produced it is open)
                 let r = resume.as_ref().expect("resume level implies store");
-                let (_, _, entries) = r.load_sparsifier()?;
+                let (rows, cols, entries) = r.load_sparsifier()?;
+                check_shape(SPARSIFIER_FILE, (rows, cols), n)?;
                 Some(table_from_coo(n, cfg.shards, &entries))
             } else {
                 None
@@ -706,6 +719,7 @@ pub fn run_pipeline<S: PipelineSource>(
                 // xtask:panic-ok(invariant: NetMf resume level implies store)
                 let r = resume.as_ref().expect("resume level implies store");
                 let m = r.load_netmf()?;
+                check_shape(NETMF_FILE, (m.n_rows(), m.n_cols()), n)?;
                 scope.counter("nnz", m.nnz() as u64);
                 scope.heap(&m);
                 Some(m)

@@ -36,7 +36,6 @@
 //! slots, or when a probe finds no free slot.
 
 use crate::sync_shim::{AtomicU64, AtomicUsize, Ordering, RwLock};
-use crate::unpack_key;
 use lightne_utils::rng::mix2;
 #[cfg(not(loom))]
 use rayon::prelude::*;
@@ -57,7 +56,7 @@ pub(crate) fn from_fixed(raw: u64) -> f32 {
 /// Sentinel for an empty slot. `u64::MAX` never collides with a packed
 /// edge because vertex ids are `u32` and `(u32::MAX, u32::MAX)` would be a
 /// self-loop, which the sampler never emits.
-const EMPTY: u64 = u64::MAX;
+pub(crate) const EMPTY: u64 = u64::MAX;
 
 /// Most keys `slots` slots hold before the table doubles: the maximum
 /// load factor 7/10, in integers so that [`slots_for`] is exact.
@@ -83,7 +82,24 @@ struct Slot {
     weight: AtomicU64,
 }
 
-struct Slots {
+impl Slot {
+    /// The slot's `(key, fixed-point weight)`, if a key has claimed it.
+    #[inline]
+    fn occupant(&self) -> Option<(u64, u64)> {
+        // ordering: Acquire — pairs with the AcqRel claim CAS so a
+        // concurrent scanner that observes the key also observes every
+        // weight update sequenced *before* the claim. The claimer's own
+        // first fetch_add follows the CAS, hence the mid-flight window
+        // documented on `ConcurrentEdgeTable::copy_occupants`.
+        let key = self.key.load(Ordering::Acquire);
+        // ordering: Relaxed — RMW-accumulated value; staleness is
+        // accepted per the documented semantics above.
+        (key != EMPTY).then(|| (key, self.weight.load(Ordering::Relaxed)))
+    }
+}
+
+/// A shard's slot array.
+pub(crate) struct Slots {
     slots: Vec<Slot>,
 }
 
@@ -152,6 +168,15 @@ impl Slots {
             }
         }
         Err(())
+    }
+
+    /// Every slot's `(key, fixed-point weight)` in slot order, unclaimed
+    /// ones (key [`EMPTY`]) included: a drain that owns the table reads
+    /// them all without a branch per slot.
+    pub(crate) fn contents(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        // ordering: Relaxed — the caller owns the table (`into_slots`),
+        // so no writer is left to order against.
+        self.slots.iter().map(|s| (s.key.load(Ordering::Relaxed), s.weight.load(Ordering::Relaxed)))
     }
 
     /// Fixed-point weight accumulated under `key`, if it holds a slot.
@@ -287,47 +312,36 @@ impl ConcurrentEdgeTable {
         self.inner.read().find(key)
     }
 
-    /// Every `(u, v, weight)` held, in slot order. Taken under the shared
-    /// read lock; concurrent inserts during the scan may or may not be
-    /// included, and an entry whose claiming insert is still mid-flight
-    /// can surface with a partial (even zero) weight — callers that need
-    /// exact totals must quiesce writers first (a drain owns the table,
-    /// so it has).
-    pub(crate) fn entries(&self) -> Vec<(u32, u32, f32)> {
+    /// A copy of every `(key, fixed-point weight)` held, in slot order.
+    /// Taken under the shared read lock; concurrent inserts during the
+    /// scan may or may not be included, and an entry whose claiming insert
+    /// is still mid-flight can surface with a partial (even zero) weight —
+    /// callers that need exact totals must quiesce writers first.
+    pub(crate) fn copy_occupants(&self) -> Vec<(u64, u64)> {
         let guard = self.inner.read();
-        let scan = |slot: &Slot| {
-            // ordering: Acquire — pairs with the AcqRel claim CAS so a
-            // concurrent scanner that observes the key also observes every
-            // weight update sequenced *before* the claim. The claimer's own
-            // first fetch_add follows the CAS, hence the documented
-            // mid-flight window above.
-            let key = slot.key.load(Ordering::Acquire);
-            if key == EMPTY {
-                None
-            } else {
-                let (u, v) = unpack_key(key);
-                // ordering: Relaxed — RMW-accumulated value; staleness is
-                // accepted per the documented semantics above.
-                Some((u, v, from_fixed(slot.weight.load(Ordering::Relaxed))))
-            }
-        };
         #[cfg(not(loom))]
         {
-            guard.slots.par_iter().filter_map(scan).collect()
+            guard.slots.par_iter().filter_map(Slot::occupant).collect()
         }
         #[cfg(loom)]
         {
             // Under the model checker only loom-registered threads may
             // touch loom atomics, so the scan stays on the model thread.
-            guard.slots.iter().filter_map(scan).collect()
+            guard.slots.iter().filter_map(Slot::occupant).collect()
         }
+    }
+
+    /// The slot array itself, for a drain that owns the table: no lock,
+    /// no copy, and no writer left to race with.
+    pub(crate) fn into_slots(self) -> Slots {
+        self.inner.into_inner()
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::pack_key;
+    use crate::{pack_key, unpack_key};
 
     /// Fixed-point weight of `(1, v)`, for short asserts.
     fn weight(t: &ConcurrentEdgeTable, v: u32) -> Option<u64> {
@@ -348,7 +362,8 @@ mod tests {
                 t.add(&[(pack_key(1, v), 1 << (20 + i))]);
             }
             assert_eq!((t.len(), t.capacity(), t.resizes()), (3, cap, 0));
-            let in_slot_order: Vec<u32> = t.entries().iter().map(|&(_, v, _)| v).collect();
+            let in_slot_order: Vec<u32> =
+                t.copy_occupants().iter().map(|&(key, _)| unpack_key(key).1).collect();
             assert_eq!(in_slot_order, [last[1], last[2], last[0]], "capacity {cap}");
             for (i, &v) in last[..3].iter().enumerate() {
                 assert_eq!(weight(&t, v), Some(1 << (20 + i)));

@@ -12,12 +12,17 @@
 //!   shard in one counting pass and hands each shard its slice whole: one
 //!   read-lock acquisition, one `len` update and one overlapped round of
 //!   home-slot misses per shard slice, instead of one of each per key.
-//! * **Sorted drain without a global sort.** Shard `s` owns the packed
+//! * **Counting drain, no comparison sort.** Shard `s` owns the packed
 //!   keys `(u, v)` with `u` in its range, and ranges are increasing in
-//!   `s`, so sorting each shard's entries by packed key independently and
-//!   concatenating in shard order yields the *globally* sorted COO — the
-//!   exact order `CsrMatrix::from_coo` produces. Per-shard drains run in
-//!   parallel and each feeds a contiguous CSR row block.
+//!   `s`. A drain owns its shard, so it reads the slot array directly:
+//!   pass 1 counts the keys of each source row (an array sized by the
+//!   row range), a prefix sum places the rows, and pass 2 writes each key
+//!   into its row's segment as one `u64` — column in the high half, `f32`
+//!   weight bits in the low half. Columns are unique within a row, so
+//!   sorting a segment as plain integers puts it in column order. Each
+//!   shard thus becomes a contiguous CSR row block ([`ShardRun`]), and
+//!   the blocks in shard order are the *globally* sorted COO — the exact
+//!   order `CsrMatrix::from_coo` produces. Shards drain in parallel.
 //!
 //! Determinism: every shard keeps the fixed-point u64 accumulation of the
 //! underlying table, so accumulated weights are bitwise independent of the
@@ -26,8 +31,8 @@
 //! `(threads, shards)` combination — `shards = 1` being the paper's single
 //! shared table.
 
-use crate::concurrent::{from_fixed, to_fixed, ConcurrentEdgeTable, SLOT_BYTES};
-use crate::{pack_key, EdgeAggregator};
+use crate::concurrent::{from_fixed, to_fixed, ConcurrentEdgeTable, EMPTY, SLOT_BYTES};
+use crate::{pack_key, unpack_key, EdgeAggregator};
 #[cfg(not(loom))]
 use rayon::prelude::*;
 use std::ops::Range;
@@ -45,10 +50,35 @@ pub struct ShardStats {
     pub resizes: usize,
 }
 
-/// A sorted per-shard drain: the shard's row range plus its entries in
-/// packed-key (row-major) order. Concatenating runs in shard order gives
-/// the globally sorted COO.
-pub type ShardRun = (Range<u32>, Vec<(u32, u32, f32)>);
+/// One shard's drain, as a CSR row block: row `rows.start + r` holds the
+/// next `counts[r]` entries of `cols`/`vals`, columns strictly ascending.
+/// Concatenating the blocks in shard order gives the globally sorted COO.
+#[derive(Debug, Clone)]
+pub struct ShardRun {
+    /// Source-vertex range the shard owns.
+    pub rows: Range<u32>,
+    /// Kept entries per row of `rows`.
+    pub counts: Vec<u32>,
+    /// Column of every kept entry, row by row.
+    pub cols: Vec<u32>,
+    /// Value of every kept entry, parallel to `cols`.
+    pub vals: Vec<f32>,
+    /// Kept entries whose source lies outside `rows`, in packed-key order.
+    /// Only [`ShardedEdgeTable::add_edge`] or `add_batch` with `u ≥
+    /// n_vertices` makes them (such keys land in the last shard); no
+    /// count array is ever sized by them.
+    pub stray: Vec<(u32, u32, f32)>,
+}
+
+impl ShardRun {
+    /// The block's entries in packed-key order, strays last.
+    pub fn triples(&self) -> impl Iterator<Item = (u32, u32, f32)> + '_ {
+        let sources = self.rows.clone().zip(&self.counts);
+        let row_of = sources.flat_map(|(u, &c)| std::iter::repeat_n(u, c as usize));
+        let block = row_of.zip(&self.cols).zip(&self.vals).map(|((u, &v), &w)| (u, v, w));
+        block.chain(self.stray.iter().copied())
+    }
+}
 
 /// `N` folklore edge tables keyed by source-vertex range.
 ///
@@ -214,30 +244,33 @@ impl ShardedEdgeTable {
     ///
     /// [`into_coo`]: EdgeAggregator::into_coo
     pub fn snapshot(&self) -> Vec<(u32, u32, f32)> {
-        self.tables.iter().flat_map(|t| sorted(t.entries())).collect()
+        let mut coo = Vec::with_capacity(self.len());
+        for (s, table) in self.tables.iter().enumerate() {
+            // A copy, so that both counting passes see the same keys.
+            let copy = table.copy_occupants();
+            let buckets =
+                RowBuckets::count_and_scatter(self.shard_rows(s), || copy.iter().copied());
+            coo.extend(buckets.finish(&keep_weight).triples());
+        }
+        coo
     }
 
-    /// Drains every shard in parallel into sorted runs — shard `s`'s
-    /// entries in packed-key order, so concatenating the runs in order
-    /// gives exactly the globally sorted COO (see module docs) — applying
-    /// `f(u, v, w)` to every entry on the way and dropping entries mapped
-    /// to `None`. This is the hook the sparsifier uses to fuse the NetMF
-    /// trunc-log transform into the drain, so the untransformed matrix is
-    /// never materialized.
+    /// Drains every shard in parallel into a CSR row block (module docs),
+    /// applying `f(u, v, w)` to every entry on the way and dropping
+    /// entries mapped to `None`. This is the hook the sparsifier uses to
+    /// fuse the NetMF trunc-log transform into the drain, so the
+    /// untransformed matrix is never materialized.
     pub fn drain_map<F>(self, f: F) -> Vec<ShardRun>
     where
         F: Fn(u32, u32, f32) -> Option<f32> + Sync,
     {
         let ranges: Vec<Range<u32>> = (0..self.tables.len()).map(|s| self.shard_rows(s)).collect();
         let drain_shard = |(table, rows): (ConcurrentEdgeTable, Range<u32>)| {
-            let entries = table.entries();
+            let slots = table.into_slots();
+            let buckets = RowBuckets::count_and_scatter(rows, || slots.contents());
             // The slot array is dead weight from here on.
-            drop(table);
-            let entries: Vec<(u32, u32, f32)> = sorted(entries)
-                .into_iter()
-                .filter_map(|(u, v, w)| f(u, v, w).map(|t| (u, v, t)))
-                .collect();
-            (rows, entries)
+            drop(slots);
+            buckets.finish(&f)
         };
         #[cfg(not(loom))]
         {
@@ -252,10 +285,102 @@ impl ShardedEdgeTable {
     }
 }
 
-/// One shard's entries in packed-key (row-major) order.
-fn sorted(mut entries: Vec<(u32, u32, f32)>) -> Vec<(u32, u32, f32)> {
-    entries.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
-    entries
+/// The identity transform of [`ShardedEdgeTable::drain_map`].
+fn keep_weight(_: u32, _: u32, w: f32) -> Option<f32> {
+    Some(w)
+}
+
+/// One shard's keys bucketed by source row, the counting drain's middle:
+/// `packed[starts[r]..starts[r + 1]]` holds row `rows.start + r`'s entries
+/// as `column << 32 | weight bits` (an `f32`), in slot order.
+struct RowBuckets {
+    rows: Range<u32>,
+    starts: Vec<usize>,
+    packed: Vec<u64>,
+    /// `(key, fixed-point weight)` of every key outside `rows`.
+    stray: Vec<(u64, u64)>,
+}
+
+impl RowBuckets {
+    /// Counts the keys of each source row (pass 1), prefix-sums the
+    /// counts, and writes every key into its row's segment (pass 2).
+    /// `slots` yields `(key, fixed-point weight)` pairs, a key of
+    /// [`EMPTY`] marking an unclaimed slot, and must yield the same pairs
+    /// on both calls. The count array is sized by the row range, never by
+    /// a key: keys outside the range (and unclaimed slots) share one
+    /// extra counter and one sink element in pass 2, so neither pass
+    /// branches per slot, and the rare stray key is set aside in pass 1.
+    fn count_and_scatter<I>(rows: Range<u32>, slots: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (u64, u64)>,
+    {
+        let width = rows.len();
+        // A key's row within the range, or `width` for every other slot
+        // (`EMPTY`'s source, u32::MAX, is never inside a `Range<u32>`).
+        let row = |key: u64| (unpack_key(key).0.wrapping_sub(rows.start) as usize).min(width);
+        let mut starts = vec![0usize; width + 2];
+        let mut stray = Vec::new();
+        for (key, raw) in slots() {
+            let r = row(key);
+            starts[r + 1] += 1;
+            if (r == width) & (key != EMPTY) {
+                stray.push((key, raw));
+            }
+        }
+        for r in 0..width {
+            starts[r + 1] += starts[r];
+        }
+        let total = starts[width];
+        starts.truncate(width + 1);
+        // Every out-of-range slot writes the sink at `total` and does not
+        // advance its cursor.
+        let mut next = starts.clone();
+        let mut packed = vec![0u64; total + 1];
+        for (key, raw) in slots() {
+            let r = row(key);
+            packed[next[r]] = key << 32 | u64::from(from_fixed(raw).to_bits());
+            next[r] += usize::from(r < width);
+        }
+        packed.truncate(total);
+        Self { rows, starts, packed, stray }
+    }
+
+    /// Sorts each row's segment as plain `u64`s — columns are unique
+    /// within a row, so this is column order — then applies `f` and keeps
+    /// the survivors.
+    fn finish<F>(self, f: &F) -> ShardRun
+    where
+        F: Fn(u32, u32, f32) -> Option<f32>,
+    {
+        let Self { rows, starts, mut packed, mut stray } = self;
+        let mut counts = vec![0u32; rows.len()];
+        let (mut cols, mut vals) =
+            (Vec::with_capacity(packed.len()), Vec::with_capacity(packed.len()));
+        for ((r, u), count) in rows.clone().enumerate().zip(&mut counts) {
+            let segment = &mut packed[starts[r]..starts[r + 1]];
+            segment.sort_unstable();
+            let first = cols.len();
+            for &p in segment.iter() {
+                let (v, bits) = unpack_key(p);
+                if let Some(t) = f(u, v, f32::from_bits(bits)) {
+                    cols.push(v);
+                    vals.push(t);
+                }
+            }
+            // Fits: 2³² keys in one row would take a 64 GiB slot array.
+            *count = (cols.len() - first) as u32;
+        }
+        drop(packed);
+        stray.sort_unstable_by_key(|&(key, _)| key);
+        let stray = stray
+            .into_iter()
+            .filter_map(|(key, raw)| {
+                let (u, v) = unpack_key(key);
+                f(u, v, from_fixed(raw)).map(|t| (u, v, t))
+            })
+            .collect();
+        ShardRun { rows, counts, cols, vals, stray }
+    }
 }
 
 impl EdgeAggregator for ShardedEdgeTable {
@@ -293,7 +418,11 @@ impl EdgeAggregator for ShardedEdgeTable {
     }
 
     fn into_coo(self) -> Vec<(u32, u32, f32)> {
-        self.drain_map(|_, _, w| Some(w)).into_iter().flat_map(|(_, run)| run).collect()
+        let mut coo = Vec::with_capacity(self.len());
+        for run in self.drain_map(keep_weight) {
+            coo.extend(run.triples());
+        }
+        coo
     }
 }
 
@@ -349,13 +478,14 @@ mod tests {
         {
             t.add_edge(u, v, w);
         }
-        let runs = t.drain_map(|_, _, w| Some(w));
-        let flat: Vec<(u32, u32, f32)> = runs.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+        let runs = t.drain_map(keep_weight);
+        let flat: Vec<(u32, u32, f32)> = runs.iter().flat_map(ShardRun::triples).collect();
         let mut sorted = flat.clone();
         sorted.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
         assert_eq!(flat, sorted);
-        for (rows, run) in &runs {
-            assert!(run.iter().all(|&(u, _, _)| rows.contains(&u)));
+        for run in &runs {
+            assert!(run.triples().all(|(u, _, _)| run.rows.contains(&u)));
+            assert_eq!(run.counts.len(), run.rows.len());
         }
     }
 
@@ -366,8 +496,9 @@ mod tests {
         t.add_edge(9, 3, 4.0);
         t.add_edge(9, 4, 0.25);
         let runs = t.drain_map(|_, _, w| if w >= 1.0 { Some(w * 2.0) } else { None });
-        let flat: Vec<(u32, u32, f32)> = runs.into_iter().flat_map(|(_, r)| r).collect();
+        let flat: Vec<(u32, u32, f32)> = runs.iter().flat_map(ShardRun::triples).collect();
         assert_eq!(flat, vec![(1, 2, 4.0), (9, 3, 8.0)]);
+        assert_eq!((runs[1].counts[1], runs[1].counts.iter().sum::<u32>()), (1, 1));
     }
 
     #[test]
@@ -515,6 +646,100 @@ mod tests {
                 for (x, y) in drained.iter().zip(&reference) {
                     assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()));
                 }
+            }
+        }
+        lightne_utils::parallel::configure_threads(0);
+    }
+
+    /// The drain this module had before the counting drain, kept as its
+    /// oracle: every entry collected, each shard comparison-sorted by
+    /// packed key, then `f` applied and `None`s dropped.
+    #[cfg(not(loom))]
+    fn sort_then_filter(
+        t: &ShardedEdgeTable,
+        f: impl Fn(u32, u32, f32) -> Option<f32>,
+    ) -> Vec<(u32, u32, f32)> {
+        let mut out = Vec::new();
+        for table in &t.tables {
+            let mut entries: Vec<(u32, u32, f32)> = table
+                .copy_occupants()
+                .into_iter()
+                .map(|(key, raw)| {
+                    let (u, v) = unpack_key(key);
+                    (u, v, from_fixed(raw))
+                })
+                .collect();
+            entries.sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
+            out.extend(entries.into_iter().filter_map(|(u, v, w)| f(u, v, w).map(|t| (u, v, t))));
+        }
+        out
+    }
+
+    #[cfg(not(loom))]
+    fn assert_bitwise_equal(got: &[(u32, u32, f32)], want: &[(u32, u32, f32)], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (x, y) in got.iter().zip(want) {
+            assert_eq!((x.0, x.1, x.2.to_bits()), (y.0, y.1, y.2.to_bits()), "{what}");
+        }
+    }
+
+    /// The counting drain gives the sort-then-filter drain's bytes at
+    /// 1 / 3 / 8 / 65 shards and 1 / 2 / 7 threads: with a row of more
+    /// than 65 536 keys, a row of one, empty rows, a row `f` drops whole,
+    /// duplicate keys, and sources at and past `n_vertices` (strays in the
+    /// last shard, one of them near `u32::MAX`, so a count array sized by
+    /// key would not fit in memory). `snapshot` equals `into_coo`.
+    #[cfg(not(loom))]
+    #[test]
+    fn counting_drain_matches_sort_then_filter() {
+        const N: u32 = 650;
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut keys: Vec<(u32, u32, f32)> =
+            (0..70_000u32).map(|v| (5, v * 3 + 1, 1.5 + (v % 5) as f32)).collect();
+        keys.push((9, 4, 2.0));
+        keys.extend((0..40).map(|v| (7, v, 3.0)));
+        // Rows 10..20 stay empty.
+        for _ in 0..30_000 {
+            keys.push((20 + next(630) as u32, next(500) as u32, next(1 << 16) as f32 / 997.0));
+        }
+        keys.extend([(N + 3, 5, 1.5), (u32::MAX - 1, 2, 2.5), (N, 1, 0.25), (N + 3, 1, 4.0)]);
+        let f = |u: u32, v: u32, w: f32| {
+            (u != 7 && (w > 1.0 || v.is_multiple_of(3))).then(|| w.ln() + v as f32)
+        };
+        for threads in [1usize, 2, 7] {
+            lightne_utils::parallel::configure_threads(threads);
+            for shards in [1usize, 3, 8, 65] {
+                let fill = || {
+                    let t = ShardedEdgeTable::with_slot_capacity(N as usize, shards, 3);
+                    keys.par_chunks(4096).for_each(|b| t.add_batch(b));
+                    t
+                };
+                let what = format!("{shards} shards @{threads}t");
+                let t = fill();
+                let (all, kept) = (sort_then_filter(&t, keep_weight), sort_then_filter(&t, f));
+                assert_bitwise_equal(&t.snapshot(), &all, &what);
+                assert_bitwise_equal(&t.into_coo(), &all, &what);
+
+                let runs = fill().drain_map(f);
+                let count = |u: u32| {
+                    let run = runs.iter().find(|r| r.rows.contains(&u)).unwrap();
+                    run.counts[(u - run.rows.start) as usize]
+                };
+                assert_eq!((count(5), count(7), count(9), count(15)), (70_000, 0, 1, 0), "{what}");
+                assert_eq!(runs.last().unwrap().stray.len(), 3, "{what}");
+                for run in &runs {
+                    assert_eq!(run.counts.len(), run.rows.len());
+                    assert_eq!(
+                        run.counts.iter().map(|&c| c as usize).sum::<usize>(),
+                        run.cols.len()
+                    );
+                }
+                let got: Vec<(u32, u32, f32)> = runs.iter().flat_map(ShardRun::triples).collect();
+                assert_bitwise_equal(&got, &kept, &what);
             }
         }
         lightne_utils::parallel::configure_threads(0);

@@ -170,7 +170,10 @@ fn write_triples_to(
 }
 
 /// Reads the triple-list body format shared by COO and CSR files: entries
-/// are returned in file order and validated against the header's `nnz`.
+/// are returned in file order and validated against the header, which
+/// must come first — each entry's row and column against its shape (an
+/// entry outside it is an error naming its line), their count against its
+/// `nnz`.
 fn read_triples_from(r: impl BufRead, tag: &str) -> Result<CooData, MatIoError> {
     faults::check(FP_READ_MATRIX)?;
     let header = format!("#{tag}");
@@ -212,6 +215,15 @@ fn read_triples_from(r: impl BufRead, tag: &str) -> Result<CooData, MatIoError> 
         let r: u32 = r.parse().map_err(|e| MatIoError::Parse(lineno + 1, format!("{e}")))?;
         let c: u32 = c.parse().map_err(|e| MatIoError::Parse(lineno + 1, format!("{e}")))?;
         let v: f32 = v.parse().map_err(|e| MatIoError::Parse(lineno + 1, format!("{e}")))?;
+        let Some((n_rows, n_cols, _)) = shape else {
+            return Err(MatIoError::Parse(lineno + 1, format!("entry before the {header} header")));
+        };
+        if r as usize >= n_rows || c as usize >= n_cols {
+            return Err(MatIoError::Parse(
+                lineno + 1,
+                format!("entry ({r}, {c}) outside the {n_rows}x{n_cols} shape"),
+            ));
+        }
         entries.push((r, c, v));
     }
     let (n_rows, n_cols, nnz) =
@@ -364,6 +376,23 @@ mod tests {
     #[test]
     fn coo_nnz_mismatch_rejected() {
         assert!(matches!(coo_from_bytes(b"#coo 3 3 2\n0 1 1.0\n"), Err(MatIoError::Parse(0, _))));
+    }
+
+    #[test]
+    fn out_of_shape_entries_are_typed_errors() {
+        let line = |r: Result<CooData, MatIoError>| match r {
+            Err(MatIoError::Parse(line, what)) => (line, what),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let (at, what) = line(coo_from_bytes(b"#coo 4 4 2\n0 1 1.0\n9 0 1.0\n"));
+        assert_eq!((at, what.as_str()), (3, "entry (9, 0) outside the 4x4 shape"));
+        assert_eq!(line(coo_from_bytes(b"#coo 4 4 2\n0 7 1.0\n1 0 1.0\n")).0, 2);
+        assert_eq!(line(coo_from_bytes(b"0 1 1.0\n#coo 4 4 1\n")).0, 1);
+        assert!(coo_from_bytes(b"#coo 4 4 1\n3 3 1.0\n").is_ok());
+        for bytes in [&b"#csr 3 5 1\n3 0 1.0\n"[..], b"#csr 3 5 1\n0 5 1.0\n"] {
+            assert!(matches!(csr_from_bytes(bytes), Err(MatIoError::Parse(2, _))));
+        }
+        assert_eq!(csr_from_bytes(b"#csr 3 5 1\n2 4 1.0\n").unwrap().get(2, 4), 1.0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! MGS QR, and the `Vec<Vec<f64>>`
 //! column-at-a-time cyclic Jacobi SVD — plus the unfused sparse×dense
 //! product and the `scale`/`axpy` passes that
-//! [`crate::sparse::CsrMatrix::spmm_fused`] folds into one kernel. They
+//! [`crate::sparse::CsrMatrix::spmm_fused`] folds into one kernel, and the
+//! binary-search symmetry test `CsrMatrix::is_symmetric` replaced. They
 //! are retained for two jobs:
 //!
 //! 1. **Oracles** — the kernel property tests pin the blocked kernels
@@ -41,6 +42,19 @@ pub fn spmm(a: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
         }
     }
     out
+}
+
+/// The symmetry test [`CsrMatrix::is_symmetric`] replaced: one binary
+/// search (`get`) per stored entry, in parallel over rows. The predicate
+/// oracle of the one-pass walk, and its benchmark baseline.
+pub fn is_symmetric_by_search(a: &CsrMatrix, tol: f32) -> bool {
+    if a.n_rows() != a.n_cols() {
+        return false;
+    }
+    (0..a.n_rows()).into_par_iter().all(|i| {
+        let (cols, vals) = a.row(i);
+        cols.iter().zip(vals).all(|(&c, &v)| (a.get(c as usize, i) - v).abs() <= tol)
+    })
 }
 
 /// `y ← s·y`, one sequential pass.

@@ -16,7 +16,15 @@
 //! 9  return Z U, Σ, Y V                    cblas_sgemm     → DenseMatrix::matmul
 //! ```
 //!
-//! where `l = rank + oversampling`. We additionally support subspace
+//! where `l = rank + oversampling`. Line 2 multiplies by `Aᵀ`; the
+//! sparsifier NetSMF and LightNE factorize is symmetric, so there `Aᵀ O`
+//! is `A O` and no transpose is built. [`randomized_svd`] decides with
+//! [`CsrMatrix::is_symmetric`] at tolerance 0 — an exact test in one
+//! sequential pass over the stored entries, O(nnz) with one cursor step
+//! per entry, which costs less than one of the stage's SPMMs (the
+//! per-entry binary search it replaced cost more than both SPMMs and
+//! both orthonormalizations together). Any other matrix gets its
+//! transpose built once. We additionally support subspace
 //! (power) iterations `q`, which sharpen the spectrum for matrices with a
 //! slowly decaying tail at the cost of extra SPMMs; `q = 0` reproduces the
 //! paper exactly.

@@ -13,10 +13,10 @@ use lightne_utils::parallel::{parallel_prefix_sum, parallel_reduce_sum};
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// One shard's drained output: a contiguous row range plus its
-/// `(row, col, value)` entries sorted by `(row, col)` with unique
-/// coordinates. See [`CsrMatrix::from_sharded_rows`].
-pub type SortedRun = (Range<u32>, Vec<(u32, u32, f32)>);
+/// One shard's drained output as a CSR row block: `(rows, counts, cols,
+/// vals)`, where row `rows.start + r` holds the next `counts[r]` columns
+/// (strictly ascending) and values. See [`CsrMatrix::from_sharded_rows`].
+pub type RowBlock = (Range<u32>, Vec<u32>, Vec<u32>, Vec<f32>);
 
 /// Row-major packed sort key of a COO triple.
 #[inline]
@@ -126,6 +126,13 @@ fn combine_sorted_duplicates(mut coo: Vec<(u32, u32, f32)>) -> Vec<(u32, u32, f3
 }
 
 /// A sparse matrix in CSR format with `f32` values.
+///
+/// Invariant: within every row the column indices are strictly ascending
+/// (sorted, no repeats). Every constructor establishes it — `from_coo`
+/// sorts and combines duplicates, `from_sharded_rows` takes sorted unique
+/// rows — and [`CsrMatrix::from_raw`] asserts it. [`CsrMatrix::get`]'s
+/// binary search and [`CsrMatrix::is_symmetric`]'s one-pass walk rely on
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n_rows: usize,
@@ -139,7 +146,8 @@ impl CsrMatrix {
     /// Builds from raw CSR arrays.
     ///
     /// # Panics
-    /// Panics on inconsistent arrays (see asserts).
+    /// Panics on inconsistent arrays (see asserts), including a row whose
+    /// columns are not strictly ascending (the type's invariant).
     pub fn from_raw(
         n_rows: usize,
         n_cols: usize,
@@ -152,7 +160,15 @@ impl CsrMatrix {
         // xtask:panic-ok(invariant: row_ptr length n_rows+1 asserted on the line above)
         assert_eq!(*row_ptr.last().unwrap() as usize, col_idx.len());
         assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]));
-        assert!(col_idx.iter().all(|&c| (c as usize) < n_cols));
+        assert!(col_idx.par_iter().all(|&c| (c as usize) < n_cols));
+        let ascending = |i: usize| {
+            let row = &col_idx[row_ptr[i] as usize..row_ptr[i + 1] as usize];
+            row.windows(2).all(|w| w[0] < w[1])
+        };
+        assert!(
+            (0..n_rows).into_par_iter().all(ascending),
+            "CSR row columns not strictly ascending"
+        );
         Self { n_rows, n_cols, row_ptr, col_idx, values }
     }
 
@@ -175,72 +191,62 @@ impl CsrMatrix {
         Self::from_raw(n_rows, n_cols, row_ptr, col_idx, values)
     }
 
-    /// Assembles a CSR matrix from per-shard sorted runs: each run is a
-    /// contiguous row range plus its entries already sorted by `(row,
-    /// col)` with unique coordinates (the output of
-    /// `ShardedEdgeTable::drain_map`). Ranges must be disjoint and
-    /// increasing; rows not covered by any run are empty. The assembly
-    /// never concatenates the runs into a global COO: each run histograms
-    /// its own row span and copies into its contiguous slice of the entry
-    /// arrays, all in parallel.
+    /// Assembles a CSR matrix from per-shard row blocks (the output of
+    /// `ShardedEdgeTable::drain_map`): each block is a contiguous row
+    /// range, its per-row entry counts, and its columns and values row by
+    /// row, columns strictly ascending within a row. Ranges must be
+    /// disjoint and increasing; rows no block covers are empty. Each block
+    /// copies its counts and entries into its own slice of the output in
+    /// parallel, and one prefix sum over the counts gives the row pointers.
     ///
     /// # Panics
-    /// Panics if runs overlap, run out of bounds, or (debug only) a run's
-    /// entries are unsorted or outside its range.
-    pub fn from_sharded_rows(n_rows: usize, n_cols: usize, runs: Vec<SortedRun>) -> Self {
+    /// Panics if blocks overlap or run out of bounds, if a block's counts
+    /// do not match its rows and entries, or if a row's columns are not
+    /// strictly ascending (see [`CsrMatrix::from_raw`]).
+    pub fn from_sharded_rows(n_rows: usize, n_cols: usize, blocks: Vec<RowBlock>) -> Self {
         let mut prev_end = 0u32;
-        for (rows, entries) in &runs {
+        for (rows, counts, cols, vals) in &blocks {
             assert!(rows.start >= prev_end, "sharded runs must be disjoint and increasing");
             assert!(rows.end as usize <= n_rows, "run range exceeds n_rows");
             prev_end = rows.end.max(rows.start);
-            debug_assert!(entries.iter().all(|&(r, _, _)| rows.contains(&r)));
-            debug_assert!(entries.windows(2).all(|w| coo_key(&w[0]) < coo_key(&w[1])));
+            assert_eq!(counts.len(), rows.len(), "one count per row of a block");
+            let entries: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            assert!(
+                entries == cols.len() as u64 && cols.len() == vals.len(),
+                "block counts mismatch"
+            );
         }
 
-        // Per-row counts: each run histograms its own disjoint row span.
+        let total: usize = blocks.iter().map(|(_, _, cols, _)| cols.len()).sum();
         let mut counts = vec![0u64; n_rows];
-        {
-            let mut rest: &mut [u64] = &mut counts;
-            let mut consumed = 0usize;
-            let mut jobs = Vec::with_capacity(runs.len());
-            for (rows, entries) in &runs {
-                let tail = std::mem::take(&mut rest);
-                let (_, tail) = tail.split_at_mut(rows.start as usize - consumed);
-                let (mine, tail) = tail.split_at_mut(rows.len());
-                rest = tail;
-                consumed = rows.end as usize;
-                jobs.push((mine, entries, rows.start));
-            }
-            jobs.into_par_iter().for_each(|(slice, entries, base)| {
-                for &(r, _, _) in entries {
-                    slice[(r - base) as usize] += 1;
-                }
-            });
-        }
-        let row_ptr = parallel_prefix_sum(&counts);
-
-        // Entry arrays: each run copies into its contiguous output span.
-        let total: usize = runs.iter().map(|(_, e)| e.len()).sum();
         let mut col_idx = vec![0u32; total];
         let mut values = vec![0f32; total];
         {
+            let mut count_rest: &mut [u64] = &mut counts;
             let mut col_rest: &mut [u32] = &mut col_idx;
             let mut val_rest: &mut [f32] = &mut values;
-            let mut jobs = Vec::with_capacity(runs.len());
-            for (_, entries) in &runs {
-                let (c, cr) = std::mem::take(&mut col_rest).split_at_mut(entries.len());
-                let (v, vr) = std::mem::take(&mut val_rest).split_at_mut(entries.len());
-                col_rest = cr;
-                val_rest = vr;
-                jobs.push((c, v, entries));
+            let mut consumed = 0usize;
+            let mut jobs = Vec::with_capacity(blocks.len());
+            for block in &blocks {
+                let (rows, _, cols, _) = block;
+                let tail = std::mem::take(&mut count_rest);
+                let (_, tail) = tail.split_at_mut(rows.start as usize - consumed);
+                let (k, kr) = tail.split_at_mut(rows.len());
+                let (c, cr) = std::mem::take(&mut col_rest).split_at_mut(cols.len());
+                let (v, vr) = std::mem::take(&mut val_rest).split_at_mut(cols.len());
+                (count_rest, col_rest, val_rest) = (kr, cr, vr);
+                consumed = rows.end as usize;
+                jobs.push((k, c, v, block));
             }
-            jobs.into_par_iter().for_each(|(c, v, entries)| {
-                for (k, &(_, col, val)) in entries.iter().enumerate() {
-                    c[k] = col;
-                    v[k] = val;
+            jobs.into_par_iter().for_each(|(k, c, v, (_, counts, cols, vals))| {
+                for (out, &n) in k.iter_mut().zip(counts) {
+                    *out = u64::from(n);
                 }
+                c.copy_from_slice(cols);
+                v.copy_from_slice(vals);
             });
         }
+        let row_ptr = parallel_prefix_sum(&counts);
         Self::from_raw(n_rows, n_cols, row_ptr, col_idx, values)
     }
 
@@ -454,15 +460,63 @@ impl CsrMatrix {
         parallel_reduce_sum(self.values.len(), |i| self.values[i] as f64)
     }
 
-    /// Whether the matrix is exactly symmetric in structure and values.
+    /// Whether every stored entry `(i, j, v)` has `|self[j][i] − v| ≤ tol`,
+    /// an absent twin reading as 0.0: explicit zeros and ±0 pass, NaN
+    /// fails, and a non-square matrix is not symmetric.
+    ///
+    /// One pass over the entries in row order, O(nnz + n). Row `j` keeps
+    /// a cursor over its lower-triangle entries (columns `< j`). Rows are
+    /// walked in order and columns ascend within a row (the type's
+    /// invariant), so the upper entries `(i, j)`, `i < j`, that can match
+    /// row `j`'s lower entries arrive in the order of those entries: each
+    /// finds its twin `(j, i)` at row `j`'s cursor or has none, and every
+    /// lower entry the cursor passes, or that is still left when row `j`
+    /// itself is reached, has none.
     pub fn is_symmetric(&self, tol: f32) -> bool {
         if self.n_rows != self.n_cols {
             return false;
         }
-        (0..self.n_rows).into_par_iter().all(|i| {
-            let (cols, vals) = self.row(i);
-            cols.iter().zip(vals).all(|(&c, &v)| (self.get(c as usize, i) - v).abs() <= tol)
-        })
+        let (cols, vals) = (&self.col_idx, &self.values);
+        let twinless = |v: f32| (0.0 - v).abs() <= tol;
+        let mut cursor: Vec<usize> =
+            self.row_ptr[..self.n_rows].iter().map(|&p| p as usize).collect();
+        for i in 0..self.n_rows {
+            let end = self.row_ptr[i + 1] as usize;
+            let mut k = cursor[i];
+            // Row i's lower entries that no earlier row's entry matched.
+            while k < end && (cols[k] as usize) < i {
+                if !twinless(vals[k]) {
+                    return false;
+                }
+                k += 1;
+            }
+            for k in k..end {
+                let (j, v) = (cols[k] as usize, vals[k]);
+                let ok = if j == i {
+                    // Its own twin: |v − v| is 0, or NaN for ±∞ and NaN.
+                    v.is_finite() && 0.0 <= tol
+                } else {
+                    let (twin_end, mut c) = (self.row_ptr[j + 1] as usize, cursor[j]);
+                    while c < twin_end && (cols[c] as usize) < i {
+                        if !twinless(vals[c]) {
+                            return false;
+                        }
+                        c += 1;
+                    }
+                    let matched = c < twin_end && cols[c] as usize == i;
+                    cursor[j] = c + usize::from(matched);
+                    if matched {
+                        (vals[c] - v).abs() <= tol
+                    } else {
+                        twinless(v)
+                    }
+                };
+                if !ok {
+                    return false;
+                }
+            }
+        }
+        true
     }
 }
 
@@ -616,22 +670,23 @@ mod tests {
     #[test]
     fn from_sharded_rows_matches_from_coo() {
         // Three disjoint row blocks with a gap (rows 6..8 empty).
-        let runs = vec![
-            (0u32..3u32, vec![(0u32, 1u32, 1.0f32), (0, 4, 2.0), (2, 0, 3.0)]),
-            (3..6, vec![(3, 3, 4.0), (5, 9, 5.0)]),
-            (8..10, vec![(9, 2, 6.0)]),
+        let blocks: Vec<RowBlock> = vec![
+            (0..3, vec![2, 0, 1], vec![1, 4, 0], vec![1.0, 2.0, 3.0]),
+            (3..6, vec![1, 0, 1], vec![3, 9], vec![4.0, 5.0]),
+            (8..10, vec![0, 1], vec![2], vec![6.0]),
         ];
-        let flat: Vec<(u32, u32, f32)> = runs.iter().flat_map(|(_, e)| e.clone()).collect();
-        let a = CsrMatrix::from_sharded_rows(10, 10, runs);
-        let b = CsrMatrix::from_coo(10, 10, flat);
-        assert_eq!(a, b);
+        let coo =
+            vec![(0, 1, 1.0), (0, 4, 2.0), (2, 0, 3.0), (3, 3, 4.0), (5, 9, 5.0), (9, 2, 6.0)];
+        let a = CsrMatrix::from_sharded_rows(10, 10, blocks);
+        assert_eq!(a, CsrMatrix::from_coo(10, 10, coo));
         assert_eq!(a.row(6).0.len(), 0);
         assert_eq!(a.get(9, 2), 6.0);
     }
 
     #[test]
     fn from_sharded_rows_empty_runs() {
-        let m = CsrMatrix::from_sharded_rows(4, 4, vec![(0..2, vec![]), (2..4, vec![])]);
+        let empty = |rows: Range<u32>| (rows.clone(), vec![0; rows.len()], vec![], vec![]);
+        let m = CsrMatrix::from_sharded_rows(4, 4, vec![empty(0..2), empty(2..4)]);
         assert_eq!(m.nnz(), 0);
         assert_eq!(m, CsrMatrix::zeros(4, 4));
         let empty = CsrMatrix::from_sharded_rows(4, 4, vec![]);
@@ -644,7 +699,94 @@ mod tests {
         let _ = CsrMatrix::from_sharded_rows(
             4,
             4,
-            vec![(0..3, vec![(0, 0, 1.0)]), (2..4, vec![(2, 0, 1.0)])],
+            vec![(0..3, vec![1, 0, 0], vec![0], vec![1.0]), (2..4, vec![1, 0], vec![0], vec![1.0])],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "block counts mismatch")]
+    fn from_sharded_rows_rejects_miscounted_block() {
+        let _ = CsrMatrix::from_sharded_rows(2, 2, vec![(0..2, vec![1, 1], vec![0], vec![1.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_raw_rejects_a_descending_row() {
+        let _ = CsrMatrix::from_raw(2, 3, vec![0, 1, 3], vec![0, 2, 1], vec![1.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_raw_rejects_a_repeated_column() {
+        let _ = CsrMatrix::from_raw(2, 3, vec![0, 2, 3], vec![1, 1, 0], vec![1.0; 3]);
+    }
+
+    /// The one-pass symmetry test against the binary-search predicate it
+    /// replaced, on random small matrices: explicit zeros, ±0, NaN, ±∞,
+    /// twins missing on either side, twins one ULP or 5e-5 apart, empty
+    /// rows, non-square shapes, at `tol` 0 and 1e-4.
+    #[test]
+    fn symmetry_walk_matches_binary_search() {
+        let mut state = 0x51_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        const VALUES: [f32; 7] = [0.0, -0.0, f32::NAN, f32::INFINITY, 1.5, -2.25, 3.0e-5];
+        let mut outcomes = [[0usize; 2]; 2];
+        for trial in 0..4_000 {
+            let n = if trial % 100 == 0 { 150 } else { next(12) as usize };
+            let m_cols = if trial % 10 == 0 { next(12) as usize } else { n };
+            let mut coo = Vec::new();
+            for i in 0..n.min(m_cols) as u32 {
+                for j in i..n.min(m_cols) as u32 {
+                    if next(3) != 0 {
+                        continue;
+                    }
+                    let v = VALUES[next(VALUES.len() as u64) as usize];
+                    // Which side holds the entry and which its twin.
+                    let (a, b) = if next(2) == 0 { (i, j) } else { (j, i) };
+                    coo.push((a, b, v));
+                    let twin = match next(8) {
+                        _ if i == j => None,
+                        0 => None,
+                        1 => Some(f32::from_bits(v.to_bits() ^ 1)),
+                        2 => Some(v + 5.0e-5),
+                        3 => Some(-v),
+                        4 => Some(0.0),
+                        _ => Some(v),
+                    };
+                    if let Some(t) = twin {
+                        coo.push((b, a, t));
+                    }
+                }
+            }
+            // Entries outside the square part of a non-square shape.
+            if m_cols > n && n > 0 {
+                coo.push((next(n as u64) as u32, (m_cols - 1) as u32, 1.0));
+            }
+            let m = CsrMatrix::from_coo(n, m_cols, coo);
+            for (t, tol) in [0.0f32, 1e-4].into_iter().enumerate() {
+                let want = crate::reference::is_symmetric_by_search(&m, tol);
+                assert_eq!(m.is_symmetric(tol), want, "trial {trial}, tol {tol}: {m:?}");
+                outcomes[t][usize::from(want)] += 1;
+            }
+        }
+        // Both answers are common at both tolerances.
+        assert!(outcomes.iter().flatten().all(|&k| k > 400), "{outcomes:?}");
+    }
+
+    #[test]
+    fn symmetry_edge_cases() {
+        let sym = |coo: Vec<(u32, u32, f32)>| CsrMatrix::from_coo(3, 3, coo).is_symmetric(0.0);
+        assert!(sym(vec![(0, 2, 0.0)]), "explicit zero, no twin");
+        assert!(sym(vec![(0, 2, -0.0), (2, 0, 0.0)]), "±0 twins");
+        assert!(!sym(vec![(1, 1, f32::NAN)]), "NaN diagonal");
+        assert!(!sym(vec![(1, 1, f32::INFINITY)]), "∞ diagonal");
+        assert!(sym(vec![(1, 1, -7.0)]), "finite diagonal");
+        assert!(!sym(vec![(2, 0, 1.0)]), "lower entry, no twin");
+        assert!(!sym(vec![(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)]), "lower entry left at the end");
+        assert!(CsrMatrix::zeros(0, 0).is_symmetric(0.0));
+        assert!(!CsrMatrix::zeros(2, 3).is_symmetric(0.0));
     }
 }

@@ -45,16 +45,20 @@ const SWEEP_TOL: f64 = 1e-12;
 const MAX_SWEEPS: usize = 60;
 
 /// Column count below which a round's rotations run sequentially (in the
-/// same fixed pair order). A round at `n = 128` is 64 rotations, ~10 µs
-/// of work; opening a parallel region for it costs ~2 µs on the
-/// persistent pool (it was ~70 µs while every region spawned its
-/// threads), plus the per-round slot tables, so at this size two threads
-/// are level with one (`results/BENCH_linalg.json`, `jacobi_t2_over_t1`,
-/// `tall_thin_svd_t2_over_t1`) and below it the region cannot pay. The
+/// same fixed pair order). A round is `n / 2` rotations of ~0.15 µs each
+/// at these sizes; the parallel path pays a ~2 µs region plus per-round
+/// slot tables, and hands columns from core to core every round. Timed
+/// against the sequential loop (2-vCPU Xeon, portable build, best of
+/// seven, 3–10 runs a size): two threads lose at 192 columns (45–49
+/// against 41–45 ms) and 208 (51–58 against 50–52), are level at 224
+/// (60–68 against 61–62), and are ahead from 240 on (medians 77 against
+/// 79 ms; 256: 88 against 92; 320: 142–147 against 196–204). The rSVD's
+/// `rank + oversampling` Jacobi (144 columns on `sbm_factor`) and
+/// `tall_thin_svd`'s (the dimension) therefore run sequentially. The
 /// threshold depends only on `n` — never on the thread count — and the
 /// rotations of a round touch disjoint columns (they commute exactly), so
 /// both paths produce identical bytes.
-const PAR_COLS: usize = 128;
+const PAR_COLS: usize = 240;
 
 /// The disjoint column pairs of round `round` (0-based, `< slots − 1`)
 /// of the round-robin tournament over `n` columns. `slots` is `n`

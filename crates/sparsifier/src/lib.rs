@@ -45,4 +45,6 @@ pub mod weighted;
 
 pub use construct::{SamplerConfig, SamplerError, SamplerStats};
 pub use downsample::ProbScheme;
-pub use sharded::{build_sharded_sparsifier, resolve_shards, sharded_to_netmf, table_from_coo};
+pub use sharded::{
+    build_sharded_sparsifier, resolve_shards, sharded_to_netmf, table_from_coo, table_to_csr,
+};

@@ -21,18 +21,15 @@
 //! fewer than `m` non-zeros.
 
 /// Per-entry truncated-log transform applied by the fused drain
-/// (`crate::sharded::sharded_to_netmf`).
+/// (`crate::sharded::sharded_to_netmf`). `ln x > 0` exactly when `x > 1`
+/// (and NaN is neither), so the log is taken only for entries it keeps.
 #[inline]
 pub(crate) fn trunc_log_entry(factor: f64, di: f64, dj: f64, w: f32) -> Option<f32> {
     if di <= 0.0 || dj <= 0.0 {
         return None;
     }
-    let val = (factor * w as f64 / (di * dj)).ln();
-    if val > 0.0 {
-        Some(val as f32)
-    } else {
-        None
-    }
+    let x = factor * w as f64 / (di * dj);
+    (x > 1.0).then(|| x.ln() as f32)
 }
 
 /// The `vol(G)²/(2·b·M)` prefactor of the NetMF inversion.
@@ -43,6 +40,7 @@ pub(crate) fn netmf_factor(vol: f64, total_samples: u64, b: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use super::trunc_log_entry;
     use crate::construct::SamplerConfig;
     use crate::downsample::ProbScheme;
     use crate::exact::exact_netmf;
@@ -115,6 +113,57 @@ mod tests {
         };
         let rel = error_vs_exact(&g, &cfg);
         assert!(rel < 0.05, "relative entrywise error {rel}");
+    }
+
+    /// `trunc_log_entry` as it was before it skipped the log at or below
+    /// 1, kept as its oracle.
+    fn trunc_log_entry_always_ln(factor: f64, di: f64, dj: f64, w: f32) -> Option<f32> {
+        if di <= 0.0 || dj <= 0.0 {
+            return None;
+        }
+        let val = (factor * w as f64 / (di * dj)).ln();
+        if val > 0.0 {
+            Some(val as f32)
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn trunc_log_matches_the_always_ln_form() {
+        let same = |factor: f64, di: f64, dj: f64, w: f32| {
+            let (got, want) =
+                (trunc_log_entry(factor, di, dj, w), trunc_log_entry_always_ln(factor, di, dj, w));
+            assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "{factor} {di} {dj} {w}");
+        };
+        // With unit degrees and weight the log's argument is `factor`.
+        let ulp =
+            |x: f64, up: bool| f64::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 });
+        let edges = [1.0, ulp(1.0, true), ulp(1.0, false), ulp(ulp(1.0, true), true), 0.0, -0.0];
+        let far =
+            [-1.0, -f64::INFINITY, f64::NAN, f64::INFINITY, f64::MAX, f64::MIN_POSITIVE, 1e-300];
+        for x in edges.into_iter().chain(far) {
+            same(x, 1.0, 1.0, 1.0);
+        }
+        assert_eq!(trunc_log_entry(1.0, 1.0, 1.0, 1.0), None);
+        assert!(trunc_log_entry(ulp(1.0, true), 1.0, 1.0, 1.0).is_some_and(|v| v > 0.0));
+        // Degrees and weights around the threshold, and non-finite ones.
+        let mut state = 7u64;
+        let mut unit = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..20_000 {
+            let (di, dj) = (1.0 + 63.0 * unit(), 1.0 + 63.0 * unit());
+            let w = (4.0 * unit()) as f32;
+            same(di * dj / w as f64, di, dj, w);
+            same(di * dj * (0.5 + unit()), di, dj, w);
+        }
+        for w in [0.0, -0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            same(3.0, 1.0, 2.0, w);
+        }
+        same(3.0, f64::NAN, 1.0, 2.0);
+        same(3.0, 1.0, f64::INFINITY, 2.0);
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //! into the drain:
 //!
 //! ```text
-//! sample ──▶ N per-shard tables ──drain+sort+trunc_log──▶ row-blocked CSR
+//! sample ──▶ N per-shard tables ──count+scatter+trunc_log──▶ row-blocked CSR
 //! ```
 //!
 //! No global COO is ever built and no global sort runs: shard `s` owns the
-//! source-vertex range `[lo_s, hi_s)`, so per-shard packed-key sorts
-//! concatenate into the globally sorted entry order for free.
+//! source-vertex range `[lo_s, hi_s)`, so its drain counts keys per row,
+//! sorts each short row as plain integers, and its row block lands in
+//! place in the globally sorted entry order.
 //!
 //! **Output does not depend on the thread or shard count.** (1) Per-key
 //! weights are fixed-point u64 sums, independent of insertion
 //! interleaving and of which table held the key; (2) the concatenated
-//! per-shard sort order is the global `(row, col)` order whatever the
+//! per-shard row blocks are in the global `(row, col)` order whatever the
 //! shard boundaries; (3) the per-entry transform is `trunc_log_entry`,
 //! applied entrywise with no cross-entry arithmetic. Re-adding a drained
 //! `f32` through the fixed-point accumulator returns the same `f32`, so
@@ -121,10 +122,25 @@ pub fn table_from_coo(n: usize, shards: usize, coo: &[(u32, u32, f32)]) -> Shard
     table
 }
 
+/// Drains `table` into an `n × n` CSR matrix, applying `f(u, v, w)` to
+/// every entry and dropping those mapped to `None`: each shard's counting
+/// drain yields its CSR row block ([`ShardedEdgeTable::drain_map`]), and
+/// the blocks are copied into place. Entries whose source lies outside
+/// `[0, n)` (a table fed ids past its vertex count) have no row here and
+/// are left out; `f` must drop those whose column does.
+pub fn table_to_csr<F>(n: usize, table: ShardedEdgeTable, f: F) -> CsrMatrix
+where
+    F: Fn(u32, u32, f32) -> Option<f32> + Sync,
+{
+    let blocks = table.drain_map(f).into_iter().map(|r| (r.rows, r.counts, r.cols, r.vals));
+    CsrMatrix::from_sharded_rows(n, n, blocks.collect())
+}
+
 /// Fused drain: converts the sharded aggregate straight into the
-/// truncated-log NetMF matrix. Each shard is sorted and transformed in
-/// parallel and assembled as a contiguous CSR row block — the
-/// untransformed sparsifier matrix never exists as a whole.
+/// truncated-log NetMF matrix. Each shard is drained and transformed in
+/// parallel into a contiguous CSR row block — the untransformed
+/// sparsifier matrix never exists as a whole. An id outside `[0, n)`
+/// reads as degree 0, so its entries truncate like an isolated vertex's.
 ///
 /// * `total_samples` — the `M` the sampler was configured with.
 /// * `b` — the number of negative samples in the DeepWalk equivalence
@@ -137,10 +153,9 @@ pub fn sharded_to_netmf<G: WeightedOps>(
 ) -> CsrMatrix {
     let n = g.num_vertices();
     let degrees: Vec<f64> = (0..n as u32).map(|v| g.weighted_degree(v)).collect();
+    let degree = |v: u32| degrees.get(v as usize).copied().unwrap_or(0.0);
     let factor = netmf_factor(g.volume(), total_samples, b);
-    let runs = table
-        .drain_map(|i, j, w| trunc_log_entry(factor, degrees[i as usize], degrees[j as usize], w));
-    CsrMatrix::from_sharded_rows(n, n, runs)
+    table_to_csr(n, table, |i, j, w| trunc_log_entry(factor, degree(i), degree(j), w))
 }
 
 /// Exists only for `benchmark/src/trace.rs`, which names the weighted
@@ -203,6 +218,22 @@ mod tests {
             assert_eq!(reloaded.len(), s1.distinct_entries);
             assert_bitwise_equal(&single, &sharded_to_netmf(&g, reloaded, cfg.samples, 1.0));
         }
+    }
+
+    /// Ids at or past `n` in a loaded table — a source (a stray in the
+    /// last shard) or a column — have no degree: they drop out of the
+    /// NetMF matrix instead of indexing out of bounds.
+    #[test]
+    fn out_of_range_ids_truncate_like_isolated_vertices() {
+        let g = erdos_renyi(60, 300, 5);
+        let cfg = SamplerConfig { window: 3, samples: 20_000, seed: 8, ..Default::default() };
+        let (table, _) = build_sharded_sparsifier(&g, &cfg, 4).unwrap();
+        let coo = table.into_coo();
+        let mut forged = coo.clone();
+        forged.extend([(60, 1, 9.0), (3, 60, 9.0), (u32::MAX - 1, 70, 9.0)]);
+        let want = sharded_to_netmf(&g, table_from_coo(60, 4, &coo), cfg.samples, 1.0);
+        let got = sharded_to_netmf(&g, table_from_coo(60, 4, &forged), cfg.samples, 1.0);
+        assert_bitwise_equal(&got, &want);
     }
 
     #[test]

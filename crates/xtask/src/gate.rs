@@ -183,15 +183,21 @@ const LINALG: &[Row] = &[
     // The register-tiled Gram product against the row-streaming loop it
     // replaced: 4.2–4.4× on one thread at 8000 × 144 (native build).
     Row { when: Some(When::AtBaseline("gram_rows")), ..row("gram_speedup", Rule::AtLeast(3.0)) },
+    // The one-pass symmetry walk against the per-entry binary search it
+    // replaced, on one thread at ~3 M entries.
+    Row {
+        when: Some(When::AtBaseline("symcheck_nnz")),
+        ..row("symcheck_speedup", Rule::AtLeast(3.0))
+    },
     // Two threads not slower than one on the kernels that open a parallel
     // region per Jacobi round (the worse of `jacobi_svd` and
     // `tall_thin_svd`): a region must cost less than the ~10 µs of
     // rotations it shares out. The ceiling leaves timing noise room; a
     // runtime that pays per region reads 2.2–4.6 (spawn per region).
-    // The 192-column Jacobi reads 0.98–1.11. `tall_thin_svd` reads
-    // 0.97–1.27 since its Gram product, the part two threads speed up,
-    // got 6× cheaper: what it times now is mostly the 128-column Jacobi,
-    // on which two threads lose (ROADMAP item 3, `PAR_COLS`).
+    // The Jacobi is timed at 256 columns, the first size above
+    // `PAR_COLS` (240, where two threads start to win); `tall_thin_svd`'s
+    // 128-column Jacobi is below it and runs sequentially, so what two
+    // threads share there is its Gram product.
     // Only at the baseline's sizes and on a machine with a second core —
     // below `PAR_COLS` columns there is no region, on one core no second
     // thread. On a VM whose vCPUs the host has placed far apart

@@ -189,6 +189,63 @@ fn resume_rejects_meta_version_and_fingerprint_mismatches_with_typed_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint whose checksum is valid but whose content is not this
+/// run's matrix: ids past the vertex count (the reader names the line)
+/// and a well-formed matrix of the wrong shape (`Corrupt`). Before the
+/// readers checked ids, the first panicked in the NetMF drain.
+#[test]
+fn resealed_checkpoints_with_foreign_ids_or_shapes_are_typed_errors() {
+    let g = chung_lu(200, 1_400, 2.4, 23);
+    let cfg = LightNeConfig { dim: 8, window: 4, sample_ratio: 1.0, seed: 4, ..Default::default() };
+    let pipe = LightNe::new(cfg);
+    let dir = tmp("forged");
+    std::fs::remove_dir_all(&dir).ok();
+    let want = bits(&pipe.embed_with(&g, save_opts(&dir)).unwrap().embedding);
+    let store = ArtifactStore::open(&dir);
+    let (n, _, entries) = store.load_sparsifier().unwrap();
+    let netmf = store.load_netmf().unwrap();
+    let forger = ArtifactStore::attach(&dir, store.load_meta().unwrap().fingerprint);
+    std::fs::remove_file(dir.join(INITIAL_FILE)).unwrap();
+    std::fs::remove_file(dir.join(NETMF_FILE)).unwrap();
+
+    let resume_err = || pipe.embed_with(&g, resume_opts(&dir)).unwrap_err();
+    // Past the vertex count as a source, then as a column.
+    for column in [false, true] {
+        let mut forged = entries.clone();
+        if column {
+            forged[1].1 = n as u32 + 7;
+        } else {
+            forged[1].0 = n as u32;
+        }
+        forger.save_sparsifier(n, &forged).unwrap();
+        let err = resume_err();
+        assert!(matches!(err, EngineError::Io(_)), "expected a parse error, got: {err}");
+        assert!(err.to_string().contains("line 3"), "unhelpful error: {err}");
+    }
+
+    let smaller: Vec<_> = entries.iter().copied().filter(|&(u, v, _)| u.max(v) < 100).collect();
+    forger.save_sparsifier(100, &smaller).unwrap();
+    match resume_err() {
+        EngineError::Corrupt { file, detail } => {
+            assert_eq!(file, SPARSIFIER_FILE);
+            assert!(detail.contains("100x100"), "unhelpful error: {detail}");
+        }
+        other => panic!("expected Corrupt, got: {other}"),
+    }
+
+    forger.save_sparsifier(n, &entries).unwrap();
+    forger.save_netmf(&lightne::linalg::CsrMatrix::zeros(n + 1, n + 1)).unwrap();
+    match resume_err() {
+        EngineError::Corrupt { file, .. } => assert_eq!(file, NETMF_FILE),
+        other => panic!("expected Corrupt, got: {other}"),
+    }
+
+    // The genuine checkpoints still resume to the same bytes.
+    forger.save_netmf(&netmf).unwrap();
+    assert_eq!(bits(&pipe.embed_with(&g, resume_opts(&dir)).unwrap().embedding), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn save_artifacts_refuses_directories_with_foreign_files() {
     let g = chung_lu(100, 600, 2.4, 8);
