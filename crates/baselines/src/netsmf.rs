@@ -19,10 +19,11 @@
 use lightne_core::engine::{run_pipeline, PipelineSource, RunOptions, RunStats};
 use lightne_core::LightNeConfig;
 use lightne_graph::GraphOps;
-use lightne_hash::{pack_key, EdgeAggregator, ShardedEdgeTable};
+use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne_linalg::DenseMatrix;
 use lightne_sparsifier::construct::{sample_into, SamplerConfig, SamplerError, SamplerStats};
 use lightne_sparsifier::table_from_coo;
+use lightne_utils::parallel::{group_by_row, par_row_blocks, sort_dedup_row, sort_merge_row};
 use rayon::prelude::*;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -123,14 +124,13 @@ impl EdgeAggregator for ThreadLocalAggregator {
     }
 
     fn distinct_edges(&self) -> usize {
-        let mut keys: Vec<u64> = self
+        let pairs: Vec<(u32, u32)> = self
             .shards
             .iter()
-            .flat_map(|s| lock(s).iter().map(|&(u, v, _)| pack_key(u, v)).collect::<Vec<_>>())
+            .flat_map(|s| lock(s).iter().map(|&(u, v, _)| (u, v)).collect::<Vec<_>>())
             .collect();
-        keys.par_sort_unstable();
-        keys.dedup();
-        keys.len()
+        let rows = group_by_row(&pairs, row_count(&pairs, |&(u, _)| u), |&(u, v)| [Some((u, v))]);
+        rows.finish_rows(|row, _| sort_dedup_row(row)).1.len()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -141,24 +141,37 @@ impl EdgeAggregator for ThreadLocalAggregator {
     }
 
     fn into_coo(self) -> Vec<(u32, u32, f32)> {
-        // Merge, then combine duplicate coordinates by summing.
+        // Merge, then combine duplicate coordinates by summing, in merge
+        // order.
         let mut all: Buffer = Vec::with_capacity(self.total_samples());
         for s in self.shards {
             all.append(&mut s.into_inner().unwrap_or_else(PoisonError::into_inner));
         }
-        all.par_sort_unstable_by_key(|&(u, v, _)| pack_key(u, v));
-        let mut write = 0usize;
-        for read in 0..all.len() {
-            if write > 0 && all[write - 1].0 == all[read].0 && all[write - 1].1 == all[read].1 {
-                all[write - 1].2 += all[read].2;
-            } else {
-                all[write] = all[read];
-                write += 1;
+        let n = row_count(&all, |&(u, _, _)| u);
+        let rows = group_by_row(&all, n, |&(u, v, w)| [Some((u, (v, w)))]);
+        drop(all);
+        let (row_ptr, entries) = rows.finish_rows(|row, scratch| {
+            sort_merge_row(row, scratch, |&(v, _)| v, |a, b| a.1 += b.1)
+        });
+        let mut coo = vec![(0, 0, 0.0); entries.len()];
+        par_row_blocks(&row_ptr, &mut coo, |rows, part| {
+            let base = row_ptr[rows.start] as usize;
+            for u in rows {
+                let span = row_ptr[u] as usize..row_ptr[u + 1] as usize;
+                for (out, &(v, w)) in
+                    part[span.start - base..span.end - base].iter_mut().zip(&entries[span])
+                {
+                    *out = (u as u32, v, w);
+                }
             }
-        }
-        all.truncate(write);
-        all
+        });
+        coo
     }
+}
+
+/// One past the largest source vertex of `samples` (0 when empty).
+fn row_count<T: Sync>(samples: &[T], row: impl Fn(&T) -> u32 + Sync + Send) -> usize {
+    samples.par_iter().map(|s| row(s) as usize + 1).max().unwrap_or(0)
 }
 
 /// [`PipelineSource`] realizing NetSMF's stage-1 variant: per-thread

@@ -21,6 +21,14 @@
 //! a fresh report against it. The `byte_block*` keys record the paper's
 //! §4.2 block-size trade-off and are not gated.
 //!
+//! The `*_build_*` rows time CSR construction from the graph's edge list
+//! (each edge once, shuffled): `GraphBuilder` and
+//! `WeightedGraph::from_edges` — one parallel counting sort by source
+//! vertex — at one and two threads, in million output arcs per second,
+//! against the sequential sort-then-dedup build they replaced, written
+//! out below (`*_sort_baseline_*`). `csr_build_speedup` and
+//! `weighted_build_speedup` are the two-thread rate over the baseline's.
+//!
 //! The graph is the largest classification profile (Friendster) scaled
 //! to the host; `--scale` / `--seed` come from the shared harness, and
 //! `PROFILE` / `RAND_PROBES` environment knobs override the dataset and
@@ -29,7 +37,10 @@
 use lightne_bench::harness::{env_usize, timed, Args};
 use lightne_gen::profiles::Profile;
 use lightne_graph::walk::walk;
-use lightne_graph::{Codec, Graph, GraphAccess, GraphBuilder, V2Graph, VertexId, WeightedOps};
+use lightne_graph::{
+    Codec, Graph, GraphAccess, GraphBuilder, V2Graph, VertexId, WeightedGraph, WeightedOps,
+};
+use lightne_utils::parallel::configure_threads;
 use lightne_utils::rng::XorShiftStream;
 use std::hint::black_box;
 
@@ -108,6 +119,92 @@ fn hub_rand_maccess_per_sec(probes: usize, seed: u64, reps: usize) -> f64 {
         })
     });
     probes as f64 / secs / 1e6
+}
+
+/// The sequential build `GraphBuilder` had before the counting sort: both
+/// arcs of every edge as packed `u64` keys, one comparison sort, dedup,
+/// degrees by count. Returns the CSR arrays.
+fn csr_build_by_sort(n: usize, edges: &[(VertexId, VertexId)]) -> (Vec<u64>, Vec<VertexId>) {
+    let mut keys: Vec<u64> = Vec::with_capacity(edges.len() * 2);
+    for &(u, v) in edges {
+        if u != v {
+            keys.push(((u as u64) << 32) | v as u64);
+            keys.push(((v as u64) << 32) | u as u64);
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    let mut offsets = vec![0u64; n + 1];
+    for &k in &keys {
+        offsets[(k >> 32) as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    (offsets, keys.iter().map(|&k| k as VertexId).collect())
+}
+
+/// The sequential build `WeightedGraph::from_edges` had before the
+/// counting sort: keyed arcs, one comparison sort, a merge of equal keys,
+/// then neighbors, weights, per-vertex cumulative sums and weighted
+/// degrees. Returns the volume.
+fn weighted_build_by_sort(n: usize, edges: &[(VertexId, VertexId, f32)]) -> f64 {
+    let mut arcs: Vec<(u64, f32)> = Vec::with_capacity(edges.len() * 2);
+    for &(u, v, w) in edges {
+        if u != v {
+            arcs.push((((u as u64) << 32) | v as u64, w));
+            arcs.push((((v as u64) << 32) | u as u64, w));
+        }
+    }
+    arcs.sort_unstable_by_key(|&(k, _)| k);
+    let mut write = 0usize;
+    for read in 0..arcs.len() {
+        if write > 0 && arcs[write - 1].0 == arcs[read].0 {
+            arcs[write - 1].1 += arcs[read].1;
+        } else {
+            arcs[write] = arcs[read];
+            write += 1;
+        }
+    }
+    arcs.truncate(write);
+    let mut offsets = vec![0u64; n + 1];
+    for &(k, _) in &arcs {
+        offsets[(k >> 32) as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let neighbors: Vec<VertexId> = arcs.iter().map(|&(k, _)| k as VertexId).collect();
+    let weights: Vec<f32> = arcs.iter().map(|&(_, w)| w).collect();
+    let mut cumulative = weights.clone();
+    let mut degrees = vec![0f64; n];
+    for v in 0..n {
+        let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+        let mut acc = 0.0f32;
+        for c in &mut cumulative[lo..hi] {
+            acc += *c;
+            *c = acc;
+        }
+        degrees[v] = weights[lo..hi].iter().map(|&w| w as f64).sum();
+    }
+    black_box((&neighbors, &cumulative));
+    degrees.iter().sum()
+}
+
+/// The graph's edges, each once, in a seeded random order, with
+/// log-uniform weights in `[1, 16)`.
+fn shuffled_edges(g: &Graph, seed: u64) -> Vec<(VertexId, VertexId, f32)> {
+    let mut rng = XorShiftStream::new(seed, 4);
+    let mut edges = Vec::with_capacity(g.num_edges());
+    for u in 0..g.num_vertices() as VertexId {
+        for &v in g.neighbors(u).iter().filter(|&&v| u < v) {
+            edges.push((u, v, 16f64.powf(rng.unit_f64()) as f32));
+        }
+    }
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.bounded_usize(i + 1));
+    }
+    edges
 }
 
 fn main() {
@@ -199,6 +296,31 @@ fn main() {
     put("seq_slowdown_best", format!("{:.4}", byte_seq / seq));
     put("rand_slowdown_best", format!("{:.4}", byte_rand / rand));
     put("walk_slowdown_best", format!("{:.4}", csr_walk / walked));
+
+    // --- CSR construction: the counting-sort builds at one and two
+    // threads against the sort-then-dedup build they replaced.
+    let weighted = shuffled_edges(&g, args.seed);
+    let pairs: Vec<(VertexId, VertexId)> = weighted.iter().map(|&(u, v, _)| (u, v)).collect();
+    let rate = |secs: f64| arcs as f64 / secs / 1e6;
+    let csr_old = rate(best_secs(reps, || csr_build_by_sort(n, &pairs)));
+    let weighted_old = rate(best_secs(reps, || weighted_build_by_sort(n, &weighted)));
+    let (mut csr_t2, mut weighted_t2) = (0.0, 0.0);
+    for threads in [1, 2] {
+        configure_threads(threads);
+        let csr = rate(best_secs(reps, || GraphBuilder::from_edges(n, &pairs)));
+        let wgt = rate(best_secs(reps, || WeightedGraph::from_edges(n, &weighted)));
+        assert!(GraphBuilder::from_edges(n, &pairs) == g, "the build changed the graph");
+        eprintln!("build t{threads}: csr {csr:.1} Marcs/s, weighted {wgt:.1} Marcs/s");
+        put(&format!("csr_build_t{threads}_marcs_per_sec"), format!("{csr:.3}"));
+        put(&format!("weighted_build_t{threads}_marcs_per_sec"), format!("{wgt:.3}"));
+        (csr_t2, weighted_t2) = (csr, wgt);
+    }
+    configure_threads(0);
+    eprintln!("build by sort: csr {csr_old:.1} Marcs/s, weighted {weighted_old:.1} Marcs/s");
+    put("csr_sort_baseline_marcs_per_sec", format!("{csr_old:.3}"));
+    put("weighted_sort_baseline_marcs_per_sec", format!("{weighted_old:.3}"));
+    put("csr_build_speedup", format!("{:.4}", csr_t2 / csr_old));
+    put("weighted_build_speedup", format!("{:.4}", weighted_t2 / weighted_old));
 
     println!("{{\n{}\n}}", lines.join(",\n"));
 }

@@ -1,25 +1,14 @@
 //! Parallel CSR construction from edge lists.
 //!
-//! The GBBS ingestion path: pack each edge into a `u64`, parallel-sort,
-//! deduplicate, then compute offsets with a parallel prefix sum. Self-loops
-//! are dropped and (by default) the edge set is symmetrized, because every
-//! algorithm in the paper operates on undirected graphs.
+//! The GBBS ingestion path as an integer sort: each undirected edge is
+//! stored once, and one stable counting sort by source vertex
+//! ([`group_by_row`]) writes both of its arcs into their rows, O(m + n) on
+//! every thread; each short row is then sorted and deduplicated on its
+//! own. Self-loops are dropped and the edge set is symmetrized, because
+//! every algorithm in the paper operates on undirected graphs.
 
 use crate::{Graph, VertexId};
-use lightne_utils::parallel::parallel_prefix_sum;
-use rayon::prelude::*;
-
-/// Packs an ordered pair into a sortable `u64` key.
-#[inline]
-pub fn pack_edge(u: VertexId, v: VertexId) -> u64 {
-    ((u as u64) << 32) | v as u64
-}
-
-/// Unpacks a `u64` key into an ordered pair.
-#[inline]
-pub fn unpack_edge(key: u64) -> (VertexId, VertexId) {
-    ((key >> 32) as VertexId, key as VertexId)
-}
+use lightne_utils::parallel::{group_by_row, sort_dedup_row, RowGroups};
 
 /// Accumulates edges and builds a CSR [`Graph`].
 ///
@@ -36,7 +25,8 @@ pub fn unpack_edge(key: u64) -> (VertexId, VertexId) {
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<u64>,
+    /// One entry per undirected edge; the build writes both arcs.
+    edges: Vec<(VertexId, VertexId)>,
 }
 
 impl GraphBuilder {
@@ -46,15 +36,13 @@ impl GraphBuilder {
         Self { n, edges: Vec::new() }
     }
 
-    /// Adds one undirected edge. Self-loops are ignored.
+    /// Adds one undirected edge. Self-loops are ignored. The ids are
+    /// checked against the vertex count once, by [`GraphBuilder::build`].
     #[inline]
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) {
-        debug_assert!((u as usize) < self.n && (v as usize) < self.n);
-        if u == v {
-            return;
+        if u != v {
+            self.edges.push((u, v));
         }
-        self.edges.push(pack_edge(u, v));
-        self.edges.push(pack_edge(v, u));
     }
 
     /// Adds a batch of undirected edges.
@@ -64,47 +52,120 @@ impl GraphBuilder {
         }
     }
 
-    /// Builds the CSR graph: parallel sort, dedup, offsets by prefix sum.
-    pub fn build(mut self) -> Graph {
-        let n = self.n;
-        self.edges.par_sort_unstable();
-        self.edges.dedup();
-        let edges = self.edges;
-
-        // Count degrees: edges are sorted by source, so the degree of v is
-        // the size of its contiguous run. A parallel histogram via atomic
-        // increments would also work; counting by binary-searching run
-        // boundaries keeps this deterministic and contention-free.
-        let mut degrees = vec![0u64; n];
-        // Parallel: each chunk counts into a local map keyed by source run.
-        // Runs can span chunk boundaries, so count with atomics instead.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let deg_atomic: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        edges.par_iter().for_each(|&e| {
-            let (u, _) = unpack_edge(e);
-            deg_atomic[u as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        degrees
-            .par_iter_mut()
-            .zip(deg_atomic.par_iter())
-            .for_each(|(d, a)| *d = a.load(Ordering::Relaxed));
-
-        let offsets = parallel_prefix_sum(&degrees);
-        let neighbors: Vec<VertexId> = edges.par_iter().map(|&e| unpack_edge(e).1).collect();
-        Graph::from_csr(offsets, neighbors)
+    /// Builds the CSR graph: a counting sort writes both arcs of every
+    /// edge into their rows, then each row is sorted and deduplicated.
+    ///
+    /// # Panics
+    /// If an edge names a vertex id not below the vertex count.
+    pub fn build(self) -> Graph {
+        let rows = group_by_row(&self.edges, self.n, both_arcs);
+        drop(self.edges);
+        graph_from_groups(rows)
     }
 
-    /// Convenience: builds a graph from a slice of edges.
+    /// Builds a graph from a slice of edges, as [`GraphBuilder::build`]
+    /// does, straight from the slice.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Graph {
-        let mut b = Self::new(n);
-        b.add_edges(edges.iter().copied());
-        b.build()
+        assert!(n <= VertexId::MAX as usize, "vertex count exceeds u32 id space");
+        graph_from_groups(group_by_row(edges, n, both_arcs))
     }
+}
+
+/// The arcs of an undirected edge: both orientations, none for a loop.
+fn both_arcs(&(u, v): &(VertexId, VertexId)) -> [Option<(u32, VertexId)>; 2] {
+    if u == v {
+        [None, None]
+    } else {
+        [Some((u, v)), Some((v, u))]
+    }
+}
+
+/// Sorts and deduplicates every row of the grouped arcs.
+fn graph_from_groups(rows: RowGroups<VertexId>) -> Graph {
+    let (offsets, neighbors) = rows.finish_rows(|row, _| sort_dedup_row(row));
+    Graph::from_csr(offsets, neighbors)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightne_utils::parallel::configure_threads;
+    use lightne_utils::rng::XorShiftStream;
+
+    /// The sort-based build the counting sort replaced: both arcs of every
+    /// edge as packed `u64` keys, one comparison sort, dedup, degrees by
+    /// count.
+    fn build_by_sort(n: usize, edges: &[(VertexId, VertexId)]) -> Graph {
+        let mut keys: Vec<u64> = Vec::new();
+        for &(u, v) in edges {
+            if u != v {
+                keys.push(((u as u64) << 32) | v as u64);
+                keys.push(((v as u64) << 32) | u as u64);
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let mut offsets = vec![0u64; n + 1];
+        for &k in &keys {
+            offsets[(k >> 32) as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        Graph::from_csr(offsets, keys.iter().map(|&k| k as VertexId).collect())
+    }
+
+    /// Holds the build to the sort-based oracle, bit for bit, at 1, 2 and
+    /// 8 threads.
+    fn check_against_sort(n: usize, edges: &[(VertexId, VertexId)]) {
+        let want = build_by_sort(n, edges);
+        for threads in [1, 2, 8] {
+            configure_threads(threads);
+            let got = GraphBuilder::from_edges(n, edges);
+            assert!(got == want, "n = {n}, {} edges, {threads} threads", edges.len());
+        }
+        configure_threads(0);
+    }
+
+    fn random_edges(n: usize, m: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
+        let mut rng = XorShiftStream::new(seed, 0);
+        (0..m).map(|_| (rng.bounded_usize(n) as u32, rng.bounded_usize(n) as u32)).collect()
+    }
+
+    #[test]
+    fn matches_the_sort_oracle_on_degenerate_inputs() {
+        check_against_sort(0, &[]);
+        check_against_sort(5, &[]);
+        check_against_sort(1, &[(0, 0)]);
+        check_against_sort(4, &[(0, 0), (3, 3), (2, 2)]);
+        check_against_sort(4, &[(1, 3); 50]);
+        check_against_sort(4, &[(3, 1), (1, 3), (3, 1)]);
+        check_against_sort(9, &[(8, 0), (7, 8), (0, 8), (8, 8)]);
+    }
+
+    #[test]
+    fn matches_the_sort_oracle_on_random_graphs() {
+        check_against_sort(100, &random_edges(100, 3_000, 1));
+        // More than 2^16 vertices and 2^14 edges: several row blocks and
+        // several input chunks.
+        check_against_sort(70_000, &random_edges(70_000, 120_000, 2));
+        check_against_sort(1 << 20, &random_edges(1 << 20, 50_000, 3));
+    }
+
+    #[test]
+    fn matches_the_sort_oracle_on_a_hub() {
+        // A hub row of more than 2^16 entries, with repeats.
+        let mut edges: Vec<(VertexId, VertexId)> = (1..=70_000u32).map(|v| (v, 0)).collect();
+        edges.extend((1..=1_000u32).map(|v| (0, v * 7)));
+        edges.extend(random_edges(70_001, 10_000, 4));
+        check_against_sort(70_001, &edges);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_an_id_past_the_vertex_count() {
+        GraphBuilder::from_edges(3, &[(0, 1), (1, 3)]);
+    }
 
     #[test]
     fn builds_sorted_deduped_symmetric() {
@@ -135,13 +196,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 10);
         assert_eq!(g.degree(5), 0);
         assert_eq!(g.degree(9), 1);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for &(u, v) in &[(0u32, 0u32), (1, 2), (u32::MAX, 7), (123456, u32::MAX)] {
-            assert_eq!(unpack_edge(pack_edge(u, v)), (u, v));
-        }
     }
 
     #[test]

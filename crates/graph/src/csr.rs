@@ -8,6 +8,7 @@
 
 use crate::VertexId;
 use lightne_utils::mem::MemUsage;
+use rayon::prelude::*;
 
 /// An undirected graph in CSR form. Neighbor lists are sorted and contain
 /// no duplicates or self-loops (enforced by [`crate::GraphBuilder`]).
@@ -34,7 +35,7 @@ impl Graph {
         );
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be non-decreasing");
         let n = offsets.len() - 1;
-        assert!(neighbors.iter().all(|&v| (v as usize) < n), "neighbor id out of range");
+        assert!(neighbors.par_iter().all(|&v| (v as usize) < n), "neighbor id out of range");
         Self { offsets, neighbors }
     }
 

@@ -41,6 +41,9 @@ pub enum GraphIoError {
     /// The weights at this vertex, each finite on its own line, merge
     /// (duplicate edges are summed) or accumulate past the `f32` range.
     WeightOverflow(VertexId),
+    /// A text edge list names vertex id `u32::MAX` (line number, id): the
+    /// vertex count `id + 1` does not fit the `u32` id space.
+    IdSpace(usize, VertexId),
 }
 
 impl fmt::Display for GraphIoError {
@@ -56,6 +59,12 @@ impl fmt::Display for GraphIoError {
             GraphIoError::WeightOverflow(v) => {
                 write!(f, "edge weights at vertex {v} sum past the f32 range")
             }
+            GraphIoError::IdSpace(line, id) => write!(
+                f,
+                "vertex id {id} on line {line} leaves no room for the vertex count \
+                 (ids must be below {})",
+                VertexId::MAX
+            ),
         }
     }
 }
@@ -68,8 +77,17 @@ impl From<io::Error> for GraphIoError {
     }
 }
 
+/// Rejects the one `u32` id that leaves no room for the vertex count.
+fn check_id_space(line: usize, id: VertexId) -> Result<VertexId, GraphIoError> {
+    if id == VertexId::MAX {
+        return Err(GraphIoError::IdSpace(line, id));
+    }
+    Ok(id)
+}
+
 /// Reads a whitespace-separated edge list. Lines starting with `#` or `%`
-/// are comments; blank lines are skipped. Vertex ids must fit in `u32`.
+/// are comments; blank lines are skipped. Vertex ids must be below
+/// `u32::MAX`, so that the vertex count fits the `u32` id space.
 /// The number of vertices is `max id + 1` unless `min_vertices` is larger.
 pub fn read_edge_list(path: impl AsRef<Path>, min_vertices: usize) -> Result<Graph, GraphIoError> {
     let file = File::open(path)?;
@@ -84,8 +102,10 @@ pub fn read_edge_list(path: impl AsRef<Path>, min_vertices: usize) -> Result<Gra
         }
         let mut it = t.split_whitespace();
         let parse = |s: Option<&str>| -> Result<VertexId, GraphIoError> {
-            s.and_then(|x| x.parse::<VertexId>().ok())
-                .ok_or_else(|| GraphIoError::Parse(lineno + 1, t.to_string()))
+            let id = s
+                .and_then(|x| x.parse::<VertexId>().ok())
+                .ok_or_else(|| GraphIoError::Parse(lineno + 1, t.to_string()))?;
+            check_id_space(lineno + 1, id)
         };
         let u = parse(it.next())?;
         let v = parse(it.next())?;
@@ -116,8 +136,10 @@ pub fn read_weighted_edge_list(
         }
         let mut it = t.split_whitespace();
         let parse_v = |s: Option<&str>| -> Result<VertexId, GraphIoError> {
-            s.and_then(|x| x.parse::<VertexId>().ok())
-                .ok_or_else(|| GraphIoError::Parse(lineno + 1, t.to_string()))
+            let id = s
+                .and_then(|x| x.parse::<VertexId>().ok())
+                .ok_or_else(|| GraphIoError::Parse(lineno + 1, t.to_string()))?;
+            check_id_space(lineno + 1, id)
         };
         let u = parse_v(it.next())?;
         let v = parse_v(it.next())?;

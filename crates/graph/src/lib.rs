@@ -8,7 +8,8 @@
 //!
 //! * [`csr::Graph`] — an uncompressed CSR graph with `u32` vertex ids.
 //! * [`builder::GraphBuilder`] — parallel CSR construction from edge lists
-//!   (sort + dedup + symmetrize), the standard GBBS ingestion path.
+//!   (one counting sort by source vertex writes both arcs of each edge,
+//!   then each row is sorted and deduplicated), the GBBS ingestion path.
 //! * [`v2::V2Graph`] — the compressed graph: neighbor lists as
 //!   difference-encoded blocks of a configurable size (64 by default, the
 //!   trade-off chosen in Section 4.2), with per-block offsets so the `i`-th

@@ -15,7 +15,7 @@
 use crate::ops::{common_neighbors, par_vertices_by_arc_mass};
 use crate::{Graph, GraphAccess, VertexId};
 use lightne_utils::mem::MemUsage;
-use lightne_utils::parallel::parallel_prefix_sum;
+use lightne_utils::parallel::{group_by_row, par_row_blocks, par_unzip, sort_merge_row};
 use lightne_utils::rng::XorShiftStream;
 use rayon::prelude::*;
 
@@ -200,59 +200,49 @@ pub struct WeightedGraph {
 
 impl WeightedGraph {
     /// Builds from an undirected weighted edge list. Duplicate edges have
-    /// their weights summed; self-loops are dropped; weights must be
-    /// positive and finite.
+    /// their weights summed, in input order; self-loops are dropped;
+    /// weights must be positive and finite.
+    ///
+    /// One counting sort by source vertex writes both arcs of every edge
+    /// into their rows ([`group_by_row`]); each row is then sorted and its
+    /// duplicates merged on its own, and the per-row cumulative sums and
+    /// weighted degrees are per-row parallel work too.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId, f32)]) -> Self {
         assert!(n <= VertexId::MAX as usize);
-        for &(u, v, w) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "vertex id out of range");
+        let rows = group_by_row(edges, n, |&(u, v, w)| {
             assert!(w > 0.0 && w.is_finite(), "edge weights must be positive and finite");
-        }
-        // Symmetrize, sort by packed key, merge duplicates.
-        let mut arcs: Vec<(u64, f32)> = Vec::with_capacity(edges.len() * 2);
-        for &(u, v, w) in edges {
             if u == v {
-                continue;
-            }
-            arcs.push((((u as u64) << 32) | v as u64, w));
-            arcs.push((((v as u64) << 32) | u as u64, w));
-        }
-        arcs.par_sort_unstable_by_key(|&(k, _)| k);
-        let mut write = 0usize;
-        for read in 0..arcs.len() {
-            if write > 0 && arcs[write - 1].0 == arcs[read].0 {
-                arcs[write - 1].1 += arcs[read].1;
+                assert!((u as usize) < n, "vertex id out of range");
+                [None, None]
             } else {
-                arcs[write] = arcs[read];
-                write += 1;
+                [Some((u, (v, w))), Some((v, (u, w)))]
             }
-        }
-        arcs.truncate(write);
+        });
+        let (offsets, arcs) = rows.finish_rows(|row, scratch| {
+            sort_merge_row(row, scratch, |&(v, _)| v, |a, b| a.1 += b.1)
+        });
 
-        let mut counts = vec![0u64; n];
-        for &(k, _) in &arcs {
-            counts[(k >> 32) as usize] += 1;
-        }
-        let offsets = parallel_prefix_sum(&counts);
-        let neighbors: Vec<VertexId> = arcs.par_iter().map(|&(k, _)| k as VertexId).collect();
-        let weights: Vec<f32> = arcs.par_iter().map(|&(_, w)| w).collect();
+        let (neighbors, weights) = par_unzip(&arcs);
+        drop(arcs);
 
         // Per-vertex inclusive prefix sums.
         let mut cumulative = weights.clone();
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let mut acc = 0.0f32;
-            for c in &mut cumulative[lo..hi] {
-                acc += *c;
-                *c = acc;
+        par_row_blocks(&offsets, &mut cumulative, |rows, part| {
+            let base = offsets[rows.start];
+            for v in rows {
+                let span = (offsets[v] - base) as usize..(offsets[v + 1] - base) as usize;
+                let mut acc = 0.0f32;
+                for c in &mut part[span] {
+                    acc += *c;
+                    *c = acc;
+                }
             }
-        }
-        let weighted_degrees: Vec<f64> = (0..n)
-            .map(|v| {
-                let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-                weights[lo..hi].iter().map(|&w| w as f64).sum()
-            })
-            .collect();
+        });
+        let mut weighted_degrees = vec![0f64; n];
+        weighted_degrees.par_iter_mut().enumerate().for_each(|(v, d)| {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            *d = weights[lo..hi].iter().map(|&w| w as f64).sum();
+        });
 
         let volume = weighted_degrees.iter().sum();
         Self { offsets, neighbors, weights, cumulative, weighted_degrees, volume }
@@ -472,6 +462,131 @@ mod tests {
     use super::*;
     use crate::walk::walk;
     use crate::GraphBuilder;
+
+    /// The sort-based build the counting sort replaced: both arcs of every
+    /// edge keyed by the packed pair, one comparison sort, a sequential
+    /// merge of equal keys, then counts, cumulative sums and degrees.
+    /// `stable` sorts with a stable sort, so that duplicates merge in input
+    /// order (the unstable sort leaves three or more in an arbitrary one).
+    fn from_edges_by_sort(
+        n: usize,
+        edges: &[(VertexId, VertexId, f32)],
+        stable: bool,
+    ) -> WeightedGraph {
+        let mut arcs: Vec<(u64, f32)> = Vec::new();
+        for &(u, v, w) in edges {
+            if u != v {
+                arcs.push((((u as u64) << 32) | v as u64, w));
+                arcs.push((((v as u64) << 32) | u as u64, w));
+            }
+        }
+        if stable {
+            arcs.sort_by_key(|&(k, _)| k);
+        } else {
+            arcs.sort_unstable_by_key(|&(k, _)| k);
+        }
+        let mut merged: Vec<(u64, f32)> = Vec::new();
+        for (k, w) in arcs {
+            match merged.last_mut() {
+                Some(last) if last.0 == k => last.1 += w,
+                _ => merged.push((k, w)),
+            }
+        }
+        let mut offsets = vec![0u64; n + 1];
+        for &(k, _) in &merged {
+            offsets[(k >> 32) as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let neighbors: Vec<VertexId> = merged.iter().map(|&(k, _)| k as VertexId).collect();
+        let weights: Vec<f32> = merged.iter().map(|&(_, w)| w).collect();
+        let mut cumulative = weights.clone();
+        let mut weighted_degrees = vec![0f64; n];
+        for v in 0..n {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            let mut acc = 0.0f32;
+            for c in &mut cumulative[lo..hi] {
+                acc += *c;
+                *c = acc;
+            }
+            weighted_degrees[v] = weights[lo..hi].iter().map(|&w| w as f64).sum();
+        }
+        let volume = weighted_degrees.iter().sum();
+        WeightedGraph { offsets, neighbors, weights, cumulative, weighted_degrees, volume }
+    }
+
+    /// Holds `from_edges` to the sort-based build, bit for bit, at 1, 2
+    /// and 8 threads.
+    fn check_against_sort(n: usize, edges: &[(VertexId, VertexId, f32)], stable: bool) {
+        let want = from_edges_by_sort(n, edges, stable);
+        for threads in [1, 2, 8] {
+            lightne_utils::parallel::configure_threads(threads);
+            let got = WeightedGraph::from_edges(n, edges);
+            assert!(got.offsets == want.offsets && got.neighbors == want.neighbors);
+            let bits = |x: &[f32]| x.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.weights), bits(&want.weights), "{threads} threads");
+            assert_eq!(bits(&got.cumulative), bits(&want.cumulative), "{threads} threads");
+            let bits64 = |x: &[f64]| x.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits64(&got.weighted_degrees), bits64(&want.weighted_degrees));
+            assert_eq!(got.volume.to_bits(), want.volume.to_bits());
+        }
+        lightne_utils::parallel::configure_threads(0);
+    }
+
+    /// `m` edges on `n` vertices with weights spread over four decades,
+    /// so that the order of a sum shows in its bits.
+    fn random_weighted_edges(n: usize, m: usize, seed: u64) -> Vec<(VertexId, VertexId, f32)> {
+        let mut rng = XorShiftStream::new(seed, 0);
+        (0..m)
+            .map(|_| {
+                let (u, v) = (rng.bounded_usize(n) as u32, rng.bounded_usize(n) as u32);
+                (u, v, 10f64.powf(4.0 * rng.unit_f64()) as f32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_sort_oracle_without_duplicates() {
+        check_against_sort(0, &[], false);
+        check_against_sort(1, &[(0, 0, 2.0)], false);
+        check_against_sort(3, &[(0, 0, 1.0), (2, 2, 1.5)], false);
+        check_against_sort(9, &[(8, 0, 1.0), (7, 8, 2.5), (8, 8, 4.0)], false);
+        // Distinct edges: more than 2^16 vertices, several row blocks and
+        // input chunks, and a hub of more than 2^16 arcs.
+        let mut edges: Vec<_> = (1..=70_000u32).map(|v| (0, v, 1.0 + v as f32)).collect();
+        edges.extend((1..35_000u32).map(|v| (v, v + 35_000, 0.5)));
+        check_against_sort(70_001, &edges, false);
+    }
+
+    #[test]
+    fn duplicate_pairs_sum_as_the_sort_oracle_did() {
+        // Each pair at most twice: an f32 sum of two is the same in
+        // either order, so the unstable oracle's bytes hold.
+        let base = random_weighted_edges(500, 4_000, 11);
+        let mut seen = std::collections::HashSet::new();
+        let distinct: Vec<_> = base
+            .into_iter()
+            .filter(|&(u, v, _)| u != v && seen.insert((u.min(v), u.max(v))))
+            .collect();
+        let mut edges = distinct.clone();
+        edges.extend(distinct.iter().step_by(3).map(|&(u, v, w)| (v, u, w * 3.0)));
+        check_against_sort(500, &edges, false);
+    }
+
+    #[test]
+    fn three_or_more_duplicates_sum_in_input_order() {
+        // Order-sensitive sums: 1e8 + 1 + 1 rounds differently from 1 + 1 + 1e8.
+        let edges = [(0, 1, 1e8), (1, 0, 1.0), (0, 1, 1.0), (2, 1, 1.0), (1, 2, 1.0), (1, 2, 1e8)];
+        check_against_sort(3, &edges, true);
+        check_against_sort(4, &[(1, 3, 0.3); 7], true);
+        let g = WeightedGraph::from_edges(3, &edges);
+        assert_eq!(g.edge_weight(0, 1), (1e8f32 + 1.0) + 1.0);
+        assert_eq!(g.edge_weight(2, 1), (1.0f32 + 1.0) + 1e8);
+        // Many repeats on few vertices, past one input chunk.
+        check_against_sort(40, &random_weighted_edges(40, 50_000, 12), true);
+        check_against_sort(70_000, &random_weighted_edges(70_000, 200_000, 13), true);
+    }
 
     fn weighted_triangle() -> WeightedGraph {
         WeightedGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])

@@ -9,7 +9,9 @@
 use crate::dense::{map_slice, DenseMatrix};
 use crate::simd::{self, SimdTier};
 use lightne_utils::mem::MemUsage;
-use lightne_utils::parallel::{parallel_prefix_sum, parallel_reduce_sum};
+use lightne_utils::parallel::{
+    group_by_row, par_unzip, parallel_prefix_sum, parallel_reduce_sum, sort_merge_row,
+};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -17,16 +19,6 @@ use std::ops::Range;
 /// vals)`, where row `rows.start + r` holds the next `counts[r]` columns
 /// (strictly ascending) and values. See [`CsrMatrix::from_sharded_rows`].
 pub type RowBlock = (Range<u32>, Vec<u32>, Vec<u32>, Vec<f32>);
-
-/// Row-major packed sort key of a COO triple.
-#[inline]
-fn coo_key(e: &(u32, u32, f32)) -> u64 {
-    ((e.0 as u64) << 32) | e.1 as u64
-}
-
-/// Below this length the duplicate-combining pass runs sequentially; the
-/// chunk bookkeeping is not worth it.
-const PAR_DEDUP_THRESHOLD: usize = 1 << 15;
 
 /// Output rows per SPMM task: one task owns 64 contiguous rows of every
 /// output, which amortizes per-task dispatch and the task's accumulator
@@ -66,70 +58,11 @@ pub(crate) fn spmm_row_scalar(cols: &[u32], vals: &[f32], x: &DenseMatrix, acc: 
     }
 }
 
-/// Combines adjacent duplicate coordinates of a sorted COO list by
-/// summation. Chunk boundaries are advanced to duplicate-group starts, so
-/// every group is summed left-to-right within one chunk — the result is
-/// bitwise identical to the sequential pass at any thread count.
-fn combine_sorted_duplicates(mut coo: Vec<(u32, u32, f32)>) -> Vec<(u32, u32, f32)> {
-    let len = coo.len();
-    let workers = rayon::current_num_threads().max(1);
-    if len < PAR_DEDUP_THRESHOLD || workers == 1 {
-        let mut write = 0usize;
-        for read in 0..coo.len() {
-            if write > 0 && coo[write - 1].0 == coo[read].0 && coo[write - 1].1 == coo[read].1 {
-                coo[write - 1].2 += coo[read].2;
-            } else {
-                coo[write] = coo[read];
-                write += 1;
-            }
-        }
-        coo.truncate(write);
-        return coo;
-    }
-
-    // Chunk bounds, snapped forward so no duplicate group spans a bound.
-    let mut bounds: Vec<usize> = Vec::with_capacity(workers + 1);
-    bounds.push(0);
-    for k in 1..workers {
-        let mut b = k * len / workers;
-        // xtask:panic-ok(invariant: bounds starts with one element and only grows)
-        let prev = *bounds.last().unwrap();
-        if b <= prev {
-            continue;
-        }
-        while b < len && coo_key(&coo[b]) == coo_key(&coo[b - 1]) {
-            b += 1;
-        }
-        if b > prev && b < len {
-            bounds.push(b);
-        }
-    }
-    bounds.push(len);
-
-    let spans: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-    let coo_ref = &coo;
-    let parts: Vec<Vec<(u32, u32, f32)>> = spans
-        .into_par_iter()
-        .map(|span| {
-            let chunk = &coo_ref[span];
-            let mut out: Vec<(u32, u32, f32)> = Vec::with_capacity(chunk.len());
-            for &e in chunk {
-                match out.last_mut() {
-                    Some(last) if last.0 == e.0 && last.1 == e.1 => last.2 += e.2,
-                    _ => out.push(e),
-                }
-            }
-            out
-        })
-        .collect();
-    parts.concat()
-}
-
 /// A sparse matrix in CSR format with `f32` values.
 ///
 /// Invariant: within every row the column indices are strictly ascending
 /// (sorted, no repeats). Every constructor establishes it — `from_coo`
-/// sorts and combines duplicates, `from_sharded_rows` takes sorted unique
+/// sorts each row and combines duplicates, `from_sharded_rows` takes sorted unique
 /// rows — and [`CsrMatrix::from_raw`] asserts it. [`CsrMatrix::get`]'s
 /// binary search and [`CsrMatrix::is_symmetric`]'s one-pass walk rely on
 /// it.
@@ -173,21 +106,22 @@ impl CsrMatrix {
     }
 
     /// Builds from an unsorted COO triple list. Duplicate coordinates are
-    /// combined by summation (the semantics the sampler needs: repeated
-    /// samples of the same edge accumulate weight).
-    pub fn from_coo(n_rows: usize, n_cols: usize, mut coo: Vec<(u32, u32, f32)>) -> Self {
-        coo.par_sort_unstable_by_key(coo_key);
-        // Combine duplicates in a group-aligned parallel pass (bitwise
-        // identical to the sequential scan; see combine_sorted_duplicates).
-        let coo = combine_sorted_duplicates(coo);
-
-        let mut counts = vec![0u64; n_rows];
-        for &(r, _, _) in &coo {
-            counts[r as usize] += 1;
-        }
-        let row_ptr = parallel_prefix_sum(&counts);
-        let col_idx: Vec<u32> = coo.par_iter().map(|&(_, c, _)| c).collect();
-        let values: Vec<f32> = coo.par_iter().map(|&(_, _, v)| v).collect();
+    /// combined by summation, in input order (the semantics the sampler
+    /// needs: repeated samples of the same edge accumulate weight).
+    ///
+    /// One stable counting sort by row ([`group_by_row`]), then each row
+    /// is sorted by column and its duplicates merged on its own — O(nnz +
+    /// n_rows) on every thread.
+    ///
+    /// # Panics
+    /// If an entry lies outside the `n_rows × n_cols` shape.
+    pub fn from_coo(n_rows: usize, n_cols: usize, coo: Vec<(u32, u32, f32)>) -> Self {
+        let rows = group_by_row(&coo, n_rows, |&(r, c, v)| [Some((r, (c, v)))]);
+        drop(coo);
+        let (row_ptr, entries) = rows.finish_rows(|row, scratch| {
+            sort_merge_row(row, scratch, |&(c, _)| c, |a, b| a.1 += b.1)
+        });
+        let (col_idx, values) = par_unzip(&entries);
         Self::from_raw(n_rows, n_cols, row_ptr, col_idx, values)
     }
 
@@ -639,32 +573,92 @@ mod tests {
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
 
-    #[test]
-    fn parallel_dedup_matches_sequential() {
-        // Big enough to exercise the parallel duplicate-combining path.
-        let n = super::PAR_DEDUP_THRESHOLD * 3;
-        let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(n);
-        let mut state = 42u64;
-        for _ in 0..n {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let r = ((state >> 33) % 500) as u32;
-            let c = ((state >> 13) % 500) as u32;
-            coo.push((r, c, 1.0 + (state % 3) as f32 * 0.5));
+    /// The sort-based `from_coo` the counting sort replaced: one
+    /// comparison sort of the packed coordinates, then a sequential merge
+    /// of equal ones. `stable` merges duplicates in input order (the
+    /// unstable sort leaves three or more in an arbitrary one).
+    fn from_coo_by_sort(
+        n_rows: usize,
+        n_cols: usize,
+        mut coo: Vec<(u32, u32, f32)>,
+        stable: bool,
+    ) -> CsrMatrix {
+        let key = |e: &(u32, u32, f32)| ((e.0 as u64) << 32) | e.1 as u64;
+        if stable {
+            coo.sort_by_key(key);
+        } else {
+            coo.sort_unstable_by_key(key);
         }
-        let m = CsrMatrix::from_coo(500, 500, coo.clone());
-        // Reference: fully sequential sort + combine.
-        coo.sort_unstable_by_key(super::coo_key);
-        let mut seq: Vec<(u32, u32, f32)> = Vec::new();
+        let mut merged: Vec<(u32, u32, f32)> = Vec::new();
         for e in coo {
-            match seq.last_mut() {
+            match merged.last_mut() {
                 Some(last) if last.0 == e.0 && last.1 == e.1 => last.2 += e.2,
-                _ => seq.push(e),
+                _ => merged.push(e),
             }
         }
-        assert_eq!(m.nnz(), seq.len());
-        for &(r, c, v) in &seq {
-            assert_eq!(m.get(r as usize, c as usize).to_bits(), v.to_bits());
+        let mut row_ptr = vec![0u64; n_rows + 1];
+        for &(r, _, _) in &merged {
+            row_ptr[r as usize + 1] += 1;
         }
+        for i in 0..n_rows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let col_idx = merged.iter().map(|e| e.1).collect();
+        let values = merged.iter().map(|e| e.2).collect();
+        CsrMatrix::from_raw(n_rows, n_cols, row_ptr, col_idx, values)
+    }
+
+    /// Holds `from_coo` to the sort-based build, bit for bit, at 1, 2 and
+    /// 8 threads.
+    fn check_against_sort(n_rows: usize, n_cols: usize, coo: &[(u32, u32, f32)], stable: bool) {
+        let want = from_coo_by_sort(n_rows, n_cols, coo.to_vec(), stable);
+        let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2, 8] {
+            lightne_utils::parallel::configure_threads(threads);
+            let got = CsrMatrix::from_coo(n_rows, n_cols, coo.to_vec());
+            assert_eq!((&got.row_ptr, &got.col_idx), (&want.row_ptr, &want.col_idx));
+            assert_eq!(bits(&got), bits(&want), "{threads} threads");
+        }
+        lightne_utils::parallel::configure_threads(0);
+    }
+
+    /// `len` entries of an `n × n` matrix, values over four decades.
+    fn random_coo(n: u64, len: usize, seed: u64) -> Vec<(u32, u32, f32)> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (r, c) = (((state >> 33) % n) as u32, ((state >> 13) % n) as u32);
+                (r, c, 10f32.powi((state % 5) as i32 - 1) * (1.0 + (state >> 60) as f32))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_coo_matches_the_sort_oracle() {
+        check_against_sort(0, 0, &[], false);
+        check_against_sort(1, 1, &[(0, 0, 2.0)], false);
+        check_against_sort(3, 3, &[(0, 0, 1.0), (2, 2, 3.0), (1, 1, 0.5)], false);
+        check_against_sort(9, 9, &[(8, 8, 1.0), (8, 0, 2.0), (0, 8, 3.0)], false);
+        // Each coordinate at most twice: same bytes in either order.
+        let distinct: Vec<_> =
+            (0..70_000u32).map(|i| (i, (i * 7) % 70_000, 1.0 + i as f32)).collect();
+        let mut coo = distinct.clone();
+        coo.extend(distinct.iter().step_by(3).map(|&(r, c, v)| (r, c, v * 0.3)));
+        check_against_sort(70_000, 70_000, &coo, false);
+        // A hub row of more than 2^16 entries.
+        let hub: Vec<_> = (0..70_000u32).rev().map(|c| (5, c, c as f32)).collect();
+        check_against_sort(6, 70_000, &hub, false);
+    }
+
+    #[test]
+    fn from_coo_sums_three_or_more_duplicates_in_input_order() {
+        let coo = [(1, 1, 1e8), (1, 1, 1.0), (0, 0, 1.0), (1, 1, 1.0)];
+        check_against_sort(2, 2, &coo, true);
+        assert_eq!(CsrMatrix::from_coo(2, 2, coo.to_vec()).get(1, 1), (1e8f32 + 1.0) + 1.0);
+        check_against_sort(3, 3, &[(2, 1, 0.1); 9], true);
+        check_against_sort(500, 500, &random_coo(500, 100_000, 42), true);
+        check_against_sort(70_000, 70_000, &random_coo(70_000, 300_000, 43), true);
     }
 
     #[test]

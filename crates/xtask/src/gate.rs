@@ -228,6 +228,10 @@ const GRAPH: &[Row] = &[
     // each scale has its ceiling.
     Row { when: Some(When::AtBaseline("scale")), ..row("walk_slowdown_best", Rule::AtMost(5.3)) },
     Row { when: Some(When::OffBaseline("scale")), ..row("walk_slowdown_best", Rule::AtMost(11.8)) },
+    // CSR construction on two threads — the parallel counting sort —
+    // against the sequential sort-then-dedup build it replaced:
+    // 1.8–2.5 on the reference box at both scales.
+    row("csr_build_speedup", Rule::AtLeast(1.5)),
     // The encoding is deterministic in these keys.
     row(
         "v2_best_bits_per_edge",

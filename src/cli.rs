@@ -627,6 +627,28 @@ mod tests {
     }
 
     #[test]
+    fn stats_rejects_a_vertex_id_without_room_for_the_count() {
+        let gpath = tmp("idspace.txt");
+        std::fs::write(&gpath, "0 1\n0 4294967295\n").unwrap();
+        let err = run_capture(&["stats", "--graph", &gpath])
+            .expect_err("an id of u32::MAX must be a read error, not a panic");
+        assert!(err.contains("vertex id 4294967295 on line 2"), "{err}");
+        std::fs::remove_file(&gpath).ok();
+    }
+
+    #[test]
+    fn weighted_embed_rejects_a_vertex_id_without_room_for_the_count() {
+        let gpath = tmp("idspace_w.txt");
+        let epath = tmp("idspace_w_emb.txt");
+        std::fs::write(&gpath, "1 4294967295 2.0\n").unwrap();
+        let err = run_capture(&["embed", "--graph", &gpath, "--out", &epath, "--weighted"])
+            .expect_err("an id of u32::MAX must be a read error, not a panic");
+        assert!(err.contains("vertex id 4294967295 on line 1"), "{err}");
+        assert!(!std::path::Path::new(&epath).exists());
+        std::fs::remove_file(&gpath).ok();
+    }
+
+    #[test]
     fn embeds_are_byte_identical_at_every_shard_count() {
         let gpath = tmp("shards.lne");
         run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &gpath])
