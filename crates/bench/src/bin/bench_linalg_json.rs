@@ -137,8 +137,8 @@ fn main() {
     let reps = env_usize("REPS", 3);
     let gemm_m = env_usize("GEMM_M", 65_536);
     let qr_rows = env_usize("QR_ROWS", 65_536);
-    // The first size above `PAR_COLS`, so the `_t2_` row times the
-    // parallel Jacobi path.
+    // Above the 144 columns `sbm_factor`'s rSVD takes, so the row shows
+    // what the sequential sweep costs past the sizes the pipeline runs.
     let jacobi_n = env_usize("JACOBI_N", 256);
     let rsvd_n = env_usize("RSVD_N", 50_000);
     let mut lines: Vec<String> = Vec::new();

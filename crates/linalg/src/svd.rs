@@ -16,14 +16,16 @@
 //! churn), rotations go through the fused [`kernels::gram2`] /
 //! [`kernels::rot2`] kernels, and each sweep is ordered by a fixed
 //! round-robin (Brent–Luk) tournament — every round pairs all columns
-//! into disjoint couples, so the rotations of a round commute exactly
-//! and can run in parallel. The schedule depends only on `n`, never on
-//! the thread count, so sweep order — and therefore the output bytes —
-//! are identical at any rayon pool size.
+//! into disjoint couples. The schedule depends only on `n`, and every
+//! round runs its rotations in one thread in the schedule's order, so
+//! sweep order — and therefore the output bytes — are identical at any
+//! rayon pool size. At the sizes this workspace runs (`rank +
+//! oversampling` ≤ 144 columns, `tall_thin_svd` at the dimension) a
+//! round is `n / 2` rotations of ~0.15 µs, too little to pay for a
+//! parallel region each round.
 
 use crate::dense::DenseMatrix;
 use crate::kernels;
-use rayon::prelude::*;
 
 /// Full SVD result of a small matrix: `A = U · diag(sigma) · Vᵀ`.
 #[derive(Debug, Clone)]
@@ -43,22 +45,6 @@ const PAIR_EPS: f64 = 1e-14;
 /// converged.
 const SWEEP_TOL: f64 = 1e-12;
 const MAX_SWEEPS: usize = 60;
-
-/// Column count below which a round's rotations run sequentially (in the
-/// same fixed pair order). A round is `n / 2` rotations of ~0.15 µs each
-/// at these sizes; the parallel path pays a ~2 µs region plus per-round
-/// slot tables, and hands columns from core to core every round. Timed
-/// against the sequential loop (2-vCPU Xeon, portable build, best of
-/// seven, 3–10 runs a size): two threads lose at 192 columns (45–49
-/// against 41–45 ms) and 208 (51–58 against 50–52), are level at 224
-/// (60–68 against 61–62), and are ahead from 240 on (medians 77 against
-/// 79 ms; 256: 88 against 92; 320: 142–147 against 196–204). The rSVD's
-/// `rank + oversampling` Jacobi (144 columns on `sbm_factor`) and
-/// `tall_thin_svd`'s (the dimension) therefore run sequentially. The
-/// threshold depends only on `n` — never on the thread count — and the
-/// rotations of a round touch disjoint columns (they commute exactly), so
-/// both paths produce identical bytes.
-const PAR_COLS: usize = 240;
 
 /// The disjoint column pairs of round `round` (0-based, `< slots − 1`)
 /// of the round-robin tournament over `n` columns. `slots` is `n`
@@ -157,49 +143,13 @@ pub fn jacobi_svd(a: &DenseMatrix) -> SmallSvd {
     for _sweep in 0..MAX_SWEEPS {
         let mut off = 0.0f64;
         for pairs in &schedule {
-            if pairs.is_empty() {
-                continue;
+            // The round's rotations touch disjoint columns; run them in
+            // the schedule's fixed pair order.
+            for &(p, q) in pairs {
+                let (cp, cq) = pair_slices(&mut cols, m, p, q);
+                let (vp, vq) = pair_slices(&mut v, n, p, q);
+                off = off.max(rotate_pair(cp, cq, vp, vq));
             }
-            let round_off = if n < PAR_COLS {
-                // Small problem: run the round's rotations in the same
-                // fixed pair order without task-spawn overhead.
-                let mut worst = 0.0f64;
-                for &(p, q) in pairs {
-                    let (cp, cq) = pair_slices(&mut cols, m, p, q);
-                    let (vp, vq) = pair_slices(&mut v, n, p, q);
-                    worst = worst.max(rotate_pair(cp, cq, vp, vq));
-                }
-                worst
-            } else {
-                // Disjoint pairs: hand each task exclusive &mut slices
-                // of its two data columns and two V columns.
-                let mut cslots: Vec<Option<&mut [f64]>> =
-                    cols.chunks_exact_mut(m).map(Some).collect();
-                let mut vslots: Vec<Option<&mut [f64]>> = v.chunks_exact_mut(n).map(Some).collect();
-                let tasks: Vec<_> = pairs
-                    .iter()
-                    .map(|&(p, q)| {
-                        // xtask:panic-ok(invariant: round-robin schedule pairs each column index at most once per round)
-                        let cp = cslots[p].take().expect("round pairs must be disjoint");
-                        let cq = cslots[q].take().expect("round pairs must be disjoint");
-                        let vp = vslots[p].take().expect("round pairs must be disjoint");
-                        // xtask:panic-ok(same disjoint-pairs invariant)
-                        let vq = vslots[q].take().expect("round pairs must be disjoint");
-                        (cp, cq, vp, vq)
-                    })
-                    .collect();
-                // Max is exactly commutative, so the parallel reduction
-                // is deterministic; the rotations themselves touch
-                // disjoint columns whose content is fixed at the round
-                // boundary.
-                tasks
-                    .into_par_iter()
-                    .map(|(cp, cq, vp, vq)| rotate_pair(cp, cq, vp, vq))
-                    // xtask:allow(L3): f64::max is commutative and
-                    // associative; reduction order cannot change it.
-                    .reduce(|| 0.0f64, f64::max)
-            };
-            off = off.max(round_off);
         }
         if off < SWEEP_TOL {
             break;

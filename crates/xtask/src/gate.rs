@@ -189,20 +189,17 @@ const LINALG: &[Row] = &[
         when: Some(When::AtBaseline("symcheck_nnz")),
         ..row("symcheck_speedup", Rule::AtLeast(3.0))
     },
-    // Two threads not slower than one on the kernels that open a parallel
-    // region per Jacobi round (the worse of `jacobi_svd` and
-    // `tall_thin_svd`): a region must cost less than the ~10 µs of
-    // rotations it shares out. The ceiling leaves timing noise room; a
-    // runtime that pays per region reads 2.2–4.6 (spawn per region).
-    // The Jacobi is timed at 256 columns, the first size above
-    // `PAR_COLS` (240, where two threads start to win); `tall_thin_svd`'s
-    // 128-column Jacobi is below it and runs sequentially, so what two
-    // threads share there is its Gram product.
-    // Only at the baseline's sizes and on a machine with a second core —
-    // below `PAR_COLS` columns there is no region, on one core no second
-    // thread. On a VM whose vCPUs the host has placed far apart
-    // (`core_round_trip_ns` several times the baseline's) the row reads
-    // ~2 and fails: that is the machine, and the report says so.
+    // Two threads not slower than one on the SVD kernels (the worse of
+    // `jacobi_svd` and `tall_thin_svd`). The Jacobi runs every round on
+    // one thread, so its ratio checks that a two-thread pool costs the
+    // sequential sweep nothing; what two threads share in
+    // `tall_thin_svd` is its Gram product. The ceiling leaves timing
+    // noise room.
+    // Only at the baseline's sizes and on a machine with a second core
+    // (on one core there is no second thread). On a VM whose vCPUs the
+    // host has placed far apart (`core_round_trip_ns` several times the
+    // baseline's) the row reads ~2 and fails: that is the machine, and
+    // the report says so.
     Row {
         when: Some(When::AtBaseline("svd_scaling_config")),
         ..row("svd_t2_over_t1_worst", Rule::AtMost(1.15))

@@ -5,15 +5,15 @@
 //! The blocked kernels promise that their output bytes depend only on
 //! the input, never on the rayon pool size: GEMM accumulates in fixed
 //! KC/MC/MR/NR blocks, QR uses fixed panel widths and dot-product block
-//! bracketing, and the Jacobi SVD follows a fixed round-robin schedule
-//! whose disjoint-pair rotations commute exactly.
+//! bracketing, and the Jacobi SVD runs every round on one thread in a
+//! fixed round-robin order that depends only on the column count.
 //!
 //! Everything lives in ONE test function on purpose: all tests in a
 //! binary share the global rayon pool, and this test resizes it
 //! mid-flight. Sizes are chosen to actually hit the parallel paths
 //! (several MC = 128 row blocks for GEMM, rows above the 2¹⁴
-//! `PAR_THRESHOLD` for QR, columns above the 128-column `PAR_COLS`
-//! cutoff for the Jacobi sweep).
+//! `PAR_THRESHOLD` for QR); the Jacobi case checks that a wider pool
+//! leaves the sequential sweep's bytes alone.
 
 use lightne::linalg::qr::orthonormalize_columns;
 use lightne::linalg::svd::jacobi_svd;
@@ -62,8 +62,8 @@ fn run_all() -> Vec<(&'static str, Vec<u32>)> {
     orthonormalize_columns(&mut q);
     let qr = bits(&q);
 
-    // Jacobi: 130 columns > PAR_COLS = 128, so the parallel round path
-    // runs (and must match what 1 thread produces).
+    // Jacobi: 130 columns, an even tournament over more columns than the
+    // rSVD's 128-dimension runs; its bytes must not follow the pool size.
     let small = DenseMatrix::gaussian(130, 130, 4);
     let svd = jacobi_svd(&small);
 

@@ -318,8 +318,11 @@ fn panel_qr_rank_deficiency_matches_reference() {
 fn blocked_jacobi_matches_reference_singular_values() {
     // Sweep orders differ (round-robin vs cyclic), but both converge to
     // the same singular values; adversarial cases: odd n (dummy slot),
-    // 1×1, rank-deficient, tall.
-    for (m, n, seed) in [(1usize, 1usize, 1u64), (7, 7, 2), (16, 16, 3), (40, 33, 4), (48, 48, 5)] {
+    // 1×1, rank-deficient, tall. 256 × 256 is the size
+    // `bench_linalg_json` times.
+    let cases =
+        [(1usize, 1usize, 1u64), (7, 7, 2), (16, 16, 3), (40, 33, 4), (48, 48, 5), (256, 256, 6)];
+    for (m, n, seed) in cases {
         let a = DenseMatrix::gaussian(m, n, seed);
         let blocked = jacobi_svd(&a);
         let naive = reference::jacobi_svd(&a);
