@@ -28,14 +28,12 @@
 
 pub mod deepwalk;
 pub mod netmf;
-pub mod netmf_large;
 pub mod netsmf;
 pub mod nrp;
 pub mod prone;
 
 pub use deepwalk::{DeepWalk, DeepWalkConfig};
 pub use netmf::netmf_embed;
-pub use netmf_large::{netmf_large_embed, NetMfLargeConfig};
 pub use netsmf::{NetSmf, NetSmfConfig, NetSmfOutput};
 pub use nrp::{nrp_embed, NrpConfig};
 pub use prone::{ProNe, ProNeConfig};

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod dense;
-pub mod eigen;
 pub mod kernels;
 pub mod matio;
 pub mod qr;
