@@ -2,8 +2,7 @@
 //!
 //! The artifact store, the stage engine, and the matrix I/O layer are
 //! instrumented with *named fail points*. A fail point does nothing until a
-//! test (or the `--fail-point` CLI flag / `LIGHTNE_FAIL_POINTS` env var)
-//! **arms** it with a [`FaultAction`]:
+//! test (or the `--fail-point` CLI flag) **arms** it with a [`FaultAction`]:
 //!
 //! * `io-error` — the instrumented operation returns an injected
 //!   [`std::io::Error`] (propagated as the caller's typed error);
@@ -76,10 +75,6 @@ pub fn parse_action(s: &str) -> Result<FaultAction, String> {
     }
 }
 
-/// Environment variable read by [`arm_from_env`]:
-/// `point=action[;point=action...]`.
-pub const ENV_VAR: &str = "LIGHTNE_FAIL_POINTS";
-
 #[cfg(feature = "failpoints")]
 mod imp {
     use super::{parse_action, FaultAction};
@@ -122,14 +117,6 @@ mod imp {
             arm(point.trim(), parse_action(action)?)?;
         }
         Ok(())
-    }
-
-    /// Arms every fail point named in [`super::ENV_VAR`], if set.
-    pub fn arm_from_env() -> Result<(), String> {
-        match std::env::var(super::ENV_VAR) {
-            Ok(spec) => arm_spec(&spec),
-            Err(_) => Ok(()),
-        }
     }
 
     /// Disarms one fail point.
@@ -220,14 +207,6 @@ mod imp {
         Err(DISABLED.into())
     }
 
-    /// Errors only if the environment actually asks for fail points.
-    pub fn arm_from_env() -> Result<(), String> {
-        match std::env::var(super::ENV_VAR) {
-            Ok(_) => Err(DISABLED.into()),
-            Err(_) => Ok(()),
-        }
-    }
-
     /// No-op (compiled out).
     pub fn disarm(_point: &str) {}
 
@@ -255,9 +234,7 @@ mod imp {
     }
 }
 
-pub use imp::{
-    arm, arm_from_env, arm_spec, check, disarm, disarm_all, enabled, hits, mangle, reset_hits,
-};
+pub use imp::{arm, arm_spec, check, disarm, disarm_all, enabled, hits, mangle, reset_hits};
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! lightne embed    --graph graph.lne --out emb.txt [--dim D] [--window T]
 //!                  [--ratio R] [--no-downsample] [--sparsify-prob degree|psne]
 //!                  [--no-propagation]
-//!                  [--weighted] [--seed N] [--shards N]
+//!                  [--weighted] [--seed N]
 //!                  [--mmap] [--save-artifacts DIR] [--resume-from DIR]
 //!                  [--strict-resume] [--stats-json PATH]
 //! lightne classify --graph graph.lne --labels graph.lne.labels
@@ -39,9 +39,7 @@
 //! writes the sparsifier COO, NetMF matrix, and initial embedding) and
 //! resume a later run from the deepest artifact found (`--resume-from
 //! DIR`); `--stats-json PATH` dumps the per-stage wall time, counters,
-//! and peak heap bytes. `--shards N` sets the shard count of the
-//! vertex-range-sharded aggregation table (0 = automatic, 1 = a single
-//! shared table); output bytes are identical at every count.
+//! and peak heap bytes.
 //! The numeric kernels pick their SIMD tier at runtime from the CPU's
 //! feature bits; the chosen tier and the detected feature set are printed
 //! and recorded in `--stats-json`. The implementation lives in
@@ -63,9 +61,8 @@
 //! degrades to the deepest stage that is still trustworthy.
 //! `--strict-resume` turns any invalid artifact into a hard error
 //! instead. In builds with the `failpoints` feature, `--fail-point
-//! point=action` (or the `LIGHTNE_FAIL_POINTS` environment variable)
-//! arms deterministic fault injection for crash testing; actions are
-//! `io-error`, `truncate:N`, `bitflip:SEED`, and `panic`.
+//! point=action` arms deterministic fault injection for crash testing;
+//! actions are `io-error`, `truncate:N`, `bitflip:SEED`, and `panic`.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
