@@ -1,11 +1,12 @@
 //! Sparse-matrix views of a graph.
 //!
 //! The propagation stage and the ProNE+ baseline both operate on matrices
-//! derived from the adjacency structure: the adjacency matrix `A`, the
-//! random-walk transition matrix `D⁻¹A` and the normalized graph Laplacian
-//! `L = I − D⁻¹A` (Table 1 of the paper). These constructors build them in
-//! parallel directly from neighbor lists, over arc weights and weighted
-//! degrees — which on an unweighted graph are ones and neighbor counts.
+//! derived from the adjacency structure (Table 1 of the paper): the
+//! adjacency matrix `A`, its self-looped form `A + I`, and the self-looped
+//! transition matrix `D̃⁻¹Ã` their filters are built on. These constructors
+//! build them in parallel directly from neighbor lists, over arc weights
+//! and weighted degrees — which on an unweighted graph are ones and
+//! neighbor counts.
 
 use lightne_graph::WeightedOps;
 use lightne_linalg::CsrMatrix;
@@ -124,17 +125,6 @@ pub fn adjacency_plus_i<G: WeightedOps>(g: &G) -> CsrMatrix {
     arcs_matrix(g, |_, w| w, |_| Some(1.0))
 }
 
-/// The random-walk transition matrix `D⁻¹A` (rows sum to 1).
-pub fn transition<G: WeightedOps>(g: &G) -> CsrMatrix {
-    arcs_matrix(g, |u, w| w / g.weighted_degree(u) as f32, |_| None)
-}
-
-/// The normalized graph Laplacian `L = I − D⁻¹A`. Isolated vertices get
-/// `L_vv = 1` (their row of `D⁻¹A` is zero).
-pub fn normalized_laplacian<G: WeightedOps>(g: &G) -> CsrMatrix {
-    arcs_matrix(g, |u, w| -w / g.weighted_degree(u) as f32, |_| Some(1.0))
-}
-
 /// The self-looped transition matrix `D̃⁻¹Ã` with `Ã = A + I`, the
 /// smoothed operator ProNE's filter is built on (self-loops bound the
 /// spectrum away from bipartite oscillation; the unit self-loop
@@ -166,17 +156,10 @@ mod tests {
     fn assert_operators_match_coo<G: WeightedOps>(g: &G, in_order: bool, what: &str) {
         let straight = sorted_rows_matrix(g, &|_, w| w, &|_| Some(1.0));
         assert_eq!(straight.is_some(), in_order, "{what}: straight build taken");
-        let deg = |u| g.weighted_degree(u) as f32;
         let looped = |u| (g.weighted_degree(u) + 1.0) as f32;
         let pairs = [
             ("A", adjacency(g), arcs_matrix_via_coo(g, |_, w| w, |_| None)),
             ("A+I", adjacency_plus_i(g), arcs_matrix_via_coo(g, |_, w| w, |_| Some(1.0))),
-            ("D⁻¹A", transition(g), arcs_matrix_via_coo(g, |u, w| w / deg(u), |_| None)),
-            (
-                "L",
-                normalized_laplacian(g),
-                arcs_matrix_via_coo(g, |u, w| -w / deg(u), |_| Some(1.0)),
-            ),
             (
                 "D̃⁻¹Ã",
                 transition_with_self_loops(g),
@@ -244,15 +227,13 @@ mod tests {
     }
 
     #[test]
-    fn operators_on_non_unit_weights_match_the_dense_oracle() {
+    fn operators_on_non_unit_weights_match_their_definitions() {
         let g = lightne_graph::WeightedGraph::from_edges(
             4,
             &[(0, 1, 2.0), (1, 2, 0.5), (2, 0, 3.0), (2, 3, 4.0)],
         );
-        let oracle = lightne_sparsifier::exact::transition_matrix(&g);
-        assert!(transition(&g).to_dense().max_abs_diff(&oracle) < 1e-6);
-        let (a, a_plus_i) = (adjacency(&g), adjacency_plus_i(&g));
-        let (looped, laplacian) = (transition_with_self_loops(&g), normalized_laplacian(&g));
+        let (a, a_plus_i, looped) =
+            (adjacency(&g), adjacency_plus_i(&g), transition_with_self_loops(&g));
         for u in 0..4u32 {
             let d = g.weighted_degree(u) as f32;
             for v in 0..4u32 {
@@ -261,7 +242,6 @@ mod tests {
                 assert_eq!(a.get(i, j), w);
                 assert_eq!(a_plus_i.get(i, j), w + eye);
                 assert!((looped.get(i, j) - (w + eye) / (d + 1.0)).abs() < 1e-6);
-                assert!((laplacian.get(i, j) - (eye - w / d)).abs() < 1e-6);
             }
         }
     }
@@ -298,34 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn transition_rows_sum_to_one() {
-        let g = erdos_renyi(100, 600, 1);
-        let p = transition(&g);
-        for i in 0..100 {
-            let (_, vals) = p.row(i);
-            if g.degree(i as u32) > 0 {
-                let s: f32 = vals.iter().sum();
-                assert!((s - 1.0).abs() < 1e-5, "row {i}: {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn laplacian_rows_sum_to_zero() {
-        let g = erdos_renyi(100, 600, 2);
-        let l = normalized_laplacian(&g);
-        let ones = vec![1.0f32; 100];
-        let y = l.mul_vec(&ones);
-        for (i, v) in y.iter().enumerate() {
-            if g.degree(i as u32) > 0 {
-                assert!(v.abs() < 1e-5, "row {i}: {v}");
-            } else {
-                assert!((v - 1.0).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn self_loop_transition_stochastic() {
         let g = GraphBuilder::from_edges(3, &[(0, 1)]);
         let p = transition_with_self_loops(&g);
@@ -333,23 +285,5 @@ mod tests {
         assert_eq!(p.get(2, 2), 1.0);
         let s: f32 = p.row(0).1.iter().sum();
         assert!((s - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn laplacian_psd_quadratic_form() {
-        // xᵀ D L x = Σ_{(u,v)∈E} (x_u − x_v)² ≥ 0 for the normalized
-        // Laplacian; check on random vectors via the unnormalized identity.
-        let g = erdos_renyi(60, 300, 3);
-        let l = normalized_laplacian(&g);
-        use lightne_utils::rng::XorShiftStream;
-        let mut rng = XorShiftStream::new(5, 0);
-        for _ in 0..10 {
-            let x: Vec<f32> = (0..60).map(|_| rng.gaussian() as f32).collect();
-            let lx = l.mul_vec(&x);
-            // xᵀ D (Lx)
-            let quad: f64 =
-                (0..60).map(|i| g.degree(i as u32) as f64 * x[i] as f64 * lx[i] as f64).sum();
-            assert!(quad > -1e-3, "quadratic form negative: {quad}");
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! a dense `n × d` panel (`mkl_sparse_s_mm`), which dominates both the
 //! randomized SVD's projections and ProNE's spectral propagation.
 
-use crate::dense::{map_slice, DenseMatrix};
+use crate::dense::DenseMatrix;
 use crate::simd::{self, SimdTier};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::{
@@ -334,32 +334,6 @@ impl CsrMatrix {
         CsrMatrix::from_coo(self.n_cols, self.n_rows, coo)
     }
 
-    /// Applies `f` to every stored value, in parallel. Entries mapped to
-    /// exactly 0.0 are *kept* (structure is unchanged) — call
-    /// [`CsrMatrix::prune`] to drop them.
-    pub fn map_values<F>(&mut self, f: F)
-    where
-        F: Fn(f32) -> f32 + Sync + Send,
-    {
-        map_slice(&mut self.values, f);
-    }
-
-    /// Removes stored entries with `|value| <= threshold`, recompacting.
-    pub fn prune(&self, threshold: f32) -> CsrMatrix {
-        let coo: Vec<(u32, u32, f32)> = (0..self.n_rows)
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter()
-                    .zip(vals)
-                    .filter(|(_, &v)| v.abs() > threshold)
-                    .map(move |(&c, &v)| (i as u32, c, v))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        CsrMatrix::from_coo(self.n_rows, self.n_cols, coo)
-    }
-
     /// Linear combination `alpha·self + beta·other` (same shape).
     pub fn add(&self, other: &CsrMatrix, alpha: f32, beta: f32) -> CsrMatrix {
         assert_eq!((self.n_rows, self.n_cols), (other.n_rows, other.n_cols));
@@ -505,17 +479,6 @@ mod tests {
         let m = small();
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().get(0, 2), 4.0);
-    }
-
-    #[test]
-    fn prune_drops_small_entries() {
-        let mut m = small();
-        m.map_values(|v| if v < 3.0 { 0.0 } else { v });
-        assert_eq!(m.nnz(), 5, "map_values must not change structure");
-        let p = m.prune(0.0);
-        assert_eq!(p.nnz(), 3);
-        assert_eq!(p.get(0, 0), 0.0);
-        assert_eq!(p.get(2, 2), 5.0);
     }
 
     #[test]

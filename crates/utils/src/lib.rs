@@ -9,8 +9,8 @@
 //! * [`rng`] — tiny, deterministic, splittable PRNG streams
 //!   (SplitMix64 seeded Xoshiro256++) so that every experiment in the
 //!   benchmark harness is reproducible from a single seed.
-//! * [`timer`] — the wall-clock stopwatch and duration format beneath
-//!   the paper's running-time breakdown (Table 5).
+//! * [`timer`] — the duration format of the paper's running-time
+//!   breakdown (Table 5).
 //! * [`mem`] — lightweight memory accounting used by the sample-size
 //!   ablation (Section 5.2.4).
 //! * [`checksum`] — FNV-1a content digests used by the artifact store to
@@ -33,4 +33,3 @@ pub mod timer;
 
 pub use parallel::{num_threads, par_chunk_size, parallel_prefix_sum};
 pub use rng::{Splittable, XorShiftStream};
-pub use timer::Timer;

@@ -1,40 +1,11 @@
-//! Wall-clock timing.
+//! Duration formatting.
 //!
 //! The paper reports a per-stage running-time breakdown (Table 5:
 //! sparsifier construction / randomized SVD / spectral propagation). The
 //! stage engine's `RunStats` records and prints those rows; this module
-//! is the stopwatch and the duration format beneath it.
+//! is the duration format they are printed in.
 
-use std::time::{Duration, Instant};
-
-/// A simple wall-clock stopwatch.
-#[derive(Debug, Clone)]
-pub struct Timer {
-    start: Instant,
-}
-
-impl Timer {
-    /// Starts a new timer.
-    pub fn start() -> Self {
-        Self { start: Instant::now() }
-    }
-
-    /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Elapsed seconds as `f64`.
-    pub fn secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-}
-
-impl Default for Timer {
-    fn default() -> Self {
-        Self::start()
-    }
-}
+use std::time::Duration;
 
 /// Formats a duration the way the paper reports times ("32.8 min", "1.53 h").
 pub fn humanize(d: Duration) -> String {

@@ -47,11 +47,11 @@ pub const L4_WHITELIST: &[&str] = &[];
 /// table's CAS/accumulate paths.
 pub const L4_PATHS: &[&str] = &["crates/hashtable/src"];
 
-/// Files exempt from the `Instant::now` half of L5: the timing
-/// instrumentation layer itself and the benchmark harness, whose entire
-/// purpose is wall-clock measurement. `SystemTime::now` and
-/// `rand::thread_rng` have no whitelist — they are banned workspace-wide.
-pub const L5_TIMER_WHITELIST: &[&str] = &["crates/utils/src/timer.rs", "crates/bench/"];
+/// Files exempt from the `Instant::now` half of L5: the benchmark
+/// harness, whose entire purpose is wall-clock measurement.
+/// `SystemTime::now` and `rand::thread_rng` have no whitelist — they are
+/// banned workspace-wide.
+pub const L5_TIMER_WHITELIST: &[&str] = &["crates/bench/"];
 
 /// Deterministic-path entry points for the whole-program analyses
 /// (`cargo xtask analyze`), as `(file, fn name)`. These are the public

@@ -23,8 +23,8 @@
 //!   ordering is sufficient at that site.
 //! * **L5** — no ambient nondeterminism: `SystemTime::now` and
 //!   `rand::thread_rng`/`from_entropy` are banned workspace-wide;
-//!   `Instant::now` is banned on the deterministic path outside the
-//!   timing layer.
+//!   `Instant::now` is banned on the deterministic path unless an inline
+//!   allow justifies it.
 //! * **L6** — every `std::arch` SIMD intrinsic call site (`_mm…(`) must
 //!   sit inside a `#[target_feature]` function, in a crate's designated
 //!   unsafe module ([`config::L1_UNSAFE_ISOLATED`]), with a `// SAFETY:`
@@ -603,15 +603,11 @@ fn lint_l5(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
             && ctx.seq(i, &["Instant", ":", ":", "now"])
             && !ctx.in_test(t.line)
         {
-            diags.push(
-                ctx.diag(
-                    "L5",
-                    t,
-                    "`Instant::now` on the deterministic path: use lightne_utils::timer or \
-                 justify with an inline allow"
-                        .into(),
-                ),
-            );
+            diags.push(ctx.diag(
+                "L5",
+                t,
+                "`Instant::now` on the deterministic path: justify with an inline allow".into(),
+            ));
         }
     }
 }
