@@ -45,7 +45,7 @@ pub mod pipeline;
 pub mod propagation;
 pub mod spectral;
 
-pub use artifacts::{ArtifactState, ArtifactStore, Inspection, Manifest, ManifestEntry, RunMeta};
+pub use artifacts::{ArtifactStore, Manifest, ManifestEntry, RunMeta};
 pub use dynamic::DynamicLightNe;
 pub use engine::{
     run_fingerprint, run_pipeline, EngineError, PipelineSource, RunContext, RunOptions, RunStats,

@@ -390,7 +390,9 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
                 held.len(),
                 train.num_edges()
             ))?;
-            let result = LightNe::new(cfg).embed(&train);
+            let result = LightNe::new(cfg)
+                .embed_with(&train, RunOptions::default())
+                .map_err(|e| e.to_string())?;
             let m = rank_held_out(&result.embedding, &held, negatives, &[1, 10, 50], seed + 2);
             say(format!("MR {:.2}  MRR {:.3}  AUC {:.1}%", m.mr, m.mrr, 100.0 * m.auc))?;
             for (k, v) in &m.hits {
@@ -613,6 +615,16 @@ mod tests {
         assert!(!std::path::Path::new(&cpath).exists(), "a rejected compress wrote a file");
         std::fs::remove_file(&gpath).ok();
         std::fs::remove_file(format!("{gpath}.labels")).ok();
+        // A graph with no edges — an empty list, or one of self-loops only
+        // — leaves linkpred nothing to sample: an error, not a panic.
+        let lpath = tmp("domain_edgeless.txt");
+        for list in ["", "0 0\n3 3\n"] {
+            std::fs::write(&lpath, list).unwrap();
+            let err = run_capture(&["linkpred", "--graph", &lpath])
+                .expect_err("an edgeless graph must be rejected");
+            assert!(err.contains("no edges"), "{list:?}: {err}");
+        }
+        std::fs::remove_file(&lpath).ok();
         // The evaluation and generation values are rejected before any
         // file is read: none of these exists.
         let (g, l, e) = ("/nonexistent/g.lne", "/nonexistent/g.labels", "/nonexistent/e.txt");

@@ -196,6 +196,36 @@ fn injected_save_faults_leave_a_store_that_degrades_with_a_recorded_fallback() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resume from a complete store reads the metadata, the manifest and
+/// the initial embedding once each — every read through its fail point —
+/// and never touches the shallower checkpoints.
+#[test]
+fn complete_store_resume_reads_each_file_once() {
+    let _guard = registry_guard();
+    faults::disarm_all();
+
+    let g = graph();
+    let pipe = LightNe::new(config());
+    let dir = tmp("read_once");
+    std::fs::remove_dir_all(&dir).ok();
+    pipe.embed_with(&g, save_opts(&dir)).unwrap();
+
+    faults::reset_hits();
+    pipe.embed_with(&g, resume_opts(&dir)).unwrap();
+    let hits = faults::hits();
+    let count = |point: &str| hits.iter().find(|(p, _)| p == point).map_or(0, |(_, n)| *n);
+    for (point, want) in [
+        ("artifacts.read.meta", 1),
+        ("artifacts.read.manifest", 1),
+        ("artifacts.read.initial", 1),
+        ("artifacts.read.netmf", 0),
+        ("artifacts.read.sparsifier", 0),
+    ] {
+        assert_eq!(count(point), want, "{point} evaluated {} times", count(point));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_arms_fail_points_from_flag() {
     let _guard = registry_guard();
