@@ -23,10 +23,11 @@
 //! Everything lives in ONE test function on purpose: all tests in a
 //! binary share the global rayon pool, and this test resizes it.
 
-use lightne::core::artifacts::{ArtifactStore, INITIAL_FILE, NETMF_FILE};
+use lightne::core::artifacts::{ArtifactStore, INITIAL_FILE, NETMF_FILE, SPARSIFIER_FILE};
 use lightne::core::{LightNe, LightNeConfig, LightNeOutput, RunOptions};
 use lightne::gen::generators::erdos_renyi;
 use lightne::graph::{Codec, Graph, GraphBuilder, V2Graph, WeightedGraph};
+use lightne::linalg::matio;
 use lightne::sparsifier::ProbScheme;
 use lightne::utils::checksum::fnv1a64;
 use lightne::utils::parallel::configure_threads;
@@ -109,7 +110,8 @@ fn check_cell(label: &str, want: u64, embed: &dyn Fn(RunOptions) -> LightNeOutpu
     // order (checkpoints written before the drain was sorted are in hash
     // order) it must resume to the same bytes.
     let store = ArtifactStore::open(&partial);
-    let (n, _, mut entries) = store.load_sparsifier().unwrap();
+    let sparsifier = std::fs::read(partial.join(SPARSIFIER_FILE)).unwrap();
+    let (n, _, mut entries) = matio::coo_from_bytes(&sparsifier).unwrap();
     entries.reverse();
     let fingerprint = store.load_meta().unwrap().fingerprint;
     ArtifactStore::attach(&partial, fingerprint).save_sparsifier(n, &entries).unwrap();

@@ -9,18 +9,19 @@
 //! does not preserve payload bits.
 //!
 //! The integrity property: flipping *any single byte* of *any* v2
-//! artifact file is caught as a typed error at load time. FNV-1a makes
-//! this exhaustive — each absorbed byte maps the state through a
-//! bijection, so no single-byte substitution can collide.
+//! artifact file is caught as a typed error when a strict resume loads
+//! it. FNV-1a makes this exhaustive — each absorbed byte maps the state
+//! through a bijection, so no single-byte substitution can collide.
 
 use lightne::core::artifacts::{
-    ArtifactStore, RunMeta, INITIAL_FILE, MANIFEST_FILE, META_FILE, META_VERSION, NETMF_FILE,
-    SPARSIFIER_FILE,
+    ArtifactStore, INITIAL_FILE, MANIFEST_FILE, META_FILE, NETMF_FILE, SPARSIFIER_FILE,
 };
+use lightne::core::{LightNe, LightNeConfig, RunOptions};
+use lightne::gen::generators::erdos_renyi;
 use lightne::linalg::matio;
 use lightne::linalg::{CsrMatrix, DenseMatrix};
 use lightne::utils::rng::XorShiftStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -147,78 +148,89 @@ fn any_single_byte_corruption_of_any_artifact_is_caught_at_load() {
     let dir = tmp("corrupt");
     std::fs::remove_dir_all(&dir).ok();
 
-    // A deliberately tiny store so the sweep over every byte of every
+    // A deliberately tiny run so the sweep over every byte of every
     // file stays fast.
-    let fingerprint = 0x1234_5678_9abc_def0;
-    let store = ArtifactStore::create(&dir, fingerprint).unwrap();
-    store
-        .save_meta(&RunMeta {
-            version: META_VERSION,
-            seed: 7,
-            fingerprint,
-            weighted: false,
-            n: 4,
-            samples: 100,
-            trials: 100,
-            kept: 80,
-            distinct_entries: 3,
-            aggregator_bytes: 64,
-            netmf_nnz: Some(3),
-        })
-        .unwrap();
-    store.save_sparsifier(4, &[(0, 1, 1.5), (1, 0, 1.5), (2, 3, 0.25)]).unwrap();
-    store.save_netmf(&CsrMatrix::from_coo(4, 4, vec![(0, 1, 0.5), (2, 2, 2.0)])).unwrap();
-    store.save_initial(&DenseMatrix::from_vec(4, 2, vec![1.0; 8])).unwrap();
+    let g = erdos_renyi(12, 30, 5);
+    let cfg = LightNeConfig {
+        dim: 2,
+        window: 2,
+        sample_ratio: 1.0,
+        seed: 7,
+        propagation: None,
+        ..Default::default()
+    };
+    let pipe = LightNe::new(cfg);
+    let full = dir.join("full");
+    let save = RunOptions { save_artifacts: Some(full.clone()), ..Default::default() };
+    let want = pipe.embed_with(&g, save).unwrap().embedding.as_slice().to_vec();
+    let resume = |store: &Path| {
+        let opts = RunOptions {
+            resume_from: Some(store.into()),
+            strict_resume: true,
+            ..Default::default()
+        };
+        pipe.embed_with(&g, opts)
+    };
 
-    // Every load succeeds on the pristine store.
-    let reader = ArtifactStore::open(&dir);
-    reader.load_meta().unwrap();
-    reader.load_manifest().unwrap().expect("manifest must exist");
-    reader.load_sparsifier().unwrap();
-    reader.load_netmf().unwrap();
-    reader.load_initial().unwrap();
-
-    type LoadFails = dyn Fn(&ArtifactStore) -> bool;
-    let loaders: &[(&str, &LoadFails)] = &[
-        (META_FILE, &|s| s.load_meta().is_err()),
-        (MANIFEST_FILE, &|s| s.load_manifest().is_err()),
-        (SPARSIFIER_FILE, &|s| s.load_sparsifier().is_err()),
-        (NETMF_FILE, &|s| s.load_netmf().is_err()),
-        (INITIAL_FILE, &|s| s.load_initial().is_err()),
+    // A resume reads a payload only when no deeper one verifies, so each
+    // payload is swept in a store whose deepest checkpoint it is.
+    let meta = ArtifactStore::open(&full).load_meta().unwrap();
+    let read = |file: &str| std::fs::read(full.join(file)).unwrap();
+    let (n, _, coo) = matio::coo_from_bytes(&read(SPARSIFIER_FILE)).unwrap();
+    let through = |deepest: &str| {
+        let path = dir.join(deepest);
+        let store = ArtifactStore::create(&path, meta.fingerprint).unwrap();
+        store.save_meta(&meta).unwrap();
+        store.save_sparsifier(n, &coo).unwrap();
+        if deepest == NETMF_FILE {
+            store.save_netmf(&matio::csr_from_bytes(&read(NETMF_FILE)).unwrap()).unwrap();
+        }
+        path
+    };
+    let sweeps = [
+        (META_FILE, full.clone()),
+        (MANIFEST_FILE, full.clone()),
+        (INITIAL_FILE, full.clone()),
+        (NETMF_FILE, through(NETMF_FILE)),
+        (SPARSIFIER_FILE, through(SPARSIFIER_FILE)),
     ];
-    for (file, load_fails) in loaders {
-        let path = dir.join(file);
+
+    // Every store resumes to the straight run's bytes while pristine.
+    let whole = |store: &Path| {
+        let got = resume(store).unwrap().embedding;
+        let same = got.as_slice().iter().map(|x| x.to_bits()).eq(want.iter().map(|x| x.to_bits()));
+        assert!(same, "{} resumed to other bytes", store.display());
+    };
+    for (_, store) in &sweeps {
+        whole(store);
+    }
+
+    for (file, store) in &sweeps {
+        let path = store.join(file);
         let clean = std::fs::read(&path).unwrap();
         assert!(!clean.is_empty(), "{file} is empty");
+        let caught = |bad: &[u8]| {
+            std::fs::write(&path, bad).unwrap();
+            resume(store).is_err()
+        };
         for pos in 0..clean.len() {
             // One low bit, one high bit: substitutions that keep the byte
             // printable and ones that do not.
             for mask in [0x01u8, 0x80] {
                 let mut bad = clean.clone();
                 bad[pos] ^= mask;
-                std::fs::write(&path, &bad).unwrap();
-                assert!(
-                    load_fails(&reader),
-                    "{file}: byte {pos} ^ {mask:#04x} loaded successfully"
-                );
+                assert!(caught(&bad), "{file}: byte {pos} ^ {mask:#04x} loaded successfully");
             }
         }
-        std::fs::write(&path, &clean).unwrap();
         // Growing or truncating the file is caught too.
         let mut longer = clean.clone();
         longer.push(b' ');
-        std::fs::write(&path, &longer).unwrap();
-        assert!(load_fails(&reader), "{file}: appended byte loaded successfully");
-        std::fs::write(&path, &clean[..clean.len() - 1]).unwrap();
-        assert!(load_fails(&reader), "{file}: truncated file loaded successfully");
+        assert!(caught(&longer), "{file}: appended byte loaded successfully");
+        assert!(caught(&clean[..clean.len() - 1]), "{file}: truncated file loaded successfully");
         std::fs::write(&path, &clean).unwrap();
+        // And the restored store is whole again.
+        whole(store);
     }
-
-    // And the restored store is whole again.
-    reader.load_meta().unwrap();
-    reader.load_sparsifier().unwrap();
-    reader.load_netmf().unwrap();
-    reader.load_initial().unwrap();
 
     std::fs::remove_dir_all(&dir).ok();
 }
