@@ -33,7 +33,9 @@ use lightne_graph::WeightedOps;
 use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne_linalg::{matio, randomized_svd, CsrMatrix, RsvdConfig};
 use lightne_sparsifier::construct::{SamplerConfig, SamplerError, SamplerStats};
-use lightne_sparsifier::sharded::{build_sharded_sparsifier, sharded_to_netmf, table_from_coo};
+use lightne_sparsifier::sharded::{
+    build_sharded_sparsifier, coo_is_symmetric, sharded_to_netmf, table_from_coo,
+};
 use lightne_utils::checksum::fnv1a64;
 use lightne_utils::faults;
 use lightne_utils::mem::MemUsage;
@@ -676,6 +678,16 @@ pub fn run_pipeline<S: PipelineSource>(
                 // table is built.
                 drop(bytes);
                 check_shape(SPARSIFIER_FILE, (rows, cols), (n, n))?;
+                // The table keeps one slot per pair, so it would average a
+                // pair whose two orientations disagree instead of failing.
+                if !coo_is_symmetric(&entries) {
+                    return Err(EngineError::Corrupt {
+                        file: SPARSIFIER_FILE.to_string(),
+                        detail: "entries are not symmetric: some (i, j) lacks a mirror (j, i) \
+                                 of the same weight"
+                            .to_string(),
+                    });
+                }
                 let table = table_from_coo(n, cfg.shards, &entries);
                 record_shards(scope, &table);
                 (Sparsified::Table(table), recorded)

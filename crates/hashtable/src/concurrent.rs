@@ -53,6 +53,13 @@ pub(crate) fn from_fixed(raw: u64) -> f32 {
     (raw as f64 / FIXED_ONE) as f32
 }
 
+/// Half of a fixed-point sum, as `f32`, rounded once: halving is exact in
+/// `f64`, so for an even `raw` this is `from_fixed(raw / 2)` bit for bit.
+#[inline]
+pub(crate) fn from_fixed_half(raw: u64) -> f32 {
+    (raw as f64 / (2.0 * FIXED_ONE)) as f32
+}
+
 /// Sentinel for an empty slot. `u64::MAX` never collides with a packed
 /// edge because vertex ids are `u32` and `(u32::MAX, u32::MAX)` would be a
 /// self-loop, which the sampler never emits.

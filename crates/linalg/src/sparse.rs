@@ -10,7 +10,8 @@ use crate::dense::DenseMatrix;
 use crate::simd::{self, SimdTier};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::{
-    group_by_row, par_unzip, parallel_prefix_sum, parallel_reduce_sum, sort_merge_row,
+    group_by_row, group_entries, par_unzip, parallel_prefix_sum, parallel_reduce_sum,
+    sort_merge_row,
 };
 use rayon::prelude::*;
 use std::ops::Range;
@@ -322,33 +323,44 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// The transpose (parallel histogram + scatter).
+    /// The transpose: one stable counting sort of the entries by column
+    /// ([`group_entries`]), straight from the CSR. Each column's rows come
+    /// out ascending, so no row needs sorting.
     pub fn transpose(&self) -> CsrMatrix {
-        let coo: Vec<(u32, u32, f32)> = (0..self.n_rows)
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().zip(vals).map(move |(&c, &v)| (c, i as u32, v)).collect::<Vec<_>>()
-            })
-            .collect();
-        CsrMatrix::from_coo(self.n_cols, self.n_rows, coo)
+        let (cols, vals) = (&self.col_idx, &self.values);
+        let groups =
+            group_entries(&self.row_ptr, self.n_cols, |r, k| Some((cols[k], (r, vals[k]))));
+        let (row_ptr, entries) = groups.finish_rows(|row, _| row.len());
+        let (col_idx, values) = par_unzip(&entries);
+        Self::from_raw(self.n_cols, self.n_rows, row_ptr, col_idx, values)
     }
 
-    /// Linear combination `alpha·self + beta·other` (same shape).
+    /// Linear combination `alpha·self + beta·other` (same shape): the
+    /// entries of both, grouped by row straight from the two CSRs
+    /// ([`group_entries`] over `self`'s rows followed by `other`'s), then
+    /// each row sorted by column with a coordinate in both summed `self`
+    /// first — the bytes [`CsrMatrix::from_coo`] gives the same entries.
     pub fn add(&self, other: &CsrMatrix, alpha: f32, beta: f32) -> CsrMatrix {
         assert_eq!((self.n_rows, self.n_cols), (other.n_rows, other.n_cols));
-        let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(self.nnz() + other.nnz());
-        for i in 0..self.n_rows {
-            let (c1, v1) = self.row(i);
-            for (&c, &v) in c1.iter().zip(v1) {
-                coo.push((i as u32, c, alpha * v));
-            }
-            let (c2, v2) = other.row(i);
-            for (&c, &v) in c2.iter().zip(v2) {
-                coo.push((i as u32, c, beta * v));
-            }
-        }
-        CsrMatrix::from_coo(self.n_rows, self.n_cols, coo)
+        let (n, first) = (self.n_rows, self.nnz() as u64);
+        let row_ptr: Vec<u64> = self
+            .row_ptr
+            .iter()
+            .copied()
+            .chain(other.row_ptr[1..].iter().map(|&p| first + p))
+            .collect();
+        let groups = group_entries(&row_ptr, n, |r, k| {
+            Some(match k.checked_sub(first as usize) {
+                None => (r, (self.col_idx[k], alpha * self.values[k])),
+                Some(k) => (r - n as u32, (other.col_idx[k], beta * other.values[k])),
+            })
+        });
+        drop(row_ptr);
+        let (row_ptr, entries) = groups.finish_rows(|row, scratch| {
+            sort_merge_row(row, scratch, |&(c, _)| c, |a, b| a.1 += b.1)
+        });
+        let (col_idx, values) = par_unzip(&entries);
+        Self::from_raw(self.n_rows, self.n_cols, row_ptr, col_idx, values)
     }
 
     /// Densifies (test helper; quadratic memory).
@@ -479,6 +491,49 @@ mod tests {
         let m = small();
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().get(0, 2), 4.0);
+    }
+
+    /// `transpose` and `add` give the bytes of their former route — the
+    /// entries collected into a COO list, then [`CsrMatrix::from_coo`] —
+    /// with duplicate coordinates across the two operands, empty rows and
+    /// a non-square shape, at 1 and 2 threads.
+    #[test]
+    fn transpose_and_add_match_the_coo_route() {
+        let triples = |m: &CsrMatrix, scale: f32| -> Vec<(u32, u32, f32)> {
+            (0..m.n_rows())
+                .flat_map(|i| {
+                    let (cols, vals) = m.row(i);
+                    cols.iter().zip(vals).map(move |(&c, &v)| (i as u32, c, scale * v))
+                })
+                .collect()
+        };
+        let random_in = |rows: usize, cols: usize, len: usize, seed: u64| {
+            let fold = |(r, c, v): (u32, u32, f32)| (r % rows as u32, c % cols as u32, v);
+            random_coo(1 << 20, len, seed).into_iter().map(fold).collect::<Vec<_>>()
+        };
+        for (rows, cols, seed) in
+            [(0usize, 0usize, 1u64), (1, 5, 2), (300, 200, 3), (3000, 4000, 4)]
+        {
+            let a = CsrMatrix::from_coo(rows, cols, random_in(rows, cols, rows * 4, seed));
+            let b = CsrMatrix::from_coo(rows, cols, random_in(rows, cols, rows * 3, seed + 9));
+            let flipped: Vec<_> = triples(&a, 1.0).into_iter().map(|(r, c, v)| (c, r, v)).collect();
+            let want_t = CsrMatrix::from_coo(cols, rows, flipped);
+            let mut sum = triples(&a, 0.3);
+            sum.extend(triples(&b, -1.7));
+            // The former route pushed row by row, `self`'s entries first.
+            sum.sort_by_key(|&(r, _, _)| r);
+            let want_sum = CsrMatrix::from_coo(rows, cols, sum);
+            for threads in [1, 2] {
+                lightne_utils::parallel::configure_threads(threads);
+                assert_eq!(a.transpose(), want_t, "{rows}x{cols} transpose @{threads}t");
+                let got = a.add(&b, 0.3, -1.7);
+                assert_eq!(got.row_ptr, want_sum.row_ptr);
+                assert_eq!(got.col_idx, want_sum.col_idx);
+                let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want_sum), "{rows}x{cols} add @{threads}t");
+            }
+        }
+        lightne_utils::parallel::configure_threads(0);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! Every trial flips the downsampling coin (`p_e`), and survivors run
 //! Algorithm 1 and deposit weight `1/p_e` at *both* orientations of the
 //! resulting endpoint pair in the aggregator (keeping the accumulated
-//! matrix symmetric in expectation and in structure).
+//! matrix symmetric in expectation and in structure). The shared table
+//! stores the pair once and folds the two adjacent deposits into one
+//! atomic add; the two-deposit contract stays, so any aggregator — NetSMF's
+//! buffers among them — sees every orientation.
 //!
 //! Deposits do not go to the aggregator one by one: each arc-balanced
 //! range of `map_arcs_with` owns a [`SampleBuffer`] that hands them over
@@ -117,7 +120,9 @@ pub struct SamplerStats {
     pub trials: u64,
     /// Trials that survived the downsampling coin.
     pub kept: u64,
-    /// Distinct ordered pairs in the aggregator afterwards.
+    /// Distinct entries in the aggregator afterwards: unordered pairs in
+    /// the shared table (one slot holds both orientations), ordered pairs
+    /// in NetSMF's buffers.
     pub distinct_entries: usize,
     /// Aggregator heap bytes afterwards.
     pub aggregator_bytes: usize,
@@ -260,15 +265,17 @@ pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
     })
 }
 
-/// Expected distinct-entry count used to pre-size the aggregation table,
+/// Expected distinct-pair count used to pre-size the aggregation table,
 /// from the expected kept-sample total. Table memory must track *distinct*
 /// entries, not kept samples — that is the whole point of the shared hash
-/// table (Section 5.2.4). Distinct entries are bounded by both 2× kept
-/// samples and the `n²` ordered pairs. (A tighter-looking T-hop cap,
-/// `n·C·T²`, undercut a dense 400-vertex graph at sample ratio 16 by 2×.)
+/// table (Section 5.2.4). The table keeps one slot per unordered pair, and
+/// every kept sample adds to exactly one, so distinct pairs are bounded by
+/// both the kept samples and the `n(n+1)/2` unordered pairs. (A
+/// tighter-looking T-hop cap, `n·C·T²`, undercut a dense 400-vertex graph
+/// at sample ratio 16 by 2×.)
 pub(crate) fn distinct_guess<G: WeightedOps>(g: &G, expected_kept: f64) -> usize {
     let n = g.num_vertices() as f64;
-    (2.0 * expected_kept).min(n * n).max(1024.0) as usize
+    expected_kept.min(n * (n + 1.0) / 2.0).max(1024.0) as usize
 }
 
 #[cfg(test)]

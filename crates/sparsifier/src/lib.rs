@@ -46,5 +46,6 @@ pub mod weighted;
 pub use construct::{SamplerConfig, SamplerError, SamplerStats};
 pub use downsample::ProbScheme;
 pub use sharded::{
-    build_sharded_sparsifier, resolve_shards, sharded_to_netmf, table_from_coo, table_to_csr,
+    build_sharded_sparsifier, coo_is_symmetric, resolve_shards, sharded_to_netmf, table_from_coo,
+    table_to_csr,
 };

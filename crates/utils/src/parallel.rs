@@ -10,8 +10,9 @@
 //! ran what. This module adds the handful of
 //! patterns the rest of the workspace needs on top of it: an index loop,
 //! an exclusive parallel prefix sum, the stable counting sort by row that
-//! every CSR is built with ([`group_by_row`]), and fixed-bracketing
-//! reductions.
+//! every CSR is built with ([`group_by_row`]; [`group_entries`] runs it
+//! over a CSR's own entries, which is how a transpose is taken), and
+//! fixed-bracketing reductions.
 //!
 //! The counting sort allocates every buffer — histograms, scratch, output
 //! — on the calling thread before it opens a parallel region; its workers
@@ -182,6 +183,64 @@ fn split_lengths<T>(mut slice: &mut [T], lens: impl Iterator<Item = usize>) -> V
     pieces
 }
 
+/// Where [`group_by_row`]'s counting passes read their arcs from: a run
+/// of input positions, each with zero or more `(row, item)` arcs.
+trait ArcSource<T>: Sync {
+    /// Calls `emit(row, item)` on every arc of the positions in `range`,
+    /// in position order.
+    fn for_each_arc(&self, range: Range<usize>, emit: impl FnMut(u32, T));
+}
+
+/// The arcs of a slice: item `x` yields `arcs(x)`.
+struct SliceArcs<'a, I, F> {
+    input: &'a [I],
+    arcs: F,
+}
+
+impl<I, T, const N: usize, F> ArcSource<T> for SliceArcs<'_, I, F>
+where
+    I: Sync,
+    F: Fn(&I) -> [Option<(u32, T)>; N] + Sync,
+{
+    #[inline]
+    fn for_each_arc(&self, range: Range<usize>, mut emit: impl FnMut(u32, T)) {
+        for x in &self.input[range] {
+            for (row, item) in (self.arcs)(x).into_iter().flatten() {
+                emit(row, item);
+            }
+        }
+    }
+}
+
+/// The arcs of CSR-shaped arrays: entry `k` of row `r` yields `arc(r, k)`.
+struct EntryArcs<'a, F> {
+    row_ptr: &'a [u64],
+    arc: F,
+}
+
+impl<T, F> ArcSource<T> for EntryArcs<'_, F>
+where
+    F: Fn(u32, usize) -> Option<(u32, T)> + Sync,
+{
+    #[inline]
+    fn for_each_arc(&self, range: Range<usize>, mut emit: impl FnMut(u32, T)) {
+        if range.is_empty() {
+            return;
+        }
+        // The row holding the first entry: the last row that starts at or
+        // before it (empty rows start where the next one does).
+        let mut r = self.row_ptr.partition_point(|&p| p as usize <= range.start) - 1;
+        for k in range {
+            while self.row_ptr[r + 1] as usize <= k {
+                r += 1;
+            }
+            if let Some((row, item)) = (self.arc)(r as u32, k) {
+                emit(row, item);
+            }
+        }
+    }
+}
+
 /// Stable parallel counting sort by row: every input item yields up to
 /// `N` arcs `(row, item)` (`arcs` returns them, `None` for none), and the
 /// result holds each row's items contiguously, rows ascending, the items
@@ -209,22 +268,50 @@ where
     T: Copy + Default + Send + Sync,
     F: Fn(&I) -> [Option<(u32, T)>; N] + Sync,
 {
-    let shift = row_block_shift(n_rows, input.len().saturating_mul(N));
+    let max_arcs = input.len().saturating_mul(N);
+    group_arcs(input.len(), max_arcs, n_rows, &SliceArcs { input, arcs })
+}
+
+/// [`group_by_row`] over the entries of CSR-shaped arrays, straight from
+/// them: entry `k` of row `r` — `row_ptr[r] ≤ k < row_ptr[r + 1]` — yields
+/// the arc `arc(r, k)`, or none. Grouping by column is the by-column
+/// scatter a transpose is made of (`arc(r, k) = (col[k], (r, val[k]))`):
+/// stable, so each column's rows come out ascending, with no list of
+/// triples built in between.
+///
+/// # Panics
+/// If an arc's row is not below `n_rows`.
+pub fn group_entries<T, F>(row_ptr: &[u64], n_rows: usize, arc: F) -> RowGroups<T>
+where
+    T: Copy + Default + Send + Sync,
+    F: Fn(u32, usize) -> Option<(u32, T)> + Sync,
+{
+    let entries = row_ptr.last().map_or(0, |&e| e as usize);
+    group_arcs(entries, entries, n_rows, &EntryArcs { row_ptr, arc })
+}
+
+/// The counting sort of [`group_by_row`] over `positions` input positions
+/// with at most `max_arcs` arcs among them.
+fn group_arcs<T, S>(positions: usize, max_arcs: usize, n_rows: usize, source: &S) -> RowGroups<T>
+where
+    T: Copy + Default + Send + Sync,
+    S: ArcSource<T>,
+{
+    let shift = row_block_shift(n_rows, max_arcs);
     let rows_per_block = 1usize << shift;
     let blocks = n_rows.div_ceil(rows_per_block).max(1);
     let chunk = ROW_SORT_CHUNK.max(blocks * 8);
-    let chunks = input.len().div_ceil(chunk);
+    let chunks = positions.div_ceil(chunk);
+    let part = |c: usize| c * chunk..((c + 1) * chunk).min(positions);
     let block_of = |row: u32| (row as usize) >> shift;
 
     // Level 1, pass 1: each chunk counts its arcs per row block.
     let mut hist = vec![0u32; chunks * blocks];
-    hist.par_chunks_mut(blocks).zip(input.par_chunks(chunk)).for_each(|(counts, part)| {
-        for x in part {
-            for (row, _) in arcs(x).into_iter().flatten() {
-                assert!((row as usize) < n_rows, "row {row} out of range for {n_rows} rows");
-                counts[block_of(row)] += 1;
-            }
-        }
+    hist.par_chunks_mut(blocks).enumerate().for_each(|(c, counts)| {
+        source.for_each_arc(part(c), |row, _| {
+            assert!((row as usize) < n_rows, "row {row} out of range for {n_rows} rows");
+            counts[block_of(row)] += 1;
+        });
     });
 
     // Pass 2, sequential over the counts: each block's buffer, cut into
@@ -250,18 +337,14 @@ where
     }
 
     // Pass 3: each chunk scatters its arcs into its pieces.
-    hist.par_chunks_mut(blocks).zip(input.par_chunks(chunk)).zip(pieces).for_each(
-        |((cursor, part), mut to)| {
-            cursor.fill(0);
-            for x in part {
-                for (row, item) in arcs(x).into_iter().flatten() {
-                    let b = block_of(row);
-                    to[b][cursor[b] as usize] = (row, item);
-                    cursor[b] += 1;
-                }
-            }
-        },
-    );
+    hist.par_chunks_mut(blocks).zip(pieces).enumerate().for_each(|(c, (cursor, mut to))| {
+        cursor.fill(0);
+        source.for_each_arc(part(c), |row, item| {
+            let b = block_of(row);
+            to[b][cursor[b] as usize] = (row, item);
+            cursor[b] += 1;
+        });
+    });
 
     // Level 2: each block places its arcs row by row.
     let total: usize = block_len.iter().sum();
@@ -575,6 +658,40 @@ mod tests {
             hub.extend(random_rows(100_000, 30_000, 5));
             check_grouping(100_000, &hub, two);
         }
+    }
+
+    /// Grouping CSR entries straight from the arrays gives the bytes of
+    /// grouping their triples: by column (a transpose, with some entries
+    /// skipped), with empty rows at the start, the end and between, at
+    /// 1, 2 and 8 threads, across several chunks.
+    #[test]
+    fn group_entries_matches_group_by_row_over_triples() {
+        for (n, m, seed) in
+            [(0usize, 0usize, 1u64), (5, 3, 2), (300, 50_000, 3), (70_000, 40_000, 4)]
+        {
+            let rows = random_rows(n.max(1), m, seed);
+            let cols = random_rows(n.max(1), m, seed + 10);
+            let mut triples: Vec<(u32, u32, u32)> =
+                rows.iter().zip(&cols).enumerate().map(|(k, (&r, &c))| (r, c, k as u32)).collect();
+            triples.sort_unstable_by_key(|&(r, _, k)| (r, k));
+            let mut counts = vec![0u64; n];
+            triples.iter().for_each(|&(r, _, _)| counts[r as usize] += 1);
+            let ptr = parallel_prefix_sum(&counts);
+            let skip = |k: u32| k % 7 == 3;
+            let want = group_by_row(&triples, n, |&(r, c, k)| [(!skip(k)).then_some((c, (r, k)))])
+                .finish_rows(|row, _| row.len());
+            for threads in [1, 2, 8] {
+                configure_threads(threads);
+                let got = group_entries(&ptr, n, |r, k| {
+                    let (tr, c, id) = triples[k];
+                    assert_eq!(tr, r, "entry {k} read in the wrong row");
+                    (!skip(id)).then_some((c, (r, id)))
+                })
+                .finish_rows(|row, _| row.len());
+                assert_eq!(got, want, "{n} rows, {threads} threads");
+            }
+        }
+        configure_threads(0);
     }
 
     #[test]

@@ -99,7 +99,9 @@ fn prefix_sum_correct() {
 }
 
 /// The single shared hash table agrees with a HashMap reference on any
-/// insertion sequence.
+/// insertion sequence: it holds one entry per unordered pair and reads
+/// back the symmetric part of what was added, `(M_uv + M_vu) / 2` at both
+/// orientations (`M_uu` on the diagonal).
 #[test]
 fn hash_table_matches_reference() {
     for case in 0..CASES {
@@ -114,9 +116,15 @@ fn hash_table_matches_reference() {
             table.add(u, v, w);
             *reference.entry((u, v)).or_insert(0.0) += w;
         }
-        assert_eq!(table.distinct_edges(), reference.len(), "case {case}");
-        for (u, v, w) in table.into_coo() {
-            let want = reference[&(u, v)];
+        let pairs: std::collections::HashSet<(u32, u32)> =
+            reference.keys().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        assert_eq!(table.distinct_edges(), pairs.len(), "case {case}");
+        let coo = table.into_coo();
+        let off_diagonal = pairs.iter().filter(|&&(u, v)| u != v).count();
+        assert_eq!(coo.len(), pairs.len() + off_diagonal, "case {case}");
+        let m = |u, v| reference.get(&(u, v)).copied().unwrap_or(0.0);
+        for (u, v, w) in coo {
+            let want = if u == v { m(u, u) } else { (m(u, v) + m(v, u)) / 2.0 };
             assert!(
                 (w - want).abs() <= 1e-3 * want.abs().max(1.0),
                 "case {case}: ({u},{v}) got {w} want {want}"

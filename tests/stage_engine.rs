@@ -268,6 +268,47 @@ fn resealed_checkpoints_with_foreign_ids_or_shapes_are_typed_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The edge table keeps one slot per pair, so it would average a resealed
+/// sparsifier whose `(i, j)` and `(j, i)` weights differ, or keep a pair
+/// whose mirror is gone, and embed the result. Both are a typed
+/// `Corrupt { file: "sparsifier.coo" }` instead; the genuine checkpoint
+/// still resumes to the straight run's bytes.
+#[test]
+fn resealed_asymmetric_sparsifier_is_a_typed_error() {
+    let g = chung_lu(200, 1_400, 2.4, 29);
+    let cfg = LightNeConfig { dim: 8, window: 4, sample_ratio: 1.0, seed: 6, ..Default::default() };
+    let pipe = LightNe::new(cfg);
+    let dir = tmp("asymmetric");
+    std::fs::remove_dir_all(&dir).ok();
+    let want = bits(&pipe.embed_with(&g, save_opts(&dir)).unwrap().embedding);
+    let store = ArtifactStore::open(&dir);
+    let (n, _, entries) =
+        matio::coo_from_bytes(&std::fs::read(dir.join(SPARSIFIER_FILE)).unwrap()).unwrap();
+    let forger = ArtifactStore::attach(&dir, store.load_meta().unwrap().fingerprint);
+    std::fs::remove_file(dir.join(INITIAL_FILE)).unwrap();
+    std::fs::remove_file(dir.join(NETMF_FILE)).unwrap();
+
+    let off_diagonal = entries.iter().position(|&(i, j, _)| i != j).unwrap();
+    let mut reweighted = entries.clone();
+    reweighted[off_diagonal].2 *= 2.0;
+    let mut unmirrored = entries.clone();
+    unmirrored.remove(off_diagonal);
+    for forged in [reweighted, unmirrored] {
+        forger.save_sparsifier(n, &forged).unwrap();
+        match pipe.embed_with(&g, resume_opts(&dir)).unwrap_err() {
+            EngineError::Corrupt { file, detail } => {
+                assert_eq!(file, SPARSIFIER_FILE);
+                assert!(detail.contains("not symmetric"), "unhelpful error: {detail}");
+            }
+            other => panic!("expected Corrupt, got: {other}"),
+        }
+    }
+
+    forger.save_sparsifier(n, &entries).unwrap();
+    assert_eq!(bits(&pipe.embed_with(&g, resume_opts(&dir)).unwrap().embedding), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn save_artifacts_refuses_directories_with_foreign_files() {
     let g = chung_lu(100, 600, 2.4, 8);
