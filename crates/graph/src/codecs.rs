@@ -9,11 +9,16 @@
 //!   continuation bit. The code of the paper's parallel-byte format
 //!   (Section 4.1): a minimum of 8 bits per gap.
 //! * **arice** — Golomb–Rice with the parameter `k` re-chosen per block
-//!   and stored as a 5-bit prefix: the quotient `x >> k` in unary (`q`
-//!   zeros then a one), then the `k` remainder bits. Optimal for
-//!   geometric gaps with mean ≈ 2^k, which is what the gaps of one
-//!   vertex of a social graph are: the smallest code on those, and at
-//!   least as fast as `byte` on every measured axis.
+//!   and stored as a 5-bit prefix, each value split into its quotient
+//!   `x >> k` (unary: `q` zeros then a one) and its `k` remainder bits.
+//!   The block is *split-stream*: all remainders first, as fixed-width
+//!   fields, then all quotients, as one unary bit vector. The `j`-th
+//!   value's prefix sum is then a select over the quotient bits
+//!   (`BitReader::select_one`) plus a sum of fixed-width fields
+//!   (`BitReader::sum_fields`) instead of `j` sequential decodes, at
+//!   exactly the bit count of the interleaved code. Optimal for geometric
+//!   gaps with mean ≈ 2^k, which is what the gaps of one vertex of a
+//!   social graph are: the smallest code on those.
 //! * **ζ(k) (zeta)** — Boldi–Vigna's code tuned for the power-law gap
 //!   distributions of web graphs: the exponent is coded in unary base
 //!   `2^k`, the remainder in minimal (truncated) binary. `ζ(1)` is
@@ -94,18 +99,6 @@ impl BitWriter {
         // Interval [2^(hk), 2^((h+1)k)) has 2^(hk)·(2^k − 1) values;
         // encode z − 2^(hk) in minimal binary over that interval size.
         self.write_min_binary(z - (1u64 << (h * k)), zeta_span(h, k));
-    }
-
-    /// Appends `x` in Rice code with parameter `k`: the quotient `x >> k`
-    /// in unary, then the `k` low remainder bits. Optimal for geometric
-    /// gap distributions with mean ≈ 2^k — the shape uniformly random
-    /// neighbor sets produce — where ζ pays for a heavy-tail assumption
-    /// that never materializes.
-    #[inline]
-    pub fn write_rice(&mut self, x: u64, k: u32) {
-        debug_assert!(k <= MAX_BITS, "rice parameter {k} too large");
-        self.write_unary(x >> k);
-        self.write_long_bits(x & ((1u64 << k) - 1), k);
     }
 
     /// Appends `x` in the byte code (LEB128): 7-bit groups, low group
@@ -192,12 +185,120 @@ fn zeta_span(h: u32, k: u32) -> u64 {
 /// The eight bytes at `byte..`, zero-padded past the end of `data`.
 #[cold]
 fn load_tail(data: &[u8], byte: usize) -> u64 {
-    let mut a = [0u8; 8];
-    for (i, slot) in a.iter_mut().enumerate() {
-        *slot = data.get(byte.saturating_add(i)).copied().unwrap_or(0);
+    let rest = data.split_at_checked(byte).map_or(&[] as &[u8], |(_, rest)| rest);
+    let (mut word, mut count) = (0u64, 0u32);
+    for &b in rest.iter().take(8) {
+        word = word << 8 | b as u64;
+        count += 1;
     }
-    u64::from_be_bytes(a)
+    word.checked_shl(8 * (8 - count)).unwrap_or(0)
 }
+
+const L8: u64 = 0x0101_0101_0101_0101;
+const H8: u64 = 0x8080_8080_8080_8080;
+
+/// Byte lane `i` of the result: the set bits among the first `i + 1`
+/// stream bytes of `w` (MSB first). The top lane is the population count.
+#[inline(always)]
+fn stream_byte_ranks(w: u64) -> u64 {
+    let mut s = w - ((w >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    s.swap_bytes().wrapping_mul(L8)
+}
+
+/// How many byte lanes of `ranks` (each at most 64) are at most `r < 64`:
+/// a borrow-free subtraction per lane, then a count of the lanes whose
+/// top bit survived.
+#[inline(always)]
+fn lanes_at_most(ranks: u64, r: u64) -> u32 {
+    let le = (((r * L8) | H8) - ranks) & H8;
+    ((le >> 7).wrapping_mul(L8) >> 56) as u32
+}
+
+/// Stream offset (MSB first) of the `r`-th (0-based) set bit of `w`, given
+/// `ranks = stream_byte_ranks(w)` and `r` below its population count:
+/// the byte by a broadword rank compare, then the bit the same way on the
+/// byte's bits spread one per lane. No branch, no table.
+#[inline(always)]
+fn select_in_word(w: u64, ranks: u64, r: u64) -> u32 {
+    let place = 8 * lanes_at_most(ranks, r);
+    let seen = ((ranks << 8) >> place) & 0xFF;
+    let byte = (w >> (56 - place)) & 0xFF;
+    let bits = ((((byte * L8) & 0x0102_0408_1020_4080) + 0x7F7F_7F7F_7F7F_7F7F) & H8) >> 7;
+    place + lanes_at_most(bits.wrapping_mul(L8), r - seen)
+}
+
+/// How [`BitReader::sum_fields`] adds up one window of `k`-bit fields
+/// without a loop over them (SWAR): up to three in-place pairing levels,
+/// each adding the odd slots onto the even ones and doubling the slot
+/// width, until one slot holds the window's largest sum; then one
+/// multiply piles every slot into the top one.
+#[derive(Debug, Clone, Copy)]
+struct FieldSum {
+    /// Fields per window, `⌊56 / k⌋`: a window loaded at any bit of a
+    /// byte holds them.
+    per: u32,
+    /// Per level, the mask of the even slots and the slot width it pairs;
+    /// `(!0, 64)` is a level that leaves the value as it is.
+    levels: [(u64, u32); 3],
+    /// One bit at the bottom of every slot.
+    spread: u64,
+    /// Bit position of the top slot.
+    top: u32,
+    /// Mask of one slot's width.
+    slot: u64,
+}
+
+impl FieldSum {
+    const fn for_width(k: u32) -> Self {
+        let per = 56 / k;
+        let largest = per as u64 * ((1u64 << k) - 1);
+        let mut levels = [(u64::MAX, 64); 3];
+        let (mut width, mut level) = (k, 0);
+        while width < 64 && largest >> width != 0 {
+            let (mut even, mut pos) = (0u64, 0);
+            while pos < 64 {
+                even |= ((1u64 << width) - 1) << pos;
+                pos += 2 * width;
+            }
+            levels[level] = (even, width);
+            width *= 2;
+            level += 1;
+        }
+        let slots = (per * k).div_ceil(width);
+        let (mut spread, mut i) = (0u64, 0);
+        while i < slots {
+            spread |= 1 << (i * width);
+            i += 1;
+        }
+        let top = (slots - 1) * width;
+        // The top slot must hold the largest sum below bit 64.
+        assert!(top == 0 || largest >> (64 - top) == 0);
+        let slot = if width >= 64 { u64::MAX } else { (1u64 << width) - 1 };
+        FieldSum { per, levels, spread, top, slot }
+    }
+
+    /// The sum of the right-aligned fields of `x` (at most `per`).
+    #[inline(always)]
+    fn window_total(&self, mut x: u64) -> u64 {
+        for (even, width) in self.levels {
+            x = (x & even) + (x.checked_shr(width).unwrap_or(0) & even);
+        }
+        (x.wrapping_mul(self.spread) >> self.top) & self.slot
+    }
+}
+
+/// [`FieldSum`] for every nonzero Rice parameter `k`, at `k − 1`.
+static FIELD_SUMS: [FieldSum; MAX_RICE_K as usize] = {
+    let mut plans = [FieldSum::for_width(1); MAX_RICE_K as usize];
+    let mut k = 2;
+    while k <= MAX_RICE_K {
+        plans[k as usize - 1] = FieldSum::for_width(k);
+        k += 1;
+    }
+    plans
+};
 
 /// An MSB-first bounds-checked bit source over `&[u8]`.
 ///
@@ -265,18 +366,85 @@ impl<'a> BitReader<'a> {
     /// remain before `end`.
     #[inline(always)]
     fn refill(&mut self) {
-        let byte = (self.pos / 8) as usize;
-        let shift = (self.pos % 8) as u32;
-        let raw = match self.data.get(byte..).and_then(|d| d.first_chunk::<8>()) {
+        (self.win, self.avail) = self.window_at(self.pos);
+    }
+
+    /// The stream bits at `pos..`, left-aligned, and how many of them the
+    /// reader may read: at least 57, or all that remain before `end`.
+    /// Every bit past those is zero, so that a leading-zero count or a
+    /// population count never sees a bit the reader may not.
+    #[inline(always)]
+    fn window_at(&self, pos: u64) -> (u64, u32) {
+        let byte = (pos / 8) as usize;
+        let shift = (pos % 8) as u32;
+        let raw = match self.data.split_at_checked(byte).and_then(|(_, d)| d.first_chunk::<8>()) {
             Some(whole) => u64::from_be_bytes(*whole),
             None => load_tail(self.data, byte),
         };
-        let left = self.end.saturating_sub(self.pos);
-        self.avail = left.min(64 - shift as u64) as u32;
-        // Clear what lies past `end`, so that a leading-zero count never
-        // reads a bit the reader may not.
-        let keep = u64::MAX.checked_shl(64 - self.avail).unwrap_or(0);
-        self.win = (raw << shift) & keep;
+        let left = self.end.saturating_sub(pos);
+        let avail = if left < 64 - shift as u64 { left as u32 } else { 64 - shift };
+        let keep = u64::MAX.checked_shl(64 - avail).unwrap_or(0);
+        ((raw << shift) & keep, avail)
+    }
+
+    /// The select of a unary section at bit `from`: the offsets from
+    /// `from` of its first one bit and of its `rank`-th (0-based) one.
+    /// Scans a word at a time — a population count per word, then one
+    /// in-word select — and never past the reader's end: `Truncated`
+    /// when the section holds fewer than `rank + 1` ones.
+    #[inline]
+    pub(crate) fn select_one(&self, from: u64, rank: u64) -> Result<(u64, u64), GraphFormatError> {
+        let mut at = from;
+        let mut rank = rank;
+        let mut first = None;
+        loop {
+            let (w, avail) = self.window_at(at);
+            if avail == 0 {
+                return Err(GraphFormatError::Truncated { at_bit: at });
+            }
+            if w != 0 {
+                let ranks = stream_byte_ranks(w);
+                let ones = ranks >> 56;
+                let first = *first.get_or_insert(at - from + w.leading_zeros() as u64);
+                if rank < ones {
+                    return Ok((first, at - from + select_in_word(w, ranks, rank) as u64));
+                }
+                rank -= ones;
+            }
+            at += avail as u64;
+        }
+    }
+
+    /// The sum of the `count` `k`-bit fields packed from bit `from`
+    /// (`k ≤ 31`): one bounds check for the whole run, then one window per
+    /// `⌊56 / k⌋` fields, summed without a loop over them ([`FieldSum`]).
+    /// `Truncated` when the run does not end before the reader's end.
+    #[inline]
+    pub(crate) fn sum_fields(
+        &self,
+        from: u64,
+        k: u32,
+        count: u64,
+    ) -> Result<u64, GraphFormatError> {
+        let stop = count.checked_mul(k as u64).and_then(|bits| bits.checked_add(from));
+        if stop.is_none_or(|stop| stop > self.end) {
+            return Err(GraphFormatError::Truncated { at_bit: self.end });
+        }
+        let Some(plan) =
+            k.checked_sub(1).and_then(|i| FIELD_SUMS.split_at_checked(i as usize)?.1.first())
+        else {
+            return if k == 0 { Ok(0) } else { Err(GraphFormatError::Overflow { at_bit: from }) };
+        };
+        let (mut at, mut left, mut sum) = (from, count, 0u64);
+        while left > 0 {
+            let take = if left < plan.per as u64 { left as u32 } else { plan.per };
+            let (w, _) = self.window_at(at);
+            let part = plan.window_total(w >> (64 - take * k));
+            sum = sum.checked_add(part).ok_or(GraphFormatError::Overflow { at_bit: at })?;
+            at += (take * k) as u64;
+            left -= take as u64;
+        }
+        Ok(sum)
     }
 
     /// Runs an out-of-line slow path on a *copy* of the reader and adopts
@@ -443,31 +611,6 @@ impl<'a> BitReader<'a> {
         Ok(base + r - 1)
     }
 
-    /// Reads a Rice-coded value with parameter `k` (in-window fast path:
-    /// a leading-zero count and two shifts, the cheapest decode in the
-    /// family).
-    #[inline(always)]
-    pub fn read_rice(&mut self, k: u32) -> Result<u64, GraphFormatError> {
-        debug_assert!(k <= MAX_BITS);
-        let parse = |w: u64, avail: u32| {
-            let q = w.leading_zeros();
-            let need = q + 1 + k;
-            (k >= 1 && need <= avail.min(MAX_BITS))
-                .then(|| (((q as u64) << k) | ((w << (q + 1)) >> (64 - k)), need))
-        };
-        self.in_window(parse, |r| r.read_rice_slow(k))
-    }
-
-    #[cold]
-    fn read_rice_slow(&mut self, k: u32) -> Result<u64, GraphFormatError> {
-        let q = self.read_unary()?;
-        if k > 0 && q > (u64::MAX >> k) {
-            return Err(GraphFormatError::Overflow { at_bit: self.pos });
-        }
-        let rem = self.read_long_bits(k)?;
-        Ok((q << k) | rem)
-    }
-
     /// Reads a byte-coded (LEB128) value. Fast path: the continuation
     /// bits in the window give the codeword length with a single
     /// leading-zero count, and codewords of up to four bytes (every gap
@@ -540,7 +683,8 @@ pub enum Codec {
     /// Boldi–Vigna ζ with shrinking factor `k ∈ [1, 8]`.
     Zeta(u32),
     /// Golomb–Rice with the parameter re-chosen per block (neighbor gaps
-    /// within a vertex share one scale) and stored as a 5-bit prefix.
+    /// within a vertex share one scale) and stored as a 5-bit prefix;
+    /// remainders and quotients in two streams (see the module docs).
     RiceAdaptive,
 }
 
@@ -548,7 +692,7 @@ pub enum Codec {
 pub const MAX_RICE_K: u32 = 31;
 
 /// The Rice parameter `k` minimizing `Σ ((x >> k) + 1 + k)` over
-/// `values` — the exact cost of Rice-coding all of them.
+/// `values` — the exact cost of Rice-coding all of them, split or not.
 pub fn best_rice_k(values: &[u64]) -> u32 {
     let mut best_k = 0u32;
     let mut best_cost = u64::MAX;
@@ -572,12 +716,14 @@ impl Codec {
     pub const SWEEP: [Codec; 3] = [Codec::Byte, Codec::Zeta(3), Codec::RiceAdaptive];
 
     /// Stable on-disk identifier. Ids 0–2 and 0x20–0x3F belonged to the
-    /// retired unary/γ/δ and fixed-`k` Rice codes and are never
-    /// reassigned.
+    /// retired unary/γ/δ and fixed-`k` Rice codes, and id 3 to `arice`
+    /// with each quotient next to its remainder (before the split-stream
+    /// block); none is ever reassigned, and a file carrying one is refused
+    /// as [`GraphFormatError::RetiredCodec`].
     pub fn id(self) -> u8 {
         match self {
             Codec::Zeta(k) => 0x10 + k as u8,
-            Codec::RiceAdaptive => 3,
+            Codec::RiceAdaptive => 5,
             Codec::Byte => 4,
         }
     }
@@ -585,17 +731,17 @@ impl Codec {
     /// Inverse of [`Codec::id`].
     pub fn from_id(id: u8) -> Option<Codec> {
         match id {
-            3 => Some(Codec::RiceAdaptive),
             4 => Some(Codec::Byte),
+            5 => Some(Codec::RiceAdaptive),
             k @ 0x11..=0x18 => Some(Codec::Zeta(k as u32 - 0x10)),
             _ => None,
         }
     }
 
-    /// Whether `id` named a code that containers written before unary, γ,
-    /// δ and fixed-`k` Rice were retired could carry.
+    /// Whether `id` named a code this build no longer reads: unary, γ, δ,
+    /// fixed-`k` Rice, or the interleaved `arice` block.
     pub(crate) fn is_retired_id(id: u32) -> bool {
-        matches!(id, 0..=2 | 0x20..=0x3F)
+        matches!(id, 0..=3 | 0x20..=0x3F)
     }
 
     /// Human name, accepted back by [`Codec::parse`].
@@ -625,7 +771,10 @@ mod tests {
     use super::*;
     use lightne_utils::rng::XorShiftStream;
 
-    /// The symbol codes the container codes are built from.
+    /// The symbol codes the container codes are built from. `Rice(k)` is
+    /// one value of an `arice` block with its two halves side by side:
+    /// the block stores the same unary quotient and `k`-bit remainder, in
+    /// two streams.
     #[derive(Debug, Clone, Copy)]
     enum Sym {
         VByte,
@@ -639,7 +788,10 @@ mod tests {
             match self {
                 Sym::VByte => w.write_vbyte(x),
                 Sym::Unary => w.write_unary(x),
-                Sym::Rice(k) => w.write_rice(x, k),
+                Sym::Rice(k) => {
+                    w.write_unary(x >> k);
+                    w.write_long_bits(x & ((1u64 << k) - 1), k);
+                }
                 Sym::Zeta(k) => w.write_zeta(x, k),
             }
         }
@@ -648,7 +800,10 @@ mod tests {
             match self {
                 Sym::VByte => r.read_vbyte(),
                 Sym::Unary => r.read_unary(),
-                Sym::Rice(k) => r.read_rice(k),
+                Sym::Rice(k) => {
+                    let q = r.read_unary()?;
+                    Ok((q << k) | r.read_bits(k)?)
+                }
                 Sym::Zeta(k) => r.read_zeta(k),
             }
         }
@@ -740,7 +895,7 @@ mod tests {
         let cost = |values: &[u64], k: u32| -> u64 {
             let mut w = BitWriter::new();
             for &v in values {
-                w.write_rice(v, k);
+                Sym::Rice(k).write(&mut w, v);
             }
             w.len_bits()
         };
@@ -889,6 +1044,95 @@ mod tests {
         }
     }
 
+    /// Stream offset of the `r`-th set bit of `w`, one bit at a time.
+    fn naive_select(w: u64, r: u32) -> u32 {
+        (0..64).filter(|&i| w << i >> 63 == 1).nth(r as usize).unwrap()
+    }
+
+    #[test]
+    fn select_in_word_matches_the_naive_scan() {
+        let mut rng = XorShiftStream::new(29, 0);
+        let mut words = vec![1u64, 1 << 63, u64::MAX, 0x8000_0000_0000_0001, 0x00FF_0000_0000_FF00];
+        // Dense, sparse and byte-clustered words.
+        for _ in 0..if cfg!(miri) { 20 } else { 300 } {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            words.extend([a, a & b, a & b & rng.next_u64(), a | b, a & 0xFF00_FF00_00FF_00FF]);
+        }
+        for w in words.into_iter().filter(|&w| w != 0) {
+            let ranks = stream_byte_ranks(w);
+            assert_eq!(ranks >> 56, w.count_ones() as u64, "{w:#x}");
+            for r in 0..w.count_ones() {
+                assert_eq!(select_in_word(w, ranks, r as u64), naive_select(w, r), "{w:#x} r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn sum_fields_matches_the_field_by_field_sum_at_every_k() {
+        let mut rng = XorShiftStream::new(31, 0);
+        for k in 1..=MAX_RICE_K {
+            let plan = FIELD_SUMS[k as usize - 1];
+            // A full window of the largest field: the widest sum a slot holds.
+            let ones = u64::MAX >> (64 - plan.per * k);
+            assert_eq!(plan.window_total(ones), plan.per as u64 * ((1 << k) - 1), "k={k}");
+            for pad in [0u32, 1, 5, 7] {
+                let fields: Vec<u64> = (0..130).map(|_| rng.next_u64() >> (64 - k)).collect();
+                let mut w = BitWriter::new();
+                w.write_bits(0, pad);
+                for &f in &fields {
+                    w.write_bits(f, k);
+                }
+                let bytes = w.into_bytes();
+                let r = BitReader::new(&bytes, 0);
+                for count in [0usize, 1, 2, 3, 7, 31, 56, 57, 63, 64, 129, 130] {
+                    let want: u64 = fields[..count].iter().sum();
+                    let got = r.sum_fields(pad as u64, k, count as u64).unwrap();
+                    assert_eq!(got, want, "k={k} pad={pad} count={count}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn select_one_and_sum_fields_stay_in_bounds() {
+        // A unary section 0^70 1 0 1 1 from bit 3, then five 7-bit fields.
+        let mut w = BitWriter::new();
+        w.write_bits(0b101, 3);
+        for q in [70u64, 1, 0] {
+            w.write_unary(q);
+        }
+        let fields = [5u64, 127, 0, 64, 3];
+        for &f in &fields {
+            w.write_bits(f, 7);
+        }
+        let total = w.len_bits();
+        let bytes = w.into_bytes();
+        let r = BitReader::new(&bytes, 0);
+        assert_eq!(r.select_one(3, 0).unwrap(), (70, 70));
+        assert_eq!(r.select_one(3, 1).unwrap(), (70, 72));
+        assert_eq!(r.select_one(3, 2).unwrap(), (70, 73));
+        let fields_at = 3 + 74;
+        for count in 0..=fields.len() {
+            let want: u64 = fields[..count].iter().sum();
+            assert_eq!(r.sum_fields(fields_at, 7, count as u64).unwrap(), want);
+        }
+        assert_eq!(r.sum_fields(fields_at, 0, 1_000).unwrap(), 0);
+        // One field past the end, or a reader that stops one bit short of
+        // the last field or the third one: `Truncated`, never a read
+        // past the end.
+        assert!(matches!(r.sum_fields(fields_at, 7, 6), Err(GraphFormatError::Truncated { .. })));
+        let short = BitReader::within(&bytes, 0, total - 1);
+        assert!(matches!(
+            short.sum_fields(fields_at, 7, 5),
+            Err(GraphFormatError::Truncated { .. })
+        ));
+        let short = BitReader::within(&bytes, 0, 3 + 73);
+        assert_eq!(short.select_one(3, 1).unwrap(), (70, 72));
+        assert!(matches!(short.select_one(3, 2), Err(GraphFormatError::Truncated { .. })));
+        // A field count whose bit length wraps `u64` fails typed too.
+        assert!(r.sum_fields(fields_at, 7, u64::MAX / 2).is_err());
+    }
+
     #[test]
     fn codec_id_and_name_roundtrip() {
         for codec in [Codec::Byte, Codec::RiceAdaptive].into_iter().chain((1..=8).map(Codec::Zeta))
@@ -896,17 +1140,19 @@ mod tests {
             assert_eq!(Codec::from_id(codec.id()), Some(codec));
             assert_eq!(Codec::parse(&codec.name()), Some(codec));
         }
-        // The on-disk ids are the ones files already carry.
-        assert_eq!((Codec::RiceAdaptive.id(), Codec::Byte.id(), Codec::Zeta(3).id()), (3, 4, 0x13));
+        // The on-disk ids are the ones files already carry; the
+        // split-stream `arice` block took a new one.
+        assert_eq!((Codec::RiceAdaptive.id(), Codec::Byte.id(), Codec::Zeta(3).id()), (5, 4, 0x13));
         // A retired code has neither a name nor an id that decodes.
         for name in ["gamma", "delta", "rice12", "unary", "zeta0", "zeta9", "huffman", ""] {
             assert_eq!(Codec::parse(name), None, "{name}");
         }
-        for id in [0u8, 1, 2, 0x20, 0x2C, 0x3F] {
+        // Id 3 is the interleaved `arice` block.
+        for id in [0u8, 1, 2, 3, 0x20, 0x2C, 0x3F] {
             assert_eq!(Codec::from_id(id), None);
             assert!(Codec::is_retired_id(id as u32));
         }
-        for id in [3u32, 4, 5, 0x10, 0x13, 0x19, 0x40, 0xFF, 0x1_0000] {
+        for id in [4u32, 5, 6, 0x10, 0x13, 0x19, 0x40, 0xFF, 0x1_0000] {
             assert!(!Codec::is_retired_id(id), "{id:#x}");
         }
     }

@@ -27,13 +27,28 @@
 //! B > 1 blocks:  ┌────────┬───────────────────────────┬─────────┬─────────┬───┐
 //!                │ w (6b) │ end₀ … end_{B-2} (w bits) │ block 0 │ block 1 │ … │
 //!                └────────┴───────────────────────────┴─────────┴─────────┴───┘
-//! block b: codec(zigzag(first − v)) codec(gap−1) codec(gap−1) …
+//! block b, byte / ζ:  codec(x₀) codec(x₁) … codec(x_{c−1})
+//! block b, arice:     ┌────────┬──────────────────────────┬─────────────────────────────┐
+//!                     │ k (5b) │ r₀ r₁ … r_{c−1} (k bits) │ 0^q₀ 1 0^q₁ 1 … 0^q_{c−1} 1 │
+//!                     └────────┴──────────────────────────┴─────────────────────────────┘
+//! x₀ = zigzag(first − v),  x_t = gap_t − 1,  x_t = q_t·2^k + r_t,  c = count
 //! ```
 //!
 //! With the adaptive Rice codec (`arice`) each block body starts with a
 //! 5-bit Rice parameter chosen to minimize that block's exact bit cost;
 //! gaps within one vertex share a scale (≈ n / degree), so the per-block
 //! prefix recovers most of the gain of a per-vertex optimal Golomb code.
+//! The block is *split-stream*: the `c` remainders as `k`-bit fields, then
+//! the `c` quotients as one unary bit vector — the bits of `c` Rice codes,
+//! reordered. Its `j`-th neighbor is then closed-form,
+//! `first + j + (Σ_{t=1..j} q_t << k) + Σ_{t=1..j} r_t`: the quotient
+//! section starts at a known offset (`5 + c·k`), `j + Σ_{t≤j} q_t` is the
+//! position of its `j`-th one (one select), and the remainder sum is a
+//! run of fixed-width fields — where the interleaved code had to decode
+//! all `j` codes before it. Sequential decode runs two cursors, one per
+//! stream; the quotient cursor ends where the block does, and the decode
+//! checks that it does (the next block's directory entry, or the span's
+//! end), so a corrupt quotient section cannot pass for a plausible list.
 //!
 //! The directory of a multi-block vertex is fixed-width: `endⱼ` is the
 //! total bit length of blocks `0..=j`, every entry `w` bits wide, where
@@ -66,7 +81,8 @@
 //! [`V2_VERSION`] is 2. Version 1 (γ-coded block lengths, 8-byte select
 //! samples every 64th element) is refused with
 //! [`GraphFormatError::UnsupportedVersion`], and a version-2 file stamped
-//! with the id of a retired code (unary, γ, δ, fixed-`k` Rice) with
+//! with the id of a retired code (unary, γ, δ, fixed-`k` Rice, and id 3:
+//! `arice` with each quotient next to its remainder) with
 //! [`GraphFormatError::RetiredCodec`]: there is one reader, and a
 //! container is cheap to rewrite from its source (`lightne compress`).
 //!
@@ -149,13 +165,7 @@ fn encode_vertex(
             // Adaptive Rice re-chooses the parameter per block: the gaps
             // of one vertex share a scale (≈ n / degree), so a 5-bit
             // prefix buys a near-optimal k for the whole block.
-            Codec::RiceAdaptive => {
-                let k = best_rice_k(&vals);
-                w.write_bits(k as u64, 5);
-                for &x in &vals {
-                    w.write_rice(x, k);
-                }
-            }
+            Codec::RiceAdaptive => write_rice_block(&mut w, &vals),
             Codec::Byte => {
                 for &x in &vals {
                     w.write_vbyte(x);
@@ -260,6 +270,13 @@ pub fn encode_container(
     out.extend_from_slice(&ef_bits);
     out.extend_from_slice(&arena);
     Ok(out)
+}
+
+/// The `N` header bytes from byte `at`: every field of the fixed-size
+/// header is read through this window (bytes past the header read as 0,
+/// which no caller asks for).
+fn header_window<const N: usize>(header: &[u8; HEADER_LEN], at: usize) -> [u8; N] {
+    std::array::from_fn(|i| header.get(at + i).copied().unwrap_or(0))
 }
 
 /// Continues an FNV-1a-64 stream over more bytes (matching
@@ -372,40 +389,31 @@ impl V2Graph {
 
     fn parse(storage: Storage, check_payload: bool) -> Result<Self, GraphFormatError> {
         let bytes = storage.bytes();
-        if bytes.len() < HEADER_LEN {
+        let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
             return Err(GraphFormatError::LengthMismatch {
                 what: "container header",
                 expected: HEADER_LEN as u64,
                 actual: bytes.len() as u64,
             });
-        }
-        if bytes[0..4] != V2_MAGIC {
+        };
+        let u32_at = |at| u32::from_le_bytes(header_window(header, at));
+        let u64_at = |at| u64::from_le_bytes(header_window(header, at));
+        if header_window::<4>(header, 0) != V2_MAGIC {
             return Err(GraphFormatError::BadMagic);
         }
-        // xtask:panic-ok(infallible: fixed 8-byte window of a header whose length was checked against HEADER_LEN above)
-        let header_sum = u64::from_le_bytes(bytes[64..72].try_into().unwrap());
-        if fnv1a64(&bytes[0..64]) != header_sum {
+        if fnv1a64(&header_window::<64>(header, 0)) != u64_at(64) {
             return Err(GraphFormatError::ChecksumMismatch { region: "header" });
         }
-        // xtask:panic-ok(infallible: fixed window of the checked header)
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        let version = u32_at(4);
         if version != V2_VERSION {
             return Err(GraphFormatError::UnsupportedVersion {
                 found: version,
                 supported: V2_VERSION,
             });
         }
-        // xtask:panic-ok(infallible: fixed windows of the checked header)
-        let block_size = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let codec_id = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let n = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        // xtask:panic-ok(infallible: fixed windows of the checked header)
-        let arcs = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let len_ef_arcs = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
-        let len_ef_bits = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
-        // xtask:panic-ok(infallible: fixed windows of the checked header)
-        let len_arena = u64::from_le_bytes(bytes[48..56].try_into().unwrap());
-        let payload_sum = u64::from_le_bytes(bytes[56..64].try_into().unwrap());
+        let (block_size, codec_id) = (u32_at(8) as usize, u32_at(12));
+        let (n, arcs, payload_sum) = (u64_at(16), u64_at(24), u64_at(56));
+        let (len_ef_arcs, len_ef_bits, len_arena) = (u64_at(32), u64_at(40), u64_at(48));
 
         if block_size == 0 {
             return Err(GraphFormatError::Corrupt("zero block size"));
@@ -417,11 +425,15 @@ impl V2Graph {
             }
             None => return Err(GraphFormatError::Corrupt("unknown codec id")),
         };
-        let expected_len = HEADER_LEN as u64 + len_ef_arcs + len_ef_bits + len_arena;
-        if expected_len != bytes.len() as u64 {
+        // Checked: three lengths that wrap past 2⁶⁴ back to the file's
+        // length would otherwise pass and slice out of range below.
+        let expected_len = [len_ef_arcs, len_ef_bits, len_arena]
+            .into_iter()
+            .try_fold(HEADER_LEN as u64, u64::checked_add);
+        if expected_len != Some(bytes.len() as u64) {
             return Err(GraphFormatError::LengthMismatch {
                 what: "container payload",
-                expected: expected_len,
+                expected: expected_len.unwrap_or(u64::MAX),
                 actual: bytes.len() as u64,
             });
         }
@@ -430,16 +442,10 @@ impl V2Graph {
         }
         let n = n as usize;
 
-        if check_payload {
-            let mut sum = fnv1a64(&bytes[HEADER_LEN..HEADER_LEN + len_ef_arcs as usize]);
-            sum = continue_fnv(
-                sum,
-                &bytes[HEADER_LEN + len_ef_arcs as usize..bytes.len() - len_arena as usize],
-            );
-            sum = continue_fnv(sum, &bytes[bytes.len() - len_arena as usize..]);
-            if sum != payload_sum {
-                return Err(GraphFormatError::ChecksumMismatch { region: "payload" });
-            }
+        // The three sections are contiguous, and FNV-1a over them one
+        // after another is FNV-1a over their concatenation.
+        if check_payload && bytes.get(HEADER_LEN..).map(fnv1a64) != Some(payload_sum) {
+            return Err(GraphFormatError::ChecksumMismatch { region: "payload" });
         }
 
         let ef_arcs = EfSeq::parse(bytes, HEADER_LEN)?;
@@ -611,9 +617,14 @@ impl V2Graph {
         let dir = if nblocks > 1 { Some(Directory::read(&mut r, nblocks)?) } else { None };
         let body = r.bit_pos();
         let n = self.n as u64;
+        // An `arice` block ends with its quotients, which nothing else
+        // bounds: one compare per block that each ends where the next
+        // begins (and the last, the span) is what tells a corrupt quotient
+        // section from a plausible list.
+        let check_ends = strict || self.codec == Codec::RiceAdaptive;
         let mut left = at.deg;
         for b in 0..nblocks {
-            if let Some(dir) = dir.filter(|_| strict && b > 0) {
+            if let Some(dir) = dir.filter(|_| check_ends && b > 0) {
                 if dir.block_start(&mut r, b)? != r.bit_pos() {
                     return Err(GraphFormatError::Corrupt("block directory entry"));
                 }
@@ -628,9 +639,9 @@ impl V2Graph {
                 Ok(())
             })?;
         }
-        if strict {
+        if check_ends {
             let width = u64::BITS - (at.end - body).leading_zeros();
-            if r.bit_pos() != at.end || dir.is_some_and(|d| d.width != width) {
+            if r.bit_pos() != at.end || strict && dir.is_some_and(|d| d.width != width) {
                 return Err(GraphFormatError::Corrupt("vertex span or directory width"));
             }
         }
@@ -638,11 +649,13 @@ impl V2Graph {
     }
 
     /// Decodes the first `count` neighbors of the block `r` is positioned
-    /// at, handing each to `visit`, and returns the last. This is the one
-    /// block decoder: sequential decode visits every value, random access
-    /// stops at the one it wants. The codec match is hoisted out of the
-    /// gap loop so each arm runs a monomorphized loop with the symbol
-    /// reader and the visitor inlined.
+    /// at, handing each to `visit`, and returns the last; an `arice`
+    /// block is always decoded whole (`count` is its length: it places
+    /// the quotient stream). Sequential decode visits every value, byte
+    /// and ζ random access stops at the one it wants (`arice` random
+    /// access is closed-form, [`rice_ith`]). The codec match is hoisted
+    /// out of the gap loop so each arm runs a monomorphized loop with the
+    /// symbol reader and the visitor inlined.
     #[inline]
     fn decode_block(
         &self,
@@ -658,10 +671,7 @@ impl V2Graph {
         let r = &mut own;
         let last = match self.codec {
             Codec::Zeta(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_zeta(k)),
-            Codec::RiceAdaptive => match r.read_bits(5) {
-                Ok(k) => decode_gaps(v, n, r, count, visit, move |r| r.read_rice(k as u32)),
-                Err(e) => Err(e),
-            },
+            Codec::RiceAdaptive => decode_rice_block(v, n, r, count, visit),
             Codec::Byte => decode_gaps(v, n, r, count, visit, |r| r.read_vbyte()),
         };
         *reader = own;
@@ -669,8 +679,9 @@ impl V2Graph {
     }
 
     /// Checked random access: the `i`-th neighbor of `v`. One directory
-    /// read finds block `i / block_size`, whose decode stops at the
-    /// neighbor asked for.
+    /// read finds block `i / block_size`; in it, an `arice` neighbor is
+    /// one select and one field sum away (`rice_ith`), a byte or ζ one
+    /// at the end of a decode that stops there.
     pub fn try_ith_neighbor(&self, v: VertexId, i: usize) -> Result<VertexId, GraphFormatError> {
         let at = self.locate(v);
         if i >= at.deg {
@@ -687,13 +698,19 @@ impl V2Graph {
     #[inline]
     fn ith_of(&self, v: VertexId, at: &Located, i: usize) -> Result<VertexId, GraphFormatError> {
         let nblocks = at.deg.div_ceil(self.block_size);
+        let (b, j) = (i / self.block_size, i % self.block_size);
         let mut r = self.reader(at);
         if nblocks > 1 {
-            let start =
-                Directory::read(&mut r, nblocks)?.block_start(&mut r, i / self.block_size)?;
+            let start = Directory::read(&mut r, nblocks)?.block_start(&mut r, b)?;
             r.seek(start);
         }
-        let last = self.decode_block(v, &mut r, i % self.block_size + 1, |_| Ok(()))?;
+        let last = match self.codec {
+            Codec::RiceAdaptive => {
+                let count = (at.deg - b * self.block_size).min(self.block_size);
+                rice_ith(v, self.n, &mut r, count, j)?
+            }
+            _ => self.decode_block(v, &mut r, j + 1, |_| Ok(()))?,
+        };
         // Gaps are non-negative: a running value below `n` here was below
         // it at every neighbor before.
         if last >= self.n as u64 {
@@ -827,6 +844,18 @@ fn out_of_range(vertex: VertexId, decoded: u64, n: usize) -> GraphFormatError {
     GraphFormatError::VertexOutOfRange { vertex, decoded: decoded as i64, n }
 }
 
+/// The first neighbor of a block of `v`'s, from its zigzag delta `x₀`
+/// (`at_bit` locates an overflow).
+#[inline(always)]
+fn first_neighbor(v: VertexId, n: usize, x0: u64, at_bit: u64) -> Result<u64, GraphFormatError> {
+    let first =
+        (v as i64).checked_add(unzigzag(x0)).ok_or(GraphFormatError::Overflow { at_bit })?;
+    if first < 0 {
+        return Err(GraphFormatError::VertexOutOfRange { vertex: v, decoded: first, n });
+    }
+    Ok(first as u64)
+}
+
 /// The gap loop of one block: a zigzag delta from the source, then gaps
 /// minus one, summed with overflow checks (a codeword can carry any
 /// `u64`, so hostile bytes can push either sum past the integer range:
@@ -839,24 +868,97 @@ fn decode_gaps(
     r: &mut BitReader<'_>,
     count: usize,
     mut visit: impl FnMut(u64) -> Result<(), GraphFormatError>,
-    read: impl Fn(&mut BitReader<'_>) -> Result<u64, GraphFormatError>,
+    mut read: impl FnMut(&mut BitReader<'_>) -> Result<u64, GraphFormatError>,
 ) -> Result<u64, GraphFormatError> {
     let overflow = |r: &BitReader<'_>| GraphFormatError::Overflow { at_bit: r.bit_pos() };
     let mut cur = 0u64;
     for j in 0..count {
         let x = read(r)?;
         cur = if j == 0 {
-            let first = (v as i64).checked_add(unzigzag(x)).ok_or_else(|| overflow(r))?;
-            if first < 0 {
-                return Err(GraphFormatError::VertexOutOfRange { vertex: v, decoded: first, n });
-            }
-            first as u64
+            first_neighbor(v, n, x, r.bit_pos())?
         } else {
             cur.checked_add(x).and_then(|s| s.checked_add(1)).ok_or_else(|| overflow(r))?
         };
         visit(cur)?;
     }
     Ok(cur)
+}
+
+/// Bits of an `arice` block's Rice-parameter prefix.
+const RICE_K_BITS: u32 = 5;
+
+/// Appends one `arice` block: the Rice parameter minimizing its exact
+/// cost, the `k`-bit remainder of every value, then every quotient in
+/// unary — the bits of the interleaved Rice code, in two streams.
+fn write_rice_block(w: &mut BitWriter, vals: &[u64]) {
+    let k = best_rice_k(vals);
+    w.write_bits(k as u64, RICE_K_BITS);
+    for &x in vals {
+        w.write_bits(x & ((1u64 << k) - 1), k);
+    }
+    for &x in vals {
+        w.write_unary(x >> k);
+    }
+}
+
+/// `q · 2^k`, or `Overflow` at `at_bit` when it leaves the `u64` range.
+#[inline(always)]
+fn quotient_value(q: u64, k: u32, at_bit: u64) -> Result<u64, GraphFormatError> {
+    if q > u64::MAX >> k {
+        return Err(GraphFormatError::Overflow { at_bit });
+    }
+    Ok(q << k)
+}
+
+/// Sequential decode of the `arice` block of `count` values `r` is
+/// positioned at: two cursors, one over the remainders and `r` itself over
+/// the quotients, which leaves `r` where the block ends.
+#[inline(always)]
+fn decode_rice_block(
+    v: VertexId,
+    n: usize,
+    r: &mut BitReader<'_>,
+    count: usize,
+    visit: impl FnMut(u64) -> Result<(), GraphFormatError>,
+) -> Result<u64, GraphFormatError> {
+    let k = r.read_bits(RICE_K_BITS)? as u32;
+    let mut rems = r.clone();
+    r.seek(r.bit_pos() + count as u64 * k as u64);
+    decode_gaps(v, n, r, count, visit, move |quots| {
+        let q = quots.read_unary()?;
+        Ok(quotient_value(q, k, quots.bit_pos())? | rems.read_bits(k)?)
+    })
+}
+
+/// The `j`-th neighbor (`j < count`) in the `arice` block of `count`
+/// values `r` is positioned at, in closed form: with `x₀ = q₀·2^k + r₀`
+/// the first neighbor's zigzag delta, it is
+/// `first + j + (Σ_{t=1..j} q_t << k) + Σ_{t=1..j} r_t`. The quotient
+/// section's `j`-th one sits `j + Σ_{t≤j} q_t` bits in (one select), and
+/// the remainders are fixed-width fields (one sum). Every read stays in
+/// `r`'s span, every add is checked.
+#[inline]
+fn rice_ith(
+    v: VertexId,
+    n: usize,
+    r: &mut BitReader<'_>,
+    count: usize,
+    j: usize,
+) -> Result<u64, GraphFormatError> {
+    let k = r.read_bits(RICE_K_BITS)? as u32;
+    let rems = r.bit_pos();
+    let quots = rems + count as u64 * k as u64;
+    let (q0, at) = r.select_one(quots, j as u64)?;
+    let r0 = r.read_bits(k)?;
+    let first = first_neighbor(v, n, quotient_value(q0, k, quots)? | r0, quots)?;
+    let sum_q = quotient_value(at - j as u64 - q0, k, quots)?;
+    let sum_r = r.sum_fields(rems + k as u64, k, j as u64)?;
+    let overflow = GraphFormatError::Overflow { at_bit: quots };
+    first
+        .checked_add(j as u64)
+        .and_then(|s| s.checked_add(sum_q))
+        .and_then(|s| s.checked_add(sum_r))
+        .ok_or(overflow)
 }
 
 impl GraphAccess for V2Graph {
@@ -1070,13 +1172,16 @@ mod tests {
         // (fixed-width block directory, 4-byte select samples every 8th
         // element) was introduced: a later codec or refactor changes no
         // byte of a version-2 container, so files written today still read.
+        // A changed layout takes a new codec id and retires the old one.
         let g = random_graph(500, 4_000, 61);
         for (codec, want) in [
             (Codec::Byte, 0xB904_DFAC_17D3_79BBu64),
             (Codec::Zeta(2), 0xCFB8_1F33_A42C_CCA1),
             (Codec::Zeta(3), 0x3991_B0D7_6978_1957),
             (Codec::Zeta(4), 0x3D10_4B46_7DA8_5EA1),
-            (Codec::RiceAdaptive, 0x5DB3_8BDE_CBDE_4F64),
+            // Re-pinned with the split-stream block (codec id 5): the same
+            // length and offset indices, the arena's bits reordered.
+            (Codec::RiceAdaptive, 0x5847_DE34_71DE_2A7C),
         ] {
             let bytes = encode_container(&g, codec, 64).unwrap();
             assert_eq!(fnv1a64(&bytes), want, "{} container bytes changed", codec.name());
@@ -1274,25 +1379,61 @@ mod tests {
         assert!(err.to_string().contains("lightne compress"), "{err}");
     }
 
-    #[test]
-    fn retired_codec_id_is_a_typed_error() {
-        // A container written with `rice12` (id 0x2C) before the fixed-`k`
-        // Rice codes were retired: the header is intact, so every way in
-        // names the id and says how to get a readable file.
-        let mut bytes = encode_container(&star(4), Codec::Byte, 64).unwrap();
-        bytes[12..16].copy_from_slice(&0x2Cu32.to_le_bytes());
-        restamp_header(&mut bytes);
+    /// Every way of opening `bytes`: owned, read from a file, and (not
+    /// under miri) mapped.
+    fn open_every_way(bytes: Vec<u8>, tag: &str) -> Vec<Result<V2Graph, GraphFormatError>> {
         let mut path = std::env::temp_dir();
-        path.push(format!("lightne-v2-retired-{}.lng2", std::process::id()));
+        path.push(format!("lightne-v2-{tag}-{}.lng2", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         let mut opened = vec![V2Graph::from_bytes(bytes), V2Graph::open(&path)];
         #[cfg(not(miri))]
         opened.push(V2Graph::open_mmap(&path));
         std::fs::remove_file(&path).unwrap();
-        for got in opened {
-            let err = got.unwrap_err();
-            assert!(matches!(err, GraphFormatError::RetiredCodec { id: 0x2C }), "{err:?}");
-            assert!(err.to_string().contains("lightne compress"), "{err}");
+        opened
+    }
+
+    #[test]
+    fn retired_codec_id_is_a_typed_error() {
+        // A container written with `rice12` (id 0x2C) before the fixed-`k`
+        // Rice codes were retired, and one of `arice` blocks with each
+        // quotient next to its remainder (id 3): the header is intact, so
+        // every way in names the id and says how to get a readable file.
+        for (id, codec) in [(0x2Cu32, Codec::Byte), (3, Codec::RiceAdaptive)] {
+            let mut bytes = encode_container(&star(4), codec, 64).unwrap();
+            bytes[12..16].copy_from_slice(&id.to_le_bytes());
+            restamp_header(&mut bytes);
+            for got in open_every_way(bytes, "retired") {
+                let err = got.unwrap_err();
+                assert!(
+                    matches!(err, GraphFormatError::RetiredCodec { id: i } if i == id),
+                    "{err:?}"
+                );
+                assert!(err.to_string().contains("lightne compress"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn section_lengths_that_wrap_fail_typed_on_every_open() {
+        // Both index lengths raised by 2⁶³: the three lengths still sum to
+        // the file's length modulo 2⁶⁴, behind a resealed header.
+        let mut bytes =
+            encode_container(&random_graph(30, 100, 3), Codec::RiceAdaptive, 64).unwrap();
+        for at in [32, 40] {
+            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            bytes[at..at + 8].copy_from_slice(&(len + (1 << 63)).to_le_bytes());
+        }
+        restamp_header(&mut bytes);
+        let actual = bytes.len() as u64;
+        for got in open_every_way(bytes, "wrapped") {
+            assert!(
+                matches!(
+                    got,
+                    Err(GraphFormatError::LengthMismatch { what: "container payload", expected: u64::MAX, actual: a })
+                        if a == actual
+                ),
+                "{got:?}"
+            );
         }
     }
 
@@ -1419,6 +1560,146 @@ mod tests {
         let tail = bytes.len() - 10;
         bytes[tail..].fill(0xFF);
         assert!(open_unchecked(bytes).try_decompress().is_err());
+    }
+
+    /// The prefix sums of a block's values: its neighbors, as `u64`.
+    fn block_neighbors(v: VertexId, vals: &[u64]) -> Vec<u64> {
+        let mut cur = (v as i64 + unzigzag(vals[0])) as u64;
+        let mut out = vec![cur];
+        for &x in &vals[1..] {
+            cur += x + 1;
+            out.push(cur);
+        }
+        out
+    }
+
+    /// One `arice` block behind `pad` leading bits, decoded every way: the
+    /// closed-form `j`-th value at every `j`, and the two-cursor sequential
+    /// decode, which must end where the block does. Every strict prefix
+    /// fails typed both ways. Returns the block's `k`.
+    fn check_rice_block(v: VertexId, vals: &[u64], pad: u32) -> u32 {
+        let want = block_neighbors(v, vals);
+        let mut w = BitWriter::new();
+        w.write_bits(0, pad);
+        write_rice_block(&mut w, vals);
+        let end = w.len_bits();
+        let bytes = w.into_bytes();
+        let start = pad as u64;
+        let n = usize::MAX;
+        for (j, &u) in want.iter().enumerate() {
+            let mut r = BitReader::within(&bytes, start, end);
+            assert_eq!(rice_ith(v, n, &mut r, vals.len(), j).unwrap(), u, "j={j}");
+        }
+        let mut seen = Vec::new();
+        let mut r = BitReader::within(&bytes, start, end);
+        decode_rice_block(v, n, &mut r, vals.len(), |u| {
+            seen.push(u);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, want);
+        assert_eq!(r.bit_pos(), end, "the quotient cursor ends the block");
+        // Under miri every 13th cut, the last one included.
+        for cut in (start..end).rev().step_by(if cfg!(miri) { 13 } else { 1 }) {
+            let mut r = BitReader::within(&bytes, start, cut);
+            assert!(decode_rice_block(v, n, &mut r, vals.len(), |_| Ok(())).is_err(), "cut {cut}");
+            let mut r = BitReader::within(&bytes, start, cut);
+            assert!(rice_ith(v, n, &mut r, vals.len(), vals.len() - 1).is_err(), "cut {cut}");
+        }
+        BitReader::new(&bytes, start).read_bits(RICE_K_BITS).unwrap() as u32
+    }
+
+    #[test]
+    fn arice_targeted_blocks_decode_every_way() {
+        let mut rng = XorShiftStream::new(71, 0);
+        let pads: &[u32] = if cfg!(miri) { &[5] } else { &[0, 3, 7, 13] };
+        for &pad in pads {
+            // Consecutive neighbors right after the source: k = 0.
+            let mut vals = vec![zigzag(1)];
+            vals.extend([0u64; 63]);
+            assert_eq!(check_rice_block(5, &vals, pad), 0);
+            // Gaps near 2³²: k = 31, the widest the prefix holds.
+            let mut vals = vec![zigzag(3 << 30)];
+            vals.extend((1..64).map(|_| (1 << 31) + (rng.next_u64() >> 31)));
+            assert_eq!(check_rice_block(1 << 31, &vals, pad), 31);
+            // Quotients of 0–3 over 64 gaps: a quotient section of more
+            // than 64 bits, whose windows the pad shifts.
+            let mut vals = vec![zigzag(-3)];
+            vals.extend((1..64).map(|_| rng.next_u64() >> 58));
+            let k = check_rice_block(7, &vals, pad);
+            assert!(vals.iter().map(|&x| (x >> k) + 1).sum::<u64>() > 64);
+            // A first neighbor far from its source, then consecutive ones:
+            // more than 64 zeros before the quotient section's first one
+            // (k = 11 here; one more would cost each of the 64 values a
+            // bit to save 49).
+            let mut vals = vec![zigzag(100_000)];
+            vals.extend([0u64; 63]);
+            let k = check_rice_block(3, &vals, pad);
+            assert!(vals[0] >> k > 64, "k={k}");
+            // Short (last) blocks, and a source past its first neighbor.
+            for len in [1usize, 2, 5] {
+                let mut vals = vec![zigzag(-40)];
+                vals.extend((1..len).map(|_| rng.next_u64() >> 57));
+                check_rice_block(100, &vals, pad);
+            }
+        }
+    }
+
+    #[test]
+    fn arice_random_access_sequential_and_csr_agree() {
+        // Sparse, dense and hub-heavy graphs (per-block k from 0 to ~8),
+        // at block sizes from one neighbor per block to whole lists.
+        let graphs = [random_graph(120, 300, 81), random_graph(90, 2_500, 83), {
+            let mut edges: Vec<(u32, u32)> = (1..300u32).map(|v| (0, v)).collect();
+            edges.extend((1..299u32).step_by(7).map(|v| (v, v + 1)));
+            GraphBuilder::from_edges(300, &edges)
+        }];
+        for g in &graphs {
+            for bs in [1usize, 2, 3, 7, 63, 64, 65, 256] {
+                let c = V2Graph::from_graph_with_block_size(g, Codec::RiceAdaptive, bs).unwrap();
+                check_equal(g, &c);
+            }
+        }
+    }
+
+    #[test]
+    fn an_arice_quotient_tail_of_ones_fails_the_sequential_decode() {
+        // The last vertex's block ends the arena. Ones over the tail of
+        // its quotient section make every quotient there 0: in-range,
+        // plausible neighbors, and a quotient cursor that stops short of
+        // the block's end — which the decode checks, checked or not.
+        let v = 999u32;
+        let mut rng = XorShiftStream::new(5, 0);
+        let edges: Vec<(u32, u32)> =
+            (0..40).map(|_| (v, 800 + rng.bounded_usize(199) as u32)).collect();
+        let g = GraphBuilder::from_edges(1_000, &edges);
+        let good = encode_container(&g, Codec::RiceAdaptive, 64).unwrap();
+        let mut bytes = good.clone();
+        let tail = bytes.len() - 2;
+        bytes[tail..].fill(0xFF);
+        assert_ne!(bytes, good, "the tail held ones already");
+        let c = open_unchecked(bytes);
+        let got = c.try_for_each_neighbor(v, &mut |u| assert!(u < 1_000));
+        assert!(matches!(got, Err(GraphFormatError::Corrupt(_))), "{got:?}");
+        assert!(c.try_decompress().is_err());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_an_arice_span_fails_typed() {
+        // Single-block vertices and a three-block hub with a short last
+        // block (block size 64, degree 130).
+        let mut edges: Vec<(u32, u32)> = (1..=130u32).map(|v| (0, v)).collect();
+        edges.extend([(3, 9), (3, 40), (7, 8)]);
+        let g = GraphBuilder::from_edges(131, &edges);
+        let c = V2Graph::from_graph(&g, Codec::RiceAdaptive);
+        for v in [0u32, 3, 7] {
+            let at = c.locate(v);
+            for cut in at.start..at.end {
+                let short = Located { end: cut, ..at };
+                assert!(c.decode_vertex(v, &short, false, &mut |_| {}).is_err(), "v={v} cut={cut}");
+                assert!(c.ith_of(v, &short, at.deg - 1).is_err(), "v={v} cut={cut}");
+            }
+        }
     }
 
     #[test]

@@ -762,6 +762,40 @@ mod tests {
     }
 
     #[test]
+    fn a_container_of_interleaved_arice_blocks_is_refused() {
+        // Codec id 3: `arice` blocks with each quotient next to its
+        // remainder, the layout before the split-stream block. The header
+        // is intact (resealed), so every command that opens the file says
+        // which id it found and how to get a readable one.
+        let gpath = tmp("retired3.lne");
+        let cpath = tmp("retired3.lng2");
+        run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &gpath])
+            .unwrap();
+        run_capture(&["compress", "--graph", &gpath, "--out", &cpath]).unwrap();
+        let mut bytes = std::fs::read(&cpath).unwrap();
+        bytes[12..16].copy_from_slice(&3u32.to_le_bytes());
+        let seal = crate::utils::checksum::fnv1a64(&bytes[..64]);
+        bytes[64..72].copy_from_slice(&seal.to_le_bytes());
+        std::fs::write(&cpath, &bytes).unwrap();
+        let out = tmp("retired3.emb");
+        for args in [
+            &["stats", "--graph", &cpath][..],
+            &["embed", "--graph", &cpath, "--out", &out, "--dim", "8"],
+            &["embed", "--graph", &cpath, "--out", &out, "--dim", "8", "--mmap"],
+        ] {
+            let err = run_capture(args).unwrap_err();
+            assert!(
+                err.contains("retired codec id 0x3") && err.contains("lightne compress"),
+                "{args:?}: {err}"
+            );
+        }
+        for p in [&gpath, &cpath, &out] {
+            std::fs::remove_file(p).ok();
+        }
+        std::fs::remove_file(format!("{gpath}.labels")).ok();
+    }
+
+    #[test]
     fn stats_prints_the_pinned_report() {
         // Triangles {0,1,2} and {3,4,5}, the 4-clique {6..9}, isolated 10
         // and the path 11 - 12 - 13; one edge listed in both directions.
