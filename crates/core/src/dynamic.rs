@@ -101,11 +101,8 @@ impl DynamicLightNe {
             // Both orientations, like the static sampler's MapEdges.
             for (a, b) in [(u, v), (v, u)] {
                 let n_e = per_arc.floor() as u64 + u64::from(rng.bernoulli(per_arc.fract()));
-                let p_e = if self.cfg.downsample {
-                    survival_probability(self.cfg.prob, g, a, b, 1.0, c)
-                } else {
-                    1.0
-                };
+                let p_e =
+                    if self.cfg.downsample { survival_probability(g, a, b, 1.0, c) } else { 1.0 };
                 trials += n_e;
                 kept += sample_arc(g, (a, b), n_e, p_e, self.cfg.window, &mut rng, &mut out);
             }

@@ -902,4 +902,24 @@ mod tests {
         assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape_json("x\ny"), "x\\ny");
     }
+
+    /// Every artifact store records this digest; a change to it, or to
+    /// the text behind it, makes every existing store fail to resume.
+    #[test]
+    fn run_fingerprint_is_pinned() {
+        assert_eq!(
+            LightNeConfig::default().fingerprint_text(),
+            "dim 128\nwindow 10\nsample_ratio 3ff0000000000000\ndownsample true\nc_factor none\n\
+             prob degree\nnegative 3ff0000000000000\noversampling 16\npower_iters 1\nseed 4503\n"
+        );
+        let cfg = LightNeConfig {
+            dim: 8,
+            window: 4,
+            sample_ratio: 2.0,
+            c_factor: Some(1.5),
+            seed: 11,
+            ..Default::default()
+        };
+        assert_eq!(run_fingerprint(&cfg, 256, 1337, true), 0x10f4_c83f_a905_0bac);
+    }
 }

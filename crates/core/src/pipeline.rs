@@ -27,7 +27,8 @@ pub struct LightNeConfig {
     pub downsample: bool,
     /// Downsampling constant override (`None` = `log n`).
     pub c_factor: Option<f64>,
-    /// Edge-survival probability scheme for the downsampling coin.
+    /// Edge-survival probability of the downsampling coin; the one
+    /// [`ProbScheme`] variant is the degree bound.
     pub prob: ProbScheme,
     /// Negative-sample count `b` in the NetMF matrix.
     pub negative: f64,
@@ -273,11 +274,6 @@ impl LightNe {
         run_pipeline(&self.cfg, &GraphSource(g), opts)
     }
 
-    /// [`LightNe::embed`] under its former weighted-only name.
-    pub fn embed_weighted(&self, g: &lightne_graph::WeightedGraph) -> LightNeOutput {
-        self.embed(g)
-    }
-
     /// [`LightNe::embed_with`] under its former weighted-only name; exists
     /// only for `benchmark/src/workloads.rs`.
     pub fn embed_weighted_with(
@@ -447,7 +443,7 @@ mod tests {
         let gw = WeightedGraph::from_unweighted(&g);
         let pipe = LightNe::new(tiny_cfg());
         let a = pipe.embed(&g);
-        let b = pipe.embed_weighted(&gw);
+        let b = pipe.embed(&gw);
         let sep = |y| community_separation(y, &labels);
         let (sa, sb) = (sep(&a.embedding), sep(&b.embedding));
         assert!(sa > 0.1 && sb > 0.1, "separation collapsed: {sa} vs {sb}");
@@ -475,7 +471,7 @@ mod tests {
             sample_ratio: 50.0,
             ..Default::default()
         })
-        .embed_weighted(&g);
+        .embed(&g);
         let y = &out.embedding;
         let dot = |a: &[f32], b: &[f32]| -> f64 {
             a.iter().zip(b).map(|(&p, &q)| p as f64 * q as f64).sum()

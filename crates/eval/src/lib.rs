@@ -18,7 +18,7 @@
 //! * [`structure`] — label-free structure-preservation probes:
 //!   connected-component separability and centrality rank correlation.
 //! * [`scenario`] — the quality scenario matrix: every generator profile
-//!   × every sparsifier probability scheme × every task, feeding the
+//!   × every task, feeding the
 //!   committed `results/BENCH_quality.json` trajectory and its CI gate.
 //! * [`cost`] — the Azure price table of Table 2, converting measured
 //!   wall-clock into the dollar figures the paper reports.
@@ -42,5 +42,5 @@ pub use clustering::{kmeans, nmi, KMeansResult};
 pub use cost::{AzureInstance, CostModel};
 pub use linkpred::{split_edges, LinkPredMetrics};
 pub use metrics::{precision_at_k, roc_auc, spearman};
-pub use scenario::{psne_wins, run_matrix, run_profile, MatrixConfig, ScenarioResult, Task};
+pub use scenario::{run_matrix, run_profile, MatrixConfig, ScenarioResult, Task};
 pub use structure::{structure_report, StructureReport};

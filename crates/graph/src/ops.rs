@@ -362,4 +362,38 @@ mod tests {
         let g = path_graph(5);
         assert_eq!(g.degrees(), vec![1, 2, 2, 2, 1]);
     }
+
+    /// Common-neighbor counts agree across every graph backend at the
+    /// compressed block-size boundaries (degrees 0, 64 and 65 — the same
+    /// edge cases the `V2Graph` decoder tests pin).
+    #[test]
+    fn common_neighbors_agree_across_backends_at_block_boundaries() {
+        // Hub 0 → {2..=66} (degree 65), hub 1 → {2..=65} (degree 64),
+        // vertex 67 isolated (degree 0), plus a clique among {2,3,4} so
+        // some pairs have two-sided structure.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for v in 2..=66u32 {
+            edges.push((0, v));
+        }
+        for v in 2..=65u32 {
+            edges.push((1, v));
+        }
+        edges.extend_from_slice(&[(2, 3), (2, 4), (3, 4)]);
+        let g = GraphBuilder::from_edges(68, &edges);
+        assert_eq!(g.degree(0), 65);
+        assert_eq!(g.degree(1), 64);
+        assert_eq!(g.degree(67), 0);
+
+        let byte = V2Graph::from_graph(&g, Codec::Byte);
+        let arice = V2Graph::from_graph(&g, Codec::RiceAdaptive);
+        let check = |u: u32, v: u32, want: usize| {
+            assert_eq!(common_neighbors(&g, u, v), want, "csr ({u},{v})");
+            assert_eq!(common_neighbors(&byte, u, v), want, "byte ({u},{v})");
+            assert_eq!(common_neighbors(&arice, u, v), want, "arice ({u},{v})");
+        };
+        check(0, 1, 64); // shared {2..=65}
+        check(2, 3, 3); // shared {0, 1, 4}
+        check(0, 67, 0); // isolated endpoint
+        check(67, 67, 0);
+    }
 }

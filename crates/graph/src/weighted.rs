@@ -12,7 +12,7 @@
 //! CSR with O(log deg) weight-proportional neighbor sampling — with its
 //! stored ones.
 
-use crate::ops::{common_neighbors, par_vertices_by_arc_mass};
+use crate::ops::par_vertices_by_arc_mass;
 use crate::{Graph, GraphAccess, VertexId};
 use lightne_utils::mem::MemUsage;
 use lightne_utils::parallel::{group_by_row, par_row_blocks, par_unzip, sort_merge_row};
@@ -59,13 +59,6 @@ pub trait WeightedOps: Sync {
     /// arc `⌊M/arcs⌋ + Bernoulli({M/arcs})` in exact integer arithmetic;
     /// weighted arcs get `M·w/vol` (a uniform weighted-edge draw).
     fn arc_trials(&self, samples: u64, w: f32) -> (u64, f64);
-
-    /// Lower bound on the effective conductance between the endpoints of
-    /// arc `(u, v)` of weight `w`: the direct edge in parallel with one
-    /// two-hop path (series conductance `w_ux·w_xv/(w_ux+w_xv)`) per
-    /// common neighbor `x`. By Rayleigh monotonicity its reciprocal upper
-    /// bounds the effective resistance — the PSNE-grade survival bound.
-    fn local_conductance(&self, u: VertexId, v: VertexId, w: f32) -> f64;
 
     /// One random-walk step from `v`: a neighbor drawn proportionally to
     /// arc weight, `None` at an isolated vertex.
@@ -135,11 +128,6 @@ impl<G: GraphAccess + Sync> WeightedOps for G {
     fn arc_trials(&self, samples: u64, _w: f32) -> (u64, f64) {
         let arcs = self.num_arcs() as u64;
         (samples / arcs, (samples % arcs) as f64 / arcs as f64)
-    }
-
-    #[inline]
-    fn local_conductance(&self, u: VertexId, v: VertexId, w: f32) -> f64 {
-        w as f64 + 0.5 * common_neighbors(self, u, v) as f64
     }
 
     #[inline]
@@ -389,30 +377,6 @@ impl WeightedOps for WeightedGraph {
     fn arc_trials(&self, samples: u64, w: f32) -> (u64, f64) {
         let expected = samples as f64 / self.volume * w as f64;
         (expected.floor() as u64, expected.fract())
-    }
-
-    /// Both adjacency arrays are sorted by neighbor id, so a two-pointer
-    /// merge finds the common neighbors.
-    fn local_conductance(&self, u: VertexId, v: VertexId, w: f32) -> f64 {
-        let (nu, wu) = self.neighbors(u);
-        let (nv, wv) = self.neighbors(v);
-        let mut conductance = w as f64;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < nu.len() && j < nv.len() {
-            match nu[i].cmp(&nv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let (a, b) = (wu[i] as f64, wv[j] as f64);
-                    if a + b > 0.0 {
-                        conductance += a * b / (a + b);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        conductance
     }
 
     #[inline]

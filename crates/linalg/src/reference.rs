@@ -294,8 +294,9 @@ pub fn jacobi_svd(a: &DenseMatrix) -> SmallSvd {
     let mut order: Vec<usize> = (0..n).collect();
     let norms: Vec<f64> =
         cols.iter().map(|c| c.iter().map(|x| x * x).sum::<f64>().sqrt()).collect();
-    // xtask:panic-ok(norms are sums of squares, never NaN, so partial_cmp always succeeds)
-    order.sort_by(|&i, &j| norms[j].partial_cmp(&norms[i]).unwrap());
+    // The norms are sums of squares (+0.0, never -0.0, in a non-empty
+    // column), where `total_cmp` orders as `partial_cmp` does.
+    order.sort_by(|&i, &j| norms[j].total_cmp(&norms[i]));
 
     let mut u = DenseMatrix::zeros(m, n);
     let mut vm = DenseMatrix::zeros(n, n);

@@ -86,7 +86,8 @@ pub struct SamplerConfig {
     pub downsample: bool,
     /// Downsampling constant `C`; `None` means the paper's `log n`.
     pub c_factor: Option<f64>,
-    /// Edge-survival probability scheme for the downsampling coin.
+    /// Edge-survival probability of the downsampling coin; the one
+    /// [`ProbScheme`] variant is the degree bound.
     pub prob: ProbScheme,
     /// RNG seed; every arc derives an independent stream from it.
     pub seed: u64,
@@ -241,8 +242,7 @@ pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
             if n_e == 0 {
                 return;
             }
-            let p_e =
-                if cfg.downsample { survival_probability(cfg.prob, g, u, v, w, c) } else { 1.0 };
+            let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
             *trials += n_e;
             *kept += sample_arc(g, (u, v), n_e, p_e, cfg.window, &mut rng, out);
         },
@@ -346,56 +346,6 @@ pub(crate) mod tests {
             seed: 2,
         };
         check_estimator(&g, &cfg, 0.10);
-    }
-
-    #[test]
-    fn estimator_unbiased_with_psne_downsampling() {
-        // The sharper PSNE bound keeps fewer trials but the 1/p_e
-        // reweighting still makes the estimator exact in expectation.
-        let g = erdos_renyi(60, 600, 40);
-        let cfg = SamplerConfig {
-            window: 3,
-            samples: 3_000_000,
-            downsample: true,
-            c_factor: Some(0.5),
-            prob: ProbScheme::Psne,
-            seed: 2,
-        };
-        check_estimator(&g, &cfg, 0.10);
-    }
-
-    #[test]
-    fn psne_scheme_keeps_fewer_samples_on_dense_overlap() {
-        // On a clique every edge has cn = n-2 common neighbours, so the
-        // PSNE conductance bound 2/(2+cn) is strictly below the degree
-        // bound 2/(n-1): with the same seed the PSNE sampler must keep
-        // measurably fewer trials. This pins the scheme plumbing end to
-        // end — on common-neighbour-poor graphs (cn below the harmonic
-        // mean degree) the two schemes coincide and nothing would differ.
-        let n = 30u32;
-        let edges: Vec<(u32, u32)> = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-        let g = lightne_graph::GraphBuilder::from_edges(n as usize, &edges);
-        let base = SamplerConfig {
-            window: 3,
-            samples: 400_000,
-            downsample: true,
-            c_factor: Some(1.0), // keeps both schemes' p_e well below 1
-            prob: ProbScheme::Degree,
-            seed: 11,
-        };
-        let (_, s_deg) = sparsifier_coo(&g, &base);
-        let (_, s_psne) = sparsifier_coo(&g, &SamplerConfig { prob: ProbScheme::Psne, ..base });
-        // p_deg = 2/29 per edge, p_psne = 2/30: ~3% fewer kept samples,
-        // far outside Bernoulli noise at 400k trials.
-        assert!(
-            s_psne.kept < s_deg.kept,
-            "psne kept {} !< degree kept {}",
-            s_psne.kept,
-            s_deg.kept
-        );
-        let ratio = s_psne.kept as f64 / s_deg.kept as f64;
-        let expect = (2.0 / 30.0) / (2.0 / 29.0);
-        assert!((ratio - expect).abs() < 0.02, "kept ratio {ratio}, expected {expect}");
     }
 
     #[test]

@@ -17,9 +17,7 @@
 //!   each trial survives with probability
 //!   `p_e = min(1, C·(1/d_u + 1/d_v))`, `C = log n`, and surviving samples
 //!   carry weight `1/p_e` (unbiased by Theorem 3.1; a good effective-
-//!   resistance proxy by Theorem 3.2). A sharper PSNE-grade bound that
-//!   also counts common-neighbour two-hop paths is selectable via
-//!   [`ProbScheme`].
+//!   resistance proxy by Theorem 3.2).
 //! * [`construct`] — **Algorithm 2**: the per-edge parallel sampling loop
 //!   (`G.MapEdges`), generic over the graph representation — weighted or
 //!   not, see [`weighted`] — and the edge aggregator.

@@ -39,7 +39,7 @@
 use crate::construct::{
     distinct_guess, sample_into, SamplerConfig, SamplerError, SamplerStats, SAMPLE_BATCH,
 };
-use crate::downsample::{expected_kept_samples, ProbScheme};
+use crate::downsample::expected_kept_samples;
 use crate::netmf::{netmf_factor, trunc_log_entry};
 use lightne_graph::WeightedOps;
 use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
@@ -72,15 +72,9 @@ pub fn resolve_shards(configured: usize, n_vertices: usize) -> usize {
 fn kept_mass_expectations<G: WeightedOps>(g: &G, cfg: &SamplerConfig, shards: usize) -> Vec<usize> {
     let ranges = ShardedEdgeTable::shard_ranges(g.num_vertices(), shards);
     // Without downsampling every trial is kept: p_e = min(1, ∞) = 1.
-    let (c, prob) = if cfg.downsample {
-        (cfg.c(g.num_vertices()), cfg.prob)
-    } else {
-        (f64::INFINITY, ProbScheme::Degree)
-    };
-    let masses: Vec<f64> = ranges
-        .par_iter()
-        .map(|r| expected_kept_samples(g, cfg.samples, c, prob, r.clone()))
-        .collect();
+    let c = if cfg.downsample { cfg.c(g.num_vertices()) } else { f64::INFINITY };
+    let masses: Vec<f64> =
+        ranges.par_iter().map(|r| expected_kept_samples(g, cfg.samples, c, r.clone())).collect();
     let total: f64 = masses.iter().sum();
     let expected_total = distinct_guess(g, total);
     if total <= 0.0 {
@@ -241,8 +235,8 @@ mod tests {
             samples: 200_000,
             downsample: true,
             c_factor: None,
-            prob: ProbScheme::Degree,
             seed: 99,
+            ..Default::default()
         };
         let (table, s1) = build_sharded_sparsifier(&g, &cfg, 1).unwrap();
         let single = sharded_to_netmf(&g, table, cfg.samples, 1.0);

@@ -142,8 +142,6 @@ pub enum Rule {
 /// The guard of a row: the row applies only when `report[key]` …
 #[derive(Debug, Clone, Copy)]
 pub enum When {
-    /// … equals this literal.
-    Is(&'static str, &'static str),
     /// … equals the baseline's value of the same key.
     AtBaseline(&'static str),
     /// … differs from the baseline's value of the same key.
@@ -242,7 +240,6 @@ const GRAPH: &[Row] = &[
 
 #[rustfmt::skip] // keeps the nine matrix knobs a two-line list
 const QUALITY: &[Row] = &[
-    Row { when: Some(When::Is("full_matrix", "1")), ..row("psne_win_scenarios", Rule::AtLeast(1.0)) },
     row("scenario floors", Rule::FloorsFromBaseline {
         prefix: "floor_",
         config_keys: &["target_n", "dim", "window", "sample_ratio", "train_ratio", "holdout",
@@ -289,7 +286,6 @@ fn eval_row(row: &Row, new: &Report, base: &Report, out: &mut Vec<String>) -> Re
     let same = |k| Ok::<bool, String>(text(new, "report", k)? == text(base, "baseline", k)?);
     let applies = match row.when {
         None => true,
-        Some(When::Is(k, v)) => text(new, "report", k)? == v,
         Some(When::AtBaseline(k)) => same(k)?,
         Some(When::OffBaseline(k)) => !same(k)?,
     };

@@ -42,7 +42,7 @@ fn main() {
 
     let out =
         LightNe::new(LightNeConfig { dim: 16, window: 5, sample_ratio: 5.0, ..Default::default() })
-            .embed_weighted(&g);
+            .embed(&g);
     println!("\nstage breakdown:\n{}", out.stats);
 
     // Measure separation between the two weight-defined communities.

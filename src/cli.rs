@@ -7,7 +7,7 @@
 use crate::core::{LightNe, LightNeConfig, RunOptions};
 use crate::eval::classify::evaluate_node_classification;
 use crate::eval::linkpred::{rank_held_out, split_edges};
-use crate::eval::scenario::{psne_wins, run_matrix, MatrixConfig};
+use crate::eval::scenario::{run_matrix, MatrixConfig};
 use crate::gen::labels::{read_labels, write_labels};
 use crate::gen::profiles::Profile;
 use crate::graph::algorithms::graph_stats;
@@ -15,7 +15,6 @@ use crate::graph::io::{read_binary, read_edge_list, read_weighted_edge_list, wri
 use crate::graph::v2::{DEFAULT_BLOCK_SIZE, V2_EXTENSION};
 use crate::graph::{Codec, Graph, GraphFormatError, V2Graph};
 use crate::linalg::matio::{read_matrix, write_matrix};
-use crate::sparsifier::ProbScheme;
 use std::collections::BTreeMap;
 
 /// Minimal `--key value` / `--flag` parser.
@@ -87,7 +86,7 @@ const GLOBAL_OPTIONS: &[&str] = &["threads", "fail-point"];
 
 /// The options [`lightne_config`] reads.
 const PIPELINE_OPTIONS: &[&str] =
-    &["dim", "window", "ratio", "no-downsample", "sparsify-prob", "no-propagation", "seed"];
+    &["dim", "window", "ratio", "no-downsample", "no-propagation", "seed"];
 
 /// The options `cmd` reads beyond the global ones; `None` for a command
 /// that does not exist.
@@ -158,12 +157,6 @@ pub fn profile_by_name(name: &str) -> Result<Profile, String> {
         })
 }
 
-fn prob_scheme_opt(o: &Opts) -> Result<ProbScheme, String> {
-    let name = o.get("sparsify-prob").unwrap_or("degree");
-    ProbScheme::parse(name)
-        .ok_or_else(|| format!("unknown --sparsify-prob {name:?} (degree, psne)"))
-}
-
 /// Reads a fraction that must lie in the open interval `(0, 1)`; the
 /// evaluation code asserts that, so NaN and the ends are rejected here.
 fn open_fraction(o: &Opts, key: &str, default: f64) -> Result<f64, String> {
@@ -199,7 +192,6 @@ fn lightne_config(o: &Opts) -> Result<LightNeConfig, String> {
         window: o.num("window", 10usize)?,
         sample_ratio: o.num("ratio", 1.0f64)?,
         downsample: !o.flag("no-downsample"),
-        prob: prob_scheme_opt(o)?,
         propagation: if o.flag("no-propagation") { None } else { Some(Default::default()) },
         seed: o.num("seed", 42u64)?,
         ..Default::default()
@@ -401,8 +393,8 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
             Ok(())
         }
         "quality" => {
-            // The scenario matrix: every requested profile × both
-            // probability schemes × classify / linkpred / structure.
+            // The scenario matrix: every requested profile × classify /
+            // linkpred / structure.
             let cfg = MatrixConfig {
                 target_n: o.num("target-n", 4_000usize)?,
                 dim: o.num("dim", 32usize)?,
@@ -422,22 +414,10 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
             LightNeConfig { dim: cfg.dim, ..Default::default() }
                 .validate()
                 .map_err(|e| format!("bad option: {e}"))?;
-            say(format!("{:<18} {:<10} {:<7} {:>9}", "profile", "task", "scheme", "primary"))?;
-            let results = run_matrix(&profiles, &cfg);
-            for r in &results {
-                say(format!(
-                    "{:<18} {:<10} {:<7} {:>9.4}",
-                    r.profile,
-                    r.task.name(),
-                    r.scheme.name(),
-                    r.primary
-                ))?;
+            say(format!("{:<18} {:<10} {:>9}", "profile", "task", "primary"))?;
+            for r in &run_matrix(&profiles, &cfg) {
+                say(format!("{:<18} {:<10} {:>9.4}", r.profile, r.task.name(), r.primary))?;
             }
-            say(format!(
-                "psne >= degree on {}/{} (profile, task) pairs",
-                psne_wins(&results),
-                results.len() / 2
-            ))?;
             Ok(())
         }
         other => Err(format!("unknown command {other:?}")),
@@ -667,6 +647,7 @@ mod tests {
             (&["--codec", "byte"][..], "codec"),
             (&["--block-size", "16"][..], "block-size"),
             (&["--strict-resum"][..], "strict-resum"),
+            (&["--sparsify-prob", "degree"][..], "sparsify-prob"),
         ] {
             let err = run_capture(&[&embed[..], extra].concat()).unwrap_err();
             assert_eq!(err, format!("unknown option --{key} for embed"));
@@ -894,44 +875,6 @@ degeneracy         20
     }
 
     #[test]
-    fn sparsify_prob_flag_selects_scheme_and_rejects_unknown() {
-        let o = Opts::parse(&argv(&["--sparsify-prob", "psne"])).unwrap();
-        assert_eq!(lightne_config(&o).unwrap().prob, ProbScheme::Psne);
-        let o = Opts::parse(&argv(&[])).unwrap();
-        assert_eq!(lightne_config(&o).unwrap().prob, ProbScheme::Degree);
-        let o = Opts::parse(&argv(&["--sparsify-prob", "nope"])).unwrap();
-        let err = lightne_config(&o).unwrap_err();
-        assert!(err.contains("sparsify-prob"), "{err}");
-    }
-
-    #[test]
-    fn embed_accepts_psne_scheme() {
-        let gpath = tmp("psne.lne");
-        let epath = tmp("psne_emb.txt");
-        run_capture(&["generate", "--profile", "blogcatalog", "--scale", "0.02", "--out", &gpath])
-            .unwrap();
-        let out = run_capture(&[
-            "embed",
-            "--graph",
-            &gpath,
-            "--out",
-            &epath,
-            "--dim",
-            "8",
-            "--window",
-            "3",
-            "--sparsify-prob",
-            "psne",
-        ])
-        .unwrap();
-        assert!(out.contains("sampler:"), "{out}");
-        assert!(std::path::Path::new(&epath).exists());
-        std::fs::remove_file(&gpath).ok();
-        std::fs::remove_file(format!("{gpath}.labels")).ok();
-        std::fs::remove_file(&epath).ok();
-    }
-
-    #[test]
     fn quality_command_prints_matrix_rows() {
         let out = run_capture(&[
             "quality",
@@ -943,11 +886,11 @@ degeneracy         20
             "8",
         ])
         .unwrap();
-        for needle in ["classify", "linkpred", "structure", "psne", "degree", "psne >= degree"] {
+        for needle in ["classify", "linkpred", "structure"] {
             assert!(out.contains(needle), "missing {needle:?} in {out}");
         }
-        // One header + 3 tasks x 2 schemes + the summary line.
-        assert_eq!(out.lines().count(), 8, "{out}");
+        // One header + 3 tasks.
+        assert_eq!(out.lines().count(), 4, "{out}");
         assert!(run_capture(&["quality", "--profiles", "nope"]).is_err());
     }
 }

@@ -6,8 +6,7 @@
 //!                  [--block-size B]
 //! lightne stats    --graph graph.lne
 //! lightne embed    --graph graph.lne --out emb.txt [--dim D] [--window T]
-//!                  [--ratio R] [--no-downsample] [--sparsify-prob degree|psne]
-//!                  [--no-propagation]
+//!                  [--ratio R] [--no-downsample] [--no-propagation]
 //!                  [--weighted] [--seed N]
 //!                  [--mmap] [--save-artifacts DIR] [--resume-from DIR]
 //!                  [--strict-resume] [--stats-json PATH]
@@ -45,16 +44,11 @@
 //! and recorded in `--stats-json`. The implementation lives in
 //! [`lightne::cli`].
 //!
-//! `--sparsify-prob` (embed/linkpred) selects the sparsifier's
-//! edge-survival probability scheme: `degree` (the paper's
-//! `C·(1/d_u + 1/d_v)` bound, default) or `psne` (sharpened by the
-//! common-neighbour conductance bound, never looser). `quality` runs the
-//! embedding-quality scenario matrix — every generator profile (or a
-//! `--profiles` subset) × both schemes × classification / link
+//! `quality` runs the embedding-quality scenario matrix — every
+//! generator profile (or a `--profiles` subset) × classification / link
 //! prediction / structure preservation — and prints one primary metric
-//! per cell plus the PSNE-vs-degree head-to-head count; the committed
-//! `results/BENCH_quality.json` trajectory and its CI gate use the same
-//! matrix via the `bench_quality_json` binary.
+//! per cell; the committed `results/BENCH_quality.json` trajectory and
+//! its CI gate use the same matrix via the `bench_quality_json` binary.
 //!
 //! On resume, artifacts are validated against a per-file checksum
 //! manifest; corrupt or uncommitted files are skipped and the run

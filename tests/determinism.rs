@@ -45,31 +45,31 @@ fn same_seed_same_bytes_across_runs_and_thread_counts() {
     let a2 = pipe.embed(&g);
     assert_eq!(bits(&a1.embedding), bits(&a2.embedding), "embed not reproducible");
 
-    let w1 = pipe.embed_weighted(&gw);
-    let w2 = pipe.embed_weighted(&gw);
-    assert_eq!(bits(&w1.embedding), bits(&w2.embedding), "embed_weighted not reproducible");
+    let w1 = pipe.embed(&gw);
+    let w2 = pipe.embed(&gw);
+    assert_eq!(bits(&w1.embedding), bits(&w2.embedding), "weighted embed not reproducible");
 
     // Thread sweep: 1 worker vs 4 workers must give the same bytes. The
     // earlier runs above used the default pool (one worker per core).
     assert_eq!(configure_threads(1), 1);
     let s1 = pipe.embed(&g);
-    let sw1 = pipe.embed_weighted(&gw);
+    let sw1 = pipe.embed(&gw);
     assert_eq!(configure_threads(4), 4);
     let s4 = pipe.embed(&g);
-    let sw4 = pipe.embed_weighted(&gw);
+    let sw4 = pipe.embed(&gw);
 
     assert_eq!(bits(&s1.embedding), bits(&s4.embedding), "embed differs across thread counts");
     assert_eq!(
         bits(&sw1.embedding),
         bits(&sw4.embedding),
-        "embed_weighted differs across thread counts"
+        "weighted embed differs across thread counts"
     );
     // And both match the default-pool runs.
     assert_eq!(bits(&a1.embedding), bits(&s1.embedding), "embed differs from default pool");
     assert_eq!(
         bits(&w1.embedding),
         bits(&sw1.embedding),
-        "embed_weighted differs from default pool"
+        "weighted embed differs from default pool"
     );
 
     // Seeded evaluation splits are part of the determinism contract too:

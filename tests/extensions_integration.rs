@@ -120,7 +120,7 @@ fn weighted_pipeline_uses_weights_not_just_topology() {
     let g = WeightedGraph::from_edges(n, &edges);
     let out =
         LightNe::new(LightNeConfig { dim: 8, window: 5, sample_ratio: 5.0, ..Default::default() })
-            .embed_weighted(&g);
+            .embed(&g);
 
     let truth: Vec<u32> = (0..n).map(|v| (v / half) as u32).collect();
     let clusters = kmeans(&out.embedding, 2, 100, 9);

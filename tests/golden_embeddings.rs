@@ -9,7 +9,7 @@
 //! — and every cell of
 //!
 //! ```text
-//! {CSR, byte, ζ₃} × {degree, psne} × {unweighted, weighted}
+//! {CSR, byte, ζ₃} × {unweighted, weighted}
 //!   × threads {1, 2, 8} × shards {0, 1, 4, 32}
 //!   × {plain, save_artifacts, resume from each stage boundary,
 //!      resume from a sparsifier checkpoint in another entry order}
@@ -28,24 +28,17 @@ use lightne::core::{LightNe, LightNeConfig, LightNeOutput, RunOptions};
 use lightne::gen::generators::erdos_renyi;
 use lightne::graph::{Codec, Graph, GraphBuilder, V2Graph, WeightedGraph};
 use lightne::linalg::matio;
-use lightne::sparsifier::ProbScheme;
 use lightne::utils::checksum::fnv1a64;
 use lightne::utils::parallel::configure_threads;
 use std::path::{Path, PathBuf};
 
-/// `(weighted, scheme, fnv1a64 of the embedding's little-endian f32 bytes)`.
-const GOLDEN: [(bool, ProbScheme, u64); 4] = [
-    (false, ProbScheme::Degree, 0xedc7_0037_21f8_b16f),
-    (false, ProbScheme::Psne, 0x8054_895d_67c5_33d2),
-    (true, ProbScheme::Degree, 0xe76d_f5e5_87ab_a48d),
-    (true, ProbScheme::Psne, 0x0f72_c1cb_7683_c071),
-];
+/// `(weighted, fnv1a64 of the embedding's little-endian f32 bytes)`.
+const GOLDEN: [(bool, u64); 2] = [(false, 0xedc7_0037_21f8_b16f), (true, 0xe76d_f5e5_87ab_a48d)];
 
 const N: usize = 256;
 
-/// Eight 16-cliques chained by single bridges (triangle-dense, so the
-/// PSNE bound is sharper than the degree bound there) next to a sparse
-/// random half (where the two schemes coincide).
+/// Eight 16-cliques chained by single bridges next to a sparse random
+/// half.
 fn edges() -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for base in (0..128u32).step_by(16) {
@@ -135,19 +128,18 @@ fn every_path_reproduces_the_pinned_embedding_bytes() {
     for threads in [1usize, 2, 8] {
         assert_eq!(configure_threads(threads), threads);
         for shards in [0usize, 1, 4, 32] {
-            for (weighted, prob, want) in GOLDEN {
+            for (weighted, want) in GOLDEN {
                 let engine = LightNe::new(LightNeConfig {
                     dim: 8,
                     window: 4,
                     sample_ratio: 2.0,
                     // Keeps p_e below the clamp so the coin is exercised.
                     c_factor: Some(1.5),
-                    prob,
                     seed: 11,
                     shards,
                     ..Default::default()
                 });
-                let cell = format!("threads={threads} shards={shards} {}", prob.name());
+                let cell = format!("threads={threads} shards={shards}");
                 if weighted {
                     check_cell(&format!("weighted {cell}"), want, &|opts| {
                         engine.embed_weighted_with(&gw, opts).unwrap()

@@ -48,7 +48,7 @@ fn embeddings_are_bitwise_identical_at_every_thread_and_shard_count() {
 
     // Reference: one shard — the single shared table — on the default pool.
     let single = LightNe::new(LightNeConfig { shards: 1, ..base }).embed(&g);
-    let single_w = LightNe::new(LightNeConfig { shards: 1, ..base }).embed_weighted(&gw);
+    let single_w = LightNe::new(LightNeConfig { shards: 1, ..base }).embed(&gw);
     assert_eq!(shard_counters(&single, 1)[0], 1);
 
     let dir = std::env::temp_dir().join(format!("lightne_sharded_{}", std::process::id()));
@@ -84,7 +84,7 @@ fn embeddings_are_bitwise_identical_at_every_thread_and_shard_count() {
             assert_eq!((fresh[0], fresh[2]), (reloaded[0], reloaded[2]));
         }
 
-        let out_w = LightNe::new(LightNeConfig { shards: 4, ..base }).embed_weighted(&gw);
+        let out_w = LightNe::new(LightNeConfig { shards: 4, ..base }).embed(&gw);
         assert_eq!(
             bits(&single_w.embedding),
             bits(&out_w.embedding),
