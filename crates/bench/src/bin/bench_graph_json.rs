@@ -28,6 +28,10 @@
 //! against the sequential sort-then-dedup build they replaced, written
 //! out below (`*_sort_baseline_*`). `csr_build_speedup` and
 //! `weighted_build_speedup` are the two-thread rate over the baseline's.
+//! The weighted baseline ends with the per-vertex prefix sums the
+//! weighted graph kept then; `from_edges` now builds per-vertex alias
+//! tables in their place, which cost more per arc, so
+//! `weighted_build_speedup` is not the sort's gain alone.
 //!
 //! The graph is the largest classification profile (Friendster) scaled
 //! to the host; `--scale` / `--seed` come from the shared harness, and

@@ -7,8 +7,9 @@
 //! compressed container it is one offset lookup, one directory read and
 //! the decode of one block up to the drawn neighbor, which is the latency
 //! the paper's block-size experiment trades against memory. On a weighted
-//! graph the step is a binary search over the vertex's weight prefix sums
-//! instead — the backend's [`WeightedOps::step`] decides.
+//! graph the step is a draw from the vertex's alias table instead, also
+//! O(1): the same one 64-bit draw picks a slot and flips its keep coin —
+//! the backend's [`WeightedOps::step`] decides.
 
 use crate::{GraphAccess, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;

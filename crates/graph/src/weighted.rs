@@ -9,8 +9,8 @@
 //! the sampler, the NetMF inversion and the propagation operators are
 //! written once against [`WeightedOps`]: every [`GraphAccess`] backend
 //! implements it with unit weights, and [`WeightedGraph`] — the weighted
-//! CSR with O(log deg) weight-proportional neighbor sampling — with its
-//! stored ones.
+//! CSR with O(1) weight-proportional neighbor sampling from per-vertex
+//! alias tables — with its stored ones.
 
 use crate::ops::par_vertices_by_arc_mass;
 use crate::{Graph, GraphAccess, VertexId};
@@ -61,7 +61,11 @@ pub trait WeightedOps: Sync {
     fn arc_trials(&self, samples: u64, w: f32) -> (u64, f64);
 
     /// One random-walk step from `v`: a neighbor drawn proportionally to
-    /// arc weight, `None` at an isolated vertex.
+    /// arc weight, `None` at an isolated vertex. Every backend takes one
+    /// `next_u64` per step: the unit-weight backends turn it into a
+    /// uniform neighbor index, [`WeightedGraph`] into a slot of the
+    /// vertex's alias table and that slot's keep coin (O(1) either way on
+    /// CSR).
     fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId>;
 
     /// Calls `f(v, w)` on every arc `u → v` in sorted neighbor order.
@@ -170,17 +174,18 @@ impl<G: GraphAccess + Sync> WeightedOps for G {
 /// assert_eq!(g.volume(), 10.0);
 /// ```
 ///
-/// Alongside the weight of each arc, each vertex stores the running
-/// (inclusive) prefix sums of its incident weights, so drawing a random
-/// neighbor proportionally to weight is one uniform draw plus a binary
-/// search.
+/// Alongside the weight of each arc, each vertex stores an alias table
+/// over its neighbors (Walker's method, built with Vose's), one 8-byte
+/// slot per arc, so drawing a random neighbor proportionally to
+/// weight is one uniform draw and two dependent loads: the drawn slot,
+/// then its neighbor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedGraph {
     offsets: Vec<u64>,
     neighbors: Vec<VertexId>,
     weights: Vec<f32>,
-    /// Inclusive per-vertex prefix sums of `weights`.
-    cumulative: Vec<f32>,
+    /// Per-vertex alias tables, aligned with `neighbors`.
+    slots: Vec<AliasSlot>,
     weighted_degrees: Vec<f64>,
     /// `Σ_v weighted_degrees[v]`, read once per arc by the sampler.
     volume: f64,
@@ -193,8 +198,8 @@ impl WeightedGraph {
     ///
     /// One counting sort by source vertex writes both arcs of every edge
     /// into their rows ([`group_by_row`]); each row is then sorted and its
-    /// duplicates merged on its own, and the per-row cumulative sums and
-    /// weighted degrees are per-row parallel work too.
+    /// duplicates merged on its own, and the weighted degrees and the
+    /// per-row alias tables are per-row parallel work too.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId, f32)]) -> Self {
         assert!(n <= VertexId::MAX as usize);
         let rows = group_by_row(edges, n, |&(u, v, w)| {
@@ -211,29 +216,29 @@ impl WeightedGraph {
         });
 
         let (neighbors, weights) = par_unzip(&arcs);
-        drop(arcs);
+        // Every slot starts whole, its arc its own alias, in the arcs'
+        // buffer: the same size, and already paged in.
+        let mut slots: Vec<AliasSlot> =
+            arcs.into_iter().map(|(v, _)| AliasSlot::whole(v)).collect();
 
-        // Per-vertex inclusive prefix sums.
-        let mut cumulative = weights.clone();
-        par_row_blocks(&offsets, &mut cumulative, |rows, part| {
-            let base = offsets[rows.start];
-            for v in rows {
-                let span = (offsets[v] - base) as usize..(offsets[v + 1] - base) as usize;
-                let mut acc = 0.0f32;
-                for c in &mut part[span] {
-                    acc += *c;
-                    *c = acc;
-                }
-            }
-        });
         let mut weighted_degrees = vec![0f64; n];
         weighted_degrees.par_iter_mut().enumerate().for_each(|(v, d)| {
             let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
             *d = weights[lo..hi].iter().map(|&w| w as f64).sum();
         });
+        par_row_blocks(&offsets, &mut slots, |rows, part| {
+            let base = offsets[rows.start];
+            let mut scratch = AliasScratch::default();
+            for v in rows {
+                let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+                let span = lo - base as usize..hi - base as usize;
+                let (nb, ws, total) = (&neighbors[lo..hi], &weights[lo..hi], weighted_degrees[v]);
+                fill_alias_row(nb, ws, total, &mut part[span], &mut scratch);
+            }
+        });
 
         let volume = weighted_degrees.iter().sum();
-        Self { offsets, neighbors, weights, cumulative, weighted_degrees, volume }
+        Self { offsets, neighbors, weights, slots, weighted_degrees, volume }
     }
 
     /// Lifts an unweighted graph to unit weights.
@@ -304,17 +309,16 @@ impl WeightedGraph {
     }
 
     /// The first vertex whose incident weights total past the `f32`
-    /// range, if any. Individually finite weights can still merge
-    /// (duplicate edges are summed) or accumulate to `+inf`, which
-    /// poisons every degree and prefix-sum draw downstream; readers of
-    /// outside input check this after [`Self::from_edges`].
+    /// range, if any: the running `f32` sum of its row, in arc order.
+    /// Individually finite weights can still merge (duplicate edges are
+    /// summed) or accumulate to `+inf`, which poisons the `f32` weights and
+    /// NetMF entries downstream; readers of outside input check this after
+    /// [`Self::from_edges`].
     pub fn overflowing_vertex(&self) -> Option<VertexId> {
-        (0..self.num_vertices())
-            .find(|&v| {
-                let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
-                self.cumulative[lo..hi].last().is_some_and(|total| !total.is_finite())
-            })
-            .map(|v| v as VertexId)
+        (0..self.num_vertices() as VertexId).find(|&v| {
+            let (_, ws) = self.neighbors(v);
+            !ws.iter().sum::<f32>().is_finite()
+        })
     }
 
     /// Global arc index of `v`'s first arc.
@@ -324,20 +328,110 @@ impl WeightedGraph {
     }
 
     /// Draws a neighbor of `v` with probability proportional to edge
-    /// weight (O(log deg) binary search over the prefix sums). Returns
+    /// weight, in O(1): one 64-bit draw `x` picks slot `⌊x·deg / 2⁶⁴⌋` of
+    /// `v`'s alias table (the high word of the product, as
+    /// [`XorShiftStream::bounded`] computes it), and the top half of the
+    /// low word is the coin against the slot's keep threshold. Returns
     /// `None` for isolated vertices.
+    #[inline]
     pub fn sample_neighbor(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
         let vu = v as usize;
         let (lo, hi) = (self.offsets[vu] as usize, self.offsets[vu + 1] as usize);
         if lo == hi {
             return None;
         }
-        let cum = &self.cumulative[lo..hi];
-        // xtask:panic-ok(invariant: degree > 0 was checked above, so the cumulative slice is non-empty)
-        let total = *cum.last().unwrap();
-        let target = rng.unit_f32() * total;
-        let idx = cum.partition_point(|&c| c <= target).min(cum.len() - 1);
-        Some(self.neighbors[lo + idx])
+        let draw = u128::from(rng.next_u64()) * (hi - lo) as u128;
+        let slot = lo + (draw >> 64) as usize;
+        let AliasSlot { keep, alias } = self.slots[slot];
+        Some(if (draw as u64) >> 32 < u64::from(keep) { self.neighbors[slot] } else { alias })
+    }
+}
+
+/// One slot of a vertex's alias table. A step that draws the slot of
+/// arc `i` keeps that arc's neighbor with probability `keep / 2³²` and
+/// otherwise moves to `alias`. A slot whose arc keeps with probability 1
+/// has its own neighbor as `alias`, so every draw of it lands there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct AliasSlot {
+    /// Keep threshold in 32-bit fixed point.
+    keep: u32,
+    /// The neighbor a failed keep coin moves to.
+    alias: VertexId,
+}
+
+impl AliasSlot {
+    /// The slot of an arc to `v` that keeps with probability 1.
+    fn whole(v: VertexId) -> Self {
+        Self { keep: u32::MAX, alias: v }
+    }
+}
+
+/// Work space of [`fill_alias_row`], reused across the rows of a block.
+#[derive(Default)]
+struct AliasScratch {
+    /// The row's shares `w·deg/total`, mean 1.
+    shares: Vec<f64>,
+    /// Arc indices: those below 1 stacked up from the front, the others
+    /// down from the back.
+    stack: Vec<u32>,
+}
+
+/// Writes the alias table of one row — neighbors `nb`, weights `ws`
+/// summing to `total` — into `slots`, by Vose's method in one sweep.
+///
+/// The slots arrive whole ([`AliasSlot::whole`] of their own arc). The arcs
+/// whose share is below 1 are the donees; each fills the rest of its
+/// slot, `1 − share`, from the current donor, the first arc at or above 1
+/// not yet used up. A donor left below 1 becomes a donee itself and fills
+/// its own slot from the next donor. The sweep's only state is the
+/// donor's remainder; the textbook loop, which pops both from stacks and
+/// pushes the donor back, took 1.4× as long per arc (EXPERIMENTS.md,
+/// "Alias-table walk steps"). What the sweep does not reach is at 1 up to
+/// rounding, and stays whole.
+///
+/// Deterministic: the table is a function of the row alone. A row whose
+/// total is not finite (see [`WeightedGraph::overflowing_vertex`]) still
+/// gets a table without a panic, if a meaningless one; readers of outside
+/// input reject such a graph.
+fn fill_alias_row(
+    nb: &[VertexId],
+    ws: &[f32],
+    total: f64,
+    slots: &mut [AliasSlot],
+    scratch: &mut AliasScratch,
+) {
+    let AliasScratch { shares, stack } = scratch;
+    let scale = ws.len() as f64 / total;
+    shares.clear();
+    shares.extend(ws.iter().map(|&w| f64::from(w) * scale));
+    // Each arc goes on top of both stacks, and the comparison keeps it on
+    // one: no branch on the random weights.
+    stack.clear();
+    stack.resize(ws.len(), 0);
+    let (mut below, mut at_or_above) = (0, ws.len());
+    for (i, &p) in shares.iter().enumerate() {
+        stack[below] = i as u32;
+        stack[at_or_above - 1] = i as u32;
+        let is_below = usize::from(p < 1.0);
+        below += is_below;
+        at_or_above -= 1 - is_below;
+    }
+    // `p < 1`: truncating `p·2³²` stays below 2³².
+    let keep = |p: f64| (p * 4_294_967_296.0) as u32;
+    let (donees, donors) = stack.split_at(below);
+    let mut donors = donors.iter().map(|&i| i as usize);
+    let Some(mut donor) = donors.next() else { return };
+    let mut left = shares[donor];
+    for &s in donees {
+        let (s, p) = (s as usize, shares[s as usize]);
+        slots[s] = AliasSlot { keep: keep(p), alias: nb[donor] };
+        left -= 1.0 - p;
+        while left < 1.0 {
+            let Some(next) = donors.next() else { return };
+            slots[donor] = AliasSlot { keep: keep(left), alias: nb[next] };
+            left = shares[next] - (1.0 - left);
+            donor = next;
+        }
     }
 }
 
@@ -416,7 +510,7 @@ impl MemUsage for WeightedGraph {
         self.offsets.heap_bytes()
             + self.neighbors.heap_bytes()
             + self.weights.heap_bytes()
-            + self.cumulative.heap_bytes()
+            + self.slots.heap_bytes()
             + self.weighted_degrees.heap_bytes()
     }
 }
@@ -429,7 +523,8 @@ mod tests {
 
     /// The sort-based build the counting sort replaced: both arcs of every
     /// edge keyed by the packed pair, one comparison sort, a sequential
-    /// merge of equal keys, then counts, cumulative sums and degrees.
+    /// merge of equal keys, then counts, degrees and alias tables, one row
+    /// after another.
     /// `stable` sorts with a stable sort, so that duplicates merge in input
     /// order (the unstable sort leaves three or more in an arbitrary one).
     fn from_edges_by_sort(
@@ -465,19 +560,17 @@ mod tests {
         }
         let neighbors: Vec<VertexId> = merged.iter().map(|&(k, _)| k as VertexId).collect();
         let weights: Vec<f32> = merged.iter().map(|&(_, w)| w).collect();
-        let mut cumulative = weights.clone();
+        let mut slots: Vec<_> = neighbors.iter().map(|&v| AliasSlot::whole(v)).collect();
         let mut weighted_degrees = vec![0f64; n];
+        let mut scratch = AliasScratch::default();
         for v in 0..n {
             let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let mut acc = 0.0f32;
-            for c in &mut cumulative[lo..hi] {
-                acc += *c;
-                *c = acc;
-            }
             weighted_degrees[v] = weights[lo..hi].iter().map(|&w| w as f64).sum();
+            let (nb, ws) = (&neighbors[lo..hi], &weights[lo..hi]);
+            fill_alias_row(nb, ws, weighted_degrees[v], &mut slots[lo..hi], &mut scratch);
         }
         let volume = weighted_degrees.iter().sum();
-        WeightedGraph { offsets, neighbors, weights, cumulative, weighted_degrees, volume }
+        WeightedGraph { offsets, neighbors, weights, slots, weighted_degrees, volume }
     }
 
     /// Holds `from_edges` to the sort-based build, bit for bit, at 1, 2
@@ -490,7 +583,7 @@ mod tests {
             assert!(got.offsets == want.offsets && got.neighbors == want.neighbors);
             let bits = |x: &[f32]| x.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got.weights), bits(&want.weights), "{threads} threads");
-            assert_eq!(bits(&got.cumulative), bits(&want.cumulative), "{threads} threads");
+            assert!(got.slots == want.slots, "alias tables differ at {threads} threads");
             let bits64 = |x: &[f64]| x.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits64(&got.weighted_degrees), bits64(&want.weighted_degrees));
             assert_eq!(got.volume.to_bits(), want.volume.to_bits());
@@ -590,6 +683,73 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.edge_weight(1, 2), 1.0);
         assert_eq!(g.volume(), u.volume());
+    }
+
+    /// Each neighbor's probability as `v`'s alias table gives it, read off
+    /// the table without a draw: slot `j` sends `keep_j/2³²` of its `1/deg`
+    /// to its own neighbor and the rest to its alias, so neighbor `i` gets
+    /// `p_i/deg + Σ_{j: alias_j = i} (1 − p_j)/deg`.
+    fn table_probabilities(g: &WeightedGraph, v: VertexId) -> Vec<f64> {
+        let (lo, hi) = (g.offsets[v as usize] as usize, g.offsets[v as usize + 1] as usize);
+        let (nb, deg) = (&g.neighbors[lo..hi], (hi - lo) as f64);
+        let mut q = vec![0f64; hi - lo];
+        for (i, slot) in g.slots[lo..hi].iter().enumerate() {
+            let keep = f64::from(slot.keep) / 4_294_967_296.0;
+            q[i] += keep / deg;
+            q[nb.binary_search(&slot.alias).expect("an alias is a neighbor")] += (1.0 - keep) / deg;
+        }
+        q
+    }
+
+    /// Absolute tolerance of a table probability. Truncating a keep
+    /// threshold to 32 bits moves less than `2⁻³²/deg` from a slot's own
+    /// neighbor to its alias, so a neighbor fed by its own slot and by at
+    /// most `deg − 1` others is off by less than `2⁻³²`; twice that leaves
+    /// room for the `f64` rounding of the sweep's running remainder.
+    const TABLE_TOL: f64 = 1.0 / 2_147_483_648.0;
+
+    #[test]
+    fn alias_tables_give_every_neighbor_its_weight_share() {
+        let mut rng = XorShiftStream::new(21, 0);
+        let mut log_uniform = |decades: f64| 10f64.powf(decades * rng.unit_f64()) as f32;
+        let mut edges = vec![
+            (0, 1, 2.5),
+            (2, 3, 1.0),
+            (2, 4, 3.0),
+            (5, 6, 0.1),
+            (5, 7, 0.7),
+            (5, 8, 7.0),
+            // A 1 : 10⁶ ratio.
+            (9, 10, 1e-3),
+            (9, 11, 1e3),
+            (9, 12, 1.0),
+            // Duplicates that `from_edges` merges: 13–14 weighs 3.5.
+            (13, 14, 1.0),
+            (14, 13, 2.0),
+            (13, 14, 0.5),
+            (13, 15, 3.5),
+            (13, 16, 0.25),
+        ];
+        // Degree 64, log-uniform weights; degree 64, all equal; degree
+        // 1 000 over six decades.
+        edges.extend((0..64).map(|i| (100, 200 + i, log_uniform(3.0))));
+        edges.extend((0..64).map(|i| (101, 300 + i, 0.3)));
+        edges.extend((0..1_000).map(|i| (102, 400 + i, log_uniform(6.0))));
+        let g = WeightedGraph::from_edges(1_400, &edges);
+        assert_eq!(g.edge_weight(13, 14), 3.5);
+        for (v, deg) in
+            [(0, 1), (2, 2), (5, 3), (9, 3), (13, 3), (100, 64), (101, 64), (102, 1_000)]
+        {
+            assert_eq!(g.degree(v), deg);
+        }
+        for v in 0..g.num_vertices() as VertexId {
+            let (_, ws) = g.neighbors(v);
+            let total: f64 = ws.iter().map(|&w| f64::from(w)).sum();
+            for (i, (q, &w)) in table_probabilities(&g, v).iter().zip(ws).enumerate() {
+                let want = f64::from(w) / total;
+                assert!((q - want).abs() <= TABLE_TOL, "vertex {v} arc {i}: {q} vs {want}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! The loop is written once against [`WeightedOps`] — Theorems 3.1–3.2
 //! are stated for a weighted `A`, and an unweighted graph is its
 //! unit-weight case. What differs between the two (exact integer vs
-//! weight-proportional trial counts, uniform vs prefix-sum neighbor
+//! weight-proportional trial counts, uniform vs alias-table neighbor
 //! draw, counted vs summed two-hop conductance) is the backend's.
 //!
 //! ## The estimator (used by `netmf.rs`)

@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn unit_weights_match_unweighted_sampler_statistics() {
         // A unit-weight `WeightedGraph` takes the weight-proportional trial
-        // counts and the prefix-sum neighbor draw, the unweighted graph the
+        // counts and the alias-table neighbor draw, the unweighted graph the
         // exact integer counts and the uniform draw — different RNG
         // consumption, same expectations (same trials, same totals).
         use lightne_gen::generators::erdos_renyi;
