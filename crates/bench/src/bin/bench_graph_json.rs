@@ -28,10 +28,9 @@
 //! against the sequential sort-then-dedup build they replaced, written
 //! out below (`*_sort_baseline_*`). `csr_build_speedup` and
 //! `weighted_build_speedup` are the two-thread rate over the baseline's.
-//! The weighted baseline ends with the per-vertex prefix sums the
-//! weighted graph kept then; `from_edges` now builds per-vertex alias
-//! tables in their place, which cost more per arc, so
-//! `weighted_build_speedup` is not the sort's gain alone.
+//! The weighted baseline ends with the per-vertex alias tables
+//! `from_edges` builds, through the same row builder, sequentially — so
+//! `weighted_build_speedup` is the sort's and the parallel rows' gain.
 //!
 //! The graph is the largest classification profile (Friendster) scaled
 //! to the host; `--scale` / `--seed` come from the shared harness, and
@@ -41,6 +40,7 @@
 use lightne_bench::harness::{env_usize, timed, Args};
 use lightne_gen::profiles::Profile;
 use lightne_graph::walk::walk;
+use lightne_graph::weighted::{fill_alias_row, AliasScratch, AliasSlot};
 use lightne_graph::{
     Codec, Graph, GraphAccess, GraphBuilder, V2Graph, VertexId, WeightedGraph, WeightedOps,
 };
@@ -150,8 +150,9 @@ fn csr_build_by_sort(n: usize, edges: &[(VertexId, VertexId)]) -> (Vec<u64>, Vec
 
 /// The sequential build `WeightedGraph::from_edges` had before the
 /// counting sort: keyed arcs, one comparison sort, a merge of equal keys,
-/// then neighbors, weights, per-vertex cumulative sums and weighted
-/// degrees. Returns the volume.
+/// then neighbors, weights and weighted degrees — and, row by row, the
+/// same alias tables `from_edges` builds now ([`fill_alias_row`]), so the
+/// two builds end with the same structure. Returns the volume.
 fn weighted_build_by_sort(n: usize, edges: &[(VertexId, VertexId, f32)]) -> f64 {
     let mut arcs: Vec<(u64, f32)> = Vec::with_capacity(edges.len() * 2);
     for &(u, v, w) in edges {
@@ -180,18 +181,16 @@ fn weighted_build_by_sort(n: usize, edges: &[(VertexId, VertexId, f32)]) -> f64 
     }
     let neighbors: Vec<VertexId> = arcs.iter().map(|&(k, _)| k as VertexId).collect();
     let weights: Vec<f32> = arcs.iter().map(|&(_, w)| w).collect();
-    let mut cumulative = weights.clone();
+    let mut slots: Vec<AliasSlot> = neighbors.iter().map(|&v| AliasSlot::whole(v)).collect();
+    let mut scratch = AliasScratch::default();
     let mut degrees = vec![0f64; n];
     for v in 0..n {
         let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-        let mut acc = 0.0f32;
-        for c in &mut cumulative[lo..hi] {
-            acc += *c;
-            *c = acc;
-        }
         degrees[v] = weights[lo..hi].iter().map(|&w| w as f64).sum();
+        let (nb, ws) = (&neighbors[lo..hi], &weights[lo..hi]);
+        fill_alias_row(nb, ws, degrees[v], &mut slots[lo..hi], &mut scratch);
     }
-    black_box((&neighbors, &cumulative));
+    black_box((&neighbors, &slots));
     degrees.iter().sum()
 }
 

@@ -5,28 +5,28 @@
 //! goes to stderr. `results/BENCH_linalg.json` is the committed copy,
 //! recorded from a `RUSTFLAGS="-C target-cpu=native"` build (README
 //! "Kernel performance" has the commands); `cargo xtask gate linalg
-//! <report>` judges a fresh report against it. Every kernel row is
-//! measured on one thread; the `_t1_`/`_t2_` rows time the two kernels
-//! made of thousands of tiny parallel regions on one and on two.
+//! <report>` judges a fresh report against it. Every row is measured on
+//! one thread.
 //!
 //! Environment knobs (all optional):
 //!
 //! * `REPS` — timing repetitions per case; the minimum is reported
 //!   (default 3).
-//! * `GEMM_M`, `QR_ROWS`, `JACOBI_N`, `RSVD_N` — problem
-//!   sizes, for CI smoke runs on shared machines (defaults are the full
-//!   sizes the committed baseline was measured at).
+//! * `GEMM_M`, `QR_ROWS` (the orthonormaliser's rows), `RSVD_N` —
+//!   problem sizes, for CI smoke runs on shared machines (defaults are
+//!   the full sizes the committed baseline was measured at).
 //!
 //! The report records the tier the CPU selected (`dispatch_tier`) and
 //! always includes a forced-scalar GEMM number (`simd::set_tier`) so
 //! tiers can be compared like-for-like.
 
 use lightne_bench::harness::{env_usize, timed};
+use lightne_linalg::eig::sym_eig;
 use lightne_linalg::kernels::gemm_flops;
 use lightne_linalg::qr::orthonormalize_columns;
 use lightne_linalg::rsvd::rsvd_flops;
 use lightne_linalg::simd::{self, SimdTier};
-use lightne_linalg::svd::{jacobi_svd, tall_thin_svd};
+use lightne_linalg::svd::tall_thin_svd;
 use lightne_linalg::{randomized_svd, reference, CsrMatrix, DenseMatrix, RsvdConfig};
 use lightne_utils::parallel::configure_threads;
 use lightne_utils::rng::XorShiftStream;
@@ -45,7 +45,8 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     best
 }
 
-/// The pre-blocking randomized SVD: Algorithm 3 composed from the
+/// The pre-blocking randomized SVD: Algorithm 3 as the paper writes it
+/// (second sketch `Z = orth(B·P)`, Jacobi SVD of `ZᵀB`) composed from the
 /// reference GEMM/Gram/QR/Jacobi kernels. SPMM is shared with the
 /// blocked version, so the comparison isolates the dense kernels.
 fn reference_rsvd(a: &CsrMatrix, cfg: &RsvdConfig) -> (DenseMatrix, Vec<f32>) {
@@ -85,42 +86,6 @@ fn sparse_random(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_coo(n, n, coo)
 }
 
-/// Nanoseconds for one cache line to go to the other core and back (two
-/// threads handing a counter to and fro; best of three rounds). The
-/// thread-scaling rows only mean something next to this number: on a VM
-/// whose two vCPUs the host has placed far apart it reads several times
-/// higher, and a kernel of ~10 µs regions pays for it (see EXPERIMENTS.md,
-/// "PR 20").
-fn core_round_trip_ns() -> f64 {
-    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-    const HOPS: usize = 100_000;
-    let ball = AtomicUsize::new(0);
-    let wait_for = |v: usize| {
-        while ball.load(SeqCst) != v {
-            std::hint::spin_loop();
-        }
-    };
-    let round = || {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..HOPS {
-                    wait_for(2 * i + 1);
-                    ball.store(2 * i + 2, SeqCst);
-                }
-            });
-            let start = std::time::Instant::now();
-            for i in 0..HOPS {
-                ball.store(2 * i + 1, SeqCst);
-                wait_for(2 * i + 2);
-            }
-            let secs = start.elapsed().as_secs_f64();
-            ball.store(0, SeqCst);
-            secs * 1e9 / HOPS as f64
-        })
-    };
-    (0..3).map(|_| round()).fold(f64::MAX, f64::min)
-}
-
 /// Rows of the tall matrix `tall_thin_svd` is timed on (the `n` of the
 /// benchmark's `sbm_factor`, rounded to a power of two).
 const TALL_THIN_ROWS: usize = 8192;
@@ -137,16 +102,12 @@ fn main() {
     let reps = env_usize("REPS", 3);
     let gemm_m = env_usize("GEMM_M", 65_536);
     let qr_rows = env_usize("QR_ROWS", 65_536);
-    // Above the 144 columns `sbm_factor`'s rSVD takes, so the row shows
-    // what the sequential sweep costs past the sizes the pipeline runs.
-    let jacobi_n = env_usize("JACOBI_N", 256);
     let rsvd_n = env_usize("RSVD_N", 50_000);
     let mut lines: Vec<String> = Vec::new();
     let mut put = |key: &str, val: String| lines.push(format!("  \"{key}\": {val}"));
 
-    // Every row but the `_t2_` ones is a one-thread number, whatever the
-    // machine offers (the committed baseline used to be pinned to a core
-    // for that); the thread-scaling rows below re-size the pool.
+    // Every row is a one-thread number, whatever the machine offers (the
+    // committed baseline used to be pinned to a core for that).
     let threads_available = configure_threads(0);
     put("threads_available", threads_available.to_string());
     configure_threads(1);
@@ -220,12 +181,14 @@ fn main() {
     put("gram_reference_secs", format!("{refg:.6}"));
     put("gram_speedup", format!("{:.3}", refg / tiled));
 
-    // --- QR: panel BCGS2 vs sequential MGS on a tall sketch.
-    eprintln!("qr {qr_rows}x128 ({reps} reps) ...");
+    // --- Orthonormalization: two Gram-matrix SVD passes vs sequential
+    // MGS on a tall sketch. The flop count is the two passes' Gram
+    // products and GEMMs, `4 · 2·n·d²`.
+    eprintln!("orthonormalize {qr_rows}x128 ({reps} reps) ...");
     let d = 128usize;
     let tall = DenseMatrix::gaussian(qr_rows, d, 3);
-    let qr_flops = (4 * qr_rows * d * d) as f64;
-    let panel = best_of(reps, || {
+    let orth_flops = (8 * qr_rows * d * d) as f64;
+    let orth = best_of(reps, || {
         let mut x = tall.clone();
         orthonormalize_columns(&mut x)
     })
@@ -235,57 +198,28 @@ fn main() {
         reference::orthonormalize_columns(&mut x)
     })
     .as_secs_f64();
-    put("qr_rows", qr_rows.to_string());
-    put("qr_cols", d.to_string());
-    put("qr_panel_secs", format!("{panel:.6}"));
-    put("qr_panel_gflops", format!("{:.3}", qr_flops / panel / 1e9));
-    put("qr_reference_secs", format!("{refq:.6}"));
-    put("qr_reference_gflops", format!("{:.3}", qr_flops / refq / 1e9));
-    put("qr_speedup", format!("{:.3}", refq / panel));
+    put("orth_rows", qr_rows.to_string());
+    put("orth_cols", d.to_string());
+    put("orth_secs", format!("{orth:.6}"));
+    put("orth_gflops", format!("{:.3}", orth_flops / orth / 1e9));
+    put("orth_reference_secs", format!("{refq:.6}"));
+    put("orth_speedup", format!("{:.3}", refq / orth));
 
-    // --- Small SVD: blocked round-robin vs cyclic Vec<Vec> Jacobi.
-    eprintln!("jacobi_svd {jacobi_n}x{jacobi_n} ({reps} reps) ...");
-    let small = DenseMatrix::gaussian(jacobi_n, jacobi_n, 4);
-    let blocked = best_of(reps, || jacobi_svd(&small)).as_secs_f64();
-    let refj = best_of(reps, || reference::jacobi_svd(&small)).as_secs_f64();
-    put("jacobi_n", jacobi_n.to_string());
-    put("jacobi_blocked_secs", format!("{blocked:.6}"));
-    put("jacobi_reference_secs", format!("{refj:.6}"));
-    put("jacobi_speedup", format!("{:.3}", refj / blocked));
-
-    // --- Two threads against one on the kernels that open one parallel
-    // region per tournament round (a few µs of rotations each): what a
-    // region costs decides whether the second thread pays. The gate
-    // holds the worse of the two ratios at or under 1.
-    eprintln!("jacobi_svd / tall_thin_svd, 2 threads vs 1 ({reps} reps) ...");
-    if threads_available >= 2 {
-        put("core_round_trip_ns", format!("{:.0}", core_round_trip_ns()));
+    // --- The symmetric eigensolver at the rSVD's `l = 144` and at 256,
+    // on the Gram matrix of a Gaussian sketch (the spectrum it sees).
+    for n in [144usize, 256] {
+        eprintln!("sym_eig {n}x{n} ({reps} reps) ...");
+        let w = DenseMatrix::gaussian(4 * n, n, 4);
+        let gram = lightne_linalg::kernels::gram_tn(w.as_slice(), n, w.as_slice(), n);
+        let secs = best_of(reps, || sym_eig(&gram, n)).as_secs_f64();
+        put(&format!("sym_eig_{n}_secs"), format!("{secs:.6}"));
     }
+
+    // --- The thin SVD that ends propagation, at `sbm_factor`'s shape.
+    eprintln!("tall_thin_svd {TALL_THIN_ROWS}x128 ({reps} reps) ...");
     let tall128 = DenseMatrix::gaussian(TALL_THIN_ROWS, 128, 8);
-    let mut worst = 0.0f64;
-    let mut scaling = |name: &str, run: &dyn Fn()| {
-        let mut secs = [0.0f64; 2];
-        for (slot, threads) in secs.iter_mut().zip([1, 2]) {
-            configure_threads(threads);
-            *slot = best_of(reps, run).as_secs_f64();
-        }
-        configure_threads(1);
-        put(&format!("{name}_t1_secs"), format!("{:.6}", secs[0]));
-        put(&format!("{name}_t2_secs"), format!("{:.6}", secs[1]));
-        put(&format!("{name}_t2_over_t1"), format!("{:.3}", secs[1] / secs[0]));
-        worst = worst.max(secs[1] / secs[0]);
-    };
-    scaling("jacobi", &|| {
-        black_box(jacobi_svd(&small));
-    });
-    scaling("tall_thin_svd", &|| {
-        black_box(tall_thin_svd(&tall128));
-    });
-    // What the gate's two-threads-vs-one row is conditional on: the sizes,
-    // and whether the machine has a second core to run the second thread.
-    let cores = threads_available.min(2);
-    put("svd_scaling_config", format!("\"{jacobi_n}/{TALL_THIN_ROWS}x128 on {cores}\""));
-    put("svd_t2_over_t1_worst", format!("{worst:.3}"));
+    let thin = best_of(reps, || tall_thin_svd(&tall128)).as_secs_f64();
+    put("tall_thin_svd_secs", format!("{thin:.6}"));
 
     // --- Symmetry test: the one-pass cursor walk against the per-entry
     // binary search it replaced, on a symmetric matrix of ~3 M entries

@@ -53,14 +53,15 @@ impl Default for PropagationConfig {
 /// graph whose transition matrix has `da_nnz` stored entries
 /// (`a_plus_i` has the same sparsity): `2·order − 2` SPMM applications of
 /// `M` (2 per Chebyshev step) at `2·nnz·d` each plus the shift/axpy
-/// traffic, the final `(A+I)` SPMM, and the Gram + lift of the thin SVD
-/// refactorization (`~6·n·d²`).
+/// traffic, the final `(A+I)` SPMM, and the thin SVD refactorization
+/// through the Gram matrix: Gram product and lift at `2·n·d²` each, and
+/// `~9·d³` for the symmetric eigensolver.
 pub fn propagation_flops(n: usize, da_nnz: u64, d: usize, cfg: &PropagationConfig) -> u64 {
     let (n, d) = (n as u64, d as u64);
     let applies = 2 * cfg.order.max(1) as u64 - 2;
     let spmms = (applies + 1) * 2 * da_nnz * d;
     let axpys = (applies * 2 + cfg.order as u64 + 3) * 2 * n * d;
-    let refactor = 6 * n * d * d;
+    let refactor = 4 * n * d * d + 9 * d * d * d;
     spmms + axpys + refactor
 }
 

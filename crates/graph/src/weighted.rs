@@ -351,8 +351,12 @@ impl WeightedGraph {
 /// arc `i` keeps that arc's neighbor with probability `keep / 2³²` and
 /// otherwise moves to `alias`. A slot whose arc keeps with probability 1
 /// has its own neighbor as `alias`, so every draw of it lands there.
+///
+/// Public with [`fill_alias_row`] so the construction benchmark's
+/// sequential baseline builds the same tables; only this module reads
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AliasSlot {
+pub struct AliasSlot {
     /// Keep threshold in 32-bit fixed point.
     keep: u32,
     /// The neighbor a failed keep coin moves to.
@@ -361,14 +365,14 @@ struct AliasSlot {
 
 impl AliasSlot {
     /// The slot of an arc to `v` that keeps with probability 1.
-    fn whole(v: VertexId) -> Self {
+    pub fn whole(v: VertexId) -> Self {
         Self { keep: u32::MAX, alias: v }
     }
 }
 
 /// Work space of [`fill_alias_row`], reused across the rows of a block.
-#[derive(Default)]
-struct AliasScratch {
+#[derive(Debug, Default)]
+pub struct AliasScratch {
     /// The row's shares `w·deg/total`, mean 1.
     shares: Vec<f64>,
     /// Arc indices: those below 1 stacked up from the front, the others
@@ -393,7 +397,7 @@ struct AliasScratch {
 /// total is not finite (see [`WeightedGraph::overflowing_vertex`]) still
 /// gets a table without a panic, if a meaningless one; readers of outside
 /// input reject such a graph.
-fn fill_alias_row(
+pub fn fill_alias_row(
     nb: &[VertexId],
     ws: &[f32],
     total: f64,

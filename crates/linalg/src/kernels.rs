@@ -1,6 +1,6 @@
 //! Cache- and register-blocked dense kernels — the hot-path engine room
-//! behind [`crate::dense::DenseMatrix::matmul`], the panel QR in
-//! [`crate::qr`] and the blocked Jacobi SVD in [`crate::svd`].
+//! behind [`crate::dense::DenseMatrix::matmul`] and the Gram-matrix SVD
+//! in [`crate::svd`].
 //!
 //! The design follows the classic GotoBLAS/BLIS decomposition, shrunk to
 //! the shapes LightNE cares about (tall-skinny times small-square):
@@ -18,16 +18,9 @@
 //!   are identical at any rayon pool size. This is what carries the
 //!   PR 1 bitwise thread-count-determinism guarantee through the
 //!   register-blocked rewrite.
-//! * **Projection kernels** — the panel QR needs `coef = Q_done ·
-//!   Panelᵀ` (an NT product over the tall dimension, accumulated in
-//!   `f64`) and `Panel -= coefᵀ · Q_done` (a wide low-rank update). Both
-//!   are provided here with fixed-block accumulation orders.
 //! * **Gram product** — `aᵀ·b` over the tall dimension ([`gram_tn`]) in
 //!   `f64` register tiles, over fixed row-block × output-row-group tasks
 //!   whose partials fold in block order.
-//! * **Rotation kernels** — the one-sided Jacobi SVD applies its plane
-//!   rotations through the fused [`gram2`]/[`rot2`] pair so the column
-//!   sweeps run at memory speed instead of through nested `Vec`s.
 //! * **SIMD dispatch** — each kernel's innermost loop dispatches once per
 //!   call on [`crate::simd::active_tier`]: the scalar bodies below are
 //!   the portable fallback *and* the correctness oracle, the
@@ -62,8 +55,8 @@ pub const TILE: usize = 32;
 const SMALL_GEMM_FLOPS: usize = 16 * 1024;
 
 /// Fixed row-block length for deterministic `f64` reductions over the
-/// tall dimension (dot products, columnwise dots, projection
-/// coefficients). Independent of the thread count on purpose.
+/// tall dimension (the Gram product's tasks). Independent of the thread
+/// count on purpose.
 pub const REDUCE_BLOCK: usize = 4096;
 
 /// Nominal FLOP count of a dense `m×k · k×n` GEMM.
@@ -335,16 +328,10 @@ pub fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
         }
         SimdTier::Avx2 | SimdTier::Avx512 => simd::dot_accumulate(&a[..main], &b[..main], &mut acc),
     }
-    finish_dot(&mut acc, &a[main..], &b[main..])
-}
-
-/// The end of [`dot_f64`] once its lanes hold the whole-group sums: the
-/// tail elements summed in order, the lanes folded pairwise in the fixed
-/// bracketing, then the tail added.
-#[inline]
-fn finish_dot(acc: &mut [f64; DOT_LANES], a_tail: &[f32], b_tail: &[f32]) -> f64 {
+    // The tail summed in order, the lanes folded pairwise in the fixed
+    // bracketing, then the tail added.
     let mut tail = 0.0f64;
-    for (&x, &y) in a_tail.iter().zip(b_tail) {
+    for (&x, &y) in a[main..].iter().zip(&b[main..]) {
         tail += x as f64 * y as f64;
     }
     let mut width = DOT_LANES;
@@ -355,48 +342,6 @@ fn finish_dot(acc: &mut [f64; DOT_LANES], a_tail: &[f32], b_tail: &[f32]) -> f64
         width /= 2;
     }
     acc[0] + tail
-}
-
-/// Four [`dot_f64`]s of one row against four others, bitwise equal to
-/// the four separate calls: each dot keeps its own [`DOT_LANES`] lanes,
-/// tail and fold, while the vector loop widens each group of `a` once for
-/// all four. AVX-512 only: four dots' 128 lanes are 16 of its 32
-/// registers, but would be 32 AVX2 registers, twice the AVX2 file.
-fn dot4_f64(a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
-    let main = a.len() - a.len() % DOT_LANES;
-    let mut acc = [[0.0f64; DOT_LANES]; 4];
-    simd::dot4_accumulate(&a[..main], b.map(|x| &x[..main]), &mut acc);
-    let mut out = [0.0f64; 4];
-    for ((o, lanes), x) in out.iter_mut().zip(&mut acc).zip(b) {
-        *o = finish_dot(lanes, &a[main..], &x[main..]);
-    }
-    out
-}
-
-/// Projection coefficients for the panel QR: `coef[q·nb + c] =
-/// ⟨done_q, panel_c⟩` in `f64`, where `done` holds `ndone` finished rows
-/// and `panel` holds `nb` in-flight rows, all of length `len`.
-///
-/// One parallel task per finished row. Each coefficient is the
-/// fixed-pattern [`dot_f64`] of its pair, so the result is thread-count
-/// independent; on AVX-512 the task takes the panel rows four at a time
-/// ([`dot4_f64`], the same bytes), reading its finished row once per
-/// four coefficients instead of once per coefficient.
-pub fn proj_coef(done: &[f32], panel: &[f32], ndone: usize, nb: usize, len: usize) -> Vec<f64> {
-    let mut coef = vec![0.0f64; ndone * nb];
-    let multi = simd::active_tier() == SimdTier::Avx512;
-    coef.par_chunks_mut(nb.max(1)).enumerate().for_each(|(q, crow)| {
-        let qrow = &done[q * len..(q + 1) * len];
-        let prow = |c: usize| &panel[c * len..(c + 1) * len];
-        let quads = if multi { nb / 4 } else { 0 };
-        for (g, quad) in crow.chunks_exact_mut(4).take(quads).enumerate() {
-            quad.copy_from_slice(&dot4_f64(qrow, std::array::from_fn(|i| prow(4 * g + i))));
-        }
-        for (c, out) in crow.iter_mut().enumerate().skip(4 * quads) {
-            *out = dot_f64(qrow, prow(c));
-        }
-    });
-    coef
 }
 
 /// Output rows (columns of the left operand) per [`gram_tn`] task.
@@ -516,207 +461,6 @@ fn gram_scalar(
     }
 }
 
-/// Low-rank panel update for the panel QR:
-/// `panel_c -= Σ_q coef[q·nb + c] · done_q` for every panel row `c`.
-///
-/// The tall dimension is walked in fixed `REDUCE_BLOCK` column chunks
-/// (cache blocking: the `done` chunk rows stay hot across all panel
-/// rows); within a chunk the q-loop runs in ascending fixed groups of
-/// four, so the per-element bracketing never depends on the thread
-/// count. Coefficients are applied in `f32`, matching the MGS update.
-pub fn sub_proj(
-    panel: &mut [f32],
-    done: &[f32],
-    coef: &[f64],
-    nb: usize,
-    ndone: usize,
-    len: usize,
-) {
-    if nb == 0 || ndone == 0 || len == 0 {
-        return;
-    }
-    let tier = simd::active_tier();
-    for lo in (0..len).step_by(REDUCE_BLOCK) {
-        let hi = (lo + REDUCE_BLOCK).min(len);
-        panel[..nb * len].par_chunks_mut(len).enumerate().for_each(|(c, row)| {
-            let seg = &mut row[lo..hi];
-            let mut q = 0;
-            while q + 4 <= ndone {
-                let c0 = coef[q * nb + c] as f32;
-                let c1 = coef[(q + 1) * nb + c] as f32;
-                let c2 = coef[(q + 2) * nb + c] as f32;
-                let c3 = coef[(q + 3) * nb + c] as f32;
-                let d0 = &done[q * len + lo..q * len + hi];
-                let d1 = &done[(q + 1) * len + lo..(q + 1) * len + hi];
-                let d2 = &done[(q + 2) * len + lo..(q + 2) * len + hi];
-                let d3 = &done[(q + 3) * len + lo..(q + 3) * len + hi];
-                match tier {
-                    SimdTier::Scalar => {
-                        for ((((s, &v0), &v1), &v2), &v3) in
-                            seg.iter_mut().zip(d0).zip(d1).zip(d2).zip(d3)
-                        {
-                            *s -= c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3;
-                        }
-                    }
-                    // Bitwise identical: same multiply/add association,
-                    // vectorized across independent elements only.
-                    SimdTier::Avx2 | SimdTier::Avx512 => {
-                        simd::axpy4(seg, [d0, d1, d2, d3], c0, c1, c2, c3);
-                    }
-                }
-                q += 4;
-            }
-            while q < ndone {
-                let cf = coef[q * nb + c] as f32;
-                let d = &done[q * len + lo..q * len + hi];
-                for (s, &v) in seg.iter_mut().zip(d) {
-                    *s -= cf * v;
-                }
-                q += 1;
-            }
-        });
-    }
-}
-
-/// Columnwise dots of two row-major `rows×cols` matrices:
-/// `out[j] = Σ_i a[i][j]·b[i][j]` in `f64`.
-///
-/// Fixed `REDUCE_BLOCK` row blocks, per-block partial vectors folded in
-/// block order — deterministic at any pool size (same scheme as
-/// `DenseMatrix::gram_tn`).
-pub fn columnwise_dots(a: &[f32], b: &[f32], cols: usize) -> Vec<f64> {
-    if cols == 0 {
-        return Vec::new();
-    }
-    debug_assert_eq!(a.len(), b.len());
-    let tier = simd::active_tier();
-    let blocks: Vec<Vec<f64>> = a
-        .par_chunks(REDUCE_BLOCK * cols)
-        .zip(b.par_chunks(REDUCE_BLOCK * cols))
-        .map(|(ab, bb)| {
-            let mut local = vec![0.0f64; cols];
-            match tier {
-                SimdTier::Scalar => {
-                    for (ar, br) in ab.chunks_exact(cols).zip(bb.chunks_exact(cols)) {
-                        for ((l, &x), &y) in local.iter_mut().zip(ar).zip(br) {
-                            *l += x as f64 * y as f64;
-                        }
-                    }
-                }
-                // Bitwise identical: per-column f64 accumulators are
-                // independent and the widened products are exact.
-                SimdTier::Avx2 | SimdTier::Avx512 => {
-                    simd::col_dots_block(ab, bb, cols, &mut local);
-                }
-            }
-            local
-        })
-        .collect();
-    let mut acc = vec![0.0f64; cols];
-    for block in blocks {
-        for (x, y) in acc.iter_mut().zip(block) {
-            *x += y;
-        }
-    }
-    acc
-}
-
-/// Number of independent `f64` accumulator lanes in [`gram2`] — two
-/// 4-wide vectors per Gram entry on the SIMD path; the scalar path uses
-/// the same fixed lane assignment so both tiers fold identically.
-pub const GRAM_LANES: usize = 8;
-
-/// Scalar main-loop accumulation of [`gram2`] over whole
-/// [`GRAM_LANES`]-element groups — the oracle the SIMD variant matches
-/// bitwise (separate multiply and add per lane, no FMA contraction).
-fn gram2_acc_scalar(
-    cp: &[f64],
-    cq: &[f64],
-    aa: &mut [f64; GRAM_LANES],
-    bb: &mut [f64; GRAM_LANES],
-    gg: &mut [f64; GRAM_LANES],
-) {
-    for (x, y) in cp.chunks_exact(GRAM_LANES).zip(cq.chunks_exact(GRAM_LANES)) {
-        for lane in 0..GRAM_LANES {
-            aa[lane] += x[lane] * x[lane];
-            bb[lane] += y[lane] * y[lane];
-            gg[lane] += x[lane] * y[lane];
-        }
-    }
-}
-
-/// Pairwise tree fold of the fixed accumulator lanes — shared by both
-/// dispatch tiers so the bracketing is identical.
-#[inline]
-fn fold_lanes(acc: &mut [f64; GRAM_LANES]) -> f64 {
-    let mut width = GRAM_LANES;
-    while width > 1 {
-        for i in 0..width / 2 {
-            acc[i] = acc[2 * i] + acc[2 * i + 1];
-        }
-        width /= 2;
-    }
-    acc[0]
-}
-
-/// Fused 2×2 Gram entries of two equal-length `f64` columns:
-/// `(⟨p,p⟩, ⟨q,q⟩, ⟨p,q⟩)` across [`GRAM_LANES`] fixed accumulator lanes
-/// folded pairwise. Bitwise identical across dispatch tiers.
-#[inline]
-pub fn gram2(cp: &[f64], cq: &[f64]) -> (f64, f64, f64) {
-    debug_assert_eq!(cp.len(), cq.len());
-    let mut aa = [0.0f64; GRAM_LANES];
-    let mut bb = [0.0f64; GRAM_LANES];
-    let mut gg = [0.0f64; GRAM_LANES];
-    let main = cp.len() - cp.len() % GRAM_LANES;
-    match simd::active_tier() {
-        SimdTier::Scalar => gram2_acc_scalar(&cp[..main], &cq[..main], &mut aa, &mut bb, &mut gg),
-        SimdTier::Avx2 | SimdTier::Avx512 => {
-            simd::gram2_accumulate(&cp[..main], &cq[..main], &mut aa, &mut bb, &mut gg);
-        }
-    }
-    let mut alpha = fold_lanes(&mut aa);
-    let mut beta = fold_lanes(&mut bb);
-    let mut gamma = fold_lanes(&mut gg);
-    for (&x, &y) in cp[main..].iter().zip(&cq[main..]) {
-        alpha += x * x;
-        beta += y * y;
-        gamma += x * y;
-    }
-    (alpha, beta, gamma)
-}
-
-/// Applies the plane rotation `[c -s; s c]` to the column pair
-/// `(cp, cq)` in place — the Jacobi SVD's update, fused so both columns
-/// stream through once. Bitwise identical across dispatch tiers (the
-/// SIMD path keeps the multiplies, subtract and add separate in the same
-/// order, vectorized over independent elements).
-#[inline]
-pub fn rot2(cp: &mut [f64], cq: &mut [f64], c: f64, s: f64) {
-    debug_assert_eq!(cp.len(), cq.len());
-    let main = match simd::active_tier() {
-        SimdTier::Scalar => 0,
-        SimdTier::Avx2 | SimdTier::Avx512 => cp.len() - cp.len() % 4,
-    };
-    if main > 0 {
-        let (ph, pt) = cp.split_at_mut(main);
-        let (qh, qt) = cq.split_at_mut(main);
-        simd::rot2(ph, qh, c, s);
-        rot2_scalar(pt, qt, c, s);
-    } else {
-        rot2_scalar(cp, cq, c, s);
-    }
-}
-
-#[inline]
-fn rot2_scalar(cp: &mut [f64], cq: &mut [f64], c: f64, s: f64) {
-    for (x, y) in cp.iter_mut().zip(cq) {
-        let (xv, yv) = (*x, *y);
-        *x = c * xv - s * yv;
-        *y = s * xv + c * yv;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,51 +544,5 @@ mod tests {
                 assert_eq!(dst[c * 5 + r], src[r * 9 + c]);
             }
         }
-    }
-
-    #[test]
-    fn columnwise_dots_matches_naive() {
-        let cols = 5;
-        let rows = 2 * REDUCE_BLOCK + 17;
-        let a = fill(rows * cols, 11);
-        let b = fill(rows * cols, 12);
-        let got = columnwise_dots(&a, &b, cols);
-        for j in 0..cols {
-            let want: f64 =
-                (0..rows).map(|i| a[i * cols + j] as f64 * b[i * cols + j] as f64).sum();
-            assert!((got[j] - want).abs() < 1e-6, "col {j}");
-        }
-    }
-
-    #[test]
-    fn sub_proj_matches_sequential_axpys() {
-        let (nb, ndone, len) = (3, 7, 2 * REDUCE_BLOCK + 5);
-        let done = fill(ndone * len, 13);
-        let coef: Vec<f64> = fill(ndone * nb, 14).iter().map(|&x| x as f64).collect();
-        let mut panel = fill(nb * len, 15);
-        let mut want = panel.clone();
-        for c in 0..nb {
-            for q in 0..ndone {
-                let cf = coef[q * nb + c] as f32;
-                for i in 0..len {
-                    want[c * len + i] -= cf * done[q * len + i];
-                }
-            }
-        }
-        sub_proj(&mut panel, &done, &coef, nb, ndone, len);
-        for (got, want) in panel.iter().zip(&want) {
-            assert!((got - want).abs() < 1e-3, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn gram2_and_rot2_roundtrip() {
-        let mut p: Vec<f64> = (0..33).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut q: Vec<f64> = (0..33).map(|i| (i as f64 * 0.71).cos()).collect();
-        let (a0, b0, _) = gram2(&p, &q);
-        let (c, s) = (0.8, 0.6); // c² + s² = 1 → rotation preserves Σ of squares
-        rot2(&mut p, &mut q, c, s);
-        let (a1, b1, _) = gram2(&p, &q);
-        assert!((a0 + b0 - (a1 + b1)).abs() < 1e-9);
     }
 }

@@ -11,12 +11,13 @@
 //!   (`matmul`), tall-matrix Gram products (`gram_tn`: `f64` register
 //!   tiles over fixed row-block × output-row-group tasks), Gaussian random
 //!   matrices and elementwise maps.
-//! * [`qr`] — panel block classical Gram–Schmidt with re-orthogonalization
-//!   (BCGS2, "twice is enough"): each panel is projected against the
-//!   finished columns by blocked products, then orthonormalized by
-//!   two-pass MGS; replaces `sgeqrf + sorgqr`.
-//! * [`svd`] — one-sided Jacobi SVD for the small `d×d` projected matrix,
-//!   replacing `sgesvd`.
+//! * [`eig`] — the small dense symmetric eigensolver (Householder
+//!   tridiagonalisation and implicit QL, `f64`, sequential).
+//! * [`svd`] — the thin SVD of a tall matrix through its Gram matrix
+//!   ("eigSVD": `f64` Gram product, [`eig::sym_eig`], one GEMM), the one
+//!   factorisation primitive; replaces `sgesvd`.
+//! * [`qr`] — orthonormalization as two Gram-matrix SVD passes;
+//!   replaces `sgeqrf + sorgqr`.
 //! * [`sparse::CsrMatrix`] — CSR sparse matrices built in parallel from
 //!   COO triples, with parallel SPMM, replacing MKL Sparse BLAS.
 //! * [`rsvd`] — Algorithm 3 of the paper (the randomized SVD of Halko,
@@ -27,10 +28,8 @@
 //! * [`matio`] — text serialization of dense matrices (the embedding
 //!   interchange format).
 //! * [`kernels`] — the cache-/register-blocked compute kernels behind the
-//!   modules above: packed-panel GEMM with an `MR×NR` register micro-kernel,
-//!   the register-tiled Gram product, blocked projection products for the
-//!   panel QR, and the fused
-//!   Gram/rotation primitives of the Jacobi SVD. All blocking constants are
+//!   modules above: packed-panel GEMM with an `MR×NR` register micro-kernel
+//!   and the register-tiled Gram product. All blocking constants are
 //!   fixed (never thread-derived), so results are bitwise identical at any
 //!   rayon pool size.
 //! * [`reference`] — the pre-blocking first-port kernels, kept verbatim as
@@ -45,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod dense;
+pub mod eig;
 pub mod kernels;
 pub mod matio;
 pub mod qr;

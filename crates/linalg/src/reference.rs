@@ -1,10 +1,11 @@
 //! The first-port ("pre register-blocking") kernels, kept verbatim.
 //!
-//! These are the naive implementations [`crate::kernels`] replaced: the
+//! These are the naive implementations the blocked kernels replaced: the
 //! i-l-j row-parallel GEMM with its per-element `a != 0.0` branch, the
 //! row-streaming `f64` Gram product, the strictly sequential-over-columns
-//! MGS QR, and the `Vec<Vec<f64>>`
-//! column-at-a-time cyclic Jacobi SVD — plus the unfused sparse×dense
+//! MGS QR and the `Vec<Vec<f64>>` column-at-a-time cyclic Jacobi SVD (the
+//! arithmetic the Gram-matrix SVD of [`crate::svd`] replaced, and its
+//! accuracy oracle) — plus the unfused sparse×dense
 //! product and the `scale`/`axpy` passes that
 //! [`crate::sparse::CsrMatrix::spmm_fused`] folds into one kernel, and the
 //! binary-search symmetry test `CsrMatrix::is_symmetric` replaced. They

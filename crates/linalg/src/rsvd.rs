@@ -5,34 +5,46 @@
 //! kernel from this workspace that replaces it:
 //!
 //! ```text
-//! 1  sample Gaussian O (n×l), P (l×l)      vsRngGaussian   → DenseMatrix::gaussian
+//! 1  sample Gaussian O (n×l), P (l×l)      vsRngGaussian   → DenseMatrix::gaussian (O only)
 //! 2  Y = Aᵀ O                              mkl_sparse_s_mm → CsrMatrix::spmm (A symmetric)
 //! 3  orthonormalize Y                      sgeqrf/sorgqr   → qr::orthonormalize_columns
 //! 4  B = A Y                               mkl_sparse_s_mm → CsrMatrix::spmm
-//! 5  Z = B P                               cblas_sgemm     → DenseMatrix::matmul
-//! 6  orthonormalize Z                      sgeqrf/sorgqr   → qr::orthonormalize_columns
-//! 7  C = Zᵀ B                              cblas_sgemm     → DenseMatrix::gram_tn
-//! 8  SVD  C = U Σ Vᵀ                       sgesvd          → svd::jacobi_svd
-//! 9  return Z U, Σ, Y V                    cblas_sgemm     → DenseMatrix::matmul
+//! 5  Z = B P                               cblas_sgemm     ┐
+//! 6  orthonormalize Z                      sgeqrf/sorgqr   │
+//! 7  C = Zᵀ B                              cblas_sgemm     ├ svd::eig_svd(B) = U_B Σ V_Bᵀ
+//! 8  SVD  C = U Σ Vᵀ                       sgesvd          │
+//! 9  return Z U, Σ, Y V                    cblas_sgemm     ┘ return U_B, Σ, Y·V_B
 //! ```
 //!
-//! where `l = rank + oversampling`. Line 2 multiplies by `Aᵀ`; the
-//! sparsifier NetSMF and LightNE factorize is symmetric, so there `Aᵀ O`
-//! is `A O` and no transpose is built. [`randomized_svd`] decides with
+//! where `l = rank + oversampling`. Lines 5–9 take the SVD of `B`
+//! through a second sketch: `Z` is an orthonormal basis of
+//! `span(B·P)`, and `Z·SVD(ZᵀB)` is then the SVD of `B`. `P` is a
+//! square Gaussian matrix, invertible almost surely, so `span(B·P) =
+//! span(B)` and the second sketch adds nothing in exact arithmetic:
+//! it is an orthonormaliser in disguise. Here `B`, `n × l` and tall,
+//! is factorised directly through its Gram matrix ([`eig_svd`]: `BᵀB
+//! = V_B Λ V_Bᵀ`, `U_B = B·V_BΛ^{-½}`), and since `A ≈ A·Y·Yᵀ = B·Yᵀ
+//! = U_B Σ (Y V_B)ᵀ` the right factor is `Y·V_B`. The factorisation
+//! is the same, from one Gram-matrix SVD where the paper's lines take
+//! a GEMM, a QR, a Gram product and a small SVD.
+//!
+//! Line 2 multiplies by `Aᵀ`; the sparsifier NetSMF and LightNE
+//! factorize is symmetric, so there `Aᵀ O` is `A O` and no transpose
+//! is built. [`randomized_svd`] decides with
 //! [`CsrMatrix::is_symmetric`] at tolerance 0 — an exact test in one
-//! sequential pass over the stored entries, O(nnz) with one cursor step
-//! per entry, which costs less than one of the stage's SPMMs (the
-//! per-entry binary search it replaced cost more than both SPMMs and
-//! both orthonormalizations together). Any other matrix gets its
-//! transpose built once. We additionally support subspace
-//! (power) iterations `q`, which sharpen the spectrum for matrices with a
-//! slowly decaying tail at the cost of extra SPMMs; `q = 0` reproduces the
-//! paper exactly.
+//! sequential pass over the stored entries, O(nnz) with one cursor
+//! step per entry, which costs less than one of the stage's SPMMs
+//! (the per-entry binary search it replaced cost more than both SPMMs
+//! and both orthonormalizations together). Any other matrix gets its
+//! transpose built once. We additionally support subspace (power)
+//! iterations `q`, which sharpen the spectrum for matrices with a
+//! slowly decaying tail at the cost of extra SPMMs; `q = 0` is the
+//! paper's single-pass variant.
 
 use crate::dense::DenseMatrix;
 use crate::qr::orthonormalize_columns;
 use crate::sparse::CsrMatrix;
-use crate::svd::jacobi_svd;
+use crate::svd::eig_svd;
 
 /// Configuration for [`randomized_svd`].
 #[derive(Debug, Clone, Copy)]
@@ -79,17 +91,19 @@ impl Svd {
 /// `n × n` sparse matrix with `nnz` stored entries, used by the engine's
 /// per-stage GFLOP/s accounting. Counts the dominant terms with the
 /// conventional 2-flops-per-multiply-add convention: `(2 + 2q)` SPMMs at
-/// `2·nnz·l`, `(2 + q)` orthonormalizations at `~4·n·l²` (two blocked
-/// projection/normalization passes), the dense products of steps 5, 7
-/// and 9 at `8·n·l²` total, and `~12·l³` for the small Jacobi SVD.
+/// `2·nnz·l`; `2(1 + q) + 1` Gram-matrix SVDs (two per
+/// orthonormalization, one for `B`), each a Gram product and a GEMM at
+/// `2·n·l²` apiece plus `~9·l³` for the symmetric eigensolver; and the
+/// lift `Y·V_B` at `2·n·l·rank`.
 pub fn rsvd_flops(n: usize, nnz: u64, cfg: &RsvdConfig) -> u64 {
     let l = (cfg.rank + cfg.oversampling).min(n).max(1) as u64;
+    let rank = (cfg.rank as u64).min(l);
     let (n, q) = (n as u64, cfg.power_iters as u64);
     let spmms = (2 + 2 * q) * 2 * nnz * l;
-    let orths = (2 + q) * 4 * n * l * l;
-    let gemms = 8 * n * l * l;
-    let small = 12 * l * l * l;
-    spmms + orths + gemms + small
+    let eig_svds = 2 * (1 + q) + 1;
+    let passes = eig_svds * (4 * n * l * l + 9 * l * l * l);
+    let lift = 2 * n * l * rank;
+    spmms + passes + lift
 }
 
 /// Computes a rank-`cfg.rank` randomized SVD of the sparse matrix `a`
@@ -115,7 +129,8 @@ pub fn randomized_svd(a: &CsrMatrix, cfg: &RsvdConfig) -> Svd {
         None => a.spmm(x),
     };
 
-    // 1–3: ranged sketch Y = Aᵀ O, orthonormalized.
+    // 1–3: ranged sketch Y = Aᵀ O, orthonormalized (P of line 1 is not
+    // drawn: see the module docs).
     let o = DenseMatrix::gaussian(n, l, cfg.seed);
     let mut y = spmm_t(&o);
     orthonormalize_columns(&mut y);
@@ -130,27 +145,20 @@ pub fn randomized_svd(a: &CsrMatrix, cfg: &RsvdConfig) -> Svd {
     // 4: B = A Y (n × l).
     let b = a.spmm(&y);
 
-    // 5–6: Z = orth(B P) — a second sketch on the left.
-    let p = DenseMatrix::gaussian(l, l, cfg.seed.wrapping_add(1));
-    let mut z = b.matmul(&p);
-    orthonormalize_columns(&mut z);
+    // 5–8: B = U_B Σ V_Bᵀ through its Gram matrix (see the module docs).
+    let small = eig_svd(&b);
 
-    // 7: C = Zᵀ B (l × l).
-    let c = z.gram_tn(&b);
-
-    // 8: small SVD.
-    let small = jacobi_svd(&c);
-
-    // 9: lift and truncate to the requested rank.
+    // 9: U = U_B, V = Y V_B, truncated to the requested rank.
     let rank = cfg.rank.min(l);
-    let u_full = z.matmul(&small.u);
-    let v_full = y.matmul(&small.v);
     let mut u = DenseMatrix::zeros(n, rank);
-    let mut v = DenseMatrix::zeros(n, rank);
     for i in 0..n {
-        u.row_mut(i).copy_from_slice(&u_full.row(i)[..rank]);
-        v.row_mut(i).copy_from_slice(&v_full.row(i)[..rank]);
+        u.row_mut(i).copy_from_slice(&small.u.row(i)[..rank]);
     }
+    let mut v_b = DenseMatrix::zeros(l, rank);
+    for j in 0..l {
+        v_b.row_mut(j).copy_from_slice(&small.v.row(j)[..rank]);
+    }
+    let v = y.matmul(&v_b);
     let sigma = small.sigma[..rank].to_vec();
     Svd { u, sigma, v }
 }

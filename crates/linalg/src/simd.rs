@@ -18,18 +18,16 @@
 //!
 //! # Determinism contract (per kernel)
 //!
-//! * [`dot_accumulate`], [`dot4_accumulate`], [`col_dots_block`],
-//!   [`gram_chunk`] — **bitwise identical** to the scalar loops: `f32`
-//!   operands widened to `f64` multiply
-//!   *exactly* (24-bit mantissas → ≤ 48-bit product < 53-bit mantissa),
+//! * [`dot_accumulate`], [`gram_chunk`] — **bitwise identical** to the
+//!   scalar loops: `f32` operands widened to `f64` multiply *exactly*
+//!   (24-bit mantissas → ≤ 48-bit product < 53-bit mantissa),
 //!   so a fused `vfmadd…pd` rounds once from the same exact value the
 //!   scalar mul-then-add rounds from, and each accumulator sees the scalar
 //!   loop's additions in the scalar loop's order. Lane assignment and the
 //!   pairwise fold stay in [`crate::kernels`], shared with the scalar path.
-//! * [`axpy4`], [`gram2_accumulate`], [`rot2`], [`spmm_row`] — **bitwise
-//!   identical**: elementwise kernels compiled as separate multiply and
-//!   add/sub in the scalar source order (no FMA contraction), vectorized
-//!   across independent elements/lanes only.
+//! * [`spmm_row`] — **bitwise identical**: separate multiply and add in
+//!   the scalar source order (no FMA contraction), vectorized across
+//!   independent output columns only.
 //! * [`microkernel_avx2`] / [`microkernel_avx512`] — **tolerance, not
 //!   bitwise**, vs the scalar GEMM micro-kernel: the `f32` FMAs round
 //!   once where the scalar kernel rounds twice, and the AVX-512 variant
@@ -60,9 +58,9 @@ pub enum SimdTier {
     Scalar = 0,
     /// AVX2 + FMA: 8-wide `f32`, 4-wide `f64`.
     Avx2 = 1,
-    /// AVX-512F: 16-wide `f32` GEMM micro-kernel, 8-wide `f64` Gram
-    /// tiles and four-way dots; the other `f64` vector kernels reuse the
-    /// AVX2 implementations (already bandwidth-bound).
+    /// AVX-512F: 16-wide `f32` GEMM micro-kernel and 8-wide `f64` Gram
+    /// tiles; the other vector kernels reuse the AVX2 implementations
+    /// (already bandwidth-bound).
     Avx512 = 2,
 }
 
@@ -172,7 +170,7 @@ mod x86 {
 
     use super::SimdTier;
     use crate::dense::DenseMatrix;
-    use crate::kernels::{DOT_LANES, GRAM_LANES, GRAM_TILE, MR, NR};
+    use crate::kernels::{DOT_LANES, GRAM_TILE, MR, NR};
     use crate::sparse::SPMM_PREFETCH;
     use std::arch::x86_64::*;
     use std::ops::Range;
@@ -315,58 +313,6 @@ mod x86 {
             }
             for (i, vi) in v.iter().enumerate() {
                 _mm256_storeu_pd(acc.as_mut_ptr().add(4 * i), *vi);
-            }
-        }
-    }
-
-    /// Main-loop accumulation of four [`crate::kernels::dot_f64`]s of `a`
-    /// against `b[0..4]`: each 32-float group of `a` is widened once and
-    /// fused into all four dots' lanes, lane `8g + e` of a group in
-    /// element `e` of register `g` — the lane assignment of
-    /// [`dot_acc_avx2`] and of the scalar loop, so each dot is bitwise
-    /// its own single `dot_f64`.
-    ///
-    /// # Safety
-    /// Requires AVX-512F (guaranteed by the dispatching wrapper).
-    // SAFETY: pointer arithmetic is bounded by the length asserts below;
-    // the feature guard is the wrapper's detection clamp.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot4_acc_avx512(a: &[f32], b: [&[f32]; 4], acc: &mut [[f64; DOT_LANES]; 4]) {
-        assert!(
-            a.len().is_multiple_of(DOT_LANES) && b.iter().all(|x| x.len() == a.len()),
-            "dot4 accumulate shape"
-        );
-        // SAFETY: all five slices are the same whole multiple of
-        // DOT_LANES = 32 floats (asserted), so the 8-float loads at
-        // `off + 8g`, g < 4, are in bounds; each `acc[d]` is 32 doubles =
-        // four 8-lane vectors.
-        unsafe {
-            let mut v = [[_mm512_setzero_pd(); 4]; 4];
-            for (vd, ad) in v.iter_mut().zip(acc.iter()) {
-                for (g, x) in vd.iter_mut().enumerate() {
-                    *x = _mm512_loadu_pd(ad.as_ptr().add(8 * g));
-                }
-            }
-            let ap = a.as_ptr();
-            let bp = b.map(<[f32]>::as_ptr);
-            let mut off = 0usize;
-            while off < a.len() {
-                let mut aw = [_mm512_setzero_pd(); 4];
-                for (g, x) in aw.iter_mut().enumerate() {
-                    *x = _mm512_cvtps_pd(_mm256_loadu_ps(ap.add(off + 8 * g)));
-                }
-                for (vd, &p) in v.iter_mut().zip(&bp) {
-                    for (g, x) in vd.iter_mut().enumerate() {
-                        let bw = _mm512_cvtps_pd(_mm256_loadu_ps(p.add(off + 8 * g)));
-                        *x = _mm512_fmadd_pd(aw[g], bw, *x);
-                    }
-                }
-                off += DOT_LANES;
-            }
-            for (vd, ad) in v.iter().zip(acc.iter_mut()) {
-                for (g, x) in vd.iter().enumerate() {
-                    _mm512_storeu_pd(ad.as_mut_ptr().add(8 * g), *x);
-                }
             }
         }
     }
@@ -604,178 +550,6 @@ mod x86 {
         l0
     }
 
-    /// One row-block of [`crate::kernels::columnwise_dots`]: per row,
-    /// `local[j] += a[j]·b[j]` (widened), 4 columns per vector, scalar
-    /// tail columns. Column accumulators are independent, so this is
-    /// bitwise identical to the scalar row loop.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA (guaranteed by the dispatching wrapper).
-    // SAFETY: pointer arithmetic is bounded by the length asserts below;
-    // the feature guard is the wrapper's detection clamp.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn col_dots_avx2(ab: &[f32], bb: &[f32], cols: usize, local: &mut [f64]) {
-        assert!(
-            cols > 0
-                && ab.len() == bb.len()
-                && ab.len().is_multiple_of(cols)
-                && local.len() == cols,
-            "columnwise block shape"
-        );
-        // SAFETY: rows are exactly `cols` floats (asserted); the vector
-        // loop stops at `cols - cols % 4`, so all 4-wide loads/stores on
-        // the row slices and on `local` stay in bounds.
-        unsafe {
-            let main = cols - cols % 4;
-            let lp = local.as_mut_ptr();
-            for (ar, br) in ab.chunks_exact(cols).zip(bb.chunks_exact(cols)) {
-                let arp = ar.as_ptr();
-                let brp = br.as_ptr();
-                let mut j = 0usize;
-                while j < main {
-                    let ad = _mm256_cvtps_pd(_mm_loadu_ps(arp.add(j)));
-                    let bd = _mm256_cvtps_pd(_mm_loadu_ps(brp.add(j)));
-                    let cur = _mm256_loadu_pd(lp.add(j));
-                    _mm256_storeu_pd(lp.add(j), _mm256_fmadd_pd(ad, bd, cur));
-                    j += 4;
-                }
-                while j < cols {
-                    *lp.add(j) += *arp.add(j) as f64 * *brp.add(j) as f64;
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// Four fused `f32` axpys of [`crate::kernels::sub_proj`]:
-    /// `seg -= c0·d0 + c1·d1 + c2·d2 + c3·d3`, multiplies and adds kept
-    /// separate and left-associated exactly like the scalar expression —
-    /// bitwise identical per element.
-    ///
-    /// # Safety
-    /// Requires AVX2 (guaranteed by the dispatching wrapper).
-    // SAFETY: pointer arithmetic is bounded by the length asserts below;
-    // the feature guard is the wrapper's detection clamp.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn axpy4_avx2(
-        seg: &mut [f32],
-        d0: &[f32],
-        d1: &[f32],
-        d2: &[f32],
-        d3: &[f32],
-        c0: f32,
-        c1: f32,
-        c2: f32,
-        c3: f32,
-    ) {
-        let n = seg.len();
-        assert!(d0.len() == n && d1.len() == n && d2.len() == n && d3.len() == n, "axpy4 shape");
-        // SAFETY: all five slices have length n (asserted); the vector
-        // loop stops at `n - n % 8`, the scalar loop covers the rest.
-        unsafe {
-            let (v0, v1, v2, v3) =
-                (_mm256_set1_ps(c0), _mm256_set1_ps(c1), _mm256_set1_ps(c2), _mm256_set1_ps(c3));
-            let sp = seg.as_mut_ptr();
-            let (p0, p1, p2, p3) = (d0.as_ptr(), d1.as_ptr(), d2.as_ptr(), d3.as_ptr());
-            let main = n - n % 8;
-            let mut i = 0usize;
-            while i < main {
-                // Same association as the scalar `c0*v0 + c1*v1 + c2*v2
-                // + c3*v3`: ((m0 + m1) + m2) + m3, no FMA contraction.
-                let mut t = _mm256_mul_ps(v0, _mm256_loadu_ps(p0.add(i)));
-                t = _mm256_add_ps(t, _mm256_mul_ps(v1, _mm256_loadu_ps(p1.add(i))));
-                t = _mm256_add_ps(t, _mm256_mul_ps(v2, _mm256_loadu_ps(p2.add(i))));
-                t = _mm256_add_ps(t, _mm256_mul_ps(v3, _mm256_loadu_ps(p3.add(i))));
-                _mm256_storeu_ps(sp.add(i), _mm256_sub_ps(_mm256_loadu_ps(sp.add(i)), t));
-                i += 8;
-            }
-            while i < n {
-                *sp.add(i) -= c0 * *p0.add(i) + c1 * *p1.add(i) + c2 * *p2.add(i) + c3 * *p3.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// Main-loop accumulation of [`crate::kernels::gram2`] over the
-    /// eight fixed `f64` lanes — multiply then add (no FMA), matching
-    /// the scalar lane loop bitwise.
-    ///
-    /// # Safety
-    /// Requires AVX2 (guaranteed by the dispatching wrapper).
-    // SAFETY: pointer arithmetic is bounded by the length asserts below;
-    // the feature guard is the wrapper's detection clamp.
-    #[target_feature(enable = "avx2")]
-    unsafe fn gram2_acc_avx2(
-        cp: &[f64],
-        cq: &[f64],
-        aa: &mut [f64; GRAM_LANES],
-        bb: &mut [f64; GRAM_LANES],
-        gg: &mut [f64; GRAM_LANES],
-    ) {
-        assert!(
-            cp.len() == cq.len() && cp.len().is_multiple_of(GRAM_LANES),
-            "gram2 accumulate shape"
-        );
-        // SAFETY: inputs are whole multiples of GRAM_LANES = 8
-        // (asserted), covered by two 4-lane vectors per accumulator.
-        unsafe {
-            let pp = cp.as_ptr();
-            let qp = cq.as_ptr();
-            let mut av = [_mm256_loadu_pd(aa.as_ptr()), _mm256_loadu_pd(aa.as_ptr().add(4))];
-            let mut bv = [_mm256_loadu_pd(bb.as_ptr()), _mm256_loadu_pd(bb.as_ptr().add(4))];
-            let mut gv = [_mm256_loadu_pd(gg.as_ptr()), _mm256_loadu_pd(gg.as_ptr().add(4))];
-            let mut off = 0usize;
-            while off < cp.len() {
-                for h in 0..2 {
-                    let x = _mm256_loadu_pd(pp.add(off + 4 * h));
-                    let y = _mm256_loadu_pd(qp.add(off + 4 * h));
-                    av[h] = _mm256_add_pd(av[h], _mm256_mul_pd(x, x));
-                    bv[h] = _mm256_add_pd(bv[h], _mm256_mul_pd(y, y));
-                    gv[h] = _mm256_add_pd(gv[h], _mm256_mul_pd(x, y));
-                }
-                off += GRAM_LANES;
-            }
-            _mm256_storeu_pd(aa.as_mut_ptr(), av[0]);
-            _mm256_storeu_pd(aa.as_mut_ptr().add(4), av[1]);
-            _mm256_storeu_pd(bb.as_mut_ptr(), bv[0]);
-            _mm256_storeu_pd(bb.as_mut_ptr().add(4), bv[1]);
-            _mm256_storeu_pd(gg.as_mut_ptr(), gv[0]);
-            _mm256_storeu_pd(gg.as_mut_ptr().add(4), gv[1]);
-        }
-    }
-
-    /// Vector body of [`crate::kernels::rot2`]: the plane rotation with
-    /// multiplies, add and subtract kept separate — bitwise identical to
-    /// the scalar element loop. Handles whole 4-lane groups only; the
-    /// dispatcher runs the scalar tail.
-    ///
-    /// # Safety
-    /// Requires AVX2 (guaranteed by the dispatching wrapper).
-    // SAFETY: pointer arithmetic is bounded by the length asserts below;
-    // the feature guard is the wrapper's detection clamp.
-    #[target_feature(enable = "avx2")]
-    unsafe fn rot2_avx2(cp: &mut [f64], cq: &mut [f64], c: f64, s: f64) {
-        assert!(cp.len() == cq.len() && cp.len().is_multiple_of(4), "rot2 vector prefix shape");
-        // SAFETY: equal lengths in whole 4-lane groups (asserted), so
-        // every paired load/store is in bounds.
-        unsafe {
-            let (cv, sv) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
-            let xp = cp.as_mut_ptr();
-            let yp = cq.as_mut_ptr();
-            let mut i = 0usize;
-            while i < cp.len() {
-                let x = _mm256_loadu_pd(xp.add(i));
-                let y = _mm256_loadu_pd(yp.add(i));
-                let nx = _mm256_sub_pd(_mm256_mul_pd(cv, x), _mm256_mul_pd(sv, y));
-                let ny = _mm256_add_pd(_mm256_mul_pd(sv, x), _mm256_mul_pd(cv, y));
-                _mm256_storeu_pd(xp.add(i), nx);
-                _mm256_storeu_pd(yp.add(i), ny);
-                i += 4;
-            }
-        }
-    }
-
     /// One column strip of [`spmm_row_avx2`]: the first `8·N` floats of
     /// `acc` are output columns `j0..j0 + 8·N`, held in `N` 8-lane
     /// registers across the whole row and each updated per stored entry
@@ -936,15 +710,6 @@ mod x86 {
         unsafe { dot_acc_avx2(a, b, acc) }
     }
 
-    /// Four vectorized dot-product accumulations sharing one operand
-    /// (see [`dot4_acc_avx512`]).
-    #[inline]
-    pub(crate) fn dot4_accumulate(a: &[f32], b: [&[f32]; 4], acc: &mut [[f64; DOT_LANES]; 4]) {
-        // SAFETY: reachable only when active_tier() == Avx512 (detection
-        // clamp, see microkernel_avx512_pair).
-        unsafe { dot4_acc_avx512(a, b, acc) }
-    }
-
     /// One `GRAM_CHUNK`-row chunk of a [`crate::kernels::gram_tn`] task
     /// on the active tier ([`gram_chunk_avx512_impl`],
     /// [`gram_chunk_avx2_impl`]): returns how many leading columns it
@@ -969,46 +734,6 @@ mod x86 {
         }
     }
 
-    /// Vectorized columnwise-dots row block (see [`col_dots_avx2`]).
-    #[inline]
-    pub fn col_dots_block(ab: &[f32], bb: &[f32], cols: usize, local: &mut [f64]) {
-        // SAFETY: reachable only when active_tier() >= Avx2 (detection
-        // clamp, see microkernel_avx2).
-        unsafe { col_dots_avx2(ab, bb, cols, local) }
-    }
-
-    /// Vectorized fused 4-way axpy (see [`axpy4_avx2`]).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn axpy4(seg: &mut [f32], d: [&[f32]; 4], c0: f32, c1: f32, c2: f32, c3: f32) {
-        // SAFETY: reachable only when active_tier() >= Avx2 (detection
-        // clamp, see microkernel_avx2).
-        unsafe { axpy4_avx2(seg, d[0], d[1], d[2], d[3], c0, c1, c2, c3) }
-    }
-
-    /// Vectorized gram2 accumulation (see [`gram2_acc_avx2`]).
-    #[inline]
-    pub fn gram2_accumulate(
-        cp: &[f64],
-        cq: &[f64],
-        aa: &mut [f64; GRAM_LANES],
-        bb: &mut [f64; GRAM_LANES],
-        gg: &mut [f64; GRAM_LANES],
-    ) {
-        // SAFETY: reachable only when active_tier() >= Avx2 (detection
-        // clamp, see microkernel_avx2).
-        unsafe { gram2_acc_avx2(cp, cq, aa, bb, gg) }
-    }
-
-    /// Vectorized plane rotation over whole 4-lane groups (see
-    /// [`rot2_avx2`]).
-    #[inline]
-    pub fn rot2(cp: &mut [f64], cq: &mut [f64], c: f64, s: f64) {
-        // SAFETY: reachable only when active_tier() >= Avx2 (detection
-        // clamp, see microkernel_avx2).
-        unsafe { rot2_avx2(cp, cq, c, s) }
-    }
-
     /// Vectorized SPMM row accumulation (see [`spmm_row_avx2`]).
     #[inline]
     pub fn spmm_row(cols: &[u32], vals: &[f32], x: &DenseMatrix, acc: &mut [f32]) {
@@ -1028,7 +753,7 @@ mod fallback {
     //! never execute.
 
     use crate::dense::DenseMatrix;
-    use crate::kernels::{DOT_LANES, GRAM_LANES};
+    use crate::kernels::DOT_LANES;
     use std::ops::Range;
 
     /// No-op on non-x86_64 targets (no portable prefetch hint).
@@ -1069,12 +794,6 @@ mod fallback {
         unreachable!("SIMD tier selected off x86_64")
     }
 
-    /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
-    pub(crate) fn dot4_accumulate(_: &[f32], _: [&[f32]; 4], _: &mut [[f64; DOT_LANES]; 4]) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
-        unreachable!("SIMD tier selected off x86_64")
-    }
-
     /// Off x86_64 there are no register tiles: no column is covered and
     /// the scalar loop computes the whole chunk.
     #[allow(clippy::ptr_arg)]
@@ -1088,36 +807,6 @@ mod fallback {
         _: &mut Vec<f64>,
     ) -> usize {
         0
-    }
-
-    /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
-    pub fn col_dots_block(_: &[f32], _: &[f32], _: usize, _: &mut [f64]) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
-        unreachable!("SIMD tier selected off x86_64")
-    }
-
-    /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
-    pub fn axpy4(_: &mut [f32], _: [&[f32]; 4], _: f32, _: f32, _: f32, _: f32) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
-        unreachable!("SIMD tier selected off x86_64")
-    }
-
-    /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
-    pub fn gram2_accumulate(
-        _: &[f64],
-        _: &[f64],
-        _: &mut [f64; GRAM_LANES],
-        _: &mut [f64; GRAM_LANES],
-        _: &mut [f64; GRAM_LANES],
-    ) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
-        unreachable!("SIMD tier selected off x86_64")
-    }
-
-    /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
-    pub fn rot2(_: &mut [f64], _: &mut [f64], _: f64, _: f64) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
-        unreachable!("SIMD tier selected off x86_64")
     }
 
     /// Off x86_64 the dispatch never selects a SIMD tier; the scalar

@@ -1,30 +1,34 @@
-//! One-sided Jacobi SVD for small dense matrices (replacing
-//! `LAPACKE_sgesvd` in Algorithm 3).
+//! Thin SVD of a tall matrix through its Gram matrix ("eigSVD"),
+//! replacing `LAPACKE_sgesvd` in Algorithm 3 and the QR's role in
+//! `sgeqrf`/`sorgqr`.
 //!
-//! The randomized SVD only ever takes the SVD of the tiny projected matrix
-//! `C = Zᵀ B` (`d × d`, with `d` ≤ a few hundred), so an O(d³)-per-sweep
-//! Jacobi iteration is plenty fast and — unlike faster bidiagonalization
-//! methods — is simple to make robustly convergent. We run in `f64`
-//! internally and convert at the boundary.
+//! [`eig_svd`] factorises an `n × k` matrix `X` (`n ≥ k`, `k` at most a
+//! few hundred) as the fast randomized SVD of SketchNE / NetMF+ and
+//! LightNE 2.0 does:
 //!
-//! One-sided Jacobi orthogonalizes the *columns* of `A` by plane rotations
-//! `A ← A·J`; at convergence `A = U·Σ` column-wise and the accumulated
-//! rotations give `V`, i.e. `A_original = U Σ Vᵀ`.
+//! 1. `G = XᵀX` (`k × k`) by the register-tiled `f64` Gram product
+//!    [`crate::kernels::gram_tn`] — one pass over `X`, GEMM-shaped;
+//! 2. `G = V Λ Vᵀ` by the small symmetric eigensolver
+//!    [`crate::eig::sym_eig`], `σᵢ = √λᵢ`;
+//! 3. `U = X · (V Σ⁻¹)` by the packed GEMM — a second pass over `X`.
 //!
-//! This is the blocked rewrite of the first port: columns live in one
-//! flat column-major `f64` buffer (one allocation, no per-column `Vec`
-//! churn), rotations go through the fused [`kernels::gram2`] /
-//! [`kernels::rot2`] kernels, and each sweep is ordered by a fixed
-//! round-robin (Brent–Luk) tournament — every round pairs all columns
-//! into disjoint couples. The schedule depends only on `n`, and every
-//! round runs its rotations in one thread in the schedule's order, so
-//! sweep order — and therefore the output bytes — are identical at any
-//! rayon pool size. At the sizes this workspace runs (`rank +
-//! oversampling` ≤ 144 columns, `tall_thin_svd` at the dimension) a
-//! round is `n / 2` rotations of ~0.15 µs, too little to pay for a
-//! parallel region each round.
+//! The O(n·k²) work is two GEMM-shaped passes; what is left is an O(k³)
+//! eigenproblem on one thread. Squaring the matrix squares its condition
+//! number, so directions whose `λ` falls below [`RANK_TOL`] of the
+//! largest carry no digits of `X` and are returned as zero columns of
+//! `U` with `σ = 0`, after the others. The rank-revealing
+//! orthonormaliser [`crate::qr::orthonormalize_columns`] is two passes
+//! of this; the randomized SVD's last step and the thin SVD that ends
+//! propagation ([`tall_thin_svd`]) are one.
+//!
+//! Determinism: the Gram product and the eigensolver are bitwise
+//! identical on every SIMD tier and at every thread count; the GEMM of
+//! step 3 is identical at every thread count within one tier (its `f32`
+//! FMA micro-kernels differ from the scalar tier within summation
+//! tolerance, see [`crate::simd`]).
 
 use crate::dense::DenseMatrix;
+use crate::eig::sym_eig;
 use crate::kernels;
 
 /// Full SVD result of a small matrix: `A = U · diag(sigma) · Vᵀ`.
@@ -38,165 +42,50 @@ pub struct SmallSvd {
     pub v: DenseMatrix,
 }
 
-/// Off-diagonal threshold below which a pair is skipped (relative to the
-/// geometric mean of the two column norms).
-const PAIR_EPS: f64 = 1e-14;
-/// A sweep whose largest relative off-diagonal stays below this has
-/// converged.
-const SWEEP_TOL: f64 = 1e-12;
-const MAX_SWEEPS: usize = 60;
+/// Relative eigenvalue threshold of [`eig_svd`]: a direction with
+/// `λ ≤ λ_max · RANK_TOL` is numerically dependent. `1e-10` on `λ = σ²`
+/// is `σ ≤ 1e-5 · σ_max`, the five `f32` digits the Gram–Schmidt QR's
+/// relative rank test demanded of a column. The `f64` Gram matrix of
+/// `f32` data resolves eigenvalues to ~1e-16 of `λ_max`, so the cut sits
+/// well above its noise; and lifting a kept direction divides by
+/// `σ ≥ 1e-5 · σ_max`, which amplifies the `f32` GEMM's rounding at most
+/// ~1e5-fold — the second pass of the orthonormaliser removes that.
+pub const RANK_TOL: f64 = 1e-10;
 
-/// The disjoint column pairs of round `round` (0-based, `< slots − 1`)
-/// of the round-robin tournament over `n` columns. `slots` is `n`
-/// rounded up to even; pairs touching the dummy slot are dropped, so odd
-/// `n` simply sits one column out per round. Over the `slots − 1` rounds
-/// of a sweep every unordered pair meets exactly once (the circle
-/// method), independent of data and thread count.
-fn round_robin_pairs(n: usize, round: usize) -> Vec<(usize, usize)> {
-    let slots = n + (n & 1);
-    if slots < 2 {
-        return Vec::new();
-    }
-    let rot = slots - 1; // players 0..slots-2 rotate; player slots-1 is fixed
-    let player = |pos: usize| (pos + round) % rot;
-    let mut pairs = Vec::with_capacity(slots / 2);
-    let (a, b) = (player(0), slots - 1);
-    if a < n && b < n {
-        pairs.push((a, b));
-    }
-    for k in 1..slots / 2 {
-        let (a, b) = (player(k), player(rot - k));
-        if a < n && b < n {
-            pairs.push((a, b));
-        }
-    }
-    pairs
-}
-
-/// Splits two length-`len` columns `p` and `q` out of a flat
-/// column-major buffer, returned in `(p, q)` order.
-fn pair_slices(buf: &mut [f64], len: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
-    let (lo, hi) = (p.min(q), p.max(q));
-    let (head, tail) = buf.split_at_mut(hi * len);
-    let a = &mut head[lo * len..(lo + 1) * len];
-    let b = &mut tail[..len];
-    if p < q {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Computes the Jacobi rotation for one column pair and applies it to
-/// the data columns and the accumulated right-vector columns. Returns
-/// the pre-rotation relative off-diagonal (0 when the pair was skipped).
-fn rotate_pair(cp: &mut [f64], cq: &mut [f64], vp: &mut [f64], vq: &mut [f64]) -> f64 {
-    let (alpha, beta, gamma) = kernels::gram2(cp, cq);
-    let denom = (alpha * beta).sqrt();
-    if denom <= 0.0 || gamma.abs() <= PAIR_EPS * denom {
-        return 0.0;
-    }
-    // Rotation angle zeroing the (p,q) off-diagonal of AᵀA.
-    let zeta = (beta - alpha) / (2.0 * gamma);
-    let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    let s = c * t;
-    kernels::rot2(cp, cq, c, s);
-    kernels::rot2(vp, vq, c, s);
-    gamma.abs() / denom
-}
-
-/// Computes the thin SVD of `a` (`m × n`, requires `m ≥ n`).
+/// Thin SVD of a tall matrix `x` (`n × k`) through its Gram matrix: `u`
+/// is `n × k`, `sigma` has `k` entries, descending, and `v` is `k × k`.
+/// Directions below [`RANK_TOL`] (all of them for a zero matrix) get
+/// `σ = 0` and a zero column of `u`, placed last; `v` keeps their unit
+/// eigenvectors, so it is always orthogonal.
 ///
-/// # Panics
-/// Panics if `m < n` (transpose first; the caller in this workspace always
-/// has a square matrix).
-pub fn jacobi_svd(a: &DenseMatrix) -> SmallSvd {
-    let (m, n) = (a.rows(), a.cols());
-    assert!(m >= n, "jacobi_svd requires rows >= cols");
-    if n == 0 {
-        return SmallSvd {
-            u: DenseMatrix::zeros(m, 0),
-            sigma: Vec::new(),
-            v: DenseMatrix::zeros(0, 0),
-        };
-    }
-
-    // Flat column-major f64 working copies: `cols[j·m + i] = a[i][j]`,
-    // `v[j·n + i] = V[i][j]` (started at the identity).
-    let mut cols = vec![0.0f64; n * m];
-    for (j, col) in cols.chunks_exact_mut(m).enumerate() {
-        for (i, x) in col.iter_mut().enumerate() {
-            *x = a.get(i, j) as f64;
+/// Accuracy is that of the normal equations: a singular vector with
+/// `σᵢ` carries an error of ~`ε_f32 · √k · σ_max / σᵢ`, which is ample
+/// for the spans the randomized SVD and propagation need.
+pub fn eig_svd(x: &DenseMatrix) -> SmallSvd {
+    let k = x.cols();
+    let gram = kernels::gram_tn(x.as_slice(), k, x.as_slice(), k);
+    let eig = sym_eig(&gram, k);
+    let floor = eig.values.first().map_or(0.0, |&top| top * RANK_TOL);
+    let mut sigma = vec![0.0f32; k];
+    let mut v = DenseMatrix::zeros(k, k);
+    let mut lift = DenseMatrix::zeros(k, k); // V Σ⁻¹
+    for (i, (vec, &lambda)) in eig.vectors.chunks_exact(k.max(1)).zip(&eig.values).enumerate() {
+        // NaN compares false: a NaN direction is dropped too.
+        let s = if lambda > floor { lambda.sqrt() } else { 0.0 };
+        sigma[i] = s as f32;
+        let inv = if s > 0.0 { 1.0 / s } else { 0.0 };
+        for (j, &c) in vec.iter().enumerate() {
+            v.set(j, i, c as f32);
+            lift.set(j, i, (c * inv) as f32);
         }
     }
-    let mut v = vec![0.0f64; n * n];
-    for j in 0..n {
-        v[j * n + j] = 1.0;
-    }
-
-    // The tournament schedule depends only on `n`: build it once.
-    let slots = n + (n & 1);
-    let schedule: Vec<Vec<(usize, usize)>> =
-        (0..slots.saturating_sub(1)).map(|r| round_robin_pairs(n, r)).collect();
-
-    for _sweep in 0..MAX_SWEEPS {
-        let mut off = 0.0f64;
-        for pairs in &schedule {
-            // The round's rotations touch disjoint columns; run them in
-            // the schedule's fixed pair order.
-            for &(p, q) in pairs {
-                let (cp, cq) = pair_slices(&mut cols, m, p, q);
-                let (vp, vq) = pair_slices(&mut v, n, p, q);
-                off = off.max(rotate_pair(cp, cq, vp, vq));
-            }
-        }
-        if off < SWEEP_TOL {
-            break;
-        }
-    }
-
-    // Extract singular values (column norms), sort descending (stable:
-    // ties keep ascending column order).
-    let norms: Vec<f64> =
-        cols.chunks_exact(m).map(|c| c.iter().map(|x| x * x).sum::<f64>().sqrt()).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    // The norms are sums of squares (+0.0, never -0.0, in a non-empty
-    // column), where `total_cmp` orders as `partial_cmp` does.
-    order.sort_by(|&i, &j| norms[j].total_cmp(&norms[i]));
-
-    let mut u = DenseMatrix::zeros(m, n);
-    let mut vm = DenseMatrix::zeros(n, n);
-    let mut sigma = vec![0.0f32; n];
-    for (jj, &j) in order.iter().enumerate() {
-        let s = norms[j];
-        sigma[jj] = s as f32;
-        if s > 0.0 {
-            for (i, &x) in cols[j * m..(j + 1) * m].iter().enumerate() {
-                u.set(i, jj, (x / s) as f32);
-            }
-        }
-        for (i, &x) in v[j * n..(j + 1) * n].iter().enumerate() {
-            vm.set(i, jj, x as f32);
-        }
-    }
-    SmallSvd { u, sigma, v: vm }
+    SmallSvd { u: x.matmul(&lift), sigma, v }
 }
 
-/// Thin SVD of a tall matrix (`n × d`, `n ≫ d`) via the Gram-matrix
-/// method: Jacobi-diagonalize `YᵀY = V Σ² Vᵀ` (a `d × d` problem) and lift
-/// `U = Y V Σ⁻¹`. This is how ProNE re-orthogonalizes the propagated
-/// embedding; accuracy is `O(κ²·ε)` which is ample for embedding purposes.
+/// Thin SVD of a tall matrix (`n × d`, `n ≫ d`): [`eig_svd`]. This is
+/// how ProNE re-orthogonalizes the propagated embedding.
 pub fn tall_thin_svd(y: &DenseMatrix) -> SmallSvd {
-    let gram = y.gram_tn(y); // d × d, symmetric PSD
-    let gsvd = jacobi_svd(&gram);
-    // Eigenvalues of the Gram matrix are σ², eigenvectors are V.
-    let sigma: Vec<f32> = gsvd.sigma.iter().map(|&s| s.max(0.0).sqrt()).collect();
-    let v = gsvd.u; // for symmetric PSD input, U == V
-    let mut u = y.matmul(&v);
-    let inv: Vec<f32> = sigma.iter().map(|&s| if s > 1e-12 { 1.0 / s } else { 0.0 }).collect();
-    u.scale_columns(&inv);
-    SmallSvd { u, sigma, v }
+    eig_svd(y)
 }
 
 #[cfg(test)]
@@ -224,143 +113,35 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_schedule_meets_every_pair_once() {
-        for n in [2usize, 3, 4, 5, 8, 9, 48] {
-            let slots = n + (n & 1);
-            let mut met = vec![0u32; n * n];
-            for round in 0..slots - 1 {
-                let pairs = round_robin_pairs(n, round);
-                let mut used = vec![false; n];
-                for (p, q) in pairs {
-                    assert!(p != q && p < n && q < n);
-                    assert!(!used[p] && !used[q], "n={n} round={round}: column reused");
-                    used[p] = true;
-                    used[q] = true;
-                    let (lo, hi) = (p.min(q), p.max(q));
-                    met[lo * n + hi] += 1;
-                }
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    assert_eq!(met[p * n + q], 1, "n={n}: pair ({p},{q}) met wrong count");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diagonal_matrix_svd() {
-        let a = DenseMatrix::from_rows(&[&[3.0, 0.0], &[0.0, 7.0]]);
-        let svd = jacobi_svd(&a);
-        assert!((svd.sigma[0] - 7.0).abs() < 1e-5);
-        assert!((svd.sigma[1] - 3.0).abs() < 1e-5);
-        assert!(reconstruct(&svd).max_abs_diff(&a) < 1e-5);
-    }
-
-    #[test]
-    fn random_square_reconstruction() {
-        for seed in 0..5 {
-            let a = DenseMatrix::gaussian(32, 32, seed);
-            let svd = jacobi_svd(&a);
-            let diff = reconstruct(&svd).max_abs_diff(&a);
-            assert!(diff < 1e-3, "seed {seed}: reconstruction error {diff}");
-            assert_orthonormal(&svd.u, 1e-4);
-            assert_orthonormal(&svd.v, 1e-4);
-            // Descending order.
-            assert!(svd.sigma.windows(2).all(|w| w[0] >= w[1] - 1e-6));
-        }
-    }
-
-    #[test]
-    fn odd_dimension_reconstruction() {
-        // Odd n exercises the dummy tournament slot.
-        for n in [3usize, 7, 17] {
-            let a = DenseMatrix::gaussian(n + 2, n, 100 + n as u64);
-            let svd = jacobi_svd(&a);
-            let diff = reconstruct(&svd).max_abs_diff(&a);
-            assert!(diff < 1e-3, "n {n}: reconstruction error {diff}");
-            assert_orthonormal(&svd.v, 1e-4);
-        }
-    }
-
-    #[test]
-    fn tall_matrix_reconstruction() {
-        let a = DenseMatrix::gaussian(50, 10, 3);
-        let svd = jacobi_svd(&a);
-        assert!(reconstruct(&svd).max_abs_diff(&a) < 1e-3);
-        assert_orthonormal(&svd.u, 1e-4);
-    }
-
-    #[test]
-    fn rank_one_matrix() {
-        // a = 2 * u v^T with unit u,v: single nonzero singular value 2·||u||·||v||.
-        let mut a = DenseMatrix::zeros(4, 3);
-        let u = [0.5f32, 0.5, 0.5, 0.5];
-        let v = [1.0f32 / 3.0f32.sqrt(); 3];
-        for (i, &ui) in u.iter().enumerate() {
-            for (j, &vj) in v.iter().enumerate() {
-                a.set(i, j, 2.0 * ui * vj);
-            }
-        }
-        let svd = jacobi_svd(&a);
-        assert!((svd.sigma[0] - 2.0).abs() < 1e-5, "{:?}", svd.sigma);
-        assert!(svd.sigma[1].abs() < 1e-5);
-        assert!(svd.sigma[2].abs() < 1e-5);
-    }
-
-    #[test]
-    fn singular_values_match_eigendecomposition_of_gram() {
-        // For symmetric PSD A, singular values = eigenvalues; check against
-        // a hand-built spectrum via Q diag(λ) Qᵀ.
-        let mut q = DenseMatrix::gaussian(6, 6, 17);
-        crate::qr::orthonormalize_columns(&mut q);
-        let lambda = [9.0f32, 5.0, 3.0, 2.0, 1.0, 0.5];
-        let mut ql = q.clone();
-        ql.scale_columns(&lambda);
-        let a = ql.matmul(&q.transpose());
-        let svd = jacobi_svd(&a);
-        for (got, want) in svd.sigma.iter().zip(lambda.iter()) {
-            assert!((got - want).abs() < 1e-3, "sigma {got} want {want}");
-        }
-    }
-
-    #[test]
-    fn zero_matrix() {
-        let a = DenseMatrix::zeros(5, 5);
-        let svd = jacobi_svd(&a);
-        assert!(svd.sigma.iter().all(|&s| s == 0.0));
-    }
-
-    #[test]
-    fn one_by_one_and_empty() {
-        let a = DenseMatrix::from_vec(1, 1, vec![-3.0]);
-        let svd = jacobi_svd(&a);
-        assert!((svd.sigma[0] - 3.0).abs() < 1e-7);
-        assert!(reconstruct(&svd).max_abs_diff(&a) < 1e-6);
-
-        let e = jacobi_svd(&DenseMatrix::zeros(4, 0));
-        assert_eq!(e.u.rows(), 4);
-        assert_eq!(e.u.cols(), 0);
-        assert!(e.sigma.is_empty());
-    }
-
-    #[test]
     fn tall_thin_svd_reconstructs() {
         let y = DenseMatrix::gaussian(800, 6, 21);
         let svd = tall_thin_svd(&y);
         assert!(reconstruct(&svd).max_abs_diff(&y) < 2e-3);
         assert_orthonormal(&svd.u, 2e-3);
-        assert!(svd.sigma.windows(2).all(|w| w[0] >= w[1] - 1e-4));
+        assert_orthonormal(&svd.v, 1e-5);
+        assert!(svd.sigma.windows(2).all(|w| w[0] >= w[1]));
     }
 
     #[test]
-    fn tall_thin_svd_matches_jacobi_on_small_input() {
+    fn eig_svd_matches_reference_jacobi() {
         let y = DenseMatrix::gaussian(40, 5, 22);
-        let a = tall_thin_svd(&y);
-        let b = jacobi_svd(&y);
+        let a = eig_svd(&y);
+        let b = crate::reference::jacobi_svd(&y);
         for (x, z) in a.sigma.iter().zip(&b.sigma) {
-            assert!((x - z).abs() < 1e-2 * z.max(1.0), "{x} vs {z}");
+            assert!((x - z).abs() < 1e-5 * z.max(1.0), "{x} vs {z}");
         }
+    }
+
+    #[test]
+    fn diagonal_and_one_column() {
+        let a = DenseMatrix::from_rows(&[&[3.0, 0.0], &[0.0, 7.0], &[0.0, 0.0]]);
+        let svd = eig_svd(&a);
+        assert!((svd.sigma[0] - 7.0).abs() < 1e-6 && (svd.sigma[1] - 3.0).abs() < 1e-6);
+        assert!(reconstruct(&svd).max_abs_diff(&a) < 1e-6);
+        let c = DenseMatrix::from_vec(3, 1, vec![0.0, -2.0, 0.0]);
+        let svd = eig_svd(&c);
+        assert!((svd.sigma[0] - 2.0).abs() < 1e-6);
+        assert!(reconstruct(&svd).max_abs_diff(&c) < 1e-7);
     }
 
     #[test]
@@ -372,16 +153,28 @@ mod tests {
     }
 
     #[test]
-    fn tall_thin_svd_rank_deficient() {
-        // Two identical columns → one zero singular value, zeroed U column.
-        let g = DenseMatrix::gaussian(100, 1, 23);
-        let mut y = DenseMatrix::zeros(100, 2);
+    fn zero_matrix_gives_zero_columns() {
+        let svd = eig_svd(&DenseMatrix::zeros(5, 3));
+        assert_eq!(svd.sigma, vec![0.0; 3]);
+        assert!(svd.u.as_slice().iter().all(|&x| x == 0.0));
+        assert_orthonormal(&svd.v, 1e-6);
+    }
+
+    #[test]
+    fn rank_deficient_directions_come_last_as_zero_columns() {
+        // Column 0 twice, then an independent column: one exact
+        // dependence, so the last singular value is 0 and its U column
+        // is zero.
+        let g = DenseMatrix::gaussian(100, 2, 23);
+        let mut y = DenseMatrix::zeros(100, 3);
         for i in 0..100 {
             y.set(i, 0, g.get(i, 0));
-            y.set(i, 1, g.get(i, 0));
+            y.set(i, 1, g.get(i, 1));
+            y.set(i, 2, g.get(i, 0));
         }
         let svd = tall_thin_svd(&y);
-        assert!(svd.sigma[1] < 1e-2 * svd.sigma[0]);
+        assert!(svd.sigma[1] > 0.0 && svd.sigma[2] == 0.0, "{:?}", svd.sigma);
+        assert!((0..100).all(|i| svd.u.get(i, 2) == 0.0));
         assert!(reconstruct(&svd).max_abs_diff(&y) < 2e-3);
     }
 }

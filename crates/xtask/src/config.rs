@@ -77,7 +77,7 @@ pub const ANALYZE_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/linalg/src/rsvd.rs", "randomized_svd"),
     ("crates/linalg/src/kernels.rs", "gemm"),
     ("crates/linalg/src/qr.rs", "orthonormalize_columns"),
-    ("crates/linalg/src/svd.rs", "jacobi_svd"),
+    ("crates/linalg/src/svd.rs", "eig_svd"),
     ("crates/linalg/src/svd.rs", "tall_thin_svd"),
 ];
 

@@ -23,7 +23,7 @@ fn judge(gate: &str, report: &str, baseline: &str) -> (Vec<String>, bool) {
 fn committed_baselines_pass_their_own_gate() {
     // Catches drift between the table's keys and the bench bins' keys.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for (gate, rules) in [("linalg", 11), ("graph", 5), ("quality", 23), ("analysis", 9)] {
+    for (gate, rules) in [("linalg", 12), ("graph", 5), ("quality", 23), ("analysis", 9)] {
         let (path, rows) = table(gate).expect("known gate");
         let base = Report::from_file(&root.join(path)).expect("committed baseline parses");
         let (lines, failed) = evaluate(rows, &base, &base);
@@ -44,24 +44,24 @@ const CASES: &[(&str, &str, &[&str])] = &[
     ("graph", "graph_walk_slow.json", &["FAIL: walk_slowdown_best 6.5 is not <= 5.3"]),
     ("graph", "graph_build_slow.json", &["FAIL: csr_build_speedup 1.2 is not >= 1.5"]),
     ("analysis", "analysis_taint.json", &["FAIL: taint_unjustified 1 is not <= 0"]),
-    ("linalg", "linalg_qr_regressed.json", &["FAIL: qr_panel_gflops 3 vs baseline 4.812 (must be >= 0.75x)"]),
-    ("linalg", "linalg_two_threads_slower.json", &["FAIL: svd_t2_over_t1_worst 1.4 is not <= 1.15"]),
+    ("linalg", "linalg_qr_regressed.json", &["FAIL: orth_gflops 3 vs baseline 4.812 (must be >= 0.75x)"]),
+    ("linalg", "linalg_orth_slow.json", &["FAIL: orth_speedup 2.5 is not >= 3"]),
     ("analysis", "analysis_panic_grew.json", &["FAIL: panic_justified 52 vs baseline 51 (must be <= 1x)"]),
     ("quality", "quality_floor_drop.json", &["FAIL: youtube_linkpred_degree_auc 0.6 is below floor 0.6211"]),
     // A configuration mismatch skips, naming the key; smoke-size
     // gemm_speedup 1.6 passes its 1.25 row; gemm_hot_m equals the
     // baseline's, so that row runs — and passes beyond its band; the
-    // two-threads-vs-one row (1.31 here) is for the baseline's sizes.
+    // orthonormaliser's speedup row is for the baseline's sizes.
     ("linalg", "linalg_smoke_gemm_1_6.json", &[
         "skip: gemm_packed_gflops vs baseline (gemm_m differs from baseline)",
         "stale: gemm_hot_gflops 180 vs baseline 93.376 — re-record",
         "skip: gemm_scalar_gflops vs baseline (gemm_m differs from baseline)",
-        "skip: qr_panel_gflops vs baseline (qr_rows differs from baseline)",
+        "skip: orth_gflops vs baseline (orth_rows differs from baseline)",
         "skip: rsvd_blocked_gflops vs baseline (rsvd_n differs from baseline)",
     ]),
     ("graph", "graph_smoke.json", &["skip: v2_best_bits_per_edge vs baseline (scale differs from baseline)"]),
     // Schema drift fails instead of skipping.
-    ("linalg", "linalg_missing_key.json", &["FAIL: report has no qr_panel_gflops (schema drift?)"]),
+    ("linalg", "linalg_missing_key.json", &["FAIL: report has no orth_gflops (schema drift?)"]),
     // A subset run checks only its scenarios (next test), but needs one.
     ("quality", "quality_no_match.json", &["FAIL: scenario floors: no key of the report matches a baseline floor"]),
 ];
@@ -99,7 +99,7 @@ fn constant_floors_and_present_scenarios_are_still_checked() {
     // value that is not a number.
     let (lines, failed) = judge("linalg", "baseline_linalg.json", "linalg_missing_key.json");
     assert!(failed);
-    assert!(lines.iter().any(|l| l == "FAIL: baseline has no qr_panel_gflops (schema drift?)"));
+    assert!(lines.iter().any(|l| l == "FAIL: baseline has no orth_gflops (schema drift?)"));
     let bad = Report::from_json("{\n  \"x\": \"fast\"\n}").expect("balanced");
     let (lines, failed) =
         evaluate(&[Row { key: "x", rule: Rule::AtLeast(1.5), when: None }], &bad, &bad);

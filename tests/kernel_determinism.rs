@@ -4,25 +4,33 @@
 //!
 //! The blocked kernels promise that their output bytes depend only on
 //! the input, never on the rayon pool size: GEMM accumulates in fixed
-//! KC/MC/MR/NR blocks, QR uses fixed panel widths and dot-product block
-//! bracketing, and the Jacobi SVD runs every round on one thread in a
-//! fixed round-robin order that depends only on the column count.
+//! KC/MC/MR/NR blocks, the Gram product in fixed row blocks and output
+//! groups, and the symmetric eigensolver is sequential scalar code — so
+//! the Gram-matrix SVD, the orthonormaliser made of two of them and the
+//! randomized SVD inherit the guarantee.
 //!
 //! Everything lives in ONE test function on purpose: all tests in a
 //! binary share the global rayon pool, and this test resizes it
 //! mid-flight. Sizes are chosen to actually hit the parallel paths
-//! (several MC = 128 row blocks for GEMM, rows above the 2¹⁴
-//! `PAR_THRESHOLD` for QR); the Jacobi case checks that a wider pool
-//! leaves the sequential sweep's bytes alone.
+//! (several MC = 128 row blocks for GEMM, several 4096-row Gram blocks
+//! for the orthonormaliser); the eigensolver case checks that a wider
+//! pool leaves the sequential sweep's bytes alone.
 
+use lightne::linalg::eig::sym_eig;
+use lightne::linalg::kernels::gram_tn;
 use lightne::linalg::qr::orthonormalize_columns;
-use lightne::linalg::svd::jacobi_svd;
+use lightne::linalg::svd::eig_svd;
 use lightne::linalg::{randomized_svd, CsrMatrix, DenseMatrix, RsvdConfig};
 use lightne::utils::parallel::configure_threads;
 use lightne::utils::rng::XorShiftStream;
 
 fn bits(m: &DenseMatrix) -> Vec<u32> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// An `f64` slice's bit patterns, each as its high and low halves.
+fn f64_bits(v: &[f64]) -> Vec<u32> {
+    v.iter().flat_map(|x| [(x.to_bits() >> 32) as u32, x.to_bits() as u32]).collect()
 }
 
 fn sigma_bits(s: &[f32]) -> Vec<u32> {
@@ -57,15 +65,23 @@ fn run_all() -> Vec<(&'static str, Vec<u32>)> {
     let gb = DenseMatrix::gaussian(9_000, 36, 7);
     let gram = bits(&ga.gram_tn(&gb));
 
-    // QR: rows above PAR_THRESHOLD so par_dot/par_axpy actually split.
+    // Orthonormaliser: 20 000 rows = five 4096-row Gram blocks and
+    // 157 GEMM row blocks per pass.
     let mut q = DenseMatrix::gaussian(20_000, 24, 3);
     orthonormalize_columns(&mut q);
     let qr = bits(&q);
 
-    // Jacobi: 130 columns, an even tournament over more columns than the
-    // rSVD's 128-dimension runs; its bytes must not follow the pool size.
-    let small = DenseMatrix::gaussian(130, 130, 4);
-    let svd = jacobi_svd(&small);
+    // Gram-matrix SVD of a tall matrix with an exact dependence (the
+    // zero column), and the eigensolver on a 130 × 130 Gram matrix —
+    // more columns than the rSVD's 128-dimension runs.
+    let mut t = DenseMatrix::gaussian(9_000, 33, 4);
+    for i in 0..9_000 {
+        let dup = t.get(i, 5);
+        t.set(i, 20, dup);
+    }
+    let svd = eig_svd(&t);
+    let w = DenseMatrix::gaussian(400, 130, 8);
+    let eig = sym_eig(&gram_tn(w.as_slice(), 130, w.as_slice(), 130), 130);
 
     // End-to-end randomized SVD over a sparsifier-shaped matrix.
     let m = sparse_symmetric(5_000, 12, 5);
@@ -74,9 +90,12 @@ fn run_all() -> Vec<(&'static str, Vec<u32>)> {
     vec![
         ("gemm", gemm),
         ("gram_tn", gram),
-        ("panel qr", qr),
-        ("jacobi U", bits(&svd.u)),
-        ("jacobi sigma", sigma_bits(&svd.sigma)),
+        ("orthonormalize", qr),
+        ("eig_svd U", bits(&svd.u)),
+        ("eig_svd sigma", sigma_bits(&svd.sigma)),
+        ("eig_svd V", bits(&svd.v)),
+        ("sym_eig values", f64_bits(&eig.values)),
+        ("sym_eig vectors", f64_bits(&eig.vectors)),
         ("rsvd U", bits(&r.u)),
         ("rsvd sigma", sigma_bits(&r.sigma)),
     ]

@@ -1,20 +1,19 @@
 //! Property tests pinning the register-blocked kernels (packed GEMM,
-//! panel BCGS2 QR, blocked round-robin Jacobi SVD, cache-blocked
-//! transpose) against the pre-blocking naive implementations kept in
-//! [`lightne::linalg::reference`].
+//! tiled Gram product, the Gram-matrix SVD and the orthonormaliser built
+//! on it, cache-blocked transpose) against the pre-blocking naive
+//! implementations kept in [`lightne::linalg::reference`].
 //!
 //! The blocked kernels use different summation bracketing than the naive
 //! loops, so results match up to f32 rounding, not bitwise — except the
 //! transpose, which only moves values, and the register-tiled Gram
-//! product and multi-dot projection coefficients, which keep their
-//! oracles' per-element order of additions. Shapes deliberately straddle the
-//! tile boundaries of the packed GEMM (MR = 4, NR = 16, KC = 256,
-//! MC = 128) and the QR panel width (16), where packing tail handling
+//! product, which keeps its oracle's per-element order of additions.
+//! Shapes deliberately straddle the tile boundaries of the packed GEMM
+//! (MR = 4, NR = 16, KC = 256, MC = 128), where packing tail handling
 //! lives.
 
 use lightne::linalg::qr::orthonormalize_columns;
 use lightne::linalg::simd::{detected_tier, set_tier, SimdTier};
-use lightne::linalg::svd::jacobi_svd;
+use lightne::linalg::svd::eig_svd;
 use lightne::linalg::{reference, DenseMatrix};
 
 /// Absolute tolerance for comparing two f32 summations of `k` products
@@ -111,33 +110,36 @@ fn simd_gemm_matches_scalar_at_tile_boundaries() {
 }
 
 #[test]
-fn simd_qr_and_jacobi_match_scalar_bitwise() {
+fn simd_eig_svd_matches_scalar() {
     let _serial = TIER_LOCK.lock().unwrap();
-    // Everything except GEMM keeps scalar evaluation order on the SIMD
-    // tiers (f32→f64 widening makes `fmadd_pd` exact; the elementwise
-    // kernels use separate mul+add), so QR and the Jacobi SVD are
-    // *bitwise* identical across dispatch paths. 20 columns straddles
-    // the QR panel width (16); 37 columns exercises the rot2/gram2
-    // 4-lane and GRAM_LANES tails.
+    // The Gram product is bitwise identical across dispatch paths (f32→f64
+    // widening makes `fmadd_pd` exact) and the eigensolver is scalar
+    // code, so the singular values and right vectors of the Gram-matrix
+    // SVD are *bitwise* the scalar tier's. Its left vectors come out of
+    // the packed GEMM, whose FMA micro-kernels hold the scalar tier to
+    // summation tolerance; so does the orthonormaliser, whose second pass
+    // then diagonalises a Gram matrix near the identity — the basis may
+    // rotate within the span, so the span and the rank are compared.
+    // 37 columns straddle the GEMM's 16-column strips and the Gram's
+    // 4-row tiles.
     let x = DenseMatrix::gaussian(1000, 20, 97);
-    let j = DenseMatrix::gaussian(48, 37, 98);
+    let j = DenseMatrix::gaussian(480, 37, 98);
     set_tier(SimdTier::Scalar);
     let mut q_scalar = x.clone();
-    orthonormalize_columns(&mut q_scalar);
-    let svd_scalar = jacobi_svd(&j);
+    let rank_scalar = orthonormalize_columns(&mut q_scalar);
+    let svd_scalar = eig_svd(&j);
     for_each_simd_tier(|tier| {
         let mut q = x.clone();
-        orthonormalize_columns(&mut q);
-        for (a, b) in q.as_slice().iter().zip(q_scalar.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "QR bytes differ on {}", tier.name());
-        }
-        let svd = jacobi_svd(&j);
+        assert_eq!(orthonormalize_columns(&mut q), rank_scalar, "rank on {}", tier.name());
+        let span_err = q_scalar.matmul(&q_scalar.gram_tn(&q)).max_abs_diff(&q);
+        assert!(span_err < 1e-5, "QR span differs on {} by {span_err}", tier.name());
+        let svd = eig_svd(&j);
+        assert_eq!(bits(&svd.v), bits(&svd_scalar.v), "V bytes differ on {}", tier.name());
         for (a, b) in svd.sigma.iter().zip(&svd_scalar.sigma) {
             assert_eq!(a.to_bits(), b.to_bits(), "sigma bytes differ on {}", tier.name());
         }
-        for (a, b) in svd.u.as_slice().iter().zip(svd_scalar.u.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "U bytes differ on {}", tier.name());
-        }
+        let diff = svd.u.max_abs_diff(&svd_scalar.u);
+        assert!(diff < 1e-5, "U differs on {} by {diff}", tier.name());
     });
 }
 
@@ -200,29 +202,6 @@ fn tiled_gram_tn_matches_reference_bitwise() {
 }
 
 #[test]
-fn multi_dot_proj_coef_matches_per_pair_dots_bitwise() {
-    use lightne::linalg::kernels::{dot_f64, proj_coef};
-    let _serial = TIER_LOCK.lock().unwrap();
-    // Panel widths that leave 1, 2 and 3 rows past the last group of four;
-    // lengths around the 32 accumulator lanes and one past several groups.
-    for len in [1usize, 31, 32, 33, 8000] {
-        for (ndone, nb) in [(5usize, 7usize), (3, 6), (16, 17), (2, 3)] {
-            let done = DenseMatrix::gaussian(ndone, len, 77 + (len + nb) as u64);
-            let panel = DenseMatrix::gaussian(nb, len, 78 + (len * 3 + ndone) as u64);
-            set_tier(SimdTier::Scalar);
-            let want: Vec<u64> = (0..ndone * nb)
-                .map(|i| dot_f64(done.row(i / nb), panel.row(i % nb)).to_bits())
-                .collect();
-            for_each_tier_and_thread_count(|at| {
-                let coef = proj_coef(done.as_slice(), panel.as_slice(), ndone, nb, len);
-                let got: Vec<u64> = coef.iter().map(|c| c.to_bits()).collect();
-                assert_eq!(got, want, "{ndone} finished × {nb} panel rows of {len}: {at}");
-            });
-        }
-    }
-}
-
-#[test]
 fn packed_gemm_no_longer_skips_explicit_zeros() {
     // The reference kernel had an `a != 0.0` branch; the packed kernel
     // must produce the same result on zero-heavy inputs (including the
@@ -262,9 +241,10 @@ fn blocked_transpose_matches_naive_bitwise() {
 
 #[test]
 fn panel_qr_matches_reference_rank_and_span() {
-    // Column counts around the QR panel width (16) ± 1; the panel QR and
-    // the sequential reference MGS must agree on rank, produce
-    // orthonormal columns, and span the same subspace.
+    // Column counts around the GEMM strip width (16) ± 1; the two-pass
+    // Gram-matrix orthonormaliser and the sequential reference MGS must
+    // agree on rank, produce orthonormal columns, and span the same
+    // subspace.
     for d in [1usize, 15, 16, 17, 33] {
         let orig = DenseMatrix::gaussian(400, d, 7 + d as u64);
         let mut q_blocked = orig.clone();
@@ -295,72 +275,142 @@ fn panel_qr_matches_reference_rank_and_span() {
 
 #[test]
 fn panel_qr_rank_deficiency_matches_reference() {
-    // A dependency spanning the panel boundary: column 18 = column 1 +
-    // column 2, with d = 20 > QR_PANEL = 16. Both implementations must
-    // report the same rank and zero the same column.
+    // Column 18 = column 1 + column 2, with d = 20. Both implementations
+    // must report the same rank and span the same space; the reference
+    // MGS zeroes the dependent column in place, the Gram-matrix
+    // orthonormaliser returns its zero column last.
     let d = 20;
     let g = DenseMatrix::gaussian(300, d, 19);
     let mut x = g.clone();
     for i in 0..300 {
         x.set(i, 18, g.get(i, 1) + g.get(i, 2));
     }
-    let mut q_blocked = x.clone();
+    let mut q = x.clone();
     let mut q_ref = x.clone();
-    assert_eq!(orthonormalize_columns(&mut q_blocked), d - 1);
+    assert_eq!(orthonormalize_columns(&mut q), d - 1);
     assert_eq!(reference::orthonormalize_columns(&mut q_ref), d - 1);
     for i in 0..300 {
-        assert_eq!(q_blocked.get(i, 18), 0.0);
+        assert_eq!(q.get(i, d - 1), 0.0);
         assert_eq!(q_ref.get(i, 18), 0.0);
+    }
+    let span_err = q.matmul(&q.gram_tn(&q_ref)).max_abs_diff(&q_ref);
+    assert!(span_err < 1e-4, "span differs from the reference by {span_err}");
+}
+
+/// `max |QᵀQ − I|` over the first `rank` columns, and whether every
+/// column after them is exactly zero.
+fn orthonormality(q: &DenseMatrix, rank: usize) -> (f32, bool) {
+    let g = q.gram_tn(q);
+    let mut err = 0.0f32;
+    for i in 0..rank {
+        for j in 0..rank {
+            err = err.max((g.get(i, j) - if i == j { 1.0 } else { 0.0 }).abs());
+        }
+    }
+    let tail_zero = (0..q.rows()).all(|r| q.row(r)[rank..].iter().all(|&v| v == 0.0));
+    (err, tail_zero)
+}
+
+#[test]
+fn orthonormalize_graded_and_dependent_columns() {
+    // X = Q₁ diag(σ) Q₂ᵀ with σ log-spaced from 1 to 1/κ, d = 32.
+    let (n, d) = (2000usize, 32usize);
+    let mut left = DenseMatrix::gaussian(n, d, 61);
+    let mut right = DenseMatrix::gaussian(d, d, 62);
+    reference::orthonormalize_columns(&mut left);
+    reference::orthonormalize_columns(&mut right);
+    for kappa in [1.0f64, 1e3, 1e6] {
+        let sigma: Vec<f32> =
+            (0..d).map(|i| kappa.powf(-(i as f64) / (d - 1) as f64) as f32).collect();
+        let mut ls = left.clone();
+        ls.scale_columns(&sigma);
+        let mut q = ls.matmul(&right.transpose());
+        let rank = orthonormalize_columns(&mut q);
+        // Every direction above the rank cut (σ > 1e-5·σ_max) survives.
+        let above = sigma.iter().filter(|&&s| s > 1e-5).count();
+        assert!((above..=d).contains(&rank), "κ = {kappa:e}: rank {rank}, {above} above the cut");
+        if kappa < 1e5 {
+            assert_eq!(rank, d, "κ = {kappa:e}");
+        }
+        let (err, tail_zero) = orthonormality(&q, rank);
+        assert!(err <= 1e-5, "κ = {kappa:e}: |QᵀQ − I| = {err:e}");
+        assert!(tail_zero, "κ = {kappa:e}: nonzero column past the rank");
+    }
+
+    // Exact dependences: duplicated columns, zero columns, all zero.
+    let g = DenseMatrix::gaussian(500, 6, 63);
+    let pick = |cols: &[Option<usize>]| {
+        let mut x = DenseMatrix::zeros(500, cols.len());
+        for i in 0..500 {
+            for (j, c) in cols.iter().enumerate() {
+                x.set(i, j, c.map_or(0.0, |c| g.get(i, c)));
+            }
+        }
+        x
+    };
+    let cases: [(&[Option<usize>], usize); 4] = [
+        (&[Some(0), Some(1), Some(0), Some(2), Some(1)], 3),
+        (&[None, Some(3), None, Some(4)], 2),
+        (&[Some(5), None, Some(5), None, Some(5)], 1),
+        (&[None, None, None], 0),
+    ];
+    for (cols, want) in cases {
+        let mut q = pick(cols);
+        let rank = orthonormalize_columns(&mut q);
+        assert_eq!(rank, want, "{cols:?}");
+        let (err, tail_zero) = orthonormality(&q, rank);
+        assert!(err <= 1e-5 && tail_zero, "{cols:?}: |QᵀQ − I| = {err:e}, zero tail {tail_zero}");
     }
 }
 
 #[test]
-fn blocked_jacobi_matches_reference_singular_values() {
-    // Sweep orders differ (round-robin vs cyclic), but both converge to
-    // the same singular values; adversarial cases: odd n (dummy slot),
-    // 1×1, rank-deficient, tall. 256 × 256 is the size
-    // `bench_linalg_json` times.
+fn eig_svd_matches_reference_singular_values() {
+    // Square and tall Gaussian matrices, 1×1 to the 256 × 256
+    // `bench_linalg_json` times: the singular values of the Gram-matrix
+    // SVD match the reference Jacobi's, and the factors reconstruct the
+    // input.
     let cases =
         [(1usize, 1usize, 1u64), (7, 7, 2), (16, 16, 3), (40, 33, 4), (48, 48, 5), (256, 256, 6)];
     for (m, n, seed) in cases {
         let a = DenseMatrix::gaussian(m, n, seed);
-        let blocked = jacobi_svd(&a);
+        let ours = eig_svd(&a);
         let naive = reference::jacobi_svd(&a);
-        assert_eq!(blocked.sigma.len(), naive.sigma.len());
-        for (i, (x, y)) in blocked.sigma.iter().zip(&naive.sigma).enumerate() {
+        assert_eq!(ours.sigma.len(), naive.sigma.len());
+        for (i, (x, y)) in ours.sigma.iter().zip(&naive.sigma).enumerate() {
             assert!(
-                (x - y).abs() < 1e-3 * y.max(1.0),
+                (x - y).abs() < 1e-4 * naive.sigma[0],
                 "{m}x{n} seed {seed}: sigma[{i}] {x} vs {y}"
             );
         }
-        // Both must reconstruct the input.
-        let mut us = blocked.u.clone();
-        us.scale_columns(&blocked.sigma);
-        let recon = us.matmul(&blocked.v.transpose());
+        let mut us = ours.u.clone();
+        us.scale_columns(&ours.sigma);
+        let recon = us.matmul(&ours.v.transpose());
         let diff = recon.max_abs_diff(&a);
         assert!(diff < 1e-3, "{m}x{n} seed {seed}: reconstruction error {diff}");
     }
 }
 
 #[test]
-fn blocked_jacobi_rank_deficient_matches_reference() {
-    // Rank-2 matrix embedded in 12 columns: trailing singular values are
-    // zero in both implementations.
+fn eig_svd_rank_deficient_matches_reference() {
+    // Rank-2 matrix embedded in 12 columns: the leading singular values
+    // agree with the reference; the trailing ones are exactly zero, with
+    // zero left vectors.
     let base = DenseMatrix::gaussian(30, 2, 6);
     let mix = DenseMatrix::gaussian(2, 12, 7);
     let a = base.matmul(&mix);
-    let blocked = jacobi_svd(&a);
+    let ours = eig_svd(&a);
     let naive = reference::jacobi_svd(&a);
     for i in 0..2 {
         assert!(
-            (blocked.sigma[i] - naive.sigma[i]).abs() < 1e-2 * naive.sigma[i].max(1.0),
+            (ours.sigma[i] - naive.sigma[i]).abs() < 1e-4 * naive.sigma[0],
             "sigma[{i}]: {} vs {}",
-            blocked.sigma[i],
+            ours.sigma[i],
             naive.sigma[i]
         );
     }
     for i in 2..12 {
-        assert!(blocked.sigma[i] < 1e-3 * blocked.sigma[0], "sigma[{i}] not ~0");
+        assert_eq!(ours.sigma[i], 0.0, "sigma[{i}]");
+        assert!((0..30).all(|r| ours.u.get(r, i) == 0.0), "U column {i}");
     }
 }
 

@@ -8,7 +8,8 @@
 use lightne::gen::alias::AliasTable;
 use lightne::graph::{Codec, GraphBuilder, V2Graph, WeightedGraph};
 use lightne::hash::{EdgeAggregator, ShardedEdgeTable};
-use lightne::linalg::svd::jacobi_svd;
+use lightne::linalg::reference;
+use lightne::linalg::svd::eig_svd;
 use lightne::linalg::{CsrMatrix, DenseMatrix};
 use lightne::utils::parallel::parallel_prefix_sum;
 use lightne::utils::rng::XorShiftStream;
@@ -174,7 +175,9 @@ fn spmm_linearity() {
     }
 }
 
-/// Jacobi SVD reconstructs any small matrix with orthonormal factors.
+/// The reference Jacobi SVD — the oracle of the kernel property tests
+/// and of the randomized SVD's accuracy envelope — reconstructs any
+/// small matrix with orthonormal factors.
 #[test]
 fn jacobi_svd_reconstructs() {
     for case in 0..CASES {
@@ -182,7 +185,7 @@ fn jacobi_svd_reconstructs() {
         let seed = rng.bounded(500);
         let n = 2 + rng.bounded_usize(8);
         let a = DenseMatrix::gaussian(n + 2, n, seed);
-        let svd = jacobi_svd(&a);
+        let svd = reference::jacobi_svd(&a);
         let mut us = svd.u.clone();
         us.scale_columns(&svd.sigma);
         let recon = us.matmul(&svd.v.transpose());
@@ -190,6 +193,28 @@ fn jacobi_svd_reconstructs() {
         // singular values sorted and non-negative
         assert!(svd.sigma.iter().all(|&s| s >= 0.0), "case {case}");
         assert!(svd.sigma.windows(2).all(|w| w[0] >= w[1] - 1e-5), "case {case}");
+    }
+}
+
+/// The Gram-matrix SVD reconstructs any tall matrix, with singular
+/// values sorted, non-negative and equal to the oracle's.
+#[test]
+fn eig_svd_reconstructs() {
+    for case in 0..CASES {
+        let mut rng = XorShiftStream::new(0xE16, case);
+        let seed = rng.bounded(500);
+        let n = 1 + rng.bounded_usize(12);
+        let a = DenseMatrix::gaussian(n + 1 + rng.bounded_usize(40), n, seed);
+        let svd = eig_svd(&a);
+        let mut us = svd.u.clone();
+        us.scale_columns(&svd.sigma);
+        let recon = us.matmul(&svd.v.transpose());
+        assert!(recon.max_abs_diff(&a) < 1e-4, "case {case}: n {n} seed {seed}");
+        assert!(svd.sigma.windows(2).all(|w| w[0] >= w[1]), "case {case}");
+        let oracle = reference::jacobi_svd(&a);
+        for (x, y) in svd.sigma.iter().zip(&oracle.sigma) {
+            assert!((x - y).abs() <= 1e-5 * oracle.sigma[0], "case {case}: {x} vs {y}");
+        }
     }
 }
 
