@@ -32,6 +32,14 @@
 //! `from_edges` builds, through the same row builder, sequentially — so
 //! `weighted_build_speedup` is the sort's and the parallel rows' gain.
 //!
+//! The `sample_*` rows time the sampling stage — `sample_into` into a
+//! `ShardedEdgeTable`, one trial per arc at window 10 — on CSR, on the
+//! weighted CSR of the build rows' edges and on an `arice` container, in
+//! million trials per second; the `sample_seq_*` rows run the same stage
+//! one arc at a time (`sample_into_lanes::<1>`, the loop the interleaved
+//! lanes replaced) on the two backends that walk sixteen arcs at once.
+//! They are informational, not gated.
+//!
 //! The graph is the largest classification profile (Friendster) scaled
 //! to the host; `--scale` / `--seed` come from the shared harness, and
 //! `PROFILE` / `RAND_PROBES` environment knobs override the dataset and
@@ -44,6 +52,9 @@ use lightne_graph::weighted::{fill_alias_row, AliasScratch, AliasSlot};
 use lightne_graph::{
     Codec, Graph, GraphAccess, GraphBuilder, V2Graph, VertexId, WeightedGraph, WeightedOps,
 };
+use lightne_hash::ShardedEdgeTable;
+use lightne_sparsifier::construct::{sample_into, sample_into_lanes};
+use lightne_sparsifier::{resolve_shards, SamplerConfig, SamplerError, SamplerStats};
 use lightne_utils::parallel::configure_threads;
 use lightne_utils::rng::XorShiftStream;
 use std::hint::black_box;
@@ -194,6 +205,29 @@ fn weighted_build_by_sort(n: usize, edges: &[(VertexId, VertexId, f32)]) -> f64 
     degrees.iter().sum()
 }
 
+/// Trials per second, in millions, of the sampling stage `sample` (one
+/// trial per arc, window 10, downsampling at the default `C`) into a
+/// table pre-sized for half a pair per trial, on the default pool: the
+/// fastest of `reps` runs, each into a fresh table built outside the
+/// timed region.
+fn sample_msamples_per_sec<G: WeightedOps>(
+    g: &G,
+    seed: u64,
+    reps: usize,
+    sample: impl Fn(&G, &SamplerConfig, &ShardedEdgeTable) -> Result<SamplerStats, SamplerError>,
+) -> f64 {
+    let arcs = (0..g.num_vertices() as VertexId).map(|v| g.arc_count(v) as u64).sum();
+    let cfg = SamplerConfig { window: 10, samples: arcs, seed, ..SamplerConfig::default() };
+    let n = g.num_vertices();
+    let (mut best, mut trials) = (f64::MAX, 0);
+    for _ in 0..reps {
+        let table = ShardedEdgeTable::new(n, resolve_shards(0, n), arcs as usize / 2);
+        let (stats, d) = timed(|| sample(g, &cfg, &table).expect("the graph has edges"));
+        (best, trials) = (best.min(d.as_secs_f64()), stats.trials);
+    }
+    trials as f64 / best / 1e6
+}
+
 /// The graph's edges, each once, in a seeded random order, with
 /// log-uniform weights in `[1, 16)`.
 fn shuffled_edges(g: &Graph, seed: u64) -> Vec<(VertexId, VertexId, f32)> {
@@ -300,9 +334,30 @@ fn main() {
     put("rand_slowdown_best", format!("{:.4}", byte_rand / rand));
     put("walk_slowdown_best", format!("{:.4}", csr_walk / walked));
 
+    let weighted = shuffled_edges(&g, args.seed);
+
+    // --- The sampling stage on each backend, and on CSR and weighted CSR
+    // the one-arc-at-a-time loop the lanes replaced.
+    let gw = WeightedGraph::from_edges(n, &weighted);
+    let arice = V2Graph::from_graph(&g, Codec::RiceAdaptive);
+    let csr = sample_msamples_per_sec(&g, args.seed, reps, sample_into);
+    let csr_seq = sample_msamples_per_sec(&g, args.seed, reps, sample_into_lanes::<1, _, _>);
+    let wgt = sample_msamples_per_sec(&gw, args.seed, reps, sample_into);
+    let wgt_seq = sample_msamples_per_sec(&gw, args.seed, reps, sample_into_lanes::<1, _, _>);
+    let v2 = sample_msamples_per_sec(&arice, args.seed, reps, sample_into);
+    drop((gw, arice));
+    eprintln!(
+        "sample: csr {csr:.2} (one arc at a time {csr_seq:.2}), weighted {wgt:.2} \
+         ({wgt_seq:.2}), v2/arice {v2:.2} Msamples/s"
+    );
+    put("sample_msamples_per_sec_csr", format!("{csr:.4}"));
+    put("sample_seq_msamples_per_sec_csr", format!("{csr_seq:.4}"));
+    put("sample_msamples_per_sec_weighted", format!("{wgt:.4}"));
+    put("sample_seq_msamples_per_sec_weighted", format!("{wgt_seq:.4}"));
+    put("sample_msamples_per_sec_v2_arice", format!("{v2:.4}"));
+
     // --- CSR construction: the counting-sort builds at one and two
     // threads against the sort-then-dedup build they replaced.
-    let weighted = shuffled_edges(&g, args.seed);
     let pairs: Vec<(VertexId, VertexId)> = weighted.iter().map(|&(u, v, _)| (u, v)).collect();
     let rate = |secs: f64| arcs as f64 / secs / 1e6;
     let csr_old = rate(best_secs(reps, || csr_build_by_sort(n, &pairs)));

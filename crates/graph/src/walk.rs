@@ -10,9 +10,36 @@
 //! graph the step is a draw from the vertex's alias table instead, also
 //! O(1): the same one 64-bit draw picks a slot and flips its keep coin —
 //! the backend's [`WeightedOps::step`] decides.
+//!
+//! ## Walks in flight
+//!
+//! A step is one dependent fetch — two on CSR (the offsets, then the
+//! neighbor; the drawn slot, then its neighbor on an alias table) — and a
+//! walk cannot issue its next fetch before the last one lands. The
+//! sampler therefore keeps [`WALK_LANES`] walks in flight per arc range
+//! (`lightne_sparsifier::construct`): a *lane* holds one arc's stream and
+//! the walk it is on, and one pass steps every lane once, so the core has
+//! sixteen independent fetches outstanding instead of one. Each lane
+//! draws from its own arc's stream in exactly the order a lone walk
+//! would, so the walks — and the endpoints — are the same as this
+//! module's [`walk`] gives.
+//!
+//! A backend says how many lanes it wants ([`GraphAccess::walk_lanes`]):
+//! [`WALK_LANES`] for CSR and the weighted CSR, 1 for the compressed
+//! container. A container step (~114 ns on `arice`) is a block decode —
+//! arithmetic on one cache line, not a wait — and sixteen lanes ran its
+//! sampling ×1.01–1.04 of the one-lane median at two threads and
+//! ×1.04–1.08 at one: the lane bookkeeping finds nothing to overlap.
 
 use crate::{GraphAccess, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;
+
+/// Walks the sampler keeps in flight per arc range on a backend whose
+/// step waits on memory. Four to 32 lanes ran the benchmark graphs'
+/// sampling within noise of each other (EXPERIMENTS.md, "Interleaved walk
+/// lanes"); sixteen is the middle of that flat range, and sixteen lanes'
+/// state (~100 bytes each) stays in L1.
+pub const WALK_LANES: usize = 16;
 
 /// Advances a random walk from `start` for `steps` steps, returning the
 /// final vertex. A walk stops early (stays put) only at an isolated vertex,

@@ -68,6 +68,10 @@ pub trait WeightedOps: Sync {
     /// CSR).
     fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId>;
 
+    /// Walks the sampler keeps in flight per arc range: 1 or
+    /// [`crate::walk::WALK_LANES`] (see [`GraphAccess::walk_lanes`]).
+    fn walk_lanes(&self) -> usize;
+
     /// Calls `f(v, w)` on every arc `u → v` in sorted neighbor order.
     fn for_each_arc<F: FnMut(VertexId, f32)>(&self, u: VertexId, f: F);
 
@@ -137,6 +141,11 @@ impl<G: GraphAccess + Sync> WeightedOps for G {
     #[inline]
     fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
         self.sample_neighbor(v, rng)
+    }
+
+    #[inline]
+    fn walk_lanes(&self) -> usize {
+        GraphAccess::walk_lanes(self)
     }
 
     #[inline]
@@ -480,6 +489,12 @@ impl WeightedOps for WeightedGraph {
     #[inline]
     fn step(&self, v: VertexId, rng: &mut XorShiftStream) -> Option<VertexId> {
         self.sample_neighbor(v, rng)
+    }
+
+    /// The alias step is two dependent loads, like a CSR step.
+    #[inline]
+    fn walk_lanes(&self) -> usize {
+        crate::walk::WALK_LANES
     }
 
     #[inline]

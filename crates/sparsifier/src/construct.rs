@@ -26,6 +26,38 @@
 //! and not to the table: per-worker buffers owned by the table sat behind
 //! adjacent locks that shared a cache line.
 //!
+//! ## Walk lanes
+//!
+//! A PathSampling step is one dependent fetch, and a range that runs one
+//! arc's trials to completion before the next waits on one fetch at a
+//! time. So each range keeps up to `W` *lanes* ([`sample_into_lanes`]),
+//! `W` = the backend's [`WeightedOps::walk_lanes`]. A lane holds one arc:
+//! its stream `XorShiftStream::new(seed, arc_idx)`, its trials not yet
+//! started, `p_e` and `1/p_e`, and its current trial's walk — the vertex
+//! it is at, the steps left on this side and on `v`'s side, and the
+//! `u`-side endpoint once that side is done. `map_arcs_with`'s `f` draws
+//! the arc's trial count and puts it in a free lane (trials that take no
+//! step are deposited there and then); while every lane is busy, one
+//! pass steps each lane once — `W` independent fetches in flight — and a
+//! lane whose walk ends deposits the sample's two orientations next to
+//! each other and starts its next trial, or frees itself for the range's
+//! next arc. `end` steps the remaining lanes to completion. The lanes
+//! are a fixed array, the busy ones packed at the front.
+//!
+//! The bytes are the same at every `W`, for three reasons:
+//! 1. every arc draws from its own stream in [`sample_arc`]'s order — the
+//!    coin if `p_e < 1`, the length, the split, the `u`-side steps, the
+//!    `v`-side steps — so every arc makes the same samples;
+//! 2. the table sums weights in fixed point, so the order in which
+//!    samples arrive does not change a sum;
+//! 3. a sample's two deposits stay adjacent in the buffer, so the table
+//!    still folds them into one add.
+//!
+//! `W = 1` is the [`sample_arc`] loop itself, which the dynamic embedder
+//! also calls. The compressed container asks for it: its step is a block
+//! decode of ~114 ns, arithmetic rather than a wait, and lanes ran its
+//! sampling slower (EXPERIMENTS.md, "Interleaved walk lanes").
+//!
 //! The loop is written once against [`WeightedOps`] — Theorems 3.1–3.2
 //! are stated for a weighted `A`, and an unweighted graph is its
 //! unit-weight case. What differs between the two (exact integer vs
@@ -48,6 +80,7 @@
 
 use crate::downsample::{default_c, survival_probability, ProbScheme};
 use crate::path_sampling::path_sample;
+use lightne_graph::walk::WALK_LANES;
 use lightne_graph::{VertexId, WeightedOps};
 use lightne_hash::EdgeAggregator;
 use lightne_utils::rng::XorShiftStream;
@@ -211,12 +244,32 @@ pub fn sample_arc<G: WeightedOps, A: EdgeAggregator>(
     kept
 }
 
-/// Runs Algorithm 2 over `g`, depositing weighted samples into `agg`.
+/// Runs Algorithm 2 over `g`, depositing weighted samples into `agg`,
+/// with the backend's [`WeightedOps::walk_lanes`] walks in flight per
+/// arc range.
 ///
 /// # Errors
 /// [`SamplerError::ZeroWindow`] if `cfg.window == 0`;
 /// [`SamplerError::EmptyGraph`] if `g` has no arcs (zero volume).
 pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
+    g: &G,
+    cfg: &SamplerConfig,
+    agg: &A,
+) -> Result<SamplerStats, SamplerError> {
+    if g.walk_lanes() == 1 {
+        sample_into_lanes::<1, G, A>(g, cfg, agg)
+    } else {
+        sample_into_lanes::<WALK_LANES, G, A>(g, cfg, agg)
+    }
+}
+
+/// [`sample_into`] with `W` lanes per arc range whatever the backend
+/// asks for; `W = 1` is the one-arc-at-a-time [`sample_arc`] loop. Every
+/// `W` deposits the same samples (module docs), which tests hold it to.
+///
+/// # Errors
+/// As [`sample_into`].
+pub fn sample_into_lanes<const W: usize, G: WeightedOps, A: EdgeAggregator>(
     g: &G,
     cfg: &SamplerConfig,
     agg: &A,
@@ -231,30 +284,56 @@ pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
 
     let trials_ctr = AtomicU64::new(0);
     let kept_ctr = AtomicU64::new(0);
+    let tally = |trials, kept| {
+        // ordering: advisory stats counters; commutative adds, read only
+        // after the parallel region joins (join is the synchronisation).
+        trials_ctr.fetch_add(trials, Ordering::Relaxed);
+        kept_ctr.fetch_add(kept, Ordering::Relaxed);
+    };
+    // An arc's stream after its trial-count coin, its trial count and its
+    // survival probability; `None` if it draws no trials.
+    let arc = |u, v, w, arc_idx| {
+        let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
+        let (whole, frac) = g.arc_trials(cfg.samples, w);
+        let n_e = whole + u64::from(rng.bernoulli(frac));
+        if n_e == 0 {
+            return None;
+        }
+        let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
+        Some((rng, n_e, p_e))
+    };
 
-    // Per range: its buffer, trials and survivors.
-    g.map_arcs_with(
-        || (SampleBuffer::new(agg), 0u64, 0u64),
-        |(out, trials, kept), u, v, w, arc_idx| {
-            let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
-            let (whole, frac) = g.arc_trials(cfg.samples, w);
-            let n_e = whole + u64::from(rng.bernoulli(frac));
-            if n_e == 0 {
-                return;
-            }
-            let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
-            *trials += n_e;
-            *kept += sample_arc(g, (u, v), n_e, p_e, cfg.window, &mut rng, out);
-        },
-        |(mut out, trials, kept)| {
-            out.hand_over();
-            // ordering: advisory stats counters; commutative adds, read
-            // only after the parallel region joins (join is the
-            // synchronisation).
-            trials_ctr.fetch_add(trials, Ordering::Relaxed);
-            kept_ctr.fetch_add(kept, Ordering::Relaxed);
-        },
-    );
+    if W == 1 {
+        // Per range: its buffer, trials and survivors.
+        g.map_arcs_with(
+            || (SampleBuffer::new(agg), 0u64, 0u64),
+            |(out, trials, kept), u, v, w, arc_idx| {
+                let Some((mut rng, n_e, p_e)) = arc(u, v, w, arc_idx) else { return };
+                *trials += n_e;
+                *kept += sample_arc(g, (u, v), n_e, p_e, cfg.window, &mut rng, out);
+            },
+            |(mut out, trials, kept)| {
+                out.hand_over();
+                tally(trials, kept);
+            },
+        );
+    } else {
+        g.map_arcs_with(
+            || Lanes::<A, W>::new(agg),
+            |lanes, u, v, w, arc_idx| {
+                if let Some((rng, n_e, p_e)) = arc(u, v, w, arc_idx) {
+                    lanes.enqueue(g, cfg.window, Lane::new(rng, (u, v), n_e, p_e));
+                }
+            },
+            |mut lanes| {
+                while lanes.live > 0 {
+                    lanes.pass(g, cfg.window);
+                }
+                lanes.out.hand_over();
+                tally(lanes.trials, lanes.kept);
+            },
+        );
+    }
 
     // ordering: single-threaded here, post-join reads of the counters.
     Ok(SamplerStats {
@@ -263,6 +342,141 @@ pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
         distinct_entries: agg.distinct_edges(),
         aggregator_bytes: agg.memory_bytes(),
     })
+}
+
+/// One arc's trials in flight: the arc's stream, its trials not yet
+/// started, `p_e` and the `1/p_e` it deposits, and the walk of its
+/// current trial — the vertex it is at, the steps left on this side and
+/// on `v`'s side, and the `u`-side endpoint once that side is done.
+struct Lane {
+    rng: XorShiftStream,
+    trials: u64,
+    p_e: f64,
+    w: f32,
+    u: VertexId,
+    v: VertexId,
+    cur: VertexId,
+    first: VertexId,
+    on_v_side: bool,
+    left: usize,
+    v_steps: usize,
+}
+
+impl Lane {
+    fn new(rng: XorShiftStream, (u, v): (VertexId, VertexId), trials: u64, p_e: f64) -> Self {
+        let w = (1.0 / p_e) as f32;
+        Self { rng, trials, p_e, w, u, v, cur: u, first: u, on_v_side: false, left: 0, v_steps: 0 }
+    }
+
+    /// Starts the arc's next surviving trial, drawing from the stream as
+    /// [`sample_arc`] and [`path_sample`] do — the coin if `p_e < 1`, the
+    /// length, the split — and counts it in `kept`. `false` once the
+    /// arc's trials are spent.
+    #[inline]
+    fn start_trial(&mut self, window: usize, kept: &mut u64) -> bool {
+        while self.trials > 0 {
+            self.trials -= 1;
+            if self.p_e < 1.0 && !self.rng.bernoulli(self.p_e) {
+                continue;
+            }
+            *kept += 1;
+            let r = 1 + self.rng.bounded_usize(window);
+            let s = self.rng.bounded_usize(r);
+            (self.cur, self.left, self.v_steps, self.on_v_side) = (self.u, s, r - 1 - s, false);
+            return true;
+        }
+        false
+    }
+
+    /// Called when the current side has no steps left: moves to `v`'s
+    /// side, or deposits the finished sample's two orientations next to
+    /// each other and starts the next trial. `true` while the lane has a
+    /// step to take, `false` once the arc is done.
+    fn settle<A: EdgeAggregator>(
+        &mut self,
+        window: usize,
+        kept: &mut u64,
+        out: &mut SampleBuffer<'_, A>,
+    ) -> bool {
+        loop {
+            if !self.on_v_side {
+                (self.first, self.cur, self.left, self.on_v_side) =
+                    (self.cur, self.v, self.v_steps, true);
+            } else {
+                out.deposit(self.first, self.cur, self.w);
+                out.deposit(self.cur, self.first, self.w);
+                if !self.start_trial(window, kept) {
+                    return false;
+                }
+            }
+            if self.left > 0 {
+                return true;
+            }
+        }
+    }
+}
+
+/// An arc range's lanes (`lanes[..live]` are walking), its buffer, and
+/// its trial and survivor counts.
+struct Lanes<'a, A: EdgeAggregator, const W: usize> {
+    out: SampleBuffer<'a, A>,
+    lanes: [Lane; W],
+    live: usize,
+    trials: u64,
+    kept: u64,
+}
+
+impl<'a, A: EdgeAggregator, const W: usize> Lanes<'a, A, W> {
+    fn new(agg: &'a A) -> Self {
+        let idle = |_| Lane::new(XorShiftStream::new(0, 0), (0, 0), 0, 1.0);
+        Self {
+            out: SampleBuffer::new(agg),
+            lanes: std::array::from_fn(idle),
+            live: 0,
+            trials: 0,
+            kept: 0,
+        }
+    }
+
+    /// Takes an arc into a lane — settling at once the trials that take
+    /// no step — and, while every lane is walking, steps them.
+    #[inline]
+    fn enqueue<G: WeightedOps>(&mut self, g: &G, window: usize, mut lane: Lane) {
+        self.trials += lane.trials;
+        if !lane.start_trial(window, &mut self.kept) {
+            return;
+        }
+        if lane.left > 0 || lane.settle(window, &mut self.kept, &mut self.out) {
+            self.lanes[self.live] = lane;
+            self.live += 1;
+            while self.live == W {
+                self.pass(g, window);
+            }
+        }
+    }
+
+    /// Steps every walking lane once; the last walking lane moves into
+    /// the place of a lane whose arc is done.
+    #[inline]
+    fn pass<G: WeightedOps>(&mut self, g: &G, window: usize) {
+        let mut i = self.live;
+        while i > 0 {
+            i -= 1;
+            let lane = &mut self.lanes[i];
+            match g.step(lane.cur, &mut lane.rng) {
+                Some(next) => {
+                    lane.cur = next;
+                    lane.left -= 1;
+                }
+                // An isolated vertex ends the side, as in `walk`.
+                None => lane.left = 0,
+            }
+            if lane.left == 0 && !lane.settle(window, &mut self.kept, &mut self.out) {
+                self.live -= 1;
+                self.lanes.swap(i, self.live);
+            }
+        }
+    }
 }
 
 /// Expected distinct-pair count used to pre-size the aggregation table,

@@ -1,5 +1,5 @@
-//! The weighted sampler as an estimator: its error falls at the Monte
-//! Carlo rate, and every arc keeps its expected weight.
+//! The sampler as an estimator: its error falls at the Monte Carlo rate,
+//! and every arc keeps its expected weight.
 //!
 //! A trial from arc `(u, v)` lands on the ordered pair `(i, j)` with
 //! probability `d_i (D⁻¹A)^r_ij / vol(G)`, so the aggregate `X` has
@@ -8,13 +8,17 @@
 //! `M` independent trials has `E‖X − μ‖²_F ∝ M` and `‖μ‖_F ∝ M`, so its
 //! relative Frobenius error falls as `1/√M`. A biased one — a walk step
 //! that draws neighbours off their weights, a survival coin that does not
-//! match its `1/p` — stops falling at its bias, and the log-log slope over
-//! the budgets flattens from −0.5 towards 0.
+//! match its `1/p`, a lane that loses or repeats a trial — stops falling
+//! at its bias, and the log-log slope over the budgets flattens from −0.5
+//! towards 0.
 //!
-//! The graph has non-unit weights spread over two decades, so a step that
-//! ignored or misread them would move `X` away from `μ`.
+//! The rate is checked on three backends of one 40-vertex graph: with
+//! non-unit weights spread over two decades (a step that ignored or
+//! misread them would move `X` away from `μ`), and with unit weights as a
+//! CSR graph and as an `arice` container — the CSR sampler keeps sixteen
+//! walks in flight per range, the container one.
 
-use lightne::graph::{VertexId, WeightedGraph};
+use lightne::graph::{Codec, Graph, GraphBuilder, V2Graph, VertexId, WeightedGraph, WeightedOps};
 use lightne::hash::EdgeAggregator;
 use lightne::sparsifier::downsample::survival_probability;
 use lightne::sparsifier::exact::walk_sum;
@@ -31,6 +35,16 @@ const C: f64 = 0.3;
 
 /// Six random partners per vertex, weights `10^(2u)` for uniform `u`.
 fn graph() -> WeightedGraph {
+    WeightedGraph::from_edges(N, &partner_edges())
+}
+
+/// The same partners with unit weights (a repeated pair is one edge).
+fn unit_graph() -> Graph {
+    let pairs: Vec<_> = partner_edges().into_iter().map(|(u, v, _)| (u, v)).collect();
+    GraphBuilder::from_edges(N, &pairs)
+}
+
+fn partner_edges() -> Vec<(VertexId, VertexId, f32)> {
     let mut rng = XorShiftStream::new(0x5EED, 0);
     let mut edges = Vec::new();
     for u in 0..N as VertexId {
@@ -39,7 +53,7 @@ fn graph() -> WeightedGraph {
             edges.push((u, v, 10f64.powf(2.0 * rng.unit_f64()) as f32));
         }
     }
-    WeightedGraph::from_edges(N, &edges)
+    edges
 }
 
 fn config(samples: u64, window: usize, downsample: bool, seed: u64) -> SamplerConfig {
@@ -47,7 +61,7 @@ fn config(samples: u64, window: usize, downsample: bool, seed: u64) -> SamplerCo
 }
 
 /// The sampled aggregate as a dense `n × n` array (both orientations).
-fn aggregate(g: &WeightedGraph, cfg: &SamplerConfig) -> Vec<f64> {
+fn aggregate<G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> Vec<f64> {
     let (table, _) = build_sharded_sparsifier(g, cfg, 0).unwrap();
     let mut x = vec![0f64; N * N];
     for (i, j, w) in table.into_coo() {
@@ -76,7 +90,7 @@ const SEEDS_PER_BUDGET: u64 = 8;
 /// Slope of log(relative Frobenius error) against log M, the squared
 /// error averaged over [`SEEDS_PER_BUDGET`] seeds from `seed_base` at
 /// each budget.
-fn rate_slope(g: &WeightedGraph, downsample: bool, seed_base: u64) -> f64 {
+fn rate_slope<G: WeightedOps>(g: &G, downsample: bool, seed_base: u64) -> f64 {
     let exact = walk_sum(g, WINDOW);
     let (mut log_m, mut log_err) = (Vec::new(), Vec::new());
     for &m in &BUDGETS {
@@ -104,22 +118,48 @@ fn rate_slope(g: &WeightedGraph, downsample: bool, seed_base: u64) -> f64 {
 /// Allowed distance of the fitted slope from −0.5, without and with
 /// downsampling. Over 24 seed bases (0..24) the slope ranged
 /// −0.5077 … −0.4925 without downsampling and −0.5445 … −0.4731 with it
-/// (the `1/p` deposits make single runs noisier); on the binary-search
+/// (the `1/p` deposits make single runs noisier; the same slopes, to the
+/// digit, with sixteen walk lanes per range); on the binary-search
 /// step the alias step replaced, −0.5068 … −0.4946 and −0.5456 … −0.4680
 /// (EXPERIMENTS.md, "Alias-table walk steps"). Each bound is 1.5 × the
 /// largest deviation seen, rounded up.
 const SLOPE_TOL: [(bool, f64); 2] = [(false, 0.015), (true, 0.07)];
 
-#[test]
-fn weighted_error_falls_as_one_over_root_m() {
-    let g = graph();
-    for (downsample, tol) in SLOPE_TOL {
-        let s = rate_slope(&g, downsample, 7);
+fn check_rate<G: WeightedOps>(name: &str, g: &G, tolerances: [(bool, f64); 2]) {
+    for (downsample, tol) in tolerances {
+        let s = rate_slope(g, downsample, 7);
         assert!(
             (s + 0.5).abs() <= tol,
-            "downsample {downsample}: log-log slope {s:.4}, want -0.5 ± {tol}"
+            "{name}, downsample {downsample}: log-log slope {s:.4}, want -0.5 ± {tol}"
         );
     }
+}
+
+#[test]
+fn weighted_error_falls_as_one_over_root_m() {
+    check_rate("weighted", &graph(), SLOPE_TOL);
+}
+
+/// The unit-weight cells' allowed distance of the slope from −0.5,
+/// without and with downsampling. Over 24 seed bases (0..24) the slope
+/// ranged −0.5050 … −0.4943 without downsampling and −0.5052 … −0.4956
+/// with it (EXPERIMENTS.md, "Interleaved walk lanes"); each bound is
+/// 1.5 × the largest deviation seen, rounded up. Without weights `p_e`
+/// varies only with the degrees — the weighted graph's spans two decades
+/// of weight — so the downsampled slope is as steady as the plain one.
+/// The CSR graph and the container gave equal slopes at every base: they
+/// deposit the same samples.
+const UNIT_SLOPE_TOL: [(bool, f64); 2] = [(false, 0.01), (true, 0.01)];
+
+#[test]
+fn unit_weight_csr_error_falls_as_one_over_root_m() {
+    check_rate("csr", &unit_graph(), UNIT_SLOPE_TOL);
+}
+
+#[test]
+fn container_error_falls_as_one_over_root_m() {
+    let arice = V2Graph::from_graph(&unit_graph(), Codec::RiceAdaptive);
+    check_rate("arice", &arice, UNIT_SLOPE_TOL);
 }
 
 /// Seeds averaged per arc in the unbiasedness check.
