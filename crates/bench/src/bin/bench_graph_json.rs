@@ -33,11 +33,11 @@
 //! `weighted_build_speedup` is the sort's and the parallel rows' gain.
 //!
 //! The `sample_*` rows time the sampling stage — `sample_into` into a
-//! `ShardedEdgeTable`, one trial per arc at window 10 — on CSR, on the
-//! weighted CSR of the build rows' edges and on an `arice` container, in
-//! million trials per second; the `sample_seq_*` rows run the same stage
-//! one arc at a time (`sample_into_lanes::<1>`, the loop the interleaved
-//! lanes replaced) on the two backends that walk sixteen arcs at once.
+//! `ShardedEdgeTable`, one trial per arc at window 10, sixteen walk lanes
+//! per arc range on every backend — on CSR, on the weighted CSR of the
+//! build rows' edges and on an `arice` container, in million trials per
+//! second; the `sample_seq_*` rows run one lane of the same engine
+//! (`sample_into_lanes::<1>`, one arc at a time) on CSR and weighted CSR.
 //! They are informational, not gated.
 //!
 //! The graph is the largest classification profile (Friendster) scaled
@@ -337,7 +337,7 @@ fn main() {
     let weighted = shuffled_edges(&g, args.seed);
 
     // --- The sampling stage on each backend, and on CSR and weighted CSR
-    // the one-arc-at-a-time loop the lanes replaced.
+    // one lane of the same engine.
     let gw = WeightedGraph::from_edges(n, &weighted);
     let arice = V2Graph::from_graph(&g, Codec::RiceAdaptive);
     let csr = sample_msamples_per_sec(&g, args.seed, reps, sample_into);

@@ -23,9 +23,7 @@ use crate::engine::{run_pipeline, PipelineSource, RunOptions};
 use crate::pipeline::{LightNe, LightNeConfig, LightNeOutput};
 use lightne_graph::{Graph, GraphBuilder, VertexId};
 use lightne_hash::{EdgeAggregator, ShardedEdgeTable};
-use lightne_sparsifier::construct::{
-    sample_arc, SampleBuffer, SamplerConfig, SamplerError, SamplerStats,
-};
+use lightne_sparsifier::construct::{Lanes, SamplerConfig, SamplerError, SamplerStats, WALK_LANES};
 use lightne_sparsifier::downsample::{default_c, survival_probability};
 use lightne_sparsifier::sharded::table_from_coo;
 use lightne_utils::rng::XorShiftStream;
@@ -77,38 +75,46 @@ impl DynamicLightNe {
 
     /// Absorbs a batch of new edges: rebuilds the CSR snapshot and adds
     /// sparsifier samples *only for the new edges*, at the same per-edge
-    /// trial rate the existing table was built with.
+    /// trial rate the existing table was built with. Self-loops, edges
+    /// the graph already holds and repeats within the batch (in either
+    /// orientation) add nothing: the graph keeps an edge once, and a
+    /// second share of samples would over-weight its neighbourhood.
+    ///
+    /// # Panics
+    /// If a vertex id is not below the vertex count given to [`Self::new`].
     pub fn insert_edges(&mut self, batch: &[(VertexId, VertexId)]) -> SamplerStats {
         self.epoch += 1;
-        self.edges.extend_from_slice(batch);
-        let mut builder = GraphBuilder::new(self.n);
-        builder.add_edges(self.edges.iter().copied());
-        self.graph = builder.build();
+        let mut fresh: Vec<(VertexId, VertexId)> =
+            batch.iter().filter(|&&(u, v)| u != v).map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        fresh.retain(|&(u, v)| !self.graph.has_edge(u, v));
+        if !fresh.is_empty() {
+            self.edges.extend_from_slice(&fresh);
+            let mut builder = GraphBuilder::new(self.n);
+            builder.add_edges(self.edges.iter().copied());
+            self.graph = builder.build();
+        }
 
         // Per-arc trial rate: sample_ratio · T · m / (2m) = ratio·T/2.
         let per_arc = (self.cfg.sample_ratio * self.cfg.window as f64 / 2.0).max(0.5);
         let c = self.cfg.c_factor.unwrap_or_else(|| default_c(self.graph.num_vertices()));
         let g = &self.graph;
-        let mut trials = 0u64;
-        let mut kept = 0u64;
-        let mut out = SampleBuffer::new(&self.table);
-
-        for (i, &(u, v)) in batch.iter().enumerate() {
-            if u == v {
-                continue;
-            }
-            let mut rng = XorShiftStream::new(self.cfg.seed ^ (self.epoch << 32), i as u64);
-            // Both orientations, like the static sampler's MapEdges.
-            for (a, b) in [(u, v), (v, u)] {
+        let seed = self.cfg.seed ^ (self.epoch << 32);
+        let mut lanes = Lanes::<_, _, WALK_LANES>::new(g, self.cfg.window, &self.table);
+        for (i, &(u, v)) in fresh.iter().enumerate() {
+            // Both orientations, like the static sampler's MapEdges, each
+            // on a stream of its own.
+            for (o, (a, b)) in [(u, v), (v, u)].into_iter().enumerate() {
+                let mut rng = XorShiftStream::new(seed, (2 * i + o) as u64);
                 let n_e = per_arc.floor() as u64 + u64::from(rng.bernoulli(per_arc.fract()));
                 let p_e =
                     if self.cfg.downsample { survival_probability(g, a, b, 1.0, c) } else { 1.0 };
-                trials += n_e;
-                kept += sample_arc(g, (a, b), n_e, p_e, self.cfg.window, &mut rng, &mut out);
+                lanes.enqueue(rng, (a, b), n_e, p_e);
             }
         }
         // Hands the last deposits to the table before it is counted.
-        drop(out);
+        let (trials, kept) = lanes.walk_out();
         self.total_trials += trials;
         SamplerStats {
             trials,
@@ -284,6 +290,74 @@ mod tests {
             "incremental batch sampled too much: {} vs {}",
             s_inc.trials,
             s_bulk.trials
+        );
+    }
+
+    /// The table's entries with their weight bits, in key order.
+    fn table_bits(dyn_ne: &DynamicLightNe) -> Vec<(u32, u32, u32)> {
+        let mut coo: Vec<_> =
+            dyn_ne.table.snapshot().into_iter().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+        coo.sort_unstable();
+        coo
+    }
+
+    #[test]
+    fn edges_already_held_or_repeated_add_no_samples() {
+        let (edges, _) = sbm_edges(300, 6);
+        let mut dyn_ne = DynamicLightNe::new(300, cfg());
+        let first = dyn_ne.insert_edges(&edges);
+        let (trials, table) = (dyn_ne.total_trials(), table_bits(&dyn_ne));
+        assert_eq!(trials, first.trials);
+        // The same batch again: every edge is already held.
+        let again = dyn_ne.insert_edges(&edges);
+        assert_eq!((again.trials, again.kept), (0, 0));
+        assert_eq!(dyn_ne.total_trials(), trials);
+        assert_eq!(table_bits(&dyn_ne), table);
+        assert_eq!(dyn_ne.edges.len(), dyn_ne.num_edges());
+
+        // A batch that lists edges twice, in either orientation, samples
+        // each once: the same trials and table bytes as the plain batch.
+        let mut repeated = edges.clone();
+        repeated.extend(edges.iter().step_by(3).map(|&(u, v)| (v, u)));
+        repeated.extend(edges.iter().step_by(5).copied());
+        let mut twice = DynamicLightNe::new(300, cfg());
+        let s = twice.insert_edges(&repeated);
+        assert_eq!((s.trials, s.kept), (first.trials, first.kept));
+        assert_eq!(table_bits(&twice), table);
+        assert_eq!(twice.edges.len(), edges.len());
+    }
+
+    #[test]
+    fn one_batch_samples_at_the_static_estimators_rate() {
+        // A fractional per-arc rate (1.3 · 5 / 2 = 3.25), and the default
+        // `C = ln n`, under which most arcs here survive with `p_e < 1`.
+        let cfg = LightNeConfig { sample_ratio: 1.3, ..cfg() };
+        let (edges, _) = sbm_edges(400, 7);
+        let mut dyn_ne = DynamicLightNe::new(400, cfg);
+        let dynamic = dyn_ne.insert_edges(&edges);
+
+        let g = dyn_ne.graph();
+        let samples = (cfg.sample_ratio * cfg.window as f64 * g.num_edges() as f64).round();
+        let sampler = SamplerConfig {
+            window: cfg.window,
+            samples: samples as u64,
+            downsample: true,
+            c_factor: cfg.c_factor,
+            prob: cfg.prob,
+            seed: cfg.seed,
+        };
+        let table = ShardedEdgeTable::new(400, 1, 1024);
+        let fixed = lightne_sparsifier::construct::sample_into(g, &sampler, &table).unwrap();
+
+        let rel = (dynamic.trials as f64 - fixed.trials as f64).abs() / fixed.trials as f64;
+        assert!(rel < 0.05, "trials {} vs the static {}", dynamic.trials, fixed.trials);
+        let rate = |s: SamplerStats| s.kept as f64 / s.trials as f64;
+        assert!(rate(fixed) < 0.9, "the coin must bite: kept {}", rate(fixed));
+        assert!(
+            (rate(dynamic) - rate(fixed)).abs() < 0.02,
+            "kept/trials {} vs the static {}",
+            rate(dynamic),
+            rate(fixed)
         );
     }
 

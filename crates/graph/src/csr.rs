@@ -29,8 +29,8 @@ impl Graph {
         assert!(!offsets.is_empty(), "offsets must have at least one entry");
         assert_eq!(offsets[0], 0, "offsets must start at 0");
         assert_eq!(
-            *offsets.last().unwrap(),
-            neighbors.len() as u64,
+            offsets.last(),
+            Some(&(neighbors.len() as u64)),
             "offsets must end at neighbors.len()"
         );
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be non-decreasing");

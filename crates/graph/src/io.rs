@@ -85,14 +85,20 @@ fn check_id_space(line: usize, id: VertexId) -> Result<VertexId, GraphIoError> {
     Ok(id)
 }
 
-/// Reads a whitespace-separated edge list. Lines starting with `#` or `%`
-/// are comments; blank lines are skipped. Vertex ids must be below
-/// `u32::MAX`, so that the vertex count fits the `u32` id space.
-/// The number of vertices is `max id + 1` unless `min_vertices` is larger.
-pub fn read_edge_list(path: impl AsRef<Path>, min_vertices: usize) -> Result<Graph, GraphIoError> {
+/// The line loop of both text readers: skips blank lines and lines
+/// starting with `#` or `%`, parses the first two fields as vertex ids
+/// below `u32::MAX`, and makes each line's edge with `edge` from the ids
+/// and the remaining fields (`None` is a parse error of the line).
+/// Returns the vertex count — `max id + 1`, or `min_vertices` if larger,
+/// and at least 1 — and the edges in file order.
+fn read_edge_lines<E>(
+    path: impl AsRef<Path>,
+    min_vertices: usize,
+    edge: impl Fn(VertexId, VertexId, &mut std::str::SplitWhitespace<'_>) -> Option<E>,
+) -> Result<(usize, Vec<E>), GraphIoError> {
     let file = File::open(path)?;
     let reader = BufReader::with_capacity(1 << 20, file);
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut edges = Vec::new();
     let mut max_id: usize = 0;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
@@ -101,18 +107,25 @@ pub fn read_edge_list(path: impl AsRef<Path>, min_vertices: usize) -> Result<Gra
             continue;
         }
         let mut it = t.split_whitespace();
+        let bad_line = || GraphIoError::Parse(lineno + 1, t.to_string());
         let parse = |s: Option<&str>| -> Result<VertexId, GraphIoError> {
-            let id = s
-                .and_then(|x| x.parse::<VertexId>().ok())
-                .ok_or_else(|| GraphIoError::Parse(lineno + 1, t.to_string()))?;
+            let id = s.and_then(|x| x.parse::<VertexId>().ok()).ok_or_else(bad_line)?;
             check_id_space(lineno + 1, id)
         };
         let u = parse(it.next())?;
         let v = parse(it.next())?;
+        edges.push(edge(u, v, &mut it).ok_or_else(bad_line)?);
         max_id = max_id.max(u as usize).max(v as usize);
-        edges.push((u, v));
     }
-    let n = (max_id + 1).max(min_vertices).max(1);
+    Ok(((max_id + 1).max(min_vertices).max(1), edges))
+}
+
+/// Reads a whitespace-separated edge list. Lines starting with `#` or `%`
+/// are comments; blank lines are skipped. Vertex ids must be below
+/// `u32::MAX`, so that the vertex count fits the `u32` id space.
+/// The number of vertices is `max id + 1` unless `min_vertices` is larger.
+pub fn read_edge_list(path: impl AsRef<Path>, min_vertices: usize) -> Result<Graph, GraphIoError> {
+    let (n, edges) = read_edge_lines(path, min_vertices, |u, v, _| Some((u, v)))?;
     Ok(GraphBuilder::from_edges(n, &edges))
 }
 
@@ -124,37 +137,13 @@ pub fn read_weighted_edge_list(
     path: impl AsRef<Path>,
     min_vertices: usize,
 ) -> Result<crate::WeightedGraph, GraphIoError> {
-    let file = File::open(path)?;
-    let reader = BufReader::with_capacity(1 << 20, file);
-    let mut edges: Vec<(VertexId, VertexId, f32)> = Vec::new();
-    let mut max_id: usize = 0;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let parse_v = |s: Option<&str>| -> Result<VertexId, GraphIoError> {
-            let id = s
-                .and_then(|x| x.parse::<VertexId>().ok())
-                .ok_or_else(|| GraphIoError::Parse(lineno + 1, t.to_string()))?;
-            check_id_space(lineno + 1, id)
-        };
-        let u = parse_v(it.next())?;
-        let v = parse_v(it.next())?;
-        let w = match it.next() {
+    let (n, edges) = read_edge_lines(path, min_vertices, |u, v, rest| {
+        let w = match rest.next() {
             None => 1.0,
-            Some(s) => s
-                .parse::<f32>()
-                .ok()
-                .filter(|w| *w > 0.0 && w.is_finite())
-                .ok_or_else(|| GraphIoError::Parse(lineno + 1, t.to_string()))?,
+            Some(s) => s.parse::<f32>().ok().filter(|w| *w > 0.0 && w.is_finite())?,
         };
-        max_id = max_id.max(u as usize).max(v as usize);
-        edges.push((u, v, w));
-    }
-    let n = (max_id + 1).max(min_vertices).max(1);
+        Some((u, v, w))
+    })?;
     let g = crate::WeightedGraph::from_edges(n, &edges);
     match g.overflowing_vertex() {
         Some(v) => Err(GraphIoError::WeightOverflow(v)),

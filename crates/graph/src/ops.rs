@@ -48,11 +48,6 @@ pub trait GraphAccess {
     /// Global index of `v`'s first arc in the arc ordering (CSR order).
     fn first_arc_index(&self, v: VertexId) -> u64;
 
-    /// Walks the sampler keeps in flight per arc range on this backend:
-    /// [`crate::walk::WALK_LANES`] where a step waits on memory, 1 where
-    /// it waits on a decode (see [`crate::walk`]).
-    fn walk_lanes(&self) -> usize;
-
     /// Number of undirected edges `m`.
     fn num_edges(&self) -> usize {
         self.num_arcs() / 2
@@ -228,11 +223,6 @@ impl GraphAccess for Graph {
     #[inline]
     fn first_arc_index(&self, v: VertexId) -> u64 {
         self.offsets()[v as usize]
-    }
-
-    #[inline]
-    fn walk_lanes(&self) -> usize {
-        crate::walk::WALK_LANES
     }
 
     #[inline]

@@ -1003,13 +1003,6 @@ impl GraphAccess for V2Graph {
         V2Graph::first_arc_index(self, v)
     }
 
-    /// One: a step decodes up to a block, so its cost is arithmetic, not
-    /// a wait on memory that other walks could fill.
-    #[inline]
-    fn walk_lanes(&self) -> usize {
-        1
-    }
-
     #[inline]
     fn resident_bytes(&self) -> usize {
         V2Graph::resident_bytes(self)

@@ -286,13 +286,6 @@ impl lightne_utils::mem::MemUsage for DenseMatrix {
     }
 }
 
-/// Dot product of two equal-length slices with `f64` accumulation
-/// (four fixed accumulator lanes — see [`crate::kernels::dot_f64`]).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f64 {
-    crate::kernels::dot_f64(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,7 +379,8 @@ mod tests {
     fn normalize_rows_unit_norm() {
         let mut a = DenseMatrix::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]);
         a.normalize_rows();
-        assert!((dot(a.row(0), a.row(0)) - 1.0).abs() < 1e-6);
+        let norm2: f64 = a.row(0).iter().map(|&x| x as f64 * x as f64).sum();
+        assert!((norm2 - 1.0).abs() < 1e-6);
         assert_eq!(a.row(1), &[0.0, 0.0]);
     }
 

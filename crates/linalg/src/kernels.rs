@@ -300,50 +300,6 @@ fn out_slice(block: &mut [f32], off: usize, len: usize) -> &mut [f32] {
     &mut block[off..off + len]
 }
 
-/// Number of independent `f64` accumulator lanes in [`dot_f64`]. Fixed
-/// lane assignment → bitwise deterministic; 32 lanes keep several
-/// vectors of partial sums in flight, hiding FMA latency that throttles
-/// a single-accumulator loop (~3× over an 8-lane version measured).
-pub const DOT_LANES: usize = 32;
-
-/// Dot product of two `f32` slices accumulated in `f64` across
-/// [`DOT_LANES`] fixed lanes, folded pairwise in a fixed bracketing.
-/// Bitwise identical across dispatch tiers: widened `f32` products are
-/// exact in `f64`, so the SIMD path's fused multiply-add rounds the same
-/// value once, exactly like the scalar mul-then-add.
-#[inline]
-pub fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; DOT_LANES];
-    let main = a.len() - a.len() % DOT_LANES;
-    match simd::active_tier() {
-        SimdTier::Scalar => {
-            let ac = a[..main].chunks_exact(DOT_LANES);
-            let bc = b[..main].chunks_exact(DOT_LANES);
-            for (x, y) in ac.zip(bc) {
-                for lane in 0..DOT_LANES {
-                    acc[lane] += x[lane] as f64 * y[lane] as f64;
-                }
-            }
-        }
-        SimdTier::Avx2 | SimdTier::Avx512 => simd::dot_accumulate(&a[..main], &b[..main], &mut acc),
-    }
-    // The tail summed in order, the lanes folded pairwise in the fixed
-    // bracketing, then the tail added.
-    let mut tail = 0.0f64;
-    for (&x, &y) in a[main..].iter().zip(&b[main..]) {
-        tail += x as f64 * y as f64;
-    }
-    let mut width = DOT_LANES;
-    while width > 1 {
-        for i in 0..width / 2 {
-            acc[i] = acc[2 * i] + acc[2 * i + 1];
-        }
-        width /= 2;
-    }
-    acc[0] + tail
-}
-
 /// Output rows (columns of the left operand) per [`gram_tn`] task.
 /// Fixed, never thread-derived: with the [`REDUCE_BLOCK`]-row blocks it
 /// fixes the task grid — 2 blocks × 5 groups at the `8000 × 144` sketch
@@ -524,14 +480,6 @@ mod tests {
         for (o, w) in out.iter().zip(&want) {
             assert!((o - (w + 1.0)).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn dot_f64_matches_reference() {
-        let a = fill(1031, 7);
-        let b = fill(1031, 8);
-        let slow: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
-        assert!((dot_f64(&a, &b) - slow).abs() < 1e-9);
     }
 
     #[test]

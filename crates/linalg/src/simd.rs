@@ -18,8 +18,8 @@
 //!
 //! # Determinism contract (per kernel)
 //!
-//! * [`dot_accumulate`], [`gram_chunk`] — **bitwise identical** to the
-//!   scalar loops: `f32` operands widened to `f64` multiply *exactly*
+//! * [`gram_chunk`] — **bitwise identical** to the scalar loop: `f32`
+//!   operands widened to `f64` multiply *exactly*
 //!   (24-bit mantissas → ≤ 48-bit product < 53-bit mantissa),
 //!   so a fused `vfmadd…pd` rounds once from the same exact value the
 //!   scalar mul-then-add rounds from, and each accumulator sees the scalar
@@ -170,7 +170,7 @@ mod x86 {
 
     use super::SimdTier;
     use crate::dense::DenseMatrix;
-    use crate::kernels::{DOT_LANES, GRAM_TILE, MR, NR};
+    use crate::kernels::{GRAM_TILE, MR, NR};
     use crate::sparse::SPMM_PREFETCH;
     use std::arch::x86_64::*;
     use std::ops::Range;
@@ -277,42 +277,6 @@ mod x86 {
                 let p = op.add(r * stride);
                 _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p), cr[0]));
                 _mm512_storeu_ps(p.add(NR), _mm512_add_ps(_mm512_loadu_ps(p.add(NR)), cr[1]));
-            }
-        }
-    }
-
-    /// Main-loop accumulation of [`crate::kernels::dot_f64`]: widens
-    /// 4-float groups to `f64` and fuses multiply-add per fixed lane.
-    /// Bitwise identical to the scalar lane loop (see module docs).
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA (guaranteed by the dispatching wrapper).
-    // SAFETY: pointer arithmetic is bounded by the length asserts below;
-    // the feature guard is the wrapper's detection clamp.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn dot_acc_avx2(a: &[f32], b: &[f32], acc: &mut [f64; DOT_LANES]) {
-        assert!(a.len() == b.len() && a.len().is_multiple_of(DOT_LANES), "dot accumulate shape");
-        // SAFETY: `a`/`b` are whole multiples of DOT_LANES (asserted), so
-        // every 4-float load at `off + 4i`, i < 8, is in bounds; `acc`
-        // is exactly DOT_LANES = 32 doubles = eight 4-lane vectors.
-        unsafe {
-            let ap = a.as_ptr();
-            let bp = b.as_ptr();
-            let mut v: [__m256d; 8] = [_mm256_setzero_pd(); 8];
-            for (i, vi) in v.iter_mut().enumerate() {
-                *vi = _mm256_loadu_pd(acc.as_ptr().add(4 * i));
-            }
-            let mut off = 0usize;
-            while off < a.len() {
-                for (i, vi) in v.iter_mut().enumerate() {
-                    let ad = _mm256_cvtps_pd(_mm_loadu_ps(ap.add(off + 4 * i)));
-                    let bd = _mm256_cvtps_pd(_mm_loadu_ps(bp.add(off + 4 * i)));
-                    *vi = _mm256_fmadd_pd(ad, bd, *vi);
-                }
-                off += DOT_LANES;
-            }
-            for (i, vi) in v.iter().enumerate() {
-                _mm256_storeu_pd(acc.as_mut_ptr().add(4 * i), *vi);
             }
         }
     }
@@ -702,14 +666,6 @@ mod x86 {
         unsafe { mk_avx512_pair(kc, a, b0s, b1s, out, off, stride) }
     }
 
-    /// Vectorized dot-product accumulation (see [`dot_acc_avx2`]).
-    #[inline]
-    pub fn dot_accumulate(a: &[f32], b: &[f32], acc: &mut [f64; DOT_LANES]) {
-        // SAFETY: reachable only when active_tier() >= Avx2 (detection
-        // clamp, see microkernel_avx2).
-        unsafe { dot_acc_avx2(a, b, acc) }
-    }
-
     /// One `GRAM_CHUNK`-row chunk of a [`crate::kernels::gram_tn`] task
     /// on the active tier ([`gram_chunk_avx512_impl`],
     /// [`gram_chunk_avx2_impl`]): returns how many leading columns it
@@ -753,7 +709,6 @@ mod fallback {
     //! never execute.
 
     use crate::dense::DenseMatrix;
-    use crate::kernels::DOT_LANES;
     use std::ops::Range;
 
     /// No-op on non-x86_64 targets (no portable prefetch hint).
@@ -784,12 +739,6 @@ mod fallback {
         _: usize,
         _: usize,
     ) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
-        unreachable!("SIMD tier selected off x86_64")
-    }
-
-    /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
-    pub fn dot_accumulate(_: &[f32], _: &[f32], _: &mut [f64; DOT_LANES]) {
         // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
         unreachable!("SIMD tier selected off x86_64")
     }

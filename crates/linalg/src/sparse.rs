@@ -310,19 +310,6 @@ impl CsrMatrix {
         });
     }
 
-    /// Sparse matrix × vector.
-    pub fn mul_vec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(self.n_cols, x.len());
-        (0..self.n_rows)
-            .into_par_iter()
-            .map(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().zip(vals).map(|(&c, &v)| v as f64 * x[c as usize] as f64).sum::<f64>()
-                    as f32
-            })
-            .collect()
-    }
-
     /// The transpose: one stable counting sort of the entries by column
     /// ([`group_entries`]), straight from the CSR. Each column's rows come
     /// out ascending, so no row needs sorting.
@@ -477,13 +464,6 @@ mod tests {
         let fast = m.spmm(&x);
         let slow = m.to_dense().matmul(&x);
         assert!(fast.max_abs_diff(&slow) < 1e-5);
-    }
-
-    #[test]
-    fn mul_vec_known() {
-        let m = small();
-        let y = m.mul_vec(&[1.0, 1.0, 1.0]);
-        assert_eq!(y, vec![3.0, 3.0, 9.0]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! buffers among them — sees every orientation.
 //!
 //! Deposits do not go to the aggregator one by one: each arc-balanced
-//! range of `map_arcs_with` owns a [`SampleBuffer`] that hands them over
+//! range of `map_arcs_with` owns a `SampleBuffer` that hands them over
 //! 4096 at a time through [`EdgeAggregator::add_batch`] (the
 //! last, partial one explicitly when the range ends), and counts its
 //! trials and survivors locally. Nothing shared — no lock, no
@@ -30,33 +30,37 @@
 //!
 //! A PathSampling step is one dependent fetch, and a range that runs one
 //! arc's trials to completion before the next waits on one fetch at a
-//! time. So each range keeps up to `W` *lanes* ([`sample_into_lanes`]),
-//! `W` = the backend's [`WeightedOps::walk_lanes`]. A lane holds one arc:
-//! its stream `XorShiftStream::new(seed, arc_idx)`, its trials not yet
-//! started, `p_e` and `1/p_e`, and its current trial's walk — the vertex
-//! it is at, the steps left on this side and on `v`'s side, and the
-//! `u`-side endpoint once that side is done. `map_arcs_with`'s `f` draws
-//! the arc's trial count and puts it in a free lane (trials that take no
-//! step are deposited there and then); while every lane is busy, one
-//! pass steps each lane once — `W` independent fetches in flight — and a
-//! lane whose walk ends deposits the sample's two orientations next to
-//! each other and starts its next trial, or frees itself for the range's
-//! next arc. `end` steps the remaining lanes to completion. The lanes
-//! are a fixed array, the busy ones packed at the front.
+//! time. So each range keeps up to [`WALK_LANES`] *lanes* in flight, on
+//! every backend ([`Lanes`]; [`sample_into_lanes`] takes any `W`). A lane
+//! holds one arc: its stream `XorShiftStream::new(seed, arc_idx)`, its
+//! trials not yet started, `p_e` and `1/p_e`, and its current trial's
+//! walk — the vertex it is at, the steps left on this side and on `v`'s
+//! side, and the `u`-side endpoint once that side is done.
+//! `map_arcs_with`'s `f` draws the arc's trial count and puts it in a
+//! free lane (trials that take no step are deposited there and then);
+//! while every lane is busy, one pass steps each lane once — `W`
+//! independent fetches in flight — and a lane whose walk ends deposits
+//! the sample's two orientations next to each other and starts its next
+//! trial, or frees itself for the range's next arc. `end` steps the
+//! remaining lanes to completion. The lanes are a fixed array, the busy
+//! ones packed at the front. The dynamic embedder
+//! (`lightne_core::dynamic`) feeds its new arcs into the same [`Lanes`].
+//!
+//! The lane count is the sampler's constant, not the backend's. The
+//! compressed container's step is a block decode (~114 ns on `arice`),
+//! arithmetic rather than a wait: lanes buy it nothing and cost it a few
+//! per cent against a one-arc loop, the price of one code path
+//! (EXPERIMENTS.md, "PR 35").
 //!
 //! The bytes are the same at every `W`, for three reasons:
-//! 1. every arc draws from its own stream in [`sample_arc`]'s order — the
-//!    coin if `p_e < 1`, the length, the split, the `u`-side steps, the
-//!    `v`-side steps — so every arc makes the same samples;
+//! 1. every arc draws from its own stream in the order of Algorithm 1's
+//!    reference implementation, [`crate::path_sampling::path_sample`] —
+//!    after the coin if `p_e < 1` and the length, the split, the `u`-side
+//!    steps, the `v`-side steps — so every arc makes the same samples;
 //! 2. the table sums weights in fixed point, so the order in which
 //!    samples arrive does not change a sum;
 //! 3. a sample's two deposits stay adjacent in the buffer, so the table
 //!    still folds them into one add.
-//!
-//! `W = 1` is the [`sample_arc`] loop itself, which the dynamic embedder
-//! also calls. The compressed container asks for it: its step is a block
-//! decode of ~114 ns, arithmetic rather than a wait, and lanes ran its
-//! sampling slower (EXPERIMENTS.md, "Interleaved walk lanes").
 //!
 //! The loop is written once against [`WeightedOps`] — Theorems 3.1–3.2
 //! are stated for a weighted `A`, and an unweighted graph is its
@@ -79,8 +83,6 @@
 //! which `netmf.rs` inverts to recover the NetMF matrix entry.
 
 use crate::downsample::{default_c, survival_probability, ProbScheme};
-use crate::path_sampling::path_sample;
-use lightne_graph::walk::WALK_LANES;
 use lightne_graph::{VertexId, WeightedOps};
 use lightne_hash::EdgeAggregator;
 use lightne_utils::rng::XorShiftStream;
@@ -177,14 +179,14 @@ pub(crate) const SAMPLE_BATCH: usize = 4096;
 /// dropped — unless the thread is unwinding, because a panic out of
 /// `add_batch` must not be followed by another call into it (a panic
 /// during unwinding aborts the process).
-pub struct SampleBuffer<'a, A: EdgeAggregator> {
+struct SampleBuffer<'a, A: EdgeAggregator> {
     agg: &'a A,
     deposits: Vec<(u32, u32, f32)>,
 }
 
 impl<'a, A: EdgeAggregator> SampleBuffer<'a, A> {
     /// An empty buffer in front of `agg`.
-    pub fn new(agg: &'a A) -> Self {
+    fn new(agg: &'a A) -> Self {
         Self { agg, deposits: Vec::with_capacity(SAMPLE_BATCH) }
     }
 
@@ -214,39 +216,15 @@ impl<A: EdgeAggregator> Drop for SampleBuffer<'_, A> {
     }
 }
 
-/// The `n_e` trials of arc `(u, v)`: each flips the `p_e` coin, and every
-/// survivor draws a walk length in `[1, window]`, runs Algorithm 1 and
-/// deposits `1/p_e` at both orientations of the sampled pair into `out`.
-/// Returns the number of survivors. Shared by the static sampler below
-/// and the incremental one in `lightne_core::dynamic`.
-#[inline]
-pub fn sample_arc<G: WeightedOps, A: EdgeAggregator>(
-    g: &G,
-    (u, v): (VertexId, VertexId),
-    n_e: u64,
-    p_e: f64,
-    window: usize,
-    rng: &mut XorShiftStream,
-    out: &mut SampleBuffer<'_, A>,
-) -> u64 {
-    let w = (1.0 / p_e) as f32;
-    let mut kept = 0u64;
-    for _ in 0..n_e {
-        if p_e < 1.0 && !rng.bernoulli(p_e) {
-            continue;
-        }
-        kept += 1;
-        let r = 1 + rng.bounded_usize(window);
-        let (a, b) = path_sample(g, u, v, r, rng);
-        out.deposit(a, b, w);
-        out.deposit(b, a, w);
-    }
-    kept
-}
+/// Walks the sampler keeps in flight per arc range. Four to 32 lanes ran
+/// the benchmark graphs' sampling within noise of each other
+/// (EXPERIMENTS.md, "Interleaved walk lanes"); sixteen is the middle of
+/// that flat range, and sixteen lanes' state (~100 bytes each) stays in
+/// L1.
+pub const WALK_LANES: usize = 16;
 
 /// Runs Algorithm 2 over `g`, depositing weighted samples into `agg`,
-/// with the backend's [`WeightedOps::walk_lanes`] walks in flight per
-/// arc range.
+/// with [`WALK_LANES`] walks in flight per arc range.
 ///
 /// # Errors
 /// [`SamplerError::ZeroWindow`] if `cfg.window == 0`;
@@ -256,16 +234,12 @@ pub fn sample_into<G: WeightedOps, A: EdgeAggregator>(
     cfg: &SamplerConfig,
     agg: &A,
 ) -> Result<SamplerStats, SamplerError> {
-    if g.walk_lanes() == 1 {
-        sample_into_lanes::<1, G, A>(g, cfg, agg)
-    } else {
-        sample_into_lanes::<WALK_LANES, G, A>(g, cfg, agg)
-    }
+    sample_into_lanes::<WALK_LANES, G, A>(g, cfg, agg)
 }
 
-/// [`sample_into`] with `W` lanes per arc range whatever the backend
-/// asks for; `W = 1` is the one-arc-at-a-time [`sample_arc`] loop. Every
-/// `W` deposits the same samples (module docs), which tests hold it to.
+/// [`sample_into`] with `W` lanes per arc range; `W = 1` runs one arc at
+/// a time. Every `W` deposits the same samples (module docs), which tests
+/// hold it to.
 ///
 /// # Errors
 /// As [`sample_into`].
@@ -284,56 +258,26 @@ pub fn sample_into_lanes<const W: usize, G: WeightedOps, A: EdgeAggregator>(
 
     let trials_ctr = AtomicU64::new(0);
     let kept_ctr = AtomicU64::new(0);
-    let tally = |trials, kept| {
-        // ordering: advisory stats counters; commutative adds, read only
-        // after the parallel region joins (join is the synchronisation).
-        trials_ctr.fetch_add(trials, Ordering::Relaxed);
-        kept_ctr.fetch_add(kept, Ordering::Relaxed);
-    };
-    // An arc's stream after its trial-count coin, its trial count and its
-    // survival probability; `None` if it draws no trials.
-    let arc = |u, v, w, arc_idx| {
-        let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
-        let (whole, frac) = g.arc_trials(cfg.samples, w);
-        let n_e = whole + u64::from(rng.bernoulli(frac));
-        if n_e == 0 {
-            return None;
-        }
-        let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
-        Some((rng, n_e, p_e))
-    };
-
-    if W == 1 {
-        // Per range: its buffer, trials and survivors.
-        g.map_arcs_with(
-            || (SampleBuffer::new(agg), 0u64, 0u64),
-            |(out, trials, kept), u, v, w, arc_idx| {
-                let Some((mut rng, n_e, p_e)) = arc(u, v, w, arc_idx) else { return };
-                *trials += n_e;
-                *kept += sample_arc(g, (u, v), n_e, p_e, cfg.window, &mut rng, out);
-            },
-            |(mut out, trials, kept)| {
-                out.hand_over();
-                tally(trials, kept);
-            },
-        );
-    } else {
-        g.map_arcs_with(
-            || Lanes::<A, W>::new(agg),
-            |lanes, u, v, w, arc_idx| {
-                if let Some((rng, n_e, p_e)) = arc(u, v, w, arc_idx) {
-                    lanes.enqueue(g, cfg.window, Lane::new(rng, (u, v), n_e, p_e));
-                }
-            },
-            |mut lanes| {
-                while lanes.live > 0 {
-                    lanes.pass(g, cfg.window);
-                }
-                lanes.out.hand_over();
-                tally(lanes.trials, lanes.kept);
-            },
-        );
-    }
+    g.map_arcs_with(
+        || Lanes::<G, A, W>::new(g, cfg.window, agg),
+        |lanes, u, v, w, arc_idx| {
+            let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
+            let (whole, frac) = g.arc_trials(cfg.samples, w);
+            let n_e = whole + u64::from(rng.bernoulli(frac));
+            if n_e > 0 {
+                let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
+                lanes.enqueue(rng, (u, v), n_e, p_e);
+            }
+        },
+        |lanes| {
+            let (trials, kept) = lanes.walk_out();
+            // ordering: advisory stats counters; commutative adds, read
+            // only after the parallel region joins (join is the
+            // synchronisation).
+            trials_ctr.fetch_add(trials, Ordering::Relaxed);
+            kept_ctr.fetch_add(kept, Ordering::Relaxed);
+        },
+    );
 
     // ordering: single-threaded here, post-join reads of the counters.
     Ok(SamplerStats {
@@ -369,8 +313,8 @@ impl Lane {
     }
 
     /// Starts the arc's next surviving trial, drawing from the stream as
-    /// [`sample_arc`] and [`path_sample`] do — the coin if `p_e < 1`, the
-    /// length, the split — and counts it in `kept`. `false` once the
+    /// Algorithm 1 does after the coin (if `p_e < 1`) and the length: the
+    /// split, then the steps — and counts it in `kept`. `false` once the
     /// arc's trials are spent.
     #[inline]
     fn start_trial(&mut self, window: usize, kept: &mut u64) -> bool {
@@ -416,9 +360,15 @@ impl Lane {
     }
 }
 
-/// An arc range's lanes (`lanes[..live]` are walking), its buffer, and
-/// its trial and survivor counts.
-struct Lanes<'a, A: EdgeAggregator, const W: usize> {
+/// The lane engine: up to `W` arcs' trials in flight over `g`
+/// (`lanes[..live]` are walking), the buffer in front of the aggregator,
+/// and the trials and survivors counted so far. Each range of
+/// [`sample_into_lanes`] owns one, and so does each batch of the dynamic
+/// embedder: [`Lanes::enqueue`] every arc with its stream, then
+/// [`Lanes::walk_out`].
+pub struct Lanes<'a, G, A: EdgeAggregator, const W: usize> {
+    g: &'a G,
+    window: usize,
     out: SampleBuffer<'a, A>,
     lanes: [Lane; W],
     live: usize,
@@ -426,10 +376,14 @@ struct Lanes<'a, A: EdgeAggregator, const W: usize> {
     kept: u64,
 }
 
-impl<'a, A: EdgeAggregator, const W: usize> Lanes<'a, A, W> {
-    fn new(agg: &'a A) -> Self {
+impl<'a, G: WeightedOps, A: EdgeAggregator, const W: usize> Lanes<'a, G, A, W> {
+    /// No arc in flight; walks of lengths in `[1, window]` over `g`, whose
+    /// samples go to `agg`.
+    pub fn new(g: &'a G, window: usize, agg: &'a A) -> Self {
         let idle = |_| Lane::new(XorShiftStream::new(0, 0), (0, 0), 0, 1.0);
         Self {
+            g,
+            window,
             out: SampleBuffer::new(agg),
             lanes: std::array::from_fn(idle),
             live: 0,
@@ -438,32 +392,47 @@ impl<'a, A: EdgeAggregator, const W: usize> Lanes<'a, A, W> {
         }
     }
 
-    /// Takes an arc into a lane — settling at once the trials that take
-    /// no step — and, while every lane is walking, steps them.
+    /// Takes the `n_e` trials of arc `(u, v)` into a lane: each flips the
+    /// `p_e` coin, and every survivor draws a walk length, runs
+    /// Algorithm 1 and deposits `1/p_e` at both orientations of the
+    /// sampled pair, all drawing from `rng`. Trials that take no step are
+    /// settled at once; while every lane is walking, the lanes step.
     #[inline]
-    fn enqueue<G: WeightedOps>(&mut self, g: &G, window: usize, mut lane: Lane) {
-        self.trials += lane.trials;
-        if !lane.start_trial(window, &mut self.kept) {
+    pub fn enqueue(&mut self, rng: XorShiftStream, arc: (VertexId, VertexId), n_e: u64, p_e: f64) {
+        let mut lane = Lane::new(rng, arc, n_e, p_e);
+        self.trials += n_e;
+        if !lane.start_trial(self.window, &mut self.kept) {
             return;
         }
-        if lane.left > 0 || lane.settle(window, &mut self.kept, &mut self.out) {
+        if lane.left > 0 || lane.settle(self.window, &mut self.kept, &mut self.out) {
             self.lanes[self.live] = lane;
             self.live += 1;
             while self.live == W {
-                self.pass(g, window);
+                self.pass();
             }
         }
+    }
+
+    /// Steps the lanes still walking to the end, hands the last deposits
+    /// to the aggregator, and returns the trials and survivors of every
+    /// arc enqueued.
+    pub fn walk_out(mut self) -> (u64, u64) {
+        while self.live > 0 {
+            self.pass();
+        }
+        self.out.hand_over();
+        (self.trials, self.kept)
     }
 
     /// Steps every walking lane once; the last walking lane moves into
     /// the place of a lane whose arc is done.
     #[inline]
-    fn pass<G: WeightedOps>(&mut self, g: &G, window: usize) {
+    fn pass(&mut self) {
         let mut i = self.live;
         while i > 0 {
             i -= 1;
             let lane = &mut self.lanes[i];
-            match g.step(lane.cur, &mut lane.rng) {
+            match self.g.step(lane.cur, &mut lane.rng) {
                 Some(next) => {
                     lane.cur = next;
                     lane.left -= 1;
@@ -471,7 +440,7 @@ impl<'a, A: EdgeAggregator, const W: usize> Lanes<'a, A, W> {
                 // An isolated vertex ends the side, as in `walk`.
                 None => lane.left = 0,
             }
-            if lane.left == 0 && !lane.settle(window, &mut self.kept, &mut self.out) {
+            if lane.left == 0 && !lane.settle(self.window, &mut self.kept, &mut self.out) {
                 self.live -= 1;
                 self.lanes.swap(i, self.live);
             }

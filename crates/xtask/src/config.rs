@@ -68,6 +68,7 @@ pub const ANALYZE_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/core/src/pipeline.rs", "embed_with"),
     ("crates/core/src/propagation.rs", "spectral_propagation"),
     ("crates/core/src/propagation.rs", "spectral_propagation_matrices"),
+    ("crates/core/src/dynamic.rs", "insert_edges"),
     // Samplers and sparsifier drains.
     ("crates/sparsifier/src/construct.rs", "sample_into"),
     ("crates/sparsifier/src/path_sampling.rs", "path_sample"),

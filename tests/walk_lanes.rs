@@ -1,14 +1,17 @@
-//! Interleaved walk lanes deposit the same samples as the one-arc-at-a-time
-//! loop.
+//! The lane engine deposits the same samples as the one-arc-at-a-time
+//! loop, at every lane count.
 //!
-//! `sample_into_lanes::<W>` keeps `W` arcs' walks in flight per arc range;
-//! at `W = 1` it is the `sample_arc` loop. Every arc draws from its own
-//! stream in the same order whatever `W` is, and the table's fixed-point
-//! sums do not depend on deposit order, so the drained table must be
-//! bitwise equal at every `W` and every thread count. The inputs reach
-//! the lane code's corners: walks of no steps (window 1), most trials
-//! lost to the downsampling coin, arcs that draw no trial (a budget below
-//! the arc count), hubs, and isolated vertices.
+//! `sample_into_lanes::<W>` keeps `W` arcs' walks in flight per arc range,
+//! and `sample_into` runs it at the sampler's lane count on every
+//! backend. The oracle here is Algorithm 2 written as one loop per arc
+//! over `path_sample` (Algorithm 1), sharing nothing with the lane engine
+//! but the graph's `map_arcs_with`. Every arc draws from its own stream in
+//! the same order whatever `W` is, and the table's fixed-point sums do
+//! not depend on deposit order, so the drained table and the stats must
+//! be bitwise equal to the oracle's at every `W` and every thread count.
+//! The inputs reach the lane code's corners: walks of no steps (window
+//! 1), most trials lost to the downsampling coin, arcs that draw no trial
+//! (a budget below the arc count), hubs, and isolated vertices.
 //!
 //! One test function on purpose: it resizes the process-global pool.
 
@@ -16,9 +19,12 @@ use lightne::gen::generators::barabasi_albert;
 use lightne::graph::{Codec, Graph, GraphBuilder, V2Graph, VertexId, WeightedGraph, WeightedOps};
 use lightne::hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne::sparsifier::construct::{sample_into, sample_into_lanes, SamplerStats};
+use lightne::sparsifier::downsample::{default_c, survival_probability};
+use lightne::sparsifier::path_sampling::path_sample;
 use lightne::sparsifier::{ProbScheme, SamplerConfig};
 use lightne::utils::parallel::configure_threads;
 use lightne::utils::rng::XorShiftStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A preferential-attachment graph (hubs next to degree-2 vertices)
 /// followed by 17 isolated vertices.
@@ -86,6 +92,52 @@ fn run_lanes<const W: usize, G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> Run 
     drained_run(t, stats)
 }
 
+/// Algorithm 2 one arc at a time: the arc's stream draws its trial-count
+/// coin, then each trial its survival coin (if `p_e < 1`), its length and
+/// `path_sample`'s split and steps; the two orientations of a sample go
+/// to the table next to each other, 4096 deposits at a time.
+fn oracle<G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> Run {
+    let table = small_table(g);
+    let c = cfg.c_factor.unwrap_or_else(|| default_c(g.num_vertices()));
+    let (trials, kept) = (AtomicU64::new(0), AtomicU64::new(0));
+    g.map_arcs_with(
+        || (Vec::new(), 0u64, 0u64),
+        |(buf, arc_trials, arc_kept), u, v, w, arc_idx| {
+            let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
+            let (whole, frac) = g.arc_trials(cfg.samples, w);
+            let n_e = whole + u64::from(rng.bernoulli(frac));
+            let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
+            let weight = (1.0 / p_e) as f32;
+            *arc_trials += n_e;
+            for _ in 0..n_e {
+                if p_e < 1.0 && !rng.bernoulli(p_e) {
+                    continue;
+                }
+                *arc_kept += 1;
+                let r = 1 + rng.bounded_usize(cfg.window);
+                let (a, b) = path_sample(g, u, v, r, &mut rng);
+                buf.extend([(a, b, weight), (b, a, weight)]);
+                if buf.len() == 4096 {
+                    table.add_batch(buf);
+                    buf.clear();
+                }
+            }
+        },
+        |(buf, arc_trials, arc_kept)| {
+            table.add_batch(&buf);
+            trials.fetch_add(arc_trials, Ordering::Relaxed);
+            kept.fetch_add(arc_kept, Ordering::Relaxed);
+        },
+    );
+    let stats = SamplerStats {
+        trials: trials.into_inner(),
+        kept: kept.into_inner(),
+        distinct_entries: table.len(),
+        aggregator_bytes: table.memory_bytes(),
+    };
+    drained_run(table, stats)
+}
+
 fn check_every_w<G: WeightedOps>(name: &str, g: &G, reference: &[Run]) {
     for (cfg, want) in lane_configs(arc_total(g)).iter().zip(reference) {
         let what = format!("{name}, window {}, samples {}", cfg.window, cfg.samples);
@@ -95,7 +147,7 @@ fn check_every_w<G: WeightedOps>(name: &str, g: &G, reference: &[Run]) {
         assert_eq!(&run_lanes::<16, _>(g, cfg), want, "{what}: W 16");
         let t = small_table(g);
         let stats = sample_into(g, cfg, &t).unwrap();
-        assert_eq!(&drained_run(t, stats), want, "{what}: the backend's W");
+        assert_eq!(&drained_run(t, stats), want, "{what}: sample_into");
     }
 }
 
@@ -109,18 +161,17 @@ fn lanes_and_the_sequential_loop_deposit_the_same_bytes() {
     let gw = weighted_copy(&g);
     // Blocks of 16, so hubs span several.
     let arice = V2Graph::from_graph_with_block_size(&g, Codec::RiceAdaptive, 16).unwrap();
-    assert_eq!(g.walk_lanes(), 16);
-    assert_eq!(gw.walk_lanes(), 16);
-    assert_eq!(WeightedOps::walk_lanes(&arice), 1);
 
-    // The reference: one arc at a time, one thread.
+    // The reference: the oracle loop, on one thread.
     assert_eq!(configure_threads(1), 1);
-    let unit: Vec<Run> =
-        lane_configs(arc_total(&g)).iter().map(|c| run_lanes::<1, _>(&g, c)).collect();
-    let wgt: Vec<Run> =
-        lane_configs(arc_total(&gw)).iter().map(|c| run_lanes::<1, _>(&gw, c)).collect();
+    let unit: Vec<Run> = lane_configs(arc_total(&g)).iter().map(|c| oracle(&g, c)).collect();
+    let wgt: Vec<Run> = lane_configs(arc_total(&gw)).iter().map(|c| oracle(&gw, c)).collect();
     for (i, (coo, stats)) in unit.iter().chain(&wgt).enumerate() {
         assert!(!coo.is_empty() && stats[1] > 0, "config {i} deposited nothing");
+    }
+    // The container walks the same arcs with the same draws.
+    for (cfg, want) in lane_configs(arc_total(&g)).iter().zip(&unit) {
+        assert_eq!(&oracle(&arice, cfg), want, "arice oracle, window {}", cfg.window);
     }
     // Most trials of the downsampled config fail their coin, and the
     // small budget leaves arcs without a trial.
@@ -130,7 +181,6 @@ fn lanes_and_the_sequential_loop_deposit_the_same_bytes() {
     for threads in [1usize, 2, 7] {
         assert_eq!(configure_threads(threads), threads);
         check_every_w("csr", &g, &unit);
-        // The container walks the same arcs with the same draws.
         check_every_w("arice", &arice, &unit);
         check_every_w("weighted", &gw, &wgt);
     }
