@@ -97,10 +97,10 @@ impl DeepWalk {
         DeepWalkOutput { embedding: input, updates, stats: ctx.into_stats() }
     }
 
-    // Index loops are deliberate in the SGD hot path: the windowed pair
-    // loop skips the center position and the gradient loops walk two
-    // arrays in lockstep.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the windowed pair loop skips the center position and the gradient loops walk two arrays in lockstep"
+    )]
     fn train<G: GraphOps>(
         &self,
         g: &G,

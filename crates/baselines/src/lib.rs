@@ -23,7 +23,6 @@
 //!   which is what the time/cost comparisons exercise.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod deepwalk;

@@ -132,6 +132,10 @@ impl DynamicLightNe {
     ///
     /// If no edges have been absorbed yet; use
     /// [`DynamicLightNe::reembed_with`] for a fallible variant.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience wrapper; the fallible form is reembed_with"
+    )]
     pub fn reembed(&self) -> LightNeOutput {
         self.reembed_with(RunOptions::default())
             .unwrap_or_else(|e| panic!("re-embed without artifact i/o failed: {e}"))

@@ -182,8 +182,10 @@ impl RunContext {
     /// resulting [`StageRecord`].
     pub fn run_named<T>(&mut self, name: &str, f: impl FnOnce(&mut StageScope) -> T) -> T {
         let mut scope = StageScope::default();
-        // xtask:allow(L5): wall-clock stage timing feeds StageRecord.secs
-        // (report metadata only); it never influences numeric output.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock stage timing feeds StageRecord.secs (report metadata only); it never influences numeric output"
+        )]
         let started = Instant::now();
         let out = f(&mut scope);
         self.records.push(StageRecord {

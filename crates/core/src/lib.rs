@@ -34,8 +34,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod artifacts;
 pub mod dynamic;

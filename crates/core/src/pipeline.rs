@@ -260,8 +260,11 @@ impl LightNe {
     /// # Panics
     /// Panics if the graph cannot be sampled (no edges) — use
     /// [`LightNe::embed_with`] for a recoverable error.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience wrapper; the fallible form is embed_with"
+    )]
     pub fn embed<G: WeightedOps>(&self, g: &G) -> LightNeOutput {
-        // xtask:panic-ok(documented panicking convenience wrapper; the fallible form is embed_with)
         self.embed_with(g, RunOptions::default()).unwrap_or_else(|e| panic!("pipeline failed: {e}"))
     }
 

@@ -24,7 +24,6 @@
 //!   wall-clock into the dollar figures the paper reports.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod classify;

@@ -19,7 +19,6 @@
 //! shape at laptop size.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod alias;

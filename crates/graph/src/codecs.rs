@@ -146,13 +146,19 @@ impl BitWriter {
         let mut r = BitReader::new(bytes, 0);
         let mut left = nbits;
         while left >= 32 {
-            // xtask:panic-ok(infallible: nbits was checked against the slice length before the loop)
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: nbits was checked against the slice length before the loop"
+            )]
             let v = r.read_bits(32).expect("append within bounds");
             self.write_bits(v, 32);
             left -= 32;
         }
         if left > 0 {
-            // xtask:panic-ok(infallible: left < 32 bits remain by the loop bound above)
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: left < 32 bits remain by the loop bound above"
+            )]
             let v = r.read_bits(left as u32).expect("append within bounds");
             self.write_bits(v, left as u32);
         }

@@ -149,15 +149,15 @@ fn select_in_word(mut word: u64, mut k: u32) -> u32 {
 /// The little-endian `u64` at byte `off` of a section whose extent
 /// [`EfSeq::parse`] checked against the storage.
 #[inline]
+#[expect(clippy::unwrap_used, reason = "infallible: 8-byte window, parse validated lengths")]
 fn le_u64(storage: &[u8], off: usize) -> u64 {
-    // xtask:panic-ok(infallible: 8-byte window, parse validated lengths)
     u64::from_le_bytes(storage[off..off + 8].try_into().unwrap())
 }
 
 /// [`le_u64`] for the 4-byte select samples.
 #[inline]
+#[expect(clippy::unwrap_used, reason = "infallible: 4-byte window, parse validated lengths")]
 fn le_u32(storage: &[u8], off: usize) -> u32 {
-    // xtask:panic-ok(infallible: 4-byte window, parse validated lengths)
     u32::from_le_bytes(storage[off..off + 4].try_into().unwrap())
 }
 
@@ -194,9 +194,14 @@ impl EfSeq {
             expected: 16,
             actual: storage.len().saturating_sub(base) as u64,
         })?;
-        // xtask:panic-ok(infallible: fixed 8-byte windows of a header whose length was just bounds-checked)
-        let n = u64::from_le_bytes(header[0..8].try_into().unwrap());
-        let universe = u64::from_le_bytes(header[8..16].try_into().unwrap());
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible: fixed 8-byte windows of a header whose length was just bounds-checked"
+        )]
+        let (n, universe) = (
+            u64::from_le_bytes(header[0..8].try_into().unwrap()),
+            u64::from_le_bytes(header[8..16].try_into().unwrap()),
+        );
         if n > storage.len() as u64 * 8 {
             // An EF sequence of n elements needs ≥ 2n upper bits; a claimed
             // n beyond that is corrupt, and rejecting it here prevents the

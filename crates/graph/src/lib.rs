@@ -32,13 +32,20 @@
 //!   PathSampling (Algorithm 1).
 //! * [`io`] — text edge-list and binary CSR readers/writers.
 //!
-//! Unsafe code is denied crate-wide except in [`mmap`], the single module
-//! that wraps the `mmap(2)`/`munmap(2)` system calls; every unsafe block
-//! there carries a SAFETY comment (enforced by `cargo xtask check`, L1).
+//! Unsafe code is denied (workspace lint table) except in [`mmap`], the
+//! single module that wraps the `mmap(2)`/`munmap(2)` system calls; every
+//! unsafe block there carries a SAFETY comment
+//! (`clippy::undocumented_unsafe_blocks`).
 
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod algorithms;
 pub mod builder;

@@ -1,7 +1,7 @@
 //! Read-only memory mapping of container files.
 //!
 //! This is the **only** module in the crate where unsafe code is allowed
-//! (`#![allow(unsafe_code)]` below against the crate-wide deny): it wraps
+//! (`#![expect(unsafe_code)]` below against the workspace-wide deny): it wraps
 //! the raw `mmap(2)`/`munmap(2)` system calls behind [`Mmap`], an owned
 //! read-only mapping that derefs to `&[u8]`. Everything above this layer —
 //! the v2 container, the Elias–Fano index, the bit codecs — consumes plain
@@ -24,7 +24,10 @@
 //! `libc` crate: std already links the platform C library, and the two
 //! symbols used here are in POSIX.
 
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the crate's one unsafe module: the mmap/munmap FFI and the slice over the mapping"
+)]
 
 use std::fs::File;
 use std::io;
@@ -34,12 +37,12 @@ mod ffi {
     //! Minimal POSIX prototypes resolved from the C library std links.
     use std::os::raw::{c_int, c_void};
 
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 0x02;
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    pub(crate) const PROT_READ: c_int = 1;
+    pub(crate) const MAP_PRIVATE: c_int = 0x02;
+    pub(crate) const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -47,7 +50,7 @@ mod ffi {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 }
 

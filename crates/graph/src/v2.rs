@@ -243,7 +243,7 @@ pub fn encode_container(
         }
         v
     };
-    // xtask:panic-ok(invariant: arc_offsets always has n+1 entries here)
+    #[expect(clippy::unwrap_used, reason = "invariant: arc_offsets always has n+1 entries here")]
     let arcs = *arc_offsets.last().unwrap();
 
     let ef_arcs = ef::encode(&arc_offsets, arcs);
@@ -325,6 +325,10 @@ pub struct V2Graph {
 impl V2Graph {
     /// Compresses an uncompressed CSR graph into an owned in-memory
     /// container with the default block size.
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible: the default block size passes the size check"
+    )]
     pub fn from_graph(g: &Graph, codec: Codec) -> Self {
         Self::from_graph_with_block_size(g, codec, DEFAULT_BLOCK_SIZE)
             .expect("the default block size is valid")
@@ -835,8 +839,11 @@ impl Directory {
 /// container was checksummed (or validated by the caller) at open, so a
 /// decode failure is corruption no caller of these paths can handle.
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "see the doc comment: caller bug or corruption past the open-time checks, on paths documented to panic"
+)]
 fn unrecoverable(e: GraphFormatError) -> ! {
-    // xtask:panic-ok(see the doc comment: caller bug or corruption past the open-time checks, on paths documented to panic)
     panic!("v2 container: {e}")
 }
 

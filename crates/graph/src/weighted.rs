@@ -625,7 +625,7 @@ mod tests {
         // Each pair at most twice: an f32 sum of two is the same in
         // either order, so the unstable oracle's bytes hold.
         let base = random_weighted_edges(500, 4_000, 11);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let distinct: Vec<_> = base
             .into_iter()
             .filter(|&(u, v, _)| u != v && seen.insert((u.min(v), u.max(v))))

@@ -262,7 +262,10 @@ impl ConcurrentEdgeTable {
             if key != EMPTY {
                 // Transfer the raw fixed-point value: no re-rounding.
                 // ordering: Relaxed — exclusive access under the write lock.
-                // xtask:panic-ok(invariant: the fresh table was sized to hold every key of the old one)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: the fresh table was sized to hold every key of the old one"
+                )]
                 new.add(key, slot.weight.load(Ordering::Relaxed))
                     .expect("fresh table cannot be full");
             }

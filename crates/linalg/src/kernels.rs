@@ -144,7 +144,7 @@ fn micro_kernel(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// added into the output block. The portable fallback for every tile on
 /// the scalar tier and for the ragged edge tiles on the SIMD tiers
 /// (which write their full tiles directly, skipping the staging pass).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the packed strips and the output tile's geometry")]
 fn tile_acc(
     kc: usize,
     astrip: &[f32],
@@ -392,7 +392,7 @@ fn gram_group(
 
 /// The scalar tier of [`gram_group`] over output rows `js` and columns
 /// `ls`: the reference's row loop, restricted.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the reference's row loop over one output block")]
 fn gram_scalar(
     ab: &[f32],
     c: usize,

@@ -36,12 +36,17 @@
 //!   correctness oracles and benchmark baselines.
 //! * [`simd`] — explicit AVX2/AVX-512 implementations of the hot kernels
 //!   behind runtime CPU-feature dispatch; the crate's sole unsafe module
-//!   (`#![allow(unsafe_code)]` against the crate-wide deny, isolation
-//!   enforced by xtask lints L1/L6).
+//!   (`#![expect(unsafe_code)]` against the workspace-wide deny).
 
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod dense;
 pub mod eig;

@@ -1,7 +1,6 @@
 //! Explicit-SIMD kernels behind runtime CPU-feature dispatch — the
-//! crate's **sole unsafe module** (xtask L1 isolation; every `std::arch`
-//! intrinsic call site in the workspace lives here, inside
-//! `#[target_feature]` functions, per lint L6).
+//! crate's **sole unsafe module** (every `std::arch` intrinsic call site in
+//! the workspace lives here, inside `#[target_feature]` functions).
 //!
 //! # Dispatch model
 //!
@@ -40,12 +39,15 @@
 //! depends on the pool size, so each tier independently preserves the
 //! PR 1 bitwise 1/2/8-thread determinism guarantee.
 
-// This is the crate's designated unsafe module (`#![allow(unsafe_code)]`
-// below against the crate-wide deny): the `std::arch` intrinsics need
-// raw-pointer loads/stores, and confining them here keeps the rest of
-// the crate `unsafe`-free — enforced by xtask lint L1's isolation rule
-// and L6's intrinsic-confinement rule.
-#![allow(unsafe_code)]
+// This is the crate's designated unsafe module (the `expect` below
+// against the workspace-wide `unsafe_code = "deny"`): the `std::arch`
+// intrinsics need raw-pointer loads/stores, and a call into a
+// `#[target_feature]` function from an ungated one needs `unsafe`, so
+// confining both here keeps the rest of the crate `unsafe`-free.
+#![expect(
+    unsafe_code,
+    reason = "the crate's one unsafe module: raw-pointer SIMD loads/stores and the calls into #[target_feature] kernels"
+)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -620,9 +622,10 @@ mod x86 {
 
     /// Best-effort read prefetch of the cache line holding `ptr`. A pure
     /// scheduling hint: it never faults and never changes results.
-    // PREFETCHT0 performs no architectural dereference (doc above), so a
-    // safe raw-pointer API is sound here.
-    #[allow(clippy::not_unsafe_ptr_arg_deref)]
+    #[expect(
+        clippy::not_unsafe_ptr_arg_deref,
+        reason = "PREFETCHT0 performs no architectural dereference (doc above), so a safe raw-pointer API is sound"
+    )]
     #[inline(always)]
     pub fn prefetch_read(ptr: *const u8) {
         // SAFETY: the only feature `prefetch_raw` needs is SSE, which is
@@ -650,7 +653,6 @@ mod x86 {
     /// AVX-512 paired-strip GEMM micro-kernel, direct writeback (see
     /// [`mk_avx512_pair`]).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub fn microkernel_avx512_pair(
         kc: usize,
         a: &[f32],
@@ -716,6 +718,10 @@ mod fallback {
     pub fn prefetch_read(_ptr: *const u8) {}
 
     /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
+    #[expect(
+        clippy::unreachable,
+        reason = "cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here"
+    )]
     pub fn microkernel_avx2_direct(
         _: usize,
         _: &[f32],
@@ -724,12 +730,14 @@ mod fallback {
         _: usize,
         _: usize,
     ) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
         unreachable!("SIMD tier selected off x86_64")
     }
 
     /// Unreachable off x86_64 (dispatch never selects a SIMD tier).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::unreachable,
+        reason = "cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here"
+    )]
     pub fn microkernel_avx512_pair(
         _: usize,
         _: &[f32],
@@ -739,13 +747,11 @@ mod fallback {
         _: usize,
         _: usize,
     ) {
-        // xtask:panic-ok(cfg stub: dispatch clamps to Scalar off x86_64, so no caller ever reaches a SIMD tier here)
         unreachable!("SIMD tier selected off x86_64")
     }
 
     /// Off x86_64 there are no register tiles: no column is covered and
     /// the scalar loop computes the whole chunk.
-    #[allow(clippy::ptr_arg)]
     pub(crate) fn gram_chunk(
         _: &[f32],
         _: usize,

@@ -91,8 +91,12 @@ impl CsrMatrix {
     ) -> Self {
         assert_eq!(row_ptr.len(), n_rows + 1);
         assert_eq!(col_idx.len(), values.len());
-        // xtask:panic-ok(invariant: row_ptr length n_rows+1 asserted on the line above)
-        assert_eq!(*row_ptr.last().unwrap() as usize, col_idx.len());
+        #[expect(
+            clippy::unwrap_used,
+            reason = "invariant: row_ptr length n_rows+1 asserted on the line above"
+        )]
+        let nnz = *row_ptr.last().unwrap() as usize;
+        assert_eq!(nnz, col_idx.len());
         assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]));
         assert!(col_idx.par_iter().all(|&c| (c as usize) < n_cols));
         let ascending = |i: usize| {

@@ -580,8 +580,8 @@ pub(crate) mod tests {
             seed: 4,
         };
         let (coo, _) = sparsifier_coo(&g, &cfg);
-        use std::collections::HashMap;
-        let map: HashMap<(u32, u32), f32> = coo.iter().map(|&(u, v, w)| ((u, v), w)).collect();
+        use std::collections::BTreeMap;
+        let map: BTreeMap<(u32, u32), f32> = coo.iter().map(|&(u, v, w)| ((u, v), w)).collect();
         for &(u, v, w) in &coo {
             let mirror = *map.get(&(v, u)).unwrap_or(&0.0);
             assert!((w - mirror).abs() < 1e-3 * w.abs().max(1.0), "asymmetry at ({u},{v})");

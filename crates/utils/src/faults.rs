@@ -155,7 +155,7 @@ mod imp {
     pub fn check(point: &str) -> io::Result<()> {
         match record_and_get(point) {
             Some(FaultAction::IoError) => Err(injected_error(point)),
-            // xtask:panic-ok(fault injection: panicking is the feature)
+            #[expect(clippy::panic, reason = "fault injection: panicking is the feature")]
             Some(FaultAction::Panic) => panic!("injected fault panic at {point}"),
             _ => Ok(()),
         }
@@ -166,7 +166,7 @@ mod imp {
     pub fn mangle(point: &str, bytes: &mut Vec<u8>) -> io::Result<()> {
         match record_and_get(point) {
             Some(FaultAction::IoError) => Err(injected_error(point)),
-            // xtask:panic-ok(fault injection: panicking is the feature)
+            #[expect(clippy::panic, reason = "fault injection: panicking is the feature")]
             Some(FaultAction::Panic) => panic!("injected fault panic at {point}"),
             Some(FaultAction::Truncate(n)) => {
                 bytes.truncate(n);

@@ -9,7 +9,7 @@ use std::fmt;
 /// One lint violation, pointing at a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Lint code, `L1`..`L5`.
+    /// Lint code: `L3`, `L4`, or `allow` for a waiver naming neither.
     pub lint: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -81,27 +81,27 @@ mod tests {
     #[test]
     fn display_is_clickable() {
         let d = Diagnostic {
-            lint: "L2",
+            lint: "L4",
             file: "crates/core/src/engine.rs".into(),
             line: 42,
             col: 5,
-            message: "HashMap iteration".into(),
+            message: "unjustified Relaxed".into(),
         };
-        assert_eq!(d.to_string(), "crates/core/src/engine.rs:42:5: [L2] HashMap iteration");
+        assert_eq!(d.to_string(), "crates/core/src/engine.rs:42:5: [L4] unjustified Relaxed");
     }
 
     #[test]
     fn json_escapes_and_counts() {
         let diags = vec![Diagnostic {
-            lint: "L1",
+            lint: "L3",
             file: "a\\b.rs".into(),
             line: 1,
             col: 2,
-            message: "needs \"SAFETY\"".into(),
+            message: "needs \"ordering:\"".into(),
         }];
         let j = to_json(&diags);
         assert!(j.contains("\"file\": \"a\\\\b.rs\""));
-        assert!(j.contains("\\\"SAFETY\\\""));
+        assert!(j.contains("\\\"ordering:\\\""));
         assert!(j.contains("\"count\": 1"));
         assert!(j.contains("\"ok\": false"));
     }

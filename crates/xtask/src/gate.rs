@@ -1,9 +1,9 @@
-//! `cargo xtask gate <linalg|graph|quality|analysis>` — the one
-//! regression gate over the flat JSON reports of `bench_*_json` and
-//! `xtask analyze`: a reader for one-key-per-line JSON ([`Report`]), an
-//! evaluator over four rule kinds plus a guard ([`evaluate`]), and the
-//! table of every gated key with its threshold ([`table`]). A report is
-//! judged against a committed baseline of the same shape.
+//! `cargo xtask gate <linalg|graph|quality>` — the one regression gate
+//! over the flat JSON reports of `bench_*_json`: a reader for
+//! one-key-per-line JSON ([`Report`]), an evaluator over four rule kinds
+//! plus a guard ([`evaluate`]), and the table of every gated key with its
+//! threshold ([`table`]). A report is judged against a committed baseline
+//! of the same shape.
 //!
 //! Verdict lines: `ok:` (rule held), `FAIL:` (rule violated, or a key
 //! the table names is absent from the report or the baseline — a renamed
@@ -37,8 +37,8 @@ impl fmt::Display for GateError {
 }
 
 /// The scalar members of a one-key-per-line JSON document, string
-/// values unquoted. Members of nested objects (the analysis report's
-/// `counts`) are included; array items are not.
+/// values unquoted. Members of nested objects are included; array items
+/// are not.
 #[derive(Debug, Default)]
 pub struct Report(Vec<(String, String)>);
 
@@ -117,7 +117,7 @@ pub type ConfigKeys = &'static [&'static str];
 pub enum Rule {
     /// `report[key] >= c` — a machine-relative floor.
     AtLeast(f64),
-    /// `report[key] <= c`; the hard-zero gates are `AtMost(0.0)`.
+    /// `report[key] <= c`.
     AtMost(f64),
     /// `report[key]` within `factor ×` the baseline's value.
     VsBaseline {
@@ -161,10 +161,6 @@ pub struct Row {
 
 const fn row(key: &'static str, rule: Rule) -> Row {
     Row { key, rule, when: None }
-}
-
-const fn ratchet(key: &'static str) -> Row {
-    row(key, Rule::VsBaseline { dir: Dir::AtMost, factor: 1.0, config_keys: &[] })
 }
 
 /// GFLOP/s may drop at most 25 % against the baseline at equal sizes.
@@ -239,28 +235,12 @@ const QUALITY: &[Row] = &[
     }),
 ];
 
-const ANALYSIS: &[Row] = &[
-    row("taint_unjustified", Rule::AtMost(0.0)),
-    row("panic_unjustified", Rule::AtMost(0.0)),
-    row("directive_errors", Rule::AtMost(0.0)),
-    // Monotone downward: these grow only by editing the baseline in the
-    // same PR. `taint_justified` is deliberately not ratcheted —
-    // justifying a source is progress though the count rises.
-    ratchet("panic_justified"),
-    ratchet("slice_index"),
-    ratchet("int_div"),
-    ratchet("assert_sites"),
-    ratchet("panic_vendor_exempt"),
-    ratchet("unsafe_reach_apis"),
-];
-
 /// The committed baseline (workspace-relative) and the rows of a gate.
 pub fn table(gate: &str) -> Result<(&'static str, &'static [Row]), GateError> {
     match gate {
         "linalg" => Ok(("results/BENCH_linalg.json", LINALG)),
         "graph" => Ok(("results/BENCH_graph.json", GRAPH)),
         "quality" => Ok(("results/BENCH_quality.json", QUALITY)),
-        "analysis" => Ok(("results/ANALYSIS_baseline.json", ANALYSIS)),
         other => Err(GateError::Usage(format!("unknown gate `{other}`"))),
     }
 }

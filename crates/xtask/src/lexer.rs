@@ -44,10 +44,6 @@ pub struct Token {
     pub line: u32,
     /// 1-based column of the token's first character.
     pub col: u32,
-    /// Whether this is a raw identifier (`r#fn`): the `text` is the bare
-    /// name without the `r#` sigil, but the token must *not* be treated
-    /// as a keyword by item-level parsing.
-    pub raw: bool,
 }
 
 /// One comment with its position. Doc comments are included.
@@ -65,7 +61,7 @@ pub struct Comment {
 impl Comment {
     /// Whether this is a doc comment (`///`, `//!`, `/**`, `/*!`). Doc
     /// comments are rendered documentation: a directive mentioned in one
-    /// (`xtask:allow`, `xtask:panic-ok`, `ordering:`) is prose *about*
+    /// (`xtask:allow`, `ordering:`) is prose *about*
     /// the directive, never a live waiver, so every directive scanner
     /// skips them.
     pub fn is_doc(&self) -> bool {
@@ -172,26 +168,19 @@ pub fn lex(src: &str) -> Lexed {
             }
             b'"' => {
                 lex_string(&mut c);
-                out.tokens.push(Token {
-                    kind: TokKind::Str,
-                    text: c.slice(start),
-                    line,
-                    col,
-                    raw: false,
-                });
+                out.tokens.push(Token { kind: TokKind::Str, text: c.slice(start), line, col });
             }
             b'r' | b'b' | b'c' if starts_prefixed_literal(&c) => {
                 let kind = lex_prefixed_literal(&mut c);
-                out.tokens.push(Token { kind, text: c.slice(start), line, col, raw: false });
+                out.tokens.push(Token { kind, text: c.slice(start), line, col });
             }
             b'\'' => {
                 let kind = lex_quote(&mut c);
-                out.tokens.push(Token { kind, text: c.slice(start), line, col, raw: false });
+                out.tokens.push(Token { kind, text: c.slice(start), line, col });
             }
             b'r' if c.peek_at(1) == Some(b'#') && c.peek_at(2).is_some_and(is_ident_start) => {
                 // Raw identifier `r#name`: the name is lexed without the
-                // sigil so lint pattern matching sees the bare text, but
-                // the `raw` flag keeps it from being parsed as a keyword.
+                // sigil so lint pattern matching sees the bare text.
                 c.bump();
                 c.bump();
                 let name_start = c.pos;
@@ -203,34 +192,21 @@ pub fn lex(src: &str) -> Lexed {
                     text: c.slice(name_start),
                     line,
                     col,
-                    raw: true,
                 });
             }
             _ if is_ident_start(b) => {
                 while c.peek().is_some_and(is_ident_cont) {
                     c.bump();
                 }
-                out.tokens.push(Token {
-                    kind: TokKind::Ident,
-                    text: c.slice(start),
-                    line,
-                    col,
-                    raw: false,
-                });
+                out.tokens.push(Token { kind: TokKind::Ident, text: c.slice(start), line, col });
             }
             _ if b.is_ascii_digit() => {
                 let kind = lex_number(&mut c);
-                out.tokens.push(Token { kind, text: c.slice(start), line, col, raw: false });
+                out.tokens.push(Token { kind, text: c.slice(start), line, col });
             }
             _ => {
                 c.bump();
-                out.tokens.push(Token {
-                    kind: TokKind::Punct,
-                    text: c.slice(start),
-                    line,
-                    col,
-                    raw: false,
-                });
+                out.tokens.push(Token { kind: TokKind::Punct, text: c.slice(start), line, col });
             }
         }
     }
@@ -241,15 +217,13 @@ pub fn lex(src: &str) -> Lexed {
 /// i.e. a prefixed literal rather than an identifier starting with that
 /// letter.
 fn starts_prefixed_literal(c: &Cursor) -> bool {
-    // xtask:panic-ok(callers only invoke this mid-input, peek is Some)
-    let b0 = c.peek().unwrap();
-    match (b0, c.peek_at(1)) {
-        (b'r' | b'c', Some(b'"')) | (b'b', Some(b'"' | b'\'')) => true,
-        (b'r', Some(b'#')) => {
+    match (c.peek(), c.peek_at(1)) {
+        (Some(b'r' | b'c'), Some(b'"')) | (Some(b'b'), Some(b'"' | b'\'')) => true,
+        (Some(b'r'), Some(b'#')) => {
             // `r#"` raw string vs `r#ident` raw identifier.
             c.peek_at(2) == Some(b'"')
         }
-        (b'b' | b'c', Some(b'r')) => matches!(c.peek_at(2), Some(b'"' | b'#')),
+        (Some(b'b' | b'c'), Some(b'r')) => matches!(c.peek_at(2), Some(b'"' | b'#')),
         _ => false,
     }
 }

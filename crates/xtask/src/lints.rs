@@ -1,37 +1,20 @@
-//! The six workspace lints (L1–L6) and the suppression machinery.
+//! The two token lints (L3, L4) and their suppression machinery.
 //!
-//! Every lint works on the token stream from [`crate::lexer`], so banned
-//! patterns appearing inside string literals or comments (including this
-//! file's own documentation) never fire. The catalog:
+//! Every other workspace invariant is a compiler lint level: the root
+//! `Cargo.toml`'s `[workspace.lints]` table and `clippy.toml` (see
+//! DESIGN.md, "Static analysis & concurrency verification"). These two
+//! have no rustc or clippy equivalent, so they run on the token stream
+//! from [`crate::lexer`], where banned patterns inside string literals or
+//! comments (including this file's own documentation) never fire:
 //!
-//! * **L1** — every `unsafe` token must have a `// SAFETY:` comment within
-//!   six lines above it (or trailing on the same line), and every crate
-//!   root must carry `#![forbid(unsafe_code)]` or
-//!   `#![deny(unsafe_op_in_unsafe_fn)]`. Crates listed in
-//!   [`config::L1_UNSAFE_ISOLATED`] additionally confine `unsafe` to one
-//!   designated module: elsewhere in the crate it is a violation even
-//!   with a SAFETY comment.
-//! * **L2** — no `HashMap`/`HashSet` in deterministic-path modules
-//!   (outside `#[cfg(test)]`): hash iteration order varies per process,
-//!   which breaks bitwise reproducibility of sparsifier/embedding output.
 //! * **L3** — no floating-point reductions (`sum`, `product`, `reduce`,
 //!   `fold`) or captured-accumulator `+=` inside rayon parallel chains,
 //!   outside the fixed-block helpers in `lightne_utils::parallel`:
 //!   unordered float addition makes results depend on thread count.
-//! * **L4** — every `Ordering::Relaxed` in the edge hash table must
+//! * **L4** — every `Ordering::Relaxed` outside test code (`#[cfg(test)]`
+//!   items, and the integration tests under a `tests/` directory) must
 //!   carry an `// ordering:` justification comment arguing why relaxed
 //!   ordering is sufficient at that site.
-//! * **L5** — no ambient nondeterminism: `SystemTime::now` and
-//!   `rand::thread_rng`/`from_entropy` are banned workspace-wide;
-//!   `Instant::now` is banned on the deterministic path unless an inline
-//!   allow justifies it.
-//! * **L6** — every `std::arch` SIMD intrinsic call site (`_mm…(`) must
-//!   sit inside a `#[target_feature]` function, in a crate's designated
-//!   unsafe module ([`config::L1_UNSAFE_ISOLATED`]), with a `// SAFETY:`
-//!   feature-guard comment near the call or the enclosing function:
-//!   an intrinsic outside a feature-gated function is instant UB on older
-//!   CPUs, and scattering intrinsics outside the audited modules defeats
-//!   the L1 isolation posture.
 //!
 //! A violation can be suppressed inline with
 //! `// xtask:allow(Lk): reason` on the same or preceding line; an allow
@@ -63,11 +46,22 @@ const FLOAT_IDENT_EVIDENCE: &[&str] = &["f32", "f64", "powf", "sqrt", "exp", "ln
 
 /// An inline `xtask:allow` suppression parsed from a comment.
 #[derive(Debug)]
-pub(crate) struct Allow {
-    pub(crate) lint: String,
-    pub(crate) line: u32,
-    pub(crate) end_line: u32,
-    pub(crate) has_reason: bool,
+struct Allow {
+    lint: String,
+    line: u32,
+    end_line: u32,
+    has_reason: bool,
+}
+
+impl Allow {
+    /// Whether this reasoned allow waives `d`: same lint, on the same line
+    /// or ending up to three lines above it (the reason may wrap onto
+    /// continuation comment lines).
+    fn covers(&self, d: &Diagnostic) -> bool {
+        self.has_reason
+            && self.lint == d.lint
+            && (self.line == d.line || (self.end_line < d.line && d.line - self.end_line <= 3))
+    }
 }
 
 /// Per-file lint context: tokens, comments, `#[cfg(test)]` spans, allows.
@@ -99,6 +93,14 @@ impl<'a> FileCtx<'a> {
             .all(|(k, want)| self.tokens.get(i + k).is_some_and(|t| t.text == *want))
     }
 
+    /// Every L3 and L4 diagnostic of the file, before any allow.
+    fn token_lints(&self) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        lint_l3(self, &mut diags);
+        lint_l4(self, &mut diags);
+        diags
+    }
+
     fn diag(&self, lint: &'static str, tok: &Token, message: String) -> Diagnostic {
         Diagnostic { lint, file: self.path.to_string(), line: tok.line, col: tok.col, message }
     }
@@ -115,18 +117,11 @@ impl<'a> FileCtx<'a> {
 }
 
 /// Lints one source file. `path` is the workspace-relative path with `/`
-/// separators; it selects which lints apply (deterministic-path modules,
-/// whitelists). Returns unsuppressed diagnostics in source order.
+/// separators; it selects the L3 whitelist and L4's exemption of `tests/`
+/// directories. Returns unsuppressed diagnostics in source order.
 pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let ctx = FileCtx::new(path, src);
-    let mut diags = Vec::new();
-    lint_l1(&ctx, &mut diags);
-    lint_l2(&ctx, &mut diags);
-    lint_l3(&ctx, &mut diags);
-    lint_l4(&ctx, &mut diags);
-    lint_l5(&ctx, &mut diags);
-    lint_l6(&ctx, &mut diags);
-    let mut out = apply_allows(&ctx, diags);
+    let mut out = apply_allows(&ctx, ctx.token_lints());
     out.sort_by_key(|d| (d.line, d.col, d.lint));
     out
 }
@@ -134,7 +129,7 @@ pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
 /// Extracts `#[cfg(test)]` item spans as inclusive line ranges. The span
 /// starts at the attribute and runs to the matching close brace of the
 /// item that follows (or its terminating `;`).
-pub(crate) fn cfg_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
+fn cfg_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -219,7 +214,7 @@ pub(crate) fn cfg_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
 
 /// Parses inline allow directives of the form `xtask:allow(Lk): reason`
 /// (the reason part may be absent, which is reported as a violation).
-pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
+fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
     let mut out = Vec::new();
     for c in comments {
         if c.is_doc() {
@@ -239,21 +234,11 @@ pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
     out
 }
 
-/// Filters `diags` through the file's inline allows. A reasoned allow on
-/// the same line, or ending up to three lines above (the reason may wrap
-/// onto continuation comment lines), suppresses a matching diagnostic; an
-/// allow without a reason adds a diagnostic of its own.
+/// Filters `diags` through the file's inline allows ([`Allow::covers`]);
+/// an allow without a reason adds a diagnostic of its own.
 fn apply_allows(ctx: &FileCtx, diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = diags
-        .into_iter()
-        .filter(|d| {
-            !ctx.allows.iter().any(|a| {
-                a.has_reason
-                    && a.lint == d.lint
-                    && (a.line == d.line || (a.end_line < d.line && d.line - a.end_line <= 3))
-            })
-        })
-        .collect();
+    let mut out: Vec<Diagnostic> =
+        diags.into_iter().filter(|d| !ctx.allows.iter().any(|a| a.covers(d))).collect();
     for a in &ctx.allows {
         if !a.has_reason {
             out.push(Diagnostic {
@@ -272,28 +257,18 @@ fn apply_allows(ctx: &FileCtx, diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
 }
 
 /// Stale-suppression audit: reports every *reasoned* `xtask:allow` waiver
-/// that no longer suppresses a real diagnostic, and every reasoned
-/// `xtask:panic-ok(..)` with no panic-adjacent site in its window. Dead
-/// waivers are how suppressions rot: the code they excused gets deleted
-/// or rewritten, the comment stays, and a later real violation lands in
-/// its shadow. Run via `cargo xtask check --stale-allows` (wired into
+/// that no longer suppresses a real diagnostic. Dead waivers are how
+/// suppressions rot: the code they excused gets deleted or rewritten, the
+/// comment stays, and a later real violation lands in its shadow. (The
+/// compiler audits its own waivers: an `#[expect]` that suppresses
+/// nothing warns.) Run via `cargo xtask check --stale-allows` (wired into
 /// the CI static-analysis job).
 pub fn stale_suppressions(path: &str, src: &str) -> Vec<Diagnostic> {
     let ctx = FileCtx::new(path, src);
-    let mut raw = Vec::new();
-    lint_l1(&ctx, &mut raw);
-    lint_l2(&ctx, &mut raw);
-    lint_l3(&ctx, &mut raw);
-    lint_l4(&ctx, &mut raw);
-    lint_l5(&ctx, &mut raw);
-    lint_l6(&ctx, &mut raw);
+    let raw = ctx.token_lints();
     let mut out = Vec::new();
     for a in ctx.allows.iter().filter(|a| a.has_reason) {
-        let suppresses = raw.iter().any(|d| {
-            a.lint == d.lint
-                && (a.line == d.line || (a.end_line < d.line && d.line - a.end_line <= 3))
-        });
-        if !suppresses {
+        if !raw.iter().any(|d| a.covers(d)) {
             out.push(Diagnostic {
                 lint: lint_code(&a.lint),
                 file: ctx.path.to_string(),
@@ -307,123 +282,18 @@ pub fn stale_suppressions(path: &str, src: &str) -> Vec<Diagnostic> {
             });
         }
     }
-    // panic-ok staleness: the directive must sit on or within 3 lines
-    // above some panic-adjacent token (unwrap/expect/panic-family macro).
-    for c in &ctx.comments {
-        if c.is_doc() || !c.text.contains("xtask:panic-ok(") {
-            continue;
-        }
-        let covered = ctx.tokens.iter().any(|t| {
-            t.kind == TokKind::Ident
-                && matches!(
-                    t.text.as_str(),
-                    "unwrap" | "expect" | "panic" | "unreachable" | "todo" | "unimplemented"
-                )
-                && (t.line == c.line || (c.end_line < t.line && t.line - c.end_line <= 3))
-        });
-        if !covered {
-            out.push(Diagnostic {
-                lint: "L1",
-                file: ctx.path.to_string(),
-                line: c.line,
-                col: 1,
-                message: "stale `xtask:panic-ok(..)`: no unwrap/expect/panic site within its \
-                          window — remove the waiver"
-                    .into(),
-            });
-        }
-    }
     out.sort_by_key(|d| (d.line, d.col));
     out
 }
 
-/// Maps a lint name from an allow back to a static code (unknown names
-/// get reported under L1 so they are never silently dropped).
+/// Maps a lint name from an allow back to a static code (an unknown name
+/// — an allow for a lint that is not a token lint — is reported as
+/// `allow`, so it is never silently dropped).
 fn lint_code(name: &str) -> &'static str {
     match name {
-        "L1" => "L1",
-        "L2" => "L2",
         "L3" => "L3",
         "L4" => "L4",
-        "L5" => "L5",
-        "L6" => "L6",
-        _ => "L1",
-    }
-}
-
-/// L1: `unsafe` requires a nearby `// SAFETY:` comment; crate roots must
-/// declare an unsafe posture attribute.
-fn lint_l1(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    let isolated_to = config::L1_UNSAFE_ISOLATED
-        .iter()
-        .find(|(prefix, module)| ctx.path.starts_with(prefix) && ctx.path != *module)
-        .map(|&(_, module)| module);
-    for t in &ctx.tokens {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        if !ctx.has_comment_near("SAFETY:", t.line, 6) {
-            diags.push(ctx.diag(
-                "L1",
-                t,
-                "`unsafe` without a `// SAFETY:` comment within 6 lines above it".into(),
-            ));
-        }
-        if let Some(module) = isolated_to {
-            diags.push(ctx.diag(
-                "L1",
-                t,
-                format!(
-                    "`unsafe` outside the crate's designated unsafe module: this crate \
-                     confines unsafe code to {module}"
-                ),
-            ));
-        }
-    }
-    if ctx.path.ends_with("src/lib.rs") || ctx.path.ends_with("src/main.rs") {
-        let mut found = false;
-        for i in 0..ctx.tokens.len() {
-            if ctx.seq(i, &["forbid", "(", "unsafe_code", ")"])
-                || ctx.seq(i, &["deny", "(", "unsafe_op_in_unsafe_fn", ")"])
-            {
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            diags.push(Diagnostic {
-                lint: "L1",
-                file: ctx.path.to_string(),
-                line: 1,
-                col: 1,
-                message: "crate root missing `#![forbid(unsafe_code)]` or \
-                          `#![deny(unsafe_op_in_unsafe_fn)]`"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// L2: hash-order iteration hazard on the deterministic path.
-fn lint_l2(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if !config::path_in(ctx.path, config::DETERMINISTIC_PATH) {
-        return;
-    }
-    for t in &ctx.tokens {
-        if t.kind == TokKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-            && !ctx.in_test(t.line)
-        {
-            diags.push(ctx.diag(
-                "L2",
-                t,
-                format!(
-                    "`{}` in a deterministic-path module: iteration order varies per \
-                     process; use a Vec, sorted keys, or BTreeMap/BTreeSet",
-                    t.text
-                ),
-            ));
-        }
+        _ => "allow",
     }
 }
 
@@ -546,12 +416,11 @@ fn lint_l3(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// L4: `Ordering::Relaxed` in the edge table needs an inline
+/// L4: `Ordering::Relaxed` outside test code needs an inline
 /// `// ordering:` justification.
 fn lint_l4(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if !config::path_in(ctx.path, config::L4_PATHS)
-        || config::path_in(ctx.path, config::L4_WHITELIST)
-    {
+    // Cargo builds a file under a `tests/` directory only as a test target.
+    if ctx.path.starts_with("tests/") || ctx.path.contains("/tests/") {
         return;
     }
     for i in 0..ctx.tokens.len() {
@@ -568,115 +437,6 @@ fn lint_l4(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
                     ),
                 );
             }
-        }
-    }
-}
-
-/// L5: ambient nondeterminism sources.
-fn lint_l5(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    for i in 0..ctx.tokens.len() {
-        let t = &ctx.tokens[i];
-        if ctx.seq(i, &["SystemTime", ":", ":", "now"]) {
-            diags.push(
-                ctx.diag(
-                    "L5",
-                    t,
-                    "`SystemTime::now` is banned workspace-wide: wall-clock reads are \
-                 nondeterministic; thread timestamps through the caller"
-                        .into(),
-                ),
-            );
-        }
-        if t.kind == TokKind::Ident && (t.text == "thread_rng" || t.text == "from_entropy") {
-            diags.push(ctx.diag(
-                "L5",
-                t,
-                format!(
-                    "`{}` is banned workspace-wide: all randomness must flow through the \
-                     seeded RNG plumbing in lightne_utils::rng",
-                    t.text
-                ),
-            ));
-        }
-        if config::path_in(ctx.path, config::DETERMINISTIC_PATH)
-            && !config::path_in(ctx.path, config::L5_TIMER_WHITELIST)
-            && ctx.seq(i, &["Instant", ":", ":", "now"])
-            && !ctx.in_test(t.line)
-        {
-            diags.push(ctx.diag(
-                "L5",
-                t,
-                "`Instant::now` on the deterministic path: justify with an inline allow".into(),
-            ));
-        }
-    }
-}
-
-/// L6: `std::arch` SIMD intrinsic call sites are confined to
-/// `#[target_feature]` functions inside designated unsafe modules, each
-/// covered by a `// SAFETY:` feature-guard comment.
-fn lint_l6(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    let designated = config::L1_UNSAFE_ISOLATED.iter().any(|&(_, module)| ctx.path == module);
-    for i in 0..ctx.tokens.len() {
-        let t = &ctx.tokens[i];
-        // `_mm…` (case-sensitive: skips `_MM_HINT_*` constants and
-        // `__m256`-style type names) followed by a call or turbofish.
-        if t.kind != TokKind::Ident || !t.text.starts_with("_mm") {
-            continue;
-        }
-        let is_call = ctx.tokens.get(i + 1).is_some_and(|n| n.text == "(")
-            || ctx.seq(i + 1, &[":", ":", "<"]);
-        if !is_call || ctx.in_test(t.line) {
-            continue;
-        }
-        if !designated {
-            diags.push(ctx.diag(
-                "L6",
-                t,
-                format!(
-                    "`{}` outside a designated unsafe module: std::arch intrinsics are \
-                     confined to the modules listed in config::L1_UNSAFE_ISOLATED",
-                    t.text
-                ),
-            ));
-        }
-        // The enclosing fn must carry `#[target_feature(..)]`: find the
-        // nearest preceding `fn`, then scan back through its attributes
-        // and modifiers (stopping at the previous item's end).
-        let fn_idx = (0..i).rev().find(|&k| ctx.tokens[k].text == "fn");
-        let has_target_feature = fn_idx.is_some_and(|f| {
-            ctx.tokens[..f]
-                .iter()
-                .rev()
-                .take(48)
-                .take_while(|a| a.text != "}" && a.text != ";" && a.text != "fn")
-                .any(|a| a.text == "target_feature")
-        });
-        if !has_target_feature {
-            diags.push(ctx.diag(
-                "L6",
-                t,
-                format!(
-                    "`{}` outside a `#[target_feature]` function: calling an intrinsic \
-                     the CPU may not support is undefined behavior; gate the containing \
-                     function and dispatch on runtime detection",
-                    t.text
-                ),
-            ));
-        }
-        let fn_line = fn_idx.map_or(t.line, |f| ctx.tokens[f].line);
-        if !ctx.has_comment_near("SAFETY:", t.line, 6)
-            && !ctx.has_comment_near("SAFETY:", fn_line, 6)
-        {
-            diags.push(ctx.diag(
-                "L6",
-                t,
-                format!(
-                    "`{}` without a `// SAFETY:` feature-guard comment near the call or \
-                     its enclosing function",
-                    t.text
-                ),
-            ));
         }
     }
 }
@@ -727,15 +487,15 @@ mod tests {
 
     #[test]
     fn allow_with_reason_suppresses() {
-        let src = "// xtask:allow(L5): timing for progress reporting only\n\
-                   let t = Instant::now();\n";
+        let src = "// xtask:allow(L4): counter is advisory\n\
+                   x.load(Ordering::Relaxed);\n";
         let diags = check_source("crates/core/src/x.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn allow_without_reason_is_a_violation() {
-        let src = "// xtask:allow(L5)\nlet t = Instant::now();\n";
+        let src = "// xtask:allow(L4)\nx.load(Ordering::Relaxed);\n";
         let diags = check_source("crates/core/src/x.rs", src);
         // The bare allow still suppresses nothing AND reports itself.
         assert_eq!(diags.len(), 2, "{diags:?}");
@@ -744,7 +504,7 @@ mod tests {
 
     #[test]
     fn banned_names_inside_strings_do_not_fire() {
-        let src = r#"let s = "SystemTime::now thread_rng HashMap unsafe";"#;
+        let src = r#"let s = "Ordering::Relaxed par_iter().sum::<f64>()";"#;
         assert!(check_source("crates/core/src/x.rs", src).is_empty());
     }
 
@@ -775,20 +535,15 @@ mod tests {
     }
 
     #[test]
-    fn crate_root_posture_attribute_required() {
-        let diags = check_source("crates/foo/src/lib.rs", "pub fn a() {}\n");
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("crate root"));
-        let ok = "#![forbid(unsafe_code)]\npub fn a() {}\n";
-        assert!(check_source("crates/foo/src/lib.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn relaxed_needs_justification_only_in_hashtable() {
+    fn relaxed_needs_justification_outside_tests_in_every_crate() {
         let src = "x.load(Ordering::Relaxed);\n";
         assert_eq!(check_source("crates/hashtable/src/x.rs", src).len(), 1);
-        assert!(check_source("crates/utils/src/x.rs", src).is_empty());
+        assert_eq!(check_source("crates/utils/src/x.rs", src).len(), 1);
         let ok = "// ordering: counter is advisory.\nx.load(Ordering::Relaxed);\n";
         assert!(check_source("crates/hashtable/src/x.rs", ok).is_empty());
+        let test = "#[cfg(test)]\nmod tests {\n    fn f() { x.load(Ordering::Relaxed); }\n}\n";
+        assert!(check_source("crates/utils/src/x.rs", test).is_empty());
+        assert!(check_source("tests/x.rs", src).is_empty());
+        assert!(check_source("crates/utils/tests/x.rs", src).is_empty());
     }
 }

@@ -2,27 +2,22 @@
 //!
 //! ```text
 //! cargo xtask check [--json] [--stale-allows] [--root <path>]
-//! cargo xtask analyze [--json] [--root <path>]
-//! cargo xtask gate <linalg|graph|quality|analysis> [report] [--baseline <path>]
+//! cargo xtask gate <linalg|graph|quality> [report] [--baseline <path>]
 //! ```
 //!
-//! `check` runs the six per-file workspace lints (L1–L6); with
-//! `--stale-allows` it additionally audits for suppression comments that
-//! no longer cover a real diagnostic. `analyze` runs the whole-program
-//! reachability analyses (determinism taint, panic surface, unsafe
-//! reach) over the workspace call graph. Both exit non-zero on any
-//! violation; `--json` emits machine-readable reports for CI; `--root`
-//! overrides workspace-root auto-detection. See DESIGN.md, "Static
-//! analysis & concurrency verification" and "Whole-program analysis".
+//! `check` runs the two token lints (L3, L4); with `--stale-allows` it
+//! additionally audits for suppression comments that no longer cover a
+//! real diagnostic. It exits non-zero on any violation; `--json` emits a
+//! machine-readable report for CI; `--root` overrides workspace-root
+//! auto-detection. The other invariants are compiler lint levels (`cargo
+//! clippy`); see DESIGN.md, "Static analysis & concurrency verification".
 //!
 //! `gate` judges a flat JSON report (`bench_{linalg,graph,quality}_json`
-//! output, default `results/BENCH_<name>_new.json`; for `analysis`, a
-//! fresh in-process `analyze`) against the committed baseline with the
-//! rule table in [`xtask::gate`]. Exit 0 = every rule held, 1 = a
-//! `FAIL:` line, 2 = a report could not be read.
+//! output, default `results/BENCH_<name>_new.json`) against the committed
+//! baseline with the rule table in [`xtask::gate`]. Exit 0 = every rule
+//! held, 1 = a `FAIL:` line, 2 = a report could not be read.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -48,7 +43,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    if cmd != "check" && cmd != "analyze" {
+    if cmd != "check" {
         eprintln!("unknown subcommand `{cmd}`\n{USAGE}");
         return ExitCode::from(2);
     }
@@ -58,7 +53,7 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => json = true,
-            "--stale-allows" if cmd == "check" => stale_allows = true,
+            "--stale-allows" => stale_allows = true,
             "--root" => match it.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -79,9 +74,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if cmd == "analyze" {
-        return run_analyze(&root, json);
-    }
     run_check(&root, json, stale_allows)
 }
 
@@ -121,26 +113,6 @@ fn run_check(root: &Path, json: bool, stale_allows: bool) -> ExitCode {
     }
 }
 
-fn run_analyze(root: &Path, json: bool) -> ExitCode {
-    let report = match xtask::analyze_workspace(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// `gate <name> [report] [--baseline <path>]`: prints the verdict lines
 /// and returns whether every rule held.
 fn run_gate(args: &[&str]) -> Result<bool, GateError> {
@@ -161,11 +133,6 @@ fn run_gate(args: &[&str]) -> Result<bool, GateError> {
     let root = find_workspace_root().map_err(|e| GateError::Io(PathBuf::from("."), e))?;
     let new = match positional.get(1) {
         Some(path) => Report::from_file(Path::new(path))?,
-        None if name == "analysis" => {
-            let report =
-                xtask::analyze_workspace(&root).map_err(|e| GateError::Io(root.clone(), e))?;
-            Report::from_json(&report.to_json())?
-        }
         None => Report::from_file(&root.join(format!("results/BENCH_{name}_new.json")))?,
     };
     let base = Report::from_file(&baseline.unwrap_or_else(|| root.join(default_baseline)))?;
@@ -177,8 +144,7 @@ fn run_gate(args: &[&str]) -> Result<bool, GateError> {
 }
 
 const USAGE: &str = "usage: cargo xtask check [--json] [--stale-allows] [--root <path>]\n\
-                     \u{20}      cargo xtask analyze [--json] [--root <path>]\n\
-                     \u{20}      cargo xtask gate <linalg|graph|quality|analysis> [report] \
+                     \u{20}      cargo xtask gate <linalg|graph|quality> [report] \
                      [--baseline <path>]";
 
 /// Walks up from the current directory to the first directory containing

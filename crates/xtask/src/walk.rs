@@ -1,4 +1,4 @@
-//! Workspace file discovery for `cargo xtask check` / `analyze`.
+//! Workspace file discovery for `cargo xtask check`.
 //!
 //! Walks the scan roots in [`crate::config::SCAN_ROOTS`], collecting
 //! `.rs` files and skipping the exclusion list (build output and the
@@ -13,8 +13,8 @@
 //!   scanned before the path-fragment exclusion filters their files out;
 //! * **ordering is deterministic across platforms** — entries are sorted
 //!   by the workspace-relative `/`-separated path as raw bytes, so
-//!   diagnostics and analysis reports come out byte-identical regardless
-//!   of the host's directory-entry order or path-separator conventions.
+//!   diagnostics come out byte-identical regardless of the host's
+//!   directory-entry order or path-separator conventions.
 
 use std::fs;
 use std::io;

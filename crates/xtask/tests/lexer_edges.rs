@@ -1,6 +1,6 @@
 //! Span-exact lexer edge cases: raw identifiers, byte / raw-byte
-//! strings, and nested block comments. The parser and the directive
-//! scanners both trust the lexer's spans, so each test pins exact
+//! strings, and nested block comments. The token lints and the directive
+//! scanners trust the lexer's spans, so each test pins exact
 //! `(line, col)` positions, not just token presence — a lexer that
 //! drifts a column after one of these constructs silently misattributes
 //! every downstream finding on the line.
@@ -8,21 +8,17 @@
 use xtask::lexer::{lex, TokKind};
 
 #[test]
-fn raw_identifier_is_one_token_with_raw_flag() {
+fn raw_identifier_is_one_token() {
     let l = lex("fn r#fn() {}\nlet r#type = 1;");
     let idents: Vec<_> = l
         .tokens
         .iter()
         .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| (t.text.as_str(), t.raw, t.line, t.col))
+        .map(|t| (t.text.as_str(), t.line, t.col))
         .collect();
-    // `r#fn` lexes as ONE Ident with the sigil stripped and raw=true —
-    // not as `r`, `#`, `fn` (which would make the parser see a spurious
-    // `fn` keyword and invent an item).
-    assert_eq!(
-        idents,
-        [("fn", false, 1, 1), ("fn", true, 1, 4), ("let", false, 2, 1), ("type", true, 2, 5)]
-    );
+    // `r#fn` lexes as ONE Ident with the sigil stripped — not as `r`,
+    // `#`, `fn`, which would shift every later span on the line.
+    assert_eq!(idents, [("fn", 1, 1), ("fn", 1, 4), ("let", 2, 1), ("type", 2, 5)]);
     assert!(!l.tokens.iter().any(|t| t.text == "#"), "no stray `#` from the raw sigil");
 }
 
@@ -30,7 +26,7 @@ fn raw_identifier_is_one_token_with_raw_flag() {
 fn raw_identifier_at_end_of_input() {
     let l = lex("r#match");
     assert_eq!(l.tokens.len(), 1);
-    assert_eq!((l.tokens[0].text.as_str(), l.tokens[0].raw), ("match", true));
+    assert_eq!((l.tokens[0].kind, l.tokens[0].text.as_str()), (TokKind::Ident, "match"));
 }
 
 #[test]
@@ -40,7 +36,7 @@ fn bare_r_is_still_an_identifier() {
     let l = lex("let r = r + 1;");
     let rs: Vec<_> = l.tokens.iter().filter(|t| t.text == "r").collect();
     assert_eq!(rs.len(), 2);
-    assert!(rs.iter().all(|t| t.kind == TokKind::Ident && !t.raw));
+    assert!(rs.iter().all(|t| t.kind == TokKind::Ident && (t.col == 5 || t.col == 9)));
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Fixture tests for the six workspace lints: each fixture violates
-//! exactly one lint at a known span, the clean fixture produces zero
-//! false positives, and the live workspace itself must lint clean — the
-//! same gate CI enforces with `cargo xtask check`.
+//! Fixture tests for the two token lints: each fixture violates exactly
+//! one lint at a known span, the clean fixture produces zero false
+//! positives, and the live workspace itself must lint clean — the same
+//! gate CI enforces with `cargo xtask check`. Last, every workspace member
+//! must inherit the workspace lint table that states the other invariants.
 
 use std::path::Path;
 
@@ -9,45 +10,6 @@ use xtask::{check_source, Diagnostic};
 
 fn lints_of(diags: &[Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.lint).collect()
-}
-
-#[test]
-fn l1_fires_on_undocumented_unsafe() {
-    let diags = check_source("crates/eval/src/fixture_l1.rs", include_str!("fixtures/l1.rs"));
-    assert_eq!(lints_of(&diags), ["L1"], "{diags:?}");
-    assert_eq!(diags[0].line, 10, "span must point at the `unsafe` token");
-}
-
-#[test]
-fn l1_isolation_fires_outside_the_designated_module() {
-    // The graph crate confines `unsafe` to mmap.rs: a SAFETY-commented
-    // unsafe block anywhere else in the crate is still a violation.
-    let src = include_str!("fixtures/l1_isolation.rs");
-    let diags = check_source("crates/graph/src/v2.rs", src);
-    assert_eq!(lints_of(&diags), ["L1"], "{diags:?}");
-    assert_eq!(diags[0].line, 9, "span must point at the `unsafe` token");
-    assert!(diags[0].message.contains("mmap.rs"), "{diags:?}");
-}
-
-#[test]
-fn l1_isolation_allows_the_designated_module_and_other_crates() {
-    let src = include_str!("fixtures/l1_isolation.rs");
-    assert!(check_source("crates/graph/src/mmap.rs", src).is_empty());
-    assert!(check_source("crates/eval/src/ptr.rs", src).is_empty());
-}
-
-#[test]
-fn l2_fires_on_hashmap_in_deterministic_path() {
-    let diags = check_source("crates/core/src/fixture_l2.rs", include_str!("fixtures/l2.rs"));
-    assert_eq!(lints_of(&diags), ["L2"], "{diags:?}");
-    assert_eq!(diags[0].line, 5, "span must point at the HashMap import");
-    assert!(diags[0].message.contains("BTreeMap"));
-}
-
-#[test]
-fn l2_does_not_apply_off_the_deterministic_path() {
-    let diags = check_source("crates/graph/src/fixture_l2.rs", include_str!("fixtures/l2.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
@@ -69,51 +31,9 @@ fn l4_fires_on_unjustified_relaxed() {
     let diags = check_source("crates/hashtable/src/fixture_l4.rs", include_str!("fixtures/l4.rs"));
     assert_eq!(lints_of(&diags), ["L4"], "{diags:?}");
     assert_eq!(diags[0].line, 8, "span must point at the unjustified Relaxed");
-}
-
-#[test]
-fn l5_fires_on_system_time() {
-    let diags = check_source("crates/graph/src/fixture_l5.rs", include_str!("fixtures/l5.rs"));
-    assert_eq!(lints_of(&diags), ["L5"], "{diags:?}");
-    assert_eq!(diags[0].line, 9, "span must point at SystemTime::now");
-}
-
-#[test]
-fn l6_fires_on_intrinsic_outside_target_feature_fn() {
-    // Linted as the designated module, so the one violation is the
-    // missing `#[target_feature]` gate.
-    let diags = check_source("crates/linalg/src/simd.rs", include_str!("fixtures/l6.rs"));
-    assert_eq!(lints_of(&diags), ["L6"], "{diags:?}");
-    assert_eq!(diags[0].line, 9, "span must point at the intrinsic call");
-    assert!(diags[0].message.contains("target_feature"), "{diags:?}");
-}
-
-#[test]
-fn l6_fires_on_intrinsic_outside_designated_module() {
-    // A fully gated, SAFETY-commented call is still confined: under any
-    // path that is not a designated unsafe module it violates L6.
-    let src = include_str!("fixtures/l6_confinement.rs");
-    let diags = check_source("crates/linalg/src/kernels.rs", src);
-    assert_eq!(lints_of(&diags), ["L6"], "{diags:?}");
-    assert_eq!(diags[0].line, 9, "span must point at the intrinsic call");
-    assert!(diags[0].message.contains("designated"), "{diags:?}");
-}
-
-#[test]
-fn l6_allows_gated_intrinsics_in_designated_modules() {
-    let src = include_str!("fixtures/l6_confinement.rs");
-    assert!(check_source("crates/linalg/src/simd.rs", src).is_empty());
-    assert!(check_source("crates/graph/src/mmap.rs", src).is_empty());
-}
-
-#[test]
-fn l6_requires_a_safety_feature_guard_comment() {
-    // Strip the SAFETY line from the clean fixture: the gated call now
-    // lacks its feature-guard justification.
-    let src = include_str!("fixtures/l6_confinement.rs").replace("SAFETY:", "safety —");
-    let diags = check_source("crates/linalg/src/simd.rs", &src);
-    assert_eq!(lints_of(&diags), ["L6"], "{diags:?}");
-    assert!(diags[0].message.contains("SAFETY"), "{diags:?}");
+    // L4 reads every crate, not only the edge table.
+    let diags = check_source("crates/graph/src/fixture_l4.rs", include_str!("fixtures/l4.rs"));
+    assert_eq!(lints_of(&diags), ["L4"], "{diags:?}");
 }
 
 #[test]
@@ -124,9 +44,9 @@ fn clean_fixture_has_zero_false_positives() {
 
 #[test]
 fn json_report_shape() {
-    let diags = check_source("crates/core/src/fixture_l2.rs", include_str!("fixtures/l2.rs"));
+    let diags = check_source("crates/core/src/fixture_l4.rs", include_str!("fixtures/l4.rs"));
     let json = xtask::diagnostics::to_json(&diags);
-    assert!(json.contains("\"lint\": \"L2\""));
+    assert!(json.contains("\"lint\": \"L4\""));
     assert!(json.contains("\"ok\": false"));
     assert!(xtask::diagnostics::to_json(&[]).contains("\"ok\": true"));
 }
@@ -147,8 +67,8 @@ fn workspace_is_clean() {
 
 #[test]
 fn stale_allow_with_no_diagnostic_is_flagged() {
-    // A reasoned L5 allow over code that no longer reads the clock.
-    let src = "pub fn f() {\n    // xtask:allow(L5): used to time this block.\n    let x = 1;\n    let _ = x;\n}\n";
+    // A reasoned L4 allow over code that no longer loads an atomic.
+    let src = "pub fn f() {\n    // xtask:allow(L4): advisory counter.\n    let x = 1;\n    let _ = x;\n}\n";
     let diags = xtask::stale_suppressions("crates/core/src/x.rs", src);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert!(diags[0].message.contains("stale `xtask:allow"), "{}", diags[0].message);
@@ -157,22 +77,7 @@ fn stale_allow_with_no_diagnostic_is_flagged() {
 
 #[test]
 fn live_allow_is_not_flagged_as_stale() {
-    let src = "pub fn f() {\n    // xtask:allow(L5): measured for the stats block below.\n    let _t = Instant::now();\n}\n";
-    let diags = xtask::stale_suppressions("crates/core/src/x.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn stale_panic_ok_is_flagged() {
-    let src = "pub fn f() -> u32 {\n    // xtask:panic-ok(the unwrap this excused was removed)\n    41 + 1\n}\n";
-    let diags = xtask::stale_suppressions("crates/core/src/x.rs", src);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("stale `xtask:panic-ok"), "{}", diags[0].message);
-}
-
-#[test]
-fn live_panic_ok_is_not_flagged() {
-    let src = "pub fn f() -> u32 {\n    // xtask:panic-ok(Some(1) is trivially unwrappable)\n    Some(1).unwrap()\n}\n";
+    let src = "pub fn f() {\n    // xtask:allow(L4): advisory counter.\n    let _ = X.load(Ordering::Relaxed);\n}\n";
     let diags = xtask::stale_suppressions("crates/core/src/x.rs", src);
     assert!(diags.is_empty(), "{diags:?}");
 }
@@ -181,13 +86,12 @@ fn live_panic_ok_is_not_flagged() {
 fn doc_comment_mentions_are_not_directives() {
     // Prose about the directive syntax in rustdoc must neither act as a
     // waiver nor be audited as a stale one.
-    let src =
-        "/// Suppress with `xtask:allow(L5): reason` or `xtask:panic-ok(reason)`.\npub fn f() {}\n";
+    let src = "/// Suppress with `xtask:allow(L4): reason`.\npub fn f() {}\n";
     assert!(xtask::stale_suppressions("crates/core/src/x.rs", src).is_empty());
-    let live =
-        "/// `xtask:allow(L5): reason` syntax docs.\npub fn f() { let _ = Instant::now(); }\n";
+    let live = "/// `xtask:allow(L4): reason` syntax docs.\n\
+                pub fn f() { let _ = X.load(Ordering::Relaxed); }\n";
     let diags = check_source("crates/core/src/x.rs", live);
-    assert_eq!(diags.len(), 1, "doc mention must not suppress the L5 diagnostic: {diags:?}");
+    assert_eq!(diags.len(), 1, "doc mention must not suppress the L4 diagnostic: {diags:?}");
 }
 
 /// The live workspace must also pass the stale-suppression audit: every
@@ -201,4 +105,58 @@ fn workspace_has_no_stale_suppressions() {
         "stale suppressions:\n{}",
         diags.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
     );
+}
+
+#[test]
+fn an_allow_for_a_lint_that_is_not_a_token_lint_is_stale() {
+    // Only L3 and L4 are token lints: an `xtask:allow` for any other
+    // name waives nothing, so the audit reports it.
+    let src = "pub fn f() {\n    // xtask:allow(L7): stage timing.\n    let _t = now();\n}\n";
+    let diags = xtask::stale_suppressions("crates/core/src/x.rs", src);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].lint, "allow");
+}
+
+/// The workspace's `[workspace.lints]` table is where the unsafe, hash
+/// order, clock and panic invariants live; a member that does not inherit
+/// it escapes all of them, and no lint level can say so. Every member
+/// named by the root manifest's `members` globs (and the root package)
+/// must carry `[lints]` with `workspace = true`.
+#[test]
+fn every_member_inherits_the_workspace_lint_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let members = manifest
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("members = ["))
+        .expect("root manifest lists its members on one line");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for glob in members.trim_end_matches(']').split(',').map(|m| m.trim().trim_matches('"')) {
+        let dir = glob.strip_suffix("/*").expect("members are `<dir>/*` globs");
+        for entry in std::fs::read_dir(root.join(dir)).expect("member directory") {
+            let path = entry.expect("directory entry").path().join("Cargo.toml");
+            if path.is_file() {
+                manifests.push(path);
+            }
+        }
+    }
+    assert!(manifests.len() > 10, "found only {manifests:?}");
+    let escaped: Vec<_> =
+        manifests.iter().filter(|m| !inherits_workspace_lints(m)).map(|m| m.display()).collect();
+    assert!(escaped.is_empty(), "members without `[lints] workspace = true`: {escaped:?}");
+}
+
+/// Whether the manifest at `path` has a `[lints]` table whose entries
+/// include `workspace = true`.
+fn inherits_workspace_lints(path: &Path) -> bool {
+    let text = std::fs::read_to_string(path).expect("member manifest");
+    let mut in_lints = false;
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
 }

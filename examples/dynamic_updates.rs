@@ -50,10 +50,18 @@ fn main() {
     for (i, batch) in edges[bootstrap..].chunks(batch_size).enumerate() {
         dyn_ne.insert_edges(batch);
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the example reports the incremental re-embed's wall-clock time"
+        )]
         let t0 = Instant::now();
         let incremental = dyn_ne.reembed();
         let t_inc = t0.elapsed();
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the example reports the full rebuild's wall-clock time"
+        )]
         let t0 = Instant::now();
         let full = dyn_ne.full_rebuild();
         let t_full = t0.elapsed();

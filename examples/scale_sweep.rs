@@ -33,6 +33,10 @@ fn main() {
             propagation: None, // matches the paper's very-large-graph runs
             ..Default::default()
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the example reports the embed's wall-clock time"
+        )]
         let start = Instant::now();
         let out = LightNe::new(cfg).embed(&cg);
         let elapsed = start.elapsed();

@@ -16,7 +16,6 @@
 //! [`eval`] (classification & link-prediction harness).
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cli;
 

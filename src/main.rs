@@ -59,7 +59,6 @@
 //! actions are `io-error`, `truncate:N`, `bitflip:SEED`, and `panic`.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::process::ExitCode;
 

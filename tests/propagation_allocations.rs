@@ -26,6 +26,7 @@ impl CountingAlloc {
     }
 }
 
+#[expect(unsafe_code, reason = "a global allocator is an unsafe trait impl")]
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one the caller already upholds; the counters
 // beside the call never touch the memory.

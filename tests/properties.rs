@@ -13,7 +13,7 @@ use lightne::linalg::svd::eig_svd;
 use lightne::linalg::{CsrMatrix, DenseMatrix};
 use lightne::utils::parallel::parallel_prefix_sum;
 use lightne::utils::rng::XorShiftStream;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 64;
 
@@ -99,7 +99,7 @@ fn prefix_sum_correct() {
     }
 }
 
-/// The single shared hash table agrees with a HashMap reference on any
+/// The single shared hash table agrees with a BTreeMap reference on any
 /// insertion sequence: it holds one entry per unordered pair and reads
 /// back the symmetric part of what was added, `(M_uv + M_vu) / 2` at both
 /// orientations (`M_uu` on the diagonal).
@@ -109,7 +109,7 @@ fn hash_table_matches_reference() {
         let mut rng = XorShiftStream::new(0x7AB1E, case);
         let n_ops = 1 + rng.bounded_usize(299);
         let table = ShardedEdgeTable::new(50, 1, 8);
-        let mut reference: HashMap<(u32, u32), f32> = HashMap::new();
+        let mut reference: BTreeMap<(u32, u32), f32> = BTreeMap::new();
         for _ in 0..n_ops {
             let u = rng.bounded(50) as u32;
             let v = rng.bounded(50) as u32;
@@ -117,7 +117,7 @@ fn hash_table_matches_reference() {
             table.add(u, v, w);
             *reference.entry((u, v)).or_insert(0.0) += w;
         }
-        let pairs: std::collections::HashSet<(u32, u32)> =
+        let pairs: BTreeSet<(u32, u32)> =
             reference.keys().map(|&(u, v)| (u.min(v), u.max(v))).collect();
         assert_eq!(table.distinct_edges(), pairs.len(), "case {case}");
         let coo = table.into_coo();
@@ -134,7 +134,7 @@ fn hash_table_matches_reference() {
     }
 }
 
-/// CsrMatrix::from_coo sums duplicates exactly like a HashMap.
+/// CsrMatrix::from_coo sums duplicates exactly like a BTreeMap.
 #[test]
 fn csr_from_coo_matches_reference() {
     for case in 0..CASES {
@@ -144,7 +144,7 @@ fn csr_from_coo_matches_reference() {
             .map(|_| (rng.bounded(30) as u32, rng.bounded(30) as u32, rng.unit_f32() * 10.0 - 5.0))
             .collect();
         let m = CsrMatrix::from_coo(30, 30, coo.clone());
-        let mut reference: HashMap<(u32, u32), f32> = HashMap::new();
+        let mut reference: BTreeMap<(u32, u32), f32> = BTreeMap::new();
         for &(r, c, v) in &coo {
             *reference.entry((r, c)).or_insert(0.0) += v;
         }
