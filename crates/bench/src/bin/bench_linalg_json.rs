@@ -181,13 +181,25 @@ fn main() {
     put("gram_reference_secs", format!("{refg:.6}"));
     put("gram_speedup", format!("{:.3}", refg / tiled));
 
+    // --- The symmetric Gram product `ZᵀZ` (one triangle, mirrored)
+    // against the general path on a copy of the same `Z`: a same-run
+    // ratio, so it holds on any machine.
+    eprintln!("gram_tn symmetric {GRAM_ROWS}x{GRAM_COLS} ({reps} reps) ...");
+    let gz_copy = gz.clone();
+    let sym = best_of(reps, || gz.gram_tn(&gz)).as_secs_f64();
+    let full = best_of(reps, || gz.gram_tn(&gz_copy)).as_secs_f64();
+    put("gram_sym_secs", format!("{sym:.6}"));
+    put("gram_full_secs", format!("{full:.6}"));
+    put("gram_sym_speedup", format!("{:.3}", full / sym));
+
     // --- Orthonormalization: two Gram-matrix SVD passes vs sequential
-    // MGS on a tall sketch. The flop count is the two passes' Gram
-    // products and GEMMs, `4 · 2·n·d²`.
+    // MGS on a tall sketch. The flop count is the two passes'
+    // one-triangle Gram products, `n·d·(d + 1)` each, and GEMMs,
+    // `2·n·d²` each.
     eprintln!("orthonormalize {qr_rows}x128 ({reps} reps) ...");
     let d = 128usize;
     let tall = DenseMatrix::gaussian(qr_rows, d, 3);
-    let orth_flops = (8 * qr_rows * d * d) as f64;
+    let orth_flops = (2 * (qr_rows * d * (d + 1) + 2 * qr_rows * d * d)) as f64;
     let orth = best_of(reps, || {
         let mut x = tall.clone();
         orthonormalize_columns(&mut x)

@@ -333,12 +333,22 @@ const GRAM_CHUNK: usize = 256;
 /// SIMD register tile, whose fused multiply-adds round the same values
 /// (an `f32·f32` product is exact in `f64`). The block partials are then
 /// folded in block order, as the reference folds them.
+///
+/// When `b` is `a` itself (the same slice, as [`crate::svd::eig_svd`]
+/// passes it) the product is symmetric and only one triangle is
+/// computed: a task of the group starting at output row `j0` takes only
+/// the columns `l ≥ j0`, and the strict lower triangle is then copied
+/// from the upper one. That is bitwise the full product: `a_j·a_l` and
+/// `a_l·a_j` are the same exact `f64` product, and both elements add
+/// their products in the same row and block order. At `k = 144` the
+/// tasks do 62 % of the full product's work.
 pub fn gram_tn(a: &[f32], c: usize, b: &[f32], k: usize) -> Vec<f64> {
     if c == 0 || k == 0 {
         return vec![0.0; c * k];
     }
     let rows = a.len() / c;
     assert!(a.len() == rows * c && b.len() == rows * k, "gram shape mismatch");
+    let symmetric = std::ptr::eq(a, b) && c == k;
     let (blocks, groups) = (rows.div_ceil(REDUCE_BLOCK), c.div_ceil(GRAM_GROUP));
     let tier = simd::active_tier();
     let parts: Vec<Vec<f64>> = (0..blocks * groups)
@@ -346,8 +356,10 @@ pub fn gram_tn(a: &[f32], c: usize, b: &[f32], k: usize) -> Vec<f64> {
         .map(|t| {
             let (r0, j0) = ((t / groups) * REDUCE_BLOCK, (t % groups) * GRAM_GROUP);
             let (r1, j1) = ((r0 + REDUCE_BLOCK).min(rows), (j0 + GRAM_GROUP).min(c));
+            let ls = if symmetric { j0 } else { 0 };
             let mut local = vec![0.0f64; (j1 - j0) * k];
-            gram_group(tier, &a[r0 * c..r1 * c], c, &b[r0 * k..r1 * k], k, j0..j1, &mut local);
+            let (ab, bb) = (&a[r0 * c..r1 * c], &b[r0 * k..r1 * k]);
+            gram_group(tier, ab, c, bb, k, j0..j1, ls, &mut local);
             local
         })
         .collect();
@@ -358,15 +370,24 @@ pub fn gram_tn(a: &[f32], c: usize, b: &[f32], k: usize) -> Vec<f64> {
             *x += y;
         }
     }
+    if symmetric {
+        for j in 1..k {
+            for l in 0..j {
+                acc[j * k + l] = acc[l * k + j];
+            }
+        }
+    }
     acc
 }
 
 /// One [`gram_tn`] task: `local[(j − js.start)·k + l] = Σ_rows a[j]·b[l]`
-/// for `j ∈ js`, over the rows of the block `ab` / `bb`, taken
-/// [`GRAM_CHUNK`] rows at a time. On the SIMD tiers the whole
-/// [`GRAM_TILE`]-row tiles run as register tiles over as many columns as
-/// the tier's vectors cover; the ragged columns and rows run the scalar
-/// loop, which is the whole task on the scalar tier.
+/// for `j ∈ js` and the columns `l ∈ ls..k`, over the rows of the block
+/// `ab` / `bb`, taken [`GRAM_CHUNK`] rows at a time; the columns before
+/// `ls` are left alone. On the SIMD tiers the whole [`GRAM_TILE`]-row
+/// tiles run as register tiles over as many columns as the tier's
+/// vectors cover; the ragged columns and rows run the scalar loop, which
+/// is the whole task on the scalar tier.
+#[expect(clippy::too_many_arguments, reason = "the task's block, output rows and first column")]
 fn gram_group(
     tier: SimdTier,
     ab: &[f32],
@@ -374,6 +395,7 @@ fn gram_group(
     bb: &[f32],
     k: usize,
     js: Range<usize>,
+    ls: usize,
     local: &mut [f64],
 ) {
     let j0 = js.start;
@@ -383,10 +405,13 @@ fn gram_group(
     };
     let mut wa = Vec::new(); // the SIMD chunk kernels' widened columns of `a`
     for (ac, bc) in ab.chunks(GRAM_CHUNK * c).zip(bb.chunks(GRAM_CHUNK * k)) {
-        let covered =
-            if tiled > j0 { simd::gram_chunk(ac, c, j0..tiled, bc, k, local, &mut wa) } else { 0 };
+        let covered = if tiled > j0 {
+            simd::gram_chunk(ac, c, j0..tiled, bc, k, ls, local, &mut wa)
+        } else {
+            ls
+        };
         gram_scalar(ac, c, bc, k, j0, j0..tiled, covered..k, local);
-        gram_scalar(ac, c, bc, k, j0, tiled..js.end, 0..k, local);
+        gram_scalar(ac, c, bc, k, j0, tiled..js.end, ls..k, local);
     }
 }
 
@@ -480,6 +505,51 @@ mod tests {
         for (o, w) in out.iter().zip(&want) {
             assert!((o - (w + 1.0)).abs() < 1e-5);
         }
+    }
+
+    /// The symmetric path of [`gram_tn`] (`b` is `a`) against the general
+    /// path on a copy of the same data, bitwise, on every runnable tier
+    /// and at one and two threads. The widths cross the register tiles
+    /// and [`GRAM_GROUP`]; the row counts cross [`GRAM_CHUNK`] and
+    /// [`REDUCE_BLOCK`].
+    #[test]
+    fn symmetric_gram_is_the_full_gram_bitwise() {
+        use lightne_utils::parallel::configure_threads;
+        let _serial = simd::TIER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Miri runs the scalar tier only, and slowly: no 144-wide or
+        // multi-block case there, and one thread (a second would start a
+        // pool helper, which is parked and never joined).
+        let (widths, rows, threads): (&[usize], &[usize], &[usize]) = if cfg!(miri) {
+            (&[1, 3, 4, 7, 8, 15, 33], &[1, GRAM_CHUNK + 3], &[1])
+        } else {
+            (
+                &[1, 3, 4, 7, 8, 15, 33, 144],
+                &[1, GRAM_CHUNK + 3, REDUCE_BLOCK + GRAM_CHUNK + 5],
+                &[1, 2],
+            )
+        };
+        let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let detected = simd::detected_tier();
+        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            if simd::set_tier(tier) != tier {
+                continue;
+            }
+            for &threads in threads {
+                configure_threads(threads);
+                for &k in widths {
+                    for &n in rows {
+                        let x = fill(n * k, (n * 1000 + k) as u64);
+                        let copy = x.clone();
+                        let sym = gram_tn(&x, k, &x, k);
+                        let full = gram_tn(&x, k, &copy, k);
+                        let at = format!("{n} x {k}, {}, {threads} threads", tier.name());
+                        assert_eq!(bits(&sym), bits(&full), "{at}");
+                    }
+                }
+            }
+        }
+        simd::set_tier(detected);
+        configure_threads(0);
     }
 
     #[test]

@@ -8,8 +8,14 @@
 //! `Q = U₁·V₂Σ₂⁻¹`, orthonormal to ~1e-6. Each pass is a Gram product,
 //! a small symmetric eigenproblem and a GEMM, so the O(n·d²) work runs
 //! as blocked products instead of column sweeps. `Q` spans the same
-//! space as `X`, in another basis than a QR factor's — all the
-//! randomized SVD needs.
+//! space as `X`, in another basis than a QR factor's.
+//!
+//! The randomized SVD no longer calls this: its range finder needs only
+//! the span, which one pass keeps, so it takes one [`eig_svd`] pass per
+//! step (see [`crate::rsvd`]). The two-pass contract — `|QᵀQ − I| ≤
+//! 1e-5` even on graded input — stays for the callers that hold it to
+//! that: the kernel tests, `bench_linalg_json`'s `orth_*` rows and the
+//! benchmark's `linalg.qr` layer.
 //!
 //! Determinism: see [`crate::svd`] — bitwise at every thread count.
 

@@ -7,7 +7,7 @@
 //! ```text
 //! 1  sample Gaussian O (n×l), P (l×l)      vsRngGaussian   → DenseMatrix::gaussian (O only)
 //! 2  Y = Aᵀ O                              mkl_sparse_s_mm → CsrMatrix::spmm (A symmetric)
-//! 3  orthonormalize Y                      sgeqrf/sorgqr   → qr::orthonormalize_columns
+//! 3  orthonormalize Y                      sgeqrf/sorgqr   → svd::eig_svd(Y).u, one pass
 //! 4  B = A Y                               mkl_sparse_s_mm → CsrMatrix::spmm
 //! 5  Z = B P                               cblas_sgemm     ┐
 //! 6  orthonormalize Z                      sgeqrf/sorgqr   │
@@ -28,6 +28,22 @@
 //! is the same, from one Gram-matrix SVD where the paper's lines take
 //! a GEMM, a QR, a Gram product and a small SVD.
 //!
+//! Line 3 and each power step replace `Y` by `U` of one [`eig_svd`]
+//! pass, `Y·VΣ⁻¹`, which spans what `Y` spans apart from directions
+//! below [`crate::svd::RANK_TOL`] (the two-pass orthonormaliser drops
+//! the same ones). The range finder needs that span and a basis
+//! orthonormal to working accuracy, not to `f32` precision: `U`'s
+//! columns are orthonormal up to the `f32` rounding of the lift,
+//! amplified by `σ_max/σᵢ` in the weakest directions — the ones the
+//! sketch resolves worst in any case. The second pass of
+//! [`crate::qr::orthonormalize_columns`] removes that loss at the price
+//! of a whole Gram-matrix SVD, and buys nothing measurable here: the
+//! final [`eig_svd`] computes `B`'s orthonormal left factor afresh, the
+//! singular values and subspace angles of `tests/rsvd_envelope.rs` stay
+//! inside their envelope, and the loss that reaches `V = Y·V_B` is
+//! bounded by the same test. An `n × l` sketch with `q` power steps thus
+//! costs `q + 2` Gram-matrix SVDs.
+//!
 //! Line 2 multiplies by `Aᵀ`; the sparsifier NetSMF and LightNE
 //! factorize is symmetric, so there `Aᵀ O` is `A O` and no transpose
 //! is built. [`randomized_svd`] decides with
@@ -42,7 +58,6 @@
 //! paper's single-pass variant.
 
 use crate::dense::DenseMatrix;
-use crate::qr::orthonormalize_columns;
 use crate::sparse::CsrMatrix;
 use crate::svd::eig_svd;
 
@@ -91,17 +106,17 @@ impl Svd {
 /// `n × n` sparse matrix with `nnz` stored entries, used by the engine's
 /// per-stage GFLOP/s accounting. Counts the dominant terms with the
 /// conventional 2-flops-per-multiply-add convention: `(2 + 2q)` SPMMs at
-/// `2·nnz·l`; `2(1 + q) + 1` Gram-matrix SVDs (two per
-/// orthonormalization, one for `B`), each a Gram product and a GEMM at
-/// `2·n·l²` apiece plus `~9·l³` for the symmetric eigensolver; and the
+/// `2·nnz·l`; `(1 + q) + 1` Gram-matrix SVDs (one per range-finder step,
+/// one for `B`), each a one-triangle Gram product at `n·l·(l + 1)`, a
+/// GEMM at `2·n·l²` and `~9·l³` for the symmetric eigensolver; and the
 /// lift `Y·V_B` at `2·n·l·rank`.
 pub fn rsvd_flops(n: usize, nnz: u64, cfg: &RsvdConfig) -> u64 {
     let l = (cfg.rank + cfg.oversampling).min(n).max(1) as u64;
     let rank = (cfg.rank as u64).min(l);
     let (n, q) = (n as u64, cfg.power_iters as u64);
     let spmms = (2 + 2 * q) * 2 * nnz * l;
-    let eig_svds = 2 * (1 + q) + 1;
-    let passes = eig_svds * (4 * n * l * l + 9 * l * l * l);
+    let eig_svds = (1 + q) + 1;
+    let passes = eig_svds * (n * l * (l + 1) + 2 * n * l * l + 9 * l * l * l);
     let lift = 2 * n * l * rank;
     spmms + passes + lift
 }
@@ -129,17 +144,14 @@ pub fn randomized_svd(a: &CsrMatrix, cfg: &RsvdConfig) -> Svd {
         None => a.spmm(x),
     };
 
-    // 1–3: ranged sketch Y = Aᵀ O, orthonormalized (P of line 1 is not
-    // drawn: see the module docs).
-    let o = DenseMatrix::gaussian(n, l, cfg.seed);
-    let mut y = spmm_t(&o);
-    orthonormalize_columns(&mut y);
+    // 1–3: ranged sketch Y = Aᵀ O, orthonormalized by one eigSVD pass:
+    // the span is what the later lines use (see the module docs). P of
+    // line 1 is not drawn.
+    let mut y = eig_svd(&spmm_t(&DenseMatrix::gaussian(n, l, cfg.seed))).u;
 
-    // Optional subspace iterations: Y ← orth(Aᵀ (A Y)).
+    // Optional subspace iterations: Y ← orth(Aᵀ (A Y)), one pass each.
     for _ in 0..cfg.power_iters {
-        let ay = a.spmm(&y);
-        y = spmm_t(&ay);
-        orthonormalize_columns(&mut y);
+        y = eig_svd(&spmm_t(&a.spmm(&y))).u;
     }
 
     // 4: B = A Y (n × l).
@@ -170,7 +182,7 @@ mod tests {
     /// Builds a symmetric matrix with known spectrum Q diag(λ) Qᵀ as CSR.
     fn known_spectrum(n: usize, lambda: &[f32], seed: u64) -> (CsrMatrix, DenseMatrix) {
         let mut q = DenseMatrix::gaussian(n, lambda.len(), seed);
-        orthonormalize_columns(&mut q);
+        crate::qr::orthonormalize_columns(&mut q);
         let mut ql = q.clone();
         ql.scale_columns(lambda);
         let dense = ql.matmul(&q.transpose());

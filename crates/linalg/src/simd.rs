@@ -88,6 +88,11 @@ impl SimdTier {
 const UNINIT: u8 = u8::MAX;
 static ACTIVE: AtomicU8 = AtomicU8::new(UNINIT);
 
+/// Serialises the unit tests that force a tier: one test's [`set_tier`]
+/// must not land between another's `set_tier` and its kernel call.
+#[cfg(test)]
+pub(crate) static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// The highest tier this CPU supports, independent of any [`set_tier`]
 /// (`is_x86_feature_detected!` caches the CPUID probe itself).
 #[cfg(target_arch = "x86_64")]
@@ -369,30 +374,32 @@ mod x86 {
 
     /// One `GRAM_CHUNK`-row chunk of a [`crate::kernels::gram_tn`] task on
     /// AVX-512: the output rows `js` (whole tiles, from the task's first
-    /// row) over the first `k − k mod 8` columns, in strips of 32, 16 and
-    /// 8 columns ([`gram_strip_avx512`]). Returns the number of columns
-    /// covered.
+    /// row) over the columns from `ls` up to the last whole 8 before `k`,
+    /// in strips of 32, 16 and 8 columns ([`gram_strip_avx512`]). Returns
+    /// the first column not covered.
     ///
     /// # Safety
     /// Requires AVX-512F (guaranteed by the dispatching wrapper).
     // SAFETY: delegates to `gram_strip_avx512`, which asserts its own
     // bounds; the feature guard is the wrapper's detection clamp.
     #[target_feature(enable = "avx512f")]
+    #[expect(clippy::too_many_arguments, reason = "one chunk of a task and its first column")]
     unsafe fn gram_chunk_avx512_impl(
         ac: &[f32],
         c: usize,
         js: Range<usize>,
         bc: &[f32],
         k: usize,
+        ls: usize,
         local: &mut [f64],
         wa: &mut Vec<f64>,
     ) -> usize {
         let gt = js.len();
         widen_columns(ac, c, js, wa);
-        let mut l0 = 0;
+        let mut l0 = ls;
         for t in (0..gt).step_by(GRAM_TILE) {
             let out = &mut local[t * k..];
-            l0 = 0;
+            l0 = ls;
             // SAFETY: AVX-512F is enabled on this function, so calling
             // the same-feature strip kernels is sound.
             unsafe {
@@ -471,31 +478,33 @@ mod x86 {
         }
     }
 
-    /// [`gram_chunk_avx512_impl`] on AVX2: the first `k − k mod 4`
-    /// columns in strips of 12, 8 and 4 (twelve accumulators leave the
-    /// sixteen registers room for the operands). Returns the number of
-    /// columns covered.
+    /// [`gram_chunk_avx512_impl`] on AVX2: the columns from `ls` up to the
+    /// last whole 4 before `k`, in strips of 12, 8 and 4 (twelve
+    /// accumulators leave the sixteen registers room for the operands).
+    /// Returns the first column not covered.
     ///
     /// # Safety
     /// Requires AVX2 and FMA (guaranteed by the dispatching wrapper).
     // SAFETY: delegates to `gram_strip_avx2`, which asserts its own
     // bounds; the feature guard is the wrapper's detection clamp.
     #[target_feature(enable = "avx2,fma")]
+    #[expect(clippy::too_many_arguments, reason = "one chunk of a task and its first column")]
     unsafe fn gram_chunk_avx2_impl(
         ac: &[f32],
         c: usize,
         js: Range<usize>,
         bc: &[f32],
         k: usize,
+        ls: usize,
         local: &mut [f64],
         wa: &mut Vec<f64>,
     ) -> usize {
         let gt = js.len();
         widen_columns(ac, c, js, wa);
-        let mut l0 = 0;
+        let mut l0 = ls;
         for t in (0..gt).step_by(GRAM_TILE) {
             let out = &mut local[t * k..];
-            l0 = 0;
+            l0 = ls;
             // SAFETY: AVX2 and FMA are enabled on this function, so
             // calling the same-feature strip kernels is sound.
             unsafe {
@@ -670,25 +679,28 @@ mod x86 {
 
     /// One `GRAM_CHUNK`-row chunk of a [`crate::kernels::gram_tn`] task
     /// on the active tier ([`gram_chunk_avx512_impl`],
-    /// [`gram_chunk_avx2_impl`]): returns how many leading columns it
-    /// covered, none on the scalar tier.
+    /// [`gram_chunk_avx2_impl`]), over the columns from `ls`: returns the
+    /// first column it did not cover, `ls` itself on the scalar tier.
     #[inline]
+    #[expect(clippy::too_many_arguments, reason = "one chunk of a task and its first column")]
     pub(crate) fn gram_chunk(
         ac: &[f32],
         c: usize,
         js: Range<usize>,
         bc: &[f32],
         k: usize,
+        ls: usize,
         local: &mut [f64],
         wa: &mut Vec<f64>,
     ) -> usize {
+        assert!(ls <= k, "gram chunk starts past its last column");
         match super::active_tier() {
             // SAFETY: active_tier() is clamped to the detected tier, so
             // Avx512 means is_x86_feature_detected! confirmed avx512f.
-            SimdTier::Avx512 => unsafe { gram_chunk_avx512_impl(ac, c, js, bc, k, local, wa) },
+            SimdTier::Avx512 => unsafe { gram_chunk_avx512_impl(ac, c, js, bc, k, ls, local, wa) },
             // SAFETY: likewise, Avx2 means avx2 and fma were detected.
-            SimdTier::Avx2 => unsafe { gram_chunk_avx2_impl(ac, c, js, bc, k, local, wa) },
-            SimdTier::Scalar => 0,
+            SimdTier::Avx2 => unsafe { gram_chunk_avx2_impl(ac, c, js, bc, k, ls, local, wa) },
+            SimdTier::Scalar => ls,
         }
     }
 
@@ -752,16 +764,18 @@ mod fallback {
 
     /// Off x86_64 there are no register tiles: no column is covered and
     /// the scalar loop computes the whole chunk.
+    #[expect(clippy::too_many_arguments, reason = "the x86_64 kernel's signature")]
     pub(crate) fn gram_chunk(
         _: &[f32],
         _: usize,
         _: Range<usize>,
         _: &[f32],
         _: usize,
+        ls: usize,
         _: &mut [f64],
         _: &mut Vec<f64>,
     ) -> usize {
-        0
+        ls
     }
 
     /// Off x86_64 the dispatch never selects a SIMD tier; the scalar
@@ -787,6 +801,7 @@ mod tests {
 
     #[test]
     fn set_tier_clamps_to_detected() {
+        let _serial = TIER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let det = detected_tier();
         assert_eq!(set_tier(SimdTier::Avx512), det.min(SimdTier::Avx512));
         assert_eq!(set_tier(SimdTier::Scalar), SimdTier::Scalar);

@@ -7,7 +7,8 @@
 //! LightNE 2.0 does:
 //!
 //! 1. `G = XᵀX` (`k × k`) by the register-tiled `f64` Gram product
-//!    [`crate::kernels::gram_tn`] — one pass over `X`, GEMM-shaped;
+//!    [`crate::kernels::gram_tn`] — one pass over `X`, GEMM-shaped, and
+//!    one triangle of `G` computed, the other copied;
 //! 2. `G = V Λ Vᵀ` by the small symmetric eigensolver
 //!    [`crate::eig::sym_eig`], `σᵢ = √λᵢ`;
 //! 3. `U = X · (V Σ⁻¹)` by the packed GEMM — a second pass over `X`.
@@ -18,8 +19,9 @@
 //! largest carry no digits of `X` and are returned as zero columns of
 //! `U` with `σ = 0`, after the others. The rank-revealing
 //! orthonormaliser [`crate::qr::orthonormalize_columns`] is two passes
-//! of this; the randomized SVD's last step and the thin SVD that ends
-//! propagation ([`tall_thin_svd`]) are one.
+//! of this. The randomized SVD takes one pass per range-finder step and
+//! one for its last step ([`crate::rsvd`]), and the thin SVD that ends
+//! propagation ([`tall_thin_svd`]) is one.
 //!
 //! Determinism: the Gram product and the eigensolver are bitwise
 //! identical on every SIMD tier and at every thread count; the GEMM of
@@ -49,7 +51,9 @@ pub struct SmallSvd {
 /// `f32` data resolves eigenvalues to ~1e-16 of `λ_max`, so the cut sits
 /// well above its noise; and lifting a kept direction divides by
 /// `σ ≥ 1e-5 · σ_max`, which amplifies the `f32` GEMM's rounding at most
-/// ~1e5-fold — the second pass of the orthonormaliser removes that.
+/// ~1e5-fold. The second pass of the orthonormaliser removes that; the
+/// randomized SVD's range finder keeps it, since it needs the span and
+/// not `f32`-exact orthonormality (see [`crate::rsvd`]).
 pub const RANK_TOL: f64 = 1e-10;
 
 /// Thin SVD of a tall matrix `x` (`n × k`) through its Gram matrix: `u`
@@ -63,6 +67,7 @@ pub const RANK_TOL: f64 = 1e-10;
 /// for the spans the randomized SVD and propagation need.
 pub fn eig_svd(x: &DenseMatrix) -> SmallSvd {
     let k = x.cols();
+    // Both operands are the one slice: the symmetric, one-triangle path.
     let gram = kernels::gram_tn(x.as_slice(), k, x.as_slice(), k);
     let eig = sym_eig(&gram, k);
     let floor = eig.values.first().map_or(0.0, |&top| top * RANK_TOL);

@@ -12,9 +12,12 @@
 //!   outside the fixed-block helpers in `lightne_utils::parallel`:
 //!   unordered float addition makes results depend on thread count.
 //! * **L4** — every `Ordering::Relaxed` outside test code (`#[cfg(test)]`
-//!   items, and the integration tests under a `tests/` directory) must
-//!   carry an `// ordering:` justification comment arguing why relaxed
-//!   ordering is sufficient at that site.
+//!   items, the files of out-of-line `#[cfg(test)] mod name;` modules, and
+//!   the integration tests under a `tests/` directory) must carry an
+//!   `// ordering:` justification comment arguing why relaxed ordering is
+//!   sufficient at that site. A bare `Relaxed`, brought in by `use
+//!   std::sync::atomic::Ordering::{Relaxed, …}`, is the same site; the
+//!   `use` item itself is not one.
 //!
 //! A violation can be suppressed inline with
 //! `// xtask:allow(Lk): reason` on the same or preceding line; an allow
@@ -123,6 +126,38 @@ pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let ctx = FileCtx::new(path, src);
     let mut out = apply_allows(&ctx, ctx.token_lints());
     out.sort_by_key(|d| (d.line, d.col, d.lint));
+    out
+}
+
+/// The files the out-of-line test modules (`#[cfg(test)] mod name;`)
+/// declared in the file at `path` may live in: `name.rs` and
+/// `name/mod.rs` beside a `lib.rs`, `main.rs` or `mod.rs`, and under
+/// `foo/` for any other `foo.rs`. Other crate roots (`src/bin/*.rs`) and
+/// `#[path]` attributes are not resolved, so the files they name stay
+/// linted.
+pub fn test_module_files(path: &str, src: &str) -> Vec<String> {
+    let tokens = lex(src).tokens;
+    let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+    let stem = file.strip_suffix(".rs").unwrap_or(file);
+    let base = match (stem, dir) {
+        ("lib" | "main" | "mod", "") => String::new(),
+        ("lib" | "main" | "mod", _) => format!("{dir}/"),
+        (_, "") => format!("{stem}/"),
+        _ => format!("{dir}/{stem}/"),
+    };
+    let spans = cfg_test_spans(&tokens);
+    let mut out = Vec::new();
+    for w in tokens.windows(3) {
+        let line = w[0].line;
+        if w[0].text == "mod"
+            && w[1].kind == TokKind::Ident
+            && w[2].text == ";"
+            && spans.iter().any(|&(lo, hi)| (lo..=hi).contains(&line))
+        {
+            out.push(format!("{base}{}.rs", w[1].text));
+            out.push(format!("{base}{}/mod.rs", w[1].text));
+        }
+    }
     out
 }
 
@@ -416,28 +451,42 @@ fn lint_l3(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// L4: `Ordering::Relaxed` outside test code needs an inline
-/// `// ordering:` justification.
+/// L4: a relaxed ordering outside test code — `Ordering::Relaxed`, or a
+/// bare `Relaxed` that a `use` brought in — needs an inline
+/// `// ordering:` justification. The `use` items are not sites, and a
+/// `Relaxed` behind any other path (`Mode::Relaxed`) is not an ordering.
 fn lint_l4(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
     // Cargo builds a file under a `tests/` directory only as a test target.
     if ctx.path.starts_with("tests/") || ctx.path.contains("/tests/") {
         return;
     }
-    for i in 0..ctx.tokens.len() {
-        if ctx.seq(i, &["Ordering", ":", ":", "Relaxed"]) && !ctx.in_test(ctx.tokens[i].line) {
-            let line = ctx.tokens[i].line;
-            if !ctx.has_comment_near("ordering:", line, 6) {
-                diags.push(
-                    ctx.diag(
-                        "L4",
-                        &ctx.tokens[i],
-                        "`Ordering::Relaxed` without an `// ordering:` justification comment \
-                     arguing why relaxed is sufficient here"
-                            .into(),
+    let toks = &ctx.tokens;
+    let mut i = 0;
+    while i < toks.len() {
+        if toks[i].kind == TokKind::Ident && toks[i].text == "use" {
+            i = toks[i..].iter().position(|t| t.text == ";").map_or(toks.len(), |e| i + e + 1);
+            continue;
+        }
+        let qualified = i >= 2 && ctx.seq(i - 2, &[":", ":", "Relaxed"]);
+        let site = if qualified {
+            (i >= 3 && ctx.seq(i - 3, &["Ordering", ":", ":", "Relaxed"])).then(|| &toks[i - 3])
+        } else {
+            (toks[i].kind == TokKind::Ident && toks[i].text == "Relaxed").then_some(&toks[i])
+        };
+        if let Some(tok) = site.filter(|t| !ctx.in_test(t.line)) {
+            if !ctx.has_comment_near("ordering:", tok.line, 6) {
+                let what = if qualified { "Ordering::Relaxed" } else { "Relaxed" };
+                diags.push(ctx.diag(
+                    "L4",
+                    tok,
+                    format!(
+                        "`{what}` without an `// ordering:` justification comment arguing \
+                         why relaxed is sufficient here"
                     ),
-                );
+                ));
             }
         }
+        i += 1;
     }
 }
 
@@ -476,6 +525,31 @@ mod tests {
         let src = "#[cfg(all(test, feature = \"x\"))]\nmod t {\n}\n";
         let lexed = lex(src);
         assert_eq!(cfg_test_spans(&lexed.tokens), vec![(1, 3)]);
+    }
+
+    #[test]
+    fn out_of_line_test_modules_resolve_to_their_files() {
+        let root = "#[cfg(test)]\nmod tests;\npub mod walk;\n#[cfg(test)]\nmod inline { }\n";
+        let got = test_module_files("vendor/rayon/src/lib.rs", root);
+        assert_eq!(got, ["vendor/rayon/src/tests.rs", "vendor/rayon/src/tests/mod.rs"]);
+        // A non-root file's modules live in the directory named after it.
+        let nested = "#[cfg(all(test, loom))]\npub(crate) mod models;\n";
+        let got = test_module_files("crates/a/src/pool.rs", nested);
+        assert_eq!(got, ["crates/a/src/pool/models.rs", "crates/a/src/pool/models/mod.rs"]);
+    }
+
+    #[test]
+    fn bare_relaxed_is_a_site_but_its_use_item_is_not() {
+        let src = "use std::sync::atomic::Ordering::{Relaxed, SeqCst};\n\
+                   fn f() { x.load(Relaxed); }\n";
+        let diags = check_source("vendor/rayon/src/x.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].line, diags[0].col), (2, 17));
+        let ok = "use std::sync::atomic::Ordering::Relaxed;\n\
+                  // ordering: advisory counter.\nfn f() { x.load(Relaxed); }\n";
+        assert!(check_source("vendor/rayon/src/x.rs", ok).is_empty());
+        let other = "fn f() -> Mode { Mode::Relaxed }\n";
+        assert!(check_source("vendor/rayon/src/x.rs", other).is_empty());
     }
 
     #[test]

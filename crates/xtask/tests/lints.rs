@@ -37,6 +37,48 @@ fn l4_fires_on_unjustified_relaxed() {
 }
 
 #[test]
+fn l4_fires_on_a_bare_relaxed_but_not_on_its_use() {
+    let path = "vendor/rayon/src/fixture_l4_bare.rs";
+    let diags = check_source(path, include_str!("fixtures/l4_bare.rs"));
+    assert_eq!(lints_of(&diags), ["L4"], "{diags:?}");
+    assert_eq!(diags[0].line, 10, "span must point at the unjustified bare Relaxed");
+}
+
+/// The runtime's pool imports `Relaxed` bare: each of its two relaxed
+/// sites must keep its `// ordering:` comment, and dropping either one
+/// fires L4.
+#[test]
+fn each_ordering_comment_of_the_pool_is_needed() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
+    let path = "vendor/rayon/src/pool.rs";
+    let src = std::fs::read_to_string(root.join(path)).expect("pool.rs");
+    assert!(check_source(path, &src).is_empty());
+    let marker = "// ordering:";
+    let sites: Vec<usize> = src.match_indices(marker).map(|(at, _)| at).collect();
+    assert_eq!(sites.len(), 2, "the pool's two relaxed sites");
+    for at in sites {
+        let stripped = format!("{}//{}", &src[..at], &src[at + marker.len()..]);
+        let diags = check_source(path, &stripped);
+        assert_eq!(lints_of(&diags), ["L4"], "{diags:?}");
+    }
+}
+
+/// `vendor/rayon/src/tests.rs` is the runtime's `#[cfg(test)] mod
+/// tests;`: the workspace lints leave the file out, as they leave out a
+/// `#[cfg(test)]` item, although its parallel float reductions would fire
+/// L3 in library code.
+#[test]
+fn an_out_of_line_test_module_is_not_linted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
+    let path = "vendor/rayon/src/tests.rs";
+    let src = std::fs::read_to_string(root.join(path)).expect("tests.rs");
+    assert!(lints_of(&check_source(path, &src)).contains(&"L3"));
+    let files = xtask::lintable_sources(root).expect("walk workspace");
+    assert!(files.iter().all(|(p, _)| p != path), "{path} is test code");
+    assert!(files.iter().any(|(p, _)| p == "vendor/rayon/src/pool.rs"));
+}
+
+#[test]
 fn clean_fixture_has_zero_false_positives() {
     let diags = check_source("crates/core/src/fixture_clean.rs", include_str!("fixtures/clean.rs"));
     assert!(diags.is_empty(), "false positives: {diags:?}");

@@ -21,6 +21,12 @@
 //! each bound, which is about twice it (a few units of `f32` rounding
 //! where the worst case sat at that floor). A factorisation change that
 //! moves the bytes of the embedding must stay inside this envelope.
+//!
+//! A third number gauges the range finder's numeric health: `V = Y·V_B`
+//! carries whatever orthonormality the sketch basis `Y` lost, so the
+//! worst `‖VᵀV − I‖_max` of `randomized_svd`'s `v` over the whole grid
+//! (its columns with `σ > 0`; past the rank the others are zero by
+//! design) is held under a bound of its own.
 
 use lightne::gen::sbm::{labelled_sbm, SbmConfig};
 use lightne::graph::{Graph, GraphBuilder};
@@ -126,8 +132,8 @@ fn check(ex: &Exact, grid: &[((usize, usize, usize), f64, f64)]) {
     }
 }
 
-#[test]
-fn randomized_svd_stays_inside_the_envelope_on_an_sbm() {
+/// The SBM of the first envelope: eight communities, 200 vertices.
+fn sbm() -> Exact {
     let cfg = SbmConfig {
         n: 200,
         communities: 8,
@@ -137,29 +143,24 @@ fn randomized_svd_stays_inside_the_envelope_on_an_sbm() {
         ..Default::default()
     };
     let (g, _) = labelled_sbm(&cfg, 3);
-    let ex = exact(&g);
-    assert_eq!(gap_rank(&ex.sigma, 32), 8, "eight communities, eight dominant directions");
-    assert!(ex.rank > 48, "the SBM's NetMF matrix must outrank every sketch");
-    // ((k, p, q), sv bound, angle bound); the comment is the worst case
-    // of the twenty seeds on the panel-QR/Jacobi factorisation.
-    check(
-        &ex,
-        &[
-            ((8, 8, 0), 0.15, 0.3),      // sv 6.891e-2, angle 1.325e-1
-            ((8, 8, 1), 1.2e-4, 7e-3),   // sv 5.995e-5, angle 3.490e-3
-            ((16, 8, 1), 1.4e-2, 2e-3),  // sv 6.546e-3, angle 9.933e-4
-            ((16, 16, 2), 3.2e-4, 6e-5), // sv 1.578e-4, angle 2.939e-5
-            ((32, 8, 0), 4e-2, 5e-2),    // sv 1.965e-2, angle 2.485e-2
-            ((32, 16, 1), 8e-3, 5e-4),   // sv 3.879e-3, angle 2.288e-4
-        ],
-    );
+    exact(&g)
 }
 
-#[test]
-fn randomized_svd_stays_inside_the_envelope_past_the_rank() {
-    // Three complete bipartite components: every walk power is constant
-    // on each block pair, so the NetMF matrix has rank at most six and
-    // the sketch (l = k + p) is wider than the rank.
+/// ((k, p, q), sv bound, angle bound) on [`sbm`]; the comment is the
+/// worst case of the twenty seeds on the panel-QR/Jacobi factorisation.
+const SBM_GRID: [((usize, usize, usize), f64, f64); 6] = [
+    ((8, 8, 0), 0.15, 0.3),      // sv 6.891e-2, angle 1.325e-1
+    ((8, 8, 1), 1.2e-4, 7e-3),   // sv 5.995e-5, angle 3.490e-3
+    ((16, 8, 1), 1.4e-2, 2e-3),  // sv 6.546e-3, angle 9.933e-4
+    ((16, 16, 2), 3.2e-4, 6e-5), // sv 1.578e-4, angle 2.939e-5
+    ((32, 8, 0), 4e-2, 5e-2),    // sv 1.965e-2, angle 2.485e-2
+    ((32, 16, 1), 8e-3, 5e-4),   // sv 3.879e-3, angle 2.288e-4
+];
+
+/// Three complete bipartite components: every walk power is constant
+/// on each block pair, so the NetMF matrix has rank at most six and the
+/// sketch (l = k + p) is wider than the rank.
+fn past_the_rank() -> Exact {
     let mut b = GraphBuilder::new(48);
     for (base, left, right) in [(0u32, 6u32, 10u32), (16, 8, 12), (36, 5, 7)] {
         for u in base..base + left {
@@ -168,12 +169,70 @@ fn randomized_svd_stays_inside_the_envelope_past_the_rank() {
             }
         }
     }
-    let ex = exact(&b.build());
+    exact(&b.build())
+}
+
+/// Every cell of [`past_the_rank`] sat at the f32 rounding floor on the
+/// panel-QR/Jacobi factorisation (sv 2.810e-7, angle 3.590e-8 at worst,
+/// identical in all three): the bounds are a few units of f32 rounding,
+/// 1e-6 ≈ 8ε.
+const PAST_THE_RANK_CELLS: [(usize, usize, usize); 3] = [(8, 8, 0), (8, 8, 1), (16, 8, 2)];
+const FLOOR: f64 = 1e-6;
+
+#[test]
+fn randomized_svd_stays_inside_the_envelope_on_an_sbm() {
+    let ex = sbm();
+    assert_eq!(gap_rank(&ex.sigma, 32), 8, "eight communities, eight dominant directions");
+    assert!(ex.rank > 48, "the SBM's NetMF matrix must outrank every sketch");
+    check(&ex, &SBM_GRID);
+}
+
+#[test]
+fn randomized_svd_stays_inside_the_envelope_past_the_rank() {
+    let ex = past_the_rank();
     assert!((1..=6).contains(&ex.rank), "rank {}", ex.rank);
     assert_eq!(gap_rank(&ex.sigma, 8), ex.rank);
-    // Every cell sat at the f32 rounding floor on the panel-QR/Jacobi
-    // factorisation (sv 2.810e-7, angle 3.590e-8 at worst, identical in
-    // all three): the bounds are a few units of f32 rounding, 1e-6 ≈ 8ε.
-    const FLOOR: f64 = 1e-6;
-    check(&ex, &[((8, 8, 0), FLOOR, FLOOR), ((8, 8, 1), FLOOR, FLOOR), ((16, 8, 2), FLOOR, FLOOR)]);
+    check(&ex, &PAST_THE_RANK_CELLS.map(|cell| (cell, FLOOR, FLOOR)));
+}
+
+/// `‖VᵀV − I‖_max` over the first `c` columns of `v`, formed in `f64`.
+fn orthonormality_loss(v: &DenseMatrix, c: usize) -> f64 {
+    let mut worst = 0.0f64;
+    for j in 0..c {
+        for l in j..c {
+            let dot: f64 = (0..v.rows()).map(|i| v.get(i, j) as f64 * v.get(i, l) as f64).sum();
+            worst = worst.max((dot - if j == l { 1.0 } else { 0.0 }).abs());
+        }
+    }
+    worst
+}
+
+/// The range finder orthonormalises each sketch by one Gram-matrix SVD
+/// pass, which leaves its basis orthonormal only up to `f32` rounding
+/// amplified by the sketch's condition number. The loss shows in `V =
+/// Y·V_B`: its worst over both grids and every seed was 4.556e-7 (at
+/// `(32, 16, 1)` on the SBM; 2.905e-7 past the rank), and the bound is
+/// about twice that.
+#[test]
+fn the_right_factor_stays_orthonormal_on_the_grid() {
+    const BOUND: f64 = 1e-6;
+    let cells = [
+        (sbm(), SBM_GRID.map(|(cell, _, _)| cell).to_vec()),
+        (past_the_rank(), PAST_THE_RANK_CELLS.to_vec()),
+    ];
+    let mut worst = 0.0f64;
+    for (ex, cells) in &cells {
+        for &(k, p, q) in cells {
+            for seed in 1..=SEEDS {
+                let r = randomized_svd(
+                    &ex.sparse,
+                    &RsvdConfig { rank: k, oversampling: p, power_iters: q, seed },
+                );
+                let live = r.sigma.iter().filter(|&&s| s > 0.0).count();
+                worst = worst.max(orthonormality_loss(&r.v, live));
+            }
+        }
+    }
+    println!("worst ‖VᵀV − I‖_max {worst:.3e} (bound {BOUND:.1e})");
+    assert!(worst <= BOUND, "the right factor lost orthonormality: {worst:.3e} > {BOUND:.1e}");
 }
