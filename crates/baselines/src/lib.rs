@@ -4,7 +4,7 @@
 //! this crate implements:
 //!
 //! * [`netsmf`] — **NetSMF** as the paper characterizes it: the same
-//!   PathSampling, but *no* edge downsampling and *per-thread buffer*
+//!   sampler, but *no* edge downsampling and *per-thread buffer*
 //!   aggregation (memory grows with samples, the limitation the
 //!   Section 5.2.4 ablation quantifies), no spectral propagation.
 //! * [`prone`] — **ProNE+**: the paper's own re-implementation of ProNE

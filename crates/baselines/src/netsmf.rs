@@ -3,7 +3,7 @@
 //!
 //! Differences from LightNE, each of which the paper ablates:
 //!
-//! 1. **No edge downsampling** — every PathSampling trial is kept, so the
+//! 1. **No edge downsampling** — every sample is kept, so the
 //!    sparsifier holds Θ(M) entries instead of O(n log n).
 //! 2. **Per-thread aggregation buffers** merged after sampling
 //!    ([`ThreadLocalAggregator`]) — memory proportional to the *sample
@@ -12,9 +12,13 @@
 //!    (Section 5.2.4).
 //! 3. **No spectral propagation** — the factorization output is final.
 //!
-//! The estimator and randomized SVD are shared with LightNE, so quality
-//! differences in experiments come from the above, not implementation
-//! noise.
+//! The estimator and randomized SVD are shared with LightNE on purpose:
+//! NetSMF samples through the same [`sample_into`], so it draws prefix
+//! pairs of `T − 1`-step walks where NetSMF's paper ran PathSampling
+//! (its Algorithm 1, one sample per walk; the two have one expectation,
+//! `lightne_sparsifier::construct`). Comparisons therefore measure
+//! downsampling, buffers and propagation only, not the sampler or
+//! implementation noise.
 
 use lightne_core::engine::{run_pipeline, PipelineSource, RunOptions, RunStats};
 use lightne_core::LightNeConfig;

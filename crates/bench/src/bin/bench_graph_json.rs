@@ -33,12 +33,13 @@
 //! `weighted_build_speedup` is the sort's and the parallel rows' gain.
 //!
 //! The `sample_*` rows time the sampling stage — `sample_into` into a
-//! `ShardedEdgeTable`, one trial per arc at window 10, sixteen walk lanes
-//! per arc range on every backend — on CSR, on the weighted CSR of the
-//! build rows' edges and on an `arice` container, in million trials per
-//! second; the `sample_seq_*` rows run one lane of the same engine
-//! (`sample_into_lanes::<1>`, one arc at a time) on CSR and weighted CSR.
-//! They are informational, not gated.
+//! `ShardedEdgeTable`, a budget of one sample per arc at window 10
+//! (a walk of nine steps yields ten samples, so one walk per ten arcs),
+//! sixteen walk lanes per arc range on every backend — on CSR, on the
+//! weighted CSR of the build rows' edges and on an `arice` container, in
+//! million samples (pairs) per second; the `sample_seq_*` rows run one
+//! lane of the same engine (`sample_into_lanes::<1>`, one arc at a time)
+//! on CSR and weighted CSR. They are informational, not gated.
 //!
 //! The graph is the largest classification profile (Friendster) scaled
 //! to the host; `--scale` / `--seed` come from the shared harness, and
@@ -205,11 +206,11 @@ fn weighted_build_by_sort(n: usize, edges: &[(VertexId, VertexId, f32)]) -> f64 
     degrees.iter().sum()
 }
 
-/// Trials per second, in millions, of the sampling stage `sample` (one
-/// trial per arc, window 10, downsampling at the default `C`) into a
-/// table pre-sized for half a pair per trial, on the default pool: the
-/// fastest of `reps` runs, each into a fresh table built outside the
-/// timed region.
+/// Samples per second, in millions, of the sampling stage `sample` (a
+/// budget of one sample per arc, window 10, so ten samples per walk;
+/// downsampling at the default `C`) into a table pre-sized for half a
+/// pair per sample, on the default pool: the fastest of `reps` runs, each
+/// into a fresh table built outside the timed region.
 fn sample_msamples_per_sec<G: WeightedOps>(
     g: &G,
     seed: u64,

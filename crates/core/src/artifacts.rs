@@ -154,9 +154,9 @@ pub struct RunMeta {
     /// Sample budget `M` the sparsifier was built with (downstream
     /// stages normalize by it, so resume must reuse it).
     pub samples: u64,
-    /// Sampling trials actually drawn.
+    /// Samples actually drawn (`T` per walk).
     pub trials: u64,
-    /// Trials kept after downsampling.
+    /// Samples kept after downsampling.
     pub kept: u64,
     /// Distinct aggregator entries.
     pub distinct_entries: usize,

@@ -37,8 +37,8 @@ pub struct DynamicLightNe {
     graph: Graph,
     /// The persistent sparsifier: one shared table (a single shard).
     table: ShardedEdgeTable,
-    /// Total trials contributed to the table so far (the `M` of the
-    /// estimator denominator).
+    /// Total samples drawn for the table so far, `T` per walk (the `M` of
+    /// the estimator denominator).
     total_trials: u64,
     /// Monotone counter deriving fresh RNG streams for new batches.
     epoch: u64,
@@ -68,14 +68,14 @@ impl DynamicLightNe {
         &self.graph
     }
 
-    /// Trials accumulated in the persistent sparsifier.
+    /// Samples accumulated in the persistent sparsifier, `T` per walk.
     pub fn total_trials(&self) -> u64 {
         self.total_trials
     }
 
     /// Absorbs a batch of new edges: rebuilds the CSR snapshot and adds
     /// sparsifier samples *only for the new edges*, at the same per-edge
-    /// trial rate the existing table was built with. Self-loops, edges
+    /// sample rate the existing table was built with. Self-loops, edges
     /// the graph already holds and repeats within the batch (in either
     /// orientation) add nothing: the graph keeps an edge once, and a
     /// second share of samples would over-weight its neighbourhood.
@@ -96,8 +96,10 @@ impl DynamicLightNe {
             self.graph = builder.build();
         }
 
-        // Per-arc trial rate: sample_ratio · T · m / (2m) = ratio·T/2.
+        // Per-arc sample rate: sample_ratio · T · m / (2m) = ratio·T/2,
+        // drawn as walks of T samples each.
         let per_arc = (self.cfg.sample_ratio * self.cfg.window as f64 / 2.0).max(0.5);
+        let walks = per_arc / self.cfg.window as f64;
         let c = self.cfg.c_factor.unwrap_or_else(|| default_c(self.graph.num_vertices()));
         let g = &self.graph;
         let seed = self.cfg.seed ^ (self.epoch << 32);
@@ -107,7 +109,7 @@ impl DynamicLightNe {
             // on a stream of its own.
             for (o, (a, b)) in [(u, v), (v, u)].into_iter().enumerate() {
                 let mut rng = XorShiftStream::new(seed, (2 * i + o) as u64);
-                let n_e = per_arc.floor() as u64 + u64::from(rng.bernoulli(per_arc.fract()));
+                let n_e = walks as u64 + u64::from(rng.bernoulli(walks.fract()));
                 let p_e =
                     if self.cfg.downsample { survival_probability(g, a, b, 1.0, c) } else { 1.0 };
                 lanes.enqueue(rng, (a, b), n_e, p_e);
@@ -165,7 +167,7 @@ impl DynamicLightNe {
 
 /// [`PipelineSource`] backed by the persistent sparsifier table: the
 /// "sparsify" stage loads a snapshot of accumulated mass (no
-/// re-sampling), and the sample budget is the total trials absorbed so
+/// re-sampling), and the sample budget is the total samples absorbed so
 /// far.
 struct DynamicSource<'a>(&'a DynamicLightNe);
 

@@ -56,7 +56,7 @@ pub const FAIL_POINTS: &[&str] = &[FP_STAGE_SPARSIFY, FP_STAGE_NETMF, FP_STAGE_R
 /// The four canonical pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
-    /// Parallel sparsifier construction (PathSampling + downsampling).
+    /// Parallel sparsifier construction (walk sampling + downsampling).
     Sparsify,
     /// Conversion of the sparsifier into the truncated-log NetMF matrix.
     NetMf,
@@ -439,7 +439,7 @@ pub trait PipelineSource {
     /// cache, which is exactly what the out-of-core memory gate measures.
     fn graph(&self) -> &Self::Graph;
 
-    /// Total PathSampling trials for a configuration (`M = ratio·T·m`).
+    /// Total samples for a configuration (`M = ratio·T·m`, `T` per walk).
     fn total_samples(&self, cfg: &LightNeConfig) -> u64 {
         let m = cfg.sample_ratio * cfg.window as f64 * self.graph().num_edges() as f64;
         (m.round() as u64).max(1)

@@ -20,8 +20,8 @@ pub struct LightNeConfig {
     pub dim: usize,
     /// Context window `T`.
     pub window: usize,
-    /// Number of PathSampling trials, expressed as the paper's ratio:
-    /// `M = sample_ratio · T · m`. LightNE-Small uses 0.1, LightNE-Large 20.
+    /// Number of samples (pairs, `T` per walk), expressed as the paper's
+    /// ratio: `M = sample_ratio · T · m`. LightNE-Small uses 0.1, LightNE-Large 20.
     pub sample_ratio: f64,
     /// Degree-based edge downsampling on/off (Section 3.2).
     pub downsample: bool,
@@ -254,7 +254,7 @@ impl LightNe {
 
     /// Runs the full pipeline on `g` — any graph backend, weighted or not.
     /// On a [`lightne_graph::WeightedGraph`] that is weight-proportional
-    /// PathSampling (Theorem 3.1's general form), the NetMF inversion over
+    /// walk sampling (Theorem 3.1's general form), the NetMF inversion over
     /// weighted degrees, and propagation over the weighted operators.
     ///
     /// # Panics

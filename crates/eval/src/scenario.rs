@@ -28,7 +28,7 @@ pub struct MatrixConfig {
     pub dim: usize,
     /// Context window `T`.
     pub window: usize,
-    /// PathSampling ratio (`M = ratio · T · m`).
+    /// Sample ratio (`M = ratio · T · m` samples).
     pub sample_ratio: f64,
     /// Labelled-vertex train fraction for classification.
     pub train_ratio: f64,

@@ -28,8 +28,8 @@
 //! * [`algorithms`] — structural statistics for `lightne stats` and the
 //!   quality matrix's structure probe: connected components, triangles,
 //!   k-core and PageRank, all off the embedding path.
-//! * [`walk`] — the one-step-at-a-time random-walk engine used by
-//!   PathSampling (Algorithm 1).
+//! * [`walk`] — the one-step-at-a-time random-walk engine the sampler
+//!   (Algorithm 2) draws its prefix pairs from.
 //! * [`io`] — text edge-list and binary CSR readers/writers.
 //!
 //! Unsafe code is denied (workspace lint table) except in [`mmap`], the

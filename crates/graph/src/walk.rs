@@ -1,4 +1,4 @@
-//! The random-walk engine used by PathSampling (Algorithm 1).
+//! The random-walk engine of the sampler (Algorithm 2).
 //!
 //! Walks are simulated one step at a time: draw a uniform 32-bit value,
 //! reduce it modulo the current vertex's degree, and fetch that incident
@@ -11,6 +11,12 @@
 //! O(1): the same one 64-bit draw picks a slot and flips its keep coin —
 //! the backend's [`WeightedOps::step`] decides.
 //!
+//! The sampler walks `T − 1` steps from an arc `(u, v)` and yields a
+//! sample `(u, z_r)` at every vertex `z_r` the walk reaches, `v` included:
+//! the walk is stationary, so each of those `T` samples has the law of
+//! PathSampling's (NetSMF's Algorithm 1) sample of length `r`, which
+//! walks `r − 1` steps for one sample (`lightne_sparsifier::construct`).
+//!
 //! ## Walks in flight
 //!
 //! A step is one dependent fetch — two on CSR (the offsets, then the
@@ -22,9 +28,9 @@
 //! and one pass steps every lane once, so the core has sixteen
 //! independent fetches outstanding instead of one. Each lane draws from
 //! its own arc's stream in exactly the order a lone walk would, so the
-//! walks — and the endpoints — are the same as this module's [`walk`]
-//! gives; that module's docs give the three reasons the sampler's bytes
-//! do not depend on the lane count.
+//! walks — and every vertex on them — are the same as this module's
+//! [`walk`] gives one step at a time; that module's docs give the three
+//! reasons the sampler's bytes do not depend on the lane count.
 
 use crate::{GraphAccess, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;

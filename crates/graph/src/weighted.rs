@@ -4,7 +4,7 @@
 //! The paper's formulation (Table 1, Theorem 3.1) is stated for weighted
 //! adjacency matrices — `vol(G) = Σ A_uv`, downsampling probability
 //! `p_e = min(1, C·A_uv·(1/d_u + 1/d_v))` with *weighted* degrees — and
-//! NetSMF's PathSampling on weighted graphs walks proportionally to edge
+//! the sampler's walks on weighted graphs step proportionally to edge
 //! weight. An unweighted graph is the unit-weight case of all of it, so
 //! the sampler, the NetMF inversion and the propagation operators are
 //! written once against [`WeightedOps`]: every [`GraphAccess`] backend
@@ -53,11 +53,12 @@ pub trait WeightedOps: Sync {
     /// [`GraphAccess::resident_bytes`]).
     fn resident_bytes(&self) -> usize;
 
-    /// Expected PathSampling trials of one arc of weight `w` out of a
-    /// budget of `samples`, split into its whole part and the fractional
-    /// part the sampler resolves with one coin. Unit weights give every
-    /// arc `⌊M/arcs⌋ + Bernoulli({M/arcs})` in exact integer arithmetic;
-    /// weighted arcs get `M·w/vol` (a uniform weighted-edge draw).
+    /// Expected samples of one arc of weight `w` out of a budget of
+    /// `samples`, split into its whole part and its fractional part. Unit
+    /// weights give every arc `M/arcs` in exact integer arithmetic;
+    /// weighted arcs get `M·w/vol` (a uniform weighted-edge draw). The
+    /// sampler draws an arc's samples as walks of `T` and resolves the
+    /// fraction of its expected walks with one coin.
     fn arc_trials(&self, samples: u64, w: f32) -> (u64, f64);
 
     /// One random-walk step from `v`: a neighbor drawn proportionally to

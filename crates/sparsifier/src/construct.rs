@@ -1,26 +1,45 @@
-//! Algorithm 2: downsampled per-edge PathSampling.
+//! Algorithm 2: downsampled per-edge sampling of prefix pairs.
 //!
 //! Instead of drawing `M` (edge, length) pairs uniformly — which requires
 //! O(1) access to a random edge and defeats compression — the paper maps
-//! over the edges in parallel and gives each edge a Binomial-like trial
-//! count `n_e = ⌊E_e⌋ + Bernoulli({E_e})` with `E_e = M·A_uv/vol(G)`
-//! (`M/arcs` on an unweighted graph), so the expected total is exactly
-//! `M` while every trial is generated where the edge already is in
-//! memory (cache-friendly, compression-friendly).
+//! over the edges in parallel and gives each edge a Binomial-like count
+//! `n_e = ⌊E_e⌋ + Bernoulli({E_e})`, so the expected total is exactly the
+//! budget while all of an edge's work happens where the edge already is
+//! in memory (cache-friendly, compression-friendly).
 //!
-//! Every trial flips the downsampling coin (`p_e`), and survivors run
-//! Algorithm 1 and deposit weight `1/p_e` at *both* orientations of the
-//! resulting endpoint pair in the aggregator (keeping the accumulated
-//! matrix symmetric in expectation and in structure). The shared table
-//! stores the pair once and folds the two adjacent deposits into one
-//! atomic add; the two-deposit contract stays, so any aggregator — NetSMF's
-//! buffers among them — sees every orientation.
+//! ## The estimator (used by `netmf.rs`)
+//!
+//! The unit of work is a *walk*, and the unit of the budget `M` is a
+//! *sample*, one ordered pair. A walk from the directed arc `(u, v)`
+//! starts at `z₁ = v` and takes `T − 1` steps, `z₂ … z_T`. After `z₁` and
+//! after each step it yields the sample `(u, z_r)`: `T` samples for
+//! `T − 1` steps. From a uniform arc the walk `z₀ = u, z₁, …, z_T` is
+//! stationary, so `(z₀, z_r)` lands on `(i, j)` with probability
+//! `d_i (D⁻¹A)^r_{ij} / vol(G)`: the law of PathSampling's (NetSMF's
+//! Algorithm 1, [`crate::path_sampling::path_sample`]) sample of length
+//! `r`, which walks `r − 1` steps for that one sample. An arc of weight
+//! `w` gets `E_e = M·w/(T·vol)` walks (`ratio/2` on unit weights), every
+//! walk flips the downsampling coin (`p_e`), and a survivor deposits
+//! weight `1/p_e` at *both* orientations of each of its `T` samples, so
+//! the aggregated weight `w(i, j)` satisfies
+//!
+//! ```text
+//! E[w(i,j)] = (2M / (vol(G)·T)) · d_i · Σ_{r=1..T} (D⁻¹A)^r_{ij}
+//! ```
+//!
+//! which `netmf.rs` inverts to recover the NetMF matrix entry. The two
+//! orientations keep the accumulated matrix symmetric in expectation and
+//! in structure; the shared table stores the pair once and folds the two
+//! adjacent deposits into one atomic add, and the two-deposit contract
+//! stays, so any aggregator — NetSMF's buffers among them — sees every
+//! orientation. [`SamplerStats`] counts samples, `T` per walk: `2·kept`
+//! deposits, `kept/trials` the survival rate.
 //!
 //! Deposits do not go to the aggregator one by one: each arc-balanced
 //! range of `map_arcs_with` owns a `SampleBuffer` that hands them over
 //! 4096 at a time through [`EdgeAggregator::add_batch`] (the
 //! last, partial one explicitly when the range ends), and counts its
-//! trials and survivors locally. Nothing shared — no lock, no
+//! samples and survivors locally. Nothing shared — no lock, no
 //! atomic — is touched per sample; the table pays its lock and its `len`
 //! update once per shard slice of a batch. The buffer belongs to the range
 //! and not to the table: per-worker buffers owned by the table sat behind
@@ -28,23 +47,21 @@
 //!
 //! ## Walk lanes
 //!
-//! A PathSampling step is one dependent fetch, and a range that runs one
-//! arc's trials to completion before the next waits on one fetch at a
-//! time. So each range keeps up to [`WALK_LANES`] *lanes* in flight, on
-//! every backend ([`Lanes`]; [`sample_into_lanes`] takes any `W`). A lane
-//! holds one arc: its stream `XorShiftStream::new(seed, arc_idx)`, its
-//! trials not yet started, `p_e` and `1/p_e`, and its current trial's
-//! walk — the vertex it is at, the steps left on this side and on `v`'s
-//! side, and the `u`-side endpoint once that side is done.
-//! `map_arcs_with`'s `f` draws the arc's trial count and puts it in a
-//! free lane (trials that take no step are deposited there and then);
-//! while every lane is busy, one pass steps each lane once — `W`
-//! independent fetches in flight — and a lane whose walk ends deposits
-//! the sample's two orientations next to each other and starts its next
-//! trial, or frees itself for the range's next arc. `end` steps the
-//! remaining lanes to completion. The lanes are a fixed array, the busy
-//! ones packed at the front. The dynamic embedder
-//! (`lightne_core::dynamic`) feeds its new arcs into the same [`Lanes`].
+//! A walk step is one dependent fetch, and a range that runs one arc's
+//! walks to completion before the next waits on one fetch at a time. So
+//! each range keeps up to [`WALK_LANES`] *lanes* in flight, on every
+//! backend ([`Lanes`]; [`sample_into_lanes`] takes any `W`). A lane holds
+//! one arc: its stream `XorShiftStream::new(seed, arc_idx)`, its walks not
+//! yet started, `p_e` and `1/p_e`, the vertex its current walk is at and
+//! the steps that walk has left. `map_arcs_with`'s `f` draws the arc's
+//! walk count and puts it in a free lane (a walk of no steps, `T = 1`,
+//! is deposited there and then); while every lane is busy, one pass steps
+//! each lane once — `W` independent fetches in flight — and deposits the
+//! pair it reaches. A lane whose walk ends starts its next walk, or frees
+//! itself for the range's next arc. `end` steps the remaining lanes to
+//! completion. The lanes are a fixed array, the busy ones packed at the
+//! front. The dynamic embedder (`lightne_core::dynamic`) feeds its new
+//! arcs into the same [`Lanes`].
 //!
 //! The lane count is the sampler's constant, not the backend's. The
 //! compressed container's step is a block decode (~114 ns on `arice`),
@@ -53,10 +70,10 @@
 //! (EXPERIMENTS.md, "PR 35").
 //!
 //! The bytes are the same at every `W`, for three reasons:
-//! 1. every arc draws from its own stream in the order of Algorithm 1's
-//!    reference implementation, [`crate::path_sampling::path_sample`] —
-//!    after the coin if `p_e < 1` and the length, the split, the `u`-side
-//!    steps, the `v`-side steps — so every arc makes the same samples;
+//! 1. every arc draws from its own stream in one order — the count coin,
+//!    then per walk the survival coin (only if `p_e < 1`) and the steps,
+//!    one draw each, as [`lightne_graph::walk::walk`] takes them — so
+//!    every arc makes the same samples;
 //! 2. the table sums weights in fixed point, so the order in which
 //!    samples arrive does not change a sum;
 //! 3. a sample's two deposits stay adjacent in the buffer, so the table
@@ -65,22 +82,8 @@
 //! The loop is written once against [`WeightedOps`] — Theorems 3.1–3.2
 //! are stated for a weighted `A`, and an unweighted graph is its
 //! unit-weight case. What differs between the two (exact integer vs
-//! weight-proportional trial counts, uniform vs alias-table neighbor
+//! weight-proportional sample counts, uniform vs alias-table neighbor
 //! draw, counted vs summed two-hop conductance) is the backend's.
-//!
-//! ## The estimator (used by `netmf.rs`)
-//!
-//! For one trial from the directed arc `(u, v)` with walk length `r`,
-//! reversibility of the random walk makes the landing probability of the
-//! ordered pair `(i, j)` equal to `d_i (D⁻¹A)^r_{ij} / vol(G)`,
-//! independent of the split point. Summing over arcs, trials, lengths,
-//! and the mirror insertion, the aggregated weight `w(i, j)` satisfies
-//!
-//! ```text
-//! E[w(i,j)] = (2M / (vol(G)·T)) · d_i · Σ_{r=1..T} (D⁻¹A)^r_{ij}
-//! ```
-//!
-//! which `netmf.rs` inverts to recover the NetMF matrix entry.
 
 use crate::downsample::{default_c, survival_probability, ProbScheme};
 use lightne_graph::{VertexId, WeightedOps};
@@ -95,7 +98,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum SamplerError {
     /// The graph has no arcs — there is nothing to sample from.
     EmptyGraph,
-    /// `window` was 0; walk lengths are drawn from `[1, T]`.
+    /// `window` was 0; a walk yields `T` samples, so `T ≥ 1`.
     ZeroWindow,
 }
 
@@ -113,9 +116,10 @@ impl std::error::Error for SamplerError {}
 /// Configuration of the sampling stage.
 #[derive(Debug, Clone, Copy)]
 pub struct SamplerConfig {
-    /// Context window size `T` (walk lengths are uniform in `[1, T]`).
+    /// Context window size `T`: every walk takes `T − 1` steps and yields
+    /// `T` samples.
     pub window: usize,
-    /// Total expected number of PathSampling trials `M`.
+    /// Total expected number of samples `M` (ordered pairs, `T` per walk).
     pub samples: u64,
     /// Whether the degree-based downsampling layer is active.
     pub downsample: bool,
@@ -152,9 +156,10 @@ impl SamplerConfig {
 /// memory/sample-size ablation).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SamplerStats {
-    /// Trials actually generated (≈ `config.samples`).
+    /// Samples drawn (≈ `config.samples`): `T` per walk started.
     pub trials: u64,
-    /// Trials that survived the downsampling coin.
+    /// Samples kept by the downsampling coin: `T` per surviving walk, each
+    /// deposited at both orientations.
     pub kept: u64,
     /// Distinct entries in the aggregator afterwards: unordered pairs in
     /// the shared table (one slot holds both orientations), ordered pairs
@@ -217,10 +222,12 @@ impl<A: EdgeAggregator> Drop for SampleBuffer<'_, A> {
 }
 
 /// Walks the sampler keeps in flight per arc range. Four to 32 lanes ran
-/// the benchmark graphs' sampling within noise of each other
-/// (EXPERIMENTS.md, "Interleaved walk lanes"); sixteen is the middle of
-/// that flat range, and sixteen lanes' state (~100 bytes each) stays in
-/// L1.
+/// the benchmark graphs' sampling within noise of each other, under
+/// PathSampling (EXPERIMENTS.md, "Interleaved walk lanes") and again with
+/// a deposit after every step (8, 16 and 32 lanes on `rmat_sample`'s
+/// CSR and `rmat_v2mmap`'s `arice` graph, one and two threads,
+/// EXPERIMENTS.md "Prefix pairs"); sixteen is the middle of that flat
+/// range, and sixteen lanes' state (88 bytes each) stays in L1.
 pub const WALK_LANES: usize = 16;
 
 /// Runs Algorithm 2 over `g`, depositing weighted samples into `agg`,
@@ -263,7 +270,8 @@ pub fn sample_into_lanes<const W: usize, G: WeightedOps, A: EdgeAggregator>(
         |lanes, u, v, w, arc_idx| {
             let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
             let (whole, frac) = g.arc_trials(cfg.samples, w);
-            let n_e = whole + u64::from(rng.bernoulli(frac));
+            let walks = (whole as f64 + frac) / cfg.window as f64;
+            let n_e = walks as u64 + u64::from(rng.bernoulli(walks.fract()));
             if n_e > 0 {
                 let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
                 lanes.enqueue(rng, (u, v), n_e, p_e);
@@ -288,81 +296,64 @@ pub fn sample_into_lanes<const W: usize, G: WeightedOps, A: EdgeAggregator>(
     })
 }
 
-/// One arc's trials in flight: the arc's stream, its trials not yet
-/// started, `p_e` and the `1/p_e` it deposits, and the walk of its
-/// current trial — the vertex it is at, the steps left on this side and
-/// on `v`'s side, and the `u`-side endpoint once that side is done.
+/// One arc's walks in flight: the arc's stream, its walks not yet
+/// started, `p_e` and the `1/p_e` it deposits, and its current walk — the
+/// vertex it is at and the steps it has left.
 struct Lane {
     rng: XorShiftStream,
-    trials: u64,
+    walks: u64,
     p_e: f64,
     w: f32,
     u: VertexId,
     v: VertexId,
     cur: VertexId,
-    first: VertexId,
-    on_v_side: bool,
     left: usize,
-    v_steps: usize,
 }
 
 impl Lane {
-    fn new(rng: XorShiftStream, (u, v): (VertexId, VertexId), trials: u64, p_e: f64) -> Self {
+    fn new(rng: XorShiftStream, (u, v): (VertexId, VertexId), walks: u64, p_e: f64) -> Self {
         let w = (1.0 / p_e) as f32;
-        Self { rng, trials, p_e, w, u, v, cur: u, first: u, on_v_side: false, left: 0, v_steps: 0 }
+        Self { rng, walks, p_e, w, u, v, cur: v, left: 0 }
     }
 
-    /// Starts the arc's next surviving trial, drawing from the stream as
-    /// Algorithm 1 does after the coin (if `p_e < 1`) and the length: the
-    /// split, then the steps — and counts it in `kept`. `false` once the
-    /// arc's trials are spent.
+    /// Deposits the sample `(u, cur)`'s two orientations next to each
+    /// other.
     #[inline]
-    fn start_trial(&mut self, window: usize, kept: &mut u64) -> bool {
-        while self.trials > 0 {
-            self.trials -= 1;
-            if self.p_e < 1.0 && !self.rng.bernoulli(self.p_e) {
-                continue;
-            }
-            *kept += 1;
-            let r = 1 + self.rng.bounded_usize(window);
-            let s = self.rng.bounded_usize(r);
-            (self.cur, self.left, self.v_steps, self.on_v_side) = (self.u, s, r - 1 - s, false);
-            return true;
-        }
-        false
+    fn deposit<A: EdgeAggregator>(&self, out: &mut SampleBuffer<'_, A>) {
+        out.deposit(self.u, self.cur, self.w);
+        out.deposit(self.cur, self.u, self.w);
     }
 
-    /// Called when the current side has no steps left: moves to `v`'s
-    /// side, or deposits the finished sample's two orientations next to
-    /// each other and starts the next trial. `true` while the lane has a
-    /// step to take, `false` once the arc is done.
-    fn settle<A: EdgeAggregator>(
+    /// Starts the arc's next surviving walk at `v` after its coin (if
+    /// `p_e < 1`), deposits its first sample and counts its `window`
+    /// samples in `kept`. `true` once a walk has a step to take, `false`
+    /// once the arc's walks are spent.
+    #[inline]
+    fn start_walk<A: EdgeAggregator>(
         &mut self,
         window: usize,
         kept: &mut u64,
         out: &mut SampleBuffer<'_, A>,
     ) -> bool {
-        loop {
-            if !self.on_v_side {
-                (self.first, self.cur, self.left, self.on_v_side) =
-                    (self.cur, self.v, self.v_steps, true);
-            } else {
-                out.deposit(self.first, self.cur, self.w);
-                out.deposit(self.cur, self.first, self.w);
-                if !self.start_trial(window, kept) {
-                    return false;
-                }
+        while self.walks > 0 {
+            self.walks -= 1;
+            if self.p_e < 1.0 && !self.rng.bernoulli(self.p_e) {
+                continue;
             }
+            *kept += window as u64;
+            (self.cur, self.left) = (self.v, window - 1);
+            self.deposit(out);
             if self.left > 0 {
                 return true;
             }
         }
+        false
     }
 }
 
-/// The lane engine: up to `W` arcs' trials in flight over `g`
+/// The lane engine: up to `W` arcs' walks in flight over `g`
 /// (`lanes[..live]` are walking), the buffer in front of the aggregator,
-/// and the trials and survivors counted so far. Each range of
+/// and the samples drawn and kept so far. Each range of
 /// [`sample_into_lanes`] owns one, and so does each batch of the dynamic
 /// embedder: [`Lanes::enqueue`] every arc with its stream, then
 /// [`Lanes::walk_out`].
@@ -377,7 +368,7 @@ pub struct Lanes<'a, G, A: EdgeAggregator, const W: usize> {
 }
 
 impl<'a, G: WeightedOps, A: EdgeAggregator, const W: usize> Lanes<'a, G, A, W> {
-    /// No arc in flight; walks of lengths in `[1, window]` over `g`, whose
+    /// No arc in flight; walks of `window − 1` steps over `g`, whose
     /// samples go to `agg`.
     pub fn new(g: &'a G, window: usize, agg: &'a A) -> Self {
         let idle = |_| Lane::new(XorShiftStream::new(0, 0), (0, 0), 0, 1.0);
@@ -392,19 +383,16 @@ impl<'a, G: WeightedOps, A: EdgeAggregator, const W: usize> Lanes<'a, G, A, W> {
         }
     }
 
-    /// Takes the `n_e` trials of arc `(u, v)` into a lane: each flips the
-    /// `p_e` coin, and every survivor draws a walk length, runs
-    /// Algorithm 1 and deposits `1/p_e` at both orientations of the
-    /// sampled pair, all drawing from `rng`. Trials that take no step are
-    /// settled at once; while every lane is walking, the lanes step.
+    /// Takes the `n_e` walks of arc `(u, v)` into a lane: each flips the
+    /// `p_e` coin, and every survivor walks from `v`, depositing `1/p_e`
+    /// at both orientations of `(u, z_r)` for each of its `T` vertices,
+    /// all drawing from `rng`. Walks that take no step are deposited at
+    /// once; while every lane is walking, the lanes step.
     #[inline]
     pub fn enqueue(&mut self, rng: XorShiftStream, arc: (VertexId, VertexId), n_e: u64, p_e: f64) {
         let mut lane = Lane::new(rng, arc, n_e, p_e);
-        self.trials += n_e;
-        if !lane.start_trial(self.window, &mut self.kept) {
-            return;
-        }
-        if lane.left > 0 || lane.settle(self.window, &mut self.kept, &mut self.out) {
+        self.trials += n_e * self.window as u64;
+        if lane.start_walk(self.window, &mut self.kept, &mut self.out) {
             self.lanes[self.live] = lane;
             self.live += 1;
             while self.live == W {
@@ -414,7 +402,7 @@ impl<'a, G: WeightedOps, A: EdgeAggregator, const W: usize> Lanes<'a, G, A, W> {
     }
 
     /// Steps the lanes still walking to the end, hands the last deposits
-    /// to the aggregator, and returns the trials and survivors of every
+    /// to the aggregator, and returns the samples drawn and kept of every
     /// arc enqueued.
     pub fn walk_out(mut self) -> (u64, u64) {
         while self.live > 0 {
@@ -424,23 +412,22 @@ impl<'a, G: WeightedOps, A: EdgeAggregator, const W: usize> Lanes<'a, G, A, W> {
         (self.trials, self.kept)
     }
 
-    /// Steps every walking lane once; the last walking lane moves into
-    /// the place of a lane whose arc is done.
+    /// Steps every walking lane once and deposits the sample it reaches;
+    /// the last walking lane moves into the place of a lane whose arc is
+    /// done.
     #[inline]
     fn pass(&mut self) {
         let mut i = self.live;
         while i > 0 {
             i -= 1;
             let lane = &mut self.lanes[i];
-            match self.g.step(lane.cur, &mut lane.rng) {
-                Some(next) => {
-                    lane.cur = next;
-                    lane.left -= 1;
-                }
-                // An isolated vertex ends the side, as in `walk`.
-                None => lane.left = 0,
+            // An isolated vertex keeps the walk where it is, as in `walk`.
+            if let Some(next) = self.g.step(lane.cur, &mut lane.rng) {
+                lane.cur = next;
             }
-            if lane.left == 0 && !lane.settle(self.window, &mut self.kept, &mut self.out) {
+            lane.left -= 1;
+            lane.deposit(&mut self.out);
+            if lane.left == 0 && !lane.start_walk(self.window, &mut self.kept, &mut self.out) {
                 self.live -= 1;
                 self.lanes.swap(i, self.live);
             }

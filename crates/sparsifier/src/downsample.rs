@@ -1,8 +1,8 @@
 //! Degree-based edge downsampling (Section 3.2).
 //!
 //! The paper's headline algorithmic contribution: instead of keeping every
-//! PathSampling trial, each trial for edge `e = (u, v)` survives a coin
-//! flip with probability
+//! sample, each walk from edge `e = (u, v)` — and with it the walk's `T`
+//! samples — survives a coin flip with probability
 //!
 //! ```text
 //! p_e = min(1, C · A_uv · (1/d_u + 1/d_v)),   C = log n
@@ -67,12 +67,12 @@ pub fn survival_probability<G: WeightedOps>(
 }
 
 /// Expected number of kept samples of the arcs leaving `sources` if
-/// `total_trials` are spread over the arcs of `g` in proportion to their
-/// weight, each surviving with its `p_e` (used to pre-size each shard of
-/// the hash table).
+/// `total_samples` are spread over the arcs of `g` in proportion to their
+/// weight, each arc's walks surviving with its `p_e` (used to pre-size
+/// each shard of the hash table).
 pub fn expected_kept_samples<G: WeightedOps>(
     g: &G,
-    total_trials: u64,
+    total_samples: u64,
     c: f64,
     sources: Range<VertexId>,
 ) -> f64 {
@@ -80,7 +80,7 @@ pub fn expected_kept_samples<G: WeightedOps>(
         .map(|u| {
             let mut acc = 0.0;
             g.for_each_arc(u, |v, w| {
-                let (whole, frac) = g.arc_trials(total_trials, w);
+                let (whole, frac) = g.arc_trials(total_samples, w);
                 acc += (whole as f64 + frac) * survival_probability(g, u, v, w, c);
             });
             acc

@@ -10,17 +10,19 @@
 //!
 //! built from random-walk samples instead of dense matrix powers:
 //!
-//! * [`path_sampling::path_sample`] — **Algorithm 1**: a two-sided random
-//!   walk from a given edge, producing one endpoint pair of an `r`-step
-//!   path through that edge.
+//! * [`path_sampling::path_sample`] — **Algorithm 1** (PathSampling): a
+//!   two-sided random walk from a given edge, producing one endpoint pair
+//!   of an `r`-step path through that edge. The tests' reference for the
+//!   estimator; the sampler draws the same law as prefix pairs of one walk.
 //! * [`downsample`] — the paper's new degree-based edge downsampling:
-//!   each trial survives with probability
+//!   each walk survives with probability
 //!   `p_e = min(1, C·(1/d_u + 1/d_v))`, `C = log n`, and surviving samples
 //!   carry weight `1/p_e` (unbiased by Theorem 3.1; a good effective-
 //!   resistance proxy by Theorem 3.2).
 //! * [`construct`] — **Algorithm 2**: the per-edge parallel sampling loop
 //!   (`G.MapEdges`), generic over the graph representation — weighted or
-//!   not, see [`weighted`] — and the edge aggregator.
+//!   not, see [`weighted`] — and the edge aggregator. A walk of `T − 1`
+//!   steps from an arc `(u, v)` yields the `T` samples `(u, z_r)`.
 //! * [`sharded`] — the one sample → aggregate → NetMF path: Algorithm 2
 //!   into a sharded hash table, drained straight into the sparse
 //!   truncated-log NetMF matrix fed to the randomized SVD.

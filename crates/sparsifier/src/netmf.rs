@@ -1,7 +1,8 @@
 //! Sparsifier → sparse NetMF matrix.
 //!
 //! Inverts the estimator of Algorithm 2 (see `construct.rs`): with
-//! aggregated weight `w(i,j)` from `M` trials,
+//! aggregated weight `w(i,j)` from `M` samples (`M/T` walks of `T`
+//! samples each),
 //!
 //! ```text
 //! Σ_{r=1..T} (D⁻¹A)^r_{ij}  ≈  w(i,j) · vol(G) · T / (2 · M · d_i)

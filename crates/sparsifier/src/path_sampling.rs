@@ -1,4 +1,5 @@
-//! Algorithm 1: PathSampling.
+//! Algorithm 1: PathSampling, kept as the reference of the estimator the
+//! sampler replaced.
 //!
 //! Given an edge `(u, v)` and a path length `r`, pick a uniform split
 //! `s ∈ [0, r-1]`, walk `s` steps from `u` and `r-1-s` steps from `v`, and
@@ -7,13 +8,21 @@
 //! contributes one (weighted) sample to the sparsifier of
 //! `Σ_r (D⁻¹A)^r`.
 //!
-//! The distributional fact the estimator rests on (proved in
-//! `construct.rs` tests): picking a uniformly random *directed arc* and
-//! applying this procedure lands on the ordered pair `(i, j)` with
-//! probability `d_i · (D⁻¹A)^r_{ij} / (2m)` — independent of the split
-//! point `s`, by reversibility of the walk. On a weighted graph the arc
-//! is drawn and the walks step proportionally to weight, and the same
-//! identity holds with weighted degrees and `vol(G)` for `2m`.
+//! The distributional fact the estimator rests on: picking a uniformly
+//! random *directed arc* and applying this procedure lands on the ordered
+//! pair `(i, j)` with probability `d_i · (D⁻¹A)^r_{ij} / (2m)` —
+//! independent of the split point `s`, by reversibility of the walk. On a
+//! weighted graph the arc is drawn and the walks step proportionally to
+//! weight, and the same identity holds with weighted degrees and `vol(G)`
+//! for `2m`.
+//!
+//! The split `s = 0` is the sampler's walk: from `v`, `r − 1` steps. The
+//! sampler (`construct.rs`) keeps every prefix of one walk of `T − 1`
+//! steps, `T` samples with this law for `r = 1..T`, where a trial here
+//! walks a mean of `(T − 1)/2` steps for one. [`path_sample`] is not on
+//! the sampling path; it is the oracle the tests build the old estimator
+//! from, to compare the two at equal walk steps
+//! (`tests/estimator_rate.rs`).
 
 use lightne_graph::{walk::walk, VertexId, WeightedOps};
 use lightne_utils::rng::XorShiftStream;

@@ -64,14 +64,14 @@ pub fn resolve_shards(configured: usize, n_vertices: usize) -> usize {
 /// adds to one slot, under one of its two endpoints with even odds, so a
 /// range's expected slots are its expected kept samples, not twice them.
 /// Degree mass is the wrong weight under downsampling: `p_e` falls with
-/// degree, so hub-heavy ranges own more trials than kept samples, and
+/// degree, so hub-heavy ranges draw more samples than they keep, and
 /// with exact capacities a degree-mass split resized `rmat_sample`'s tail
 /// shard.
 /// Each shard then gets exactly `⌈share / 0.7⌉` slots. Capacities never
 /// affect accumulated values, only resize counts.
 fn kept_mass_expectations<G: WeightedOps>(g: &G, cfg: &SamplerConfig, shards: usize) -> Vec<usize> {
     let ranges = ShardedEdgeTable::shard_ranges(g.num_vertices(), shards);
-    // Without downsampling every trial is kept: p_e = min(1, ∞) = 1.
+    // Without downsampling every walk is kept: p_e = min(1, ∞) = 1.
     let c = if cfg.downsample { cfg.c(g.num_vertices()) } else { f64::INFINITY };
     let masses: Vec<f64> =
         ranges.par_iter().map(|r| expected_kept_samples(g, cfg.samples, c, r.clone())).collect();

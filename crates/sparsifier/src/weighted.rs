@@ -5,11 +5,11 @@
 //! generic over [`lightne_graph::WeightedOps`], and a
 //! [`lightne_graph::WeightedGraph`] makes it
 //!
-//! * give arcs trials **proportionally to their weight** (a uniform
+//! * give arcs walks **proportionally to their weight** (a uniform
 //!   weighted-edge draw) and step walks to neighbors proportionally to
-//!   edge weight, so one trial lands on the ordered pair `(i, j)` with
-//!   probability `d_i (D⁻¹A)^r_{ij} / vol(G)` — the same reversibility
-//!   identity as the unweighted case with weighted degrees;
+//!   edge weight, so a walk's sample `(u, z_r)` lands on the ordered pair
+//!   `(i, j)` with probability `d_i (D⁻¹A)^r_{ij} / vol(G)` — the same
+//!   stationarity identity as the unweighted case with weighted degrees;
 //! * downsample with the paper's full formula
 //!   `p_e = min(1, C·A_uv·(1/d_u + 1/d_v))` over weighted degrees;
 //! * invert to NetMF in unchanged form:

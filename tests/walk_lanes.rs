@@ -4,23 +4,24 @@
 //! `sample_into_lanes::<W>` keeps `W` arcs' walks in flight per arc range,
 //! and `sample_into` runs it at the sampler's lane count on every
 //! backend. The oracle here is Algorithm 2 written as one loop per arc
-//! over `path_sample` (Algorithm 1), sharing nothing with the lane engine
-//! but the graph's `map_arcs_with`. Every arc draws from its own stream in
-//! the same order whatever `W` is, and the table's fixed-point sums do
-//! not depend on deposit order, so the drained table and the stats must
-//! be bitwise equal to the oracle's at every `W` and every thread count.
-//! The inputs reach the lane code's corners: walks of no steps (window
-//! 1), most trials lost to the downsampling coin, arcs that draw no trial
-//! (a budget below the arc count), hubs, and isolated vertices.
+//! that walks with `walk` one step at a time and deposits every prefix
+//! pair, sharing nothing with the lane engine but the graph's
+//! `map_arcs_with`. Every arc draws from its own stream in the same order
+//! whatever `W` is, and the table's fixed-point sums do not depend on
+//! deposit order, so the drained table and the stats must be bitwise
+//! equal to the oracle's at every `W` and every thread count. The inputs
+//! reach the lane code's corners: walks of no steps (window 1), most
+//! walks lost to the downsampling coin, arcs that draw no walk (a budget
+//! below `T` samples per arc), hubs, and isolated vertices.
 //!
 //! One test function on purpose: it resizes the process-global pool.
 
 use lightne::gen::generators::barabasi_albert;
+use lightne::graph::walk::walk;
 use lightne::graph::{Codec, Graph, GraphBuilder, V2Graph, VertexId, WeightedGraph, WeightedOps};
 use lightne::hash::{EdgeAggregator, ShardedEdgeTable};
 use lightne::sparsifier::construct::{sample_into, sample_into_lanes, SamplerStats};
 use lightne::sparsifier::downsample::{default_c, survival_probability};
-use lightne::sparsifier::path_sampling::path_sample;
 use lightne::sparsifier::{ProbScheme, SamplerConfig};
 use lightne::utils::parallel::configure_threads;
 use lightne::utils::rng::XorShiftStream;
@@ -50,8 +51,8 @@ fn weighted_copy(g: &Graph) -> WeightedGraph {
 }
 
 /// Window 1 (no steps), downsampling at a small `C` (most `p_e < 1`), a
-/// budget below the arc count (many `n_e = 0`), and a plain long-window
-/// run.
+/// budget of a third of a sample per arc (a thirtieth of a walk: most
+/// `n_e = 0`), and a plain long-window run.
 fn lane_configs(arcs: u64) -> [SamplerConfig; 4] {
     let cfg = |window, samples, downsample, c_factor, seed| SamplerConfig {
         window,
@@ -92,34 +93,42 @@ fn run_lanes<const W: usize, G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> Run 
     drained_run(t, stats)
 }
 
-/// Algorithm 2 one arc at a time: the arc's stream draws its trial-count
-/// coin, then each trial its survival coin (if `p_e < 1`), its length and
-/// `path_sample`'s split and steps; the two orientations of a sample go
-/// to the table next to each other, 4096 deposits at a time.
+/// Algorithm 2 one arc at a time: the arc's stream draws its walk-count
+/// coin, then each walk its survival coin (if `p_e < 1`) and its
+/// `T − 1` steps from `v`, one `walk` of one step each; the sample
+/// `(u, z_r)` at every vertex the walk reaches, `v` included, goes to the
+/// table next to its mirror, 4096 deposits at a time. Every walk counts
+/// `T` samples drawn, and every survivor `T` kept.
 fn oracle<G: WeightedOps>(g: &G, cfg: &SamplerConfig) -> Run {
     let table = small_table(g);
     let c = cfg.c_factor.unwrap_or_else(|| default_c(g.num_vertices()));
+    let t = cfg.window as u64;
     let (trials, kept) = (AtomicU64::new(0), AtomicU64::new(0));
     g.map_arcs_with(
         || (Vec::new(), 0u64, 0u64),
         |(buf, arc_trials, arc_kept), u, v, w, arc_idx| {
             let mut rng = XorShiftStream::new(cfg.seed, arc_idx);
             let (whole, frac) = g.arc_trials(cfg.samples, w);
-            let n_e = whole + u64::from(rng.bernoulli(frac));
+            let walks = (whole as f64 + frac) / cfg.window as f64;
+            let n_e = walks.floor() as u64 + u64::from(rng.bernoulli(walks.fract()));
             let p_e = if cfg.downsample { survival_probability(g, u, v, w, c) } else { 1.0 };
             let weight = (1.0 / p_e) as f32;
-            *arc_trials += n_e;
+            *arc_trials += n_e * t;
             for _ in 0..n_e {
                 if p_e < 1.0 && !rng.bernoulli(p_e) {
                     continue;
                 }
-                *arc_kept += 1;
-                let r = 1 + rng.bounded_usize(cfg.window);
-                let (a, b) = path_sample(g, u, v, r, &mut rng);
-                buf.extend([(a, b, weight), (b, a, weight)]);
-                if buf.len() == 4096 {
-                    table.add_batch(buf);
-                    buf.clear();
+                *arc_kept += t;
+                let mut z = v;
+                for r in 1..=cfg.window {
+                    if r > 1 {
+                        z = walk(g, z, 1, &mut rng);
+                    }
+                    buf.extend([(u, z, weight), (z, u, weight)]);
+                    if buf.len() == 4096 {
+                        table.add_batch(buf);
+                        buf.clear();
+                    }
                 }
             }
         },
@@ -173,8 +182,8 @@ fn lanes_and_the_sequential_loop_deposit_the_same_bytes() {
     for (cfg, want) in lane_configs(arc_total(&g)).iter().zip(&unit) {
         assert_eq!(&oracle(&arice, cfg), want, "arice oracle, window {}", cfg.window);
     }
-    // Most trials of the downsampled config fail their coin, and the
-    // small budget leaves arcs without a trial.
+    // Most walks of the downsampled config fail their coin, and the
+    // small budget leaves most arcs without a walk.
     assert!(unit[1].1[1] * 2 < unit[1].1[0], "kept {} of {}", unit[1].1[1], unit[1].1[0]);
     assert!(unit[2].1[0] < arc_total(&g));
 
