@@ -6,7 +6,8 @@
 //! re-embedding as edges arrive) are exactly this. This module implements
 //! the natural LightNE-native design:
 //!
-//! * the graph is kept as an edge log plus a rebuilt CSR;
+//! * the graph is kept as a CSR, rebuilt from its own edges and each new
+//!   batch;
 //! * the *sparsifier hash table is persistent* across updates — because
 //!   the estimator is a sum of independent per-edge sample contributions,
 //!   new edges simply contribute additional weighted samples at the
@@ -33,7 +34,6 @@ use lightne_utils::rng::XorShiftStream;
 pub struct DynamicLightNe {
     cfg: LightNeConfig,
     n: usize,
-    edges: Vec<(VertexId, VertexId)>,
     graph: Graph,
     /// The persistent sparsifier: one shared table (a single shard).
     table: ShardedEdgeTable,
@@ -50,7 +50,6 @@ impl DynamicLightNe {
         Self {
             cfg,
             n,
-            edges: Vec::new(),
             graph: Graph::empty(n),
             table: ShardedEdgeTable::new(n, 1, 1024),
             total_trials: 0,
@@ -90,9 +89,14 @@ impl DynamicLightNe {
         fresh.dedup();
         fresh.retain(|&(u, v)| !self.graph.has_edge(u, v));
         if !fresh.is_empty() {
-            self.edges.extend_from_slice(&fresh);
+            // The graph's `u < v` arcs are its edges; the build sorts and
+            // deduplicates every row, so the order they come in is moot.
+            let g = &self.graph;
             let mut builder = GraphBuilder::new(self.n);
-            builder.add_edges(self.edges.iter().copied());
+            builder.add_edges((0..self.n as VertexId).flat_map(|u| {
+                g.neighbors(u).iter().filter(move |&&v| u < v).map(move |&v| (u, v))
+            }));
+            builder.add_edges(fresh.iter().copied());
             self.graph = builder.build();
         }
 
@@ -319,7 +323,7 @@ mod tests {
         assert_eq!((again.trials, again.kept), (0, 0));
         assert_eq!(dyn_ne.total_trials(), trials);
         assert_eq!(table_bits(&dyn_ne), table);
-        assert_eq!(dyn_ne.edges.len(), dyn_ne.num_edges());
+        assert_eq!(dyn_ne.num_edges(), edges.len());
 
         // A batch that lists edges twice, in either orientation, samples
         // each once: the same trials and table bytes as the plain batch.
@@ -330,7 +334,7 @@ mod tests {
         let s = twice.insert_edges(&repeated);
         assert_eq!((s.trials, s.kept), (first.trials, first.kept));
         assert_eq!(table_bits(&twice), table);
-        assert_eq!(twice.edges.len(), edges.len());
+        assert_eq!(twice.num_edges(), edges.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! "well-connected" graphs (Theorem 3.2) — and PageRank is the centrality
 //! the structure probe ranks embedding norms against. None of this is on
 //! the embedding path, whose one bulk-parallel primitive is
-//! [`GraphOps::map_edges`].
+//! [`crate::WeightedOps::map_arcs_with`].
 
 use crate::ops::common_neighbors;
 use crate::{GraphOps, VertexId};
@@ -42,7 +42,8 @@ pub fn connected_components<G: GraphOps>(g: &G) -> Vec<u32> {
 /// Exact triangle count: every triangle closes once over each of its three
 /// edges, so it is the common-neighbour count summed over edges `u < v`,
 /// divided by 3. Exact because neighbour lists are strictly ascending on
-/// every backend (the CSR invariant [`crate::io::read_binary`] enforces).
+/// every backend (the CSR invariant [`crate::GraphBuilder`] establishes
+/// and [`crate::V2Graph::validate`] checks on a container).
 pub fn triangle_count<G: GraphOps>(g: &G) -> u64 {
     let closing = |u: VertexId| {
         let mut count = 0u64;

@@ -45,6 +45,12 @@ pub enum GraphFormatError {
         /// The vertex's degree.
         degree: usize,
     },
+    /// A vertex lists itself as a neighbor: the graphs are simple, so
+    /// no encoder writes a self-loop.
+    SelfLoop {
+        /// The vertex whose adjacency holds it.
+        vertex: u32,
+    },
     /// Neighbor lists must be strictly increasing; a non-positive gap was
     /// decoded.
     NonMonotoneNeighbors {
@@ -108,6 +114,9 @@ impl fmt::Display for GraphFormatError {
                     f,
                     "neighbor index {index} out of range for degree {degree} of vertex {vertex}"
                 )
+            }
+            GraphFormatError::SelfLoop { vertex } => {
+                write!(f, "vertex {vertex} lists itself as a neighbor (self-loop)")
             }
             GraphFormatError::NonMonotoneNeighbors { vertex } => {
                 write!(f, "non-monotone neighbor list for vertex {vertex}")
@@ -178,6 +187,7 @@ mod tests {
             (GraphFormatError::LengthMismatch { what: "arena", expected: 10, actual: 3 }, "arena"),
             (GraphFormatError::VertexOutOfRange { vertex: 1, decoded: -4, n: 2 }, "-4"),
             (GraphFormatError::BlockSize(0), "block size 0"),
+            (GraphFormatError::SelfLoop { vertex: 3 }, "vertex 3 lists itself"),
         ];
         for (e, needle) in cases {
             assert!(e.to_string().contains(needle), "{e}");

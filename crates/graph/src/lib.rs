@@ -18,19 +18,20 @@
 //!   that code and the bit-granular ones (adaptive Rice, ζ), [`ef`] the
 //!   Elias–Fano offset indices, and the container loads in memory or
 //!   zero-copy via [`mmap`].
-//! * [`ops::GraphOps`] — the uniform interface (degrees, neighbor access,
-//!   `map_edges`) that both representations implement, so the sampler is
-//!   generic over compression. `map_edges`/`map_arcs` is the one GBBS
-//!   bulk-parallel primitive the pipeline uses.
+//! * [`ops::GraphOps`] — the uniform interface (degrees, neighbor access)
+//!   that both representations implement, so the sampler is generic over
+//!   compression.
 //! * [`weighted::WeightedOps`] — the weight-aware view the pipeline is
 //!   written against: unit weights on every `GraphOps` backend, stored
-//!   weights on [`weighted::WeightedGraph`].
+//!   weights on [`weighted::WeightedGraph`]. Its `map_arcs_with` is the one
+//!   GBBS bulk-parallel primitive (`MapEdges`) the pipeline uses.
 //! * [`algorithms`] — structural statistics for `lightne stats` and the
 //!   quality matrix's structure probe: connected components, triangles,
 //!   k-core and PageRank, all off the embedding path.
 //! * [`walk`] — the one-step-at-a-time random-walk engine the sampler
 //!   (Algorithm 2) draws its prefix pairs from.
-//! * [`io`] — text edge-list and binary CSR readers/writers.
+//! * [`io`] — text edge-list readers and writer (the one binary graph
+//!   file is the `.lng2` container of [`v2`]).
 //!
 //! Unsafe code is denied (workspace lint table) except in [`mmap`], the
 //! single module that wraps the `mmap(2)`/`munmap(2)` system calls; every

@@ -6,10 +6,11 @@
 //!   neighbor access). Implemented by the uncompressed [`Graph`] and the
 //!   compressed [`crate::V2Graph`] — any codec, heap-owned or
 //!   memory-mapped — so every backend is interchangeable downstream.
-//! * [`GraphOps`] — LightNE's sampler (Algorithm 2) is expressed as
-//!   `G.MapEdges(f)`, a parallel map applying a user function to every
-//!   arc. `GraphOps` provides that primitive plus the other bulk-parallel
-//!   maps, blanket-implemented for every `GraphAccess + Sync` type.
+//! * [`GraphOps`] — bulk-parallel maps, blanket-implemented for every
+//!   `GraphAccess + Sync` type. LightNE's sampler (Algorithm 2) is
+//!   expressed as `G.MapEdges(f)`, a parallel map applying a user function
+//!   to every arc; that primitive is [`crate::WeightedOps::map_arcs_with`],
+//!   which every such type has with unit weights.
 
 use crate::{Graph, VertexId};
 use lightne_utils::mem::MemUsage;
@@ -69,21 +70,6 @@ pub trait GraphAccess {
 /// Bulk-parallel maps over a graph, available for every thread-safe
 /// [`GraphAccess`] backend via the blanket impl below.
 pub trait GraphOps: GraphAccess + Sync {
-    /// Parallel map over all arcs: `f(u, v, arc_index)` for every directed
-    /// arc `u → v`. `arc_index` is the arc's global CSR position, used by
-    /// callers that need a deterministic per-arc RNG stream. Work is
-    /// parallelized over contiguous vertex ranges of equal *arc* mass,
-    /// 16 per thread; an undirected edge is visited twice
-    /// (once per direction), exactly like GBBS's `MapEdges`: it is
-    /// [`crate::WeightedOps::map_arcs`] without the unit weight.
-    fn map_edges<F>(&self, f: F)
-    where
-        F: Fn(VertexId, VertexId, u64) + Sync + Send,
-        Self: Sized,
-    {
-        crate::WeightedOps::map_arcs(self, |u, v, _, arc_idx| f(u, v, arc_idx));
-    }
-
     /// Parallel degree histogram: `out[v] = deg(v)`.
     fn degrees(&self) -> Vec<u32>
     where
@@ -234,7 +220,7 @@ impl GraphAccess for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Codec, GraphBuilder, V2Graph};
+    use crate::{Codec, GraphBuilder, V2Graph, WeightedOps};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn path_graph(n: usize) -> Graph {
@@ -272,14 +258,14 @@ mod tests {
     }
 
     #[test]
-    fn map_edges_visits_every_arc_once() {
+    fn map_arcs_visits_every_arc_once() {
         at_thread_counts(|| {
             // A path, and a star whose hub owns half of the arcs.
             let star: Vec<(u32, u32)> = (1..400u32).map(|v| (0, v)).collect();
             for g in [path_graph(50), GraphBuilder::from_edges(400, &star)] {
                 let arcs = g.num_arcs();
                 let seen: Vec<AtomicU64> = (0..arcs).map(|_| AtomicU64::new(0)).collect();
-                g.map_edges(|u, v, idx| {
+                WeightedOps::map_arcs(&g, |u, v, _, idx| {
                     assert_eq!(g.ith_neighbor(u, (idx - g.first_arc_index(u)) as usize), v);
                     seen[idx as usize].fetch_add(1, Ordering::Relaxed);
                 });
@@ -289,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn map_edges_compressed_matches_uncompressed() {
+    fn map_arcs_compressed_matches_uncompressed() {
         let g = path_graph(64);
         let c = V2Graph::from_graph(&g, Codec::Byte);
         type ArcList = Vec<(u32, u32, u64)>;
@@ -302,11 +288,11 @@ mod tests {
         at_thread_counts(|| {
             let a = collect(&|out| {
                 let m = std::sync::Mutex::new(out);
-                g.map_edges(|u, v, i| m.lock().unwrap().push((u, v, i)));
+                WeightedOps::map_arcs(&g, |u, v, _, i| m.lock().unwrap().push((u, v, i)));
             });
             let b = collect(&|out| {
                 let m = std::sync::Mutex::new(out);
-                c.map_edges(|u, v, i| m.lock().unwrap().push((u, v, i)));
+                WeightedOps::map_arcs(&c, |u, v, _, i| m.lock().unwrap().push((u, v, i)));
             });
             assert_eq!(a, b);
             assert_eq!(a.len(), g.num_arcs());

@@ -93,7 +93,12 @@
 //! does not fault in the arena. Arena decoding is fully bounds-checked
 //! ([`crate::codecs::BitReader`]), so hostile arena bytes fail typed (or
 //! panic with a message on the infallible [`GraphAccess`] paths), never
-//! read out of bounds.
+//! read out of bounds. The sequential decode also refuses a row no simple
+//! graph has — a neighbor equal to its vertex
+//! ([`GraphFormatError::SelfLoop`]), or a block that starts at or below the
+//! last id of the block before
+//! ([`GraphFormatError::NonMonotoneNeighbors`]) — which a hand-built
+//! container can carry past its checksums.
 
 use crate::codecs::{best_rice_k, BitReader, BitWriter, Codec, MAX_BITS};
 use crate::ef::{self, EfSeq};
@@ -593,7 +598,9 @@ impl V2Graph {
     }
 
     /// Checked sequential decode: calls `f` for every neighbor of `v` in
-    /// sorted order, failing typed on malformed bytes.
+    /// sorted order, failing typed on malformed bytes and on a row no
+    /// simple graph has (an id past `n`, `v` itself, or a block that does
+    /// not start above the one before).
     pub fn try_for_each_neighbor(
         &self,
         v: VertexId,
@@ -620,13 +627,17 @@ impl V2Graph {
         let mut r = self.reader(at);
         let dir = if nblocks > 1 { Some(Directory::read(&mut r, nblocks)?) } else { None };
         let body = r.bit_pos();
-        let n = self.n as u64;
+        let (n, own) = (self.n as u64, v as u64);
         // An `arice` block ends with its quotients, which nothing else
         // bounds: one compare per block that each ends where the next
         // begins (and the last, the span) is what tells a corrupt quotient
         // section from a plausible list.
         let check_ends = strict || self.codec == Codec::RiceAdaptive;
         let mut left = at.deg;
+        // The smallest id the next block may start at: a block's gaps keep
+        // it ascending, but its first id is coded from `v`, not from the
+        // block before.
+        let mut floor = 0u64;
         for b in 0..nblocks {
             if let Some(dir) = dir.filter(|_| check_ends && b > 0) {
                 if dir.block_start(&mut r, b)? != r.bit_pos() {
@@ -635,13 +646,19 @@ impl V2Graph {
             }
             let count = left.min(self.block_size);
             left -= count;
-            self.decode_block(v, &mut r, count, |u| {
-                if u >= n {
-                    return Err(out_of_range(v, u, self.n));
+            // `lo ≤ n`, so `u - lo` wraps past `span` for `u < lo` and is at
+            // least `span` for `u ≥ n`: one compare bounds the id both ways.
+            let (lo, span) = (floor, n - floor);
+            let last = self.decode_block(v, &mut r, count, |u| {
+                // One branch for every id a simple graph's sorted row cannot
+                // hold here: not in `lo..n`, or `v` itself.
+                if (u.wrapping_sub(lo) >= span) | (u == own) {
+                    return Err(bad_neighbor(v, u, self.n, lo));
                 }
                 f(u as VertexId);
                 Ok(())
             })?;
+            floor = last + 1;
         }
         if check_ends {
             let width = u64::BITS - (at.end - body).leading_zeros();
@@ -724,23 +741,13 @@ impl V2Graph {
     }
 
     /// Fully decodes every adjacency list, verifying structure: codewords,
-    /// id range, strict monotonicity, and that the block directory random
-    /// access trusts agrees with the sequential decode. O(n + m); used by
-    /// tests and by callers that mmap untrusted files but want up-front
-    /// validation anyway.
+    /// id range, no self-loop, strict monotonicity, and that the block
+    /// directory random access trusts agrees with the sequential decode.
+    /// O(n + m); used by tests and by callers that mmap untrusted files but
+    /// want up-front validation anyway.
     pub fn validate(&self) -> Result<(), GraphFormatError> {
         for v in 0..self.n as VertexId {
-            let mut prev: Option<VertexId> = None;
-            let mut ok = true;
-            self.decode_vertex(v, &self.locate(v), true, &mut |u| {
-                if let Some(p) = prev {
-                    ok &= u > p;
-                }
-                prev = Some(u);
-            })?;
-            if !ok {
-                return Err(GraphFormatError::NonMonotoneNeighbors { vertex: v });
-            }
+            self.decode_vertex(v, &self.locate(v), true, &mut |_| {})?;
         }
         Ok(())
     }
@@ -849,6 +856,20 @@ fn unrecoverable(e: GraphFormatError) -> ! {
 
 fn out_of_range(vertex: VertexId, decoded: u64, n: usize) -> GraphFormatError {
     GraphFormatError::VertexOutOfRange { vertex, decoded: decoded as i64, n }
+}
+
+/// The error of a decoded neighbor that is out of range, `vertex` itself,
+/// or below `floor`, the least id its row may hold next.
+#[cold]
+fn bad_neighbor(vertex: VertexId, decoded: u64, n: usize, floor: u64) -> GraphFormatError {
+    if decoded >= n as u64 {
+        out_of_range(vertex, decoded, n)
+    } else if decoded == vertex as u64 {
+        GraphFormatError::SelfLoop { vertex }
+    } else {
+        debug_assert!(decoded < floor);
+        GraphFormatError::NonMonotoneNeighbors { vertex }
+    }
 }
 
 /// The first neighbor of a block of `v`'s, from its zigzag delta `x₀`
@@ -1556,6 +1577,39 @@ mod tests {
             }
             let got = open_unchecked(bad).try_ith_neighbor(1, bs);
             assert!(matches!(got, Err(GraphFormatError::Truncated { .. })), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn rows_no_simple_graph_has_fail_every_checked_sequential_decode() {
+        // Raw CSR rows the encoder codes as given (each block's first id
+        // is a zigzag delta from the source, any id): vertex 0's row holds
+        // itself, [0, 1]; repeats a neighbor across blocks, [1, 1]; or
+        // starts a block below the last, [2, 3 | 1, 3]. In range and
+        // checksummed, so only the row check can refuse them.
+        let self_loop = Graph::from_csr(vec![0, 2, 4, 5], vec![0, 1, 0, 2, 1]);
+        let repeat = Graph::from_csr(vec![0, 2, 3], vec![1, 1, 0]);
+        let descent = Graph::from_csr(vec![0, 4, 5, 7, 9], vec![2, 3, 1, 3, 0, 0, 3, 0, 2]);
+        let cases: [(&Graph, &[usize], bool); 3] =
+            [(&self_loop, &[1, 2, 64], true), (&repeat, &[1], false), (&descent, &[1, 2], false)];
+        for codec in Codec::SWEEP {
+            for &(g, block_sizes, is_loop) in &cases {
+                for &bs in block_sizes {
+                    let c = V2Graph::from_graph_with_block_size(g, codec, bs).unwrap();
+                    let what = format!("{} bs={bs} {:?}", codec.name(), g.neighbors(0));
+                    let refused = |got: Result<(), GraphFormatError>| match got {
+                        Err(GraphFormatError::SelfLoop { vertex: 0 }) if is_loop => {}
+                        Err(GraphFormatError::NonMonotoneNeighbors { vertex: 0 }) if !is_loop => {}
+                        other => panic!("{what}: {other:?}"),
+                    };
+                    refused(c.validate());
+                    refused(c.try_decompress().map(drop));
+                    refused(c.try_for_each_neighbor(0, &mut |_| {}));
+                    for v in 1..g.num_vertices() as VertexId {
+                        c.try_for_each_neighbor(v, &mut |_| {}).unwrap();
+                    }
+                }
+            }
         }
     }
 

@@ -11,7 +11,9 @@ use crate::eval::scenario::{run_matrix, MatrixConfig};
 use crate::gen::labels::{read_labels, write_labels};
 use crate::gen::profiles::Profile;
 use crate::graph::algorithms::graph_stats;
-use crate::graph::io::{read_binary, read_edge_list, read_weighted_edge_list, write_binary};
+use crate::graph::io::{
+    read_edge_list, read_weighted_edge_list, reject_retired_format, write_edge_list,
+};
 use crate::graph::v2::{DEFAULT_BLOCK_SIZE, V2_EXTENSION};
 use crate::graph::{Codec, Graph, GraphFormatError, V2Graph};
 use crate::linalg::matio::{read_matrix, write_matrix};
@@ -115,21 +117,37 @@ fn command_options(cmd: &str) -> Option<&'static [&'static [&'static str]]> {
     })
 }
 
-fn is_v2_container(path: &str) -> bool {
-    path.ends_with(&format!(".{V2_EXTENSION}"))
+/// The one rule every graph path follows: `.lng2` is a container, any
+/// other name a text edge list — except the retired binary dump's, which
+/// is an error before any file is opened or written.
+fn is_v2_container(path: &str) -> Result<bool, String> {
+    reject_retired_format(path).map_err(|e| format!("{path}: {e}"))?;
+    Ok(path.ends_with(&format!(".{V2_EXTENSION}")))
 }
 
 fn load_graph(path: &str) -> Result<Graph, String> {
-    if is_v2_container(path) {
+    if is_v2_container(path)? {
         let v2 = V2Graph::open(path.as_ref()).map_err(|e| format!("reading {path}: {e}"))?;
         // The checksum at open vouches for the bytes, not for what they
         // decode to.
         v2.try_decompress().map_err(|e| format!("decoding {path}: {e}"))
-    } else if path.ends_with(".lne") {
-        read_binary(path).map_err(|e| format!("reading {path}: {e}"))
     } else {
         read_edge_list(path, 0).map_err(|e| format!("reading {path}: {e}"))
     }
+}
+
+/// Writes `g` as a container at `path` with `o`'s `--codec` and
+/// `--block-size`, or their defaults. `compress` and `generate` both write
+/// through here, and `generate` declares neither option, so its
+/// containers are `compress`'s default ones.
+fn write_container(o: &Opts, g: &Graph, path: &str) -> Result<(), String> {
+    let codec = codec_opt(o)?;
+    let block_size: usize = o.num("block-size", DEFAULT_BLOCK_SIZE)?;
+    // A rejected `--block-size` is the caller's option.
+    V2Graph::write(g, codec, block_size, path.as_ref()).map_err(|e| match e {
+        GraphFormatError::BlockSize(_) => format!("bad option: {e}"),
+        e => format!("writing {path}: {e}"),
+    })
 }
 
 fn load_v2(path: &str, mmap: bool) -> Result<V2Graph, String> {
@@ -233,8 +251,14 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
             check_scale(profile, scale, "--scale")?;
             let seed: u64 = o.num("seed", 42)?;
             let out_path = o.require("out")?;
+            let container = is_v2_container(out_path)?;
             let data = profile.generate(scale, seed);
-            write_binary(&data.graph, out_path).map_err(|e| e.to_string())?;
+            if container {
+                write_container(&o, &data.graph, out_path)?;
+            } else {
+                write_edge_list(&data.graph, out_path)
+                    .map_err(|e| format!("writing {out_path}: {e}"))?;
+            }
             say(data.stats_row())?;
             say(format!("wrote {out_path}"))?;
             if let Some(labels) = &data.labels {
@@ -247,24 +271,18 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
         "compress" => {
             let g = load_graph(o.require("graph")?)?;
             let out_path = o.require("out")?;
-            if !is_v2_container(out_path) {
+            if !is_v2_container(out_path)? {
                 return Err(format!("--out must end in .{V2_EXTENSION}"));
             }
-            let codec = codec_opt(&o)?;
-            let block_size: usize = o.num("block-size", DEFAULT_BLOCK_SIZE)?;
-            // A rejected `--block-size` is the caller's option.
-            V2Graph::write(&g, codec, block_size, out_path.as_ref()).map_err(|e| match e {
-                GraphFormatError::BlockSize(_) => format!("bad option: {e}"),
-                e => format!("writing {out_path}: {e}"),
-            })?;
+            write_container(&o, &g, out_path)?;
             let v2 = load_v2(out_path, false)?;
             let arcs = v2.num_arcs().max(1);
             say(format!(
                 "wrote {out_path}: {} vertices, {} arcs, codec {}, block size {}",
                 v2.num_vertices(),
                 v2.num_arcs(),
-                codec.name(),
-                block_size
+                v2.codec().name(),
+                v2.block_size()
             ))?;
             say(format!(
                 "container {} bytes ({:.3} bits/edge adjacency, {:.3} bits/edge total)",
@@ -289,6 +307,7 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
         }
         "embed" => {
             let path = o.require("graph")?;
+            let container = is_v2_container(path)?;
             let out_path = o.require("out")?;
             let cfg = lightne_config(&o)?;
             let opts = RunOptions {
@@ -301,11 +320,14 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), String> 
             let result = if o.flag("weighted") {
                 let g = read_weighted_edge_list(path, 0).map_err(|e| e.to_string())?;
                 engine.embed_weighted_with(&g, opts)
-            } else if is_v2_container(path) {
+            } else if container {
                 // A v2 container is consumed directly — decoded on the fly
                 // (zero-copy from the page cache under --mmap), never
-                // expanded back to CSR.
+                // expanded back to CSR. The checksum vouches for the bytes,
+                // not for what they decode to: one checked pass first makes
+                // a forged row a typed error, not a panic in the sampler.
                 let g = load_v2(path, use_mmap)?;
+                g.validate().map_err(|e| format!("decoding {path}: {e}"))?;
                 say(format!(
                     "graph: v2 container, codec {}, {} resident bytes",
                     g.codec().name(),
@@ -477,7 +499,7 @@ mod tests {
 
     #[test]
     fn full_flow_generate_embed_classify() {
-        let gpath = tmp("flow.lne");
+        let gpath = tmp("flow.lng2");
         let epath = tmp("flow_emb.txt");
 
         let out = run_capture(&[
@@ -562,7 +584,7 @@ mod tests {
 
     #[test]
     fn out_of_domain_options_are_errors_not_panics() {
-        let gpath = tmp("domain.lne");
+        let gpath = tmp("domain.txt");
         let epath = tmp("domain_emb.txt");
         run_capture(&["generate", "--profile", "oag", "--scale", "0.00002", "--out", &gpath])
             .unwrap();
@@ -607,7 +629,7 @@ mod tests {
         std::fs::remove_file(&lpath).ok();
         // The evaluation and generation values are rejected before any
         // file is read: none of these exists.
-        let (g, l, e) = ("/nonexistent/g.lne", "/nonexistent/g.labels", "/nonexistent/e.txt");
+        let (g, l, e) = ("/nonexistent/g.txt", "/nonexistent/g.labels", "/nonexistent/e.txt");
         let linkpred = ["linkpred", "--graph", g];
         let classify = ["classify", "--graph", g, "--labels", l, "--embedding", e];
         let generate = ["generate", "--profile", "oag", "--out", e];
@@ -640,7 +662,7 @@ mod tests {
     fn undeclared_options_are_rejected_before_any_work() {
         // The graph does not exist: an error about the option, not about
         // the file, shows the check runs first.
-        let embed = ["embed", "--graph", "/nonexistent/g.lne", "--out", "/nonexistent/e.txt"];
+        let embed = ["embed", "--graph", "/nonexistent/g.txt", "--out", "/nonexistent/e.txt"];
         for (extra, key) in [
             (&["--dimm", "64"][..], "dimm"),
             (&["--graph-format", "v2"][..], "graph-format"),
@@ -652,7 +674,7 @@ mod tests {
             let err = run_capture(&[&embed[..], extra].concat()).unwrap_err();
             assert_eq!(err, format!("unknown option --{key} for embed"));
         }
-        let err = run_capture(&["stats", "--graph", "/nonexistent/g.lne", "--seed", "1"]);
+        let err = run_capture(&["stats", "--graph", "/nonexistent/g.txt", "--seed", "1"]);
         assert_eq!(err.unwrap_err(), "unknown option --seed for stats");
         // The global options stay global.
         let o = Opts::parse(&argv(&["--threads", "2", "--fail-point", "p=panic"])).unwrap();
@@ -699,7 +721,7 @@ mod tests {
 
     #[test]
     fn compress_then_owned_and_mmap_embeds_match_csr() {
-        let gpath = tmp("v2flow.lne");
+        let gpath = tmp("v2flow.txt");
         let cpath = tmp("v2flow.lng2");
         let bpath = tmp("v2flow_byte.lng2");
         let e_csr = tmp("v2flow_emb_csr.txt");
@@ -748,11 +770,9 @@ mod tests {
         // remainder, the layout before the split-stream block. The header
         // is intact (resealed), so every command that opens the file says
         // which id it found and how to get a readable one.
-        let gpath = tmp("retired3.lne");
         let cpath = tmp("retired3.lng2");
-        run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &gpath])
+        run_capture(&["generate", "--profile", "oag", "--scale", "0.0001", "--out", &cpath])
             .unwrap();
-        run_capture(&["compress", "--graph", &gpath, "--out", &cpath]).unwrap();
         let mut bytes = std::fs::read(&cpath).unwrap();
         bytes[12..16].copy_from_slice(&3u32.to_le_bytes());
         let seal = crate::utils::checksum::fnv1a64(&bytes[..64]);
@@ -770,10 +790,10 @@ mod tests {
                 "{args:?}: {err}"
             );
         }
-        for p in [&gpath, &cpath, &out] {
+        for p in [&cpath, &out] {
             std::fs::remove_file(p).ok();
         }
-        std::fs::remove_file(format!("{gpath}.labels")).ok();
+        std::fs::remove_file(format!("{cpath}.labels")).ok();
     }
 
     #[test]
@@ -798,7 +818,7 @@ degeneracy         3
 ";
         assert_eq!(run_capture(&["stats", "--graph", &tpath]).unwrap(), small);
 
-        let gpath = tmp("stats.lne");
+        let gpath = tmp("stats.txt");
         let cpath = tmp("stats.lng2");
         let generate = ["generate", "--profile", "oag", "--scale", "0.0001", "--seed", "42"];
         run_capture(&[&generate[..], &["--out", &gpath]].concat()).unwrap();
@@ -824,35 +844,140 @@ degeneracy         20
 
     #[test]
     fn a_graph_file_that_breaks_the_csr_invariant_is_rejected() {
-        // Edges 0 - 1 and 0 - 2 with row 0 stored as [2, 1] under a valid
-        // checksum: only the row check can catch it.
-        let gpath = tmp("unsorted.lne");
-        let cpath = tmp("unsorted.lng2");
-        write_binary(&crate::graph::GraphBuilder::from_edges(3, &[(0, 1), (0, 2)]), &gpath)
-            .unwrap();
-        let mut raw = std::fs::read(&gpath).unwrap();
-        // A 32-byte header, then four 8-byte offsets: row 0 starts at 64.
-        raw[64..72].copy_from_slice(&[2, 0, 0, 0, 1, 0, 0, 0]);
-        let checksum = crate::utils::checksum::fnv1a64(&raw[32..]);
-        raw[24..32].copy_from_slice(&checksum.to_le_bytes());
-        std::fs::write(&gpath, &raw).unwrap();
-        let compress = run_capture(&["compress", "--graph", &gpath, "--out", &cpath]);
-        let err = compress.expect_err("compress must reject an unsorted row");
-        assert!(err.ends_with("neighbor list not strictly ascending"), "{err}");
-        assert!(!std::path::Path::new(&cpath).exists(), "a rejected compress wrote a file");
-        let epath = tmp("unsorted_emb.txt");
-        for cmd in
-            [&["stats", "--graph", &gpath][..], &["embed", "--graph", &gpath, "--out", &epath]]
-        {
-            let err = run_capture(cmd).unwrap_err();
-            assert!(err.ends_with("neighbor list not strictly ascending"), "{cmd:?}: {err}");
+        // Containers with valid checksums whose vertex 0 lists itself, [0, 1],
+        // or starts its second block below its first, [2, 3 | 1, 3]: only
+        // the decode's row check can catch them, and every command that
+        // reads the file does, before it writes anything.
+        let gpath = tmp("badrow.lng2");
+        let cpath = tmp("badrow_out.lng2");
+        let epath = tmp("badrow_emb.txt");
+        for (offsets, neighbors, block_size, want) in [
+            (vec![0, 2, 4, 5], vec![0, 1, 0, 2, 1], DEFAULT_BLOCK_SIZE, "(self-loop)"),
+            (vec![0, 4, 5, 7, 9], vec![2, 3, 1, 3, 0, 0, 3, 0, 2], 2, "list for vertex 0"),
+        ] {
+            let g = Graph::from_csr(offsets, neighbors);
+            V2Graph::write(&g, Codec::RiceAdaptive, block_size, gpath.as_ref()).unwrap();
+            let v2 = V2Graph::open(gpath.as_ref()).unwrap();
+            assert!(v2.validate().unwrap_err().to_string().ends_with(want));
+            assert!(v2.try_decompress().unwrap_err().to_string().ends_with(want));
+            for cmd in [
+                &["stats", "--graph", &gpath][..],
+                &["compress", "--graph", &gpath, "--out", &cpath],
+                &["embed", "--graph", &gpath, "--out", &epath, "--dim", "2"],
+                &["embed", "--graph", &gpath, "--out", &epath, "--dim", "2", "--mmap"],
+                &["linkpred", "--graph", &gpath],
+            ] {
+                let err = run_capture(cmd).unwrap_err();
+                assert!(err.starts_with("decoding ") && err.ends_with(want), "{cmd:?}: {err}");
+            }
+            assert!(!std::path::Path::new(&cpath).exists(), "a rejected compress wrote a file");
+            assert!(!std::path::Path::new(&epath).exists(), "a rejected embed wrote a file");
         }
         std::fs::remove_file(&gpath).ok();
     }
 
+    /// `run_capture`'s output line that starts with `key`, its last field.
+    fn field(out: &str, key: &str) -> String {
+        let line = out.lines().find(|l| l.starts_with(key)).unwrap_or_else(|| panic!("{out}"));
+        line.split_whitespace().last().unwrap().to_string()
+    }
+
+    #[test]
+    fn generate_writes_what_out_names_and_every_command_reads_it_back() {
+        // Hyperlink-PLD's R-MAT ids end in isolated vertices (506 of 512
+        // have an edge), which only the container and the text header
+        // number; OAG writes labels for `classify`.
+        for (profile, scale) in [("hyperlink-pld", 0.00001), ("oag", 0.00002)] {
+            let data = profile_by_name(profile).unwrap().generate(scale, 42);
+            let n = data.graph.num_vertices();
+            for ext in ["lng2", "txt"] {
+                let gpath = tmp(&format!("roundtrip_{profile}.{ext}"));
+                let epath = tmp(&format!("roundtrip_{profile}_{ext}_emb.txt"));
+                let scale = scale.to_string();
+                let generate =
+                    ["generate", "--profile", profile, "--scale", &scale, "--seed", "42"];
+                run_capture(&[&generate[..], &["--out", &gpath]].concat()).unwrap();
+                let stats = run_capture(&["stats", "--graph", &gpath]).unwrap();
+                assert_eq!(field(&stats, "vertices"), n.to_string(), "{gpath}");
+                assert_eq!(field(&stats, "edges"), data.graph.num_edges().to_string(), "{gpath}");
+                let embed = ["embed", "--graph", &gpath, "--out", &epath, "--dim", "8"];
+                run_capture(&[&embed[..], &["--window", "3", "--seed", "5"]].concat()).unwrap();
+                assert_eq!(read_matrix(&epath).unwrap().rows(), n, "{gpath}");
+                let labels = format!("{gpath}.labels");
+                if data.labels.is_some() {
+                    let out = run_capture(&[
+                        "classify",
+                        "--graph",
+                        &gpath,
+                        "--labels",
+                        &labels,
+                        "--embedding",
+                        &epath,
+                    ])
+                    .unwrap();
+                    assert!(out.contains("micro-F1"), "{out}");
+                }
+                for p in [&gpath, &epath, &labels] {
+                    std::fs::remove_file(p).ok();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generate_writes_the_container_compress_writes_by_default() {
+        let (tpath, gpath, cpath) = (tmp("same.txt"), tmp("same_gen.lng2"), tmp("same_cmp.lng2"));
+        let generate = ["generate", "--profile", "hyperlink-pld", "--scale", "0.00001"];
+        run_capture(&[&generate[..], &["--out", &tpath]].concat()).unwrap();
+        run_capture(&[&generate[..], &["--out", &gpath]].concat()).unwrap();
+        run_capture(&["compress", "--graph", &tpath, "--out", &cpath]).unwrap();
+        assert_eq!(std::fs::read(&gpath).unwrap(), std::fs::read(&cpath).unwrap());
+        for p in [&tpath, &gpath, &cpath] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn the_retired_binary_format_is_refused_before_any_file_is_touched() {
+        let (gpath, cpath, epath) = (tmp("old.lne"), tmp("old.lng2"), tmp("old_emb.txt"));
+        let refused = |args: &[&str]| {
+            let err = run_capture(args).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{gpath}: the binary CSR graph format (.lne) is retired"))
+                    && err.contains(".lng2 container or a text edge list"),
+                "{args:?}: {err}"
+            );
+        };
+        refused(&["generate", "--profile", "oag", "--scale", "0.00002", "--out", &gpath]);
+        assert!(!std::path::Path::new(&gpath).exists());
+        assert!(!std::path::Path::new(&format!("{gpath}.labels")).exists());
+        // A file of that name is not opened: the bytes of the old dump would
+        // read as a bad magic or as invalid UTF-8.
+        std::fs::write(&gpath, b"LNE2\x02\0\0\0").unwrap();
+        let tpath = tmp("old_src.txt");
+        std::fs::write(&tpath, "0 1\n").unwrap();
+        for args in [
+            &["stats", "--graph", &gpath][..],
+            &["compress", "--graph", &gpath, "--out", &cpath],
+            &["compress", "--graph", &tpath, "--out", &gpath],
+            &["embed", "--graph", &gpath, "--out", &epath],
+            &["embed", "--graph", &gpath, "--out", &epath, "--weighted"],
+            &["linkpred", "--graph", &gpath],
+        ] {
+            refused(args);
+        }
+        assert_eq!(std::fs::read(&gpath).unwrap(), b"LNE2\x02\0\0\0");
+        for p in [&cpath, &epath] {
+            assert!(!std::path::Path::new(p).exists(), "{p}");
+        }
+        for p in [&gpath, &tpath] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
     #[test]
     fn classify_rejects_shape_mismatch() {
-        let gpath = tmp("mismatch.lne");
+        let gpath = tmp("mismatch.txt");
         let epath = tmp("mismatch_emb.txt");
         run_capture(&["generate", "--profile", "oag", "--scale", "0.00002", "--out", &gpath])
             .unwrap();

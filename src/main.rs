@@ -1,32 +1,35 @@
 //! `lightne` — command-line interface to the LightNE reproduction.
 //!
 //! ```text
-//! lightne generate --profile oag --scale 0.0001 --out graph.lne [--seed N]
-//! lightne compress --graph graph.lne --out graph.lng2 [--codec C]
+//! lightne generate --profile oag --scale 0.0001 --out graph.lng2 [--seed N]
+//! lightne compress --graph graph.txt --out graph.lng2 [--codec C]
 //!                  [--block-size B]
-//! lightne stats    --graph graph.lne
-//! lightne embed    --graph graph.lne --out emb.txt [--dim D] [--window T]
+//! lightne stats    --graph graph.lng2
+//! lightne embed    --graph graph.lng2 --out emb.txt [--dim D] [--window T]
 //!                  [--ratio R] [--no-downsample] [--no-propagation]
 //!                  [--weighted] [--seed N]
 //!                  [--mmap] [--save-artifacts DIR] [--resume-from DIR]
 //!                  [--strict-resume] [--stats-json PATH]
-//! lightne classify --graph graph.lne --labels graph.lne.labels
+//! lightne classify --graph graph.lng2 --labels graph.lng2.labels
 //!                  --embedding emb.txt [--train-ratio F] [--seed N]
-//! lightne linkpred --graph graph.lne [--holdout F] [--dim D] [--window T]
+//! lightne linkpred --graph graph.lng2 [--holdout F] [--dim D] [--window T]
 //!                  [--ratio R] [--negatives K] [--seed N]
 //! lightne quality  [--profiles a,b,..] [--target-n N] [--dim D] [--seed N]
 //! ```
 //!
 //! `--threads N` (any command) sizes the rayon worker pool (0 = one per
 //! core); an option a command does not read is an error, not ignored.
-//! Graphs ending in `.lne` use the binary CSR format and graphs ending in
-//! `.lng2` the compressed container (written by `compress`, the one place
-//! a container is made; codecs: `arice` (default, per-block adaptive
-//! Golomb–Rice), `byte` (the paper's parallel-byte format) and
-//! `zeta1`..`zeta8` (smaller than `arice` on web graphs, slower to
-//! decode); `--block-size` in `1..=4294967295`, default 64); anything
-//! else is parsed as a text edge list (`--weighted` expects `u v w`
-//! lines).
+//! Every graph path, read or written, follows one rule: a name ending in
+//! `.lng2` is the compressed container, anything else a text edge list
+//! (`--weighted` expects `u v w` lines). The container is made by
+//! `compress` (codecs: `arice` (default, per-block adaptive Golomb–Rice),
+//! `byte` (the paper's parallel-byte format) and `zeta1`..`zeta8`
+//! (smaller than `arice` on web graphs, slower to decode); `--block-size`
+//! in `1..=4294967295`, default 64) and by `generate`, which writes the
+//! one `compress` writes with its defaults. The text list's first line
+//! records the vertex count, so isolated vertices survive it. The binary
+//! CSR dump of earlier builds is retired: a path ending in its extension
+//! is an error naming the two formats instead.
 //! `generate` writes `<out>.labels` alongside classification profiles.
 //!
 //! `embed` runs on what the file is: a `.lng2` container is consumed
